@@ -4,16 +4,16 @@
 //! message overhead unchanged and only stretches the wall-clock completion
 //! time.
 //!
-//! On the default dense engine the overlay is grown once, frozen into CSR
-//! form and the seeded runs of every delay setting fan out across worker
-//! threads (`--threads`), which makes the sweep runnable at 100k+ nodes.
-//! `--engine btree` keeps the original arm: one fresh network per run with
-//! membership gossip running *live* during the dissemination — the pairing
-//! that demonstrates the frozen-overlay equivalence the paper asserts.
+//! By default the overlay is grown once, frozen into CSR form and the
+//! seeded runs of every delay setting fan out across worker threads
+//! (`--threads`), which makes the sweep runnable at 100k+ nodes.
+//! `--live-membership` instead keeps membership gossip running *live*
+//! during every dissemination, on the id-keyed runtime — the pairing that
+//! demonstrates the frozen-overlay equivalence the paper asserts.
 //!
 //! `--ratios 0.1,1,5` overrides the delay/period ratios swept; `--runs` and
-//! `--nodes` control the scale (the btree arm builds one fresh network per
-//! run, so keep its scale modest).
+//! `--nodes` control the scale (the live arm runs sequentially over one
+//! network copy per run, so it defaults to a modest one).
 
 use std::process::ExitCode;
 
@@ -32,10 +32,10 @@ fn main() -> ExitCode {
 fn run() -> Result<(), String> {
     let args = Args::from_env()?;
     let mut params = ExperimentParams::from_args(&args)?;
-    // The btree arm rebuilds the network per run; default it to a smaller
-    // sweep than the snapshot-based figures unless overridden. The dense
-    // arm freezes the overlay once, so the quick default scale is fine.
-    if params.engine == hybridcast_bench::EngineKind::Btree {
+    let live = args.flag("live-membership");
+    // The live arm copies the network per run; default it to a smaller
+    // sweep than the frozen arm, which shares one overlay across threads.
+    if live {
         if args.value("nodes").is_none() && !args.flag("paper") {
             params.nodes = 600;
         }
@@ -44,11 +44,20 @@ fn run() -> Result<(), String> {
         }
     }
     let ratios = args.get_list_or("ratios", vec![0.1f64, 0.5, 1.0, 3.0])?;
+    let json = args.value("json");
+    args.finish()?;
     eprintln!(
-        "# ablation: async forwarding delay ratios {:?}, {} nodes, {} runs each, engine {}",
-        ratios, params.nodes, params.runs, params.engine
+        "# ablation: async forwarding delay ratios {:?}, {} nodes, {} runs each, {} membership",
+        ratios,
+        params.nodes,
+        params.runs,
+        if live { "live" } else { "frozen" }
     );
-    let rows = figures::latency_ablation(&params, &ratios);
+    let rows = if live {
+        figures::live_latency_ablation(&params, &ratios)
+    } else {
+        figures::latency_ablation(&params, &ratios)
+    };
     println!(
         "{:<18} {:>12} {:>14} {:>20}",
         "delay/period", "hit_ratio", "messages", "completion_time"
@@ -64,7 +73,7 @@ fn run() -> Result<(), String> {
                 .unwrap_or_else(|| "-".to_owned()),
         );
     }
-    if let Some(path) = args.value("json") {
+    if let Some(path) = json {
         output::write_json(std::path::Path::new(path), &rows).map_err(|e| e.to_string())?;
     }
     Ok(())

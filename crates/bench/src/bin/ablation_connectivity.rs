@@ -21,6 +21,8 @@ fn run() -> Result<(), String> {
     let args = Args::from_env()?;
     let params = ExperimentParams::from_args(&args)?;
     let fraction: f64 = args.get_or("fraction", 0.05)?;
+    let json = args.value("json");
+    args.finish()?;
     eprintln!(
         "# ablation: d-link connectivity under {:.0}% failure, {} nodes, {} runs",
         fraction * 100.0,
@@ -42,7 +44,7 @@ fn run() -> Result<(), String> {
             stats.mean_total_messages
         );
     }
-    if let Some(path) = args.value("json") {
+    if let Some(path) = json {
         output::write_json(std::path::Path::new(path), &rows).map_err(|e| e.to_string())?;
     }
     Ok(())

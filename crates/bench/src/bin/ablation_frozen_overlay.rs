@@ -21,6 +21,8 @@ fn run() -> Result<(), String> {
     let args = Args::from_env()?;
     let params = ExperimentParams::from_args(&args)?;
     let extra = args.get_list_or("extra-cycles", vec![0usize, 20, 50])?;
+    let json = args.value("json");
+    args.finish()?;
     eprintln!(
         "# ablation: frozen-overlay instants {:?}, {} nodes, {} runs/fanout",
         extra, params.nodes, params.runs
@@ -31,7 +33,7 @@ fn run() -> Result<(), String> {
         print!("{}", output::render_effectiveness(table));
         println!();
     }
-    if let Some(path) = args.value("json") {
+    if let Some(path) = json {
         output::write_json(std::path::Path::new(path), &tables).map_err(|e| e.to_string())?;
     }
     Ok(())

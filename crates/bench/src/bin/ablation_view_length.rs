@@ -22,6 +22,8 @@ fn run() -> Result<(), String> {
     let params = ExperimentParams::from_args(&args)?;
     let views = args.get_list_or("views", vec![5usize, 10, 20, 40])?;
     let fanout: usize = args.get_or("fanout", 3)?;
+    let json = args.value("json");
+    args.finish()?;
     eprintln!(
         "# ablation: view lengths {:?} at fanout {}, {} nodes, {} runs",
         views, fanout, params.nodes, params.runs
@@ -32,7 +34,7 @@ fn run() -> Result<(), String> {
         print!("{}", output::render_effectiveness(table));
         println!();
     }
-    if let Some(path) = args.value("json") {
+    if let Some(path) = json {
         output::write_json(std::path::Path::new(path), &tables).map_err(|e| e.to_string())?;
     }
     Ok(())

@@ -13,12 +13,9 @@
 //!    deliveries carry the dissemination across the heal and the reported
 //!    re-convergence time is meaningful.
 //!
-//! The overlay is grown once and frozen; every sweep point fans its seeded
-//! runs across `--threads` workers on the dense engine. `--engine btree`
-//! replays the exact same seeded runs through the id-keyed BTree engine —
-//! the rows are bit-identical to the dense arm, the differential the
-//! property suite pins.
-
+//! The overlay is grown once per sweep and frozen; every sweep point fans
+//! its seeded runs across `--threads` workers.
+//!
 //! `--trace <path>` streams both sweeps' structured event records —
 //! including the scripted `PartitionOpen`/`PartitionHeal` timelines — as
 //! JSON Lines, `--profile` prints the wall-clock stage breakdown (one
@@ -50,43 +47,27 @@ fn run() -> Result<(), String> {
     if args.value("fanouts").is_none() {
         params.fanouts = vec![3];
     }
-    // The btree arm runs its seeded disseminations sequentially through the
-    // id-keyed engine; default it to a smaller sweep unless overridden.
-    if params.engine == hybridcast_bench::EngineKind::Btree {
-        if args.value("nodes").is_none() && !args.flag("paper") {
-            params.nodes = 600;
-        }
-        if args.value("runs").is_none() && !args.flag("paper") {
-            params.runs = 5;
-        }
-    }
     let loss_rates = args.get_list_or("loss-rates", vec![0.0f64, 0.05, 0.1, 0.2, 0.4])?;
     let durations = args.get_list_or("durations", vec![0.0f64, 2.0, 4.0, 8.0])?;
     let start = args.get_or("partition-start", 2.0f64)?;
 
+    let probing = ProbeOptions::from_args(&args);
+    let json = args.value("json");
+    args.finish()?;
     eprintln!(
-        "# ext: adversarial models, {} nodes, {} runs each, engine {}",
-        params.nodes, params.runs, params.engine
+        "# ext: adversarial models, {} nodes, {} runs each",
+        params.nodes, params.runs
     );
 
-    let probing = ProbeOptions::from_args(&args, &params)?;
     eprintln!("# sweep 1: i.i.d. loss rates {loss_rates:?}");
     eprintln!("# sweep 2: bisection at t={start}, durations {durations:?}");
-    let (loss_rows, part_rows) = if probing.active() {
-        probing.run_probed(|mut probe, profiler| {
-            let loss =
-                figures::adversarial_loss_sweep_probed(&params, &loss_rates, &mut probe, profiler);
-            let partitions = figures::adversarial_partition_sweep_probed(
-                &params, &durations, start, &mut probe, profiler,
-            );
-            (loss, partitions)
-        })?
-    } else {
-        (
-            figures::adversarial_loss_sweep(&params, &loss_rates),
-            figures::adversarial_partition_sweep(&params, &durations, start),
-        )
-    };
+    let (loss_rows, part_rows) = probing.run_probed(|probe, profiler| {
+        let loss = figures::adversarial_loss_sweep_probed(&params, &loss_rates, probe, profiler);
+        let partitions = figures::adversarial_partition_sweep_probed(
+            &params, &durations, start, probe, profiler,
+        );
+        (loss, partitions)
+    })?;
     println!(
         "{:<12} {:>12} {:>14} {:>14} {:>10} {:>18}",
         "loss_rate", "hit_ratio", "messages", "dropped", "complete", "completion_time"
@@ -124,7 +105,7 @@ fn run() -> Result<(), String> {
         );
     }
 
-    if let Some(path) = args.value("json") {
+    if let Some(path) = json {
         #[derive(serde::Serialize)]
         struct Combined {
             loss: Vec<figures::AdversarialLossRow>,

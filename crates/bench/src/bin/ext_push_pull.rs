@@ -6,9 +6,8 @@
 //! in rounds and messages. `--fraction 0.05` adds a catastrophic failure
 //! before disseminating.
 //!
-//! Runs on the allocation-free dense pull engine by default, fanning the
-//! seeded runs of each configuration across worker threads (`--threads`);
-//! `--engine btree` selects the original sequential id-keyed engine.
+//! Runs on the allocation-free dense pull engine, fanning the seeded runs
+//! of each configuration across worker threads (`--threads`).
 
 use std::process::ExitCode;
 
@@ -31,12 +30,13 @@ fn run() -> Result<(), String> {
         params.fanouts = vec![1, 2, 3, 4];
     }
     let fraction: f64 = args.get_or("fraction", 0.0)?;
+    let json = args.value("json");
+    args.finish()?;
     eprintln!(
-        "# ext: push + pull anti-entropy, {} nodes, {} runs/fanout, failure {:.0}%, engine {}",
+        "# ext: push + pull anti-entropy, {} nodes, {} runs/fanout, failure {:.0}%",
         params.nodes,
         params.runs,
-        fraction * 100.0,
-        params.engine
+        fraction * 100.0
     );
     let rows = figures::push_pull_extension(&params, fraction);
     println!(
@@ -54,7 +54,7 @@ fn run() -> Result<(), String> {
             row.mean_total_messages
         );
     }
-    if let Some(path) = args.value("json") {
+    if let Some(path) = json {
         output::write_json(std::path::Path::new(path), &rows).map_err(|e| e.to_string())?;
     }
     Ok(())

@@ -27,20 +27,18 @@ fn main() -> ExitCode {
 fn run() -> Result<(), String> {
     let args = Args::from_env()?;
     let params = ExperimentParams::from_args(&args)?;
+    let probing = ProbeOptions::from_args(&args);
+    let json = args.value("json");
+    args.finish()?;
     eprintln!(
         "# fig06: static failure-free, {} nodes, {} runs/fanout, fanouts {:?}",
         params.nodes, params.runs, params.fanouts
     );
-    let probing = ProbeOptions::from_args(&args, &params)?;
-    let table = if probing.active() {
-        probing.run_probed(|mut probe, profiler| {
-            figures::static_effectiveness_probed(&params, &mut probe, profiler)
-        })?
-    } else {
-        figures::static_effectiveness(&params)
-    };
+    let table = probing.run_probed(|probe, profiler| {
+        figures::static_effectiveness_probed(&params, probe, profiler)
+    })?;
     print!("{}", output::render_effectiveness(&table));
-    if let Some(path) = args.value("json") {
+    if let Some(path) = json {
         output::write_json(std::path::Path::new(path), &table).map_err(|e| e.to_string())?;
     }
     Ok(())

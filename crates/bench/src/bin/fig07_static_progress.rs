@@ -20,13 +20,15 @@ fn run() -> Result<(), String> {
     let args = Args::from_env()?;
     let params = ExperimentParams::from_args(&args)?;
     let fanouts = args.get_list_or("fanouts", vec![2usize, 3, 5, 10])?;
+    let json = args.value("json");
+    args.finish()?;
     eprintln!(
         "# fig07: static progress, {} nodes, {} runs, fanouts {:?}",
         params.nodes, params.runs, fanouts
     );
     let series = figures::static_progress(&params, &fanouts);
     print!("{}", output::render_progress(&series));
-    if let Some(path) = args.value("json") {
+    if let Some(path) = json {
         output::write_json(std::path::Path::new(path), &series).map_err(|e| e.to_string())?;
     }
     Ok(())

@@ -22,6 +22,8 @@ fn main() -> ExitCode {
 fn run() -> Result<(), String> {
     let args = Args::from_env()?;
     let params = ExperimentParams::from_args(&args)?;
+    let json = args.value("json");
+    args.finish()?;
     eprintln!(
         "# fig08: message overhead, {} nodes, {} runs/fanout, fanouts {:?}",
         params.nodes, params.runs, params.fanouts
@@ -43,7 +45,7 @@ fn run() -> Result<(), String> {
             row.mean_total_messages
         );
     }
-    if let Some(path) = args.value("json") {
+    if let Some(path) = json {
         output::write_json(std::path::Path::new(path), &table).map_err(|e| e.to_string())?;
     }
     Ok(())

@@ -20,6 +20,8 @@ fn run() -> Result<(), String> {
     let args = Args::from_env()?;
     let params = ExperimentParams::from_args(&args)?;
     let fractions = args.get_list_or("fractions", vec![0.01f64, 0.02, 0.05, 0.10])?;
+    let json = args.value("json");
+    args.finish()?;
     eprintln!(
         "# fig09: catastrophic failures {:?}, {} nodes, {} runs/fanout",
         fractions, params.nodes, params.runs
@@ -30,7 +32,7 @@ fn run() -> Result<(), String> {
         print!("{}", output::render_effectiveness(table));
         println!();
     }
-    if let Some(path) = args.value("json") {
+    if let Some(path) = json {
         output::write_json(std::path::Path::new(path), &tables).map_err(|e| e.to_string())?;
     }
     Ok(())

@@ -21,6 +21,8 @@ fn run() -> Result<(), String> {
     let params = ExperimentParams::from_args(&args)?;
     let fraction: f64 = args.get_or("fraction", 0.05)?;
     let fanouts = args.get_list_or("fanouts", vec![2usize, 3, 5, 10])?;
+    let json = args.value("json");
+    args.finish()?;
     eprintln!(
         "# fig10: progress after {:.0}% failure, {} nodes, {} runs, fanouts {:?}",
         fraction * 100.0,
@@ -30,7 +32,7 @@ fn run() -> Result<(), String> {
     );
     let series = figures::catastrophic_progress(&params, fraction, &fanouts);
     print!("{}", output::render_progress(&series));
-    if let Some(path) = args.value("json") {
+    if let Some(path) = json {
         output::write_json(std::path::Path::new(path), &series).map_err(|e| e.to_string())?;
     }
     Ok(())

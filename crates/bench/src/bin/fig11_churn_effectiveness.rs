@@ -25,23 +25,21 @@ fn main() -> ExitCode {
 fn run() -> Result<(), String> {
     let args = Args::from_env()?;
     let params = ExperimentParams::from_args(&args)?;
+    let probing = ProbeOptions::from_args(&args);
+    let json = args.value("json");
+    args.finish()?;
     eprintln!(
         "# fig11: churn {}%/cycle, {} nodes, {} runs/fanout",
         params.churn_rate * 100.0,
         params.nodes,
         params.runs
     );
-    let probing = ProbeOptions::from_args(&args, &params)?;
-    let (table, cycles) = if probing.active() {
-        probing.run_probed(|mut probe, profiler| {
-            figures::churn_effectiveness_probed(&params, &mut probe, profiler)
-        })?
-    } else {
-        figures::churn_effectiveness(&params)
-    };
+    let (table, cycles) = probing.run_probed(|probe, profiler| {
+        figures::churn_effectiveness_probed(&params, probe, profiler)
+    })?;
     eprintln!("# churn warm-up took {cycles} cycles");
     print!("{}", output::render_effectiveness(&table));
-    if let Some(path) = args.value("json") {
+    if let Some(path) = json {
         output::write_json(std::path::Path::new(path), &table).map_err(|e| e.to_string())?;
     }
     Ok(())

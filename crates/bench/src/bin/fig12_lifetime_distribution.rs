@@ -20,6 +20,8 @@ fn run() -> Result<(), String> {
     let args = Args::from_env()?;
     let params = ExperimentParams::from_args(&args)?;
     let repeats: usize = args.get_or("repeats", 1)?;
+    let json = args.value("json");
+    args.finish()?;
     eprintln!(
         "# fig12: lifetime distribution, {} nodes, churn {}%/cycle, {} repeats",
         params.nodes,
@@ -28,7 +30,7 @@ fn run() -> Result<(), String> {
     );
     let histogram = figures::lifetime_distribution(&params, repeats);
     print!("{}", output::render_histogram(&histogram));
-    if let Some(path) = args.value("json") {
+    if let Some(path) = json {
         output::write_json(std::path::Path::new(path), &histogram).map_err(|e| e.to_string())?;
     }
     Ok(())

@@ -20,6 +20,8 @@ fn run() -> Result<(), String> {
     let args = Args::from_env()?;
     let params = ExperimentParams::from_args(&args)?;
     let fanouts = args.get_list_or("fanouts", vec![3usize, 6])?;
+    let json = args.value("json");
+    args.finish()?;
     eprintln!(
         "# fig13: miss lifetimes under churn, {} nodes, {} runs, fanouts {:?}",
         params.nodes, params.runs, fanouts
@@ -30,7 +32,7 @@ fn run() -> Result<(), String> {
         print!("{}", output::render_histogram(histogram));
         println!();
     }
-    if let Some(path) = args.value("json") {
+    if let Some(path) = json {
         output::write_json(std::path::Path::new(path), &tables).map_err(|e| e.to_string())?;
     }
     Ok(())

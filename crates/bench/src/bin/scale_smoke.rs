@@ -7,14 +7,12 @@
 //! 1,000,000 nodes over a synthetic ring + random-links overlay pushing a
 //! message through the event-driven latency engine under an explicit
 //! memory budget. Flags: `--nodes`, `--cycles`, `--churn-rate`, `--seed`,
-//! `--fanout`, `--engine dense|btree` (the BTree runtime is the oracle and
-//! is much slower — use small `--nodes` with it), `--overlay
-//! grown|synthetic` (`synthetic` skips the gossip stack and builds the CSR
+//! `--fanout`, `--overlay grown|synthetic` (`synthetic` skips the gossip stack and builds the CSR
 //! directly: a bidirectional ring as d-links plus `--r-degree` random
 //! r-links per node, which is what makes the million-node gate a CI-sized
 //! job), `--rng shared|per-node` (RNG discipline of the grown membership
 //! phase — `per-node` selects the counter-based per-node stream kernel
-//! with its sparse frontier, dense engine only), `--threads` (worker
+//! with its sparse frontier), `--threads` (worker
 //! threads for the per-node kernel's intra-cycle fan-out, 0 = auto),
 //! `--gossip-period` (per-node mode only: each node gossips every N
 //! cycles on a seeded stagger, so only ~1/N of the population steps per
@@ -41,7 +39,7 @@ use std::time::{Duration, Instant};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-use hybridcast_bench::{Args, EngineKind};
+use hybridcast_bench::Args;
 use hybridcast_core::async_engine::{disseminate_async_dense, AsyncConfig, DenseAsyncScratch};
 use hybridcast_core::engine::{disseminate_dense, DenseScratch};
 use hybridcast_core::overlay::{DenseOverlay, Overlay};
@@ -49,7 +47,7 @@ use hybridcast_core::protocols::DenseSelector;
 use hybridcast_core::sched::SchedConfig;
 use hybridcast_graph::{cast, NodeId};
 use hybridcast_sim::churn::{ChurnConfig, ChurnDriver};
-use hybridcast_sim::{DenseSimNetwork, FlatLinks, Network, RngMode, SimConfig};
+use hybridcast_sim::{DenseSimNetwork, FlatLinks, RngMode, SimConfig};
 
 fn main() -> ExitCode {
     match run() {
@@ -109,7 +107,6 @@ fn run() -> Result<(), String> {
     let churn_rate: f64 = args.get_or("churn-rate", 0.002)?;
     let seed: u64 = args.get_or("seed", 1)?;
     let fanout: usize = args.get_or("fanout", 3)?;
-    let engine: EngineKind = args.get_or("engine", EngineKind::Dense)?;
     let overlay: String = args.get_or("overlay", String::from("grown"))?;
     let r_degree: usize = args.get_or("r-degree", 8)?;
     let event_budget: usize = args.get_or("event-budget", 0)?;
@@ -118,12 +115,9 @@ fn run() -> Result<(), String> {
     let threads: usize = args.get_or("threads", 0)?;
     let gossip_period: u64 = args.get_or("gossip-period", 1)?;
     let check_thread_invariance = args.flag("check-thread-invariance");
+    let run_async = args.flag("async");
+    args.finish()?;
 
-    if rng_mode == RngMode::PerNode && engine == EngineKind::Btree {
-        return Err(String::from(
-            "--rng per-node requires --engine dense (the BTree oracle is shared-stream only)",
-        ));
-    }
     if gossip_period == 0 {
         return Err(String::from("--gossip-period must be at least 1"));
     }
@@ -140,14 +134,9 @@ fn run() -> Result<(), String> {
     };
 
     eprintln!(
-        "# scale_smoke: {nodes} nodes, {cycles} cycles, churn {churn_rate}, engine {engine}, \
-         overlay {overlay}, rng {rng_mode}"
+        "# scale_smoke: {nodes} nodes, {cycles} cycles, churn {churn_rate}, overlay {overlay}, \
+         rng {rng_mode}"
     );
-
-    enum Runtime {
-        Dense(Box<DenseSimNetwork>),
-        Btree(Box<Network>),
-    }
 
     let start = Instant::now();
     let (dense, churned, boot, gossip, export) = match overlay.as_str() {
@@ -163,40 +152,27 @@ fn run() -> Result<(), String> {
                 nodes,
                 ..SimConfig::default()
             };
-            let mut network = match (engine, rng_mode) {
-                (EngineKind::Dense, RngMode::Shared) => {
-                    Runtime::Dense(Box::new(DenseSimNetwork::new(config, seed)))
+            let mut network = match rng_mode {
+                RngMode::Shared => DenseSimNetwork::new(config, seed),
+                RngMode::PerNode => {
+                    DenseSimNetwork::new_per_node(config, seed, gossip_period, threads)
                 }
-                (EngineKind::Dense, RngMode::PerNode) => Runtime::Dense(Box::new(
-                    DenseSimNetwork::new_per_node(config, seed, gossip_period, threads),
-                )),
-                (EngineKind::Btree, _) => Runtime::Btree(Box::new(Network::new(config, seed))),
             };
             let boot = start.elapsed();
 
             let gossip_start = Instant::now();
             let mut driver = ChurnDriver::new(ChurnConfig { rate: churn_rate });
-            match &mut network {
-                Runtime::Dense(net) => driver.run_cycles(net.as_mut(), cycles),
-                Runtime::Btree(net) => driver.run_cycles(net.as_mut(), cycles),
-            }
+            driver.run_cycles(&mut network, cycles);
             let gossip = gossip_start.elapsed();
 
             let export_start = Instant::now();
-            let dense = match &network {
-                // Zero-round-trip export: arena -> CSR, no id-keyed snapshot.
-                Runtime::Dense(net) => DenseOverlay::from_dense_sim(net),
-                Runtime::Btree(net) => DenseOverlay::from_snapshot(&net.overlay_snapshot()),
-            };
+            // Zero-round-trip export: arena -> CSR, no id-keyed snapshot.
+            let dense = DenseOverlay::from_dense_sim(&network);
             let export = export_start.elapsed();
 
             if check_thread_invariance {
-                let flat = match &network {
-                    Runtime::Dense(net) => net.flat_links(),
-                    Runtime::Btree(_) => unreachable!("per-node mode is dense-only"),
-                };
                 check_invariance(
-                    &flat,
+                    &network.flat_links(),
                     threads,
                     nodes,
                     seed,
@@ -261,7 +237,7 @@ fn run() -> Result<(), String> {
         render_rss(),
     );
 
-    if args.flag("async") {
+    if run_async {
         // The latency-model gate: the same overlay must also carry an
         // event-driven dissemination (timestamped deliveries through the
         // calendar event queue) at this scale.

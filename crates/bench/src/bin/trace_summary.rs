@@ -30,6 +30,8 @@ fn run() -> Result<(), String> {
     let path = args
         .value("trace")
         .ok_or("usage: trace_summary --trace <events.jsonl> [--check <table.json>]")?;
+    let check = args.value("check");
+    args.finish()?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let events = parse_jsonl(&text)?;
     let sections = trace::fold_trace(&events)?;
@@ -42,7 +44,7 @@ fn run() -> Result<(), String> {
     );
     print!("{}", output::render_effectiveness(&summary));
 
-    if let Some(check) = args.value("check") {
+    if let Some(check) = check {
         let text = std::fs::read_to_string(check).map_err(|e| format!("{check}: {e}"))?;
         let reference: EffectivenessTable =
             serde_json::from_str(&text).map_err(|e| format!("{check}: {e}"))?;

@@ -3,8 +3,14 @@
 //! All binaries accept the same flag style: `--key value` pairs plus the
 //! boolean flag `--paper` which switches from the quick default scale to the
 //! paper's full scale (10,000 nodes, 100 runs per configuration).
+//!
+//! A binary reads every option it understands and then calls
+//! [`Args::finish`], which rejects whatever was given but never read — a
+//! typo such as `--fanout 2` for `--fanouts 2` is an error, not a silently
+//! ignored default sweep.
 
-use std::collections::BTreeMap;
+use std::cell::RefCell;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Parsed command-line arguments: a map of `--key value` pairs plus a set of
 /// boolean flags (keys given without a value).
@@ -12,6 +18,9 @@ use std::collections::BTreeMap;
 pub struct Args {
     values: BTreeMap<String, String>,
     flags: Vec<String>,
+    /// Every key an accessor has been asked for; [`Args::finish`] reports
+    /// the given keys that are not in here.
+    read: RefCell<BTreeSet<String>>,
 }
 
 impl Args {
@@ -55,12 +64,44 @@ impl Args {
 
     /// Returns `true` if the boolean flag `name` was given.
     pub fn flag(&self, name: &str) -> bool {
+        self.read.borrow_mut().insert(name.to_owned());
         self.flags.iter().any(|f| f == name)
     }
 
     /// The raw value of `--name`, if given.
     pub fn value(&self, name: &str) -> Option<&str> {
+        self.read.borrow_mut().insert(name.to_owned());
         self.values.get(name).map(String::as_str)
+    }
+
+    /// Checks that every `--key` given was read by an accessor. Call it
+    /// once all options are parsed and before any work starts.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error naming the unrecognised keys, with a pointed
+    /// message for the removed `--engine`.
+    pub fn finish(&self) -> Result<(), String> {
+        let read = self.read.borrow();
+        let unknown: Vec<&str> = self
+            .values
+            .keys()
+            .chain(&self.flags)
+            .map(String::as_str)
+            .filter(|key| !read.contains(*key))
+            .collect();
+        if unknown.contains(&"engine") {
+            return Err(String::from(
+                "--engine was removed: every figure runs the dense engines. The BTree engines \
+                 are test oracles; compare them with `cargo bench --bench engine` and \
+                 `cargo bench --bench membership`",
+            ));
+        }
+        if unknown.is_empty() {
+            return Ok(());
+        }
+        let listed: Vec<String> = unknown.iter().map(|key| format!("--{key}")).collect();
+        Err(format!("unrecognised option(s): {}", listed.join(", ")))
     }
 
     /// Parses `--name` as `T`, falling back to `default` when absent.
@@ -69,7 +110,7 @@ impl Args {
     ///
     /// Returns an error if the value is present but does not parse.
     pub fn get_or<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
-        match self.values.get(name) {
+        match self.value(name) {
             None => Ok(default),
             Some(raw) => raw
                 .parse()
@@ -88,7 +129,7 @@ impl Args {
         name: &str,
         default: Vec<T>,
     ) -> Result<Vec<T>, String> {
-        match self.values.get(name) {
+        match self.value(name) {
             None => Ok(default),
             Some(raw) => raw
                 .split(',')
@@ -132,9 +173,33 @@ mod tests {
     }
 
     #[test]
+    fn finish_rejects_keys_no_accessor_read() {
+        let args = Args::parse(["--nodes", "300", "--fanout", "2", "--verbose"]).unwrap();
+        assert_eq!(args.get_or("nodes", 0usize).unwrap(), 300);
+        assert!(args.get_list_or("fanouts", vec![1usize]).is_ok());
+        let err = args.finish().unwrap_err();
+        assert_eq!(err, "unrecognised option(s): --fanout, --verbose");
+
+        // Reading a key — as a value or as a flag, given or not — accepts it.
+        assert_eq!(args.value("fanout"), Some("2"));
+        assert!(args.flag("verbose"));
+        assert!(!args.flag("paper"));
+        args.finish().unwrap();
+    }
+
+    #[test]
+    fn finish_points_a_stale_engine_flag_at_the_benches() {
+        let args = Args::parse(["--engine", "btree", "--oops"]).unwrap();
+        let err = args.finish().unwrap_err();
+        assert!(err.contains("--engine was removed"), "{err}");
+        assert!(err.contains("cargo bench --bench engine"), "{err}");
+    }
+
+    #[test]
     fn empty_args_use_defaults() {
         let args = Args::parse(Vec::<String>::new()).unwrap();
         assert_eq!(args.get_or("seed", 7u64).unwrap(), 7);
         assert!(!args.flag("paper"));
+        args.finish().unwrap();
     }
 }

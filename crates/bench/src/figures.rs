@@ -3,71 +3,115 @@
 //! Every function takes [`ExperimentParams`] and returns plain data
 //! structures; the binaries in `src/bin/` only parse arguments, call one of
 //! these functions and print the result with [`crate::output`].
+//!
+//! The sweeps that can be traced (`*_probed`) are one body generic over a
+//! [`Probe`]; their plain names are that body at the statically dispatched
+//! [`NullProbe`]. Whether a configuration's seeded runs go through the
+//! probe one after another or fan out across threads is decided in exactly
+//! one place, the private `seeded_runs` helper.
 
 use std::collections::BTreeMap;
 
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
-use hybridcast_core::async_engine::{disseminate_async_frozen, AsyncConfig, AsyncReport};
+use hybridcast_core::async_engine::{disseminate_async, AsyncConfig, AsyncReport};
 use hybridcast_core::experiment::{
-    random_origins, run_disseminations, run_seed, run_seeded_async, run_seeded_async_probed,
-    run_seeded_disseminations, run_seeded_disseminations_probed, run_seeded_push_pulls,
-    AggregateStats,
+    run_seed, run_seeded_async, run_seeded_async_probed, run_seeded_disseminations,
+    run_seeded_disseminations_probed, run_seeded_push_pulls, AggregateStats,
 };
 use hybridcast_core::metrics::DisseminationReport;
 use hybridcast_core::netmodel::{DelayModel, LossModel, NetModel, PartitionEvent};
-use hybridcast_core::overlay::{DenseOverlay, Overlay, SnapshotOverlay, StaticOverlay};
+use hybridcast_core::overlay::{DenseOverlay, SnapshotOverlay, StaticOverlay};
 use hybridcast_core::protocols::{DenseSelector, GossipTargetSelector, RingCast};
-use hybridcast_core::pull::PushPullReport;
+use hybridcast_core::pull::{PullConfig, PushPullReport};
 use hybridcast_graph::{builders, harary, NodeId};
-use hybridcast_obs::{Heartbeat, Probe, ProtocolKind, StageProfiler, TraceEvent};
+use hybridcast_obs::{Heartbeat, NullProbe, Probe, ProtocolKind, StageProfiler, TraceEvent};
 use hybridcast_sim::{Network, SimConfig};
 
 use crate::scenario::{
-    catastrophic_overlay, churn_dense_overlay_probed, churn_overlay_with_cycles, churn_scenario,
-    dense_overlay, static_dense_overlay, static_dense_overlay_probed, static_overlay, EngineKind,
-    ExperimentParams,
+    catastrophic_overlay, catastrophic_overlay_with, churn_dense_overlay_probed, churn_scenario,
+    dense_overlay, static_dense_overlay, static_dense_overlay_probed, static_overlay,
+    warmed_network, ExperimentParams,
 };
 
 /// The two protocols every figure compares side by side.
-fn protocols(fanout: usize) -> Vec<DenseSelector> {
-    vec![
+fn protocols(fanout: usize) -> [DenseSelector; 2] {
+    [
         DenseSelector::randcast(fanout),
         DenseSelector::ringcast(fanout),
     ]
 }
 
-/// Runs one experiment configuration (`params.runs` disseminations of
-/// `protocol`) on the engine selected by `params.engine`.
-///
-/// The dense path derives a per-configuration master seed from
-/// `(params.seed, tag)` and fans seeded runs across
-/// [`ExperimentParams::thread_count`] threads — results are identical for
-/// every thread count. The BTree path is the original sequential
-/// shared-RNG walk, kept for speedup measurements (`--engine btree`).
-fn run_reports(
+/// The `(tag, fanout, protocol)` configurations of a sweep over `fanouts`,
+/// in table order. The tag numbers the configurations so each gets its own
+/// master seed ([`run_seed`]`(params.seed, tag)`) and no two ever share a
+/// per-run RNG stream.
+fn configurations(fanouts: &[usize]) -> impl Iterator<Item = (u64, usize, DenseSelector)> + '_ {
+    fanouts
+        .iter()
+        .flat_map(|&fanout| protocols(fanout).map(|protocol| (fanout, protocol)))
+        .zip(0u64..)
+        .map(|((fanout, protocol), tag)| (tag, fanout, protocol))
+}
+
+/// Runs one configuration's seeded runs through the driver the probe calls
+/// for: a recording probe must see one totally ordered event stream, so its
+/// runs go through the sequential `probed` driver; an inert one
+/// ([`Probe::enabled`] is `false`) observes nothing, so the runs fan out
+/// across [`ExperimentParams::thread_count`] workers. Both drivers derive
+/// run `r` from `(master_seed, r)` alone, so the choice decides wall-clock
+/// time and never a report.
+fn seeded_runs<P: Probe, R>(
+    params: &ExperimentParams,
+    probe: &mut P,
+    probed: impl FnOnce(&mut P) -> Vec<R>,
+    fan_out: impl FnOnce(usize) -> Vec<R>,
+) -> Vec<R> {
+    if probe.enabled() {
+        probed(probe)
+    } else {
+        fan_out(params.thread_count())
+    }
+}
+
+/// `params.runs` hop-synchronous disseminations of `protocol` over `dense`,
+/// seeded from `(params.seed, tag)`.
+fn dissemination_runs<P: Probe>(
     dense: &DenseOverlay,
-    overlay: &dyn Overlay,
     protocol: &DenseSelector,
     params: &ExperimentParams,
     tag: u64,
-    rng: &mut ChaCha8Rng,
+    probe: &mut P,
 ) -> Vec<DisseminationReport> {
-    match params.engine {
-        EngineKind::Dense => run_seeded_disseminations(
-            dense,
-            protocol,
-            params.runs,
-            run_seed(params.seed, tag),
-            params.thread_count(),
-        ),
-        EngineKind::Btree => {
-            let origins = random_origins(overlay, params.runs, rng);
-            run_disseminations(overlay, protocol, &origins, rng)
-        }
-    }
+    let seed = run_seed(params.seed, tag);
+    seeded_runs(
+        params,
+        probe,
+        |probe| run_seeded_disseminations_probed(dense, protocol, params.runs, seed, probe),
+        |threads| run_seeded_disseminations(dense, protocol, params.runs, seed, threads),
+    )
+}
+
+/// `params.runs` event-driven RingCast disseminations over `dense` under
+/// `config`, seeded from `(params.seed, tag)`.
+fn async_runs<P: Probe>(
+    dense: &DenseOverlay,
+    fanout: usize,
+    config: &AsyncConfig,
+    params: &ExperimentParams,
+    tag: u64,
+    probe: &mut P,
+) -> Vec<AsyncReport> {
+    let selector = DenseSelector::ringcast(fanout);
+    let seed = run_seed(params.seed, tag);
+    seeded_runs(
+        params,
+        probe,
+        |probe| run_seeded_async_probed(dense, &selector, config, params.runs, seed, probe),
+        |threads| run_seeded_async(dense, &selector, config, params.runs, seed, threads),
+    )
 }
 
 /// A table of aggregate effectiveness results: one row per
@@ -122,50 +166,94 @@ impl LifetimeHistogram {
     }
 }
 
-/// Runs the effectiveness sweep (miss ratio, completeness, message counts)
-/// over an already built overlay.
+/// Maps a selector to its trace [`ProtocolKind`] (same display name).
+fn protocol_kind(selector: &DenseSelector) -> ProtocolKind {
+    match selector {
+        DenseSelector::Flooding => ProtocolKind::Flooding,
+        DenseSelector::DeterministicFlooding => ProtocolKind::DeterministicFlooding,
+        DenseSelector::RandCast(_) => ProtocolKind::RandCast,
+        DenseSelector::RingCast(_) => ProtocolKind::RingCast,
+    }
+}
+
+/// The effectiveness sweep (miss ratio, completeness, message counts) over
+/// an already built dense overlay: one `Section` event per (fanout,
+/// protocol) configuration followed by its `params.runs` seeded
+/// disseminations, with the "dissemination" / "aggregation" stages
+/// recorded on `profiler`.
+fn effectiveness_sweep<P: Probe>(
+    dense: &DenseOverlay,
+    scenario: &str,
+    params: &ExperimentParams,
+    probe: &mut P,
+    profiler: &mut StageProfiler,
+) -> EffectivenessTable {
+    profiler.stage("dissemination");
+    let configs = configurations(&params.fanouts).count() as u64;
+    let mut heartbeat = Heartbeat::new(configs, "configs", params.quiet);
+    let mut rows = Vec::new();
+    for (tag, fanout, protocol) in configurations(&params.fanouts) {
+        probe.record(TraceEvent::Section {
+            protocol: protocol_kind(&protocol),
+            fanout: fanout as u32,
+            param: 0.0,
+        });
+        let reports = dissemination_runs(dense, &protocol, params, tag, probe);
+        rows.push(AggregateStats::from_reports(
+            protocol.name(),
+            fanout,
+            &reports,
+        ));
+        heartbeat.advance(1, "dissemination");
+    }
+    profiler.stage("aggregation");
+    let table = EffectivenessTable {
+        scenario: scenario.to_owned(),
+        rows,
+    };
+    profiler.finish();
+    table
+}
+
+/// [`effectiveness_sweep`] with nothing observing it.
+fn effectiveness_of(
+    dense: &DenseOverlay,
+    scenario: &str,
+    params: &ExperimentParams,
+) -> EffectivenessTable {
+    effectiveness_sweep(
+        dense,
+        scenario,
+        params,
+        &mut NullProbe,
+        &mut StageProfiler::new(),
+    )
+}
+
+/// Runs the effectiveness sweep over an already built overlay.
 pub fn effectiveness_over(
     overlay: &SnapshotOverlay,
     scenario: &str,
     params: &ExperimentParams,
 ) -> EffectivenessTable {
-    let dense = dense_overlay(overlay);
-    effectiveness_with_dense(&dense, overlay, scenario, params)
-}
-
-/// Like [`effectiveness_over`], but reuses an already converted dense
-/// overlay (e.g. the zero-round-trip export of the arena runtime).
-fn effectiveness_with_dense(
-    dense: &DenseOverlay,
-    overlay: &SnapshotOverlay,
-    scenario: &str,
-    params: &ExperimentParams,
-) -> EffectivenessTable {
-    let mut rng = params.dissemination_rng();
-    let mut rows = Vec::new();
-    let mut tag = 0u64;
-    for &fanout in &params.fanouts {
-        for protocol in protocols(fanout) {
-            let reports = run_reports(dense, overlay, &protocol, params, tag, &mut rng);
-            tag += 1;
-            rows.push(AggregateStats::from_reports(
-                protocol.name(),
-                fanout,
-                &reports,
-            ));
-        }
-    }
-    EffectivenessTable {
-        scenario: scenario.to_owned(),
-        rows,
-    }
+    effectiveness_of(&dense_overlay(overlay), scenario, params)
 }
 
 /// **Figure 6 (and the data of Figure 8)**: dissemination effectiveness as a
 /// function of the fanout in a static failure-free network.
 pub fn static_effectiveness(params: &ExperimentParams) -> EffectivenessTable {
-    let overlay = static_overlay(params);
-    effectiveness_over(&overlay, "static failure-free", params)
+    static_effectiveness_probed(params, &mut NullProbe, &mut StageProfiler::new())
+}
+
+/// [`static_effectiveness`] with a trace probe attached to the membership
+/// warm-up and the sweep, and the four stages recorded on `profiler`.
+pub fn static_effectiveness_probed<P: Probe>(
+    params: &ExperimentParams,
+    probe: &mut P,
+    profiler: &mut StageProfiler,
+) -> EffectivenessTable {
+    let dense = static_dense_overlay_probed(params, probe, profiler);
+    effectiveness_sweep(&dense, "static failure-free", params, probe, profiler)
 }
 
 /// Averages the per-hop "not reached yet" series of many disseminations,
@@ -210,17 +298,12 @@ pub fn progress_over(
     fanouts: &[usize],
 ) -> Vec<ProgressSeries> {
     let dense = dense_overlay(overlay);
-    let mut rng = params.dissemination_rng();
-    let mut out = Vec::new();
-    let mut tag = 0u64;
-    for &fanout in fanouts {
-        for protocol in protocols(fanout) {
-            let reports = run_reports(&dense, overlay, &protocol, params, tag, &mut rng);
-            tag += 1;
-            out.push(average_progress(protocol.name(), fanout, &reports));
-        }
-    }
-    out
+    configurations(fanouts)
+        .map(|(tag, fanout, protocol)| {
+            let reports = dissemination_runs(&dense, &protocol, params, tag, &mut NullProbe);
+            average_progress(protocol.name(), fanout, &reports)
+        })
+        .collect()
 }
 
 /// **Figure 7**: dissemination progress (fraction of nodes not yet reached
@@ -259,42 +342,45 @@ pub fn catastrophic_progress(
 
 /// **Figure 11**: dissemination effectiveness in churn steady state.
 /// Returns the table plus the number of churn cycles it took to reach
-/// steady state. On the dense engine both the churn warm-up (the dominant
-/// cost) and the dissemination sweep run on the arena/CSR hot paths.
+/// steady state. Both the churn warm-up (the dominant cost) and the
+/// dissemination sweep run on the arena/CSR hot paths.
 pub fn churn_effectiveness(params: &ExperimentParams) -> (EffectivenessTable, usize) {
-    let (dense, overlay, cycles) = churn_scenario(params);
-    let table = effectiveness_with_dense(
-        &dense,
-        &overlay,
-        &format!(
-            "churn steady state ({}% per cycle, {} cycles)",
-            params.churn_rate * 100.0,
-            cycles
-        ),
-        params,
+    churn_effectiveness_probed(params, &mut NullProbe, &mut StageProfiler::new())
+}
+
+/// [`churn_effectiveness`] with a trace probe attached — churn
+/// `Join`/`Leave` events included — and the four stages recorded on
+/// `profiler`.
+pub fn churn_effectiveness_probed<P: Probe>(
+    params: &ExperimentParams,
+    probe: &mut P,
+    profiler: &mut StageProfiler,
+) -> (EffectivenessTable, usize) {
+    let (dense, cycles) = churn_dense_overlay_probed(params, probe, profiler);
+    let scenario = format!(
+        "churn steady state ({}% per cycle, {} cycles)",
+        params.churn_rate * 100.0,
+        cycles
     );
+    let table = effectiveness_sweep(&dense, &scenario, params, probe, profiler);
     (table, cycles)
 }
 
 /// **Figure 12**: the distribution of node lifetimes in churn steady state,
-/// aggregated over `repeats` independently seeded experiments. On the dense
-/// engine the repeats fan out across `params.thread_count()` workers; the
-/// histogram is identical for every thread count (repeat `r` is a pure
-/// function of `seed + r`).
+/// aggregated over `repeats` independently seeded experiments. The repeats
+/// fan out across `params.thread_count()` workers; the histogram is
+/// identical for every thread count (repeat `r` is a pure function of
+/// `seed + r`).
 pub fn lifetime_distribution(params: &ExperimentParams, repeats: usize) -> LifetimeHistogram {
     let seeds: Vec<u64> = (0..repeats.max(1) as u64)
         .map(|repeat| params.seed.wrapping_add(repeat))
         .collect();
-    let threads = match params.engine {
-        EngineKind::Dense => params.thread_count(),
-        EngineKind::Btree => 1,
-    };
-    let per_repeat = hybridcast_sim::dense::par_map_seeds(&seeds, threads, |seed| {
+    let per_repeat = hybridcast_sim::dense::par_map_seeds(&seeds, params.thread_count(), |seed| {
         let seeded = ExperimentParams {
             seed,
             ..params.clone()
         };
-        let (overlay, _) = churn_overlay_with_cycles(&seeded);
+        let (_dense, overlay, _cycles) = churn_scenario(&seeded);
         let snapshot = overlay.snapshot();
         let mut counts: BTreeMap<u64, usize> = BTreeMap::new();
         for id in snapshot.live_nodes() {
@@ -323,13 +409,9 @@ pub fn miss_lifetimes(
     fanouts: &[usize],
 ) -> Vec<(String, usize, LifetimeHistogram)> {
     let (dense, overlay, _) = churn_scenario(params);
-    let mut rng = params.dissemination_rng();
-    let mut out = Vec::new();
-    let mut tag = 0u64;
-    for &fanout in fanouts {
-        for protocol in protocols(fanout) {
-            let reports = run_reports(&dense, &overlay, &protocol, params, tag, &mut rng);
-            tag += 1;
+    configurations(fanouts)
+        .map(|(tag, fanout, protocol)| {
+            let reports = dissemination_runs(&dense, &protocol, params, tag, &mut NullProbe);
             let mut counts: BTreeMap<u64, usize> = BTreeMap::new();
             for report in &reports {
                 for &missed in &report.unreached {
@@ -338,21 +420,15 @@ pub fn miss_lifetimes(
                     }
                 }
             }
-            out.push((
-                protocol.name().to_owned(),
-                fanout,
-                LifetimeHistogram {
-                    label: format!(
-                        "lifetimes of non-notified nodes ({} fanout {fanout}, {} runs)",
-                        protocol.name(),
-                        params.runs
-                    ),
-                    counts,
-                },
-            ));
-        }
-    }
-    out
+            let label = format!(
+                "lifetimes of non-notified nodes ({} fanout {fanout}, {} runs)",
+                protocol.name(),
+                params.runs
+            );
+            let histogram = LifetimeHistogram { label, counts };
+            (protocol.name().to_owned(), fanout, histogram)
+        })
+        .collect()
 }
 
 /// Result row of the push/pull extension experiment.
@@ -403,14 +479,10 @@ fn push_pull_row(
 /// rounds and messages, over a static overlay with a catastrophic failure of
 /// `fail_fraction` (use `0.0` for the failure-free case).
 ///
-/// On the dense engine (the default) each (protocol, fanout) configuration
-/// fans `params.runs` seeded push + pull runs across
-/// [`ExperimentParams::thread_count`] worker threads over the
-/// allocation-free pull engine; `--engine btree` keeps the original
-/// sequential shared-RNG walk.
+/// Each (protocol, fanout) configuration fans `params.runs` seeded push +
+/// pull runs across [`ExperimentParams::thread_count`] worker threads over
+/// the allocation-free pull engine.
 pub fn push_pull_extension(params: &ExperimentParams, fail_fraction: f64) -> Vec<PushPullRow> {
-    use hybridcast_core::pull::{disseminate_push_pull, PullConfig};
-
     let scenario = if fail_fraction > 0.0 {
         format!("after {:.0}% catastrophic failure", fail_fraction * 100.0)
     } else {
@@ -421,60 +493,24 @@ pub fn push_pull_extension(params: &ExperimentParams, fail_fraction: f64) -> Vec
         max_rounds: 50,
         ..PullConfig::default()
     };
-
-    // Each engine builds only the overlay representation it runs over.
-    let mut out = Vec::new();
-    let mut tag = 0u64;
-    match params.engine {
-        EngineKind::Dense => {
-            let dense = if fail_fraction > 0.0 {
-                dense_overlay(&catastrophic_overlay(params, fail_fraction))
-            } else {
-                static_dense_overlay(params)
-            };
-            for &fanout in &params.fanouts {
-                for protocol in protocols(fanout) {
-                    let reports = run_seeded_push_pulls(
-                        &dense,
-                        &protocol,
-                        &pull_config,
-                        params.runs,
-                        run_seed(params.seed, tag),
-                        params.thread_count(),
-                    );
-                    tag += 1;
-                    out.push(push_pull_row(&protocol, fanout, &scenario, &reports));
-                }
-            }
-        }
-        EngineKind::Btree => {
-            let overlay = if fail_fraction > 0.0 {
-                catastrophic_overlay(params, fail_fraction)
-            } else {
-                static_overlay(params)
-            };
-            let mut rng = params.dissemination_rng();
-            for &fanout in &params.fanouts {
-                for protocol in protocols(fanout) {
-                    let origins = random_origins(&overlay, params.runs, &mut rng);
-                    let reports: Vec<PushPullReport> = origins
-                        .iter()
-                        .map(|&origin| {
-                            disseminate_push_pull(
-                                &overlay,
-                                &protocol,
-                                origin,
-                                &pull_config,
-                                &mut rng,
-                            )
-                        })
-                        .collect();
-                    out.push(push_pull_row(&protocol, fanout, &scenario, &reports));
-                }
-            }
-        }
-    }
-    out
+    let dense = if fail_fraction > 0.0 {
+        dense_overlay(&catastrophic_overlay(params, fail_fraction))
+    } else {
+        static_dense_overlay(params)
+    };
+    configurations(&params.fanouts)
+        .map(|(tag, fanout, protocol)| {
+            let reports = run_seeded_push_pulls(
+                &dense,
+                &protocol,
+                &pull_config,
+                params.runs,
+                run_seed(params.seed, tag),
+                params.thread_count(),
+            );
+            push_pull_row(&protocol, fanout, &scenario, &reports)
+        })
+        .collect()
 }
 
 /// **Section 7.1 ablation**: freezing the overlay at different instants does
@@ -484,16 +520,20 @@ pub fn frozen_overlay_ablation(
     params: &ExperimentParams,
     extra_cycles: &[usize],
 ) -> Vec<(usize, EffectivenessTable)> {
-    let mut network = Network::new(params.sim_config(), params.seed);
-    network.run_cycles(params.warmup_cycles);
+    let mut network = warmed_network(
+        params,
+        params.sim_config(),
+        &mut NullProbe,
+        &mut StageProfiler::new(),
+    );
     let mut out = Vec::new();
     let mut elapsed = 0usize;
     for &extra in extra_cycles {
         network.run_cycles(extra.saturating_sub(elapsed));
         elapsed = elapsed.max(extra);
-        let overlay = SnapshotOverlay::new(network.overlay_snapshot());
+        let dense = DenseOverlay::from_dense_sim(&network);
         let scenario = format!("frozen {} cycles after warm-up", extra);
-        out.push((extra, effectiveness_over(&overlay, &scenario, params)));
+        out.push((extra, effectiveness_of(&dense, &scenario, params)));
     }
     out
 }
@@ -516,26 +556,32 @@ pub struct LatencyAblationRow {
     pub runs: usize,
 }
 
-/// Reduces one delay setting's [`hybridcast_core::async_engine::AsyncReport`]
-/// aggregates to a result row.
-fn latency_row(
-    ratio: f64,
-    live_membership: bool,
-    runs: usize,
-    hit_sum: f64,
-    msg_sum: f64,
-    completion_sum: f64,
-    completed: usize,
-) -> LatencyAblationRow {
+/// The async configuration of one latency-ablation arm: a forwarding delay
+/// of `ratio` gossip periods, with membership gossip frozen or live.
+fn latency_config(ratio: f64, live_membership: bool) -> AsyncConfig {
+    AsyncConfig {
+        gossip_period: 10.0,
+        forwarding_delay: 10.0 * ratio,
+        jitter: 0.1,
+        run_membership_gossip: live_membership,
+        max_time: 1_000_000.0,
+        ..AsyncConfig::default()
+    }
+}
+
+/// Folds one delay setting's reports into its result row.
+fn latency_row(ratio: f64, live_membership: bool, reports: &[AsyncReport]) -> LatencyAblationRow {
+    let runs = reports.len();
+    let completed: Vec<f64> = reports.iter().filter_map(|r| r.completion_time).collect();
     LatencyAblationRow {
         delay_over_period: ratio,
         live_membership,
-        mean_hit_ratio: hit_sum / runs as f64,
-        mean_messages: msg_sum / runs as f64,
-        mean_completion_time: if completed > 0 {
-            Some(completion_sum / completed as f64)
-        } else {
+        mean_hit_ratio: reports.iter().map(AsyncReport::hit_ratio).sum::<f64>() / runs as f64,
+        mean_messages: reports.iter().map(|r| r.messages_sent as f64).sum::<f64>() / runs as f64,
+        mean_completion_time: if completed.is_empty() {
             None
+        } else {
+            Some(completed.iter().sum::<f64>() / completed.len() as f64)
         },
         runs,
     }
@@ -548,102 +594,67 @@ fn latency_row(
 /// latency-model engine, sweeping the forwarding delay over the given
 /// multiples of the gossip period.
 ///
-/// On the dense engine (the default) the overlay is grown once by the
-/// arena runtime, frozen, exported straight to CSR, and the seeded runs of
-/// every delay setting fan out across [`ExperimentParams::thread_count`]
-/// worker threads over [`hybridcast_core::async_engine::disseminate_async_dense`]
-/// — the frozen-overlay setting whose equivalence to live membership the
-/// paper asserts and the BTree arm demonstrates. `--engine btree` keeps the
-/// original path: one fresh network per run, membership gossip running
-/// *live* during the dissemination.
+/// The overlay is grown once by the arena runtime, frozen, exported
+/// straight to CSR, and the seeded runs of every delay setting fan out
+/// across [`ExperimentParams::thread_count`] worker threads over
+/// [`hybridcast_core::async_engine::disseminate_async_dense`] — the
+/// frozen-overlay setting whose equivalence to live membership the paper
+/// asserts and [`live_latency_ablation`] demonstrates.
 pub fn latency_ablation(
     params: &ExperimentParams,
     delay_ratios: &[f64],
 ) -> Vec<LatencyAblationRow> {
-    use hybridcast_core::async_engine::{disseminate_async, AsyncConfig};
-
     let fanout = params.fanouts.first().copied().unwrap_or(3);
-    let async_config = |ratio: f64, live: bool| AsyncConfig {
-        gossip_period: 10.0,
-        forwarding_delay: 10.0 * ratio,
-        jitter: 0.1,
-        run_membership_gossip: live,
-        max_time: 1_000_000.0,
-        ..AsyncConfig::default()
-    };
+    let dense = static_dense_overlay(params);
+    delay_ratios
+        .iter()
+        .zip(0u64..)
+        .map(|(&ratio, tag)| {
+            let config = latency_config(ratio, false);
+            let reports = async_runs(&dense, fanout, &config, params, tag, &mut NullProbe);
+            latency_row(ratio, false, &reports)
+        })
+        .collect()
+}
 
-    if params.engine == EngineKind::Dense {
-        let dense = static_dense_overlay(params);
-        let selector = DenseSelector::ringcast(fanout);
-        return delay_ratios
-            .iter()
-            .enumerate()
-            .map(|(tag, &ratio)| {
-                let reports = run_seeded_async(
-                    &dense,
-                    &selector,
-                    &async_config(ratio, false),
-                    params.runs,
-                    run_seed(params.seed, tag as u64),
-                    params.thread_count(),
-                );
-                let hit_sum = reports.iter().map(|r| r.hit_ratio()).sum();
-                let msg_sum = reports.iter().map(|r| r.messages_sent as f64).sum();
-                let completed: Vec<f64> =
-                    reports.iter().filter_map(|r| r.completion_time).collect();
-                latency_row(
-                    ratio,
-                    false,
-                    params.runs,
-                    hit_sum,
-                    msg_sum,
-                    completed.iter().sum(),
-                    completed.len(),
-                )
-            })
-            .collect();
-    }
-
-    let mut out = Vec::new();
-    for &ratio in delay_ratios {
-        let mut hit_sum = 0.0;
-        let mut msg_sum = 0.0;
-        let mut completion_sum = 0.0;
-        let mut completed = 0usize;
-        for run in 0..params.runs {
-            // Each run gets its own warmed network (the event-driven engine
-            // mutates it), seeded deterministically.
-            let mut network = Network::new(params.sim_config(), params.seed);
-            network.run_cycles(params.warmup_cycles);
-            let origin = network.live_ids()[run % params.nodes];
-            let config = async_config(ratio, true);
-            let mut rng =
-                ChaCha8Rng::seed_from_u64(params.seed ^ (run as u64) ^ ((ratio * 1000.0) as u64));
-            let report = disseminate_async(
-                &mut network,
-                &RingCast::new(fanout),
-                origin,
-                &config,
-                &mut rng,
-            );
-            hit_sum += report.hit_ratio();
-            msg_sum += report.messages_sent as f64;
-            if let Some(t) = report.completion_time {
-                completion_sum += t;
-                completed += 1;
-            }
-        }
-        out.push(latency_row(
-            ratio,
-            true,
-            params.runs,
-            hit_sum,
-            msg_sum,
-            completion_sum,
-            completed,
-        ));
-    }
-    out
+/// [`latency_ablation`] with membership gossip running *live* during each
+/// dissemination (`ablation_async_latency --live-membership`): views keep
+/// being shuffled while the message spreads, which only the id-keyed
+/// [`Network`] runtime under [`disseminate_async`] models. Runs are
+/// sequential and each mutates its network, so keep the scale modest.
+pub fn live_latency_ablation(
+    params: &ExperimentParams,
+    delay_ratios: &[f64],
+) -> Vec<LatencyAblationRow> {
+    let fanout = params.fanouts.first().copied().unwrap_or(3);
+    let mut warmed = Network::new(params.sim_config(), params.seed);
+    warmed.run_cycles(params.warmup_cycles);
+    let origins = warmed.live_ids();
+    delay_ratios
+        .iter()
+        .map(|&ratio| {
+            let config = latency_config(ratio, true);
+            let reports: Vec<AsyncReport> = (0..params.runs)
+                .map(|run| {
+                    // The engine gossips over (and so mutates) the network
+                    // it is handed: every run starts from its own copy of
+                    // the one warmed overlay.
+                    let mut network = warmed.clone();
+                    let mut rng = ChaCha8Rng::seed_from_u64(
+                        params.seed ^ (run as u64) ^ ((ratio * 1000.0) as u64),
+                    );
+                    disseminate_async(
+                        &mut network,
+                        &RingCast::new(fanout),
+                        origins[run % params.nodes],
+                        &config,
+                        &mut rng,
+                    )
+                })
+                .collect();
+            latency_row(ratio, true, &reports)
+        })
+        .collect()
 }
 
 /// Result row of the adversarial loss sweep: macroscopic dissemination
@@ -685,45 +696,39 @@ pub struct AdversarialPartitionRow {
     pub runs: usize,
 }
 
-/// Runs `params.runs` seeded RingCast disseminations under `config` on the
-/// engine selected by `params.engine`.
-///
-/// The btree arm replays the exact per-run seeding contract of
-/// [`run_seeded_async`] — run `r` draws its origin and streams from
-/// `ChaCha8(run_seed(master_seed, r))` — through the id-keyed BTree engine
-/// over the same frozen overlay, so the two arms return **bit-identical**
-/// report vectors under every adversarial model (the differential the
-/// property suite pins).
-fn run_adversarial_async(
+/// The shared body of the two adversarial sweeps: grows and freezes the
+/// overlay once, then for every sweep point opens a `Section` (`param` =
+/// the point) and runs `params.runs` seeded RingCast disseminations (at the
+/// smallest configured fanout) in the event-driven engine under
+/// `config_for(point)`, folding them with `row_for`.
+fn adversarial_sweep<P: Probe, Row>(
     params: &ExperimentParams,
-    overlay: &DenseOverlay,
-    fanout: usize,
-    config: &AsyncConfig,
-    master_seed: u64,
-) -> Vec<AsyncReport> {
-    config.validate().expect("adversarial sweep config");
-    match params.engine {
-        EngineKind::Dense => run_seeded_async(
-            overlay,
-            &DenseSelector::ringcast(fanout),
-            config,
-            params.runs,
-            master_seed,
-            params.thread_count(),
-        ),
-        EngineKind::Btree => {
-            let live = overlay.live_indices();
-            assert!(!live.is_empty(), "overlay has no live nodes");
-            let selector = RingCast::new(fanout);
-            (0..params.runs)
-                .map(|run| {
-                    let mut rng = ChaCha8Rng::seed_from_u64(run_seed(master_seed, run as u64));
-                    let origin = overlay.node_id(live[rng.gen_range(0..live.len())]);
-                    disseminate_async_frozen(overlay, &selector, origin, config, &mut rng)
-                })
-                .collect()
-        }
+    points: &[f64],
+    config_for: impl Fn(f64) -> AsyncConfig,
+    row_for: impl Fn(f64, &[AsyncReport]) -> Row,
+    probe: &mut P,
+    profiler: &mut StageProfiler,
+) -> Vec<Row> {
+    let fanout = params.fanouts.first().copied().unwrap_or(3);
+    let overlay = static_dense_overlay_probed(params, probe, profiler);
+    profiler.stage("dissemination");
+    let mut heartbeat = Heartbeat::new(points.len() as u64, "configs", params.quiet);
+    let mut rows = Vec::new();
+    for (&point, tag) in points.iter().zip(0u64..) {
+        let config = config_for(point);
+        config.validate().expect("adversarial sweep config");
+        probe.record(TraceEvent::Section {
+            protocol: ProtocolKind::RingCast,
+            fanout: fanout as u32,
+            param: point,
+        });
+        let reports = async_runs(&overlay, fanout, &config, params, tag, probe);
+        rows.push(row_for(point, &reports));
+        heartbeat.advance(1, "dissemination");
     }
+    profiler.stage("aggregation");
+    profiler.finish();
+    rows
 }
 
 /// **Adversarial extension (loss)**: hit ratio and message overhead of
@@ -738,22 +743,23 @@ pub fn adversarial_loss_sweep(
     params: &ExperimentParams,
     loss_rates: &[f64],
 ) -> Vec<AdversarialLossRow> {
-    let fanout = params.fanouts.first().copied().unwrap_or(3);
-    let overlay = static_dense_overlay(params);
-    loss_rates
-        .iter()
-        .enumerate()
-        .map(|(tag, &rate)| {
-            let reports = run_adversarial_async(
-                params,
-                &overlay,
-                fanout,
-                &loss_config(rate),
-                run_seed(params.seed, tag as u64),
-            );
-            loss_row(rate, &reports)
-        })
-        .collect()
+    adversarial_loss_sweep_probed(
+        params,
+        loss_rates,
+        &mut NullProbe,
+        &mut StageProfiler::new(),
+    )
+}
+
+/// [`adversarial_loss_sweep`] with a trace probe attached: each rate opens
+/// a `Section` (`param` = loss rate) followed by its seeded async runs.
+pub fn adversarial_loss_sweep_probed<P: Probe>(
+    params: &ExperimentParams,
+    loss_rates: &[f64],
+    probe: &mut P,
+    profiler: &mut StageProfiler,
+) -> Vec<AdversarialLossRow> {
+    adversarial_sweep(params, loss_rates, loss_config, loss_row, probe, profiler)
 }
 
 /// The async configuration of one loss-sweep arm: i.i.d. per-message loss
@@ -773,8 +779,7 @@ fn loss_config(rate: f64) -> AsyncConfig {
     }
 }
 
-/// Folds one loss-sweep arm's reports into its result row. Shared by the
-/// plain and probed sweeps so the two can never aggregate differently.
+/// Folds one loss-sweep arm's reports into its result row.
 fn loss_row(rate: f64, reports: &[AsyncReport]) -> AdversarialLossRow {
     let runs = reports.len();
     let completed: Vec<f64> = reports.iter().filter_map(|r| r.completion_time).collect();
@@ -808,22 +813,34 @@ pub fn adversarial_partition_sweep(
     durations: &[f64],
     start: f64,
 ) -> Vec<AdversarialPartitionRow> {
-    let fanout = params.fanouts.first().copied().unwrap_or(3);
-    let overlay = static_dense_overlay(params);
-    durations
-        .iter()
-        .enumerate()
-        .map(|(tag, &duration)| {
-            let reports = run_adversarial_async(
-                params,
-                &overlay,
-                fanout,
-                &partition_config(duration, start),
-                run_seed(params.seed, tag as u64),
-            );
-            partition_row(duration, &reports)
-        })
-        .collect()
+    adversarial_partition_sweep_probed(
+        params,
+        durations,
+        start,
+        &mut NullProbe,
+        &mut StageProfiler::new(),
+    )
+}
+
+/// [`adversarial_partition_sweep`] with a trace probe attached: each
+/// duration opens a `Section` (`param` = duration) followed by its seeded
+/// async runs, whose `PartitionOpen`/`PartitionHeal` events announce the
+/// scripted timeline.
+pub fn adversarial_partition_sweep_probed<P: Probe>(
+    params: &ExperimentParams,
+    durations: &[f64],
+    start: f64,
+    probe: &mut P,
+    profiler: &mut StageProfiler,
+) -> Vec<AdversarialPartitionRow> {
+    adversarial_sweep(
+        params,
+        durations,
+        |duration| partition_config(duration, start),
+        partition_row,
+        probe,
+        profiler,
+    )
 }
 
 /// The async configuration of one partition-sweep arm: a salt-keyed
@@ -849,8 +866,7 @@ fn partition_config(duration: f64, start: f64) -> AsyncConfig {
     }
 }
 
-/// Folds one partition-sweep arm's reports into its result row. Shared by
-/// the plain and probed sweeps so the two can never aggregate differently.
+/// Folds one partition-sweep arm's reports into its result row.
 fn partition_row(duration: f64, reports: &[AsyncReport]) -> AdversarialPartitionRow {
     let runs = reports.len();
     let recoveries: Vec<f64> = reports
@@ -875,200 +891,6 @@ fn partition_row(duration: f64, reports: &[AsyncReport]) -> AdversarialPartition
     }
 }
 
-// ---------------------------------------------------------------------
-// Probed variants (`--trace` / `--profile`): the same sweeps with a trace
-// probe and a stage profiler attached. Probed runs are dense-only and
-// sequential — one probe, one totally ordered event stream — and produce
-// tables bit-identical to the parallel unprobed sweeps (pinned by the
-// unit tests below), because probes never touch the seeded RNG streams.
-
-/// Maps a selector to its trace [`ProtocolKind`] (same display name).
-fn protocol_kind(selector: &DenseSelector) -> ProtocolKind {
-    match selector {
-        DenseSelector::Flooding => ProtocolKind::Flooding,
-        DenseSelector::DeterministicFlooding => ProtocolKind::DeterministicFlooding,
-        DenseSelector::RandCast(_) => ProtocolKind::RandCast,
-        DenseSelector::RingCast(_) => ProtocolKind::RingCast,
-    }
-}
-
-/// The probed effectiveness sweep over an already built dense overlay:
-/// one `Section` event per (fanout, protocol) configuration, then
-/// `params.runs` seeded probed disseminations, folded with the same
-/// aggregation as [`effectiveness_with_dense`].
-fn effectiveness_dense_probed<P: Probe>(
-    dense: &DenseOverlay,
-    scenario: &str,
-    params: &ExperimentParams,
-    probe: &mut P,
-    profiler: &mut StageProfiler,
-) -> EffectivenessTable {
-    profiler.stage("dissemination");
-    let configs = (params.fanouts.len() * protocols(3).len()) as u64;
-    let mut heartbeat = Heartbeat::new(configs, "configs", params.quiet);
-    let mut rows = Vec::new();
-    let mut tag = 0u64;
-    for &fanout in &params.fanouts {
-        for protocol in protocols(fanout) {
-            probe.record(TraceEvent::Section {
-                protocol: protocol_kind(&protocol),
-                fanout: fanout as u32,
-                param: 0.0,
-            });
-            let reports = run_seeded_disseminations_probed(
-                dense,
-                &protocol,
-                params.runs,
-                run_seed(params.seed, tag),
-                probe,
-            );
-            tag += 1;
-            rows.push(AggregateStats::from_reports(
-                protocol.name(),
-                fanout,
-                &reports,
-            ));
-            heartbeat.advance(1, "dissemination");
-        }
-    }
-    profiler.stage("aggregation");
-    let table = EffectivenessTable {
-        scenario: scenario.to_owned(),
-        rows,
-    };
-    profiler.finish();
-    table
-}
-
-/// **Figure 6, probed**: [`static_effectiveness`] with a trace probe and
-/// stage profiler attached. Dense-only; returns the identical table.
-///
-/// # Panics
-///
-/// Panics if `params.engine` is not [`EngineKind::Dense`].
-pub fn static_effectiveness_probed<P: Probe>(
-    params: &ExperimentParams,
-    probe: &mut P,
-    profiler: &mut StageProfiler,
-) -> EffectivenessTable {
-    let dense = static_dense_overlay_probed(params, probe, profiler);
-    effectiveness_dense_probed(&dense, "static failure-free", params, probe, profiler)
-}
-
-/// **Figure 11, probed**: [`churn_effectiveness`] with a trace probe and
-/// stage profiler attached — churn `Join`/`Leave` events included.
-/// Dense-only; returns the identical table and cycle count.
-///
-/// # Panics
-///
-/// Panics if `params.engine` is not [`EngineKind::Dense`].
-pub fn churn_effectiveness_probed<P: Probe>(
-    params: &ExperimentParams,
-    probe: &mut P,
-    profiler: &mut StageProfiler,
-) -> (EffectivenessTable, usize) {
-    let (dense, cycles) = churn_dense_overlay_probed(params, probe, profiler);
-    let table = effectiveness_dense_probed(
-        &dense,
-        &format!(
-            "churn steady state ({}% per cycle, {} cycles)",
-            params.churn_rate * 100.0,
-            cycles
-        ),
-        params,
-        probe,
-        profiler,
-    );
-    (table, cycles)
-}
-
-/// **Adversarial loss sweep, probed**: each rate opens a `Section`
-/// (`param` = loss rate) followed by its seeded probed async runs.
-/// Dense-only; returns rows identical to [`adversarial_loss_sweep`].
-///
-/// # Panics
-///
-/// Panics if `params.engine` is not [`EngineKind::Dense`].
-pub fn adversarial_loss_sweep_probed<P: Probe>(
-    params: &ExperimentParams,
-    loss_rates: &[f64],
-    probe: &mut P,
-    profiler: &mut StageProfiler,
-) -> Vec<AdversarialLossRow> {
-    let fanout = params.fanouts.first().copied().unwrap_or(3);
-    let overlay = static_dense_overlay_probed(params, probe, profiler);
-    profiler.stage("dissemination");
-    let mut heartbeat = Heartbeat::new(loss_rates.len() as u64, "configs", params.quiet);
-    let mut rows = Vec::new();
-    for (tag, &rate) in loss_rates.iter().enumerate() {
-        let config = loss_config(rate);
-        config.validate().expect("adversarial sweep config");
-        probe.record(TraceEvent::Section {
-            protocol: ProtocolKind::RingCast,
-            fanout: fanout as u32,
-            param: rate,
-        });
-        let reports = run_seeded_async_probed(
-            &overlay,
-            &DenseSelector::ringcast(fanout),
-            &config,
-            params.runs,
-            run_seed(params.seed, tag as u64),
-            probe,
-        );
-        rows.push(loss_row(rate, &reports));
-        heartbeat.advance(1, "dissemination");
-    }
-    profiler.stage("aggregation");
-    profiler.finish();
-    rows
-}
-
-/// **Adversarial partition sweep, probed**: each duration opens a
-/// `Section` (`param` = duration) followed by its seeded probed async
-/// runs, whose `PartitionOpen`/`PartitionHeal` events announce the
-/// scripted timeline. Dense-only; rows identical to
-/// [`adversarial_partition_sweep`].
-///
-/// # Panics
-///
-/// Panics if `params.engine` is not [`EngineKind::Dense`].
-pub fn adversarial_partition_sweep_probed<P: Probe>(
-    params: &ExperimentParams,
-    durations: &[f64],
-    start: f64,
-    probe: &mut P,
-    profiler: &mut StageProfiler,
-) -> Vec<AdversarialPartitionRow> {
-    let fanout = params.fanouts.first().copied().unwrap_or(3);
-    let overlay = static_dense_overlay_probed(params, probe, profiler);
-    profiler.stage("dissemination");
-    let mut heartbeat = Heartbeat::new(durations.len() as u64, "configs", params.quiet);
-    let mut rows = Vec::new();
-    for (tag, &duration) in durations.iter().enumerate() {
-        let config = partition_config(duration, start);
-        config.validate().expect("adversarial sweep config");
-        probe.record(TraceEvent::Section {
-            protocol: ProtocolKind::RingCast,
-            fanout: fanout as u32,
-            param: duration,
-        });
-        let reports = run_seeded_async_probed(
-            &overlay,
-            &DenseSelector::ringcast(fanout),
-            &config,
-            params.runs,
-            run_seed(params.seed, tag as u64),
-            probe,
-        );
-        rows.push(partition_row(duration, &reports));
-        heartbeat.advance(1, "dissemination");
-    }
-    profiler.stage("aggregation");
-    profiler.finish();
-    rows
-}
-
 /// **Section 8 ablation**: reliability of different d-link structures under
 /// catastrophic failure — a single ring, multiple independent rings and a
 /// static Harary graph of connectivity 4.
@@ -1088,7 +910,6 @@ pub fn connectivity_ablation(
 ) -> Vec<(String, AggregateStats)> {
     let base_fanout = params.fanouts.first().copied().unwrap_or(2).max(2);
     let mut out = Vec::new();
-    let mut rng = params.dissemination_rng();
 
     // One master-seed tag per arm, incremented in arm order so no two arms
     // ever share a per-run RNG stream however the arm list evolves.
@@ -1097,23 +918,13 @@ pub fn connectivity_ablation(
     // Vicinity-maintained rings: 1, 2 and 3 independent rings (d-degree 2k).
     for rings in [1usize, 2, 3] {
         let config = SimConfig {
-            nodes: params.nodes,
             rings,
-            ..SimConfig::default()
+            ..params.sim_config()
         };
-        let mut network = Network::new(config, params.seed);
-        network.run_cycles(params.warmup_cycles);
-        let mut overlay = SnapshotOverlay::new(network.overlay_snapshot());
-        let mut fail_rng = ChaCha8Rng::seed_from_u64(params.seed.wrapping_add(0xFA11));
-        hybridcast_sim::failure::kill_fraction_in_snapshot(
-            overlay.snapshot_mut(),
-            fail_fraction,
-            &mut fail_rng,
-        );
+        let dense = dense_overlay(&catastrophic_overlay_with(params, config, fail_fraction));
         let fanout = base_fanout + 2 * (rings - 1);
         let protocol = DenseSelector::ringcast(fanout);
-        let dense = dense_overlay(&overlay);
-        let reports = run_reports(&dense, &overlay, &protocol, params, tag, &mut rng);
+        let reports = dissemination_runs(&dense, &protocol, params, tag, &mut NullProbe);
         tag += 1;
         out.push((
             format!("{rings}-ring RingCast"),
@@ -1139,7 +950,7 @@ pub fn connectivity_ablation(
     let fanout = base_fanout + 2;
     let protocol = DenseSelector::ringcast(fanout);
     let dense = DenseOverlay::from(&overlay);
-    let reports = run_reports(&dense, &overlay, &protocol, params, tag, &mut rng);
+    let reports = dissemination_runs(&dense, &protocol, params, tag, &mut NullProbe);
     out.push((
         "static Harary(4) hybrid".to_owned(),
         AggregateStats::from_reports("RingCast/H4", fanout, &reports),
@@ -1155,27 +966,24 @@ pub fn view_length_ablation(
     view_lengths: &[usize],
     fanout: usize,
 ) -> Vec<(usize, EffectivenessTable)> {
-    let mut out = Vec::new();
-    for &view in view_lengths {
-        let config = SimConfig {
-            nodes: params.nodes,
-            cyclon_view: view,
-            vicinity_view: view,
-            ..SimConfig::default()
-        };
-        let mut network = Network::new(config, params.seed);
-        network.run_cycles(params.warmup_cycles);
-        let overlay = SnapshotOverlay::new(network.overlay_snapshot());
-        let single = ExperimentParams {
-            fanouts: vec![fanout],
-            ..params.clone()
-        };
-        out.push((
-            view,
-            effectiveness_over(&overlay, &format!("view length {view}"), &single),
-        ));
-    }
-    out
+    let single = ExperimentParams {
+        fanouts: vec![fanout],
+        ..params.clone()
+    };
+    view_lengths
+        .iter()
+        .map(|&view| {
+            let config = SimConfig {
+                cyclon_view: view,
+                vicinity_view: view,
+                ..params.sim_config()
+            };
+            let network = warmed_network(params, config, &mut NullProbe, &mut StageProfiler::new());
+            let dense = DenseOverlay::from_dense_sim(&network);
+            let scenario = format!("view length {view}");
+            (view, effectiveness_of(&dense, &scenario, &single))
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -1202,52 +1010,36 @@ mod tests {
 
     #[test]
     fn probed_static_effectiveness_matches_unprobed_bit_for_bit() {
-        use hybridcast_obs::{NullProbe, VecProbe};
+        use hybridcast_obs::VecProbe;
 
+        // The plain sweep fans its runs across threads; a recording probe
+        // forces the sequential driver. Same table either way.
         let params = tiny();
-        let plain = static_effectiveness(&params);
-
         let mut profiler = StageProfiler::new();
-        let probed = static_effectiveness_probed(&params, &mut NullProbe, &mut profiler);
-        assert_eq!(plain, probed, "NullProbe must not perturb the sweep");
+        let traced = static_effectiveness_probed(&params, &mut VecProbe::new(), &mut profiler);
+        assert_eq!(static_effectiveness(&params), traced);
         let names: Vec<&str> = profiler.stages().iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(
             names,
             ["overlay build", "warm-up", "dissemination", "aggregation"]
         );
-
-        let mut probe = VecProbe::new();
-        let mut profiler = StageProfiler::new();
-        let traced = static_effectiveness_probed(&params, &mut probe, &mut profiler);
-        assert_eq!(
-            plain, traced,
-            "a recording probe must not perturb it either"
-        );
-        let sections = probe
-            .events
-            .iter()
-            .filter(|e| matches!(e, TraceEvent::Section { .. }))
-            .count();
-        assert_eq!(sections, params.fanouts.len() * 2);
-        let runs = probe
-            .events
-            .iter()
-            .filter(|e| matches!(e, TraceEvent::RunStart { .. }))
-            .count();
-        assert_eq!(sections * params.runs, runs);
     }
 
     #[test]
     fn probed_churn_effectiveness_matches_unprobed_bit_for_bit() {
-        use hybridcast_obs::NullProbe;
+        use hybridcast_obs::VecProbe;
 
         let params = tiny();
-        let (plain, plain_cycles) = churn_effectiveness(&params);
-        let mut profiler = StageProfiler::new();
-        let (probed, probed_cycles) =
-            churn_effectiveness_probed(&params, &mut NullProbe, &mut profiler);
-        assert_eq!(plain_cycles, probed_cycles);
-        assert_eq!(plain, probed);
+        let mut probe = VecProbe::new();
+        let traced = churn_effectiveness_probed(&params, &mut probe, &mut StageProfiler::new());
+        assert_eq!(churn_effectiveness(&params), traced);
+        assert!(
+            probe
+                .events
+                .iter()
+                .any(|e| matches!(e, TraceEvent::Join { .. })),
+            "the churn warm-up must be part of the trace"
+        );
     }
 
     #[test]
@@ -1302,18 +1094,6 @@ mod tests {
             static_effectiveness(&parallel).rows,
             "thread count must never change experiment data"
         );
-    }
-
-    #[test]
-    fn btree_engine_remains_selectable() {
-        let mut params = tiny();
-        params.engine = EngineKind::Btree;
-        params.fanouts = vec![2];
-        params.runs = 4;
-        let table = static_effectiveness(&params);
-        assert_eq!(table.rows.len(), 2);
-        let ring = table.row("RingCast", 2).unwrap();
-        assert_eq!(ring.complete_fraction, 1.0);
     }
 
     #[test]
@@ -1403,15 +1183,14 @@ mod tests {
     }
 
     #[test]
-    fn btree_latency_ablation_remains_selectable() {
+    fn live_latency_ablation_keeps_membership_gossiping() {
         let mut params = tiny();
-        params.engine = EngineKind::Btree;
         params.nodes = 120;
         params.runs = 2;
         params.fanouts = vec![3];
-        let rows = latency_ablation(&params, &[0.5]);
+        let rows = live_latency_ablation(&params, &[0.5]);
         assert_eq!(rows.len(), 1);
-        assert!(rows[0].live_membership, "btree arm keeps live gossip");
+        assert!(rows[0].live_membership, "the live arm keeps gossiping");
         assert_eq!(rows[0].mean_hit_ratio, 1.0);
     }
 
@@ -1434,17 +1213,6 @@ mod tests {
         let mut sequential = params.clone();
         sequential.threads = 1;
         assert_eq!(rows, push_pull_extension(&sequential, 0.0));
-
-        // The BTree arm still runs and shows the same qualitative trend.
-        let mut btree = params.clone();
-        btree.engine = EngineKind::Btree;
-        btree.runs = 4;
-        let btree_rows = push_pull_extension(&btree, 0.0);
-        let btree_rand = btree_rows
-            .iter()
-            .find(|r| r.protocol == "RandCast")
-            .unwrap();
-        assert!(btree_rand.final_miss_ratio <= btree_rand.push_miss_ratio);
     }
 
     #[test]
@@ -1471,10 +1239,15 @@ mod tests {
         for (_, table) in &views {
             assert_eq!(table.rows.len(), 2);
         }
+
+        // The ablations grow their overlays like every other figure, so the
+        // membership RNG mode reaches them.
+        params.rng = hybridcast_sim::RngMode::PerNode;
+        assert_ne!(views, view_length_ablation(&params, &[5, 20], 2));
     }
 
     #[test]
-    fn adversarial_loss_sweep_degrades_hit_ratio_and_is_engine_invariant() {
+    fn adversarial_loss_sweep_degrades_hit_ratio_and_is_thread_invariant() {
         let mut params = tiny();
         params.fanouts = vec![3];
         params.runs = 6;
@@ -1498,21 +1271,13 @@ mod tests {
         );
         assert!(rows[2].mean_hit_ratio < rows[0].mean_hit_ratio);
 
-        // Thread-count invariance and dense/btree bit-identity.
         let mut sequential = params.clone();
         sequential.threads = 1;
         assert_eq!(rows, adversarial_loss_sweep(&sequential, &rates));
-        let mut btree = params.clone();
-        btree.engine = EngineKind::Btree;
-        assert_eq!(
-            rows,
-            adversarial_loss_sweep(&btree, &rates),
-            "the btree arm must replay the dense arm bit-for-bit"
-        );
     }
 
     #[test]
-    fn adversarial_partition_sweep_reports_recovery_and_is_engine_invariant() {
+    fn adversarial_partition_sweep_reports_recovery_and_is_thread_invariant() {
         let mut params = tiny();
         params.fanouts = vec![3];
         params.runs = 6;
@@ -1534,12 +1299,11 @@ mod tests {
         // but the late heavy-tail deliveries carry most runs across.
         assert!(rows[1].mean_hit_ratio > 0.9, "heal mostly recovers");
 
-        let mut btree = params.clone();
-        btree.engine = EngineKind::Btree;
+        let mut sequential = params.clone();
+        sequential.threads = 1;
         assert_eq!(
             rows,
-            adversarial_partition_sweep(&btree, &durations, 2.0),
-            "the btree arm must replay the dense arm bit-for-bit"
+            adversarial_partition_sweep(&sequential, &durations, 2.0)
         );
     }
 }

@@ -5,12 +5,17 @@
 //! thin wrapper around a function in [`figures`]; the shared machinery lives
 //! here so the experiments are unit-testable:
 //!
-//! * [`cli`] — a dependency-free `--key value` argument parser,
+//! * [`cli`] — a dependency-free `--key value` argument parser that
+//!   rejects options no accessor asked for,
 //! * [`scenario`] — builders for the three evaluation scenarios: static
 //!   failure-free overlays, overlays after a catastrophic failure, and
-//!   overlays in churn steady state,
+//!   overlays in churn steady state, all grown on the arena runtime,
 //! * [`figures`] — one function per figure, each returning serializable
-//!   result tables,
+//!   result tables; every figure has a single code path over the dense
+//!   engines (the id-keyed BTree engines in `core`/`sim` are test oracles,
+//!   compared by `benches/engine.rs` and `benches/membership.rs`),
+//! * [`probing`] — turns `--trace` / `--profile` into the probe and
+//!   profiler the traceable sweeps are generic over,
 //! * [`output`] — plain-text/CSV rendering of those tables, matching the
 //!   rows and series the paper plots,
 //! * [`trace`] — folds the JSONL event traces the probed sweeps export
@@ -27,6 +32,7 @@
 //! | Fig. 12 | `fig12_lifetime_distribution` | [`figures::lifetime_distribution`] |
 //! | Fig. 13 | `fig13_miss_lifetimes` | [`figures::miss_lifetimes`] |
 //! | §7.1 ablation | `ablation_frozen_overlay` | [`figures::frozen_overlay_ablation`] |
+//! | §7.1 ablation | `ablation_async_latency` | [`figures::latency_ablation`], [`figures::live_latency_ablation`] |
 //! | §8 ablation | `ablation_connectivity` | [`figures::connectivity_ablation`] |
 //! | §6 ablation | `ablation_view_length` | [`figures::view_length_ablation`] |
 

@@ -1,24 +1,28 @@
 //! `--trace` / `--profile` plumbing shared by the probed figure binaries.
 //!
-//! The figure functions come in pairs — a plain sweep and a `_probed`
-//! twin that takes a [`Probe`] and a [`StageProfiler`] and returns the
-//! identical table. This module turns the two flags into that probe: no
-//! flags means the binary calls the plain (parallel) sweep, `--profile`
-//! attaches a [`NullProbe`] just to get stage timings, and
-//! `--trace <path>` streams the full event record as JSON Lines.
+//! Each probed figure function is one body generic over a
+//! [`Probe`](hybridcast_obs::Probe); this module turns the two flags into
+//! that probe. [`ProbeOptions::run_probed`] is the only way a binary calls
+//! its sweep, always with a [`TraceProbe`]: `Some` JSONL writer under
+//! `--trace <path>`, inert `None` otherwise. The sweep itself asks
+//! `Probe::enabled` whether its seeded runs must go through one probe in
+//! order or may fan out across threads, so `--profile` alone times exactly
+//! the parallel run the flagless binary performs.
 //!
-//! Binaries run probes through `&mut dyn Probe`: one JSONL writer is not
-//! a hot path, and dynamic dispatch here keeps the binaries from
-//! monomorphizing every sweep twice. The engines themselves stay generic
-//! (the `hybridcast-lint` hot-path rule bans `dyn Probe` there).
+//! The probe type is static, so a binary monomorphizes its sweep once and
+//! an absent trace costs the membership kernels one predictable branch per
+//! event rather than a virtual call.
 
 use std::fs::File;
 use std::io::BufWriter;
 
-use hybridcast_obs::{JsonlProbe, NullProbe, Probe, StageProfiler};
+use hybridcast_obs::{JsonlProbe, StageProfiler};
 
 use crate::cli::Args;
-use crate::scenario::{EngineKind, ExperimentParams};
+
+/// The probe every figure binary runs its sweep with: a JSON Lines trace
+/// writer when `--trace` names a file, absent (and inert) otherwise.
+pub type TraceProbe = Option<JsonlProbe<BufWriter<File>>>;
 
 /// The observability options of a figure binary.
 #[derive(Debug)]
@@ -30,32 +34,12 @@ pub struct ProbeOptions {
 }
 
 impl ProbeOptions {
-    /// Parses `--trace <path>` and `--profile`, rejecting combinations
-    /// the probed sweeps cannot serve.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if either flag is combined with `--engine btree`:
-    /// the probe hooks ride the dense engines, and the BTree engine's role
-    /// is to differentially verify them, not to replace them.
-    pub fn from_args(args: &Args, params: &ExperimentParams) -> Result<Self, String> {
-        let options = ProbeOptions {
+    /// Parses `--trace <path>` and `--profile`.
+    pub fn from_args(args: &Args) -> Self {
+        ProbeOptions {
             trace: args.value("trace").map(str::to_owned),
             profile: args.flag("profile"),
-        };
-        if options.active() && params.engine != EngineKind::Dense {
-            return Err(
-                "--trace/--profile require --engine dense (probes hook the dense engines)"
-                    .to_owned(),
-            );
         }
-        Ok(options)
-    }
-
-    /// `true` if the binary should call the probed sweep at all.
-    #[must_use]
-    pub fn active(&self) -> bool {
-        self.trace.is_some() || self.profile
     }
 
     /// Runs `f` with the configured probe and profiler, finalizes the
@@ -67,20 +51,24 @@ impl ProbeOptions {
     /// flushed.
     pub fn run_probed<T>(
         &self,
-        f: impl FnOnce(&mut dyn Probe, &mut StageProfiler) -> T,
+        f: impl FnOnce(&mut TraceProbe, &mut StageProfiler) -> T,
     ) -> Result<T, String> {
-        let mut profiler = StageProfiler::new();
-        let result = match &self.trace {
-            Some(path) => {
-                let file = File::create(path).map_err(|e| format!("--trace {path}: {e}"))?;
-                let mut probe = JsonlProbe::new(BufWriter::new(file))
-                    .map_err(|e| format!("--trace {path}: {e}"))?;
-                let result = f(&mut probe, &mut profiler);
-                probe.finish().map_err(|e| format!("--trace {path}: {e}"))?;
-                result
-            }
-            None => f(&mut NullProbe, &mut profiler),
+        let trace_error = |e: std::io::Error| {
+            format!("--trace {}: {e}", self.trace.as_deref().unwrap_or_default())
         };
+        let mut probe: TraceProbe = match &self.trace {
+            Some(path) => Some(
+                File::create(path)
+                    .and_then(|file| JsonlProbe::new(BufWriter::new(file)))
+                    .map_err(trace_error)?,
+            ),
+            None => None,
+        };
+        let mut profiler = StageProfiler::new();
+        let result = f(&mut probe, &mut profiler);
+        if let Some(probe) = probe {
+            probe.finish().map_err(trace_error)?;
+        }
         if self.profile {
             eprint!("{}", profiler.render());
         }
@@ -92,35 +80,29 @@ impl ProbeOptions {
 mod tests {
     use super::*;
 
-    fn dense_params() -> ExperimentParams {
-        ExperimentParams::quick()
-    }
-
     #[test]
     fn flags_parse_and_btree_is_rejected() {
         let args = Args::parse(["--trace", "/tmp/t.jsonl", "--profile"]).unwrap();
-        let options = ProbeOptions::from_args(&args, &dense_params()).unwrap();
-        assert!(options.active());
+        let options = ProbeOptions::from_args(&args);
+        assert!(options.profile);
         assert_eq!(options.trace.as_deref(), Some("/tmp/t.jsonl"));
+        args.finish().unwrap();
 
-        let none = ProbeOptions::from_args(&Args::parse([] as [&str; 0]).unwrap(), &dense_params())
-            .unwrap();
-        assert!(!none.active());
+        let none = ProbeOptions::from_args(&Args::parse([] as [&str; 0]).unwrap());
+        assert!(none.trace.is_none() && !none.profile);
 
-        let btree = ExperimentParams {
-            engine: EngineKind::Btree,
-            ..dense_params()
-        };
-        assert!(ProbeOptions::from_args(&args, &btree).is_err());
-        let inactive = Args::parse([] as [&str; 0]).unwrap();
-        assert!(ProbeOptions::from_args(&inactive, &btree).is_ok());
+        let btree = Args::parse(["--profile", "--engine", "btree"]).unwrap();
+        assert!(ProbeOptions::from_args(&btree).profile);
+        assert!(btree.finish().is_err(), "the engine is not an option");
     }
 
     #[test]
     fn run_probed_without_trace_uses_the_null_probe() {
+        use hybridcast_obs::Probe;
+
         let options = ProbeOptions {
             trace: None,
-            profile: false,
+            profile: true,
         };
         let seen = options
             .run_probed(|probe, profiler| {
@@ -128,6 +110,6 @@ mod tests {
                 probe.enabled()
             })
             .unwrap();
-        assert!(!seen, "no --trace means the inert NullProbe");
+        assert!(!seen, "no --trace means an inert probe, --profile or not");
     }
 }

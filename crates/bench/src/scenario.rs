@@ -1,60 +1,36 @@
 //! Builders for the three evaluation scenarios of Section 7.
-
-use std::fmt;
-use std::str::FromStr;
+//!
+//! Every scenario grows its overlay on the arena runtime
+//! ([`DenseSimNetwork`]) in the RNG mode [`ExperimentParams::rng`] selects.
+//! There is one growth body per scenario — [`warmed_network`] for the static
+//! overlay, [`churn_dense_overlay_probed`]'s warm-up for churn — generic
+//! over a [`Probe`]; the un-probed builders are that body instantiated at
+//! the statically dispatched [`NullProbe`], whose `record` compiles to
+//! nothing.
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
 use hybridcast_core::overlay::{DenseOverlay, SnapshotOverlay};
-use hybridcast_obs::{Heartbeat, Probe, StageProfiler};
+use hybridcast_obs::{Heartbeat, NullProbe, Probe, StageProfiler};
 use hybridcast_sim::churn::{ChurnConfig, ChurnDriver};
 use hybridcast_sim::failure::kill_fraction_in_snapshot;
-use hybridcast_sim::{
-    DenseSimNetwork, GossipRuntime, Network, OverlaySnapshot, RngMode, SimConfig,
-};
+use hybridcast_sim::{DenseSimNetwork, RngMode, SimConfig};
 
 use crate::cli::Args;
 
-/// Which engine an experiment runs on — covering **both phases** of every
-/// figure: the membership simulation that grows (and churns) the overlay,
-/// and the dissemination sweep over the frozen result.
+/// The engine every experiment runs on: the arena membership runtime plus
+/// the allocation-free CSR dissemination engines. The id-keyed BTree
+/// engines are test oracles, not a harness option.
 ///
-/// The dense engine is the default: the overlay is grown by the arena-based
-/// [`DenseSimNetwork`] epoch runtime, frozen, converted to a
-/// [`DenseOverlay`] once, and seeded dissemination runs are fanned across
-/// threads. The BTree engine is the original id-keyed sequential path, kept
-/// selectable (`--engine btree`) so the speedup can be measured on any
-/// machine. The two engines are bit-identical per seed in both phases, so
-/// the flag changes wall-clock time, never data.
+/// Nothing reads [`ExperimentParams::engine`]; the enum and the field stay
+/// only so `ExperimentParams { .. }` literals in the frozen `benchmark/`
+/// adapter keep compiling, and a later `benchmark` PR removes both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum EngineKind {
-    /// Allocation-free CSR engine, parallel seeded runs (the default).
+    /// Arena runtime + CSR engines, seeded runs fanned across threads.
     Dense,
-    /// Original `BTreeMap`/`BTreeSet` engine, sequential shared-RNG runs.
-    Btree,
-}
-
-impl FromStr for EngineKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "dense" => Ok(EngineKind::Dense),
-            "btree" => Ok(EngineKind::Btree),
-            other => Err(format!("unknown engine '{other}', expected dense|btree")),
-        }
-    }
-}
-
-impl fmt::Display for EngineKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            EngineKind::Dense => "dense",
-            EngineKind::Btree => "btree",
-        })
-    }
 }
 
 /// Common parameters of every experiment, derived from the command line.
@@ -76,9 +52,9 @@ pub struct ExperimentParams {
     /// Upper bound on churn warm-up cycles (the paper runs until every
     /// bootstrap node has been replaced, which the quick scale caps).
     pub churn_max_cycles: usize,
-    /// Which dissemination engine to run (`--engine dense|btree`).
+    /// Always [`EngineKind::Dense`]; read by nothing (see [`EngineKind`]).
     pub engine: EngineKind,
-    /// Worker threads for the dense engine's seeded runs — and, in
+    /// Worker threads for the seeded dissemination runs — and, in
     /// `--rng per-node` mode, for the membership simulation's intra-cycle
     /// fan-out; 0 means "use the machine's available parallelism". Results
     /// are identical for every value (`--threads`).
@@ -87,7 +63,7 @@ pub struct ExperimentParams {
     /// `shared` (the default) steps one shared stream in stepping order and
     /// is bit-identical to the BTree oracle; `per-node` derives one
     /// counter-based stream per node and cycle, which unlocks the sparse
-    /// frontier and intra-cycle threading. Dense engine only.
+    /// frontier and intra-cycle threading.
     pub rng: RngMode,
     /// Silence the progress heartbeat on stderr (`--quiet`). Progress is
     /// still counted in the metrics registry either way; the flag only
@@ -134,23 +110,20 @@ impl ExperimentParams {
 
     /// Builds parameters from command-line arguments: `--paper` selects the
     /// full scale, and `--nodes`, `--runs`, `--warmup`, `--fanouts`,
-    /// `--seed`, `--churn-rate`, `--churn-max-cycles`, `--engine`,
-    /// `--threads`, `--rng` override individual fields; `--quiet` silences
-    /// the progress heartbeat.
+    /// `--seed`, `--churn-rate`, `--churn-max-cycles`, `--threads`, `--rng`
+    /// override individual fields; `--quiet` silences the progress
+    /// heartbeat.
     ///
     /// # Errors
     ///
-    /// Returns an error if any override fails to parse, or if
-    /// `--rng per-node` is combined with `--engine btree` (the per-node
-    /// stream kernel lives in the arena runtime only; the BTree oracle is
-    /// shared-stream by definition).
+    /// Returns an error if any override fails to parse.
     pub fn from_args(args: &Args) -> Result<Self, String> {
         let base = if args.flag("paper") {
             Self::paper()
         } else {
             Self::quick()
         };
-        let params = ExperimentParams {
+        Ok(ExperimentParams {
             nodes: args.get_or("nodes", base.nodes)?,
             runs: args.get_or("runs", base.runs)?,
             warmup_cycles: args.get_or("warmup", base.warmup_cycles)?,
@@ -158,17 +131,11 @@ impl ExperimentParams {
             seed: args.get_or("seed", base.seed)?,
             churn_rate: args.get_or("churn-rate", base.churn_rate)?,
             churn_max_cycles: args.get_or("churn-max-cycles", base.churn_max_cycles)?,
-            engine: args.get_or("engine", base.engine)?,
+            engine: EngineKind::Dense,
             threads: args.get_or("threads", base.threads)?,
             rng: args.get_or("rng", base.rng)?,
             quiet: args.flag("quiet"),
-        };
-        if params.rng == RngMode::PerNode && params.engine == EngineKind::Btree {
-            return Err(String::from(
-                "--rng per-node requires --engine dense (the BTree oracle is shared-stream only)",
-            ));
-        }
-        Ok(params)
+        })
     }
 
     /// The number of dissemination worker threads to use: the `--threads`
@@ -190,45 +157,18 @@ impl ExperimentParams {
         }
     }
 
-    /// A deterministic RNG for dissemination-time randomness, derived from
-    /// the master seed.
-    pub fn dissemination_rng(&self) -> ChaCha8Rng {
-        ChaCha8Rng::seed_from_u64(self.seed.wrapping_mul(0x9E37_79B9).wrapping_add(17))
-    }
-
-    /// Builds the arena membership runtime in the RNG mode these parameters
-    /// select: the shared-stream runtime, or the per-node frontier runtime
-    /// at gossip period 1 (every node steps every cycle — the same cadence
-    /// the shared runtime and the BTree oracle use) with the `--threads`
-    /// worker count.
-    pub fn dense_network(&self) -> DenseSimNetwork {
+    /// Builds the arena membership runtime over `config`
+    /// ([`Self::sim_config`] or an ablation's variation of it) in the RNG
+    /// mode these parameters select: the shared-stream runtime, or the
+    /// per-node frontier runtime at gossip period 1 (every node steps every
+    /// cycle — the same cadence the shared runtime and the BTree oracle
+    /// use) with the `--threads` worker count.
+    pub fn dense_network(&self, config: SimConfig) -> DenseSimNetwork {
         match self.rng {
-            RngMode::Shared => DenseSimNetwork::new(self.sim_config(), self.seed),
+            RngMode::Shared => DenseSimNetwork::new(config, self.seed),
             RngMode::PerNode => {
-                DenseSimNetwork::new_per_node(self.sim_config(), self.seed, 1, self.thread_count())
+                DenseSimNetwork::new_per_node(config, self.seed, 1, self.thread_count())
             }
-        }
-    }
-}
-
-/// Runs the membership phase on the engine selected by `params.engine` and
-/// returns `f` applied to the warmed runtime. Both runtimes are
-/// bit-identical per seed, so the engine choice never changes the result.
-fn with_warmed_runtime<T>(
-    params: &ExperimentParams,
-    warm: impl Fn(&mut dyn GossipRuntime) -> usize,
-    f: impl Fn(&dyn GossipRuntime, usize) -> T,
-) -> T {
-    match params.engine {
-        EngineKind::Dense => {
-            let mut network = params.dense_network();
-            let cycles = warm(&mut network);
-            f(&network, cycles)
-        }
-        EngineKind::Btree => {
-            let mut network = Network::new(params.sim_config(), params.seed);
-            let cycles = warm(&mut network);
-            f(&network, cycles)
         }
     }
 }
@@ -238,67 +178,85 @@ fn with_warmed_runtime<T>(
 /// heartbeat can never perturb a result.
 const WARMUP_HEARTBEAT_CHUNK: usize = 25;
 
-/// Runs `cycles` warm-up gossip cycles in heartbeat-sized chunks, reporting
-/// rate-limited progress on stderr (silenced by `quiet`).
-fn warm_with_heartbeat<N: GossipRuntime + ?Sized>(network: &mut N, cycles: usize, quiet: bool) {
-    let mut heartbeat = Heartbeat::new(cycles as u64, "cycles", quiet);
+/// Grows the static scenario's runtime: builds the arena runtime over
+/// `config`, gossips `params.warmup_cycles` cycles with every membership
+/// `ViewExchange`/`CycleEnd` landing in `probe`, and records the "overlay
+/// build" / "warm-up" stages on `profiler`. The caller freezes the result
+/// (or, like the frozen-overlay ablation, keeps it gossiping).
+pub fn warmed_network<P: Probe>(
+    params: &ExperimentParams,
+    config: SimConfig,
+    probe: &mut P,
+    profiler: &mut StageProfiler,
+) -> DenseSimNetwork {
+    profiler.stage("overlay build");
+    let mut network = params.dense_network(config);
+    profiler.stage("warm-up");
+    let mut heartbeat = Heartbeat::new(params.warmup_cycles as u64, "cycles", params.quiet);
     let mut done = 0usize;
-    while done < cycles {
-        let step = (cycles - done).min(WARMUP_HEARTBEAT_CHUNK);
-        network.run_cycles(step);
+    while done < params.warmup_cycles {
+        let step = (params.warmup_cycles - done).min(WARMUP_HEARTBEAT_CHUNK);
+        network.run_cycles_probed(step, probe);
         done += step;
         heartbeat.advance(step as u64, "warm-up");
     }
+    network
 }
 
 /// Scenario 1 (Section 7.1): a static failure-free overlay, warmed up for
-/// `warmup_cycles` and frozen. The membership phase runs on the engine
-/// selected by `params.engine` (identical overlays either way).
+/// `warmup_cycles` and frozen into the id-keyed view that origin
+/// bookkeeping, failure injection and lifetimes need.
 pub fn static_overlay(params: &ExperimentParams) -> SnapshotOverlay {
-    with_warmed_runtime(
-        params,
-        |network| {
-            warm_with_heartbeat(network, params.warmup_cycles, params.quiet);
-            params.warmup_cycles
-        },
-        |network, _| SnapshotOverlay::new(network.overlay_snapshot()),
-    )
+    static_overlay_with(params, params.sim_config())
+}
+
+/// [`static_overlay`] grown from `config`.
+fn static_overlay_with(params: &ExperimentParams, config: SimConfig) -> SnapshotOverlay {
+    let network = warmed_network(params, config, &mut NullProbe, &mut StageProfiler::new());
+    SnapshotOverlay::new(network.overlay_snapshot())
 }
 
 /// The static scenario frozen straight into the dense engine input: the
-/// overlay is grown by the selected runtime and — on the dense engine —
-/// exported to a [`DenseOverlay`] via the arena runtime's flat CSR links,
-/// with no id-keyed snapshot round-trip (at 100k nodes the unused snapshot
-/// would cost seconds and O(n) transient memory). Consumers that also need
-/// the id-keyed view (origin bookkeeping, oracle runs) use
-/// [`static_overlay`] instead.
+/// arena runtime's flat CSR links become a [`DenseOverlay`] with no
+/// id-keyed snapshot round-trip (at 100k nodes the unused snapshot would
+/// cost seconds and O(n) transient memory).
 pub fn static_dense_overlay(params: &ExperimentParams) -> DenseOverlay {
-    match params.engine {
-        EngineKind::Dense => {
-            let mut network = params.dense_network();
-            warm_with_heartbeat(&mut network, params.warmup_cycles, params.quiet);
-            DenseOverlay::from_dense_sim(&network)
-        }
-        EngineKind::Btree => dense_overlay(&static_overlay(params)),
-    }
+    static_dense_overlay_probed(params, &mut NullProbe, &mut StageProfiler::new())
+}
+
+/// [`static_dense_overlay`] with a [`Probe`] attached to the membership
+/// phase and the "overlay build" / "warm-up" stages recorded on `profiler`.
+pub fn static_dense_overlay_probed<P: Probe>(
+    params: &ExperimentParams,
+    probe: &mut P,
+    profiler: &mut StageProfiler,
+) -> DenseOverlay {
+    DenseOverlay::from_dense_sim(&warmed_network(
+        params,
+        params.sim_config(),
+        probe,
+        profiler,
+    ))
 }
 
 /// Scenario 2 (Section 7.2): the static overlay of scenario 1 in which a
 /// random `fail_fraction` of the nodes is killed *after* freezing, so the
 /// overlay gets no chance to heal (the paper's worst case).
 pub fn catastrophic_overlay(params: &ExperimentParams, fail_fraction: f64) -> SnapshotOverlay {
-    let mut overlay = static_overlay(params);
-    let mut rng = ChaCha8Rng::seed_from_u64(params.seed.wrapping_add(0xFA11));
-    kill_fraction_in_snapshot(overlay.snapshot_mut(), fail_fraction, &mut rng);
-    overlay
+    catastrophic_overlay_with(params, params.sim_config(), fail_fraction)
 }
 
-/// Scenario 3 (Section 7.3): gossip under continuous artificial churn until
-/// every bootstrap node has been replaced at least once (capped at
-/// `churn_max_cycles`), then freeze. Returns the frozen overlay; node
-/// lifetimes are available through the snapshot.
-pub fn churn_overlay(params: &ExperimentParams) -> SnapshotOverlay {
-    let (overlay, _cycles) = churn_overlay_with_cycles(params);
+/// [`catastrophic_overlay`] over an overlay grown from `config` instead of
+/// [`ExperimentParams::sim_config`] (the connectivity ablation's multi-ring
+/// arms).
+pub fn catastrophic_overlay_with(
+    params: &ExperimentParams,
+    config: SimConfig,
+    fail_fraction: f64,
+) -> SnapshotOverlay {
+    let mut overlay = static_overlay_with(params, config);
+    let mut rng = ChaCha8Rng::seed_from_u64(params.seed.wrapping_add(0xFA11));
+    kill_fraction_in_snapshot(overlay.snapshot_mut(), fail_fraction, &mut rng);
     overlay
 }
 
@@ -309,121 +267,22 @@ pub fn dense_overlay(overlay: &SnapshotOverlay) -> DenseOverlay {
     DenseOverlay::from(overlay)
 }
 
-/// The paper's churn warm-up on either runtime: gossip under churn until
-/// every bootstrap node has been replaced (capped at
-/// `params.churn_max_cycles`). The single definition keeps the dense and
-/// BTree paths running the identical protocol.
+/// Grows the churn scenario's runtime: gossip under continuous artificial
+/// churn until every bootstrap node has been replaced at least once (capped
+/// at `params.churn_max_cycles`). Every churn `Join`/`Leave` and every
+/// membership `ViewExchange`/`CycleEnd` lands in `probe`. Returns the
+/// runtime and the number of churn cycles executed.
 ///
 /// The loop mirrors [`ChurnDriver::run_until_all_replaced`] cycle for
 /// cycle; it is inlined here only so a progress heartbeat can tick between
 /// cycles (churn warm-up dominates the wall-clock of the churn figures).
-fn run_churn_warmup<N: GossipRuntime + ?Sized>(
-    params: &ExperimentParams,
-    network: &mut N,
-) -> usize {
-    let mut driver = ChurnDriver::new(ChurnConfig {
-        rate: params.churn_rate,
-    });
-    let initial: Vec<_> = network.live_ids();
-    let mut heartbeat = Heartbeat::new(params.churn_max_cycles as u64, "cycles", params.quiet);
-    let mut executed = 0usize;
-    while executed < params.churn_max_cycles {
-        driver.apply_churn_step(network);
-        network.run_cycles(1);
-        executed += 1;
-        heartbeat.advance(1, "churn warm-up");
-        if initial.iter().all(|&id| !network.is_live(id)) {
-            break;
-        }
-    }
-    executed
-}
-
-/// Like [`churn_overlay`] but also reports how many churn cycles were run.
-/// The churn warm-up — by far the dominant cost of the churn figures —
-/// runs on the engine selected by `params.engine`.
-pub fn churn_overlay_with_cycles(params: &ExperimentParams) -> (SnapshotOverlay, usize) {
-    with_warmed_runtime(
-        params,
-        |network| run_churn_warmup(params, network),
-        |network, cycles| (SnapshotOverlay::new(network.overlay_snapshot()), cycles),
-    )
-}
-
-/// The churn scenario frozen straight into the dense engine input: the
-/// overlay is grown by the selected runtime and — on the dense engine —
-/// exported to a [`DenseOverlay`] without the id-keyed snapshot round-trip.
-/// Returns the dense overlay, the id-keyed snapshot (figures 12/13 need its
-/// lifetimes) and the churn cycle count.
-pub fn churn_scenario(params: &ExperimentParams) -> (DenseOverlay, SnapshotOverlay, usize) {
-    match params.engine {
-        EngineKind::Dense => {
-            let mut network = params.dense_network();
-            let cycles = run_churn_warmup(params, &mut network);
-            let dense = DenseOverlay::from_dense_sim(&network);
-            let snapshot: OverlaySnapshot = network.overlay_snapshot();
-            (dense, SnapshotOverlay::new(snapshot), cycles)
-        }
-        EngineKind::Btree => {
-            let (overlay, cycles) = churn_overlay_with_cycles(params);
-            (dense_overlay(&overlay), overlay, cycles)
-        }
-    }
-}
-
-/// [`static_dense_overlay`] with a [`Probe`] attached to the membership
-/// phase and the "overlay build" / "warm-up" stages recorded on
-/// `profiler`. Probed runs are dense-only: the probe hooks live on the
-/// arena runtime, and the BTree runtime serves as its oracle in tests.
-///
-/// # Panics
-///
-/// Panics if `params.engine` is not [`EngineKind::Dense`].
-pub fn static_dense_overlay_probed<P: Probe>(
+fn churned_network<P: Probe>(
     params: &ExperimentParams,
     probe: &mut P,
     profiler: &mut StageProfiler,
-) -> DenseOverlay {
-    assert_eq!(
-        params.engine,
-        EngineKind::Dense,
-        "probed runs require the dense engine"
-    );
+) -> (DenseSimNetwork, usize) {
     profiler.stage("overlay build");
-    let mut network = params.dense_network();
-    profiler.stage("warm-up");
-    let mut heartbeat = Heartbeat::new(params.warmup_cycles as u64, "cycles", params.quiet);
-    let mut done = 0usize;
-    while done < params.warmup_cycles {
-        let step = (params.warmup_cycles - done).min(WARMUP_HEARTBEAT_CHUNK);
-        network.run_cycles_probed(step, probe);
-        done += step;
-        heartbeat.advance(step as u64, "warm-up");
-    }
-    DenseOverlay::from_dense_sim(&network)
-}
-
-/// The churn scenario with a [`Probe`] attached: every churn `Join`/`Leave`
-/// and every membership `ViewExchange`/`CycleEnd` of the warm-up lands in
-/// the probe, and the "overlay build" / "warm-up" stages are recorded on
-/// `profiler`. Returns the dense overlay and the churn cycle count —
-/// identical to [`churn_scenario`] for the same parameters.
-///
-/// # Panics
-///
-/// Panics if `params.engine` is not [`EngineKind::Dense`].
-pub fn churn_dense_overlay_probed<P: Probe>(
-    params: &ExperimentParams,
-    probe: &mut P,
-    profiler: &mut StageProfiler,
-) -> (DenseOverlay, usize) {
-    assert_eq!(
-        params.engine,
-        EngineKind::Dense,
-        "probed runs require the dense engine"
-    );
-    profiler.stage("overlay build");
-    let mut network = params.dense_network();
+    let mut network = params.dense_network(params.sim_config());
     profiler.stage("warm-up");
     let mut driver = ChurnDriver::new(ChurnConfig {
         rate: params.churn_rate,
@@ -440,7 +299,29 @@ pub fn churn_dense_overlay_probed<P: Probe>(
             break;
         }
     }
-    (DenseOverlay::from_dense_sim(&network), executed)
+    (network, executed)
+}
+
+/// Scenario 3 (Section 7.3): the churn steady-state overlay, frozen both
+/// into the dense engine input and into the id-keyed snapshot whose node
+/// lifetimes figures 12 and 13 read, plus the churn cycle count.
+pub fn churn_scenario(params: &ExperimentParams) -> (DenseOverlay, SnapshotOverlay, usize) {
+    let (network, cycles) = churned_network(params, &mut NullProbe, &mut StageProfiler::new());
+    let snapshot = SnapshotOverlay::new(network.overlay_snapshot());
+    (DenseOverlay::from_dense_sim(&network), snapshot, cycles)
+}
+
+/// The churn scenario frozen straight into the dense engine input, with a
+/// [`Probe`] attached to the warm-up and the "overlay build" / "warm-up"
+/// stages recorded on `profiler`. Returns the overlay and the churn cycle
+/// count — identical to [`churn_scenario`]'s for the same parameters.
+pub fn churn_dense_overlay_probed<P: Probe>(
+    params: &ExperimentParams,
+    probe: &mut P,
+    profiler: &mut StageProfiler,
+) -> (DenseOverlay, usize) {
+    let (network, cycles) = churned_network(params, probe, profiler);
+    (DenseOverlay::from_dense_sim(&network), cycles)
 }
 
 #[cfg(test)]
@@ -486,20 +367,20 @@ mod tests {
 
     #[test]
     fn engine_and_threads_parse_from_args() {
-        let args = Args::parse(["--engine", "btree", "--threads", "3"]).unwrap();
+        let args = Args::parse(["--threads", "3"]).unwrap();
         let params = ExperimentParams::from_args(&args).unwrap();
-        assert_eq!(params.engine, EngineKind::Btree);
         assert_eq!(params.threads, 3);
         assert_eq!(params.thread_count(), 3);
+        args.finish().unwrap();
 
         let auto = ExperimentParams::quick();
-        assert_eq!(auto.engine, EngineKind::Dense);
         assert!(auto.thread_count() >= 1, "auto thread count");
 
-        let bad = Args::parse(["--engine", "warp"]).unwrap();
-        assert!(ExperimentParams::from_args(&bad).is_err());
-        assert_eq!("dense".parse::<EngineKind>().unwrap(), EngineKind::Dense);
-        assert_eq!(EngineKind::Btree.to_string(), "btree");
+        // The engine is no longer an option: the key is left unread, so
+        // `Args::finish` turns it into an error.
+        let stale = Args::parse(["--engine", "dense", "--threads", "3"]).unwrap();
+        assert_eq!(ExperimentParams::from_args(&stale).unwrap(), params);
+        assert!(stale.finish().unwrap_err().contains("--engine"));
     }
 
     #[test]
@@ -511,9 +392,13 @@ mod tests {
         assert_eq!(ExperimentParams::quick().rng, RngMode::Shared);
         assert_eq!(ExperimentParams::paper().rng, RngMode::Shared);
 
+        let bad = Args::parse(["--rng", "warp"]).unwrap();
+        assert!(ExperimentParams::from_args(&bad).is_err());
+
         let clash = Args::parse(["--rng", "per-node", "--engine", "btree"]).unwrap();
-        let err = ExperimentParams::from_args(&clash).unwrap_err();
-        assert!(err.contains("dense"), "unexpected error text: {err}");
+        ExperimentParams::from_args(&clash).unwrap();
+        let err = clash.finish().unwrap_err();
+        assert!(err.contains("test oracles"), "unexpected error text: {err}");
     }
 
     #[test]
@@ -549,46 +434,12 @@ mod tests {
 
     #[test]
     fn churn_overlay_replaces_every_bootstrap_node() {
-        let (overlay, cycles) = churn_overlay_with_cycles(&tiny());
+        let (_dense, overlay, cycles) = churn_scenario(&tiny());
         assert_eq!(overlay.live_count(), 150);
         assert!(cycles > 0);
         // All bootstrap ids (0..150) have been replaced by later joiners.
         let min_id = overlay.snapshot().live_nodes().next().unwrap();
         assert!(min_id.as_u64() >= 150, "bootstrap nodes should be gone");
-    }
-
-    #[test]
-    fn membership_phase_is_engine_invariant() {
-        let dense_params = tiny();
-        let btree_params = ExperimentParams {
-            engine: EngineKind::Btree,
-            ..tiny()
-        };
-
-        let static_dense = static_overlay(&dense_params);
-        let static_btree = static_overlay(&btree_params);
-        assert_eq!(static_dense.snapshot(), static_btree.snapshot());
-
-        let static_dense_csr = static_dense_overlay(&dense_params);
-        let static_btree_csr = static_dense_overlay(&btree_params);
-        assert_eq!(
-            static_dense_csr.live_node_ids(),
-            static_btree_csr.live_node_ids()
-        );
-        for id in static_dense_csr.live_node_ids() {
-            assert_eq!(static_dense_csr.r_links(id), static_btree_csr.r_links(id));
-            assert_eq!(static_dense_csr.d_links(id), static_btree_csr.d_links(id));
-        }
-
-        let (overlay_dense, overlay_snap, cycles_dense) = churn_scenario(&dense_params);
-        let (overlay_btree, btree_snap, cycles_btree) = churn_scenario(&btree_params);
-        assert_eq!(cycles_dense, cycles_btree);
-        assert_eq!(overlay_snap.snapshot(), btree_snap.snapshot());
-        assert_eq!(overlay_dense.live_node_ids(), overlay_btree.live_node_ids());
-        for id in overlay_dense.live_node_ids() {
-            assert_eq!(overlay_dense.r_links(id), overlay_btree.r_links(id));
-            assert_eq!(overlay_dense.d_links(id), overlay_btree.d_links(id));
-        }
     }
 
     #[test]
@@ -605,20 +456,20 @@ mod tests {
             assert_eq!(probed.r_links(id), plain.r_links(id));
             assert_eq!(probed.d_links(id), plain.d_links(id));
         }
-        let cycles = probe
-            .events
-            .iter()
-            .filter(|e| matches!(e, TraceEvent::CycleEnd { .. }))
-            .count();
-        assert_eq!(cycles, params.warmup_cycles);
+        let count = |probe: &VecProbe, wanted: fn(&TraceEvent) -> bool| {
+            probe.events.iter().filter(|e| wanted(e)).count()
+        };
+        assert_eq!(
+            count(&probe, |e| matches!(e, TraceEvent::CycleEnd { .. })),
+            params.warmup_cycles
+        );
         profiler.finish();
         let stages: Vec<&str> = profiler.stages().iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(stages, ["overlay build", "warm-up"]);
 
         let mut churn_probe = VecProbe::new();
-        let mut churn_profiler = StageProfiler::new();
         let (churn_probed, cycles_probed) =
-            churn_dense_overlay_probed(&params, &mut churn_probe, &mut churn_profiler);
+            churn_dense_overlay_probed(&params, &mut churn_probe, &mut StageProfiler::new());
         let (churn_plain, _snapshot, cycles_plain) = churn_scenario(&params);
         assert_eq!(cycles_probed, cycles_plain);
         assert_eq!(churn_probed.live_node_ids(), churn_plain.live_node_ids());
@@ -626,18 +477,13 @@ mod tests {
             assert_eq!(churn_probed.r_links(id), churn_plain.r_links(id));
             assert_eq!(churn_probed.d_links(id), churn_plain.d_links(id));
         }
-        let joins = churn_probe
-            .events
-            .iter()
-            .filter(|e| matches!(e, TraceEvent::Join { .. }))
-            .count();
-        let leaves = churn_probe
-            .events
-            .iter()
-            .filter(|e| matches!(e, TraceEvent::Leave { .. }))
-            .count();
+        let joins = count(&churn_probe, |e| matches!(e, TraceEvent::Join { .. }));
         assert!(joins > 0, "churn warm-up must record joins");
-        assert_eq!(joins, leaves, "population-preserving churn");
+        assert_eq!(
+            joins,
+            count(&churn_probe, |e| matches!(e, TraceEvent::Leave { .. })),
+            "population-preserving churn"
+        );
     }
 
     #[test]

@@ -1,17 +1,18 @@
-//! Golden tests pinning one `ext_adversarial` output row per engine.
+//! Golden tests pinning one `ext_adversarial` output row per sweep.
 //!
 //! The adversarial sweeps (`figures::adversarial_loss_sweep`,
 //! `figures::adversarial_partition_sweep`) back the `ext_adversarial`
 //! binary; every value they emit is a pure function of
-//! [`ExperimentParams`]. These tests freeze one row per engine at a small
+//! [`ExperimentParams`]. These tests freeze one row per sweep at a small
 //! scale so any change to the seeded run pipeline — overlay warm-up, RNG
 //! draw order, loss/partition bookkeeping — shows up as an exact-value
 //! diff instead of a silent drift in published figures.
 //!
 //! All comparisons are exact, floats included: the engines are bit-
 //! deterministic per seed, so any deviation at all is a contract break.
-//! The dense and BTree engines must also agree with *each other* — the
-//! rows below are pinned once and asserted for both.
+//! (That the id-keyed oracle engines replay the same seeded runs bit for
+//! bit is pinned by the dense-vs-frozen differentials in
+//! `crates/core/tests/properties.rs`.)
 //!
 //! The pinned numbers were produced by this very code; they are a
 //! regression fence, not an external ground truth. If an intentional
@@ -27,7 +28,7 @@ use hybridcast_bench::scenario::{EngineKind, ExperimentParams};
 
 /// Small but non-trivial scale: enough nodes for the bisection to matter,
 /// few enough runs to keep this in tier-1 time.
-fn params(engine: EngineKind) -> ExperimentParams {
+fn params() -> ExperimentParams {
     ExperimentParams {
         nodes: 300,
         runs: 3,
@@ -36,14 +37,14 @@ fn params(engine: EngineKind) -> ExperimentParams {
         seed: 42,
         churn_rate: 0.0,
         churn_max_cycles: 0,
-        engine,
+        engine: EngineKind::Dense,
         threads: 1,
         rng: hybridcast_sim::RngMode::Shared,
         quiet: true,
     }
 }
 
-/// The pinned loss-sweep row at IID loss rate 0.1 (both engines).
+/// The pinned loss-sweep row at IID loss rate 0.1.
 fn golden_loss_row() -> AdversarialLossRow {
     AdversarialLossRow {
         loss_rate: 0.1,
@@ -57,7 +58,7 @@ fn golden_loss_row() -> AdversarialLossRow {
 }
 
 /// The pinned partition-sweep row for a bisection of duration 4.0 starting
-/// at t = 2.0 (both engines).
+/// at t = 2.0.
 fn golden_partition_row() -> AdversarialPartitionRow {
     AdversarialPartitionRow {
         duration: 4.0,
@@ -69,40 +70,18 @@ fn golden_partition_row() -> AdversarialPartitionRow {
     }
 }
 
-fn assert_loss_row(engine: EngineKind) {
-    let rows = adversarial_loss_sweep(&params(engine), &[0.1]);
-    assert_eq!(rows.len(), 1);
-    println!("{engine:?} loss row: {:?}", rows[0]);
-    assert_eq!(rows[0], golden_loss_row(), "{engine:?} loss row drifted");
-}
-
-fn assert_partition_row(engine: EngineKind) {
-    let rows = adversarial_partition_sweep(&params(engine), &[4.0], 2.0);
-    assert_eq!(rows.len(), 1);
-    println!("{engine:?} partition row: {:?}", rows[0]);
-    assert_eq!(
-        rows[0],
-        golden_partition_row(),
-        "{engine:?} partition row drifted"
-    );
-}
-
 #[test]
 fn dense_loss_row_is_pinned() {
-    assert_loss_row(EngineKind::Dense);
-}
-
-#[test]
-fn btree_loss_row_is_pinned() {
-    assert_loss_row(EngineKind::Btree);
+    let rows = adversarial_loss_sweep(&params(), &[0.1]);
+    assert_eq!(rows.len(), 1);
+    println!("loss row: {:?}", rows[0]);
+    assert_eq!(rows[0], golden_loss_row(), "loss row drifted");
 }
 
 #[test]
 fn dense_partition_row_is_pinned() {
-    assert_partition_row(EngineKind::Dense);
-}
-
-#[test]
-fn btree_partition_row_is_pinned() {
-    assert_partition_row(EngineKind::Btree);
+    let rows = adversarial_partition_sweep(&params(), &[4.0], 2.0);
+    assert_eq!(rows.len(), 1);
+    println!("partition row: {:?}", rows[0]);
+    assert_eq!(rows[0], golden_partition_row(), "partition row drifted");
 }

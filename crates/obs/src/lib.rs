@@ -95,6 +95,23 @@ impl<A: Probe, B: Probe> Probe for (A, B) {
     }
 }
 
+/// A probe that may be absent: `None` is inert like [`NullProbe`], `Some`
+/// delegates. This is how a binary turns an optional `--trace` sink into
+/// one statically dispatched probe type.
+impl<P: Probe> Probe for Option<P> {
+    #[inline]
+    fn enabled(&self) -> bool {
+        self.as_ref().is_some_and(Probe::enabled)
+    }
+
+    #[inline]
+    fn record(&mut self, event: TraceEvent) {
+        if let Some(probe) = self {
+            probe.record(event);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -113,6 +130,18 @@ mod tests {
         tee.record(TraceEvent::RunEnd { reached: 3 });
         assert_eq!(tee.0.events, tee.1.events);
         assert_eq!(tee.0.events.len(), 1);
+    }
+
+    #[test]
+    fn optional_probe_is_inert_when_absent_and_delegates_when_present() {
+        let mut absent: Option<VecProbe> = None;
+        assert!(!absent.enabled());
+        absent.record(TraceEvent::RunEnd { reached: 1 });
+
+        let mut present = Some(VecProbe::new());
+        assert!(present.enabled());
+        present.record(TraceEvent::RunEnd { reached: 1 });
+        assert_eq!(present.unwrap().events.len(), 1);
     }
 
     #[test]
