@@ -1379,32 +1379,113 @@ mod tests {
 
     #[test]
     fn frozen_oracle_equals_live_engine_with_gossip_disabled() {
+        use crate::netmodel::{DelayModel, LossModel, PartitionEvent};
+        use hybridcast_obs::VecProbe;
+
         // The frozen-overlay oracle must reproduce the live engine with
         // membership gossip off, event for event: the snapshot exports
-        // exactly the links the momentary views would hand out.
-        let config = AsyncConfig {
+        // exactly the links the momentary views would hand out. That has
+        // to hold along the whole send path — partition, loss, budget,
+        // delay draw, `max_time` cut-off — so every stage gets an input
+        // that makes it fire (checked by the third tuple element).
+        type Fires = fn(&AsyncReport) -> bool;
+        let base = AsyncConfig {
             run_membership_gossip: false,
             ..AsyncConfig::default()
         };
+        let with_net = |net: NetModel| AsyncConfig {
+            net,
+            ..base.clone()
+        };
+        let configs: [(&str, AsyncConfig, Fires); 6] = [
+            ("default", base.clone(), |r| r.is_complete()),
+            (
+                "gilbert-elliott loss",
+                with_net(NetModel {
+                    loss: LossModel::GilbertElliott {
+                        p_enter_bad: 0.2,
+                        p_exit_bad: 0.3,
+                        loss_good: 0.02,
+                        loss_bad: 0.6,
+                    },
+                    ..NetModel::default()
+                }),
+                |r| r.dropped_loss > 0,
+            ),
+            (
+                "scripted partition",
+                with_net(NetModel {
+                    partitions: vec![PartitionEvent::bisection(1.0, 4.0, 0xC0FFEE)],
+                    ..NetModel::default()
+                }),
+                |r| r.dropped_partition > 0 && r.partition_recovery.len() == 1,
+            ),
+            (
+                "log-normal delay",
+                with_net(NetModel {
+                    delay: DelayModel::LogNormal {
+                        mu: 0.0,
+                        sigma: 0.75,
+                    },
+                    ..NetModel::default()
+                }),
+                |r| r.is_complete(),
+            ),
+            (
+                "event budget",
+                AsyncConfig {
+                    sched: SchedConfig {
+                        event_budget: 8,
+                        ..SchedConfig::default()
+                    },
+                    ..base.clone()
+                },
+                |r| r.truncated_sends > 0,
+            ),
+            (
+                "max_time",
+                AsyncConfig {
+                    max_time: 2.5,
+                    ..base.clone()
+                },
+                |r| r.truncated && r.truncated_sends == 0,
+            ),
+        ];
         for (seed, fanout) in [(21u64, 2usize), (22, 3), (23, 4)] {
+            // With gossip off the live engine leaves the network untouched,
+            // so one warmed network serves every configuration.
             let mut network = warmed_network(200, seed);
             let overlay = SnapshotOverlay::new(network.overlay_snapshot());
             let origin = network.live_ids()[5];
-            let live = disseminate_async(
-                &mut network,
-                &RingCast::new(fanout),
-                origin,
-                &config,
-                &mut rng(seed ^ 0xF0),
-            );
-            let frozen = disseminate_async_frozen(
-                &overlay,
-                &RingCast::new(fanout),
-                origin,
-                &config,
-                &mut rng(seed ^ 0xF0),
-            );
-            assert_eq!(live, frozen, "seed {seed} fanout {fanout}");
+            for (name, config, fires) in &configs {
+                let mut live_probe = VecProbe::new();
+                let live = disseminate_async_probed(
+                    &mut network,
+                    &RingCast::new(fanout),
+                    origin,
+                    config,
+                    &mut rng(seed ^ 0xF0),
+                    &mut live_probe,
+                );
+                let mut frozen_probe = VecProbe::new();
+                let frozen = disseminate_async_frozen_probed(
+                    &overlay,
+                    &RingCast::new(fanout),
+                    origin,
+                    config,
+                    &mut rng(seed ^ 0xF0),
+                    &mut frozen_probe,
+                );
+                assert_eq!(live, frozen, "{name}: seed {seed} fanout {fanout}");
+                assert_eq!(
+                    live_probe.events, frozen_probe.events,
+                    "{name}: event streams diverge at seed {seed} fanout {fanout}"
+                );
+                assert!(
+                    fires(&live),
+                    "{name} never fired at seed {seed} fanout {fanout}"
+                );
+            }
         }
     }
 
