@@ -8,6 +8,10 @@
 //! * push + pull anti-entropy: `disseminate_push_pull` vs.
 //!   `disseminate_push_pull_dense`.
 //!
+//! Both arms of every pair end with the id-keyed report in hand: the dense
+//! arm includes materialising it (`.report(..)`), so like is compared with
+//! like.
+//!
 //! The overlay size defaults to 1,000 nodes; set `HYBRIDCAST_BENCH_NODES`
 //! to run at a different scale (CI smoke-runs this at a reduced size; the
 //! latency-ablation acceptance measurement runs it at 10,000).
@@ -66,7 +70,10 @@ fn bench_engines(c: &mut Criterion) {
         group.bench_function(format!("dense/{name}"), |b| {
             let mut rng = ChaCha8Rng::seed_from_u64(3);
             let mut scratch = DenseScratch::new();
-            b.iter(|| disseminate_dense(&dense, selector, origin, &mut rng, &mut scratch))
+            b.iter(|| {
+                disseminate_dense(&dense, selector, origin, &mut rng, &mut scratch)
+                    .report(&dense, &scratch)
+            })
         });
     }
     group.finish();
@@ -101,6 +108,7 @@ fn bench_async_engines(c: &mut Criterion) {
             let mut scratch = DenseAsyncScratch::new();
             b.iter(|| {
                 disseminate_async_dense(&dense, selector, origin, &config, &mut rng, &mut scratch)
+                    .report(&dense, &config, &scratch)
             })
         });
     }
@@ -130,6 +138,7 @@ fn bench_pull_engines(c: &mut Criterion) {
         let mut scratch = DensePullScratch::new();
         b.iter(|| {
             disseminate_push_pull_dense(&dense, &selector, origin, &config, &mut rng, &mut scratch)
+                .report(&dense, &scratch)
         })
     });
     group.finish();

@@ -4,7 +4,7 @@
 //! Three arms run the identical seeded dissemination over the same warmed
 //! overlay:
 //!
-//! * `unprobed` — `disseminate_dense`, the pre-probe API,
+//! * `unprobed` — the plain `disseminate_dense`,
 //! * `null_probe` — `disseminate_dense_probed` with [`NullProbe`], which
 //!   monomorphization must erase (this arm is the headline number),
 //! * `ring_sink` — a warmed bounded [`RingSink`], the cost of actually
@@ -61,7 +61,8 @@ fn bench_probe_overhead(c: &mut Criterion) {
         origin,
         &mut ChaCha8Rng::seed_from_u64(3),
         &mut scratch,
-    );
+    )
+    .report(&dense, &scratch);
     let probed = disseminate_dense_probed(
         &dense,
         &selector,
@@ -69,7 +70,8 @@ fn bench_probe_overhead(c: &mut Criterion) {
         &mut ChaCha8Rng::seed_from_u64(3),
         &mut scratch,
         &mut NullProbe,
-    );
+    )
+    .report(&dense, &scratch);
     assert_eq!(
         baseline, probed,
         "NullProbe run must be bit-identical to the unprobed engine"

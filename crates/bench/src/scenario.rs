@@ -116,14 +116,15 @@ impl ExperimentParams {
     ///
     /// # Errors
     ///
-    /// Returns an error if any override fails to parse.
+    /// Returns an error if any override fails to parse or the resulting
+    /// parameters fail [`Self::validate`].
     pub fn from_args(args: &Args) -> Result<Self, String> {
         let base = if args.flag("paper") {
             Self::paper()
         } else {
             Self::quick()
         };
-        Ok(ExperimentParams {
+        let params = ExperimentParams {
             nodes: args.get_or("nodes", base.nodes)?,
             runs: args.get_or("runs", base.runs)?,
             warmup_cycles: args.get_or("warmup", base.warmup_cycles)?,
@@ -135,7 +136,36 @@ impl ExperimentParams {
             threads: args.get_or("threads", base.threads)?,
             rng: args.get_or("rng", base.rng)?,
             quiet: args.flag("quiet"),
-        })
+        };
+        params.validate()?;
+        Ok(params)
+    }
+
+    /// Rejects parameters no experiment can run with, so that degenerate
+    /// command-line input ends in an `error:` line instead of a panic deep
+    /// inside an engine.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if `runs` is zero (nothing to aggregate), `fanouts`
+    /// is empty or contains a zero, the simulator rejects the network size
+    /// ([`SimConfig::validate`]), or the churn rate is outside `[0, 1]`
+    /// ([`ChurnConfig::validate`]).
+    pub fn validate(&self) -> Result<(), String> {
+        if self.runs == 0 {
+            return Err("--runs must be at least 1".into());
+        }
+        if self.fanouts.is_empty() {
+            return Err("--fanouts must list at least one fanout".into());
+        }
+        if self.fanouts.contains(&0) {
+            return Err("--fanouts entries must be at least 1".into());
+        }
+        self.sim_config().validate()?;
+        ChurnConfig {
+            rate: self.churn_rate,
+        }
+        .validate()
     }
 
     /// The number of dissemination worker threads to use: the `--threads`
@@ -363,6 +393,32 @@ mod tests {
 
         let paper = Args::parse(["--paper"]).unwrap();
         assert_eq!(ExperimentParams::from_args(&paper).unwrap().nodes, 10_000);
+    }
+
+    #[test]
+    fn degenerate_parameters_are_rejected_not_run() {
+        assert!(ExperimentParams::paper().validate().is_ok());
+        assert!(ExperimentParams::quick().validate().is_ok());
+        assert!(tiny().validate().is_ok());
+        for bad in [
+            ["--runs", "0"],
+            ["--nodes", "0"],
+            ["--fanouts", "0"],
+            ["--fanouts", "2,0,3"],
+            ["--fanouts", ""],
+            ["--fanouts", ","],
+            ["--churn-rate", "1.5"],
+            ["--churn-rate", "-0.1"],
+            ["--churn-rate", "NaN"],
+        ] {
+            let args = Args::parse(bad).unwrap();
+            assert!(
+                ExperimentParams::from_args(&args).is_err(),
+                "{bad:?} must be rejected"
+            );
+        }
+        let err = ExperimentParams::from_args(&Args::parse(["--runs", "0"]).unwrap()).unwrap_err();
+        assert!(err.contains("--runs"), "unexpected error text: {err}");
     }
 
     #[test]

@@ -10,26 +10,27 @@
 //! dissemination forward takes a configurable processing + network delay
 //! (jittered per message) and deliveries interleave in timestamp order.
 //!
-//! Three entry points share the model:
+//! Three entry points share the model, over two event loops:
 //!
 //! * [`disseminate_async`] — the full live-network engine: every node keeps
 //!   running its Cyclon and Vicinity gossip on its own (jittered) period,
 //!   so the overlay keeps evolving mid-dissemination. This is the engine
 //!   that validates the frozen-overlay simplification itself.
-//! * [`disseminate_async_frozen`] — the same event-driven latency model
-//!   over a frozen [`Overlay`]: no membership gossip, links fixed for the
+//! * [`disseminate_async_frozen`] — the same id-keyed
+//!   `BTreeMap`/`BTreeSet` event loop reading liveness and links from a
+//!   frozen [`Overlay`] instead: no membership gossip, links fixed for the
 //!   whole run. Event-for-event identical to [`disseminate_async`] with
 //!   [`AsyncConfig::run_membership_gossip`]` = false` over the matching
-//!   snapshot. This id-keyed `BTreeMap`/`BTreeSet` implementation is the
-//!   **oracle** the dense engine is differentially tested against.
+//!   snapshot, and the **oracle** the dense engine is differentially
+//!   tested against.
 //! * [`disseminate_async_dense`] — the allocation-free rewrite over a CSR
 //!   [`DenseOverlay`] and a reusable [`DenseAsyncScratch`]: bitset notified
 //!   set, flat `f64` notification-time array, retained calendar event queue
-//!   ([`crate::sched`]), flat per-hop counters. Bit-identical
-//!   [`AsyncReport`]s to
-//!   [`disseminate_async_frozen`] for the same overlay, selector and seed,
-//!   at a fraction of the cost — this is what makes the latency ablation
-//!   runnable at 100k+ nodes.
+//!   ([`crate::sched`]), flat per-hop counters. It returns `Copy`
+//!   [`DenseAsyncRunStats`]; [`DenseAsyncRunStats::report`] materialises
+//!   an [`AsyncReport`] bit-identical to [`disseminate_async_frozen`]'s for
+//!   the same overlay, selector and seed, at a fraction of the cost — this
+//!   is what makes the latency ablation runnable at 100k+ nodes.
 //!
 //! The `ablation_async_latency` harness sweeps the forwarding delay from a
 //! small fraction of the gossip period to several periods and shows that
@@ -243,6 +244,37 @@ enum Event {
     Deliver { to: NodeId, from: NodeId, hop: u32 },
 }
 
+/// What the id-keyed engine disseminates over: where it reads liveness and
+/// a notified node's links from, and which nodes (if any) keep gossiping
+/// while the message spreads. The live [`Network`] and a frozen
+/// [`Overlay`] are the two implementations; the event loop, the send path
+/// and the accounting are shared.
+trait Substrate {
+    /// Live nodes at the start of the run.
+    fn live_count(&self) -> usize;
+
+    /// Whether `node` is alive right now.
+    fn is_live(&self, node: NodeId) -> bool;
+
+    /// The nodes whose membership gossip timers run during the
+    /// dissemination. Each costs one RNG draw (its timer offset), so a
+    /// substrate that gossips nothing must return nothing.
+    fn gossiping_nodes(&self, config: &AsyncConfig) -> Vec<NodeId>;
+
+    /// One membership gossip round initiated by the live node `node`.
+    fn gossip_once(&mut self, node: NodeId);
+
+    /// The gossip targets `selector` picks for the live node `node` from
+    /// the links it holds at this moment.
+    fn select_targets(
+        &self,
+        selector: &dyn GossipTargetSelector,
+        node: NodeId,
+        sender: Option<NodeId>,
+        rng: &mut ChaCha8Rng,
+    ) -> Vec<NodeId>;
+}
+
 /// A one-node view over the live network state, assembled at delivery time
 /// from the node's *current* Cyclon view and ring neighbours.
 struct MomentaryView {
@@ -277,23 +309,79 @@ impl Overlay for MomentaryView {
     }
 }
 
-fn momentary_view(network: &Network, node: NodeId) -> Option<MomentaryView> {
-    let sim_node = network.node(node)?;
-    let r_links = sim_node.cyclon().view().node_ids();
-    let mut d_links = Vec::new();
-    for vicinity in sim_node.vicinity() {
-        let (pred, succ) = vicinity.ring_neighbors();
-        for link in [pred, succ].into_iter().flatten() {
-            if !d_links.contains(&link) {
-                d_links.push(link);
-            }
+impl Substrate for &mut Network {
+    fn live_count(&self) -> usize {
+        self.len()
+    }
+
+    fn is_live(&self, node: NodeId) -> bool {
+        Network::is_live(self, node)
+    }
+
+    fn gossiping_nodes(&self, config: &AsyncConfig) -> Vec<NodeId> {
+        if config.run_membership_gossip {
+            self.live_ids()
+        } else {
+            Vec::new()
         }
     }
-    Some(MomentaryView {
-        owner: node,
-        r_links,
-        d_links,
-    })
+
+    fn gossip_once(&mut self, node: NodeId) {
+        Network::gossip_once(self, node);
+    }
+
+    fn select_targets(
+        &self,
+        selector: &dyn GossipTargetSelector,
+        node: NodeId,
+        sender: Option<NodeId>,
+        rng: &mut ChaCha8Rng,
+    ) -> Vec<NodeId> {
+        let sim_node = self.node(node).expect("a live node has membership state");
+        let mut d_links = Vec::new();
+        for vicinity in sim_node.vicinity() {
+            let (pred, succ) = vicinity.ring_neighbors();
+            for link in [pred, succ].into_iter().flatten() {
+                if !d_links.contains(&link) {
+                    d_links.push(link);
+                }
+            }
+        }
+        let view = MomentaryView {
+            owner: node,
+            r_links: sim_node.cyclon().view().node_ids(),
+            d_links,
+        };
+        selector.select_targets(&view, node, sender, rng)
+    }
+}
+
+impl Substrate for &dyn Overlay {
+    fn live_count(&self) -> usize {
+        Overlay::live_count(*self)
+    }
+
+    fn is_live(&self, node: NodeId) -> bool {
+        Overlay::is_live(*self, node)
+    }
+
+    fn gossiping_nodes(&self, _config: &AsyncConfig) -> Vec<NodeId> {
+        Vec::new()
+    }
+
+    fn gossip_once(&mut self, _node: NodeId) {
+        unreachable!("a frozen overlay schedules no gossip ticks");
+    }
+
+    fn select_targets(
+        &self,
+        selector: &dyn GossipTargetSelector,
+        node: NodeId,
+        sender: Option<NodeId>,
+        rng: &mut ChaCha8Rng,
+    ) -> Vec<NodeId> {
+        selector.select_targets(*self, node, sender, rng)
+    }
 }
 
 /// Announces the scripted partition schedule of `net` into `probe`, right
@@ -326,14 +414,56 @@ pub fn disseminate_async(
     config: &AsyncConfig,
     rng: &mut ChaCha8Rng,
 ) -> AsyncReport {
-    disseminate_async_probed(network, selector, origin, config, rng, &mut NullProbe)
+    disseminate_id_keyed(network, selector, origin, config, rng, &mut NullProbe)
 }
 
-/// [`disseminate_async`] with a [`Probe`] attached. The probe observes the
-/// run — it never feeds back into the RNG or the event queue — so the
-/// report is bit-identical to the unprobed call for any probe.
-pub fn disseminate_async_probed<P: Probe>(
-    network: &mut Network,
+/// Runs one event-driven dissemination over a **frozen** overlay: the
+/// latency model of [`disseminate_async`] without the live membership
+/// machinery.
+///
+/// For a snapshot taken from a live network, this produces the exact
+/// [`AsyncReport`] that [`disseminate_async`] produces with
+/// [`AsyncConfig::run_membership_gossip`]` = false` and the same RNG seed —
+/// event for event, draw for draw: both are the same event loop. It is the
+/// id-keyed oracle the dense engine ([`disseminate_async_dense`]) is
+/// differentially tested against.
+///
+/// # Panics
+///
+/// Panics if the configuration is invalid or `origin` is not a live node.
+pub fn disseminate_async_frozen(
+    overlay: &dyn Overlay,
+    selector: &dyn GossipTargetSelector,
+    origin: NodeId,
+    config: &AsyncConfig,
+    rng: &mut ChaCha8Rng,
+) -> AsyncReport {
+    disseminate_async_frozen_probed(overlay, selector, origin, config, rng, &mut NullProbe)
+}
+
+/// [`disseminate_async_frozen`] with a [`Probe`] attached. The probe
+/// observes the run — it never feeds back into the RNG or the event queue —
+/// so the report is bit-identical to the unprobed call for any probe. Given
+/// the same overlay pair, selector, origin, configuration and seed, the
+/// event stream is identical — record for record — to the one
+/// [`disseminate_async_dense_probed`] emits: the differential property
+/// tests pin that down alongside the report equality.
+pub fn disseminate_async_frozen_probed<P: Probe>(
+    overlay: &dyn Overlay,
+    selector: &dyn GossipTargetSelector,
+    origin: NodeId,
+    config: &AsyncConfig,
+    rng: &mut ChaCha8Rng,
+    probe: &mut P,
+) -> AsyncReport {
+    disseminate_id_keyed(overlay, selector, origin, config, rng, probe)
+}
+
+/// The id-keyed event loop behind [`disseminate_async`] and
+/// [`disseminate_async_frozen`], generic over the [`Substrate`] it reads
+/// liveness and links from.
+fn disseminate_id_keyed<W: Substrate, P: Probe>(
+    mut world: W,
     selector: &dyn GossipTargetSelector,
     origin: NodeId,
     config: &AsyncConfig,
@@ -342,21 +472,19 @@ pub fn disseminate_async_probed<P: Probe>(
 ) -> AsyncReport {
     config.validate().expect("invalid async configuration");
     assert!(
-        network.is_live(origin),
+        world.is_live(origin),
         "dissemination origin {origin} is not a live node"
     );
 
-    let population = network.len();
+    let population = world.live_count();
     let mut queue: CalendarQueue<Event> =
         CalendarQueue::new(config.bucket_width(), config.sched.num_buckets);
 
     // Desynchronised gossip timers, as in the paper ("nodes have
     // independent, non-synchronized timers").
-    if config.run_membership_gossip {
-        for node in network.live_ids() {
-            let offset = rng.gen::<f64>() * config.gossip_period;
-            queue.push(offset, Event::GossipTick { node });
-        }
+    for node in world.gossiping_nodes(config) {
+        let offset = rng.gen::<f64>() * config.gossip_period;
+        queue.push(offset, Event::GossipTick { node });
     }
     // The origin "receives" the message from itself at time zero.
     queue.push(
@@ -382,6 +510,8 @@ pub fn disseminate_async_probed<P: Probe>(
     let mut dropped_partition = 0usize;
     let mut ge_bad: BTreeMap<NodeId, bool> = BTreeMap::new();
     let mut per_hop_messages = vec![0usize];
+    // Queued `Deliver` events; equals `queue.len()` whenever no gossip
+    // ticks are scheduled.
     let mut pending_deliveries = 1usize;
     let mut truncated_sends = 0usize;
     let mut completion_time = None;
@@ -394,230 +524,26 @@ pub fn disseminate_async_probed<P: Probe>(
     }) = queue.pop()
     {
         if time > config.max_time {
+            // Leftover gossip ticks alone are not a truncated
+            // *dissemination*.
             truncated = pending_deliveries > 0;
             break;
         }
-        match event {
+        let (to, from, hop) = match event {
             Event::GossipTick { node } => {
-                if pending_deliveries == 0 {
-                    // The dissemination is over; no need to keep the
-                    // membership machinery spinning.
-                    continue;
-                }
-                if network.is_live(node) {
-                    network.gossip_once(node);
+                // Once the dissemination is over there is no need to keep
+                // the membership machinery spinning.
+                if pending_deliveries > 0 && world.is_live(node) {
+                    world.gossip_once(node);
                     let next = time + jittered(config.gossip_period, rng, config.jitter);
                     queue.push(next, Event::GossipTick { node });
                 }
+                continue;
             }
-            Event::Deliver { to, from, hop } => {
-                pending_deliveries -= 1;
-                if !network.is_live(to) {
-                    messages_to_dead += 1;
-                    probe.record(TraceEvent::Delivered {
-                        node: to.as_u64(),
-                        from: from.as_u64(),
-                        hop,
-                        outcome: DeliveryOutcome::Dead,
-                    });
-                    continue;
-                }
-                if !notified.insert(to) {
-                    messages_redundant += 1;
-                    probe.record(TraceEvent::Delivered {
-                        node: to.as_u64(),
-                        from: from.as_u64(),
-                        hop,
-                        outcome: DeliveryOutcome::Duplicate,
-                    });
-                    continue;
-                }
-                probe.record(TraceEvent::Delivered {
-                    node: to.as_u64(),
-                    from: from.as_u64(),
-                    hop,
-                    outcome: DeliveryOutcome::Virgin,
-                });
-                notification_times.insert(to, time);
-                if notified.len() == population {
-                    completion_time = Some(time);
-                }
-                let Some(view) = momentary_view(network, to) else {
-                    continue;
-                };
-                let sender = if from == to { None } else { Some(from) };
-                let targets = selector.select_targets(&view, to, sender, rng);
-                let hop_idx = idx(hop) + 1;
-                if per_hop_messages.len() <= hop_idx {
-                    per_hop_messages.resize(hop_idx + 1, 0);
-                }
-                per_hop_messages[hop_idx] += targets.len();
-                for target in targets {
-                    messages_sent += 1;
-                    probe.record(TraceEvent::Sent {
-                        from: to.as_u64(),
-                        to: target.as_u64(),
-                        hop: hop + 1,
-                    });
-                    if config.net.blocks(to, target, time) {
-                        dropped_partition += 1;
-                        probe.record(TraceEvent::DroppedPartition {
-                            from: to.as_u64(),
-                            to: target.as_u64(),
-                            hop: hop + 1,
-                        });
-                        continue;
-                    }
-                    if !config.net.loss.is_none() {
-                        let bad = ge_bad.entry(to).or_insert(false);
-                        if config.net.loss.sample(bad, rng) {
-                            dropped_loss += 1;
-                            probe.record(TraceEvent::DroppedLoss {
-                                from: to.as_u64(),
-                                to: target.as_u64(),
-                                hop: hop + 1,
-                            });
-                            continue;
-                        }
-                    }
-                    if config.sched.budget_exhausted(pending_deliveries) {
-                        // The forward survived the network model, but the
-                        // queue sits at its event budget: refuse the
-                        // scheduling (no delay draw) and account for it.
-                        // `pending_deliveries` equals the queued delivery
-                        // count, so this caps on exactly the boundary the
-                        // frozen and dense engines cap on.
-                        truncated_sends += 1;
-                        continue;
-                    }
-                    pending_deliveries += 1;
-                    let delay =
-                        config
-                            .net
-                            .delay
-                            .sample(config.forwarding_delay, config.jitter, rng);
-                    queue.push(
-                        time + delay,
-                        Event::Deliver {
-                            to: target,
-                            from: to,
-                            hop: hop + 1,
-                        },
-                    );
-                }
-            }
-        }
-    }
-
-    probe.record(TraceEvent::RunEnd {
-        reached: notified.len() as u64,
-    });
-    let partition_recovery =
-        partition_recovery(&config.net.partitions, notification_times.values().copied());
-    AsyncReport {
-        population,
-        reached: notified.len(),
-        messages_sent,
-        messages_redundant,
-        messages_to_dead,
-        per_hop_messages,
-        completion_time,
-        notification_times,
-        dropped_loss,
-        dropped_partition,
-        partition_recovery,
-        truncated_sends,
-        truncated: truncated || truncated_sends > 0,
-    }
-}
-
-/// Runs one event-driven dissemination over a **frozen** overlay: the
-/// latency model of [`disseminate_async`] without the live membership
-/// machinery.
-///
-/// For a snapshot taken from a live network, this produces the exact
-/// [`AsyncReport`] that [`disseminate_async`] produces with
-/// [`AsyncConfig::run_membership_gossip`]` = false` and the same RNG seed —
-/// event for event, draw for draw. It is the id-keyed oracle the dense
-/// engine ([`disseminate_async_dense`]) is differentially tested against.
-///
-/// # Panics
-///
-/// Panics if the configuration is invalid or `origin` is not a live node.
-pub fn disseminate_async_frozen(
-    overlay: &dyn Overlay,
-    selector: &dyn GossipTargetSelector,
-    origin: NodeId,
-    config: &AsyncConfig,
-    rng: &mut ChaCha8Rng,
-) -> AsyncReport {
-    disseminate_async_frozen_probed(overlay, selector, origin, config, rng, &mut NullProbe)
-}
-
-/// [`disseminate_async_frozen`] with a [`Probe`] attached. Given the same
-/// overlay pair, selector, origin, configuration and seed, the event stream
-/// is identical — record for record — to the one
-/// [`disseminate_async_dense_stats_probed`] emits: the differential
-/// property tests pin that down alongside the report equality.
-pub fn disseminate_async_frozen_probed<P: Probe>(
-    overlay: &dyn Overlay,
-    selector: &dyn GossipTargetSelector,
-    origin: NodeId,
-    config: &AsyncConfig,
-    rng: &mut ChaCha8Rng,
-    probe: &mut P,
-) -> AsyncReport {
-    config.validate().expect("invalid async configuration");
-    assert!(
-        overlay.is_live(origin),
-        "dissemination origin {origin} is not a live node"
-    );
-
-    let population = overlay.live_count();
-    let mut queue: CalendarQueue<Event> =
-        CalendarQueue::new(config.bucket_width(), config.sched.num_buckets);
-    queue.push(
-        0.0,
-        Event::Deliver {
-            to: origin,
-            from: origin,
-            hop: 0,
-        },
-    );
-    probe.record(TraceEvent::RunStart {
-        origin: origin.as_u64(),
-        population: population as u64,
-    });
-    emit_partition_schedule(&config.net, probe);
-
-    let mut notified: BTreeSet<NodeId> = BTreeSet::new();
-    let mut notification_times: BTreeMap<NodeId, f64> = BTreeMap::new();
-    let mut messages_sent = 0usize;
-    let mut messages_redundant = 0usize;
-    let mut messages_to_dead = 0usize;
-    let mut dropped_loss = 0usize;
-    let mut dropped_partition = 0usize;
-    let mut ge_bad: BTreeMap<NodeId, bool> = BTreeMap::new();
-    let mut per_hop_messages = vec![0usize];
-    let mut truncated_sends = 0usize;
-    let mut completion_time = None;
-    let mut truncated = false;
-
-    while let Some(Scheduled {
-        time,
-        payload: event,
-        ..
-    }) = queue.pop()
-    {
-        if time > config.max_time {
-            // Every queued event is a pending delivery here.
-            truncated = true;
-            break;
-        }
-        let Event::Deliver { to, from, hop } = event else {
-            unreachable!("frozen-overlay runs schedule no gossip ticks");
+            Event::Deliver { to, from, hop } => (to, from, hop),
         };
-        if !overlay.is_live(to) {
+        pending_deliveries -= 1;
+        if !world.is_live(to) {
             messages_to_dead += 1;
             probe.record(TraceEvent::Delivered {
                 node: to.as_u64(),
@@ -648,7 +574,7 @@ pub fn disseminate_async_frozen_probed<P: Probe>(
             completion_time = Some(time);
         }
         let sender = if from == to { None } else { Some(from) };
-        let targets = selector.select_targets(overlay, to, sender, rng);
+        let targets = world.select_targets(selector, to, sender, rng);
         let hop_idx = idx(hop) + 1;
         if per_hop_messages.len() <= hop_idx {
             per_hop_messages.resize(hop_idx + 1, 0);
@@ -682,12 +608,16 @@ pub fn disseminate_async_frozen_probed<P: Probe>(
                     continue;
                 }
             }
-            if config.sched.budget_exhausted(queue.len()) {
-                // Every queued event is a pending delivery here, so the
-                // queue length is the quantity the budget caps.
+            if config.sched.budget_exhausted(pending_deliveries) {
+                // The forward survived the network model, but the queue
+                // sits at its event budget: refuse the scheduling (no
+                // delay draw) and account for it. The budget caps queued
+                // deliveries, not gossip ticks — the same boundary the
+                // dense engine caps on.
                 truncated_sends += 1;
                 continue;
             }
+            pending_deliveries += 1;
             let delay = config
                 .net
                 .delay
@@ -812,16 +742,103 @@ impl DenseAsyncScratch {
     }
 }
 
+/// Scalar accounting of one dense event-driven run: everything
+/// [`disseminate_async_dense`] returns is `Copy`, so the run never touches
+/// the allocator.
+///
+/// The per-hop series, the notified bitset and the flat notification-time
+/// array stay behind in the [`DenseAsyncScratch`];
+/// [`DenseAsyncRunStats::report`] reads them back into the id-keyed
+/// [`AsyncReport`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DenseAsyncRunStats {
+    /// Live nodes at dissemination time.
+    pub population: usize,
+    /// Nodes notified before the run died out or was truncated.
+    pub reached: usize,
+    /// Total messages handed to the network model.
+    pub messages_sent: usize,
+    /// Deliveries to already-notified nodes.
+    pub messages_redundant: usize,
+    /// Deliveries absorbed by dead nodes.
+    pub messages_to_dead: usize,
+    /// Messages eaten by the loss process.
+    pub dropped_loss: usize,
+    /// Messages blocked by an active scripted partition.
+    pub dropped_partition: usize,
+    /// Time the last live node was notified, if the run completed.
+    pub completion_time: Option<f64>,
+    /// Forwards refused by the event budget
+    /// ([`SchedConfig::event_budget`]); see
+    /// [`AsyncReport::truncated_sends`].
+    pub truncated_sends: usize,
+    /// `true` if the run hit `max_time` with deliveries still queued,
+    /// and/or the event budget refused at least one scheduling.
+    pub truncated: bool,
+}
+
+impl DenseAsyncRunStats {
+    /// Total number of dissemination messages sent (the same quantity as
+    /// [`DenseAsyncRunStats::messages_sent`], named to match
+    /// [`AsyncReport::total_messages`]).
+    pub fn total_messages(&self) -> usize {
+        self.messages_sent
+    }
+
+    /// Materialises the id-keyed [`AsyncReport`], equal field for field to
+    /// what [`disseminate_async_frozen`] returns for the same overlay,
+    /// selector, origin, configuration and seed. `overlay`, `config` and
+    /// `scratch` must be the ones the run was given, and the scratch must
+    /// not have served another run since. This is the only part of a dense
+    /// run that allocates, and it is O(population) — independent of message
+    /// count.
+    pub fn report(
+        &self,
+        overlay: &DenseOverlay,
+        config: &AsyncConfig,
+        scratch: &DenseAsyncScratch,
+    ) -> AsyncReport {
+        let mut notification_times: BTreeMap<NodeId, f64> = BTreeMap::new();
+        for i in 0..to_u32(overlay.len()) {
+            if scratch.notified.get(i) {
+                notification_times.insert(overlay.node_id(i), scratch.notify_time[idx(i)]);
+            }
+        }
+        let partition_recovery =
+            partition_recovery(&config.net.partitions, notification_times.values().copied());
+        AsyncReport {
+            population: self.population,
+            reached: self.reached,
+            messages_sent: self.messages_sent,
+            messages_redundant: self.messages_redundant,
+            messages_to_dead: self.messages_to_dead,
+            per_hop_messages: scratch.per_hop.clone(),
+            completion_time: self.completion_time,
+            notification_times,
+            dropped_loss: self.dropped_loss,
+            dropped_partition: self.dropped_partition,
+            partition_recovery,
+            truncated_sends: self.truncated_sends,
+            truncated: self.truncated,
+        }
+    }
+}
+
 /// Runs one event-driven dissemination over a frozen [`DenseOverlay`]: the
 /// allocation-free rewrite of [`disseminate_async_frozen`].
 ///
 /// The latency model, the accounting and the RNG draw sequence are
 /// identical to the frozen oracle's; given the same overlay (converted),
-/// selector, origin, configuration and seed, the returned [`AsyncReport`]
-/// is equal field for field — the contract the differential property tests
-/// pin down. The difference is purely mechanical: node identities are dense
-/// `u32` indices, link access is borrowed slices, and all per-run state
-/// lives in the caller-provided [`DenseAsyncScratch`].
+/// selector, origin, configuration and seed, [`DenseAsyncRunStats::report`]
+/// is equal to the oracle's [`AsyncReport`] field for field — the contract
+/// the differential property tests pin down. The difference is purely
+/// mechanical: node identities are dense `u32` indices, link access is
+/// borrowed slices, and all per-run state lives in the caller-provided
+/// [`DenseAsyncScratch`].
+///
+/// Over a warm scratch (one prior run of at least this overlay size and
+/// event volume) the call performs **zero heap allocations** — the
+/// invariant `tests/zero_alloc.rs` pins with a counting allocator.
 ///
 /// # Panics
 ///
@@ -852,8 +869,8 @@ impl DenseAsyncScratch {
 /// let fast = disseminate_async_dense(&dense, &selector, ids[0], &config, &mut rng, &mut scratch);
 /// let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(7);
 /// let slow = disseminate_async_frozen(&sparse, &selector, ids[0], &config, &mut rng);
-/// assert_eq!(fast, slow);
-/// assert!(fast.is_complete());
+/// assert_eq!(fast.report(&dense, &config, &scratch), slow);
+/// assert_eq!(fast.reached, fast.population);
 /// ```
 pub fn disseminate_async_dense(
     overlay: &DenseOverlay,
@@ -862,7 +879,7 @@ pub fn disseminate_async_dense(
     config: &AsyncConfig,
     rng: &mut ChaCha8Rng,
     scratch: &mut DenseAsyncScratch,
-) -> AsyncReport {
+) -> DenseAsyncRunStats {
     disseminate_async_dense_probed(
         overlay,
         selector,
@@ -874,121 +891,14 @@ pub fn disseminate_async_dense(
     )
 }
 
-/// [`disseminate_async_dense`] with a [`Probe`] attached.
-pub fn disseminate_async_dense_probed<P: Probe>(
-    overlay: &DenseOverlay,
-    selector: &DenseSelector,
-    origin: NodeId,
-    config: &AsyncConfig,
-    rng: &mut ChaCha8Rng,
-    scratch: &mut DenseAsyncScratch,
-    probe: &mut P,
-) -> AsyncReport {
-    let stats = disseminate_async_dense_stats_probed(
-        overlay, selector, origin, config, rng, scratch, probe,
-    );
-
-    // Convert back to the id-keyed report. This is the only part that
-    // allocates, and it is O(population) — independent of message count.
-    let mut notification_times: BTreeMap<NodeId, f64> = BTreeMap::new();
-    for i in 0..to_u32(overlay.len()) {
-        if scratch.notified.get(i) {
-            notification_times.insert(overlay.node_id(i), scratch.notify_time[idx(i)]);
-        }
-    }
-
-    let partition_recovery =
-        partition_recovery(&config.net.partitions, notification_times.values().copied());
-    AsyncReport {
-        population: stats.population,
-        reached: stats.reached,
-        messages_sent: stats.messages_sent,
-        messages_redundant: stats.messages_redundant,
-        messages_to_dead: stats.messages_to_dead,
-        per_hop_messages: scratch.per_hop.clone(),
-        completion_time: stats.completion_time,
-        notification_times,
-        dropped_loss: stats.dropped_loss,
-        dropped_partition: stats.dropped_partition,
-        partition_recovery,
-        truncated_sends: stats.truncated_sends,
-        truncated: stats.truncated,
-    }
-}
-
-/// Scalar accounting of one dense event-driven run, returned by
-/// [`disseminate_async_dense_stats`] without touching the allocator.
-///
-/// The per-hop series, the notified bitset and the flat notification-time
-/// array stay behind in the [`DenseAsyncScratch`]; everything here is
-/// `Copy`. [`disseminate_async_dense`] materializes the full id-keyed
-/// [`AsyncReport`] from the same state.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DenseAsyncRunStats {
-    /// Live nodes at dissemination time.
-    pub population: usize,
-    /// Nodes notified before the run died out or was truncated.
-    pub reached: usize,
-    /// Total messages handed to the network model.
-    pub messages_sent: usize,
-    /// Deliveries to already-notified nodes.
-    pub messages_redundant: usize,
-    /// Deliveries absorbed by dead nodes.
-    pub messages_to_dead: usize,
-    /// Messages eaten by the loss process.
-    pub dropped_loss: usize,
-    /// Messages blocked by an active scripted partition.
-    pub dropped_partition: usize,
-    /// Time the last live node was notified, if the run completed.
-    pub completion_time: Option<f64>,
-    /// Forwards refused by the event budget
-    /// ([`SchedConfig::event_budget`]); see
-    /// [`AsyncReport::truncated_sends`].
-    pub truncated_sends: usize,
-    /// `true` if the run hit `max_time` with deliveries still queued,
-    /// and/or the event budget refused at least one scheduling.
-    pub truncated: bool,
-}
-
-/// The allocation-free core of [`disseminate_async_dense`]: runs the
-/// complete event-driven dissemination and returns only scalar accounting.
-///
-/// Over a warm [`DenseAsyncScratch`] (one prior run of at least this
-/// overlay size and event volume) the call performs **zero heap
-/// allocations** — the invariant `tests/zero_alloc.rs` pins with a counting
-/// allocator. The RNG draw sequence is identical to
-/// [`disseminate_async_dense`]'s.
-///
-/// # Panics
-///
-/// Panics if the configuration is invalid or `origin` is not a live node.
-pub fn disseminate_async_dense_stats(
-    overlay: &DenseOverlay,
-    selector: &DenseSelector,
-    origin: NodeId,
-    config: &AsyncConfig,
-    rng: &mut ChaCha8Rng,
-    scratch: &mut DenseAsyncScratch,
-) -> DenseAsyncRunStats {
-    disseminate_async_dense_stats_probed(
-        overlay,
-        selector,
-        origin,
-        config,
-        rng,
-        scratch,
-        &mut NullProbe,
-    )
-}
-
-/// [`disseminate_async_dense_stats`] with a [`Probe`] attached. Events use
-/// raw node ids (`overlay.node_id(..)`), and the origin's self-delivery
-/// reports itself as the sender, so the stream matches
+/// [`disseminate_async_dense`] with a [`Probe`] attached. Events use raw
+/// node ids (`overlay.node_id(..)`), and the origin's self-delivery reports
+/// itself as the sender, so the stream matches
 /// [`disseminate_async_frozen_probed`]'s bit for bit. With a recording
 /// probe attached the zero-allocation contract is the probe's to keep:
 /// over a warmed [`hybridcast_obs::RingSink`] the run still performs no
 /// heap allocation (pinned in `tests/zero_alloc.rs`).
-pub fn disseminate_async_dense_stats_probed<P: Probe>(
+pub fn disseminate_async_dense_probed<P: Probe>(
     overlay: &DenseOverlay,
     selector: &DenseSelector,
     origin: NodeId,
@@ -1459,7 +1369,7 @@ mod tests {
             let origin = network.live_ids()[5];
             for (name, config, fires) in &configs {
                 let mut live_probe = VecProbe::new();
-                let live = disseminate_async_probed(
+                let live = disseminate_id_keyed(
                     &mut network,
                     &RingCast::new(fanout),
                     origin,
@@ -1513,7 +1423,8 @@ mod tests {
                 &config,
                 &mut rng(77),
                 &mut scratch,
-            );
+            )
+            .report(&dense, &config, &scratch);
             assert_eq!(slow, fast, "{} reports diverge", selector.name());
             assert_eq!(
                 fast.per_hop_messages.iter().sum::<usize>(),
@@ -1534,7 +1445,8 @@ mod tests {
         let origin = big.live_node_ids()[0];
         let selector = DenseSelector::ringcast(3);
         let first =
-            disseminate_async_dense(&big, &selector, origin, &config, &mut rng(1), &mut scratch);
+            disseminate_async_dense(&big, &selector, origin, &config, &mut rng(1), &mut scratch)
+                .report(&big, &config, &scratch);
         // A smaller overlay afterwards: buffers shrink correctly.
         let small_net = warmed_network(40, 31);
         let small = DenseOverlay::from_snapshot(&small_net.overlay_snapshot());
@@ -1546,12 +1458,14 @@ mod tests {
             &config,
             &mut rng(2),
             &mut scratch,
-        );
+        )
+        .report(&small, &config, &scratch);
         assert!(report.is_complete());
         assert_eq!(report.population, 40);
         // And the big overlay again, identical to the first run.
         let again =
-            disseminate_async_dense(&big, &selector, origin, &config, &mut rng(1), &mut scratch);
+            disseminate_async_dense(&big, &selector, origin, &config, &mut rng(1), &mut scratch)
+                .report(&big, &config, &scratch);
         assert_eq!(first, again);
     }
 
@@ -1582,7 +1496,8 @@ mod tests {
             &tiny,
             &mut rng(41),
             &mut scratch,
-        );
+        )
+        .report(&dense, &tiny, &scratch);
         assert_eq!(frozen, fast, "truncated reports must stay bit-identical");
 
         let live = disseminate_async(
@@ -1780,7 +1695,8 @@ mod tests {
             &capped,
             &mut rng(51),
             &mut scratch,
-        );
+        )
+        .report(&dense, &capped, &scratch);
         assert_eq!(
             frozen, fast,
             "budget-capped reports must stay bit-identical"
@@ -1821,7 +1737,8 @@ mod tests {
         let selector = DenseSelector::ringcast(3);
         let mut scratch = DenseAsyncScratch::new();
         let uncapped =
-            disseminate_async_dense(&dense, &selector, origin, &free, &mut rng(53), &mut scratch);
+            disseminate_async_dense(&dense, &selector, origin, &free, &mut rng(53), &mut scratch)
+                .report(&dense, &free, &scratch);
         assert_eq!(uncapped.truncated_sends, 0);
         assert!(!uncapped.truncated);
         let high_water = scratch.event_queue_high_water();
@@ -1841,7 +1758,8 @@ mod tests {
             &exact,
             &mut rng(53),
             &mut scratch,
-        );
+        )
+        .report(&dense, &exact, &scratch);
         assert_eq!(
             uncapped, at_cap,
             "a budget at the high-water mark refuses nothing"

@@ -8,6 +8,13 @@
 //! membership gossip does not change the macroscopic behaviour, so a frozen
 //! overlay plus a hop-synchronous sweep is a faithful stand-in for the
 //! asynchronous real-time process.
+//!
+//! Two implementations share the model: [`disseminate`], the readable
+//! id-keyed oracle over any [`Overlay`], and [`disseminate_dense`], the
+//! allocation-free engine every figure runs, over a CSR [`DenseOverlay`]
+//! and a reusable [`DenseScratch`]. The dense engine returns `Copy`
+//! [`DenseRunStats`]; [`DenseRunStats::report`] materialises the same
+//! [`DisseminationReport`] the oracle returns.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -262,15 +269,18 @@ impl DenseScratch {
     }
 }
 
-/// Scalar accounting of one dense dissemination, returned by
-/// [`disseminate_dense_stats`] without touching the allocator.
+/// Scalar accounting of one dense dissemination: everything
+/// [`disseminate_dense`] returns is `Copy`, so the run never touches the
+/// allocator.
 ///
 /// The per-hop series and per-node counters of the run stay behind in the
-/// [`DenseScratch`] (see [`DenseScratch::per_hop_new`]); everything here is
-/// `Copy`. [`disseminate_dense`] materializes the full id-keyed
-/// [`DisseminationReport`] from the same state.
+/// [`DenseScratch`] (see [`DenseScratch::per_hop_new`]);
+/// [`DenseRunStats::report`] reads them back into the id-keyed
+/// [`DisseminationReport`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DenseRunStats {
+    /// The node the message originated at.
+    pub origin: NodeId,
     /// Live nodes at dissemination time.
     pub population: usize,
     /// Nodes holding the message when the dissemination died out.
@@ -290,6 +300,45 @@ impl DenseRunStats {
     pub fn total_messages(&self) -> usize {
         self.messages_to_virgin + self.messages_to_notified + self.messages_to_dead
     }
+
+    /// Materialises the id-keyed [`DisseminationReport`] all metrics and
+    /// figure code is written against, equal field for field to what
+    /// [`disseminate`] returns for the same overlay, selector, origin and
+    /// seed. `overlay` and `scratch` must be the ones the run was given,
+    /// and the scratch must not have served another run since. This is the
+    /// only part of a dense dissemination that allocates, and it is
+    /// O(population) — independent of message count.
+    pub fn report(&self, overlay: &DenseOverlay, scratch: &DenseScratch) -> DisseminationReport {
+        let mut received_counts: BTreeMap<NodeId, usize> = BTreeMap::new();
+        let mut forwarded_counts: BTreeMap<NodeId, usize> = BTreeMap::new();
+        let mut unreached: Vec<NodeId> = Vec::new();
+        for i in 0..to_u32(overlay.len()) {
+            let id = overlay.node_id(i);
+            if scratch.received[idx(i)] > 0 {
+                received_counts.insert(id, idx(scratch.received[idx(i)]));
+            }
+            if scratch.notified.get(i) {
+                forwarded_counts.insert(id, idx(scratch.forwarded[idx(i)]));
+            } else if overlay.is_live_idx(i) {
+                unreached.push(id);
+            }
+        }
+
+        DisseminationReport {
+            origin: self.origin,
+            population: self.population,
+            reached: self.reached,
+            last_hop: self.last_hop,
+            per_hop_new: scratch.per_hop_new.clone(),
+            per_hop_messages: scratch.per_hop_messages.clone(),
+            messages_to_virgin: self.messages_to_virgin,
+            messages_to_notified: self.messages_to_notified,
+            messages_to_dead: self.messages_to_dead,
+            received_counts,
+            forwarded_counts,
+            unreached,
+        }
+    }
 }
 
 /// Runs one complete dissemination over a [`DenseOverlay`]: the
@@ -297,10 +346,15 @@ impl DenseRunStats {
 ///
 /// The hop-synchronous model, the accounting and the RNG draw sequence are
 /// identical to the generic engine's; given the same overlay (converted),
-/// selector, origin and seed, the returned [`DisseminationReport`] is equal
-/// field for field. The difference is purely mechanical: node identities are
-/// dense `u32` indices, link access is borrowed slices, and all per-run
-/// state lives in the caller-provided [`DenseScratch`].
+/// selector, origin and seed, [`DenseRunStats::report`] is equal to the
+/// generic [`DisseminationReport`] field for field. The difference is
+/// purely mechanical: node identities are dense `u32` indices, link access
+/// is borrowed slices, and all per-run state lives in the caller-provided
+/// [`DenseScratch`].
+///
+/// Over a warm scratch (one prior run of at least this overlay size and
+/// message volume) the call performs **zero heap allocations** — the
+/// invariant `tests/zero_alloc.rs` pins with a counting allocator.
 ///
 /// # Panics
 ///
@@ -322,9 +376,13 @@ impl DenseRunStats {
 /// let selector = DenseSelector::DeterministicFlooding;
 ///
 /// let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0);
-/// let report = disseminate_dense(&dense, &selector, ids[0], &mut rng, &mut scratch);
+/// let stats = disseminate_dense(&dense, &selector, ids[0], &mut rng, &mut scratch);
+/// assert_eq!(stats.reached, 8);
 /// let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0);
-/// assert_eq!(report, disseminate(&sparse, &selector, ids[0], &mut rng));
+/// assert_eq!(
+///     stats.report(&dense, &scratch),
+///     disseminate(&sparse, &selector, ids[0], &mut rng)
+/// );
 /// ```
 pub fn disseminate_dense(
     overlay: &DenseOverlay,
@@ -332,7 +390,7 @@ pub fn disseminate_dense(
     origin: NodeId,
     rng: &mut dyn RngCore,
     scratch: &mut DenseScratch,
-) -> DisseminationReport {
+) -> DenseRunStats {
     disseminate_dense_probed(overlay, selector, origin, rng, scratch, &mut NullProbe)
 }
 
@@ -340,98 +398,15 @@ pub fn disseminate_dense(
 ///
 /// Emits exactly the event stream [`disseminate_probed`] emits for the
 /// same overlay, selector, origin and seed — events carry raw `u64` node
-/// ids, so the dense index layout is invisible in the trace.
+/// ids, so the dense index layout is invisible in the trace. With an
+/// allocation-free sink (the ring buffer, a metrics registry, or
+/// [`NullProbe`]) the warm-run zero-allocation contract holds unchanged —
+/// `tests/zero_alloc.rs` pins both modes.
 ///
 /// # Panics
 ///
 /// Panics if `origin` is not a live node of the overlay.
 pub fn disseminate_dense_probed<P: Probe>(
-    overlay: &DenseOverlay,
-    selector: &DenseSelector,
-    origin: NodeId,
-    rng: &mut dyn RngCore,
-    scratch: &mut DenseScratch,
-    probe: &mut P,
-) -> DisseminationReport {
-    let stats = disseminate_dense_stats_probed(overlay, selector, origin, rng, scratch, probe);
-    materialize_dense_report(overlay, origin, stats, scratch)
-}
-
-/// Converts the state a stats run left in `scratch` back into the id-keyed
-/// [`DisseminationReport`] all metrics and figure code is written against.
-/// This is the only part that allocates, and it is O(population) —
-/// independent of message count.
-pub(crate) fn materialize_dense_report(
-    overlay: &DenseOverlay,
-    origin: NodeId,
-    stats: DenseRunStats,
-    scratch: &DenseScratch,
-) -> DisseminationReport {
-    let mut received_counts: BTreeMap<NodeId, usize> = BTreeMap::new();
-    let mut forwarded_counts: BTreeMap<NodeId, usize> = BTreeMap::new();
-    let mut unreached: Vec<NodeId> = Vec::new();
-    for i in 0..to_u32(overlay.len()) {
-        let id = overlay.node_id(i);
-        if scratch.received[idx(i)] > 0 {
-            received_counts.insert(id, idx(scratch.received[idx(i)]));
-        }
-        if scratch.notified.get(i) {
-            forwarded_counts.insert(id, idx(scratch.forwarded[idx(i)]));
-        } else if overlay.is_live_idx(i) {
-            unreached.push(id);
-        }
-    }
-
-    DisseminationReport {
-        origin,
-        population: stats.population,
-        reached: stats.reached,
-        last_hop: stats.last_hop,
-        per_hop_new: scratch.per_hop_new.clone(),
-        per_hop_messages: scratch.per_hop_messages.clone(),
-        messages_to_virgin: stats.messages_to_virgin,
-        messages_to_notified: stats.messages_to_notified,
-        messages_to_dead: stats.messages_to_dead,
-        received_counts,
-        forwarded_counts,
-        unreached,
-    }
-}
-
-/// The allocation-free core of [`disseminate_dense`]: runs the complete
-/// hop-synchronous dissemination and returns only scalar accounting.
-///
-/// Over a warm [`DenseScratch`] (one prior run of at least this overlay
-/// size and message volume) the call performs **zero heap allocations** —
-/// the invariant `tests/zero_alloc.rs` pins with a counting allocator. The
-/// RNG draw sequence is identical to [`disseminate_dense`]'s, so a stats
-/// run and a report run from the same seed describe the same dissemination;
-/// the per-hop series and per-node counters remain readable from the
-/// scratch afterwards.
-///
-/// # Panics
-///
-/// Panics if `origin` is not a live node of the overlay.
-pub fn disseminate_dense_stats(
-    overlay: &DenseOverlay,
-    selector: &DenseSelector,
-    origin: NodeId,
-    rng: &mut dyn RngCore,
-    scratch: &mut DenseScratch,
-) -> DenseRunStats {
-    disseminate_dense_stats_probed(overlay, selector, origin, rng, scratch, &mut NullProbe)
-}
-
-/// [`disseminate_dense_stats`] with a [`Probe`] attached: the
-/// allocation-free hot loop, emitting the same structured trace stream as
-/// [`disseminate_probed`]. With an allocation-free sink (the ring buffer,
-/// a metrics registry, or [`NullProbe`]) the warm-run zero-allocation
-/// contract holds unchanged — `tests/zero_alloc.rs` pins both modes.
-///
-/// # Panics
-///
-/// Panics if `origin` is not a live node of the overlay.
-pub fn disseminate_dense_stats_probed<P: Probe>(
     overlay: &DenseOverlay,
     selector: &DenseSelector,
     origin: NodeId,
@@ -548,6 +523,7 @@ pub fn disseminate_dense_stats_probed<P: Probe>(
     });
 
     DenseRunStats {
+        origin,
         population: overlay.live_len(),
         reached: 1 + messages_to_virgin,
         last_hop,
@@ -737,7 +713,8 @@ mod tests {
         ] {
             let generic = disseminate(&overlay, selector.as_ref(), origin, &mut rng(77));
             let fast =
-                disseminate_dense(&dense, &dense_selector, origin, &mut rng(77), &mut scratch);
+                disseminate_dense(&dense, &dense_selector, origin, &mut rng(77), &mut scratch)
+                    .report(&dense, &scratch);
             assert_eq!(generic, fast, "{} reports diverge", selector.name());
         }
     }
@@ -758,7 +735,8 @@ mod tests {
             n(0),
             &mut rng(5),
             &mut scratch,
-        );
+        )
+        .report(&dense, &scratch);
         assert_eq!(generic, fast);
         assert!(fast.messages_to_dead >= 1);
         assert!(!fast.unreached.is_empty(), "the ring is partitioned");
@@ -793,7 +771,8 @@ mod tests {
             origin,
             &mut rng(1),
             &mut scratch,
-        );
+        )
+        .report(&big_dense, &scratch);
         // A smaller overlay afterwards: buffers shrink correctly.
         let small = StaticOverlay::deterministic(&builders::bidirectional_ring(&ids(10)));
         let small_dense = crate::overlay::DenseOverlay::from(&small);
@@ -803,7 +782,8 @@ mod tests {
             n(0),
             &mut rng(2),
             &mut scratch,
-        );
+        )
+        .report(&small_dense, &scratch);
         assert!(report.is_complete());
         assert_eq!(report.population, 10);
         // And the big overlay again, identical to the first run.
@@ -813,7 +793,8 @@ mod tests {
             origin,
             &mut rng(1),
             &mut scratch,
-        );
+        )
+        .report(&big_dense, &scratch);
         assert_eq!(first, again);
     }
 

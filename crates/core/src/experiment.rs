@@ -6,6 +6,11 @@
 //! [`DisseminationReport`]s, and reduce them to the aggregate quantities the
 //! figures plot (mean miss ratio, fraction of complete disseminations, mean
 //! hop count, virgin/redundant message counts).
+//!
+//! The `run_seeded_*` drivers are what the figure harness calls: each runs
+//! one dense engine `runs` times — fanned across threads, or sequentially
+//! under a recording probe — with run `r` a pure function of
+//! `(master_seed, r)`, and materialises every run's id-keyed report.
 
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -23,10 +28,7 @@ use crate::engine::{disseminate, disseminate_dense, disseminate_dense_probed, De
 use crate::metrics::DisseminationReport;
 use crate::overlay::{DenseOverlay, Overlay};
 use crate::protocols::{DenseSelector, GossipTargetSelector};
-use crate::pull::{
-    disseminate_push_pull_dense, disseminate_push_pull_dense_probed, DensePullScratch, PullConfig,
-    PushPullReport,
-};
+use crate::pull::{disseminate_push_pull_dense, DensePullScratch, PullConfig, PushPullReport};
 
 /// Aggregate statistics over a set of disseminations with identical
 /// configuration (same overlay, protocol and fanout).
@@ -161,15 +163,38 @@ pub fn default_threads() -> usize {
         .unwrap_or(1)
 }
 
+/// The seeding contract of every `run_seeded_*` driver, in one place: run
+/// `r` draws its origin (uniformly from the overlay's live nodes) and then
+/// all its dissemination randomness from a private `ChaCha8` generator
+/// seeded with [`run_seed`]`(master_seed, r)`. The returned closure maps a
+/// run index to that generator, already advanced past the origin draw, and
+/// the origin.
+///
+/// # Panics
+///
+/// Panics if the overlay has no live nodes.
+fn seeded_starts(
+    overlay: &DenseOverlay,
+    master_seed: u64,
+) -> impl Fn(usize) -> (ChaCha8Rng, NodeId) + '_ {
+    let live = overlay.live_indices();
+    assert!(!live.is_empty(), "overlay has no live nodes");
+    move |run| {
+        let mut rng = ChaCha8Rng::seed_from_u64(run_seed(master_seed, run as u64));
+        let origin = overlay.node_id(live[rng.gen_range(0..live.len())]);
+        (rng, origin)
+    }
+}
+
 /// Runs `runs` independent disseminations of `selector` over a dense
 /// overlay, fanned out across `threads` worker threads, and returns the
 /// reports in run order.
 ///
-/// Run `r` draws its origin and all dissemination randomness from a private
-/// `ChaCha8` generator seeded with [`run_seed`]`(master_seed, r)`, so the
-/// result vector is **bit-identical for every thread count** — `threads`
-/// only decides wall-clock time, never data. Each worker reuses one
-/// [`DenseScratch`], so the hot path stays allocation-free.
+/// Run `r` is a pure function of `(master_seed, r)` (see [`run_seed`]), so
+/// the result vector is **bit-identical for every thread count** —
+/// `threads` only decides wall-clock time, never data. Each worker reuses
+/// one [`DenseScratch`], so only materialising each run's report
+/// allocates.
 ///
 /// # Panics
 ///
@@ -181,21 +206,17 @@ pub fn run_seeded_disseminations(
     master_seed: u64,
     threads: usize,
 ) -> Vec<DisseminationReport> {
-    let live = overlay.live_indices();
-    assert!(!live.is_empty(), "overlay has no live nodes");
-    let live = live.as_slice();
-    fan_out_seeded(runs, threads, DenseScratch::new, move |run, scratch| {
-        let mut rng = ChaCha8Rng::seed_from_u64(run_seed(master_seed, run as u64));
-        let origin = overlay.node_id(live[rng.gen_range(0..live.len())]);
-        disseminate_dense(overlay, selector, origin, &mut rng, scratch)
+    let start = seeded_starts(overlay, master_seed);
+    fan_out_seeded(runs, threads, DenseScratch::new, |run, scratch| {
+        let (mut rng, origin) = start(run);
+        disseminate_dense(overlay, selector, origin, &mut rng, scratch).report(overlay, scratch)
     })
 }
 
 /// The sequential, probed twin of [`run_seeded_disseminations`]: same
-/// seeding contract (run `r` is a pure function of `(master_seed, r)`), so
-/// the reports are bit-identical to the parallel driver at any thread
-/// count — the probe merely observes every run, in run order, through one
-/// shared scratch.
+/// seeding contract, so the reports are bit-identical to the parallel
+/// driver at any thread count — the probe merely observes every run, in
+/// run order, through one shared scratch.
 pub fn run_seeded_disseminations_probed<P: Probe>(
     overlay: &DenseOverlay,
     selector: &DenseSelector,
@@ -203,14 +224,13 @@ pub fn run_seeded_disseminations_probed<P: Probe>(
     master_seed: u64,
     probe: &mut P,
 ) -> Vec<DisseminationReport> {
-    let live = overlay.live_indices();
-    assert!(!live.is_empty(), "overlay has no live nodes");
+    let start = seeded_starts(overlay, master_seed);
     let mut scratch = DenseScratch::new();
     (0..runs)
         .map(|run| {
-            let mut rng = ChaCha8Rng::seed_from_u64(run_seed(master_seed, run as u64));
-            let origin = overlay.node_id(live[rng.gen_range(0..live.len())]);
+            let (mut rng, origin) = start(run);
             disseminate_dense_probed(overlay, selector, origin, &mut rng, &mut scratch, probe)
+                .report(overlay, &scratch)
         })
         .collect()
 }
@@ -220,9 +240,8 @@ pub fn run_seeded_disseminations_probed<P: Probe>(
 /// returns the [`AsyncReport`]s in run order.
 ///
 /// Seeding and origin choice follow the same contract as
-/// [`run_seeded_disseminations`]: run `r` is a pure function of
-/// `(master_seed, r)`, so the result vector is bit-identical for every
-/// thread count. Each worker reuses one [`DenseAsyncScratch`].
+/// [`run_seeded_disseminations`], so the result vector is bit-identical for
+/// every thread count. Each worker reuses one [`DenseAsyncScratch`].
 ///
 /// # Panics
 ///
@@ -236,19 +255,12 @@ pub fn run_seeded_async(
     master_seed: u64,
     threads: usize,
 ) -> Vec<AsyncReport> {
-    let live = overlay.live_indices();
-    assert!(!live.is_empty(), "overlay has no live nodes");
-    let live = live.as_slice();
-    fan_out_seeded(
-        runs,
-        threads,
-        DenseAsyncScratch::new,
-        move |run, scratch| {
-            let mut rng = ChaCha8Rng::seed_from_u64(run_seed(master_seed, run as u64));
-            let origin = overlay.node_id(live[rng.gen_range(0..live.len())]);
-            disseminate_async_dense(overlay, selector, origin, config, &mut rng, scratch)
-        },
-    )
+    let start = seeded_starts(overlay, master_seed);
+    fan_out_seeded(runs, threads, DenseAsyncScratch::new, |run, scratch| {
+        let (mut rng, origin) = start(run);
+        disseminate_async_dense(overlay, selector, origin, config, &mut rng, scratch)
+            .report(overlay, config, scratch)
+    })
 }
 
 /// The sequential, probed twin of [`run_seeded_async`]: bit-identical
@@ -261,13 +273,11 @@ pub fn run_seeded_async_probed<P: Probe>(
     master_seed: u64,
     probe: &mut P,
 ) -> Vec<AsyncReport> {
-    let live = overlay.live_indices();
-    assert!(!live.is_empty(), "overlay has no live nodes");
+    let start = seeded_starts(overlay, master_seed);
     let mut scratch = DenseAsyncScratch::new();
     (0..runs)
         .map(|run| {
-            let mut rng = ChaCha8Rng::seed_from_u64(run_seed(master_seed, run as u64));
-            let origin = overlay.node_id(live[rng.gen_range(0..live.len())]);
+            let (mut rng, origin) = start(run);
             disseminate_async_dense_probed(
                 overlay,
                 selector,
@@ -277,6 +287,7 @@ pub fn run_seeded_async_probed<P: Probe>(
                 &mut scratch,
                 probe,
             )
+            .report(overlay, config, &scratch)
         })
         .collect()
 }
@@ -286,9 +297,8 @@ pub fn run_seeded_async_probed<P: Probe>(
 /// returns the [`PushPullReport`]s in run order.
 ///
 /// Seeding and origin choice follow the same contract as
-/// [`run_seeded_disseminations`]: run `r` is a pure function of
-/// `(master_seed, r)`, so the result vector is bit-identical for every
-/// thread count. Each worker reuses one [`DensePullScratch`].
+/// [`run_seeded_disseminations`], so the result vector is bit-identical for
+/// every thread count. Each worker reuses one [`DensePullScratch`].
 ///
 /// # Panics
 ///
@@ -302,44 +312,12 @@ pub fn run_seeded_push_pulls(
     master_seed: u64,
     threads: usize,
 ) -> Vec<PushPullReport> {
-    let live = overlay.live_indices();
-    assert!(!live.is_empty(), "overlay has no live nodes");
-    let live = live.as_slice();
-    fan_out_seeded(runs, threads, DensePullScratch::new, move |run, scratch| {
-        let mut rng = ChaCha8Rng::seed_from_u64(run_seed(master_seed, run as u64));
-        let origin = overlay.node_id(live[rng.gen_range(0..live.len())]);
+    let start = seeded_starts(overlay, master_seed);
+    fan_out_seeded(runs, threads, DensePullScratch::new, |run, scratch| {
+        let (mut rng, origin) = start(run);
         disseminate_push_pull_dense(overlay, selector, origin, config, &mut rng, scratch)
+            .report(overlay, scratch)
     })
-}
-
-/// The sequential, probed twin of [`run_seeded_push_pulls`]: bit-identical
-/// reports, with every run's event stream observed in run order.
-pub fn run_seeded_push_pulls_probed<P: Probe>(
-    overlay: &DenseOverlay,
-    selector: &DenseSelector,
-    config: &PullConfig,
-    runs: usize,
-    master_seed: u64,
-    probe: &mut P,
-) -> Vec<PushPullReport> {
-    let live = overlay.live_indices();
-    assert!(!live.is_empty(), "overlay has no live nodes");
-    let mut scratch = DensePullScratch::new();
-    (0..runs)
-        .map(|run| {
-            let mut rng = ChaCha8Rng::seed_from_u64(run_seed(master_seed, run as u64));
-            let origin = overlay.node_id(live[rng.gen_range(0..live.len())]);
-            disseminate_push_pull_dense_probed(
-                overlay,
-                selector,
-                origin,
-                config,
-                &mut rng,
-                &mut scratch,
-                probe,
-            )
-        })
-        .collect()
 }
 
 /// The shared thread fan-out of every seeded driver: splits `runs` into
@@ -380,19 +358,6 @@ where
             .flat_map(|w| w.join().expect("dissemination worker panicked"))
             .collect()
     })
-}
-
-/// Convenience wrapper around [`run_seeded_disseminations`]: runs and
-/// aggregates, using [`default_threads`] workers.
-pub fn run_parallel_experiment(
-    overlay: &DenseOverlay,
-    selector: &DenseSelector,
-    runs: usize,
-    master_seed: u64,
-) -> AggregateStats {
-    let reports =
-        run_seeded_disseminations(overlay, selector, runs, master_seed, default_threads());
-    AggregateStats::from_reports(selector.name(), selector.fanout(), &reports)
 }
 
 /// Convenience wrapper: runs `runs` disseminations from random origins and
@@ -562,17 +527,6 @@ mod tests {
         for report in &sequential {
             assert!(report.reached_after_pull >= report.push.reached);
         }
-    }
-
-    #[test]
-    fn parallel_experiment_aggregates_like_from_reports() {
-        let overlay = warmed_overlay(150, 12);
-        let dense = crate::overlay::DenseOverlay::from(&overlay);
-        let selector = DenseSelector::ringcast(2);
-        let stats = run_parallel_experiment(&dense, &selector, 10, 5);
-        let reports = run_seeded_disseminations(&dense, &selector, 10, 5, 1);
-        assert_eq!(stats, AggregateStats::from_reports("RingCast", 2, &reports));
-        assert_eq!(stats.complete_fraction, 1.0, "RingCast is complete");
     }
 
     #[test]

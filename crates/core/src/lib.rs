@@ -20,15 +20,15 @@
 //!   node first notified at hop `k`. Two implementations share the model:
 //!   the generic [`engine::disseminate`] over any [`overlay::Overlay`], and
 //!   the allocation-free [`engine::disseminate_dense`] over a CSR
-//!   [`overlay::DenseOverlay`] — bit-identical reports, orders of magnitude
-//!   apart in throughput.
+//!   [`overlay::DenseOverlay`], which returns `Copy` statistics and
+//!   materialises the bit-identical report on request
+//!   ([`engine::DenseRunStats::report`]) — orders of magnitude apart in
+//!   throughput.
 //! * [`metrics`] — per-dissemination accounting: hit/miss ratio,
 //!   completeness, per-hop progress, virgin vs. redundant messages, load
 //!   distribution.
 //! * [`experiment`] — repetition and aggregation helpers used by the
 //!   figure-reproduction harnesses.
-//! * [`pubsub`] — the topic-based publish/subscribe construction sketched
-//!   in the paper's conclusions.
 //! * [`pull`] — the pull-based anti-entropy extension the paper leaves as
 //!   future work: a push phase followed by periodic pull rounds, as the
 //!   id-keyed oracle [`pull::disseminate_push_pull`] and the
@@ -36,9 +36,10 @@
 //! * [`async_engine`] — the event-driven latency-model engines with
 //!   configurable forwarding delays, used to validate the Section 7.1
 //!   claim that the frozen-overlay simplification is harmless:
-//!   [`async_engine::disseminate_async`] (live membership gossip),
-//!   [`async_engine::disseminate_async_frozen`] (frozen oracle) and the
-//!   allocation-free [`async_engine::disseminate_async_dense`].
+//!   [`async_engine::disseminate_async`] (live membership gossip) and
+//!   [`async_engine::disseminate_async_frozen`] (frozen oracle) — one
+//!   id-keyed event loop over two link sources — and the allocation-free
+//!   [`async_engine::disseminate_async_dense`].
 //! * [`sched`] — the calendar/ladder event queue behind the async engines:
 //!   `O(1)` near-future bucket insertion, an exact `(time, seq)` pop-order
 //!   contract pinned against a retained-heap oracle, a heap-ordered
@@ -53,9 +54,10 @@
 //!
 //! Every dissemination mode thus ships as a matched pair — a readable
 //! id-keyed BTree engine that serves as the oracle, and a dense CSR
-//! engine over reusable scratch that produces bit-identical reports per
-//! seed (pinned by differential property tests) at a fraction of the
-//! cost:
+//! engine over reusable scratch that returns `Copy` statistics without
+//! touching the allocator and whose `report(..)` method materialises the
+//! oracle's report bit for bit per seed (pinned by differential property
+//! tests) at a fraction of the cost:
 //!
 //! | mode | BTree oracle | dense hot path |
 //! |---|---|---|
@@ -95,20 +97,18 @@ pub mod metrics;
 pub mod netmodel;
 pub mod overlay;
 pub mod protocols;
-pub mod pubsub;
 pub mod pull;
 pub mod sched;
 
 pub use async_engine::{
     disseminate_async, disseminate_async_dense, disseminate_async_dense_probed,
-    disseminate_async_frozen, disseminate_async_frozen_probed, disseminate_async_probed,
-    AsyncConfig, AsyncReport, DenseAsyncScratch,
+    disseminate_async_frozen, disseminate_async_frozen_probed, AsyncConfig, AsyncReport,
+    DenseAsyncScratch,
 };
 pub use engine::{disseminate, disseminate_dense, disseminate_dense_probed, DenseScratch};
 pub use experiment::{
-    run_parallel_experiment, run_seed, run_seeded_async, run_seeded_async_probed,
-    run_seeded_disseminations, run_seeded_disseminations_probed, run_seeded_push_pulls,
-    run_seeded_push_pulls_probed, stream_seed,
+    run_seed, run_seeded_async, run_seeded_async_probed, run_seeded_disseminations,
+    run_seeded_disseminations_probed, run_seeded_push_pulls, stream_seed,
 };
 pub use metrics::DisseminationReport;
 pub use netmodel::{DelayModel, LossModel, NetModel, PartitionEvent};

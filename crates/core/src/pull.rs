@@ -21,9 +21,10 @@
 //!   CSR [`DenseOverlay`] and a reusable [`DensePullScratch`]: the push
 //!   phase runs on [`crate::engine::disseminate_dense`], the holder set is
 //!   a bitset seeded straight from the push scratch, and each pull round
-//!   polls over borrowed index slices. Bit-identical [`PushPullReport`]s to
-//!   the oracle for the same overlay, selector, origin and seed, pinned by
-//!   differential property tests.
+//!   polls over borrowed index slices. It returns `Copy`
+//!   [`DensePullRunStats`], whose [`DensePullRunStats::report`] is a
+//!   [`PushPullReport`] bit-identical to the oracle's for the same overlay,
+//!   selector, origin and seed, pinned by differential property tests.
 //!
 //! # Adversarial network models
 //!
@@ -50,10 +51,7 @@ use hybridcast_graph::cast::{idx, to_u32};
 use hybridcast_graph::NodeId;
 use hybridcast_obs::{NullProbe, Probe, TraceEvent};
 
-use crate::engine::{
-    disseminate_dense_stats_probed, disseminate_probed, materialize_dense_report, DenseRunStats,
-    DenseScratch,
-};
+use crate::engine::{disseminate_dense_probed, disseminate_probed, DenseRunStats, DenseScratch};
 use crate::metrics::DisseminationReport;
 use crate::netmodel::NetModel;
 use crate::overlay::{DenseBits, DenseOverlay, Overlay, NO_NODE};
@@ -316,9 +314,8 @@ pub fn disseminate_push_pull_probed<P: Probe>(
 /// Holds the push engine's [`DenseScratch`] plus the pull phase's own
 /// state: a holder bitset, a poll-candidate buffer and the list of nodes
 /// that obtained the message in the current round. A warm scratch makes the
-/// whole push + pull run allocation-free except for the final id-keyed
-/// report conversion. Create one per worker thread and pass it to every
-/// run.
+/// whole push + pull run allocation-free. Create one per worker thread and
+/// pass it to every run.
 #[derive(Debug, Clone, Default)]
 pub struct DensePullScratch {
     push: DenseScratch,
@@ -345,11 +342,14 @@ impl DensePullScratch {
     }
 }
 
-/// Scalar accounting of one dense push + pull run, returned by
-/// [`disseminate_push_pull_dense_stats`] without touching the allocator.
+/// Scalar accounting of one dense push + pull run: everything
+/// [`disseminate_push_pull_dense`] returns is `Copy`, so the run never
+/// touches the allocator.
 ///
-/// The per-round series stays behind in the scratch (see
-/// [`DensePullScratch::per_round_new`]); everything here is `Copy`.
+/// The per-round series and the holder bitset stay behind in the
+/// [`DensePullScratch`] (see [`DensePullScratch::per_round_new`]);
+/// [`DensePullRunStats::report`] reads them back into the id-keyed
+/// [`PushPullReport`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DensePullRunStats {
     /// Scalar accounting of the push phase.
@@ -368,6 +368,34 @@ pub struct DensePullRunStats {
     pub polls_blocked: usize,
 }
 
+impl DensePullRunStats {
+    /// Materialises the id-keyed [`PushPullReport`], equal field for field
+    /// to what [`disseminate_push_pull`] returns for the same overlay,
+    /// selector, origin, configuration and seed. `overlay` and `scratch`
+    /// must be the ones the run was given, and the scratch must not have
+    /// served another run since. This is the only part of a dense run that
+    /// allocates, and it is O(population).
+    pub fn report(&self, overlay: &DenseOverlay, scratch: &DensePullScratch) -> PushPullReport {
+        // Dense indices ascend by id, so the unreached list is ordered
+        // exactly like the generic engine's.
+        let unreached_after_pull: Vec<NodeId> = (0..to_u32(overlay.len()))
+            .filter(|&i| overlay.is_live_idx(i) && !scratch.holders.get(i))
+            .map(|i| overlay.node_id(i))
+            .collect();
+        PushPullReport {
+            push: self.push.report(overlay, &scratch.push),
+            pull_rounds: self.pull_rounds,
+            pull_requests: self.pull_requests,
+            pull_transfers: self.pull_transfers,
+            per_round_new: scratch.per_round_new.clone(),
+            reached_after_pull: self.reached_after_pull,
+            unreached_after_pull,
+            polls_lost: self.polls_lost,
+            polls_blocked: self.polls_blocked,
+        }
+    }
+}
+
 /// Runs a push dissemination followed by pull-based anti-entropy rounds
 /// over a [`DenseOverlay`]: the allocation-free rewrite of
 /// [`disseminate_push_pull`].
@@ -376,8 +404,12 @@ pub struct DensePullRunStats {
 /// to the generic engine's — the push phase delegates to
 /// [`crate::engine::disseminate_dense`] and each pull round shuffles the
 /// same filtered candidate pools — so for the same overlay (converted),
-/// selector, origin, configuration and seed the returned [`PushPullReport`]
-/// is equal field for field.
+/// selector, origin, configuration and seed [`DensePullRunStats::report`]
+/// is equal to the generic [`PushPullReport`] field for field.
+///
+/// Over a warm [`DensePullScratch`] the call performs **zero heap
+/// allocations** — the invariant `tests/zero_alloc.rs` pins with a counting
+/// allocator.
 ///
 /// # Panics
 ///
@@ -407,7 +439,7 @@ pub struct DensePullRunStats {
 /// let fast = disseminate_push_pull_dense(&dense, &selector, ids[0], &config, &mut rng, &mut scratch);
 /// let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(9);
 /// let slow = disseminate_push_pull(&sparse, &selector, ids[0], &config, &mut rng);
-/// assert_eq!(fast, slow);
+/// assert_eq!(fast.report(&dense, &scratch), slow);
 /// ```
 pub fn disseminate_push_pull_dense(
     overlay: &DenseOverlay,
@@ -416,7 +448,7 @@ pub fn disseminate_push_pull_dense(
     config: &PullConfig,
     rng: &mut dyn RngCore,
     scratch: &mut DensePullScratch,
-) -> PushPullReport {
+) -> DensePullRunStats {
     disseminate_push_pull_dense_probed(
         overlay,
         selector,
@@ -431,7 +463,9 @@ pub fn disseminate_push_pull_dense(
 /// [`disseminate_push_pull_dense`] with a [`Probe`] attached.
 ///
 /// Emits exactly the event stream [`disseminate_push_pull_probed`] emits
-/// for the same overlay, selector, origin, configuration and seed.
+/// for the same overlay, selector, origin, configuration and seed. With an
+/// allocation-free sink the warm-run zero-allocation contract holds
+/// unchanged.
 ///
 /// # Panics
 ///
@@ -444,82 +478,9 @@ pub fn disseminate_push_pull_dense_probed<P: Probe>(
     rng: &mut dyn RngCore,
     scratch: &mut DensePullScratch,
     probe: &mut P,
-) -> PushPullReport {
-    let stats = disseminate_push_pull_dense_stats_probed(
-        overlay, selector, origin, config, rng, scratch, probe,
-    );
-
-    // Convert back to the id-keyed report; dense indices ascend by id, so
-    // the unreached list is ordered exactly like the generic engine's.
-    let push = materialize_dense_report(overlay, origin, stats.push, &scratch.push);
-    let unreached_after_pull: Vec<NodeId> = (0..to_u32(overlay.len()))
-        .filter(|&i| overlay.is_live_idx(i) && !scratch.holders.get(i))
-        .map(|i| overlay.node_id(i))
-        .collect();
-
-    PushPullReport {
-        push,
-        pull_rounds: stats.pull_rounds,
-        pull_requests: stats.pull_requests,
-        pull_transfers: stats.pull_transfers,
-        per_round_new: scratch.per_round_new.clone(),
-        reached_after_pull: stats.reached_after_pull,
-        unreached_after_pull,
-        polls_lost: stats.polls_lost,
-        polls_blocked: stats.polls_blocked,
-    }
-}
-
-/// The allocation-free core of [`disseminate_push_pull_dense`]: runs the
-/// complete push + pull process and returns only scalar accounting.
-///
-/// Over a warm [`DensePullScratch`] the call performs **zero heap
-/// allocations** — the invariant `tests/zero_alloc.rs` pins with a counting
-/// allocator. The RNG draw sequence is identical to
-/// [`disseminate_push_pull_dense`]'s; the per-round series and the holder
-/// bitset remain readable from the scratch afterwards.
-///
-/// # Panics
-///
-/// Panics if `origin` is not live or the pull configuration is invalid.
-pub fn disseminate_push_pull_dense_stats(
-    overlay: &DenseOverlay,
-    selector: &DenseSelector,
-    origin: NodeId,
-    config: &PullConfig,
-    rng: &mut dyn RngCore,
-    scratch: &mut DensePullScratch,
-) -> DensePullRunStats {
-    disseminate_push_pull_dense_stats_probed(
-        overlay,
-        selector,
-        origin,
-        config,
-        rng,
-        scratch,
-        &mut NullProbe,
-    )
-}
-
-/// [`disseminate_push_pull_dense_stats`] with a [`Probe`] attached: the
-/// allocation-free hot loop. With an allocation-free sink the warm-run
-/// zero-allocation contract holds unchanged.
-///
-/// # Panics
-///
-/// Panics if `origin` is not live or the pull configuration is invalid.
-pub fn disseminate_push_pull_dense_stats_probed<P: Probe>(
-    overlay: &DenseOverlay,
-    selector: &DenseSelector,
-    origin: NodeId,
-    config: &PullConfig,
-    rng: &mut dyn RngCore,
-    scratch: &mut DensePullScratch,
-    probe: &mut P,
 ) -> DensePullRunStats {
     config.validate().expect("invalid pull configuration");
-    let push =
-        disseminate_dense_stats_probed(overlay, selector, origin, rng, &mut scratch.push, probe);
+    let push = disseminate_dense_probed(overlay, selector, origin, rng, &mut scratch.push, probe);
 
     let len = overlay.len();
     let DensePullScratch {
@@ -840,7 +801,8 @@ mod tests {
                 &config,
                 &mut rng,
                 &mut scratch,
-            );
+            )
+            .report(&dense, &scratch);
             assert_eq!(slow, fast, "{} diverged at seed {seed}", selector.name());
         }
     }
@@ -867,7 +829,8 @@ mod tests {
         let slow = disseminate_push_pull(&overlay, &selector, origin, &config, &mut rng);
         let mut rng = ChaCha8Rng::seed_from_u64(14);
         let fast =
-            disseminate_push_pull_dense(&dense, &selector, origin, &config, &mut rng, &mut scratch);
+            disseminate_push_pull_dense(&dense, &selector, origin, &config, &mut rng, &mut scratch)
+                .report(&dense, &scratch);
         assert_eq!(slow, fast);
         assert!(fast.push.messages_to_dead > 0, "stale links hit dead nodes");
     }
@@ -891,7 +854,8 @@ mod tests {
             &config,
             &mut ChaCha8Rng::seed_from_u64(16),
             &mut scratch,
-        );
+        )
+        .report(&big_dense, &scratch);
         // A smaller overlay afterwards: buffers shrink correctly.
         let small = warmed_overlay(60, 17);
         let small_dense = crate::overlay::DenseOverlay::from(&small);
@@ -903,7 +867,8 @@ mod tests {
             &config,
             &mut ChaCha8Rng::seed_from_u64(18),
             &mut scratch,
-        );
+        )
+        .report(&small_dense, &scratch);
         assert_eq!(report.push.population, 60);
         // And the big overlay again, identical to the first run.
         let again = disseminate_push_pull_dense(
@@ -913,7 +878,8 @@ mod tests {
             &config,
             &mut ChaCha8Rng::seed_from_u64(16),
             &mut scratch,
-        );
+        )
+        .report(&big_dense, &scratch);
         assert_eq!(first, again);
     }
 
@@ -991,7 +957,8 @@ mod tests {
             &lossy,
             &mut ChaCha8Rng::seed_from_u64(20),
             &mut scratch,
-        );
+        )
+        .report(&dense, &scratch);
         assert_eq!(degraded, fast);
     }
 

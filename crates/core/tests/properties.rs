@@ -338,7 +338,8 @@ proptest! {
             origin,
             &mut ChaCha8Rng::seed_from_u64(rng_seed),
             &mut scratch,
-        );
+        )
+        .report(&dense, &scratch);
         prop_assert_eq!(&slow, &fast, "{} diverged", generic.name());
         prop_assert_eq!(
             fast.per_hop_messages.iter().sum::<usize>(),
@@ -417,7 +418,8 @@ proptest! {
             &config,
             &mut ChaCha8Rng::seed_from_u64(rng_seed),
             &mut scratch,
-        );
+        )
+        .report(&dense, &config, &scratch);
         prop_assert_eq!(&slow, &fast, "{} diverged", generic.name());
         // The async per-hop message series accounts for every message sent.
         prop_assert_eq!(
@@ -469,7 +471,8 @@ proptest! {
                 &config,
                 &mut ChaCha8Rng::seed_from_u64(rng_seed),
                 &mut scratch,
-            );
+            )
+            .report(&dense, &config, &scratch);
             prop_assert_eq!(&slow, &fast, "{} diverged after churn", selector.name());
             prop_assert_eq!(
                 fast.per_hop_messages.iter().sum::<usize>(),
@@ -544,7 +547,8 @@ proptest! {
             &config,
             &mut ChaCha8Rng::seed_from_u64(rng_seed),
             &mut scratch,
-        );
+        )
+        .report(&dense, &scratch);
         prop_assert_eq!(&slow, &fast, "{} diverged", generic.name());
         prop_assert_eq!(
             fast.reached_after_pull + fast.unreached_after_pull.len(),
@@ -589,7 +593,8 @@ proptest! {
             &config,
             &mut ChaCha8Rng::seed_from_u64(rng_seed),
             &mut scratch,
-        );
+        )
+        .report(&dense, &scratch);
         prop_assert_eq!(&slow, &fast, "push-pull diverged after churn");
         prop_assert!(fast.hit_ratio() >= fast.push.hit_ratio());
     }
@@ -652,7 +657,8 @@ proptest! {
             &config,
             &mut ChaCha8Rng::seed_from_u64(rng_seed),
             &mut scratch,
-        );
+        )
+        .report(&dense, &config, &scratch);
         prop_assert_eq!(&slow, &fast, "{} diverged under {:?}", generic.name(), config.net);
 
         // Model-extended accounting: dropped messages still count as sent,
@@ -759,7 +765,8 @@ proptest! {
             &config,
             &mut ChaCha8Rng::seed_from_u64(rng_seed),
             &mut scratch,
-        );
+        )
+        .report(&dense, &scratch);
         prop_assert_eq!(&slow, &fast, "pull engines diverged under {:?}", config.net);
         prop_assert!(fast.polls_lost + fast.polls_blocked <= fast.pull_requests);
         if config.net.loss.is_none() {

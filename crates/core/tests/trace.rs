@@ -211,7 +211,8 @@ proptest! {
             &mut ChaCha8Rng::seed_from_u64(run_seed),
             &mut scratch,
             &mut dense_probe,
-        );
+        )
+        .report(&dense, &scratch);
 
         prop_assert_eq!(sparse_report, dense_report);
         prop_assert_eq!(sparse_probe.events, dense_probe.events);
@@ -259,7 +260,8 @@ proptest! {
             &mut ChaCha8Rng::seed_from_u64(run_seed),
             &mut scratch,
             &mut dense_probe,
-        );
+        )
+        .report(&dense, &config, &scratch);
 
         prop_assert_eq!(frozen_report, dense_report);
         prop_assert_eq!(frozen_probe.events, dense_probe.events);
@@ -299,7 +301,8 @@ proptest! {
             &mut ChaCha8Rng::seed_from_u64(run_seed),
             &mut scratch,
             &mut dense_probe,
-        );
+        )
+        .report(&dense, &scratch);
 
         prop_assert_eq!(sparse_report, dense_report);
         prop_assert_eq!(sparse_probe.events, dense_probe.events);

@@ -25,7 +25,6 @@ use serde::{Deserialize, Serialize};
 use hybridcast_graph::NodeId;
 
 use crate::descriptor::Descriptor;
-use crate::sampling::PeerSampling;
 use crate::view::View;
 
 /// Default Cyclon view length used throughout the paper's evaluation.
@@ -216,25 +215,6 @@ impl<P: Clone> CyclonNode<P> {
     }
 }
 
-impl<P: Clone> PeerSampling for CyclonNode<P> {
-    fn local_id(&self) -> NodeId {
-        self.id
-    }
-
-    fn known_peers(&self) -> Vec<NodeId> {
-        self.view.node_ids()
-    }
-
-    fn sample_peers<R: Rng + ?Sized>(
-        &self,
-        count: usize,
-        exclude: &[NodeId],
-        rng: &mut R,
-    ) -> Vec<NodeId> {
-        self.view.random_ids(count, exclude, rng)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -375,17 +355,6 @@ mod tests {
         let pending = CyclonNode::pending(target, sent);
         node.shuffle_failed(&pending);
         assert!(!node.view().contains(target));
-    }
-
-    #[test]
-    fn peer_sampling_interface() {
-        let node = node_with_view(0, &[1, 2, 3, 4, 5]);
-        let mut rng = ChaCha8Rng::seed_from_u64(4);
-        assert_eq!(node.local_id(), n(0));
-        assert_eq!(node.known_peers().len(), 5);
-        let sample = node.sample_peers(3, &[n(1)], &mut rng);
-        assert_eq!(sample.len(), 3);
-        assert!(!sample.contains(&n(1)));
     }
 
     #[test]

@@ -45,14 +45,11 @@
 
 pub mod cyclon;
 pub mod descriptor;
-pub mod framework;
 pub mod proximity;
-pub mod sampling;
 pub mod vicinity;
 pub mod view;
 
 pub use cyclon::CyclonNode;
 pub use descriptor::Descriptor;
-pub use sampling::PeerSampling;
 pub use vicinity::VicinityNode;
 pub use view::{oldest_descriptor_index, View};

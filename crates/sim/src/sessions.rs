@@ -357,8 +357,6 @@ mod tests {
 
     #[test]
     fn dissemination_still_works_under_session_churn() {
-        use hybridcast_membership::sampling::PeerSampling;
-
         let mut net = network(150, 8);
         let config = SessionChurnConfig {
             arrivals_per_cycle: 1.0,
@@ -372,7 +370,7 @@ mod tests {
         let mut live_links = 0usize;
         let mut total_links = 0usize;
         for node in net.nodes() {
-            for peer in node.cyclon().known_peers() {
+            for peer in node.cyclon().view().node_ids() {
                 total_links += 1;
                 if net.is_live(peer) {
                     live_links += 1;

@@ -247,7 +247,8 @@ fn legacy_frozen_async_baseline_is_bit_stable_under_the_default_model() {
         &config,
         &mut rng(4242),
         &mut scratch,
-    );
+    )
+    .report(&dense, &config, &scratch);
     assert_eq!(frozen, fast, "oracle and dense engine must stay identical");
 
     // Captured from the pre-NetModel engines: same draws, same report.
@@ -320,7 +321,8 @@ fn legacy_push_pull_baseline_is_bit_stable_under_the_default_model() {
         &config,
         &mut rng(777),
         &mut scratch,
-    );
+    )
+    .report(&dense, &scratch);
     assert_eq!(
         slow, fast,
         "oracle and dense pull engine must stay identical"
@@ -360,7 +362,8 @@ fn run_adversarial(net: NetModel) -> hybridcast::core::AsyncReport {
         &config,
         &mut rng(4242),
         &mut scratch,
-    );
+    )
+    .report(&dense, &config, &scratch);
     assert_eq!(slow, fast, "oracle and dense engine diverge");
     slow
 }
@@ -481,7 +484,8 @@ fn golden_fixture_max_time_truncation_on_the_default_model() {
         &config,
         &mut rng(4242),
         &mut scratch,
-    );
+    )
+    .report(&dense, &config, &scratch);
     assert_eq!(slow, fast, "truncated reports must stay bit-identical");
     assert_eq!(slow.reached, 244);
     assert_eq!(slow.messages_sent, 732);

@@ -17,16 +17,14 @@
 //! unprobed engines, and recording into a warmed bounded `RingSink` must
 //! stay allocation-free too.
 
-use hybridcast::core::async_engine::disseminate_async_dense_stats_probed;
 use hybridcast::core::async_engine::{
-    disseminate_async_dense_stats, AsyncConfig, DenseAsyncScratch,
+    disseminate_async_dense, disseminate_async_dense_probed, AsyncConfig, DenseAsyncScratch,
 };
-use hybridcast::core::engine::disseminate_dense_stats_probed;
-use hybridcast::core::engine::{disseminate_dense_stats, DenseScratch};
+use hybridcast::core::engine::{disseminate_dense, disseminate_dense_probed, DenseScratch};
 use hybridcast::core::netmodel::{DelayModel, LossModel, NetModel};
 use hybridcast::core::overlay::DenseOverlay;
 use hybridcast::core::protocols::DenseSelector;
-use hybridcast::core::pull::{disseminate_push_pull_dense_stats, DensePullScratch, PullConfig};
+use hybridcast::core::pull::{disseminate_push_pull_dense, DensePullScratch, PullConfig};
 use hybridcast::core::sched::SchedConfig;
 use hybridcast::graph::NodeId;
 use hybridcast::obs::{NullProbe, RingSink};
@@ -68,13 +66,13 @@ fn warm_sync_dissemination_is_allocation_free() {
     // allocator: it must observe the scratch buffers growing. A counter
     // that sees nothing here would make every zero assertion vacuous.
     let (cold, cold_stats) =
-        measure(|| disseminate_dense_stats(&overlay, &selector, origin, &mut rng(7), &mut scratch));
+        measure(|| disseminate_dense(&overlay, &selector, origin, &mut rng(7), &mut scratch));
     assert!(
         cold_stats.allocations > 0,
         "the counting allocator must observe the cold run's scratch growth"
     );
     let (warm, stats) =
-        measure(|| disseminate_dense_stats(&overlay, &selector, origin, &mut rng(7), &mut scratch));
+        measure(|| disseminate_dense(&overlay, &selector, origin, &mut rng(7), &mut scratch));
 
     assert_eq!(cold, warm, "same seed must reproduce the same run");
     assert_eq!(warm.reached, warm.population, "RingCast completes");
@@ -94,10 +92,10 @@ fn warm_probed_sync_dissemination_is_allocation_free() {
     let selector = DenseSelector::ringcast(3);
     let mut scratch = DenseScratch::new();
 
-    let baseline = disseminate_dense_stats(&overlay, &selector, origin, &mut rng(7), &mut scratch);
+    let baseline = disseminate_dense(&overlay, &selector, origin, &mut rng(7), &mut scratch);
 
     let (null_run, null_stats) = measure(|| {
-        disseminate_dense_stats_probed(
+        disseminate_dense_probed(
             &overlay,
             &selector,
             origin,
@@ -115,7 +113,7 @@ fn warm_probed_sync_dissemination_is_allocation_free() {
     // Pre-sized above any single run's event count; record() overwrites in
     // place, so the warm recording loop never grows it.
     let mut sink = RingSink::with_capacity(64 * 1024);
-    let cold = disseminate_dense_stats_probed(
+    let cold = disseminate_dense_probed(
         &overlay,
         &selector,
         origin,
@@ -130,7 +128,7 @@ fn warm_probed_sync_dissemination_is_allocation_free() {
     let events_per_run = sink.total_recorded();
     assert!(events_per_run > 0, "the ring sink must observe events");
     let (ring_run, ring_stats) = measure(|| {
-        disseminate_dense_stats_probed(
+        disseminate_dense_probed(
             &overlay,
             &selector,
             origin,
@@ -164,7 +162,7 @@ fn warm_probed_async_dissemination_is_allocation_free() {
     };
     let mut scratch = DenseAsyncScratch::new();
 
-    let baseline = disseminate_async_dense_stats(
+    let baseline = disseminate_async_dense(
         &overlay,
         &selector,
         origin,
@@ -174,7 +172,7 @@ fn warm_probed_async_dissemination_is_allocation_free() {
     );
 
     let (null_run, null_stats) = measure(|| {
-        disseminate_async_dense_stats_probed(
+        disseminate_async_dense_probed(
             &overlay,
             &selector,
             origin,
@@ -191,7 +189,7 @@ fn warm_probed_async_dissemination_is_allocation_free() {
     );
 
     let mut sink = RingSink::with_capacity(64 * 1024);
-    let cold = disseminate_async_dense_stats_probed(
+    let cold = disseminate_async_dense_probed(
         &overlay,
         &selector,
         origin,
@@ -209,7 +207,7 @@ fn warm_probed_async_dissemination_is_allocation_free() {
         "the ring sink must observe events"
     );
     let (ring_run, ring_stats) = measure(|| {
-        disseminate_async_dense_stats_probed(
+        disseminate_async_dense_probed(
             &overlay,
             &selector,
             origin,
@@ -251,7 +249,7 @@ fn warm_async_dissemination_is_allocation_free() {
     };
     let mut scratch = DenseAsyncScratch::new();
 
-    let cold = disseminate_async_dense_stats(
+    let cold = disseminate_async_dense(
         &overlay,
         &selector,
         origin,
@@ -260,7 +258,7 @@ fn warm_async_dissemination_is_allocation_free() {
         &mut scratch,
     );
     let (warm, stats) = measure(|| {
-        disseminate_async_dense_stats(
+        disseminate_async_dense(
             &overlay,
             &selector,
             origin,
@@ -303,7 +301,7 @@ fn warm_budget_capped_async_dissemination_is_allocation_free() {
     };
     let mut scratch = DenseAsyncScratch::new();
 
-    let cold = disseminate_async_dense_stats(
+    let cold = disseminate_async_dense(
         &overlay,
         &selector,
         origin,
@@ -316,7 +314,7 @@ fn warm_budget_capped_async_dissemination_is_allocation_free() {
         "the budget must actually refuse sends for this test to mean anything"
     );
     let (warm, stats) = measure(|| {
-        disseminate_async_dense_stats(
+        disseminate_async_dense(
             &overlay,
             &selector,
             origin,
@@ -350,7 +348,7 @@ fn warm_push_pull_dissemination_is_allocation_free() {
     };
     let mut scratch = DensePullScratch::new();
 
-    let cold = disseminate_push_pull_dense_stats(
+    let cold = disseminate_push_pull_dense(
         &overlay,
         &selector,
         origin,
@@ -360,7 +358,7 @@ fn warm_push_pull_dissemination_is_allocation_free() {
     );
     assert!(cold.pull_rounds > 0, "the pull phase must actually run");
     let (warm, stats) = measure(|| {
-        disseminate_push_pull_dense_stats(
+        disseminate_push_pull_dense(
             &overlay,
             &selector,
             origin,
