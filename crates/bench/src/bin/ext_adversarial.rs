@@ -47,9 +47,24 @@ fn run() -> Result<(), String> {
     if args.value("fanouts").is_none() {
         params.fanouts = vec![3];
     }
-    let loss_rates = args.get_list_or("loss-rates", vec![0.0f64, 0.05, 0.1, 0.2, 0.4])?;
-    let durations = args.get_list_or("durations", vec![0.0f64, 2.0, 4.0, 8.0])?;
-    let start = args.get_or("partition-start", 2.0f64)?;
+    let loss_rates = args.get_list_in(
+        "loss-rates",
+        vec![0.0, 0.05, 0.1, 0.2, 0.4],
+        0.0..=1.0,
+        "in [0, 1]",
+    )?;
+    let durations = args.get_list_in(
+        "durations",
+        vec![0.0, 2.0, 4.0, 8.0],
+        0.0..f64::INFINITY,
+        "finite and >= 0",
+    )?;
+    let start = args.get_in(
+        "partition-start",
+        2.0,
+        0.0..f64::INFINITY,
+        "finite and >= 0",
+    )?;
 
     let probing = ProbeOptions::from_args(&args);
     let json = args.value("json");

@@ -29,7 +29,7 @@ fn run() -> Result<(), String> {
     if args.value("fanouts").is_none() {
         params.fanouts = vec![1, 2, 3, 4];
     }
-    let fraction: f64 = args.get_or("fraction", 0.0)?;
+    let fraction = args.get_in("fraction", 0.0, 0.0..1.0, "in [0, 1)")?;
     let json = args.value("json");
     args.finish()?;
     eprintln!(

@@ -19,7 +19,13 @@ fn main() -> ExitCode {
 fn run() -> Result<(), String> {
     let args = Args::from_env()?;
     let params = ExperimentParams::from_args(&args)?;
-    let fractions = args.get_list_or("fractions", vec![0.01f64, 0.02, 0.05, 0.10])?;
+    // Killing every node (1.0) leaves no origin to disseminate from.
+    let fractions = args.get_list_in(
+        "fractions",
+        vec![0.01, 0.02, 0.05, 0.10],
+        0.0..1.0,
+        "in [0, 1)",
+    )?;
     let json = args.value("json");
     args.finish()?;
     eprintln!(

@@ -19,7 +19,7 @@ fn main() -> ExitCode {
 fn run() -> Result<(), String> {
     let args = Args::from_env()?;
     let params = ExperimentParams::from_args(&args)?;
-    let fraction: f64 = args.get_or("fraction", 0.05)?;
+    let fraction = args.get_in("fraction", 0.05, 0.0..1.0, "in [0, 1)")?;
     let fanouts = args.get_list_or("fanouts", vec![2usize, 3, 5, 10])?;
     let json = args.value("json");
     args.finish()?;

@@ -11,6 +11,7 @@
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::RangeBounds;
 
 /// Parsed command-line arguments: a map of `--key value` pairs plus a set of
 /// boolean flags (keys given without a value).
@@ -142,6 +143,60 @@ impl Args {
                 .collect(),
         }
     }
+
+    /// Parses `--name` as a number that `range` must contain, falling back
+    /// to `default` when absent. `expected` names the range in the error
+    /// (`"in [0, 1)"`); `NaN` is in no range.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the value does not parse or lies outside `range`.
+    pub fn get_in(
+        &self,
+        name: &str,
+        default: f64,
+        range: impl RangeBounds<f64>,
+        expected: &str,
+    ) -> Result<f64, String> {
+        let value = self.get_or(name, default)?;
+        check_in(name, value, &range, expected)?;
+        Ok(value)
+    }
+
+    /// Parses `--name` as a comma-separated list of numbers, each of which
+    /// `range` must contain (see [`Args::get_in`]), falling back to
+    /// `default` when absent.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if an element does not parse or lies outside
+    /// `range`.
+    pub fn get_list_in(
+        &self,
+        name: &str,
+        default: Vec<f64>,
+        range: impl RangeBounds<f64>,
+        expected: &str,
+    ) -> Result<Vec<f64>, String> {
+        let values = self.get_list_or(name, default)?;
+        for &value in &values {
+            check_in(name, value, &range, expected)?;
+        }
+        Ok(values)
+    }
+}
+
+fn check_in(
+    name: &str,
+    value: f64,
+    range: &impl RangeBounds<f64>,
+    expected: &str,
+) -> Result<(), String> {
+    if range.contains(&value) {
+        Ok(())
+    } else {
+        Err(format!("--{name} must be {expected}, got {value}"))
+    }
 }
 
 #[cfg(test)]
@@ -170,6 +225,70 @@ mod tests {
         assert!(args.get_or("nodes", 1usize).is_err());
         let args = Args::parse(["--fanouts", "1,x"]).unwrap();
         assert!(args.get_list_or("fanouts", Vec::<usize>::new()).is_err());
+    }
+
+    #[test]
+    fn ranged_numbers_are_checked_where_they_are_parsed() {
+        // A failure fraction: [0, 1) — killing everyone leaves no origin.
+        let fractions = |raw: &str| {
+            Args::parse(["--fractions", raw]).unwrap().get_list_in(
+                "fractions",
+                vec![0.05],
+                0.0..1.0,
+                "in [0, 1)",
+            )
+        };
+        assert_eq!(fractions("0,0.5,0.99").unwrap(), vec![0.0, 0.5, 0.99]);
+        assert_eq!(
+            fractions("0.1,1.5").unwrap_err(),
+            "--fractions must be in [0, 1), got 1.5"
+        );
+        for bad in ["1.0", "1", "-0.1", "nan", "inf"] {
+            let err = fractions(bad).unwrap_err();
+            assert!(err.starts_with("--fractions must be in [0, 1)"), "{err}");
+        }
+        assert!(fractions("0.1,x").unwrap_err().contains("invalid element"));
+
+        // A loss rate: [0, 1], both ends allowed.
+        let loss = |raw: &str| {
+            Args::parse(["--loss-rates", raw]).unwrap().get_list_in(
+                "loss-rates",
+                vec![],
+                0.0..=1.0,
+                "in [0, 1]",
+            )
+        };
+        assert_eq!(loss("0,1").unwrap(), vec![0.0, 1.0]);
+        assert!(loss("1.5").is_err());
+        assert!(loss("-0.01").is_err());
+
+        // A duration: finite and non-negative.
+        let duration = |raw: &str| {
+            Args::parse(["--durations", raw]).unwrap().get_list_in(
+                "durations",
+                vec![],
+                0.0..f64::INFINITY,
+                "finite and >= 0",
+            )
+        };
+        assert_eq!(duration("0,2.5").unwrap(), vec![0.0, 2.5]);
+        for bad in ["-3", "inf", "nan"] {
+            let err = duration(bad).unwrap_err();
+            assert!(err.contains("finite and >= 0"), "{err}");
+        }
+
+        // The scalar form, and the default when the option is absent.
+        let none = Args::parse(Vec::<String>::new()).unwrap();
+        assert_eq!(
+            none.get_in("fraction", 0.05, 0.0..1.0, "in [0, 1)"),
+            Ok(0.05)
+        );
+        let one = Args::parse(["--fraction", "1.0"]).unwrap();
+        assert_eq!(
+            one.get_in("fraction", 0.05, 0.0..1.0, "in [0, 1)")
+                .unwrap_err(),
+            "--fraction must be in [0, 1), got 1"
+        );
     }
 
     #[test]

@@ -165,68 +165,6 @@ where
     ranked
 }
 
-/// Scratch-reusing variant of [`rank_by_ring_distance`] for candidate pools
-/// with **unique node ids** (which is what every view and merge pool in this
-/// workspace guarantees): ranks `entries` into `ranked`, closest first,
-/// alternating successor/predecessor sides exactly like the generic
-/// function, but without allocating — `entries`, `taken` and `ranked` are
-/// caller-owned buffers that get cleared/overwritten and can be reused
-/// across calls.
-///
-/// The third tuple element is the descriptor age (carried through
-/// untouched), which is what the arena-based simulation runtime needs; for
-/// id-unique pools the output order is identical to
-/// `rank_by_ring_distance(own_key, entries)`.
-pub fn rank_by_ring_distance_into<K: Ord + Copy>(
-    own_key: &K,
-    entries: &mut [(K, NodeId, u32)],
-    taken: &mut Vec<bool>,
-    ranked: &mut Vec<(K, NodeId, u32)>,
-) {
-    ranked.clear();
-    let n = entries.len();
-    if n == 0 {
-        return;
-    }
-    // Unique ids make (key, id) a total order, so an unstable sort is
-    // equivalent to the generic function's stable one.
-    entries.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
-    let split = entries.partition_point(|entry| entry.0 <= *own_key);
-
-    taken.clear();
-    taken.resize(n, false);
-    // Clockwise walk: sorted indices split, split+1, ..., wrapping to 0.
-    // Counter-clockwise walk: split-1, split-2, ..., wrapping to n-1.
-    let mut cw = 0usize;
-    let mut ccw = 0usize;
-    loop {
-        let mut progressed = false;
-        while cw < n {
-            let i = (split + cw) % n;
-            cw += 1;
-            if !taken[i] {
-                taken[i] = true;
-                ranked.push(entries[i]);
-                progressed = true;
-                break;
-            }
-        }
-        while ccw < n {
-            let i = (split + n - 1 - ccw) % n;
-            ccw += 1;
-            if !taken[i] {
-                taken[i] = true;
-                ranked.push(entries[i]);
-                progressed = true;
-                break;
-            }
-        }
-        if !progressed {
-            break;
-        }
-    }
-}
-
 /// The direct ring neighbours of a node among `candidates`: `(predecessor,
 /// successor)` in the circular order of keys.
 ///
@@ -356,38 +294,6 @@ mod tests {
         let ids: Vec<NodeId> = ranked.iter().map(|e| e.1).collect();
         // successor first (60), then predecessor (40), then 80, 20, 90, 10.
         assert_eq!(ids, vec![n(6), n(4), n(8), n(2), n(9), n(1)]);
-    }
-
-    #[test]
-    fn rank_into_matches_generic_rank_on_id_unique_pools() {
-        // Exhaustive-ish sweep: every split position, duplicated keys, own
-        // key present in the pool, both tiny and larger pools.
-        let pools: Vec<Vec<(u64, NodeId, u32)>> = vec![
-            vec![],
-            vec![(10, n(1), 3)],
-            vec![(10, n(1), 0), (10, n(2), 1), (30, n(3), 2)],
-            vec![
-                (10, n(1), 0),
-                (20, n(2), 9),
-                (40, n(4), 1),
-                (60, n(6), 7),
-                (80, n(8), 2),
-                (90, n(9), 5),
-            ],
-            (0..17u64).map(|i| (i * 13 % 7, n(i), i as u32)).collect(),
-        ];
-        let mut entries = Vec::new();
-        let mut taken = Vec::new();
-        let mut ranked = Vec::new();
-        for pool in &pools {
-            for own in [0u64, 5, 10, 35, 50, 99, u64::MAX] {
-                let expected = rank_by_ring_distance(&own, pool);
-                entries.clear();
-                entries.extend_from_slice(pool);
-                rank_by_ring_distance_into(&own, &mut entries, &mut taken, &mut ranked);
-                assert_eq!(ranked, expected, "own key {own}, pool {pool:?}");
-            }
-        }
     }
 
     #[test]

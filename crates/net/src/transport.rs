@@ -148,17 +148,25 @@ impl TcpTransport {
                 let Ok(mut stream) = stream else { continue };
                 let mut buf = BytesMut::new();
                 let mut chunk = [0u8; 4096];
-                loop {
+                // Frames are drained as their bytes arrive, so `buf` never
+                // holds more than one frame (`MAX_FRAME_LEN`) plus a chunk;
+                // a malformed or oversized frame ends the connection.
+                'connection: loop {
                     match stream.read(&mut chunk) {
-                        Ok(0) => break,
+                        Ok(0) | Err(_) => break,
                         Ok(read) => buf.extend_from_slice(&chunk[..read]),
-                        Err(_) => break,
                     }
-                }
-                while let Ok(Some(frame)) = decode_frame(&mut buf) {
-                    let is_shutdown = matches!(frame, Frame::Shutdown);
-                    if tx.send(frame).is_err() || is_shutdown {
-                        return;
+                    loop {
+                        match decode_frame(&mut buf) {
+                            Ok(Some(frame)) => {
+                                let is_shutdown = matches!(frame, Frame::Shutdown);
+                                if tx.send(frame).is_err() || is_shutdown {
+                                    return;
+                                }
+                            }
+                            Ok(None) => break,
+                            Err(_) => break 'connection,
+                        }
                     }
                 }
             }
@@ -246,6 +254,26 @@ mod tests {
 
         // Shutting down stops the listener thread.
         transport.send(n(7), Frame::Shutdown).unwrap();
+        handle.join().unwrap();
+    }
+
+    #[test]
+    fn tcp_listener_drops_a_hostile_connection_and_keeps_serving() {
+        let transport = TcpTransport::new();
+        let (rx, handle) = transport.listen(n(8)).unwrap();
+        let addr = transport.address_of(n(8)).unwrap();
+
+        // A peer announcing a 4 GB frame: refused at the prefix. The write
+        // after it may or may not fail, depending on when the listener
+        // closes; either way nothing is delivered.
+        let mut hostile = TcpStream::connect(addr).unwrap();
+        hostile.write_all(&u32::MAX.to_be_bytes()).unwrap();
+        let _ = hostile.write_all(&[b'x'; 64]);
+        drop(hostile);
+
+        transport.send(n(8), Frame::Shutdown).unwrap();
+        let received = rx.recv_timeout(std::time::Duration::from_secs(5)).unwrap();
+        assert_eq!(received, Frame::Shutdown, "only the honest frame arrives");
         handle.join().unwrap();
     }
 

@@ -14,16 +14,18 @@
 //! [`CyChunk`] and [`ViChunk`] are the common currency: mutable windows
 //! over a contiguous slot range (`base..base + slots`) with all protocol
 //! operations — ageing, oldest-selection, order-preserving removal, the
-//! Cyclon merge rule and the Vicinity rank-and-keep merge — expressed
-//! against chunk-relative rows. The sequential kernel simply builds a chunk
-//! covering the full arena (`base == 0`). Keeping one implementation of the
-//! merge rules is what guarantees the two kernels agree on protocol
-//! semantics even though their RNG schedules differ.
+//! Cyclon payload and merge rules and the Vicinity payload and merge rules
+//! (both one [`RingSelection`]) — expressed against chunk-relative rows. The
+//! sequential kernel simply builds a chunk covering the full arena
+//! (`base == 0`). Keeping one implementation of the payload and merge rules
+//! is what guarantees the two kernels agree on protocol semantics even
+//! though their RNG schedules differ.
+
+use rand::seq::SliceRandom;
+use rand::Rng;
 
 use hybridcast_graph::cast::{idx, to_u32};
-use hybridcast_graph::NodeId;
 use hybridcast_membership::oldest_descriptor_index;
-use hybridcast_membership::proximity::rank_by_ring_distance_into;
 
 /// A Cyclon payload descriptor in scratch space: `(node id, age, offset of
 /// the ring-position profile in the side pool)`.
@@ -33,17 +35,142 @@ pub(crate) type CyDesc = (u64, u32, u32);
 /// `(node id, age, ring key)`.
 pub(crate) type ViDesc = (u64, u32, u64);
 
-/// Reusable ranking buffers for [`rank_by_ring_distance_into`] plus the
-/// Vicinity merge pool. One instance per worker keeps the hot path
-/// allocation-free.
+/// Cyclon payload descriptors plus the side pool their profile offsets
+/// point into.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct ViScratch {
-    /// Vicinity merge pool (own view + received + random-layer candidates).
-    pub pool: Vec<ViDesc>,
-    /// Ring-distance ranking buffers.
-    pub rank_in: Vec<(u64, NodeId, u32)>,
-    pub rank_taken: Vec<bool>,
-    pub rank_out: Vec<(u64, NodeId, u32)>,
+pub(crate) struct CyPayload {
+    pub descs: Vec<CyDesc>,
+    pub profs: Vec<u64>,
+}
+
+impl CyPayload {
+    pub fn clear(&mut self) {
+        self.descs.clear();
+        self.profs.clear();
+    }
+
+    /// Appends one descriptor and its ring-position profile.
+    pub fn push(&mut self, id: u64, age: u32, profile: &[u64]) {
+        let pofs = to_u32(self.profs.len());
+        self.profs.extend_from_slice(profile);
+        self.descs.push((id, age, pofs));
+    }
+}
+
+/// Where a descriptor sits on the ring as seen from `centre`, as one sort
+/// key: the clockwise distance of `key` from the position just after
+/// `centre` (so the direct successor ranks lowest and a peer sharing
+/// `centre`'s own key — the far end of both walks — ranks highest), ties
+/// broken by `id`. Ascending `ring_rank` is the clockwise walk of
+/// `rank_by_ring_distance`; its counter-clockwise walk is the reverse.
+pub(crate) fn ring_rank(centre: u64, key: u64, id: u64) -> u128 {
+    (u128::from(key.wrapping_sub(centre).wrapping_sub(1)) << 64) | u128::from(id)
+}
+
+/// Bounded two-ended selection: the `k` descriptors closest to a centre key
+/// in `rank_by_ring_distance` order, picked out of a stream of candidates
+/// without building, de-duplicating or sorting the whole pool.
+///
+/// `rank_by_ring_distance` sorts by [`ring_rank`] and emits front, back,
+/// front, back, …, so its first `k` entries are the `⌈k/2⌉` lowest and the
+/// `⌊k/2⌋` highest ranks. Those are all this keeps, in one sorted buffer:
+/// once it holds `k` entries a candidate that falls into the gap between
+/// the two halves is rejected by two comparisons and never looked at again
+/// (both halves only ever tighten, so neither it nor a later duplicate of it
+/// can qualify). A candidate that does qualify is located by its rank; an
+/// entry already there is the same peer, and the younger age wins — the
+/// oracle's pool rule, "younger duplicate wins".
+///
+/// Finding a duplicate by position instead of by id rests on **same id ⇒
+/// same ring key**: ids are never reused and ring positions never change,
+/// so every descriptor of a peer carries one key. One instance per worker
+/// keeps the hot path allocation-free.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct RingSelection {
+    /// `(ring rank, age)`, ascending, at most `k`.
+    kept: Vec<(u128, u32)>,
+    centre: u64,
+    k: usize,
+    /// The id never selected (the merging node, or a payload's recipient).
+    exclude: u64,
+}
+
+impl RingSelection {
+    /// Starts a selection of the `k` descriptors closest to `centre`.
+    pub fn start(&mut self, centre: u64, k: usize, exclude: u64) {
+        self.kept.clear();
+        self.kept.reserve(k);
+        self.centre = centre;
+        self.k = k;
+        self.exclude = exclude;
+    }
+
+    /// Offers one candidate descriptor.
+    #[inline]
+    pub fn offer(&mut self, (id, age, key): ViDesc) {
+        let k = self.k;
+        if id == self.exclude || k == 0 {
+            return;
+        }
+        // Size of the low half once the buffer is full: `⌈k/2⌉`.
+        let near = k.div_ceil(2);
+        let rank = ring_rank(self.centre, key, id);
+        let kept = &mut self.kept;
+        let full = kept.len() == k;
+        // Where the candidate can land: anywhere until the buffer is full,
+        // then the low half, the high half or — mostly — the gap between.
+        let (lo, hi) = if !full {
+            (0, kept.len())
+        } else if rank <= kept[near - 1].0 {
+            (0, near)
+        } else if near < k && rank >= kept[near].0 {
+            (near, k)
+        } else {
+            return;
+        };
+        // A view row arrives closest-first on alternating sides, so its
+        // entries land near the top of their part: scan down from there.
+        let mut p = hi;
+        while p > lo && kept[p - 1].0 > rank {
+            p -= 1;
+        }
+        if p > lo && kept[p - 1].0 == rank {
+            kept[p - 1].1 = kept[p - 1].1.min(age);
+            return;
+        }
+        debug_assert!(
+            kept.iter().all(|e| e.0 as u64 != id),
+            "node {id} was offered with two different ring keys"
+        );
+        if !full {
+            kept.insert(p, (rank, age));
+        } else if lo == 0 {
+            // Joins the low half; its highest entry drops into the gap.
+            kept.copy_within(p..near - 1, p + 1);
+            kept[p] = (rank, age);
+        } else {
+            // Joins the high half; its lowest entry drops into the gap.
+            kept.copy_within(near + 1..p, near);
+            kept[p - 1] = (rank, age);
+        }
+    }
+
+    /// Number of descriptors selected so far (at most `k`).
+    pub fn len(&self) -> usize {
+        self.kept.len()
+    }
+
+    /// The selected descriptors, closest first, alternating successor and
+    /// predecessor sides: element for element the first `k` entries of
+    /// `rank_by_ring_distance` over the de-duplicated candidates.
+    pub fn ranked(&self) -> impl Iterator<Item = ViDesc> + '_ {
+        let n = self.kept.len();
+        (0..n).map(move |j| {
+            let (rank, age) = self.kept[if j % 2 == 0 { j / 2 } else { n - 1 - j / 2 }];
+            let (dist, id) = ((rank >> 64) as u64, rank as u64);
+            (id, age, dist.wrapping_add(self.centre).wrapping_add(1))
+        })
+    }
 }
 
 /// A mutable window over the Cyclon descriptor arena covering the slot
@@ -193,6 +320,36 @@ impl CyChunk<'_> {
                 true
             }
             None => false,
+        }
+    }
+
+    /// The Cyclon request/reply payload rule (`View::random_descriptors`):
+    /// a uniform shuffle of the slot's view without `exclude`, cut to its
+    /// first `take` entries, appended to `out`.
+    ///
+    /// Only a permutation of view positions is shuffled — a shuffle's draws
+    /// and swaps depend on the length alone, so this consumes `rng` exactly
+    /// like shuffling the descriptors themselves — and only the survivors
+    /// and their profiles are copied.
+    pub fn random_payload_into<R: Rng + ?Sized>(
+        &self,
+        slot: u32,
+        exclude: Option<u64>,
+        take: usize,
+        rng: &mut R,
+        perm: &mut Vec<u32>,
+        out: &mut CyPayload,
+    ) {
+        perm.clear();
+        for (i, &id) in self.ids(slot).iter().enumerate() {
+            if Some(id) != exclude {
+                perm.push(to_u32(i));
+            }
+        }
+        perm.shuffle(rng);
+        for &i in perm.iter().take(take) {
+            let (id, age) = self.entry(slot, idx(i));
+            out.push(id, age, self.profile(slot, idx(i)));
         }
     }
 
@@ -370,41 +527,19 @@ impl ViChunk<'_> {
         target: (u64, u64),
         own: (u64, u64),
         out: &mut Vec<ViDesc>,
-        scratch: &mut ViScratch,
+        sel: &mut RingSelection,
     ) {
-        let base = self.row(slot, ring);
-        let len = self.view_len(slot, ring);
-        scratch.rank_in.clear();
-        for i in 0..len {
-            let id = self.id[base + i];
-            if id == target.0 {
-                continue;
-            }
-            scratch
-                .rank_in
-                .push((self.key[base + i], NodeId::new(id), self.age[base + i]));
-        }
-        rank_by_ring_distance_into(
-            &target.1,
-            &mut scratch.rank_in,
-            &mut scratch.rank_taken,
-            &mut scratch.rank_out,
-        );
+        sel.start(target.1, self.gos.saturating_sub(1), target.0);
+        self.offer_view(slot, ring, sel);
         out.clear();
-        out.extend(
-            scratch
-                .rank_out
-                .iter()
-                .take(self.gos.saturating_sub(1))
-                .map(|&(key, id, age)| (id.as_u64(), age, key)),
-        );
+        out.extend(sel.ranked());
         out.push((own.0, 0, own.1));
     }
 
-    /// The Vicinity merge rule (`VicinityNode::merge`): pool = own view
-    /// entries + received descriptors + random-layer candidates (younger
-    /// duplicate wins, in first-seen position), then keep the `vic` entries
-    /// closest to the local key. `own` is the local `(id, ring key)`.
+    /// The Vicinity merge rule (`VicinityNode::merge`): of the own view
+    /// entries, the received descriptors and the random-layer candidates
+    /// (younger duplicate wins), keep the `vic` closest to the local key,
+    /// closest first. `own` is the local `(id, ring key)`.
     pub fn merge(
         &mut self,
         slot: u32,
@@ -412,61 +547,202 @@ impl ViChunk<'_> {
         own: (u64, u64),
         received: &[ViDesc],
         cyclon_candidates: &[ViDesc],
-        scratch: &mut ViScratch,
+        sel: &mut RingSelection,
     ) {
-        let (self_id, own_key) = own;
-
-        fn pool_add(pool: &mut Vec<ViDesc>, self_id: u64, d: ViDesc) {
-            if d.0 == self_id {
-                return;
-            }
-            match pool.iter_mut().find(|e| e.0 == d.0) {
-                Some(existing) => {
-                    if d.1 < existing.1 {
-                        *existing = d;
-                    }
-                }
-                None => pool.push(d),
-            }
+        sel.start(own.1, self.vic, own.0);
+        self.offer_view(slot, ring, sel);
+        for &d in received.iter().chain(cyclon_candidates) {
+            sel.offer(d);
         }
-
-        scratch.pool.clear();
         let base = self.row(slot, ring);
-        let len = self.view_len(slot, ring);
-        for i in 0..len {
-            pool_add(
-                &mut scratch.pool,
-                self_id,
-                (self.id[base + i], self.age[base + i], self.key[base + i]),
-            );
-        }
-        for &d in received {
-            pool_add(&mut scratch.pool, self_id, d);
-        }
-        for &d in cyclon_candidates {
-            pool_add(&mut scratch.pool, self_id, d);
-        }
-
-        scratch.rank_in.clear();
-        scratch.rank_in.extend(
-            scratch
-                .pool
-                .iter()
-                .map(|&(id, age, key)| (key, NodeId::new(id), age)),
-        );
-        rank_by_ring_distance_into(
-            &own_key,
-            &mut scratch.rank_in,
-            &mut scratch.rank_taken,
-            &mut scratch.rank_out,
-        );
-
-        let take = scratch.rank_out.len().min(self.vic);
-        for (i, &(key, id, age)) in scratch.rank_out.iter().take(take).enumerate() {
-            self.id[base + i] = id.as_u64();
+        for (i, (id, age, key)) in sel.ranked().enumerate() {
+            self.id[base + i] = id;
             self.age[base + i] = age;
             self.key[base + i] = key;
         }
-        self.len[self.l(slot) * self.vic_rings + ring] = to_u32(take);
+        self.len[self.l(slot) * self.vic_rings + ring] = to_u32(sel.len());
+    }
+
+    /// Offers every view entry of `slot` on `ring` to `sel`, in view order.
+    fn offer_view(&self, slot: u32, ring: usize, sel: &mut RingSelection) {
+        let base = self.row(slot, ring);
+        for i in base..base + self.view_len(slot, ring) {
+            sel.offer((self.id[i], self.age[i], self.key[i]));
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use proptest::prelude::*;
+    use rand::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
+
+    use hybridcast_graph::NodeId;
+    use hybridcast_membership::proximity::rank_by_ring_distance;
+
+    use super::*;
+
+    /// The specification: the oracle's pool rule (skip `exclude`; a younger
+    /// duplicate replaces the older one in its first-seen position), then
+    /// the first `k` of `rank_by_ring_distance`.
+    fn oracle(centre: u64, k: usize, exclude: u64, pool: &[ViDesc]) -> Vec<ViDesc> {
+        let mut unique: Vec<ViDesc> = Vec::new();
+        for &d in pool.iter().filter(|d| d.0 != exclude) {
+            match unique.iter_mut().find(|e| e.0 == d.0) {
+                Some(e) if d.1 < e.1 => *e = d,
+                Some(_) => {}
+                None => unique.push(d),
+            }
+        }
+        let candidates: Vec<(u64, NodeId, u32)> = unique
+            .iter()
+            .map(|&(id, age, key)| (key, NodeId::new(id), age))
+            .collect();
+        rank_by_ring_distance(&centre, &candidates)
+            .into_iter()
+            .take(k)
+            .map(|(key, id, age)| (id.as_u64(), age, key))
+            .collect()
+    }
+
+    fn select(
+        sel: &mut RingSelection,
+        centre: u64,
+        k: usize,
+        exclude: u64,
+        pool: &[ViDesc],
+    ) -> Vec<ViDesc> {
+        sel.start(centre, k, exclude);
+        for &d in pool {
+            sel.offer(d);
+        }
+        assert_eq!(sel.len(), sel.ranked().count());
+        sel.ranked().collect()
+    }
+
+    /// Every id has one ring key, seven ids share each key, and the keys
+    /// straddle the wrap-around point of the ring.
+    fn key_of(id: u64, spread: u64) -> u64 {
+        (id % 7)
+            .wrapping_mul(0x2492_4924_9249_2493)
+            .wrapping_add(spread)
+    }
+
+    #[test]
+    fn selection_matches_the_ranker_on_every_prefix_of_an_awkward_pool() {
+        // Duplicate ids with the younger copy first (3) and last (5),
+        // duplicate keys under different ids (1 / 8 / 15), the centre's own
+        // key in the pool (id 4), the excluded id (9) twice.
+        let spread = u64::MAX - 5;
+        let pool: Vec<ViDesc> = [
+            (3, 1),
+            (9, 0),
+            (1, 4),
+            (5, 9),
+            (8, 2),
+            (3, 6),
+            (15, 2),
+            (4, 3),
+            (12, 0),
+            (5, 2),
+            (9, 7),
+            (6, 1),
+            (11, 5),
+            (2, 8),
+        ]
+        .into_iter()
+        .map(|(id, age)| (id, age, key_of(id, spread)))
+        .collect();
+        let mut sel = RingSelection::default();
+        for k in 0..=8 {
+            for n in 0..=pool.len() {
+                for centre in [key_of(4, spread), 0, 17, u64::MAX] {
+                    assert_eq!(
+                        select(&mut sel, centre, k, 9, &pool[..n]),
+                        oracle(centre, k, 9, &pool[..n]),
+                        "k {k}, first {n} of the pool, centre {centre}"
+                    );
+                }
+            }
+        }
+    }
+
+    proptest! {
+        /// For random pools — duplicate ids in either age order, shared
+        /// keys, the centre key and the excluded id present or not, fewer
+        /// candidates than `k` or many more — the selection emits exactly
+        /// `rank_by_ring_distance(..).take(k)` over the de-duplicated pool.
+        #[test]
+        fn selection_equals_rank_by_ring_distance_take_k(
+            entries in prop::collection::vec((0u64..40, 0u32..6), 0..70),
+            k in 0usize..12,
+            exclude in 0u64..48,
+            spread in any::<u64>(),
+            centre_id in 0u64..40,
+            centre_free in any::<u64>(),
+            centre_in_pool in any::<bool>(),
+        ) {
+            let pool: Vec<ViDesc> = entries
+                .iter()
+                .map(|&(id, age)| (id, age, key_of(id, spread)))
+                .collect();
+            let centre = if centre_in_pool { key_of(centre_id, spread) } else { centre_free };
+            let mut sel = RingSelection::default();
+            prop_assert_eq!(
+                select(&mut sel, centre, k, exclude, &pool),
+                oracle(centre, k, exclude, &pool)
+            );
+        }
+    }
+
+    #[test]
+    fn random_payload_draws_like_a_shuffle_of_the_descriptors() {
+        let (cyc, rings) = (6, 2);
+        let mut id: Vec<u64> = vec![10, 11, 12, 13, 14, 0];
+        let mut age: Vec<u32> = vec![0, 1, 2, 3, 4, 0];
+        let mut pos: Vec<u64> = (0..12).collect();
+        let mut len = vec![5u32];
+        let cy = CyChunk {
+            id: &mut id,
+            age: &mut age,
+            pos: &mut pos,
+            len: &mut len,
+            cyc,
+            rings,
+            base: 0,
+        };
+        for (exclude, take) in [(None, 3), (Some(12), 4), (Some(99), 9), (None, 0)] {
+            // The rule as `View::random_descriptors` states it: shuffle
+            // every eligible descriptor, keep the first `take`.
+            let mut expected: Vec<(u64, u32, Vec<u64>)> = (0..5)
+                .filter(|&i| Some(cy.entry(0, i).0) != exclude)
+                .map(|i| {
+                    (
+                        cy.entry(0, i).0,
+                        cy.entry(0, i).1,
+                        cy.profile(0, i).to_vec(),
+                    )
+                })
+                .collect();
+            let mut expected_rng = ChaCha8Rng::seed_from_u64(3);
+            expected.shuffle(&mut expected_rng);
+            expected.truncate(take);
+
+            let mut rng = ChaCha8Rng::seed_from_u64(3);
+            let (mut perm, mut out) = (Vec::new(), CyPayload::default());
+            out.push(77, 0, &[1, 2]);
+            cy.random_payload_into(0, exclude, take, &mut rng, &mut perm, &mut out);
+            let got: Vec<(u64, u32, Vec<u64>)> = out.descs[1..]
+                .iter()
+                .map(|&(id, age, pofs)| (id, age, out.profs[idx(pofs)..idx(pofs) + rings].to_vec()))
+                .collect();
+            assert_eq!(got, expected, "exclude {exclude:?}, take {take}");
+            assert_eq!(
+                rng.gen::<u64>(),
+                expected_rng.gen::<u64>(),
+                "both consumed the same number of draws"
+            );
+        }
     }
 }

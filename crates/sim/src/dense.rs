@@ -37,12 +37,11 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-use hybridcast_graph::cast::{idx, to_u32};
+use hybridcast_graph::cast::idx;
 use hybridcast_graph::NodeId;
-use hybridcast_membership::proximity::ring_neighbors;
 use hybridcast_obs::{NullProbe, Probe, TraceEvent};
 
-use crate::arena::{cy_chunk_full, vi_chunk_full, CyDesc, ViDesc, ViScratch};
+use crate::arena::{cy_chunk_full, ring_rank, vi_chunk_full, CyPayload, RingSelection, ViDesc};
 use crate::config::SimConfig;
 use crate::frontier::{PerNodeState, RngMode};
 use crate::runtime::GossipRuntime;
@@ -87,18 +86,18 @@ pub(crate) fn lookup_live_in(by_id: &[u32], ids: &[u64], id: u64) -> Option<u32>
 }
 
 /// Reusable buffers for one epoch step. All per-exchange payloads, candidate
-/// lists and ranking buffers live here, so a warm gossip cycle allocates
+/// lists and the selection buffer live here, so a warm gossip cycle allocates
 /// nothing regardless of population size.
 #[derive(Debug, Clone, Default)]
 struct EpochScratch {
     /// Shuffled gossip order of one cycle (slots).
     order: Vec<u32>,
+    /// View positions under the Cyclon payload shuffle.
+    perm: Vec<u32>,
     /// Cyclon shuffle request payload (initiator -> target).
-    sent: Vec<CyDesc>,
-    sent_prof: Vec<u64>,
+    sent: CyPayload,
     /// Cyclon shuffle reply payload (target -> initiator).
-    reply: Vec<CyDesc>,
-    reply_prof: Vec<u64>,
+    reply: CyPayload,
     /// Ids the merging node may evict (descriptors it shipped out).
     replaceable: Vec<u64>,
     /// Initiator's Cyclon view projected onto the current ring.
@@ -109,8 +108,8 @@ struct EpochScratch {
     pay: Vec<ViDesc>,
     /// Vicinity exchange reply payload.
     reply_v: Vec<ViDesc>,
-    /// Vicinity merge pool and ring-distance ranking buffers.
-    vi_scratch: ViScratch,
+    /// Vicinity payload / merge selection buffer.
+    sel: RingSelection,
 }
 
 /// Flat link arrays of a frozen overlay, the zero-copy export of
@@ -543,25 +542,19 @@ impl DenseSimNetwork {
         cy.remove_at(slot, best);
 
         // ...and build the request: `shuf - 1` random remaining entries
-        // (full shuffle + truncate, matching `View::random_descriptors`'
-        // draw sequence) plus a fresh descriptor of the initiator.
+        // plus a fresh descriptor of the initiator.
         s.sent.clear();
-        s.sent_prof.clear();
-        for i in 0..cy.view_len(slot) {
-            let (id, age) = cy.entry(slot, i);
-            let pofs = to_u32(s.sent_prof.len());
-            s.sent_prof.extend_from_slice(cy.profile(slot, i));
-            s.sent.push((id, age, pofs));
-        }
-        s.sent.shuffle(&mut self.rng);
-        s.sent.truncate(shuf.saturating_sub(1));
-        {
-            let pofs = to_u32(s.sent_prof.len());
-            let pos_base = idx(slot) * rings;
-            s.sent_prof
-                .extend_from_slice(&self.positions[pos_base..pos_base + rings]);
-            s.sent.push((my_id, 0, pofs));
-        }
+        cy.random_payload_into(
+            slot,
+            None,
+            shuf.saturating_sub(1),
+            &mut self.rng,
+            &mut s.perm,
+            &mut s.sent,
+        );
+        let pos_base = idx(slot) * rings;
+        s.sent
+            .push(my_id, 0, &self.positions[pos_base..pos_base + rings]);
 
         match lookup_live_in(&self.by_id, &self.ids, target) {
             Some(peer) => {
@@ -569,27 +562,23 @@ impl DenseSimNetwork {
                 // of the peer's view (never the initiator), captured before
                 // the peer merges the request.
                 s.reply.clear();
-                s.reply_prof.clear();
-                for i in 0..cy.view_len(peer) {
-                    let (id, age) = cy.entry(peer, i);
-                    if id == my_id {
-                        continue;
-                    }
-                    let pofs = to_u32(s.reply_prof.len());
-                    s.reply_prof.extend_from_slice(cy.profile(peer, i));
-                    s.reply.push((id, age, pofs));
-                }
-                s.reply.shuffle(&mut self.rng);
-                s.reply.truncate(shuf);
+                cy.random_payload_into(
+                    peer,
+                    Some(my_id),
+                    shuf,
+                    &mut self.rng,
+                    &mut s.perm,
+                    &mut s.reply,
+                );
 
                 let peer_id = self.ids[idx(peer)];
                 // Peer merges the request (may evict what it just sent)...
                 cy.merge(
                     peer,
                     peer_id,
-                    &s.sent,
-                    &s.sent_prof,
-                    &s.reply,
+                    &s.sent.descs,
+                    &s.sent.profs,
+                    &s.reply.descs,
                     &mut s.replaceable,
                 );
                 // ...then the initiator merges the reply (may evict what it
@@ -597,9 +586,9 @@ impl DenseSimNetwork {
                 cy.merge(
                     slot,
                     my_id,
-                    &s.reply,
-                    &s.reply_prof,
-                    &s.sent,
+                    &s.reply.descs,
+                    &s.reply.profs,
+                    &s.sent.descs,
                     &mut s.replaceable,
                 );
             }
@@ -632,7 +621,7 @@ impl DenseSimNetwork {
             cand_peer,
             pay,
             reply_v,
-            vi_scratch,
+            sel,
             ..
         } = s;
         // The random layer feeds candidates into the proximity layer (from
@@ -661,14 +650,7 @@ impl DenseSimNetwork {
             .get_key(slot, ring, target)
             .or_else(|| cand.iter().find(|d| d.0 == target).map(|d| d.2))
             .unwrap_or(own_key);
-        vi.payload_into(
-            slot,
-            ring,
-            (target, target_key),
-            (my_id, own_key),
-            pay,
-            vi_scratch,
-        );
+        vi.payload_into(slot, ring, (target, target_key), (my_id, own_key), pay, sel);
 
         match lookup_live_in(&self.by_id, &self.ids, target) {
             Some(peer) => {
@@ -683,11 +665,11 @@ impl DenseSimNetwork {
                     (my_id, own_key),
                     (peer_id, peer_key),
                     reply_v,
-                    vi_scratch,
+                    sel,
                 );
-                vi.merge(peer, ring, (peer_id, peer_key), pay, cand_peer, vi_scratch);
+                vi.merge(peer, ring, (peer_id, peer_key), pay, cand_peer, sel);
                 // handle_exchange_response on the initiator.
-                vi.merge(slot, ring, (my_id, own_key), reply_v, cand, vi_scratch);
+                vi.merge(slot, ring, (my_id, own_key), reply_v, cand, sel);
             }
             None => {
                 // exchange_failed: drop the dead peer so the ring can
@@ -701,15 +683,22 @@ impl DenseSimNetwork {
 
     /// The node's ring neighbours `(predecessor, successor)` on one ring,
     /// computed from its Vicinity view exactly like
-    /// `VicinityNode::ring_neighbors`.
+    /// `VicinityNode::ring_neighbors`: the view entries of highest and
+    /// lowest [`ring_rank`] — the [`RingSelection`] order with `k = 2`, read
+    /// off in one pass. A single-entry view is its own two-node ring.
     fn ring_neighbors_of(&self, slot: u32, ring: usize) -> (Option<NodeId>, Option<NodeId>) {
         let base = self.vi_base(slot, ring);
         let len = self.vi_view_len(slot, ring);
         let own_key = self.positions[idx(slot) * self.rings + ring];
-        let pairs: Vec<(u64, NodeId)> = (0..len)
-            .map(|i| (self.vi_key[base + i], NodeId::new(self.vi_id[base + i])))
-            .collect();
-        ring_neighbors(&own_key, &pairs)
+        let ends = (base..base + len)
+            .map(|i| ring_rank(own_key, self.vi_key[i], self.vi_id[i]))
+            .fold(None, |ends: Option<(u128, u128)>, rank| {
+                let (succ, pred) = ends.unwrap_or((rank, rank));
+                Some((succ.min(rank), pred.max(rank)))
+            });
+        // The low half of a rank is the id.
+        let id = |rank: u128| NodeId::new(rank as u64);
+        (ends.map(|e| id(e.1)), ends.map(|e| id(e.0)))
     }
 
     /// Appends the node's d-links (ring neighbours on every ring,

@@ -47,14 +47,13 @@
 //! statistical-equivalence tests instead of snapshot equality; see
 //! `tests/frontier.rs` and DETERMINISM.md.
 
-use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use hybridcast_graph::cast::{idx, idx_u64, to_u32};
 use hybridcast_obs::{Probe, TraceEvent};
 
-use crate::arena::{CyChunk, CyView, ViChunk, ViDesc, ViScratch};
+use crate::arena::{CyChunk, CyPayload, CyView, RingSelection, ViChunk, ViDesc};
 use crate::dense::{lookup_live_in, DenseSimNetwork, SlotBits};
 
 // ---- stream derivation ---------------------------------------------------
@@ -191,16 +190,14 @@ struct ViReq {
 #[derive(Debug, Clone, Default)]
 struct CyReqLane {
     recs: Vec<CyReq>,
-    descs: Vec<crate::arena::CyDesc>,
-    profs: Vec<u64>,
+    pay: CyPayload,
 }
 
 /// Per-worker Cyclon reply storage: phase 2 writes, phase 3 reads.
 #[derive(Debug, Clone, Default)]
 struct CyRepLane {
     recs: Vec<Rep>,
-    descs: Vec<crate::arena::CyDesc>,
-    profs: Vec<u64>,
+    pay: CyPayload,
 }
 
 /// Per-worker Vicinity request storage (one ring at a time).
@@ -217,17 +214,19 @@ struct ViRepLane {
     descs: Vec<ViDesc>,
 }
 
-/// Per-worker reusable buffers (candidate lists, payload staging, ranking
-/// scratch, the Cyclon evictable stack). One instance per worker keeps the
-/// warm kernel allocation-free and the workers borrow-disjoint.
+/// Per-worker reusable buffers (candidate lists, payload staging, the
+/// selection buffer, the Cyclon shuffle permutation and evictable stack).
+/// One instance per worker keeps the warm kernel allocation-free and the
+/// workers borrow-disjoint.
 #[derive(Debug, Clone, Default)]
 struct WorkerScratch {
+    perm: Vec<u32>,
     replaceable: Vec<u64>,
     cand: Vec<ViDesc>,
     cand_peer: Vec<ViDesc>,
     pay: Vec<ViDesc>,
     reply_v: Vec<ViDesc>,
-    vi: ViScratch,
+    sel: RingSelection,
 }
 
 // ---- per-node state ------------------------------------------------------
@@ -382,13 +381,11 @@ impl PerNodeState {
     fn clear_cy_lanes(&mut self) {
         for lane in &mut self.cy_req {
             lane.recs.clear();
-            lane.descs.clear();
-            lane.profs.clear();
+            lane.pay.clear();
         }
         for lane in &mut self.cy_rep {
             lane.recs.clear();
-            lane.descs.clear();
-            lane.profs.clear();
+            lane.pay.clear();
         }
     }
 
@@ -640,6 +637,7 @@ fn cyclon_phase1(net: &mut DenseSimNetwork, pn: &mut PerNodeState) {
     };
     let frontier: &[u32] = &pn.frontier;
     let lanes = &mut pn.cy_req;
+    let scratch = &mut pn.scratch;
     let mut chunks = split_cy(
         &mut net.cy_id,
         &mut net.cy_age,
@@ -651,18 +649,28 @@ fn cyclon_phase1(net: &mut DenseSimNetwork, pn: &mut PerNodeState) {
     );
     if threads == 1 {
         let cy = chunks.next().expect("arena is non-empty");
-        cy_phase1_worker(cy, frontier, &mut lanes[0], ctx);
+        cy_phase1_worker(cy, frontier, &mut lanes[0], &mut scratch[0], ctx);
     } else {
         std::thread::scope(|scope| {
-            for (w, (cy, lane)) in chunks.zip(lanes.iter_mut()).enumerate() {
+            for (w, ((cy, lane), scr)) in chunks
+                .zip(lanes.iter_mut())
+                .zip(scratch.iter_mut())
+                .enumerate()
+            {
                 let part = slot_range(frontier, w * chunk, (w + 1) * chunk);
-                scope.spawn(move || cy_phase1_worker(cy, part, lane, ctx));
+                scope.spawn(move || cy_phase1_worker(cy, part, lane, scr, ctx));
             }
         });
     }
 }
 
-fn cy_phase1_worker(mut cy: CyChunk<'_>, frontier: &[u32], lane: &mut CyReqLane, ctx: Ctx<'_>) {
+fn cy_phase1_worker(
+    mut cy: CyChunk<'_>,
+    frontier: &[u32],
+    lane: &mut CyReqLane,
+    scr: &mut WorkerScratch,
+    ctx: Ctx<'_>,
+) {
     for &slot in frontier {
         // begin_cycle: age every entry by one (saturating).
         cy.age_view(slot);
@@ -677,35 +685,31 @@ fn cy_phase1_worker(mut cy: CyChunk<'_>, frontier: &[u32], lane: &mut CyReqLane,
         let target = cy.entry(slot, best).0;
         cy.remove_at(slot, best);
 
-        let d0 = lane.descs.len();
-        for i in 0..cy.view_len(slot) {
-            let (id, age) = cy.entry(slot, i);
-            let pofs = to_u32(lane.profs.len());
-            lane.profs.extend_from_slice(cy.profile(slot, i));
-            lane.descs.push((id, age, pofs));
-        }
+        let d0 = lane.pay.descs.len();
         let seed = role_seed(ctx.master, ctx.sgid_of(slot), ROLE_CYCLON_INIT, ctx.cycle);
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        lane.descs[d0..].shuffle(&mut rng);
-        lane.descs.truncate(d0 + ctx.shuf.saturating_sub(1));
-        {
-            let pofs = to_u32(lane.profs.len());
-            let pos_base = idx(slot) * ctx.rings;
-            lane.profs
-                .extend_from_slice(&ctx.positions[pos_base..pos_base + ctx.rings]);
-            lane.descs.push((my_id, 0, pofs));
-        }
+        cy.random_payload_into(
+            slot,
+            None,
+            ctx.shuf.saturating_sub(1),
+            &mut rng,
+            &mut scr.perm,
+            &mut lane.pay,
+        );
+        let pos_base = idx(slot) * ctx.rings;
+        lane.pay
+            .push(my_id, 0, &ctx.positions[pos_base..pos_base + ctx.rings]);
         match lookup_live_in(ctx.by_id, ctx.ids, target) {
             Some(peer) => lane.recs.push(CyReq {
                 initiator: slot,
                 target: peer,
                 d0: to_u32(d0),
-                d1: to_u32(lane.descs.len()),
+                d1: to_u32(lane.pay.descs.len()),
             }),
             None => {
                 // shuffle_failed: the dead target's descriptor already left
                 // the view; the unsent payload is dropped.
-                lane.descs.truncate(d0);
+                lane.pay.descs.truncate(d0);
             }
         }
     }
@@ -776,16 +780,7 @@ fn cy_phase2_worker(
         // handle_shuffle_request: the reply is `shuf` random entries of the
         // responder's current view (never the initiator), captured before
         // the merge below.
-        let r0 = lane.descs.len();
-        for i in 0..cy.view_len(target) {
-            let (id, age) = cy.entry(target, i);
-            if id == init_id {
-                continue;
-            }
-            let pofs = to_u32(lane.profs.len());
-            lane.profs.extend_from_slice(cy.profile(target, i));
-            lane.descs.push((id, age, pofs));
-        }
+        let r0 = lane.pay.descs.len();
         let seed = pair_seed(
             ctx.master,
             ctx.sgid_of(target),
@@ -793,23 +788,28 @@ fn cy_phase2_worker(
             ctx.cycle,
         );
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        lane.descs[r0..].shuffle(&mut rng);
-        lane.descs.truncate(r0 + ctx.shuf);
+        cy.random_payload_into(
+            target,
+            Some(init_id),
+            ctx.shuf,
+            &mut rng,
+            &mut scr.perm,
+            &mut lane.pay,
+        );
         lane.recs.push(Rep {
             initiator: rec.initiator,
             d0: to_u32(r0),
-            d1: to_u32(lane.descs.len()),
+            d1: to_u32(lane.pay.descs.len()),
         });
 
         // The responder merges the request; what it just shipped is its
         // evictable set.
-        let reply = &lane.descs[r0..];
         cy.merge(
             target,
             peer_id,
-            &rl.descs[idx(rec.d0)..idx(rec.d1)],
-            &rl.profs,
-            reply,
+            &rl.pay.descs[idx(rec.d0)..idx(rec.d1)],
+            &rl.pay.profs,
+            &lane.pay.descs[r0..],
             &mut scr.replaceable,
         );
     }
@@ -882,9 +882,9 @@ fn cy_phase3_worker(
         cy.merge(
             slot,
             my_id,
-            &rlane.descs[idx(rr.d0)..idx(rr.d1)],
-            &rlane.profs,
-            &lane.descs[idx(rec.d0)..idx(rec.d1)],
+            &rlane.pay.descs[idx(rr.d0)..idx(rr.d1)],
+            &rlane.pay.profs,
+            &lane.pay.descs[idx(rec.d0)..idx(rec.d1)],
             &mut scr.replaceable,
         );
     }
@@ -990,7 +990,7 @@ fn vi_phase1_worker(
             (target, target_key),
             (my_id, own_key),
             &mut scr.pay,
-            &mut scr.vi,
+            &mut scr.sel,
         );
         match lookup_live_in(ctx.by_id, ctx.ids, target) {
             Some(peer) => {
@@ -1098,7 +1098,7 @@ fn vi_phase2_worker(
             (init_id, init_key),
             (peer_id, peer_key),
             &mut scr.reply_v,
-            &mut scr.vi,
+            &mut scr.sel,
         );
         let d0 = to_u32(lane.descs.len());
         lane.descs.extend_from_slice(&scr.reply_v);
@@ -1113,7 +1113,7 @@ fn vi_phase2_worker(
             (peer_id, peer_key),
             &rl.descs[idx(rec.d0)..idx(rec.d1)],
             &scr.cand_peer,
-            &mut scr.vi,
+            &mut scr.sel,
         );
     }
 }
@@ -1201,7 +1201,7 @@ fn vi_phase3_worker(
             (my_id, own_key),
             &rlane.descs[idx(rr.d0)..idx(rr.d1)],
             &scr.cand,
-            &mut scr.vi,
+            &mut scr.sel,
         );
     }
 }

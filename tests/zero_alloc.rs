@@ -28,6 +28,7 @@ use hybridcast::core::pull::{disseminate_push_pull_dense, DensePullScratch, Pull
 use hybridcast::core::sched::SchedConfig;
 use hybridcast::graph::NodeId;
 use hybridcast::obs::{NullProbe, RingSink};
+use hybridcast::sim::churn::{ChurnConfig, ChurnDriver};
 use hybridcast::sim::{DenseSimNetwork, SimConfig};
 use hybridcast_testalloc::{measure, CountingAlloc};
 use rand::SeedableRng;
@@ -392,6 +393,30 @@ fn warm_dense_sim_epoch_is_allocation_free() {
         stats.is_allocation_free(),
         "warm DenseSimNetwork epoch allocated: {stats:?}"
     );
+
+    // The same under churn: a joiner gossips in the cycle it arrives with a
+    // one-entry Cyclon view and an empty Vicinity view, so these cycles run
+    // the Vicinity selection with fewer candidates than it keeps, the
+    // random-partner draw and the dead-partner removal. The churn step
+    // itself returns the ids it touched (it allocates, by contract), so only
+    // the gossip cycle after it is measured.
+    let mut driver = ChurnDriver::new(ChurnConfig { rate: 0.05 });
+    driver.run_cycles(&mut net, 10);
+    for _ in 0..5 {
+        let (_, added) = driver.apply_churn_step(&mut net);
+        assert_eq!(added.len(), NODES / 20);
+        assert!(
+            added.iter().all(|&id| net.r_links(id).len() == 1),
+            "joiners start from their introducer alone"
+        );
+        let (_, stats) = measure(|| net.run_cycles(1));
+        assert!(
+            stats.is_allocation_free(),
+            "warm DenseSimNetwork epoch under churn allocated: {stats:?}"
+        );
+    }
+    assert_eq!(net.len(), NODES);
+    assert_eq!(net.slot_capacity(), NODES, "churn recycles slots");
 }
 
 #[test]
