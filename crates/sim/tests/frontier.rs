@@ -16,6 +16,7 @@
 use proptest::prelude::*;
 
 use hybridcast_graph::NodeId;
+use hybridcast_obs::VecProbe;
 use hybridcast_sim::{DenseSimNetwork, GossipRuntime, Network, RngMode, SimConfig};
 
 fn config(nodes: usize) -> SimConfig {
@@ -125,6 +126,69 @@ fn snapshots_are_bit_identical_across_thread_counts() {
     let reference = run(1);
     for threads in [2, 4, 8] {
         assert_eq!(reference, run(threads), "{threads} threads diverged");
+    }
+}
+
+/// The corners the default-config tests above never reach: several rings
+/// (the per-ring phase loop and its `ROLE_VICINITY_BASE + ring` streams),
+/// no Vicinity at all, shuffle length 1 (requests that carry only the
+/// initiator's fresh descriptor) and fewer slots than workers. Each grows
+/// for 20 cycles at period 2, loses two nodes and gains two through a
+/// surviving id (slot reuse), and runs 20 more cycles: the flat links and
+/// the probe stream are the same at every worker count, and the
+/// single-thread digest is pinned.
+#[test]
+fn corner_configs_are_thread_invariant_and_pinned() {
+    let cases = [
+        (
+            "three rings",
+            SimConfig {
+                rings: 3,
+                ..config(30)
+            },
+            0x1332_0483_c868_a7a5_u64,
+        ),
+        (
+            "no vicinity",
+            SimConfig {
+                run_vicinity: false,
+                rings: 0,
+                ..config(30)
+            },
+            0xf479_9668_06de_2fcf,
+        ),
+        (
+            "shuffle length 1",
+            SimConfig {
+                cyclon_shuffle: 1,
+                ..config(30)
+            },
+            0xc275_7b43_d25b_3e73,
+        ),
+        ("five nodes", config(5), 0x7f3c_3757_21b6_f475),
+    ];
+    for (name, cfg, pinned) in cases {
+        let run = |threads: usize| {
+            let mut net = DenseSimNetwork::new_per_node(cfg.clone(), 29, 2, threads);
+            let mut probe = VecProbe::new();
+            net.run_cycles_probed(20, &mut probe);
+            scripted_churn_step(&mut net, 2, 2);
+            net.run_cycles_probed(20, &mut probe);
+            (net.flat_links(), probe.events, links_digest(&net))
+        };
+        let reference = run(1);
+        assert_eq!(
+            reference.2, pinned,
+            "{name}: digest drifted (actual {:#018x})",
+            reference.2
+        );
+        for threads in [2, 3, 8, 64] {
+            assert_eq!(
+                reference,
+                run(threads),
+                "{name}: {threads} threads diverged"
+            );
+        }
     }
 }
 
