@@ -43,7 +43,12 @@ fn run() -> Result<(), String> {
             params.runs = 5;
         }
     }
-    let ratios = args.get_list_or("ratios", vec![0.1f64, 0.5, 1.0, 3.0])?;
+    let ratios = args.get_list_in(
+        "ratios",
+        vec![0.1, 0.5, 1.0, 3.0],
+        0.0..f64::INFINITY,
+        "finite and >= 0",
+    )?;
     let json = args.value("json");
     args.finish()?;
     eprintln!(

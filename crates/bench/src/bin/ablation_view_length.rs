@@ -20,8 +20,8 @@ fn main() -> ExitCode {
 fn run() -> Result<(), String> {
     let args = Args::from_env()?;
     let params = ExperimentParams::from_args(&args)?;
-    let views = args.get_list_or("views", vec![5usize, 10, 20, 40])?;
-    let fanout: usize = args.get_or("fanout", 3)?;
+    let views = args.get_list_in("views", vec![5usize, 10, 20, 40], 1.., ">= 1")?;
+    let fanout: usize = args.get_in("fanout", 3, 1.., ">= 1")?;
     let json = args.value("json");
     args.finish()?;
     eprintln!(

@@ -102,11 +102,11 @@ fn synthetic_overlay(nodes: usize, r_degree: usize, seed: u64) -> DenseOverlay {
 
 fn run() -> Result<(), String> {
     let args = Args::from_env()?;
-    let nodes: usize = args.get_or("nodes", 100_000)?;
+    let nodes: usize = args.get_in("nodes", 100_000, 1.., ">= 1")?;
     let cycles: usize = args.get_or("cycles", 50)?;
-    let churn_rate: f64 = args.get_or("churn-rate", 0.002)?;
+    let churn_rate: f64 = args.get_in("churn-rate", 0.002, 0.0..=1.0, "in [0, 1]")?;
     let seed: u64 = args.get_or("seed", 1)?;
-    let fanout: usize = args.get_or("fanout", 3)?;
+    let fanout: usize = args.get_in("fanout", 3, 1.., ">= 1")?;
     let overlay: String = args.get_or("overlay", String::from("grown"))?;
     let r_degree: usize = args.get_or("r-degree", 8)?;
     let event_budget: usize = args.get_or("event-budget", 0)?;

@@ -11,7 +11,9 @@
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::Display;
 use std::ops::RangeBounds;
+use std::str::FromStr;
 
 /// Parsed command-line arguments: a map of `--key value` pairs plus a set of
 /// boolean flags (keys given without a value).
@@ -110,7 +112,7 @@ impl Args {
     /// # Errors
     ///
     /// Returns an error if the value is present but does not parse.
-    pub fn get_or<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
+    pub fn get_or<T: FromStr>(&self, name: &str, default: T) -> Result<T, String> {
         match self.value(name) {
             None => Ok(default),
             Some(raw) => raw
@@ -125,11 +127,7 @@ impl Args {
     /// # Errors
     ///
     /// Returns an error if any element fails to parse.
-    pub fn get_list_or<T: std::str::FromStr>(
-        &self,
-        name: &str,
-        default: Vec<T>,
-    ) -> Result<Vec<T>, String> {
+    pub fn get_list_or<T: FromStr>(&self, name: &str, default: Vec<T>) -> Result<Vec<T>, String> {
         match self.value(name) {
             None => Ok(default),
             Some(raw) => raw
@@ -144,22 +142,23 @@ impl Args {
         }
     }
 
-    /// Parses `--name` as a number that `range` must contain, falling back
-    /// to `default` when absent. `expected` names the range in the error
-    /// (`"in [0, 1)"`); `NaN` is in no range.
+    /// Parses `--name` as a number (a float or an integer count) that
+    /// `range` must contain, falling back to `default` when absent.
+    /// `expected` names the range in the error (`"in [0, 1)"`); `NaN` is in
+    /// no range.
     ///
     /// # Errors
     ///
     /// Returns an error if the value does not parse or lies outside `range`.
-    pub fn get_in(
+    pub fn get_in<T: FromStr + PartialOrd + Display>(
         &self,
         name: &str,
-        default: f64,
-        range: impl RangeBounds<f64>,
+        default: T,
+        range: impl RangeBounds<T>,
         expected: &str,
-    ) -> Result<f64, String> {
+    ) -> Result<T, String> {
         let value = self.get_or(name, default)?;
-        check_in(name, value, &range, expected)?;
+        check_in(name, &value, &range, expected)?;
         Ok(value)
     }
 
@@ -171,28 +170,28 @@ impl Args {
     ///
     /// Returns an error if an element does not parse or lies outside
     /// `range`.
-    pub fn get_list_in(
+    pub fn get_list_in<T: FromStr + PartialOrd + Display>(
         &self,
         name: &str,
-        default: Vec<f64>,
-        range: impl RangeBounds<f64>,
+        default: Vec<T>,
+        range: impl RangeBounds<T>,
         expected: &str,
-    ) -> Result<Vec<f64>, String> {
+    ) -> Result<Vec<T>, String> {
         let values = self.get_list_or(name, default)?;
-        for &value in &values {
+        for value in &values {
             check_in(name, value, &range, expected)?;
         }
         Ok(values)
     }
 }
 
-fn check_in(
+fn check_in<T: PartialOrd + Display>(
     name: &str,
-    value: f64,
-    range: &impl RangeBounds<f64>,
+    value: &T,
+    range: &impl RangeBounds<T>,
     expected: &str,
 ) -> Result<(), String> {
-    if range.contains(&value) {
+    if range.contains(value) {
         Ok(())
     } else {
         Err(format!("--{name} must be {expected}, got {value}"))
@@ -276,6 +275,60 @@ mod tests {
             let err = duration(bad).unwrap_err();
             assert!(err.contains("finite and >= 0"), "{err}");
         }
+
+        // A delay ratio: finite and non-negative, like a duration.
+        let ratios = |raw: &str| {
+            Args::parse(["--ratios", raw]).unwrap().get_list_in(
+                "ratios",
+                vec![0.1],
+                0.0..f64::INFINITY,
+                "finite and >= 0",
+            )
+        };
+        assert_eq!(ratios("0,3").unwrap(), vec![0.0, 3.0]);
+        for bad in ["-1", "nan", "inf"] {
+            let err = ratios(bad).unwrap_err();
+            assert!(err.starts_with("--ratios must be finite and >= 0"), "{err}");
+        }
+
+        // Counts: a view length, a fanout and a population are at least 1.
+        let views = |raw: &str| {
+            Args::parse(["--views", raw])
+                .unwrap()
+                .get_list_in("views", vec![5usize], 1.., ">= 1")
+        };
+        assert_eq!(views("5,40").unwrap(), vec![5, 40]);
+        assert_eq!(views("5,0").unwrap_err(), "--views must be >= 1, got 0");
+        assert!(views("-1").unwrap_err().contains("invalid element"));
+        let count = |name: &str, raw: &str| {
+            Args::parse([format!("--{name}"), raw.to_string()])
+                .unwrap()
+                .get_in(name, 3usize, 1.., ">= 1")
+        };
+        assert_eq!(count("fanout", "2"), Ok(2));
+        assert_eq!(
+            count("fanout", "0").unwrap_err(),
+            "--fanout must be >= 1, got 0"
+        );
+        assert_eq!(
+            count("nodes", "0").unwrap_err(),
+            "--nodes must be >= 1, got 0"
+        );
+
+        // A churn rate: a fraction of the population, [0, 1].
+        let churn = |raw: &str| {
+            Args::parse(["--churn-rate", raw]).unwrap().get_in(
+                "churn-rate",
+                0.002,
+                0.0..=1.0,
+                "in [0, 1]",
+            )
+        };
+        assert_eq!(churn("1"), Ok(1.0));
+        assert_eq!(
+            churn("1.5").unwrap_err(),
+            "--churn-rate must be in [0, 1], got 1.5"
+        );
 
         // The scalar form, and the default when the option is absent.
         let none = Args::parse(Vec::<String>::new()).unwrap();

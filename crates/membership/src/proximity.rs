@@ -25,8 +25,6 @@ use serde::{Deserialize, Serialize};
 
 use hybridcast_graph::NodeId;
 
-use crate::descriptor::Descriptor;
-
 /// A position on the RingCast identifier ring: a plain 64-bit integer drawn
 /// uniformly at random when a node joins.
 pub type RingPosition = u64;
@@ -85,12 +83,6 @@ impl DomainKey {
     /// Returns the country-level label (the first reversed label), if any.
     pub fn country(&self) -> Option<&str> {
         self.reversed_labels.first().map(String::as_str)
-    }
-
-    /// Returns `true` if both keys belong to the same full domain (all
-    /// labels equal, nonce ignored).
-    pub fn same_domain(&self, other: &DomainKey) -> bool {
-        self.reversed_labels == other.reversed_labels
     }
 }
 
@@ -193,15 +185,6 @@ pub fn ring_neighbors<K: Ord + Clone>(
     (predecessor, successor)
 }
 
-/// Convenience: extracts `(profile, id)` pairs from descriptors for use with
-/// [`ring_neighbors`].
-pub fn descriptor_keys<P: Clone>(descriptors: &[Descriptor<P>]) -> Vec<(P, NodeId)> {
-    descriptors
-        .iter()
-        .map(|d| (d.profile.clone(), d.id))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -235,10 +218,9 @@ mod tests {
     }
 
     #[test]
-    fn domain_key_same_domain_ignores_nonce() {
+    fn domain_keys_of_one_domain_differ_by_nonce() {
         let a = DomainKey::from_domain("inf.ethz.ch", 1);
         let b = DomainKey::from_domain("INF.ethz.CH", 2);
-        assert!(a.same_domain(&b));
         assert_ne!(a, b);
     }
 
@@ -306,14 +288,5 @@ mod tests {
         ids.sort();
         ids.dedup();
         assert_eq!(ids.len(), 3, "every candidate appears exactly once");
-    }
-
-    #[test]
-    fn descriptor_keys_extracts_pairs() {
-        let descs = vec![
-            Descriptor::new(n(1), 100u64),
-            Descriptor::with_age(n(2), 3, 200u64),
-        ];
-        assert_eq!(descriptor_keys(&descs), vec![(100, n(1)), (200, n(2))]);
     }
 }

@@ -155,25 +155,6 @@ impl<P: Clone> View<P> {
             .map(|i| self.entries[i].id)
     }
 
-    /// Returns up to `count` node ids drawn uniformly at random without
-    /// replacement, excluding any id in `exclude`.
-    pub fn random_ids<R: Rng + ?Sized>(
-        &self,
-        count: usize,
-        exclude: &[NodeId],
-        rng: &mut R,
-    ) -> Vec<NodeId> {
-        let mut candidates: Vec<NodeId> = self
-            .entries
-            .iter()
-            .map(|d| d.id)
-            .filter(|id| !exclude.contains(id))
-            .collect();
-        candidates.shuffle(rng);
-        candidates.truncate(count);
-        candidates
-    }
-
     /// Returns up to `count` descriptors drawn uniformly at random without
     /// replacement, excluding any node in `exclude`.
     pub fn random_descriptors<R: Rng + ?Sized>(
@@ -191,11 +172,6 @@ impl<P: Clone> View<P> {
         candidates.shuffle(rng);
         candidates.truncate(count);
         candidates
-    }
-
-    /// One uniformly random node id from the view, if any.
-    pub fn random_id<R: Rng + ?Sized>(&self, rng: &mut R) -> Option<NodeId> {
-        self.entries.choose(rng).map(|d| d.id)
     }
 
     /// Replaces the whole content of the view with (at most `capacity` of)
@@ -309,12 +285,11 @@ mod tests {
     fn random_selection_excludes_and_bounds() {
         let v = view_with(&[1, 2, 3, 4, 5]);
         let mut rng = ChaCha8Rng::seed_from_u64(11);
-        let picked = v.random_ids(3, &[n(2), n(4)], &mut rng);
+        let picked = v.random_descriptors(3, &[n(2), n(4)], &mut rng);
         assert_eq!(picked.len(), 3);
-        assert!(!picked.contains(&n(2)));
-        assert!(!picked.contains(&n(4)));
+        assert!(picked.iter().all(|d| d.id != n(2) && d.id != n(4)));
 
-        let all = v.random_ids(10, &[], &mut rng);
+        let all = v.random_descriptors(10, &[], &mut rng);
         assert_eq!(all.len(), 5, "bounded by view size");
 
         let descs = v.random_descriptors(2, &[n(1)], &mut rng);

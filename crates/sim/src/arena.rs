@@ -11,20 +11,24 @@
 //!   workers each own a **contiguous chunk** of the arena so a cycle can be
 //!   stepped by several threads without unsafe code.
 //!
-//! [`CyChunk`] and [`ViChunk`] are the common currency: mutable windows
-//! over a contiguous slot range (`base..base + slots`) with all protocol
-//! operations — ageing, oldest-selection, order-preserving removal, the
-//! Cyclon payload and merge rules and the Vicinity payload and merge rules
-//! (both one [`RingSelection`]) — expressed against chunk-relative rows. The
-//! sequential kernel simply builds a chunk covering the full arena
-//! (`base == 0`). Keeping one implementation of the payload and merge rules
-//! is what guarantees the two kernels agree on protocol semantics even
-//! though their RNG schedules differ.
+//! [`CyArena`] and [`ViArena`] own the arrays and hand them out as
+//! [`CyChunk`]s and [`ViChunk`]s, the common currency: mutable windows over
+//! a contiguous slot range (`base..base + slots`) with all protocol
+//! operations — the initiator half of each exchange
+//! ([`CyChunk::begin_shuffle`], [`ViChunk::pick_partner`]), the Cyclon
+//! payload and merge rules and the Vicinity payload and merge rules (both
+//! one [`RingSelection`]) — expressed against chunk-relative rows. The
+//! sequential kernel takes the chunk covering the whole arena
+//! ([`CyArena::full`]), the frontier kernel one chunk per worker
+//! ([`CyArena::chunks`]). Every rule is generic over its draw source and
+//! stated once, which is what guarantees the two kernels agree on protocol
+//! semantics even though their RNG schedules differ.
 
 use rand::seq::SliceRandom;
 use rand::Rng;
 
 use hybridcast_graph::cast::{idx, to_u32};
+use hybridcast_graph::NodeId;
 use hybridcast_membership::oldest_descriptor_index;
 
 /// A Cyclon payload descriptor in scratch space: `(node id, age, offset of
@@ -173,58 +177,106 @@ impl RingSelection {
     }
 }
 
-/// A mutable window over the Cyclon descriptor arena covering the slot
-/// range `base..base + len.len()`. All row indices are absolute slots; the
-/// chunk translates them to its local range.
-pub(crate) struct CyChunk<'a> {
-    pub id: &'a mut [u64],
-    pub age: &'a mut [u32],
+/// The Cyclon descriptor arena: every slot's view is one fixed-stride row
+/// of the parallel `id` / `age` / profile arrays.
+#[derive(Debug, Clone)]
+pub(crate) struct CyArena {
+    id: Vec<u64>,
+    age: Vec<u32>,
     /// Descriptor profiles: ring positions (stride `cyc * rings` per slot).
-    pub pos: &'a mut [u64],
-    pub len: &'a mut [u32],
+    pos: Vec<u64>,
+    len: Vec<u32>,
     /// View capacity (row stride of `id` / `age`).
-    pub cyc: usize,
-    /// Profile width (`pos` stride is `cyc * rings`).
-    pub rings: usize,
+    cyc: usize,
+    /// Profile width.
+    rings: usize,
+}
+
+impl CyArena {
+    /// An empty arena with room for `slots` views of `cyc` descriptors.
+    pub fn with_capacity(slots: usize, cyc: usize, rings: usize) -> Self {
+        CyArena {
+            id: Vec::with_capacity(slots * cyc),
+            age: Vec::with_capacity(slots * cyc),
+            pos: Vec::with_capacity(slots * cyc * rings),
+            len: Vec::with_capacity(slots),
+            cyc,
+            rings,
+        }
+    }
+
+    /// Appends one slot with an empty view.
+    pub fn push_slot(&mut self) {
+        self.id.resize(self.id.len() + self.cyc, 0);
+        self.age.resize(self.age.len() + self.cyc, 0);
+        self.pos.resize(self.pos.len() + self.cyc * self.rings, 0);
+        self.len.push(0);
+    }
+
+    /// Empties the view of `slot` (a reused slot starts from nothing).
+    pub fn clear_slot(&mut self, slot: u32) {
+        self.len[idx(slot)] = 0;
+    }
+
+    /// The one chunk covering every slot.
+    pub fn full(&mut self) -> CyChunk<'_> {
+        CyChunk {
+            id: &mut self.id,
+            age: &mut self.age,
+            pos: &mut self.pos,
+            len: &mut self.len,
+            cyc: self.cyc,
+            rings: self.rings,
+            base: 0,
+        }
+    }
+
+    /// Disjoint chunks of `per_worker` slots each, in slot order.
+    pub fn chunks(&mut self, per_worker: usize) -> impl ExactSizeIterator<Item = CyChunk<'_>> {
+        let (cyc, rings) = (self.cyc, self.rings);
+        self.id
+            .chunks_mut(per_worker * cyc)
+            .zip(self.age.chunks_mut(per_worker * cyc))
+            .zip(self.pos.chunks_mut(per_worker * cyc * rings))
+            .zip(self.len.chunks_mut(per_worker))
+            .enumerate()
+            .map(move |(w, (((id, age), pos), len))| CyChunk {
+                id,
+                age,
+                pos,
+                len,
+                cyc,
+                rings,
+                base: w * per_worker,
+            })
+    }
+
+    /// A read-only view of every slot.
+    pub fn view(&self) -> CyView<'_> {
+        CyView {
+            id: &self.id,
+            age: &self.age,
+            pos: &self.pos,
+            len: &self.len,
+            cyc: self.cyc,
+            rings: self.rings,
+        }
+    }
+}
+
+/// A mutable window over the [`CyArena`] covering the slot range
+/// `base..base + len.len()`. All row indices are absolute slots; the chunk
+/// translates them to its local range.
+pub(crate) struct CyChunk<'a> {
+    id: &'a mut [u64],
+    age: &'a mut [u32],
+    pos: &'a mut [u64],
+    len: &'a mut [u32],
+    cyc: usize,
+    rings: usize,
     /// First absolute slot this chunk covers.
-    pub base: usize,
+    base: usize,
 }
-
-/// Builds a [`CyChunk`] over the whole Cyclon arena of a
-/// [`crate::DenseSimNetwork`], borrowing only the `cy_*` fields so the
-/// caller keeps access to its RNG and the other arenas.
-macro_rules! cy_chunk_full {
-    ($net:expr) => {
-        $crate::arena::CyChunk {
-            id: &mut $net.cy_id,
-            age: &mut $net.cy_age,
-            pos: &mut $net.cy_pos,
-            len: &mut $net.cy_len,
-            cyc: $net.cyc,
-            rings: $net.rings,
-            base: 0,
-        }
-    };
-}
-pub(crate) use cy_chunk_full;
-
-/// Builds a [`ViChunk`] over the whole Vicinity arena of a
-/// [`crate::DenseSimNetwork`] (see [`cy_chunk_full`]).
-macro_rules! vi_chunk_full {
-    ($net:expr) => {
-        $crate::arena::ViChunk {
-            id: &mut $net.vi_id,
-            age: &mut $net.vi_age,
-            key: &mut $net.vi_key,
-            len: &mut $net.vi_len,
-            vic: $net.vic,
-            vic_rings: $net.vic_rings,
-            gos: $net.gos,
-            base: 0,
-        }
-    };
-}
-pub(crate) use vi_chunk_full;
 
 impl CyChunk<'_> {
     /// Chunk-local row index of an absolute slot.
@@ -232,31 +284,36 @@ impl CyChunk<'_> {
         idx(slot) - self.base
     }
 
+    /// The absolute slots this chunk covers.
+    pub fn slots(&self) -> std::ops::Range<usize> {
+        self.base..self.base + self.len.len()
+    }
+
     /// Current view length of `slot`.
-    pub fn view_len(&self, slot: u32) -> usize {
+    fn view_len(&self, slot: u32) -> usize {
         idx(self.len[self.l(slot)])
     }
 
     /// The view ids of `slot`, in view order.
-    pub fn ids(&self, slot: u32) -> &[u64] {
+    fn ids(&self, slot: u32) -> &[u64] {
         let base = self.l(slot) * self.cyc;
         &self.id[base..base + self.view_len(slot)]
     }
 
     /// The `(id, age)` of view entry `i` of `slot`.
-    pub fn entry(&self, slot: u32, i: usize) -> (u64, u32) {
+    fn entry(&self, slot: u32, i: usize) -> (u64, u32) {
         let base = self.l(slot) * self.cyc;
         (self.id[base + i], self.age[base + i])
     }
 
     /// The ring-position profile of view entry `i` of `slot`.
-    pub fn profile(&self, slot: u32, i: usize) -> &[u64] {
+    fn profile(&self, slot: u32, i: usize) -> &[u64] {
         let src = (self.l(slot) * self.cyc + i) * self.rings;
         &self.pos[src..src + self.rings]
     }
 
     /// `begin_cycle`: age every entry by one (saturating).
-    pub fn age_view(&mut self, slot: u32) {
+    fn age_view(&mut self, slot: u32) {
         let base = self.l(slot) * self.cyc;
         let len = self.view_len(slot);
         for age in &mut self.age[base..base + len] {
@@ -266,7 +323,7 @@ impl CyChunk<'_> {
 
     /// The view position of the oldest entry (ties toward lower id), if any
     /// — the protocol's shuffle-target selection rule.
-    pub fn oldest(&self, slot: u32) -> Option<usize> {
+    fn oldest(&self, slot: u32) -> Option<usize> {
         let base = self.l(slot) * self.cyc;
         let len = self.view_len(slot);
         oldest_descriptor_index(
@@ -278,7 +335,7 @@ impl CyChunk<'_> {
     }
 
     /// Returns `true` if the slot's view contains `id`.
-    pub fn contains(&self, slot: u32, id: u64) -> bool {
+    fn contains(&self, slot: u32, id: u64) -> bool {
         self.ids(slot).contains(&id)
     }
 
@@ -296,7 +353,7 @@ impl CyChunk<'_> {
 
     /// Removes the view entry at position `pos`, shifting later entries
     /// left (the arena equivalent of `Vec::remove`, preserving order).
-    pub fn remove_at(&mut self, slot: u32, pos: usize) {
+    fn remove_at(&mut self, slot: u32, pos: usize) {
         let s = self.l(slot);
         let len = idx(self.len[s]);
         debug_assert!(pos < len);
@@ -313,7 +370,7 @@ impl CyChunk<'_> {
 
     /// Removes the descriptor for `id` if present. Returns `true` on
     /// removal.
-    pub fn remove_id(&mut self, slot: u32, id: u64) -> bool {
+    fn remove_id(&mut self, slot: u32, id: u64) -> bool {
         match self.ids(slot).iter().position(|&e| e == id) {
             Some(pos) => {
                 self.remove_at(slot, pos);
@@ -321,6 +378,30 @@ impl CyChunk<'_> {
             }
             None => false,
         }
+    }
+
+    /// The initiator half of a Cyclon shuffle (`CyclonNode::{begin_cycle,
+    /// initiate_shuffle}`): age the view, take the oldest entry (ties toward
+    /// lower id) out of it as the shuffle target, and append the request to
+    /// `out` — `shuf - 1` random remaining entries plus a fresh descriptor
+    /// of the initiator, `own = (id, ring positions)`. Returns the target's
+    /// id, or `None` (nothing drawn, nothing appended) for an isolated node.
+    pub fn begin_shuffle<R: Rng + ?Sized>(
+        &mut self,
+        slot: u32,
+        own: (u64, &[u64]),
+        shuf: usize,
+        rng: &mut R,
+        perm: &mut Vec<u32>,
+        out: &mut CyPayload,
+    ) -> Option<u64> {
+        self.age_view(slot);
+        let best = self.oldest(slot)?;
+        let target = self.entry(slot, best).0;
+        self.remove_at(slot, best);
+        self.random_payload_into(slot, None, shuf.saturating_sub(1), rng, perm, out);
+        out.push(own.0, 0, own.1);
+        Some(target)
     }
 
     /// The Cyclon request/reply payload rule (`View::random_descriptors`):
@@ -390,47 +471,37 @@ impl CyChunk<'_> {
             }
         }
     }
-
-    /// Projects a slot's view onto ring `ring` — every descriptor re-keyed
-    /// with the peer's position on that ring (the random layer feeding the
-    /// proximity layer).
-    pub fn ring_candidates_into(&self, slot: u32, ring: usize, out: &mut Vec<ViDesc>) {
-        out.clear();
-        let base = self.l(slot) * self.cyc;
-        let len = self.view_len(slot);
-        for i in 0..len {
-            let key = self.pos[(base + i) * self.rings + ring];
-            out.push((self.id[base + i], self.age[base + i], key));
-        }
-    }
 }
 
-/// A **read-only** view of the whole Cyclon arena. The Vicinity phases of
+/// A **read-only** view of the whole [`CyArena`]. The Vicinity phases of
 /// the frontier kernel read ring candidates out of the (then immutable)
 /// Cyclon views from several worker threads at once while the Vicinity
 /// arena is split into mutable chunks; a shared view is what makes that
 /// possible without unsafe code.
 #[derive(Clone, Copy)]
 pub(crate) struct CyView<'a> {
-    pub id: &'a [u64],
-    pub age: &'a [u32],
-    pub pos: &'a [u64],
-    pub len: &'a [u32],
-    pub cyc: usize,
-    pub rings: usize,
+    id: &'a [u64],
+    age: &'a [u32],
+    pos: &'a [u64],
+    len: &'a [u32],
+    cyc: usize,
+    rings: usize,
 }
 
-impl CyView<'_> {
-    /// Current view length of `slot`.
-    pub fn view_len(&self, slot: u32) -> usize {
-        idx(self.len[idx(slot)])
+impl<'a> CyView<'a> {
+    /// The view ids (r-links) of `slot`, in view order.
+    pub fn ids(&self, slot: u32) -> &'a [u64] {
+        let base = idx(slot) * self.cyc;
+        &self.id[base..base + idx(self.len[idx(slot)])]
     }
 
-    /// See [`CyChunk::ring_candidates_into`].
+    /// Projects a slot's view onto ring `ring` — every descriptor re-keyed
+    /// with the peer's position on that ring (the random layer feeding the
+    /// proximity layer).
     pub fn ring_candidates_into(&self, slot: u32, ring: usize, out: &mut Vec<ViDesc>) {
         out.clear();
         let base = idx(slot) * self.cyc;
-        let len = self.view_len(slot);
+        let len = idx(self.len[idx(slot)]);
         for i in 0..len {
             let key = self.pos[(base + i) * self.rings + ring];
             out.push((self.id[base + i], self.age[base + i], key));
@@ -438,27 +509,145 @@ impl CyView<'_> {
     }
 }
 
-/// A mutable window over the Vicinity descriptor arena covering the slot
-/// range `base..base + len.len() / vic_rings` (see [`CyChunk`]).
-pub(crate) struct ViChunk<'a> {
-    pub id: &'a mut [u64],
-    pub age: &'a mut [u32],
-    pub key: &'a mut [u64],
+/// The Vicinity descriptor arena: one fixed-stride view per slot and ring
+/// (stride `vic_rings * vic` per slot) in parallel `id` / `age` / `key`
+/// arrays.
+#[derive(Debug, Clone)]
+pub(crate) struct ViArena {
+    id: Vec<u64>,
+    age: Vec<u32>,
+    key: Vec<u64>,
     /// View lengths (stride `vic_rings` per slot).
-    pub len: &'a mut [u32],
+    len: Vec<u32>,
     /// View capacity per ring.
-    pub vic: usize,
-    /// Vicinity instances per node.
-    pub vic_rings: usize,
+    vic: usize,
+    /// Vicinity instances per node (0 when Vicinity is disabled).
+    vic_rings: usize,
     /// Exchange payload length (clamped like `VicinityNode`).
-    pub gos: usize,
+    gos: usize,
+}
+
+impl ViArena {
+    /// An empty arena with room for `slots` nodes of `vic_rings` views each.
+    pub fn with_capacity(slots: usize, vic: usize, vic_rings: usize, gos: usize) -> Self {
+        ViArena {
+            id: Vec::with_capacity(slots * vic_rings * vic),
+            age: Vec::with_capacity(slots * vic_rings * vic),
+            key: Vec::with_capacity(slots * vic_rings * vic),
+            len: Vec::with_capacity(slots * vic_rings.max(1)),
+            vic,
+            vic_rings,
+            gos,
+        }
+    }
+
+    /// Vicinity instances per node.
+    pub fn rings(&self) -> usize {
+        self.vic_rings
+    }
+
+    /// Appends one slot with an empty view on every ring.
+    pub fn push_slot(&mut self) {
+        let stride = self.vic_rings * self.vic;
+        self.id.resize(self.id.len() + stride, 0);
+        self.age.resize(self.age.len() + stride, 0);
+        self.key.resize(self.key.len() + stride, 0);
+        self.len.resize(self.len.len() + self.vic_rings, 0);
+    }
+
+    /// Empties every view of `slot` (a reused slot starts from nothing).
+    pub fn clear_slot(&mut self, slot: u32) {
+        let first = idx(slot) * self.vic_rings;
+        self.len[first..first + self.vic_rings].fill(0);
+    }
+
+    /// The one chunk covering every slot.
+    pub fn full(&mut self) -> ViChunk<'_> {
+        ViChunk {
+            id: &mut self.id,
+            age: &mut self.age,
+            key: &mut self.key,
+            len: &mut self.len,
+            vic: self.vic,
+            vic_rings: self.vic_rings,
+            gos: self.gos,
+            base: 0,
+        }
+    }
+
+    /// Disjoint chunks of `per_worker` slots each, in slot order.
+    pub fn chunks(&mut self, per_worker: usize) -> impl ExactSizeIterator<Item = ViChunk<'_>> {
+        debug_assert!(
+            self.vic_rings > 0,
+            "a network without Vicinity has no rings to step"
+        );
+        let (vic, vic_rings, gos) = (self.vic, self.vic_rings, self.gos);
+        let stride = per_worker * vic_rings * vic;
+        self.id
+            .chunks_mut(stride)
+            .zip(self.age.chunks_mut(stride))
+            .zip(self.key.chunks_mut(stride))
+            .zip(self.len.chunks_mut(per_worker * vic_rings))
+            .enumerate()
+            .map(move |(w, (((id, age), key), len))| ViChunk {
+                id,
+                age,
+                key,
+                len,
+                vic,
+                vic_rings,
+                gos,
+                base: w * per_worker,
+            })
+    }
+
+    /// The ring neighbours `(predecessor, successor)` of `slot` on one ring,
+    /// computed from its view exactly like `VicinityNode::ring_neighbors`:
+    /// the entries of highest and lowest [`ring_rank`] around `own_key` —
+    /// the [`RingSelection`] order with `k = 2`, read off in one pass. A
+    /// single-entry view is its own two-node ring.
+    pub fn ring_neighbors(
+        &self,
+        slot: u32,
+        ring: usize,
+        own_key: u64,
+    ) -> (Option<NodeId>, Option<NodeId>) {
+        let base = (idx(slot) * self.vic_rings + ring) * self.vic;
+        let len = idx(self.len[idx(slot) * self.vic_rings + ring]);
+        let ends = (base..base + len)
+            .map(|i| ring_rank(own_key, self.key[i], self.id[i]))
+            .fold(None, |ends: Option<(u128, u128)>, rank| {
+                let (succ, pred) = ends.unwrap_or((rank, rank));
+                Some((succ.min(rank), pred.max(rank)))
+            });
+        // The low half of a rank is the id.
+        let id = |rank: u128| NodeId::new(rank as u64);
+        (ends.map(|e| id(e.1)), ends.map(|e| id(e.0)))
+    }
+}
+
+/// A mutable window over the [`ViArena`] covering the slot range
+/// `base..base + len.len() / vic_rings` (see [`CyChunk`]).
+pub(crate) struct ViChunk<'a> {
+    id: &'a mut [u64],
+    age: &'a mut [u32],
+    key: &'a mut [u64],
+    len: &'a mut [u32],
+    vic: usize,
+    vic_rings: usize,
+    gos: usize,
     /// First absolute slot this chunk covers.
-    pub base: usize,
+    base: usize,
 }
 
 impl ViChunk<'_> {
     fn l(&self, slot: u32) -> usize {
         idx(slot) - self.base
+    }
+
+    /// The absolute slots this chunk covers.
+    pub fn slots(&self) -> std::ops::Range<usize> {
+        self.base..self.base + self.len.len() / self.vic_rings
     }
 
     /// Base offset of a slot's view for one ring.
@@ -467,12 +656,12 @@ impl ViChunk<'_> {
     }
 
     /// Current view length of `slot` on `ring`.
-    pub fn view_len(&self, slot: u32, ring: usize) -> usize {
+    fn view_len(&self, slot: u32, ring: usize) -> usize {
         idx(self.len[self.l(slot) * self.vic_rings + ring])
     }
 
     /// `begin_cycle`: age every view entry on `ring`.
-    pub fn age_view(&mut self, slot: u32, ring: usize) {
+    fn age_view(&mut self, slot: u32, ring: usize) {
         let base = self.row(slot, ring);
         let len = self.view_len(slot, ring);
         for age in &mut self.age[base..base + len] {
@@ -482,7 +671,7 @@ impl ViChunk<'_> {
 
     /// The id of the oldest view entry (ties toward lower id), if any —
     /// the exchange-partner selection rule.
-    pub fn oldest_id(&self, slot: u32, ring: usize) -> Option<u64> {
+    fn oldest_id(&self, slot: u32, ring: usize) -> Option<u64> {
         let base = self.row(slot, ring);
         let len = self.view_len(slot, ring);
         oldest_descriptor_index(
@@ -495,13 +684,41 @@ impl ViChunk<'_> {
     }
 
     /// The ring key of `id` in the slot's view, if present.
-    pub fn get_key(&self, slot: u32, ring: usize, id: u64) -> Option<u64> {
+    fn get_key(&self, slot: u32, ring: usize, id: u64) -> Option<u64> {
         let base = self.row(slot, ring);
         let len = self.view_len(slot, ring);
         self.id[base..base + len]
             .iter()
             .position(|&e| e == id)
             .map(|pos| self.key[base + pos])
+    }
+
+    /// The initiator's partner choice in a Vicinity exchange
+    /// (`VicinityNode::{begin_cycle, initiate_exchange}`): age the view and
+    /// take its oldest entry (ties toward lower id); only while the view is
+    /// still empty, one `pick(cand.len())` draw among the random layer's
+    /// candidates `cand` instead. Returns the partner's `(id, ring key)` —
+    /// the key as the view knows it, else as the candidates do, else
+    /// `own_key` — or `None` (nothing drawn) when no partner is known.
+    pub fn pick_partner(
+        &mut self,
+        slot: u32,
+        ring: usize,
+        own_key: u64,
+        cand: &[ViDesc],
+        pick: impl FnOnce(usize) -> usize,
+    ) -> Option<(u64, u64)> {
+        self.age_view(slot, ring);
+        let target = match self.oldest_id(slot, ring) {
+            Some(target) => target,
+            None if cand.is_empty() => return None,
+            None => cand[pick(cand.len())].0,
+        };
+        let key = self
+            .get_key(slot, ring, target)
+            .or_else(|| cand.iter().find(|d| d.0 == target).map(|d| d.2))
+            .unwrap_or(own_key);
+        Some((target, key))
     }
 
     /// Removes the descriptor for `id` if present (order-preserving shift).

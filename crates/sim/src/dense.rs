@@ -41,7 +41,7 @@ use hybridcast_graph::cast::idx;
 use hybridcast_graph::NodeId;
 use hybridcast_obs::{NullProbe, Probe, TraceEvent};
 
-use crate::arena::{cy_chunk_full, ring_rank, vi_chunk_full, CyPayload, RingSelection, ViDesc};
+use crate::arena::{CyArena, CyPayload, RingSelection, ViArena, ViDesc};
 use crate::config::SimConfig;
 use crate::frontier::{PerNodeState, RngMode};
 use crate::runtime::GossipRuntime;
@@ -153,14 +153,8 @@ pub struct DenseSimNetwork {
     config: SimConfig,
     /// Ring positions per node (`config.rings.max(1)`).
     pub(crate) rings: usize,
-    /// Vicinity instances per node (0 when Vicinity is disabled).
-    pub(crate) vic_rings: usize,
-    /// Cyclon view capacity / shuffle length (clamped like `CyclonNode`).
-    pub(crate) cyc: usize,
+    /// Cyclon shuffle length (clamped like `CyclonNode`).
     pub(crate) shuf: usize,
-    /// Vicinity view capacity / gossip length (clamped like `VicinityNode`).
-    pub(crate) vic: usize,
-    pub(crate) gos: usize,
     pub(crate) cycle: u64,
     next_id: u64,
     /// The shared simulation stream: bootstrap ring positions, the cycle
@@ -185,19 +179,10 @@ pub struct DenseSimNetwork {
     /// spawns append and kills remove in place).
     pub(crate) by_id: Vec<u32>,
 
-    // ---- Cyclon descriptor arena (stride `cyc` per slot) -----------------
-    pub(crate) cy_id: Vec<u64>,
-    pub(crate) cy_age: Vec<u32>,
-    /// Descriptor profiles: ring positions (stride `cyc * rings` per slot).
-    pub(crate) cy_pos: Vec<u64>,
-    pub(crate) cy_len: Vec<u32>,
-
-    // ---- Vicinity descriptor arena (stride `vic_rings * vic` per slot) ---
-    pub(crate) vi_id: Vec<u64>,
-    pub(crate) vi_age: Vec<u32>,
-    pub(crate) vi_key: Vec<u64>,
-    /// View lengths (stride `vic_rings` per slot).
-    pub(crate) vi_len: Vec<u32>,
+    /// Every node's Cyclon view.
+    pub(crate) cy: CyArena,
+    /// Every node's Vicinity views, one per ring.
+    pub(crate) vi: ViArena,
 
     scratch: EpochScratch,
 
@@ -219,6 +204,8 @@ impl DenseSimNetwork {
         config.validate().expect("invalid simulation configuration");
         let rings = config.rings.max(1);
         let vic_rings = if config.run_vicinity { rings } else { 0 };
+        // View capacities; the exchange lengths are clamped to them like
+        // `CyclonNode` / `VicinityNode` clamp theirs.
         let cyc = config.cyclon_view;
         let shuf = config.cyclon_shuffle.min(cyc);
         let vic = config.vicinity_view;
@@ -227,11 +214,7 @@ impl DenseSimNetwork {
         let mut net = DenseSimNetwork {
             config,
             rings,
-            vic_rings,
-            cyc,
             shuf,
-            vic,
-            gos,
             cycle: 0,
             next_id: 0,
             rng: ChaCha8Rng::seed_from_u64(seed),
@@ -241,14 +224,8 @@ impl DenseSimNetwork {
             live: SlotBits::default(),
             free: Vec::new(),
             by_id: Vec::with_capacity(nodes),
-            cy_id: Vec::with_capacity(nodes * cyc),
-            cy_age: Vec::with_capacity(nodes * cyc),
-            cy_pos: Vec::with_capacity(nodes * cyc * rings),
-            cy_len: Vec::with_capacity(nodes),
-            vi_id: Vec::with_capacity(nodes * vic_rings * vic),
-            vi_age: Vec::with_capacity(nodes * vic_rings * vic),
-            vi_key: Vec::with_capacity(nodes * vic_rings * vic),
-            vi_len: Vec::with_capacity(nodes * vic_rings.max(1)),
+            cy: CyArena::with_capacity(nodes, cyc, rings),
+            vi: ViArena::with_capacity(nodes, vic, vic_rings, gos),
             scratch: EpochScratch::default(),
             per_node: None,
         };
@@ -268,9 +245,9 @@ impl DenseSimNetwork {
     /// any thread count. See [`crate::frontier`] for the full contract.
     ///
     /// The driver surface (`spawn_node` ring positions,
-    /// [`DenseSimNetwork::random_live_node`], [`DenseSimNetwork::with_rng`])
-    /// still consumes the shared stream exactly like [`DenseSimNetwork::new`]
-    /// — only cycle stepping differs.
+    /// [`DenseSimNetwork::random_live_node`]) still consumes the shared
+    /// stream exactly like [`DenseSimNetwork::new`] — only cycle stepping
+    /// differs.
     ///
     /// # Panics
     ///
@@ -342,26 +319,8 @@ impl DenseSimNetwork {
         let Some(slot) = self.lookup_live(id.as_u64()) else {
             return Vec::new();
         };
-        let base = idx(slot) * self.cyc;
-        let len = idx(self.cy_len[idx(slot)]);
-        self.cy_id[base..base + len]
-            .iter()
-            .map(|&raw| NodeId::new(raw))
-            .collect()
-    }
-
-    /// Runs `f` with scoped access to the driver RNG, for drivers that need
-    /// extra randomness tied to the same seed (e.g. choosing dissemination
-    /// origins).
-    ///
-    /// This replaces the old `rng()` accessor, which leaked `&mut ChaCha8Rng`
-    /// and let callers silently desync the simulation draw sequence; the
-    /// closure form keeps every extra draw an explicit, auditable event. In
-    /// per-node mode this stream is the **driver** stream only (spawn
-    /// positions, [`DenseSimNetwork::random_live_node`], and these scoped
-    /// draws); cycle stepping never touches it.
-    pub fn with_rng<T>(&mut self, f: impl FnOnce(&mut ChaCha8Rng) -> T) -> T {
-        f(&mut self.rng)
+        let ids = self.cy.view().ids(slot);
+        ids.iter().map(|&raw| NodeId::new(raw)).collect()
     }
 
     /// The RNG mode this network was built with.
@@ -393,16 +352,8 @@ impl DenseSimNetwork {
                 self.ids.push(0);
                 self.joined.push(0);
                 self.positions.resize(self.positions.len() + self.rings, 0);
-                self.cy_id.resize(self.cy_id.len() + self.cyc, 0);
-                self.cy_age.resize(self.cy_age.len() + self.cyc, 0);
-                self.cy_pos
-                    .resize(self.cy_pos.len() + self.cyc * self.rings, 0);
-                self.cy_len.push(0);
-                let vi_slots = self.vic_rings * self.vic;
-                self.vi_id.resize(self.vi_id.len() + vi_slots, 0);
-                self.vi_age.resize(self.vi_age.len() + vi_slots, 0);
-                self.vi_key.resize(self.vi_key.len() + vi_slots, 0);
-                self.vi_len.resize(self.vi_len.len() + self.vic_rings, 0);
+                self.cy.push_slot();
+                self.vi.push_slot();
                 self.live.grow_to(self.ids.len());
                 slot
             }
@@ -414,21 +365,14 @@ impl DenseSimNetwork {
         for r in 0..self.rings {
             self.positions[pos_base + r] = self.rng.gen();
         }
-        self.cy_len[s] = 0;
-        for r in 0..self.vic_rings {
-            self.vi_len[s * self.vic_rings + r] = 0;
-        }
+        self.cy.clear_slot(slot);
+        self.vi.clear_slot(slot);
 
         if let Some(contact) = introducer {
             if let Some(cslot) = self.lookup_live(contact.as_u64()) {
-                let cs = idx(cslot);
-                self.cy_id[s * self.cyc] = contact.as_u64();
-                self.cy_age[s * self.cyc] = 0;
-                let dst = s * self.cyc * self.rings;
-                let src = cs * self.rings;
-                self.cy_pos[dst..dst + self.rings]
-                    .copy_from_slice(&self.positions[src..src + self.rings]);
-                self.cy_len[s] = 1;
+                let src = idx(cslot) * self.rings;
+                let profile = &self.positions[src..src + self.rings];
+                self.cy.full().push(slot, contact.as_u64(), 0, profile);
             }
         }
 
@@ -462,6 +406,10 @@ impl DenseSimNetwork {
     /// Picks a uniformly random live node, if any. RNG-compatible with
     /// [`crate::Network::random_live_node`] (one `choose` over the
     /// id-ordered live list).
+    ///
+    /// This and [`DenseSimNetwork::spawn_node`] are the only draws a driver
+    /// can cause: the stream itself is never handed out, so no caller can
+    /// silently desync the simulation's draw sequence.
     pub fn random_live_node(&mut self) -> Option<NodeId> {
         let slot = self.by_id.choose(&mut self.rng).copied()?;
         Some(NodeId::new(self.ids[idx(slot)]))
@@ -505,7 +453,7 @@ impl DenseSimNetwork {
                 cycle: self.cycle,
             });
             self.cyclon_gossip(slot, my_id, &mut scratch);
-            for ring in 0..self.vic_rings {
+            for ring in 0..self.vi.rings() {
                 self.vicinity_gossip(slot, my_id, ring, &mut scratch);
             }
         }
@@ -518,103 +466,73 @@ impl DenseSimNetwork {
 
     // ---- Cyclon over the arena ------------------------------------------
 
-    /// One Cyclon shuffle initiated by `slot`: ageing, oldest-neighbour
-    /// selection, request/reply payloads and both merges — the arena replay
-    /// of `CyclonNode::{begin_cycle, initiate_shuffle,
-    /// handle_shuffle_request, handle_shuffle_response}`, expressed against
-    /// the shared [`crate::arena::CyChunk`] operations the frontier kernel
-    /// also uses.
+    /// One Cyclon shuffle initiated by `slot`: the initiator half
+    /// ([`crate::arena::CyChunk::begin_shuffle`]), then the reply and both
+    /// merges before the next node steps — the arena replay of
+    /// `CyclonNode::{begin_cycle, initiate_shuffle, handle_shuffle_request,
+    /// handle_shuffle_response}` on the shared stream.
     fn cyclon_gossip(&mut self, slot: u32, my_id: u64, s: &mut EpochScratch) {
-        let shuf = self.shuf;
-        let rings = self.rings;
-        let mut cy = cy_chunk_full!(self);
-
-        // begin_cycle: age every entry by one (saturating).
-        cy.age_view(slot);
-        if cy.view_len(slot) == 0 {
-            return; // An isolated node cannot shuffle.
-        }
-
-        // initiate_shuffle: pick the oldest entry (ties toward lower id),
-        // remove it from the view...
-        let best = cy.oldest(slot).expect("view is non-empty");
-        let target = cy.entry(slot, best).0;
-        cy.remove_at(slot, best);
-
-        // ...and build the request: `shuf - 1` random remaining entries
-        // plus a fresh descriptor of the initiator.
+        let mut cy = self.cy.full();
+        let pos_base = idx(slot) * self.rings;
+        let own = (my_id, &self.positions[pos_base..pos_base + self.rings]);
         s.sent.clear();
-        cy.random_payload_into(
+        let Some(target) = cy.begin_shuffle(
             slot,
-            None,
-            shuf.saturating_sub(1),
+            own,
+            self.shuf,
             &mut self.rng,
             &mut s.perm,
             &mut s.sent,
+        ) else {
+            return; // An isolated node cannot shuffle.
+        };
+        let Some(peer) = lookup_live_in(&self.by_id, &self.ids, target) else {
+            // shuffle_failed: nothing to repair — the dead target's
+            // descriptor already left the view.
+            return;
+        };
+        // handle_shuffle_request: the reply is `shuf` random entries of the
+        // peer's view (never the initiator), captured before the peer
+        // merges the request.
+        s.reply.clear();
+        cy.random_payload_into(
+            peer,
+            Some(my_id),
+            self.shuf,
+            &mut self.rng,
+            &mut s.perm,
+            &mut s.reply,
         );
-        let pos_base = idx(slot) * rings;
-        s.sent
-            .push(my_id, 0, &self.positions[pos_base..pos_base + rings]);
-
-        match lookup_live_in(&self.by_id, &self.ids, target) {
-            Some(peer) => {
-                // handle_shuffle_request: the reply is `shuf` random entries
-                // of the peer's view (never the initiator), captured before
-                // the peer merges the request.
-                s.reply.clear();
-                cy.random_payload_into(
-                    peer,
-                    Some(my_id),
-                    shuf,
-                    &mut self.rng,
-                    &mut s.perm,
-                    &mut s.reply,
-                );
-
-                let peer_id = self.ids[idx(peer)];
-                // Peer merges the request (may evict what it just sent)...
-                cy.merge(
-                    peer,
-                    peer_id,
-                    &s.sent.descs,
-                    &s.sent.profs,
-                    &s.reply.descs,
-                    &mut s.replaceable,
-                );
-                // ...then the initiator merges the reply (may evict what it
-                // sent, never its own fresh descriptor).
-                cy.merge(
-                    slot,
-                    my_id,
-                    &s.reply.descs,
-                    &s.reply.profs,
-                    &s.sent.descs,
-                    &mut s.replaceable,
-                );
-            }
-            None => {
-                // shuffle_failed: nothing to repair — the dead target's
-                // descriptor already left the view above.
-            }
-        }
+        let peer_id = self.ids[idx(peer)];
+        // Peer merges the request (may evict what it just sent)...
+        cy.merge(
+            peer,
+            peer_id,
+            &s.sent.descs,
+            &s.sent.profs,
+            &s.reply.descs,
+            &mut s.replaceable,
+        );
+        // ...then the initiator merges the reply (may evict what it sent,
+        // never its own fresh descriptor).
+        cy.merge(
+            slot,
+            my_id,
+            &s.reply.descs,
+            &s.reply.profs,
+            &s.sent.descs,
+            &mut s.replaceable,
+        );
     }
 
     // ---- Vicinity over the arena ----------------------------------------
 
-    /// Base offset of a slot's Vicinity view for one ring.
-    fn vi_base(&self, slot: u32, ring: usize) -> usize {
-        (idx(slot) * self.vic_rings + ring) * self.vic
-    }
-
-    fn vi_view_len(&self, slot: u32, ring: usize) -> usize {
-        idx(self.vi_len[idx(slot) * self.vic_rings + ring])
-    }
-
-    /// One Vicinity exchange on ring `ring` initiated by `slot` — the arena
-    /// replay of `VicinityNode::{begin_cycle, initiate_exchange,
-    /// handle_exchange_request, handle_exchange_response, exchange_failed}`,
-    /// expressed against the shared [`crate::arena::ViChunk`] operations the
-    /// frontier kernel also uses.
+    /// One Vicinity exchange on ring `ring` initiated by `slot`: the partner
+    /// choice ([`crate::arena::ViChunk::pick_partner`]), then both payloads
+    /// and both merges before the next node steps — the arena replay of
+    /// `VicinityNode::{begin_cycle, initiate_exchange,
+    /// handle_exchange_request, handle_exchange_response, exchange_failed}`
+    /// on the shared stream.
     fn vicinity_gossip(&mut self, slot: u32, my_id: u64, ring: usize, s: &mut EpochScratch) {
         let EpochScratch {
             cand,
@@ -626,37 +544,24 @@ impl DenseSimNetwork {
         } = s;
         // The random layer feeds candidates into the proximity layer (from
         // the initiator's *current* Cyclon view, after its shuffle).
-        let cy = cy_chunk_full!(self);
-        let mut vi = vi_chunk_full!(self);
-        cy.ring_candidates_into(slot, ring, cand);
+        let cyv = self.cy.view();
+        let mut vi = self.vi.full();
+        cyv.ring_candidates_into(slot, ring, cand);
 
-        // begin_cycle: age every view entry.
-        vi.age_view(slot, ring);
-
-        // initiate_exchange: the oldest view entry, or — while the view is
-        // still empty — a uniformly random Cyclon candidate (one
-        // `gen_range` draw, exactly like the id-keyed runtime).
         let own_key = self.positions[idx(slot) * self.rings + ring];
-        let target = match vi.oldest_id(slot, ring) {
-            Some(target) => target,
-            None => {
-                if cand.is_empty() {
-                    return; // No partner known at all.
-                }
-                cand[self.rng.gen_range(0..cand.len())].0
-            }
+        let rng = &mut self.rng;
+        let Some((target, target_key)) =
+            vi.pick_partner(slot, ring, own_key, cand, |n| rng.gen_range(0..n))
+        else {
+            return; // No partner known at all.
         };
-        let target_key = vi
-            .get_key(slot, ring, target)
-            .or_else(|| cand.iter().find(|d| d.0 == target).map(|d| d.2))
-            .unwrap_or(own_key);
         vi.payload_into(slot, ring, (target, target_key), (my_id, own_key), pay, sel);
 
         match lookup_live_in(&self.by_id, &self.ids, target) {
             Some(peer) => {
                 let peer_id = self.ids[idx(peer)];
                 let peer_key = self.positions[idx(peer) * self.rings + ring];
-                cy.ring_candidates_into(peer, ring, cand_peer);
+                cyv.ring_candidates_into(peer, ring, cand_peer);
                 // handle_exchange_request: the reply targets the initiator's
                 // neighbourhood and is captured before the peer merges.
                 vi.payload_into(
@@ -681,32 +586,13 @@ impl DenseSimNetwork {
 
     // ---- Exports ---------------------------------------------------------
 
-    /// The node's ring neighbours `(predecessor, successor)` on one ring,
-    /// computed from its Vicinity view exactly like
-    /// `VicinityNode::ring_neighbors`: the view entries of highest and
-    /// lowest [`ring_rank`] — the [`RingSelection`] order with `k = 2`, read
-    /// off in one pass. A single-entry view is its own two-node ring.
-    fn ring_neighbors_of(&self, slot: u32, ring: usize) -> (Option<NodeId>, Option<NodeId>) {
-        let base = self.vi_base(slot, ring);
-        let len = self.vi_view_len(slot, ring);
-        let own_key = self.positions[idx(slot) * self.rings + ring];
-        let ends = (base..base + len)
-            .map(|i| ring_rank(own_key, self.vi_key[i], self.vi_id[i]))
-            .fold(None, |ends: Option<(u128, u128)>, rank| {
-                let (succ, pred) = ends.unwrap_or((rank, rank));
-                Some((succ.min(rank), pred.max(rank)))
-            });
-        // The low half of a rank is the id.
-        let id = |rank: u128| NodeId::new(rank as u64);
-        (ends.map(|e| id(e.1)), ends.map(|e| id(e.0)))
-    }
-
     /// Appends the node's d-links (ring neighbours on every ring,
     /// deduplicated within the node, predecessor before successor) to `out`.
     fn push_d_links(&self, slot: u32, out: &mut Vec<NodeId>) {
         let start = out.len();
-        for ring in 0..self.vic_rings {
-            let (pred, succ) = self.ring_neighbors_of(slot, ring);
+        for ring in 0..self.vi.rings() {
+            let own_key = self.positions[idx(slot) * self.rings + ring];
+            let (pred, succ) = self.vi.ring_neighbors(slot, ring, own_key);
             for link in [pred, succ].into_iter().flatten() {
                 if !out[start..].contains(&link) {
                     out.push(link);
@@ -719,14 +605,10 @@ impl DenseSimNetwork {
     /// [`crate::Network::overlay_snapshot`] for the same seed and history.
     pub fn overlay_snapshot(&self) -> OverlaySnapshot {
         let mut entries = BTreeMap::new();
+        let view = self.cy.view();
         for &slot in &self.by_id {
             let s = idx(slot);
-            let base = s * self.cyc;
-            let len = idx(self.cy_len[s]);
-            let r_links = self.cy_id[base..base + len]
-                .iter()
-                .map(|&raw| NodeId::new(raw))
-                .collect();
+            let r_links = view.ids(slot).iter().map(|&raw| NodeId::new(raw)).collect();
             let mut d_links = Vec::new();
             self.push_d_links(slot, &mut d_links);
             entries.insert(
@@ -754,16 +636,10 @@ impl DenseSimNetwork {
         let mut d_targets = Vec::new();
         r_offsets.push(0);
         d_offsets.push(0);
+        let view = self.cy.view();
         for &slot in &self.by_id {
-            let s = idx(slot);
-            ids.push(NodeId::new(self.ids[s]));
-            let base = s * self.cyc;
-            let len = idx(self.cy_len[s]);
-            r_targets.extend(
-                self.cy_id[base..base + len]
-                    .iter()
-                    .map(|&raw| NodeId::new(raw)),
-            );
+            ids.push(NodeId::new(self.ids[idx(slot)]));
+            r_targets.extend(view.ids(slot).iter().map(|&raw| NodeId::new(raw)));
             self.push_d_links(slot, &mut d_targets);
             r_offsets.push(u32::try_from(r_targets.len()).expect("r-link count fits in u32"));
             d_offsets.push(u32::try_from(d_targets.len()).expect("d-link count fits in u32"));

@@ -158,60 +158,52 @@ impl std::str::FromStr for RngMode {
 
 // ---- lanes and worker scratch --------------------------------------------
 
-/// One queued Cyclon shuffle request: descriptor range `d0..d1` in the
-/// owning lane's buffers.
+/// One queued exchange message — a request, or the reply to it — between
+/// the `initiator` and `target` slots: payload descriptors `d0..d1` of the
+/// lane it sits in.
 #[derive(Debug, Clone, Copy)]
-struct CyReq {
+struct Rec {
     initiator: u32,
     target: u32,
     d0: u32,
     d1: u32,
 }
 
-/// One queued reply (Cyclon or Vicinity), keyed by the initiator awaiting
-/// it.
-#[derive(Debug, Clone, Copy)]
-struct Rep {
-    initiator: u32,
-    d0: u32,
-    d1: u32,
+impl Rec {
+    /// The record's descriptor range in its lane's payload buffer.
+    fn range(&self) -> std::ops::Range<usize> {
+        idx(self.d0)..idx(self.d1)
+    }
 }
 
-/// One queued Vicinity exchange request.
-#[derive(Debug, Clone, Copy)]
-struct ViReq {
-    initiator: u32,
-    target: u32,
-    d0: u32,
-    d1: u32,
-}
-
-/// Per-worker Cyclon request storage: phase 1 writes, phases 2 and 3 read.
+/// One worker's message storage: the worker that writes a lane in one phase
+/// is its only writer, and every worker may read it in the next. Cyclon's
+/// phases park their payloads in `cy`, then each ring's in `vi`.
 #[derive(Debug, Clone, Default)]
-struct CyReqLane {
-    recs: Vec<CyReq>,
-    pay: CyPayload,
+struct Lane {
+    recs: Vec<Rec>,
+    cy: CyPayload,
+    vi: Vec<ViDesc>,
 }
 
-/// Per-worker Cyclon reply storage: phase 2 writes, phase 3 reads.
-#[derive(Debug, Clone, Default)]
-struct CyRepLane {
-    recs: Vec<Rep>,
-    pay: CyPayload,
-}
+impl Lane {
+    fn clear(&mut self) {
+        self.recs.clear();
+        self.cy.clear();
+        self.vi.clear();
+    }
 
-/// Per-worker Vicinity request storage (one ring at a time).
-#[derive(Debug, Clone, Default)]
-struct ViReqLane {
-    recs: Vec<ViReq>,
-    descs: Vec<ViDesc>,
-}
-
-/// Per-worker Vicinity reply storage.
-#[derive(Debug, Clone, Default)]
-struct ViRepLane {
-    recs: Vec<Rep>,
-    descs: Vec<ViDesc>,
+    /// Queues one Vicinity message carrying a copy of `descs`.
+    fn push_vi(&mut self, initiator: u32, target: u32, descs: &[ViDesc]) {
+        let d0 = to_u32(self.vi.len());
+        self.vi.extend_from_slice(descs);
+        self.recs.push(Rec {
+            initiator,
+            target,
+            d0,
+            d1: to_u32(self.vi.len()),
+        });
+    }
 }
 
 /// Per-worker reusable buffers (candidate lists, payload staging, the
@@ -227,6 +219,66 @@ struct WorkerScratch {
     pay: Vec<ViDesc>,
     reply_v: Vec<ViDesc>,
     sel: RingSelection,
+}
+
+/// One record of a set of lanes, filed under the slot it is looked up by:
+/// `(slot, lane, pos)`.
+type IndexEntry = (u32, u32, u32);
+
+/// Rebuilds `index` over `lanes`, keyed by `key(rec)`.
+///
+/// Within a lane, `pos` follows the ascending-slot frontier order and lanes
+/// cover ascending contiguous slot ranges, so sorting requests by
+/// `(target, lane, pos)` is sorting them by `(target, initiator)` — the
+/// same canonical sequence at every thread count.
+fn build_index(index: &mut Vec<IndexEntry>, lanes: &[Lane], key: impl Fn(&Rec) -> u32) {
+    index.clear();
+    for (l, lane) in lanes.iter().enumerate() {
+        for (p, rec) in lane.recs.iter().enumerate() {
+            index.push((key(rec), to_u32(l), to_u32(p)));
+        }
+    }
+    index.sort_unstable();
+}
+
+/// The reply queued for `initiator`, found through the sorted reply index:
+/// the lane holding it and its record.
+fn reply_for<'a>(rep: &'a [Lane], index: &[IndexEntry], initiator: u32) -> (&'a Lane, Rec) {
+    let i = index
+        .binary_search_by_key(&initiator, |e| e.0)
+        .expect("a queued request always has a reply");
+    let lane = &rep[idx(index[i].1)];
+    (lane, lane.recs[idx(index[i].2)])
+}
+
+/// The part of `sorted` (ascending by `slot_of`) that falls into one
+/// worker's slot range.
+fn in_slots<T>(sorted: &[T], slots: std::ops::Range<usize>, slot_of: impl Fn(&T) -> u32) -> &[T] {
+    let a = sorted.partition_point(|e| idx(slot_of(e)) < slots.start);
+    let b = sorted.partition_point(|e| idx(slot_of(e)) < slots.end);
+    &sorted[a..b]
+}
+
+/// Runs `work(chunk, out)` for every arena chunk and the per-worker output
+/// that goes with it: inline when the arena is one chunk (which is what
+/// keeps the warm single-thread cycle allocation-free), otherwise on one
+/// scoped thread per chunk.
+fn fan_out<C: Send, O: Send>(
+    chunks: impl ExactSizeIterator<Item = C>,
+    outs: impl ExactSizeIterator<Item = O>,
+    work: impl Fn(C, O) + Sync,
+) {
+    let jobs = chunks.zip(outs);
+    if jobs.len() == 1 {
+        jobs.for_each(|(chunk, out)| work(chunk, out));
+    } else {
+        std::thread::scope(|scope| {
+            for (chunk, out) in jobs {
+                let work = &work;
+                scope.spawn(move || work(chunk, out));
+            }
+        });
+    }
 }
 
 // ---- per-node state ------------------------------------------------------
@@ -252,26 +304,24 @@ pub struct PerNodeState {
     frontier: Vec<u32>,
     /// Dedup bitset while building the frontier.
     in_frontier: SlotBits,
-    cy_req: Vec<CyReqLane>,
-    cy_rep: Vec<CyRepLane>,
-    vi_req: Vec<ViReqLane>,
-    vi_rep: Vec<ViRepLane>,
+    /// Requests: phase 1 writes, phases 2 and 3 read.
+    req: Vec<Lane>,
+    /// Replies: phase 2 writes, phase 3 reads.
+    rep: Vec<Lane>,
     scratch: Vec<WorkerScratch>,
-    /// `(target slot, lane, pos)` of every queued request, sorted — the
-    /// canonical processing order of phase 2.
-    req_index: Vec<(u32, u32, u32)>,
-    /// `(initiator slot, lane, pos)` of every queued reply, sorted for the
-    /// phase-3 binary search.
-    rep_index: Vec<(u32, u32, u32)>,
+    /// Every queued request by target slot — the canonical processing
+    /// order of phase 2.
+    req_index: Vec<IndexEntry>,
+    /// Every queued reply by initiator slot, for the phase-3 lookup.
+    rep_index: Vec<IndexEntry>,
 }
 
 impl PerNodeState {
     pub(crate) fn new(master: u64, period: u64, threads: usize) -> Self {
-        let threads = threads.max(1);
         let mut state = PerNodeState {
             master,
-            period: period.max(1),
-            threads,
+            period,
+            threads: 0,
             full_sweep: false,
             slot_gen: Vec::new(),
             next_due: Vec::new(),
@@ -279,31 +329,23 @@ impl PerNodeState {
             pending: Vec::new(),
             frontier: Vec::new(),
             in_frontier: SlotBits::default(),
-            cy_req: Vec::new(),
-            cy_rep: Vec::new(),
-            vi_req: Vec::new(),
-            vi_rep: Vec::new(),
+            req: Vec::new(),
+            rep: Vec::new(),
             scratch: Vec::new(),
             req_index: Vec::new(),
             rep_index: Vec::new(),
         };
-        state.buckets.resize_with(idx_u64(state.period), Vec::new);
-        state.resize_lanes();
+        state.buckets.resize_with(idx_u64(period), Vec::new);
+        state.set_threads(threads);
         state
     }
 
-    fn resize_lanes(&mut self) {
-        let threads = self.threads;
-        self.cy_req.clear();
-        self.cy_req.resize_with(threads, CyReqLane::default);
-        self.cy_rep.clear();
-        self.cy_rep.resize_with(threads, CyRepLane::default);
-        self.vi_req.clear();
-        self.vi_req.resize_with(threads, ViReqLane::default);
-        self.vi_rep.clear();
-        self.vi_rep.resize_with(threads, ViRepLane::default);
-        self.scratch.clear();
-        self.scratch.resize_with(threads, WorkerScratch::default);
+    /// Sets the worker count and gives every worker fresh lanes.
+    fn set_threads(&mut self, threads: usize) {
+        self.threads = threads.max(1);
+        self.req = vec![Lane::default(); self.threads];
+        self.rep = vec![Lane::default(); self.threads];
+        self.scratch = vec![WorkerScratch::default(); self.threads];
     }
 
     /// Registers a (re)occupied slot: bumps its generation and schedules
@@ -377,72 +419,6 @@ impl PerNodeState {
             self.buckets[bucket].push(slot);
         }
     }
-
-    fn clear_cy_lanes(&mut self) {
-        for lane in &mut self.cy_req {
-            lane.recs.clear();
-            lane.pay.clear();
-        }
-        for lane in &mut self.cy_rep {
-            lane.recs.clear();
-            lane.pay.clear();
-        }
-    }
-
-    fn clear_vi_lanes(&mut self) {
-        for lane in &mut self.vi_req {
-            lane.recs.clear();
-            lane.descs.clear();
-        }
-        for lane in &mut self.vi_rep {
-            lane.recs.clear();
-            lane.descs.clear();
-        }
-    }
-
-    fn build_cy_req_index(&mut self) {
-        self.req_index.clear();
-        for (l, lane) in self.cy_req.iter().enumerate() {
-            for (p, rec) in lane.recs.iter().enumerate() {
-                self.req_index.push((rec.target, to_u32(l), to_u32(p)));
-            }
-        }
-        // Within a lane, `pos` follows the ascending-slot frontier order
-        // and lanes cover ascending contiguous slot ranges, so sorting by
-        // `(target, lane, pos)` is sorting by `(target, initiator)` — the
-        // same canonical sequence at every thread count.
-        self.req_index.sort_unstable();
-    }
-
-    fn build_cy_rep_index(&mut self) {
-        self.rep_index.clear();
-        for (l, lane) in self.cy_rep.iter().enumerate() {
-            for (p, rec) in lane.recs.iter().enumerate() {
-                self.rep_index.push((rec.initiator, to_u32(l), to_u32(p)));
-            }
-        }
-        self.rep_index.sort_unstable();
-    }
-
-    fn build_vi_req_index(&mut self) {
-        self.req_index.clear();
-        for (l, lane) in self.vi_req.iter().enumerate() {
-            for (p, rec) in lane.recs.iter().enumerate() {
-                self.req_index.push((rec.target, to_u32(l), to_u32(p)));
-            }
-        }
-        self.req_index.sort_unstable();
-    }
-
-    fn build_vi_rep_index(&mut self) {
-        self.rep_index.clear();
-        for (l, lane) in self.vi_rep.iter().enumerate() {
-            for (p, rec) in lane.recs.iter().enumerate() {
-                self.rep_index.push((rec.initiator, to_u32(l), to_u32(p)));
-            }
-        }
-        self.rep_index.sort_unstable();
-    }
 }
 
 // ---- shared worker context -----------------------------------------------
@@ -465,117 +441,133 @@ impl Ctx<'_> {
     fn sgid_of(&self, slot: u32) -> u64 {
         sgid(self.slot_gen[idx(slot)], slot)
     }
+
+    fn id(&self, slot: u32) -> u64 {
+        self.ids[idx(slot)]
+    }
+
+    /// The slot's own stream for one `role` of this cycle.
+    fn stream(&self, slot: u32, role: u64) -> ChaCha8Rng {
+        ChaCha8Rng::seed_from_u64(role_seed(self.master, self.sgid_of(slot), role, self.cycle))
+    }
+
+    /// The live slot of node `id`, if it has one.
+    fn lookup(&self, id: u64) -> Option<u32> {
+        lookup_live_in(self.by_id, self.ids, id)
+    }
 }
 
-/// The sub-slice of the ascending `sorted` slots that falls into the slot
-/// range `lo..hi` (one worker's arena chunk).
-fn slot_range(sorted: &[u32], lo: usize, hi: usize) -> &[u32] {
-    let a = sorted.partition_point(|&s| idx(s) < lo);
-    let b = sorted.partition_point(|&s| idx(s) < hi);
-    &sorted[a..b]
+/// What the Vicinity workers of one ring read besides [`Ctx`]: the (now
+/// stable) Cyclon views their ring candidates come from.
+#[derive(Clone, Copy)]
+struct RingCtx<'a> {
+    ctx: Ctx<'a>,
+    cyv: CyView<'a>,
+    ring: usize,
 }
 
-/// The sub-slice of the sorted request index whose targets fall into the
-/// slot range `lo..hi`.
-fn target_range(index: &[(u32, u32, u32)], lo: usize, hi: usize) -> &[(u32, u32, u32)] {
-    let a = index.partition_point(|&(t, _, _)| idx(t) < lo);
-    let b = index.partition_point(|&(t, _, _)| idx(t) < hi);
-    &index[a..b]
-}
-
-/// Splits the Cyclon arena into per-worker [`CyChunk`]s of `chunk` slots.
-fn split_cy<'a>(
-    id: &'a mut [u64],
-    age: &'a mut [u32],
-    pos: &'a mut [u64],
-    len: &'a mut [u32],
-    cyc: usize,
-    rings: usize,
-    chunk: usize,
-) -> impl Iterator<Item = CyChunk<'a>> {
-    id.chunks_mut(chunk * cyc)
-        .zip(age.chunks_mut(chunk * cyc))
-        .zip(pos.chunks_mut(chunk * cyc * rings))
-        .zip(len.chunks_mut(chunk))
-        .enumerate()
-        .map(move |(w, (((id, age), pos), len))| CyChunk {
-            id,
-            age,
-            pos,
-            len,
-            cyc,
-            rings,
-            base: w * chunk,
-        })
-}
-
-/// Splits the Vicinity arena into per-worker [`ViChunk`]s of `chunk` slots.
-#[allow(clippy::too_many_arguments)]
-fn split_vi<'a>(
-    id: &'a mut [u64],
-    age: &'a mut [u32],
-    key: &'a mut [u64],
-    len: &'a mut [u32],
-    vic: usize,
-    vic_rings: usize,
-    gos: usize,
-    chunk: usize,
-) -> impl Iterator<Item = ViChunk<'a>> {
-    let stride = chunk * vic_rings * vic;
-    id.chunks_mut(stride)
-        .zip(age.chunks_mut(stride))
-        .zip(key.chunks_mut(stride))
-        .zip(len.chunks_mut(chunk * vic_rings))
-        .enumerate()
-        .map(move |(w, (((id, age), key), len))| ViChunk {
-            id,
-            age,
-            key,
-            len,
-            vic,
-            vic_rings,
-            gos,
-            base: w * chunk,
-        })
+impl RingCtx<'_> {
+    /// The `(id, ring key)` of the node in `slot`.
+    fn node(&self, slot: u32) -> (u64, u64) {
+        let key = self.ctx.positions[idx(slot) * self.ctx.rings + self.ring];
+        (self.ctx.id(slot), key)
+    }
 }
 
 // ---- the phased kernel ---------------------------------------------------
 
 impl DenseSimNetwork {
     /// One epoch step in per-node mode: build the frontier, run the three
-    /// Cyclon phases and (per ring) the three Vicinity phases, emit probe
-    /// events in frontier order, re-arm the stepped timers.
+    /// Cyclon phases and (per ring) the three Vicinity phases — each a
+    /// [`fan_out`] over disjoint arena chunks, with the sorted request and
+    /// reply indexes built in between — emit probe events in frontier
+    /// order, re-arm the stepped timers.
     pub(crate) fn run_single_cycle_per_node<P: Probe>(&mut self, probe: &mut P) {
         self.cycle += 1;
-        let mut pn = self.per_node.take().expect("per-node state present");
+        let pn = self
+            .per_node
+            .as_deref_mut()
+            .expect("per-node state present");
         pn.build_frontier(&self.live, self.cycle);
         if !pn.frontier.is_empty() {
-            pn.clear_cy_lanes();
-            cyclon_phase1(self, &mut pn);
-            pn.build_cy_req_index();
-            cyclon_phase2(self, &mut pn);
-            pn.build_cy_rep_index();
-            cyclon_phase3(self, &mut pn);
-            for ring in 0..self.vic_rings {
-                pn.clear_vi_lanes();
-                vicinity_phase1(self, &mut pn, ring);
-                pn.build_vi_req_index();
-                vicinity_phase2(self, &mut pn, ring);
-                pn.build_vi_rep_index();
-                vicinity_phase3(self, &mut pn, ring);
+            let PerNodeState {
+                req,
+                rep,
+                scratch,
+                req_index,
+                rep_index,
+                ..
+            } = pn;
+            let frontier: &[u32] = &pn.frontier;
+            let ctx = Ctx {
+                ids: &self.ids,
+                positions: &self.positions,
+                by_id: &self.by_id,
+                slot_gen: &pn.slot_gen,
+                master: pn.master,
+                cycle: self.cycle,
+                rings: self.rings,
+                shuf: self.shuf,
+            };
+            let slots = self.ids.len();
+            let per_worker = slots.div_ceil(pn.threads.min(slots));
+            let (cy, vi) = (&mut self.cy, &mut self.vi);
+
+            req.iter_mut().chain(rep.iter_mut()).for_each(Lane::clear);
+            fan_out(
+                cy.chunks(per_worker),
+                req.iter_mut().zip(scratch.iter_mut()),
+                |cy, (lane, scr)| cy_initiate(cy, frontier, lane, scr, ctx),
+            );
+            build_index(req_index, req, |rec| rec.target);
+            fan_out(
+                cy.chunks(per_worker),
+                rep.iter_mut().zip(scratch.iter_mut()),
+                |cy, (lane, scr)| cy_respond(cy, req_index, req, lane, scr, ctx),
+            );
+            build_index(rep_index, rep, |rec| rec.initiator);
+            fan_out(
+                cy.chunks(per_worker),
+                req.iter().zip(scratch.iter_mut()),
+                |cy, (lane, scr)| cy_merge(cy, lane, (rep, rep_index), scr, ctx),
+            );
+
+            for ring in 0..vi.rings() {
+                let rc = RingCtx {
+                    ctx,
+                    cyv: cy.view(),
+                    ring,
+                };
+                req.iter_mut().chain(rep.iter_mut()).for_each(Lane::clear);
+                fan_out(
+                    vi.chunks(per_worker),
+                    req.iter_mut().zip(scratch.iter_mut()),
+                    |vi, (lane, scr)| vi_initiate(vi, frontier, lane, scr, rc),
+                );
+                build_index(req_index, req, |rec| rec.target);
+                fan_out(
+                    vi.chunks(per_worker),
+                    rep.iter_mut().zip(scratch.iter_mut()),
+                    |vi, (lane, scr)| vi_respond(vi, req_index, req, lane, scr, rc),
+                );
+                build_index(rep_index, rep, |rec| rec.initiator);
+                fan_out(
+                    vi.chunks(per_worker),
+                    req.iter().zip(scratch.iter_mut()),
+                    |vi, (lane, scr)| vi_merge(vi, lane, (rep, rep_index), scr, rc),
+                );
             }
         }
-        for i in 0..pn.frontier.len() {
+        for &slot in &pn.frontier {
             probe.record(TraceEvent::ViewExchange {
-                node: self.ids[idx(pn.frontier[i])],
+                node: self.ids[idx(slot)],
                 cycle: self.cycle,
             });
         }
         pn.reschedule(self.cycle);
-        self.per_node = Some(pn);
         probe.record(TraceEvent::CycleEnd {
             cycle: self.cycle,
-            live: self.len() as u64,
+            live: self.by_id.len() as u64,
         });
     }
 
@@ -595,8 +587,7 @@ impl DenseSimNetwork {
     /// trades wall-clock time.
     pub fn set_threads(&mut self, threads: usize) {
         if let Some(pn) = self.per_node.as_deref_mut() {
-            pn.threads = threads.max(1);
-            pn.resize_lanes();
+            pn.set_threads(threads);
         }
     }
 
@@ -617,100 +608,36 @@ impl DenseSimNetwork {
     }
 }
 
-/// Cyclon phase 1 — initiators: age the view, select and remove the oldest
-/// neighbour, build the request payload from the node's own stream, queue
-/// the request toward its (live) target.
-fn cyclon_phase1(net: &mut DenseSimNetwork, pn: &mut PerNodeState) {
-    let slots = net.ids.len();
-    let threads = pn.threads.max(1).min(slots.max(1));
-    let chunk = slots.div_ceil(threads);
-    let pn = &mut *pn;
-    let ctx = Ctx {
-        ids: &net.ids,
-        positions: &net.positions,
-        by_id: &net.by_id,
-        slot_gen: &pn.slot_gen,
-        master: pn.master,
-        cycle: net.cycle,
-        rings: net.rings,
-        shuf: net.shuf,
-    };
-    let frontier: &[u32] = &pn.frontier;
-    let lanes = &mut pn.cy_req;
-    let scratch = &mut pn.scratch;
-    let mut chunks = split_cy(
-        &mut net.cy_id,
-        &mut net.cy_age,
-        &mut net.cy_pos,
-        &mut net.cy_len,
-        net.cyc,
-        net.rings,
-        chunk,
-    );
-    if threads == 1 {
-        let cy = chunks.next().expect("arena is non-empty");
-        cy_phase1_worker(cy, frontier, &mut lanes[0], &mut scratch[0], ctx);
-    } else {
-        std::thread::scope(|scope| {
-            for (w, ((cy, lane), scr)) in chunks
-                .zip(lanes.iter_mut())
-                .zip(scratch.iter_mut())
-                .enumerate()
-            {
-                let part = slot_range(frontier, w * chunk, (w + 1) * chunk);
-                scope.spawn(move || cy_phase1_worker(cy, part, lane, scr, ctx));
-            }
-        });
-    }
-}
-
-fn cy_phase1_worker(
+/// Cyclon phase 1 — initiators: the initiator half of the shuffle
+/// ([`CyChunk::begin_shuffle`]) on the node's own stream, the request
+/// queued toward its (live) target.
+fn cy_initiate(
     mut cy: CyChunk<'_>,
     frontier: &[u32],
-    lane: &mut CyReqLane,
+    lane: &mut Lane,
     scr: &mut WorkerScratch,
     ctx: Ctx<'_>,
 ) {
-    for &slot in frontier {
-        // begin_cycle: age every entry by one (saturating).
-        cy.age_view(slot);
-        if cy.view_len(slot) == 0 {
-            continue; // An isolated node cannot shuffle.
-        }
-        let my_id = ctx.ids[idx(slot)];
-
-        // initiate_shuffle: remove the oldest entry, ship `shuf - 1` random
-        // remaining entries plus a fresh descriptor of the initiator.
-        let best = cy.oldest(slot).expect("view is non-empty");
-        let target = cy.entry(slot, best).0;
-        cy.remove_at(slot, best);
-
-        let d0 = lane.pay.descs.len();
-        let seed = role_seed(ctx.master, ctx.sgid_of(slot), ROLE_CYCLON_INIT, ctx.cycle);
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        cy.random_payload_into(
-            slot,
-            None,
-            ctx.shuf.saturating_sub(1),
-            &mut rng,
-            &mut scr.perm,
-            &mut lane.pay,
-        );
+    for &slot in in_slots(frontier, cy.slots(), |&slot| slot) {
+        let d0 = lane.cy.descs.len();
         let pos_base = idx(slot) * ctx.rings;
-        lane.pay
-            .push(my_id, 0, &ctx.positions[pos_base..pos_base + ctx.rings]);
-        match lookup_live_in(ctx.by_id, ctx.ids, target) {
-            Some(peer) => lane.recs.push(CyReq {
+        let own = (ctx.id(slot), &ctx.positions[pos_base..pos_base + ctx.rings]);
+        let mut rng = ctx.stream(slot, ROLE_CYCLON_INIT);
+        let Some(target) =
+            cy.begin_shuffle(slot, own, ctx.shuf, &mut rng, &mut scr.perm, &mut lane.cy)
+        else {
+            continue; // An isolated node cannot shuffle.
+        };
+        match ctx.lookup(target) {
+            Some(peer) => lane.recs.push(Rec {
                 initiator: slot,
                 target: peer,
                 d0: to_u32(d0),
-                d1: to_u32(lane.pay.descs.len()),
+                d1: to_u32(lane.cy.descs.len()),
             }),
-            None => {
-                // shuffle_failed: the dead target's descriptor already left
-                // the view; the unsent payload is dropped.
-                lane.pay.descs.truncate(d0);
-            }
+            // shuffle_failed: the dead target's descriptor already left the
+            // view; the unsent payload is dropped.
+            None => lane.cy.descs.truncate(d0),
         }
     }
 }
@@ -718,69 +645,22 @@ fn cy_phase1_worker(
 /// Cyclon phase 2 — responders: in canonical `(target, initiator)` order,
 /// build each reply from the pair stream (captured before merging that
 /// request), then merge the request into the target's view.
-fn cyclon_phase2(net: &mut DenseSimNetwork, pn: &mut PerNodeState) {
-    let slots = net.ids.len();
-    let threads = pn.threads.max(1).min(slots.max(1));
-    let chunk = slots.div_ceil(threads);
-    let pn = &mut *pn;
-    let ctx = Ctx {
-        ids: &net.ids,
-        positions: &net.positions,
-        by_id: &net.by_id,
-        slot_gen: &pn.slot_gen,
-        master: pn.master,
-        cycle: net.cycle,
-        rings: net.rings,
-        shuf: net.shuf,
-    };
-    let req: &[CyReqLane] = &pn.cy_req;
-    let index: &[(u32, u32, u32)] = &pn.req_index;
-    let rep = &mut pn.cy_rep;
-    let scratch = &mut pn.scratch;
-    let mut chunks = split_cy(
-        &mut net.cy_id,
-        &mut net.cy_age,
-        &mut net.cy_pos,
-        &mut net.cy_len,
-        net.cyc,
-        net.rings,
-        chunk,
-    );
-    if threads == 1 {
-        let cy = chunks.next().expect("arena is non-empty");
-        cy_phase2_worker(cy, index, req, &mut rep[0], &mut scratch[0], ctx);
-    } else {
-        std::thread::scope(|scope| {
-            for (w, ((cy, lane), scr)) in chunks
-                .zip(rep.iter_mut())
-                .zip(scratch.iter_mut())
-                .enumerate()
-            {
-                let part = target_range(index, w * chunk, (w + 1) * chunk);
-                scope.spawn(move || cy_phase2_worker(cy, part, req, lane, scr, ctx));
-            }
-        });
-    }
-}
-
-fn cy_phase2_worker(
+fn cy_respond(
     mut cy: CyChunk<'_>,
-    part: &[(u32, u32, u32)],
-    req: &[CyReqLane],
-    lane: &mut CyRepLane,
+    index: &[IndexEntry],
+    req: &[Lane],
+    lane: &mut Lane,
     scr: &mut WorkerScratch,
     ctx: Ctx<'_>,
 ) {
-    for &(target, l, p) in part {
+    for &(target, l, p) in in_slots(index, cy.slots(), |e| e.0) {
         let rl = &req[idx(l)];
         let rec = rl.recs[idx(p)];
-        let init_id = ctx.ids[idx(rec.initiator)];
-        let peer_id = ctx.ids[idx(target)];
 
         // handle_shuffle_request: the reply is `shuf` random entries of the
         // responder's current view (never the initiator), captured before
         // the merge below.
-        let r0 = lane.pay.descs.len();
+        let r0 = lane.cy.descs.len();
         let seed = pair_seed(
             ctx.master,
             ctx.sgid_of(target),
@@ -790,416 +670,148 @@ fn cy_phase2_worker(
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         cy.random_payload_into(
             target,
-            Some(init_id),
+            Some(ctx.id(rec.initiator)),
             ctx.shuf,
             &mut rng,
             &mut scr.perm,
-            &mut lane.pay,
+            &mut lane.cy,
         );
-        lane.recs.push(Rep {
-            initiator: rec.initiator,
+        lane.recs.push(Rec {
             d0: to_u32(r0),
-            d1: to_u32(lane.pay.descs.len()),
+            d1: to_u32(lane.cy.descs.len()),
+            ..rec
         });
 
         // The responder merges the request; what it just shipped is its
         // evictable set.
         cy.merge(
             target,
-            peer_id,
-            &rl.pay.descs[idx(rec.d0)..idx(rec.d1)],
-            &rl.pay.profs,
-            &lane.pay.descs[r0..],
+            ctx.id(target),
+            &rl.cy.descs[rec.range()],
+            &rl.cy.profs,
+            &lane.cy.descs[r0..],
             &mut scr.replaceable,
         );
     }
 }
 
-/// Cyclon phase 3 — initiators: merge the replies (located through the
-/// sorted reply index), evicting only what each initiator shipped out.
-fn cyclon_phase3(net: &mut DenseSimNetwork, pn: &mut PerNodeState) {
-    let slots = net.ids.len();
-    let threads = pn.threads.max(1).min(slots.max(1));
-    let chunk = slots.div_ceil(threads);
-    let pn = &mut *pn;
-    let ctx = Ctx {
-        ids: &net.ids,
-        positions: &net.positions,
-        by_id: &net.by_id,
-        slot_gen: &pn.slot_gen,
-        master: pn.master,
-        cycle: net.cycle,
-        rings: net.rings,
-        shuf: net.shuf,
-    };
-    let req: &[CyReqLane] = &pn.cy_req;
-    let rep: &[CyRepLane] = &pn.cy_rep;
-    let rindex: &[(u32, u32, u32)] = &pn.rep_index;
-    let scratch = &mut pn.scratch;
-    let mut chunks = split_cy(
-        &mut net.cy_id,
-        &mut net.cy_age,
-        &mut net.cy_pos,
-        &mut net.cy_len,
-        net.cyc,
-        net.rings,
-        chunk,
-    );
-    if threads == 1 {
-        let cy = chunks.next().expect("arena is non-empty");
-        cy_phase3_worker(cy, 0, req, rep, rindex, &mut scratch[0], ctx);
-    } else {
-        std::thread::scope(|scope| {
-            for (w, (cy, scr)) in chunks.zip(scratch.iter_mut()).enumerate() {
-                scope.spawn(move || cy_phase3_worker(cy, w, req, rep, rindex, scr, ctx));
-            }
-        });
-    }
-}
-
-fn cy_phase3_worker(
+/// Cyclon phase 3 — initiators: merge the replies, evicting only what each
+/// initiator shipped out (never its own fresh descriptor). `lane` holds the
+/// requests this chunk's initiators queued in phase 1.
+fn cy_merge(
     mut cy: CyChunk<'_>,
-    w: usize,
-    req: &[CyReqLane],
-    rep: &[CyRepLane],
-    rindex: &[(u32, u32, u32)],
+    lane: &Lane,
+    (rep, rep_index): (&[Lane], &[IndexEntry]),
     scr: &mut WorkerScratch,
     ctx: Ctx<'_>,
 ) {
-    let lane = &req[w];
     for rec in &lane.recs {
-        let slot = rec.initiator;
-        let my_id = ctx.ids[idx(slot)];
-        let Ok(i) = rindex.binary_search_by_key(&slot, |e| e.0) else {
-            debug_assert!(false, "a queued request always has a reply");
-            continue;
-        };
-        let (_, l, p) = rindex[i];
-        let rlane = &rep[idx(l)];
-        let rr = rlane.recs[idx(p)];
-        // handle_shuffle_response: merge the reply, evicting only what this
-        // initiator shipped out (never its own fresh descriptor).
+        let (rlane, reply) = reply_for(rep, rep_index, rec.initiator);
+        // handle_shuffle_response.
         cy.merge(
-            slot,
-            my_id,
-            &rlane.pay.descs[idx(rr.d0)..idx(rr.d1)],
-            &rlane.pay.profs,
-            &lane.pay.descs[idx(rec.d0)..idx(rec.d1)],
+            rec.initiator,
+            ctx.id(rec.initiator),
+            &rlane.cy.descs[reply.range()],
+            &rlane.cy.profs,
+            &lane.cy.descs[rec.range()],
             &mut scr.replaceable,
         );
     }
 }
 
-/// Vicinity phase 1 (ring `ring`) — initiators: project ring candidates
-/// out of the (now stable) Cyclon views, age the view, select the exchange
-/// partner (drawing from the node's own stream only while the view is
-/// empty), build the request payload, queue it or drop a dead partner.
-fn vicinity_phase1(net: &mut DenseSimNetwork, pn: &mut PerNodeState, ring: usize) {
-    let slots = net.ids.len();
-    let threads = pn.threads.max(1).min(slots.max(1));
-    let chunk = slots.div_ceil(threads);
-    let pn = &mut *pn;
-    let ctx = Ctx {
-        ids: &net.ids,
-        positions: &net.positions,
-        by_id: &net.by_id,
-        slot_gen: &pn.slot_gen,
-        master: pn.master,
-        cycle: net.cycle,
-        rings: net.rings,
-        shuf: net.shuf,
-    };
-    let cyv = CyView {
-        id: &net.cy_id,
-        age: &net.cy_age,
-        pos: &net.cy_pos,
-        len: &net.cy_len,
-        cyc: net.cyc,
-        rings: net.rings,
-    };
-    let frontier: &[u32] = &pn.frontier;
-    let lanes = &mut pn.vi_req;
-    let scratch = &mut pn.scratch;
-    let mut chunks = split_vi(
-        &mut net.vi_id,
-        &mut net.vi_age,
-        &mut net.vi_key,
-        &mut net.vi_len,
-        net.vic,
-        net.vic_rings,
-        net.gos,
-        chunk,
-    );
-    if threads == 1 {
-        let vi = chunks.next().expect("arena is non-empty");
-        vi_phase1_worker(vi, ring, frontier, cyv, &mut lanes[0], &mut scratch[0], ctx);
-    } else {
-        std::thread::scope(|scope| {
-            for (w, ((vi, lane), scr)) in chunks
-                .zip(lanes.iter_mut())
-                .zip(scratch.iter_mut())
-                .enumerate()
-            {
-                let part = slot_range(frontier, w * chunk, (w + 1) * chunk);
-                scope.spawn(move || vi_phase1_worker(vi, ring, part, cyv, lane, scr, ctx));
-            }
-        });
-    }
-}
-
-fn vi_phase1_worker(
+/// Vicinity phase 1 (one ring) — initiators: project ring candidates out
+/// of the Cyclon views, choose the exchange partner
+/// ([`ViChunk::pick_partner`], drawing from the node's own stream only
+/// while the view is empty), build the request payload, queue it or drop a
+/// dead partner.
+fn vi_initiate(
     mut vi: ViChunk<'_>,
-    ring: usize,
     frontier: &[u32],
-    cyv: CyView<'_>,
-    lane: &mut ViReqLane,
+    lane: &mut Lane,
     scr: &mut WorkerScratch,
-    ctx: Ctx<'_>,
+    rc: RingCtx<'_>,
 ) {
-    for &slot in frontier {
-        let my_id = ctx.ids[idx(slot)];
+    let RingCtx { ctx, cyv, ring } = rc;
+    let role = ROLE_VICINITY_BASE + u64::try_from(ring).expect("ring index fits in u64");
+    for &slot in in_slots(frontier, vi.slots(), |&slot| slot) {
+        let own = rc.node(slot);
         // The random layer feeds candidates into the proximity layer (from
         // the initiator's *current* Cyclon view, after its shuffle).
         cyv.ring_candidates_into(slot, ring, &mut scr.cand);
-        vi.age_view(slot, ring);
-
-        let own_key = ctx.positions[idx(slot) * ctx.rings + ring];
-        let target = match vi.oldest_id(slot, ring) {
-            Some(target) => target,
-            None => {
-                if scr.cand.is_empty() {
-                    continue; // No partner known at all.
-                }
-                let seed = role_seed(
-                    ctx.master,
-                    ctx.sgid_of(slot),
-                    ROLE_VICINITY_BASE + u64::try_from(ring).expect("ring index fits in u64"),
-                    ctx.cycle,
-                );
-                let mut rng = ChaCha8Rng::seed_from_u64(seed);
-                scr.cand[rng.gen_range(0..scr.cand.len())].0
-            }
+        let pick = |n| ctx.stream(slot, role).gen_range(0..n);
+        let Some(target) = vi.pick_partner(slot, ring, own.1, &scr.cand, pick) else {
+            continue; // No partner known at all.
         };
-        let target_key = vi
-            .get_key(slot, ring, target)
-            .or_else(|| scr.cand.iter().find(|d| d.0 == target).map(|d| d.2))
-            .unwrap_or(own_key);
-        vi.payload_into(
-            slot,
-            ring,
-            (target, target_key),
-            (my_id, own_key),
-            &mut scr.pay,
-            &mut scr.sel,
-        );
-        match lookup_live_in(ctx.by_id, ctx.ids, target) {
-            Some(peer) => {
-                let d0 = to_u32(lane.descs.len());
-                lane.descs.extend_from_slice(&scr.pay);
-                lane.recs.push(ViReq {
-                    initiator: slot,
-                    target: peer,
-                    d0,
-                    d1: to_u32(lane.descs.len()),
-                });
-            }
-            None => {
-                // exchange_failed: drop the dead peer so the ring can
-                // re-close around it.
-                vi.remove_id(slot, ring, target);
-            }
+        vi.payload_into(slot, ring, target, own, &mut scr.pay, &mut scr.sel);
+        match ctx.lookup(target.0) {
+            Some(peer) => lane.push_vi(slot, peer, &scr.pay),
+            // exchange_failed: drop the dead peer so the ring can re-close
+            // around it.
+            None => vi.remove_id(slot, ring, target.0),
         }
     }
 }
 
-/// Vicinity phase 2 (ring `ring`) — responders: in canonical
+/// Vicinity phase 2 (one ring) — responders: in canonical
 /// `(target, initiator)` order, capture the reply toward each initiator's
 /// neighbourhood, then merge the request (own view + received + ring
 /// candidates, keep the closest).
-fn vicinity_phase2(net: &mut DenseSimNetwork, pn: &mut PerNodeState, ring: usize) {
-    let slots = net.ids.len();
-    let threads = pn.threads.max(1).min(slots.max(1));
-    let chunk = slots.div_ceil(threads);
-    let pn = &mut *pn;
-    let ctx = Ctx {
-        ids: &net.ids,
-        positions: &net.positions,
-        by_id: &net.by_id,
-        slot_gen: &pn.slot_gen,
-        master: pn.master,
-        cycle: net.cycle,
-        rings: net.rings,
-        shuf: net.shuf,
-    };
-    let cyv = CyView {
-        id: &net.cy_id,
-        age: &net.cy_age,
-        pos: &net.cy_pos,
-        len: &net.cy_len,
-        cyc: net.cyc,
-        rings: net.rings,
-    };
-    let req: &[ViReqLane] = &pn.vi_req;
-    let index: &[(u32, u32, u32)] = &pn.req_index;
-    let rep = &mut pn.vi_rep;
-    let scratch = &mut pn.scratch;
-    let mut chunks = split_vi(
-        &mut net.vi_id,
-        &mut net.vi_age,
-        &mut net.vi_key,
-        &mut net.vi_len,
-        net.vic,
-        net.vic_rings,
-        net.gos,
-        chunk,
-    );
-    if threads == 1 {
-        let vi = chunks.next().expect("arena is non-empty");
-        vi_phase2_worker(vi, ring, index, cyv, req, &mut rep[0], &mut scratch[0], ctx);
-    } else {
-        std::thread::scope(|scope| {
-            for (w, ((vi, lane), scr)) in chunks
-                .zip(rep.iter_mut())
-                .zip(scratch.iter_mut())
-                .enumerate()
-            {
-                let part = target_range(index, w * chunk, (w + 1) * chunk);
-                scope.spawn(move || vi_phase2_worker(vi, ring, part, cyv, req, lane, scr, ctx));
-            }
-        });
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn vi_phase2_worker(
+fn vi_respond(
     mut vi: ViChunk<'_>,
-    ring: usize,
-    part: &[(u32, u32, u32)],
-    cyv: CyView<'_>,
-    req: &[ViReqLane],
-    lane: &mut ViRepLane,
+    index: &[IndexEntry],
+    req: &[Lane],
+    lane: &mut Lane,
     scr: &mut WorkerScratch,
-    ctx: Ctx<'_>,
+    rc: RingCtx<'_>,
 ) {
-    for &(target, l, p) in part {
+    for &(target, l, p) in in_slots(index, vi.slots(), |e| e.0) {
         let rl = &req[idx(l)];
         let rec = rl.recs[idx(p)];
-        let peer_id = ctx.ids[idx(target)];
-        let peer_key = ctx.positions[idx(target) * ctx.rings + ring];
-        let init_id = ctx.ids[idx(rec.initiator)];
-        let init_key = ctx.positions[idx(rec.initiator) * ctx.rings + ring];
-
-        cyv.ring_candidates_into(target, ring, &mut scr.cand_peer);
+        let own = rc.node(target);
+        rc.cyv
+            .ring_candidates_into(target, rc.ring, &mut scr.cand_peer);
         // handle_exchange_request: the reply targets the initiator's
         // neighbourhood and is captured before the merge below.
         vi.payload_into(
             target,
-            ring,
-            (init_id, init_key),
-            (peer_id, peer_key),
+            rc.ring,
+            rc.node(rec.initiator),
+            own,
             &mut scr.reply_v,
             &mut scr.sel,
         );
-        let d0 = to_u32(lane.descs.len());
-        lane.descs.extend_from_slice(&scr.reply_v);
-        lane.recs.push(Rep {
-            initiator: rec.initiator,
-            d0,
-            d1: to_u32(lane.descs.len()),
-        });
+        lane.push_vi(rec.initiator, target, &scr.reply_v);
         vi.merge(
             target,
-            ring,
-            (peer_id, peer_key),
-            &rl.descs[idx(rec.d0)..idx(rec.d1)],
+            rc.ring,
+            own,
+            &rl.vi[rec.range()],
             &scr.cand_peer,
             &mut scr.sel,
         );
     }
 }
 
-/// Vicinity phase 3 (ring `ring`) — initiators: merge the captured replies
-/// with their own ring candidates.
-fn vicinity_phase3(net: &mut DenseSimNetwork, pn: &mut PerNodeState, ring: usize) {
-    let slots = net.ids.len();
-    let threads = pn.threads.max(1).min(slots.max(1));
-    let chunk = slots.div_ceil(threads);
-    let pn = &mut *pn;
-    let ctx = Ctx {
-        ids: &net.ids,
-        positions: &net.positions,
-        by_id: &net.by_id,
-        slot_gen: &pn.slot_gen,
-        master: pn.master,
-        cycle: net.cycle,
-        rings: net.rings,
-        shuf: net.shuf,
-    };
-    let cyv = CyView {
-        id: &net.cy_id,
-        age: &net.cy_age,
-        pos: &net.cy_pos,
-        len: &net.cy_len,
-        cyc: net.cyc,
-        rings: net.rings,
-    };
-    let req: &[ViReqLane] = &pn.vi_req;
-    let rep: &[ViRepLane] = &pn.vi_rep;
-    let rindex: &[(u32, u32, u32)] = &pn.rep_index;
-    let scratch = &mut pn.scratch;
-    let mut chunks = split_vi(
-        &mut net.vi_id,
-        &mut net.vi_age,
-        &mut net.vi_key,
-        &mut net.vi_len,
-        net.vic,
-        net.vic_rings,
-        net.gos,
-        chunk,
-    );
-    if threads == 1 {
-        let vi = chunks.next().expect("arena is non-empty");
-        vi_phase3_worker(vi, ring, 0, cyv, req, rep, rindex, &mut scratch[0], ctx);
-    } else {
-        std::thread::scope(|scope| {
-            for (w, (vi, scr)) in chunks.zip(scratch.iter_mut()).enumerate() {
-                scope.spawn(move || vi_phase3_worker(vi, ring, w, cyv, req, rep, rindex, scr, ctx));
-            }
-        });
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn vi_phase3_worker(
+/// Vicinity phase 3 (one ring) — initiators: merge the captured replies
+/// with their own ring candidates. `lane` holds the requests this chunk's
+/// initiators queued in phase 1.
+fn vi_merge(
     mut vi: ViChunk<'_>,
-    ring: usize,
-    w: usize,
-    cyv: CyView<'_>,
-    req: &[ViReqLane],
-    rep: &[ViRepLane],
-    rindex: &[(u32, u32, u32)],
+    lane: &Lane,
+    (rep, rep_index): (&[Lane], &[IndexEntry]),
     scr: &mut WorkerScratch,
-    ctx: Ctx<'_>,
+    rc: RingCtx<'_>,
 ) {
-    let lane = &req[w];
     for rec in &lane.recs {
-        let slot = rec.initiator;
-        let my_id = ctx.ids[idx(slot)];
-        let own_key = ctx.positions[idx(slot) * ctx.rings + ring];
-        let Ok(i) = rindex.binary_search_by_key(&slot, |e| e.0) else {
-            debug_assert!(false, "a queued exchange always has a reply");
-            continue;
-        };
-        let (_, l, p) = rindex[i];
-        let rlane = &rep[idx(l)];
-        let rr = rlane.recs[idx(p)];
-        cyv.ring_candidates_into(slot, ring, &mut scr.cand);
+        let (rlane, reply) = reply_for(rep, rep_index, rec.initiator);
+        rc.cyv
+            .ring_candidates_into(rec.initiator, rc.ring, &mut scr.cand);
         // handle_exchange_response on the initiator.
         vi.merge(
-            slot,
-            ring,
-            (my_id, own_key),
-            &rlane.descs[idx(rr.d0)..idx(rr.d1)],
+            rec.initiator,
+            rc.ring,
+            rc.node(rec.initiator),
+            &rlane.vi[reply.range()],
             &scr.cand,
             &mut scr.sel,
         );

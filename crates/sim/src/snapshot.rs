@@ -120,13 +120,6 @@ impl OverlaySnapshot {
         self.link_graph(|n| &n.d_links)
     }
 
-    /// The directed graph formed by both link types between live nodes.
-    pub fn full_graph(&self) -> DiGraph {
-        let mut g = self.r_link_graph();
-        g.merge(&self.d_link_graph());
-        g
-    }
-
     fn link_graph<F: Fn(&NodeSnapshot) -> &Vec<NodeId>>(&self, links: F) -> DiGraph {
         let mut g = DiGraph::with_nodes(self.live_nodes());
         for (&id, node) in &self.nodes {
@@ -216,10 +209,7 @@ mod tests {
 
         let d = snap.d_link_graph();
         assert_eq!(d.edge_count(), 6);
-
-        let full = snap.full_graph();
-        assert!(full.has_edge(n(0), n(1)));
-        assert!(full.has_edge(n(2), n(0)));
+        assert!(d.has_edge(n(2), n(0)));
     }
 
     #[test]
