@@ -18,11 +18,13 @@
 //! shifts one, re-run the failing test, verify the printed result is
 //! expected, and update the constant.
 
+use std::collections::BTreeMap;
 use std::fmt::Debug;
 
 use hybridcast_bench::figures;
 use hybridcast_bench::scenario::{EngineKind, ExperimentParams};
 use hybridcast_obs::{NullProbe, StageProfiler, TraceEvent, VecProbe};
+use hybridcast_sim::churn::{lifetime_histogram, ChurnConfig, ChurnDriver};
 
 fn params(threads: usize) -> ExperimentParams {
     ExperimentParams {
@@ -136,6 +138,39 @@ fn progress_and_catastrophic_figures_are_pinned() {
     assert_thread_invariant_golden("catastrophic_progress", 0xD0B0_DC45_BAD3_E509, |p| {
         figures::catastrophic_progress(p, 0.05, &[3])
     });
+}
+
+/// Figure 9 applies every failure fraction to the same seeded overlay, so a
+/// sweep over several fractions is the single-fraction sweeps side by side.
+#[test]
+fn catastrophic_fractions_are_independent_of_each_other() {
+    let p = params(2);
+    let both = figures::catastrophic_effectiveness(&p, &[0.05, 0.10]);
+    let mut one_by_one = figures::catastrophic_effectiveness(&p, &[0.05]);
+    one_by_one.extend(figures::catastrophic_effectiveness(&p, &[0.10]));
+    assert_eq!(both, one_by_one);
+    assert_eq!(both[1].1.rows[0].population, 144, "10% of 160 failed");
+}
+
+/// Figure 12 is the lifetime histogram of the churn runtime itself, summed
+/// over the repeats' seeds (`seed`, `seed + 1`, ...).
+#[test]
+fn lifetime_distribution_sums_the_runtimes_own_histograms() {
+    let p = params(2);
+    let mut expected: BTreeMap<u64, usize> = BTreeMap::new();
+    for repeat in 0..2 {
+        let seeded = ExperimentParams {
+            seed: p.seed + repeat,
+            ..p.clone()
+        };
+        let mut network = seeded.dense_network(seeded.sim_config());
+        ChurnDriver::new(ChurnConfig { rate: p.churn_rate })
+            .run_until_all_replaced(&mut network, p.churn_max_cycles);
+        for (lifetime, count) in lifetime_histogram(&network) {
+            *expected.entry(lifetime).or_insert(0) += count;
+        }
+    }
+    assert_eq!(figures::lifetime_distribution(&p, 2).counts, expected);
 }
 
 #[test]
