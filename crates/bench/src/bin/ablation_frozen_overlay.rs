@@ -1,26 +1,19 @@
 //! Ablation for the claim of Section 7.1: freezing the membership overlay at
 //! different instants (0, 20, 50 extra cycles after warm-up; override with
-//! `--extra-cycles`) does not change the macroscopic dissemination
-//! behaviour.
-
-use std::process::ExitCode;
+//! `--extra-cycles`, in ascending order) does not change the macroscopic
+//! dissemination behaviour.
 
 use hybridcast_bench::{figures, output, Args, ExperimentParams};
 
-fn main() -> ExitCode {
-    match run() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
+fn main() {
+    hybridcast_bench::cli::run_main(run)
 }
 
 fn run() -> Result<(), String> {
     let args = Args::from_env()?;
     let params = ExperimentParams::from_args(&args)?;
-    let extra = args.get_list_or("extra-cycles", vec![0usize, 20, 50])?;
+    // One overlay gossips on from offset to offset; it cannot go back.
+    let extra = args.get_ascending_list_or("extra-cycles", vec![0usize, 20, 50])?;
     let json = args.value("json");
     args.finish()?;
     eprintln!(

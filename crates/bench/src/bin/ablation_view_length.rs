@@ -3,18 +3,10 @@
 //! fanout for view lengths 5, 10, 20 and 40 (override with `--views`,
 //! `--fanout`).
 
-use std::process::ExitCode;
-
 use hybridcast_bench::{figures, output, Args, ExperimentParams};
 
-fn main() -> ExitCode {
-    match run() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
+fn main() {
+    hybridcast_bench::cli::run_main(run)
 }
 
 fn run() -> Result<(), String> {

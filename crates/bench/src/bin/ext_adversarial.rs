@@ -22,19 +22,11 @@
 //! stage group per sweep), and `--quiet` silences the progress heartbeat;
 //! none of the three changes a single result byte.
 
-use std::process::ExitCode;
-
 use hybridcast_bench::probing::ProbeOptions;
 use hybridcast_bench::{figures, output, Args, ExperimentParams};
 
-fn main() -> ExitCode {
-    match run() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
+fn main() {
+    hybridcast_bench::cli::run_main(run)
 }
 
 fn run() -> Result<(), String> {
@@ -77,10 +69,9 @@ fn run() -> Result<(), String> {
     eprintln!("# sweep 1: i.i.d. loss rates {loss_rates:?}");
     eprintln!("# sweep 2: bisection at t={start}, durations {durations:?}");
     let (loss_rows, part_rows) = probing.run_probed(|probe, profiler| {
-        let loss = figures::adversarial_loss_sweep_probed(&params, &loss_rates, probe, profiler);
-        let partitions = figures::adversarial_partition_sweep_probed(
-            &params, &durations, start, probe, profiler,
-        );
+        let loss = figures::adversarial_loss_sweep(&params, &loss_rates, probe, profiler);
+        let partitions =
+            figures::adversarial_partition_sweep(&params, &durations, start, probe, profiler);
         (loss, partitions)
     })?;
     println!(

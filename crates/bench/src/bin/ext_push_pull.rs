@@ -9,18 +9,10 @@
 //! Runs on the allocation-free dense pull engine, fanning the seeded runs
 //! of each configuration across worker threads (`--threads`).
 
-use std::process::ExitCode;
-
 use hybridcast_bench::{figures, output, Args, ExperimentParams};
 
-fn main() -> ExitCode {
-    match run() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
+fn main() {
+    hybridcast_bench::cli::run_main(run)
 }
 
 fn run() -> Result<(), String> {

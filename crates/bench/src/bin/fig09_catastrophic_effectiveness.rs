@@ -2,18 +2,10 @@
 //! function of the fanout after catastrophic failures of 1 %, 2 %, 5 % and
 //! 10 % of the nodes (override with `--fractions 0.01,0.05`).
 
-use std::process::ExitCode;
-
 use hybridcast_bench::{figures, output, Args, ExperimentParams};
 
-fn main() -> ExitCode {
-    match run() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
+fn main() {
+    hybridcast_bench::cli::run_main(run)
 }
 
 fn run() -> Result<(), String> {

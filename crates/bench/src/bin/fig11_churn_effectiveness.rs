@@ -7,19 +7,11 @@
 //! wall-clock stage breakdown, and `--quiet` silences the progress
 //! heartbeat; none of the three changes a single result byte.
 
-use std::process::ExitCode;
-
 use hybridcast_bench::probing::ProbeOptions;
 use hybridcast_bench::{figures, output, Args, ExperimentParams};
 
-fn main() -> ExitCode {
-    match run() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
+fn main() {
+    hybridcast_bench::cli::run_main(run)
 }
 
 fn run() -> Result<(), String> {

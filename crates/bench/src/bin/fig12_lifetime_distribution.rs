@@ -2,24 +2,16 @@
 //! in churn steady state (`--repeats` controls how many independently
 //! seeded experiments are aggregated; the paper uses 100).
 
-use std::process::ExitCode;
-
 use hybridcast_bench::{figures, output, Args, ExperimentParams};
 
-fn main() -> ExitCode {
-    match run() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
+fn main() {
+    hybridcast_bench::cli::run_main(run)
 }
 
 fn run() -> Result<(), String> {
     let args = Args::from_env()?;
     let params = ExperimentParams::from_args(&args)?;
-    let repeats: usize = args.get_or("repeats", 1)?;
+    let repeats: usize = args.get_in("repeats", 1, 1.., ">= 1")?;
     let json = args.value("json");
     args.finish()?;
     eprintln!(

@@ -2,18 +2,10 @@
 //! nodes that were *not* notified during disseminations under churn, for
 //! RandCast and RingCast at fanouts 3 and 6 (override with `--fanouts`).
 
-use std::process::ExitCode;
-
 use hybridcast_bench::{figures, output, Args, ExperimentParams};
 
-fn main() -> ExitCode {
-    match run() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
+fn main() {
+    hybridcast_bench::cli::run_main(run)
 }
 
 fn run() -> Result<(), String> {

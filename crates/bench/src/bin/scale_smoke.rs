@@ -33,7 +33,6 @@
 //! message backlog of the run, the quantity that bounds the latency
 //! engine's memory at the million-node scale — and its overflow-tier peak.
 
-use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use rand::{Rng, SeedableRng};
@@ -49,14 +48,8 @@ use hybridcast_graph::{cast, NodeId};
 use hybridcast_sim::churn::{ChurnConfig, ChurnDriver};
 use hybridcast_sim::{DenseSimNetwork, FlatLinks, RngMode, SimConfig};
 
-fn main() -> ExitCode {
-    match run() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
+fn main() {
+    hybridcast_bench::cli::run_main(run)
 }
 
 /// Builds a RingCast-ready overlay directly in CSR form: a bidirectional

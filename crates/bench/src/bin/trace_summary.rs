@@ -9,20 +9,12 @@
 //! table the traced run wrote with `--json` and fails unless every folded
 //! row is bit-identical to the corresponding engine row.
 
-use std::process::ExitCode;
-
 use hybridcast_bench::figures::EffectivenessTable;
 use hybridcast_bench::{output, trace, Args};
 use hybridcast_obs::parse_jsonl;
 
-fn main() -> ExitCode {
-    match run() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
+fn main() {
+    hybridcast_bench::cli::run_main(run)
 }
 
 fn run() -> Result<(), String> {

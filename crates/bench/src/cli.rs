@@ -183,6 +183,37 @@ impl Args {
         }
         Ok(values)
     }
+
+    /// Parses `--name` as a comma-separated list that must not descend
+    /// (offsets along one timeline), falling back to `default` when absent.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if an element does not parse or is smaller than the
+    /// one before it.
+    pub fn get_ascending_list_or<T: FromStr + PartialOrd + Display>(
+        &self,
+        name: &str,
+        default: Vec<T>,
+    ) -> Result<Vec<T>, String> {
+        let values = self.get_list_or(name, default)?;
+        if let Some(pair) = values.windows(2).find(|pair| pair[1] < pair[0]) {
+            return Err(format!(
+                "--{name} must not descend: {} after {}",
+                pair[1], pair[0]
+            ));
+        }
+        Ok(values)
+    }
+}
+
+/// The `main` of every binary: `fn main() { run_main(run) }`. An `Err` from
+/// `run` becomes one `error: ...` line on stderr and exit status 1.
+pub fn run_main(run: impl FnOnce() -> Result<(), String>) {
+    if let Err(e) = run() {
+        eprintln!("error: {e}");
+        std::process::exit(1);
+    }
 }
 
 fn check_in<T: PartialOrd + Display>(
@@ -329,6 +360,19 @@ mod tests {
             churn("1.5").unwrap_err(),
             "--churn-rate must be in [0, 1], got 1.5"
         );
+
+        // Offsets along one timeline: the list must not descend.
+        let offsets = |raw: &str| {
+            Args::parse(["--extra-cycles", raw])
+                .unwrap()
+                .get_ascending_list_or("extra-cycles", vec![0usize, 20, 50])
+        };
+        assert_eq!(offsets("0,5,5,9").unwrap(), vec![0, 5, 5, 9]);
+        assert_eq!(
+            offsets("5,2").unwrap_err(),
+            "--extra-cycles must not descend: 2 after 5"
+        );
+        assert!(offsets("5,x").unwrap_err().contains("invalid element"));
 
         // The scalar form, and the default when the option is absent.
         let none = Args::parse(Vec::<String>::new()).unwrap();

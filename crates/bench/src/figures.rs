@@ -4,11 +4,16 @@
 //! structures; the binaries in `src/bin/` only parse arguments, call one of
 //! these functions and print the result with [`crate::output`].
 //!
-//! The sweeps that can be traced (`*_probed`) are one body generic over a
-//! [`Probe`]; their plain names are that body at the statically dispatched
-//! [`NullProbe`]. Whether a configuration's seeded runs go through the
-//! probe one after another or fan out across threads is decided in exactly
-//! one place, the private `seeded_runs` helper.
+//! Every figure grows its world once ([`crate::scenario`]), freezes it once
+//! into a [`DenseOverlay`] and measures that; a catastrophic failure is
+//! [`fail_nodes`] applied to the frozen overlay, never a second growth.
+//!
+//! The sweeps that can be traced are one body generic over a [`Probe`];
+//! callers with nothing to observe pass `&mut NullProbe`. Only
+//! [`static_effectiveness`] and [`churn_effectiveness`] keep a plain name
+//! beside their `_probed` body. Whether a configuration's seeded runs go
+//! through the probe one after another or fan out across threads is decided
+//! in exactly one place, the private `seeded_runs` helper.
 
 use std::collections::BTreeMap;
 
@@ -23,17 +28,16 @@ use hybridcast_core::experiment::{
 };
 use hybridcast_core::metrics::DisseminationReport;
 use hybridcast_core::netmodel::{DelayModel, LossModel, NetModel, PartitionEvent};
-use hybridcast_core::overlay::{DenseOverlay, SnapshotOverlay, StaticOverlay};
+use hybridcast_core::overlay::DenseOverlay;
 use hybridcast_core::protocols::{DenseSelector, GossipTargetSelector, RingCast};
 use hybridcast_core::pull::{PullConfig, PushPullReport};
 use hybridcast_graph::{builders, harary, NodeId};
 use hybridcast_obs::{Heartbeat, NullProbe, Probe, ProtocolKind, StageProfiler, TraceEvent};
+use hybridcast_sim::churn::lifetime_histogram;
 use hybridcast_sim::{Network, SimConfig};
 
 use crate::scenario::{
-    catastrophic_overlay, catastrophic_overlay_with, churn_dense_overlay_probed, churn_scenario,
-    dense_overlay, static_dense_overlay, static_dense_overlay_probed, static_overlay,
-    warmed_network, ExperimentParams,
+    churned_network, fail_nodes, frozen_overlay, warmed_network, ExperimentParams,
 };
 
 /// The two protocols every figure compares side by side.
@@ -230,13 +234,10 @@ fn effectiveness_of(
     )
 }
 
-/// Runs the effectiveness sweep over an already built overlay.
-pub fn effectiveness_over(
-    overlay: &SnapshotOverlay,
-    scenario: &str,
-    params: &ExperimentParams,
-) -> EffectivenessTable {
-    effectiveness_of(&dense_overlay(overlay), scenario, params)
+/// The static world grown from `config` and frozen, with nothing observing
+/// its growth.
+fn overlay_of(params: &ExperimentParams, config: SimConfig) -> DenseOverlay {
+    frozen_overlay(params, config, &mut NullProbe, &mut StageProfiler::new())
 }
 
 /// **Figure 6 (and the data of Figure 8)**: dissemination effectiveness as a
@@ -252,7 +253,7 @@ pub fn static_effectiveness_probed<P: Probe>(
     probe: &mut P,
     profiler: &mut StageProfiler,
 ) -> EffectivenessTable {
-    let dense = static_dense_overlay_probed(params, probe, profiler);
+    let dense = frozen_overlay(params, params.sim_config(), probe, profiler);
     effectiveness_sweep(&dense, "static failure-free", params, probe, profiler)
 }
 
@@ -292,15 +293,14 @@ fn average_progress(
 }
 
 /// Per-hop progress over an already built overlay, for the given fanouts.
-pub fn progress_over(
-    overlay: &SnapshotOverlay,
+fn progress_of(
+    dense: &DenseOverlay,
     params: &ExperimentParams,
     fanouts: &[usize],
 ) -> Vec<ProgressSeries> {
-    let dense = dense_overlay(overlay);
     configurations(fanouts)
         .map(|(tag, fanout, protocol)| {
-            let reports = dissemination_runs(&dense, &protocol, params, tag, &mut NullProbe);
+            let reports = dissemination_runs(dense, &protocol, params, tag, &mut NullProbe);
             average_progress(protocol.name(), fanout, &reports)
         })
         .collect()
@@ -309,22 +309,24 @@ pub fn progress_over(
 /// **Figure 7**: dissemination progress (fraction of nodes not yet reached
 /// per hop) in a static failure-free network, for the paper's four fanouts.
 pub fn static_progress(params: &ExperimentParams, fanouts: &[usize]) -> Vec<ProgressSeries> {
-    let overlay = static_overlay(params);
-    progress_over(&overlay, params, fanouts)
+    progress_of(&overlay_of(params, params.sim_config()), params, fanouts)
 }
 
 /// **Figure 9**: dissemination effectiveness after catastrophic failures of
-/// the given fractions of the network.
+/// the given fractions of the network. The overlay is grown and frozen
+/// once; every fraction fails its own copy of it.
 pub fn catastrophic_effectiveness(
     params: &ExperimentParams,
     fail_fractions: &[f64],
 ) -> Vec<(f64, EffectivenessTable)> {
+    let intact = overlay_of(params, params.sim_config());
     fail_fractions
         .iter()
         .map(|&fraction| {
-            let overlay = catastrophic_overlay(params, fraction);
+            let mut dense = intact.clone();
+            fail_nodes(&mut dense, fraction, params.seed);
             let scenario = format!("catastrophic failure of {:.0}%", fraction * 100.0);
-            (fraction, effectiveness_over(&overlay, &scenario, params))
+            (fraction, effectiveness_of(&dense, &scenario, params))
         })
         .collect()
 }
@@ -336,8 +338,9 @@ pub fn catastrophic_progress(
     fail_fraction: f64,
     fanouts: &[usize],
 ) -> Vec<ProgressSeries> {
-    let overlay = catastrophic_overlay(params, fail_fraction);
-    progress_over(&overlay, params, fanouts)
+    let mut dense = overlay_of(params, params.sim_config());
+    fail_nodes(&mut dense, fail_fraction, params.seed);
+    progress_of(&dense, params, fanouts)
 }
 
 /// **Figure 11**: dissemination effectiveness in churn steady state.
@@ -356,7 +359,11 @@ pub fn churn_effectiveness_probed<P: Probe>(
     probe: &mut P,
     profiler: &mut StageProfiler,
 ) -> (EffectivenessTable, usize) {
-    let (dense, cycles) = churn_dense_overlay_probed(params, probe, profiler);
+    // The runtime ends with this block: the sweep holds the overlay alone.
+    let (dense, cycles) = {
+        let (network, cycles) = churned_network(params, probe, profiler);
+        (DenseOverlay::from_dense_sim(&network), cycles)
+    };
     let scenario = format!(
         "churn steady state ({}% per cycle, {} cycles)",
         params.churn_rate * 100.0,
@@ -372,7 +379,7 @@ pub fn churn_effectiveness_probed<P: Probe>(
 /// identical for every thread count (repeat `r` is a pure function of
 /// `seed + r`).
 pub fn lifetime_distribution(params: &ExperimentParams, repeats: usize) -> LifetimeHistogram {
-    let seeds: Vec<u64> = (0..repeats.max(1) as u64)
+    let seeds: Vec<u64> = (0..repeats as u64)
         .map(|repeat| params.seed.wrapping_add(repeat))
         .collect();
     let per_repeat = hybridcast_sim::dense::par_map_seeds(&seeds, params.thread_count(), |seed| {
@@ -380,15 +387,8 @@ pub fn lifetime_distribution(params: &ExperimentParams, repeats: usize) -> Lifet
             seed,
             ..params.clone()
         };
-        let (_dense, overlay, _cycles) = churn_scenario(&seeded);
-        let snapshot = overlay.snapshot();
-        let mut counts: BTreeMap<u64, usize> = BTreeMap::new();
-        for id in snapshot.live_nodes() {
-            if let Some(lifetime) = snapshot.lifetime(id) {
-                *counts.entry(lifetime).or_insert(0) += 1;
-            }
-        }
-        counts
+        let (network, _) = churned_network(&seeded, &mut NullProbe, &mut StageProfiler::new());
+        lifetime_histogram(&network)
     });
     let mut counts: BTreeMap<u64, usize> = BTreeMap::new();
     for repeat_counts in per_repeat {
@@ -408,15 +408,17 @@ pub fn miss_lifetimes(
     params: &ExperimentParams,
     fanouts: &[usize],
 ) -> Vec<(String, usize, LifetimeHistogram)> {
-    let (dense, overlay, _) = churn_scenario(params);
+    let (network, _) = churned_network(params, &mut NullProbe, &mut StageProfiler::new());
+    let dense = DenseOverlay::from_dense_sim(&network);
+    let now = network.cycle();
     configurations(fanouts)
         .map(|(tag, fanout, protocol)| {
             let reports = dissemination_runs(&dense, &protocol, params, tag, &mut NullProbe);
             let mut counts: BTreeMap<u64, usize> = BTreeMap::new();
             for report in &reports {
                 for &missed in &report.unreached {
-                    if let Some(lifetime) = overlay.snapshot().lifetime(missed) {
-                        *counts.entry(lifetime).or_insert(0) += 1;
+                    if let Some(joined) = network.joined_at_cycle(missed) {
+                        *counts.entry(now.saturating_sub(joined)).or_insert(0) += 1;
                     }
                 }
             }
@@ -493,11 +495,8 @@ pub fn push_pull_extension(params: &ExperimentParams, fail_fraction: f64) -> Vec
         max_rounds: 50,
         ..PullConfig::default()
     };
-    let dense = if fail_fraction > 0.0 {
-        dense_overlay(&catastrophic_overlay(params, fail_fraction))
-    } else {
-        static_dense_overlay(params)
-    };
+    let mut dense = overlay_of(params, params.sim_config());
+    fail_nodes(&mut dense, fail_fraction, params.seed);
     configurations(&params.fanouts)
         .map(|(tag, fanout, protocol)| {
             let reports = run_seeded_push_pulls(
@@ -515,7 +514,11 @@ pub fn push_pull_extension(params: &ExperimentParams, fail_fraction: f64) -> Vec
 
 /// **Section 7.1 ablation**: freezing the overlay at different instants does
 /// not change macroscopic dissemination behaviour. Returns one table per
-/// extra-warm-up offset.
+/// extra-warm-up offset; one overlay keeps gossiping from offset to offset.
+///
+/// # Panics
+///
+/// Panics if `extra_cycles` descends: the overlay cannot gossip backwards.
 pub fn frozen_overlay_ablation(
     params: &ExperimentParams,
     extra_cycles: &[usize],
@@ -529,8 +532,9 @@ pub fn frozen_overlay_ablation(
     let mut out = Vec::new();
     let mut elapsed = 0usize;
     for &extra in extra_cycles {
-        network.run_cycles(extra.saturating_sub(elapsed));
-        elapsed = elapsed.max(extra);
+        assert!(extra >= elapsed, "extra_cycles must not descend");
+        network.run_cycles(extra - elapsed);
+        elapsed = extra;
         let dense = DenseOverlay::from_dense_sim(&network);
         let scenario = format!("frozen {} cycles after warm-up", extra);
         out.push((extra, effectiveness_of(&dense, &scenario, params)));
@@ -605,7 +609,7 @@ pub fn latency_ablation(
     delay_ratios: &[f64],
 ) -> Vec<LatencyAblationRow> {
     let fanout = params.fanouts.first().copied().unwrap_or(3);
-    let dense = static_dense_overlay(params);
+    let dense = overlay_of(params, params.sim_config());
     delay_ratios
         .iter()
         .zip(0u64..)
@@ -710,7 +714,7 @@ fn adversarial_sweep<P: Probe, Row>(
     profiler: &mut StageProfiler,
 ) -> Vec<Row> {
     let fanout = params.fanouts.first().copied().unwrap_or(3);
-    let overlay = static_dense_overlay_probed(params, probe, profiler);
+    let overlay = frozen_overlay(params, params.sim_config(), probe, profiler);
     profiler.stage("dissemination");
     let mut heartbeat = Heartbeat::new(points.len() as u64, "configs", params.quiet);
     let mut rows = Vec::new();
@@ -738,22 +742,9 @@ fn adversarial_sweep<P: Probe, Row>(
 /// A rate of `0.0` uses [`LossModel::None`], so the first row of the usual
 /// sweep is byte-for-byte the unmodelled engine — the zero-cost default the
 /// fixture baselines pin. The overlay is grown once and frozen; each rate
-/// gets its own master seed and `params.runs` seeded runs.
-pub fn adversarial_loss_sweep(
-    params: &ExperimentParams,
-    loss_rates: &[f64],
-) -> Vec<AdversarialLossRow> {
-    adversarial_loss_sweep_probed(
-        params,
-        loss_rates,
-        &mut NullProbe,
-        &mut StageProfiler::new(),
-    )
-}
-
-/// [`adversarial_loss_sweep`] with a trace probe attached: each rate opens
-/// a `Section` (`param` = loss rate) followed by its seeded async runs.
-pub fn adversarial_loss_sweep_probed<P: Probe>(
+/// gets its own master seed and `params.runs` seeded runs. In the trace
+/// each rate opens a `Section` (`param` = loss rate) followed by its runs.
+pub fn adversarial_loss_sweep<P: Probe>(
     params: &ExperimentParams,
     loss_rates: &[f64],
     probe: &mut P,
@@ -807,26 +798,10 @@ fn loss_row(rate: f64, reports: &[AsyncReport]) -> AdversarialLossRow {
 /// ([`DelayModel::LogNormal`], σ = 1.25) so a tail of messages is still in
 /// flight when the cut heals and the measured re-convergence time — last
 /// first-notification minus heal time — is not an artifact of the cut
-/// killing the run outright.
-pub fn adversarial_partition_sweep(
-    params: &ExperimentParams,
-    durations: &[f64],
-    start: f64,
-) -> Vec<AdversarialPartitionRow> {
-    adversarial_partition_sweep_probed(
-        params,
-        durations,
-        start,
-        &mut NullProbe,
-        &mut StageProfiler::new(),
-    )
-}
-
-/// [`adversarial_partition_sweep`] with a trace probe attached: each
-/// duration opens a `Section` (`param` = duration) followed by its seeded
-/// async runs, whose `PartitionOpen`/`PartitionHeal` events announce the
-/// scripted timeline.
-pub fn adversarial_partition_sweep_probed<P: Probe>(
+/// killing the run outright. In the trace each duration opens a `Section`
+/// (`param` = duration) followed by its seeded runs, whose
+/// `PartitionOpen`/`PartitionHeal` events announce the scripted timeline.
+pub fn adversarial_partition_sweep<P: Probe>(
     params: &ExperimentParams,
     durations: &[f64],
     start: f64,
@@ -909,11 +884,18 @@ pub fn connectivity_ablation(
     fail_fraction: f64,
 ) -> Vec<(String, AggregateStats)> {
     let base_fanout = params.fanouts.first().copied().unwrap_or(2).max(2);
-    let mut out = Vec::new();
 
-    // One master-seed tag per arm, incremented in arm order so no two arms
-    // ever share a per-run RNG stream however the arm list evolves.
-    let mut tag = 0u64;
+    let mut out = Vec::new();
+    // Fails `fail_fraction` of one arm's overlay and measures RingCast over
+    // what is left. The arm's position is its master-seed tag, so no two
+    // arms ever share a per-run RNG stream however the arm list evolves.
+    let mut measure = |label: String, name: &str, fanout: usize, mut dense: DenseOverlay| {
+        fail_nodes(&mut dense, fail_fraction, params.seed);
+        let protocol = DenseSelector::ringcast(fanout);
+        let tag = out.len() as u64;
+        let reports = dissemination_runs(&dense, &protocol, params, tag, &mut NullProbe);
+        out.push((label, AggregateStats::from_reports(name, fanout, &reports)));
+    };
 
     // Vicinity-maintained rings: 1, 2 and 3 independent rings (d-degree 2k).
     for rings in [1usize, 2, 3] {
@@ -921,15 +903,12 @@ pub fn connectivity_ablation(
             rings,
             ..params.sim_config()
         };
-        let dense = dense_overlay(&catastrophic_overlay_with(params, config, fail_fraction));
-        let fanout = base_fanout + 2 * (rings - 1);
-        let protocol = DenseSelector::ringcast(fanout);
-        let reports = dissemination_runs(&dense, &protocol, params, tag, &mut NullProbe);
-        tag += 1;
-        out.push((
+        measure(
             format!("{rings}-ring RingCast"),
-            AggregateStats::from_reports(&format!("RingCast x{rings}"), fanout, &reports),
-        ));
+            &format!("RingCast x{rings}"),
+            base_fanout + 2 * (rings - 1),
+            overlay_of(params, config),
+        );
     }
 
     // A statically built Harary graph H(n, 4) as the d-link set (d-degree 4),
@@ -938,23 +917,12 @@ pub fn connectivity_ablation(
     let h = harary::harary_graph(&nodes, 4);
     let mut overlay_rng = ChaCha8Rng::seed_from_u64(params.seed.wrapping_add(0xAB1E));
     let random = builders::random_out_degree(&nodes, 20, &mut overlay_rng);
-    let mut overlay = StaticOverlay::from_graphs(&h, &random);
-    let victims = hybridcast_sim::failure::select_victims(
-        &nodes,
-        fail_fraction,
-        &mut ChaCha8Rng::seed_from_u64(params.seed.wrapping_add(0xFA11)),
-    );
-    for victim in victims {
-        overlay.kill_node(victim);
-    }
-    let fanout = base_fanout + 2;
-    let protocol = DenseSelector::ringcast(fanout);
-    let dense = DenseOverlay::from(&overlay);
-    let reports = dissemination_runs(&dense, &protocol, params, tag, &mut NullProbe);
-    out.push((
+    measure(
         "static Harary(4) hybrid".to_owned(),
-        AggregateStats::from_reports("RingCast/H4", fanout, &reports),
-    ));
+        "RingCast/H4",
+        base_fanout + 2,
+        DenseOverlay::from_graphs(&h, &random),
+    );
 
     out
 }
@@ -978,8 +946,7 @@ pub fn view_length_ablation(
                 vicinity_view: view,
                 ..params.sim_config()
             };
-            let network = warmed_network(params, config, &mut NullProbe, &mut StageProfiler::new());
-            let dense = DenseOverlay::from_dense_sim(&network);
+            let dense = overlay_of(params, config);
             let scenario = format!("view length {view}");
             (view, effectiveness_of(&dense, &scenario, &single))
         })
@@ -1052,10 +1019,11 @@ mod tests {
             ..tiny()
         };
         let rates = [0.0, 0.2];
-        let plain = adversarial_loss_sweep(&params, &rates);
+        let plain =
+            adversarial_loss_sweep(&params, &rates, &mut NullProbe, &mut StageProfiler::new());
         let mut probe = VecProbe::new();
         let mut profiler = StageProfiler::new();
-        let probed = adversarial_loss_sweep_probed(&params, &rates, &mut probe, &mut profiler);
+        let probed = adversarial_loss_sweep(&params, &rates, &mut probe, &mut profiler);
         assert_eq!(plain, probed);
         let sections: Vec<f64> = probe
             .events
@@ -1068,11 +1036,17 @@ mod tests {
         assert_eq!(sections, rates);
 
         let durations = [0.0, 3.0];
-        let plain = adversarial_partition_sweep(&params, &durations, 2.0);
+        let plain = adversarial_partition_sweep(
+            &params,
+            &durations,
+            2.0,
+            &mut NullProbe,
+            &mut StageProfiler::new(),
+        );
         let mut probe = VecProbe::new();
         let mut profiler = StageProfiler::new();
         let probed =
-            adversarial_partition_sweep_probed(&params, &durations, 2.0, &mut probe, &mut profiler);
+            adversarial_partition_sweep(&params, &durations, 2.0, &mut probe, &mut profiler);
         assert_eq!(plain, probed);
         assert!(
             probe
@@ -1252,7 +1226,8 @@ mod tests {
         params.fanouts = vec![3];
         params.runs = 6;
         let rates = [0.0, 0.2, 0.6];
-        let rows = adversarial_loss_sweep(&params, &rates);
+        let rows =
+            adversarial_loss_sweep(&params, &rates, &mut NullProbe, &mut StageProfiler::new());
         assert_eq!(rows.len(), 3);
 
         // The lossless row is the unmodelled engine: complete and drop-free.
@@ -1273,7 +1248,15 @@ mod tests {
 
         let mut sequential = params.clone();
         sequential.threads = 1;
-        assert_eq!(rows, adversarial_loss_sweep(&sequential, &rates));
+        assert_eq!(
+            rows,
+            adversarial_loss_sweep(
+                &sequential,
+                &rates,
+                &mut NullProbe,
+                &mut StageProfiler::new()
+            )
+        );
     }
 
     #[test]
@@ -1282,7 +1265,13 @@ mod tests {
         params.fanouts = vec![3];
         params.runs = 6;
         let durations = [0.0, 4.0];
-        let rows = adversarial_partition_sweep(&params, &durations, 2.0);
+        let rows = adversarial_partition_sweep(
+            &params,
+            &durations,
+            2.0,
+            &mut NullProbe,
+            &mut StageProfiler::new(),
+        );
         assert_eq!(rows.len(), 2);
 
         // Baseline: no partition, nothing dropped at a cut, no recovery axis.
@@ -1303,7 +1292,13 @@ mod tests {
         sequential.threads = 1;
         assert_eq!(
             rows,
-            adversarial_partition_sweep(&sequential, &durations, 2.0)
+            adversarial_partition_sweep(
+                &sequential,
+                &durations,
+                2.0,
+                &mut NullProbe,
+                &mut StageProfiler::new()
+            )
         );
     }
 }

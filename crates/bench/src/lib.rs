@@ -7,12 +7,13 @@
 //!
 //! * [`cli`] — a dependency-free `--key value` argument parser that
 //!   rejects options no accessor asked for,
-//! * [`scenario`] — builders for the three evaluation scenarios: static
-//!   failure-free overlays, overlays after a catastrophic failure, and
-//!   overlays in churn steady state, all grown on the arena runtime,
+//! * [`scenario`] — the experiment parameters and the three worlds of the
+//!   evaluation: two growth bodies on the arena runtime (static warm-up,
+//!   churn steady state), one freeze into the CSR overlay, and one failure
+//!   helper that kills a seeded fraction of a frozen overlay,
 //! * [`figures`] — one function per figure, each returning serializable
-//!   result tables; every figure has a single code path over the dense
-//!   engines (the id-keyed BTree engines in `core`/`sim` are test oracles,
+//!   result tables; every figure grows its world once, freezes it once
+//!   and has a single code path over the dense engines (the id-keyed BTree engines in `core`/`sim` are test oracles,
 //!   compared by `benches/engine.rs` and `benches/membership.rs`),
 //! * [`probing`] — turns `--trace` / `--profile` into the probe and
 //!   profiler the traceable sweeps are generic over,

@@ -1,21 +1,28 @@
-//! Builders for the three evaluation scenarios of Section 7.
+//! The experiment parameters and the worlds of Section 7.
 //!
-//! Every scenario grows its overlay on the arena runtime
-//! ([`DenseSimNetwork`]) in the RNG mode [`ExperimentParams::rng`] selects.
-//! There is one growth body per scenario — [`warmed_network`] for the static
-//! overlay, [`churn_dense_overlay_probed`]'s warm-up for churn — generic
-//! over a [`Probe`]; the un-probed builders are that body instantiated at
-//! the statically dispatched [`NullProbe`], whose `record` compiles to
-//! nothing.
+//! The paper evaluates dissemination on three worlds: a static overlay,
+//! that overlay after a catastrophic failure applied *after* freezing, and
+//! churn steady state. Each is grown once on the arena runtime
+//! ([`DenseSimNetwork`]) in the RNG mode [`ExperimentParams::rng`] selects,
+//! and frozen once into the CSR [`DenseOverlay`] every engine runs over:
+//!
+//! * [`warmed_network`] grows the static world and `churned_network` the
+//!   churn one — the only two growth bodies, each generic over a [`Probe`]
+//!   (pass `&mut NullProbe` to observe nothing; its `record` compiles away);
+//! * [`frozen_overlay`] is `warmed_network` +
+//!   [`DenseOverlay::from_dense_sim`] for the figures that never look at
+//!   the runtime again;
+//! * [`fail_nodes`] marks a seeded random fraction of a frozen overlay
+//!   dead, so one grown overlay serves every failure fraction.
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
-use hybridcast_core::overlay::{DenseOverlay, SnapshotOverlay};
-use hybridcast_obs::{Heartbeat, NullProbe, Probe, StageProfiler};
+use hybridcast_core::overlay::{DenseOverlay, Overlay};
+use hybridcast_obs::{Heartbeat, Probe, StageProfiler};
 use hybridcast_sim::churn::{ChurnConfig, ChurnDriver};
-use hybridcast_sim::failure::kill_fraction_in_snapshot;
+use hybridcast_sim::failure::select_victims;
 use hybridcast_sim::{DenseSimNetwork, RngMode, SimConfig};
 
 use crate::cli::Args;
@@ -233,80 +240,48 @@ pub fn warmed_network<P: Probe>(
     network
 }
 
-/// Scenario 1 (Section 7.1): a static failure-free overlay, warmed up for
-/// `warmup_cycles` and frozen into the id-keyed view that origin
-/// bookkeeping, failure injection and lifetimes need.
-pub fn static_overlay(params: &ExperimentParams) -> SnapshotOverlay {
-    static_overlay_with(params, params.sim_config())
-}
-
-/// [`static_overlay`] grown from `config`.
-fn static_overlay_with(params: &ExperimentParams, config: SimConfig) -> SnapshotOverlay {
-    let network = warmed_network(params, config, &mut NullProbe, &mut StageProfiler::new());
-    SnapshotOverlay::new(network.overlay_snapshot())
-}
-
-/// The static scenario frozen straight into the dense engine input: the
-/// arena runtime's flat CSR links become a [`DenseOverlay`] with no
-/// id-keyed snapshot round-trip (at 100k nodes the unused snapshot would
-/// cost seconds and O(n) transient memory).
-pub fn static_dense_overlay(params: &ExperimentParams) -> DenseOverlay {
-    static_dense_overlay_probed(params, &mut NullProbe, &mut StageProfiler::new())
-}
-
-/// [`static_dense_overlay`] with a [`Probe`] attached to the membership
-/// phase and the "overlay build" / "warm-up" stages recorded on `profiler`.
-pub fn static_dense_overlay_probed<P: Probe>(
+/// The static world frozen straight into the dense engine input:
+/// [`warmed_network`] over `config` ([`ExperimentParams::sim_config`], or an
+/// ablation's variation of it), exported as flat CSR links with no id-keyed
+/// snapshot in between. The runtime is dropped before this returns, so a
+/// sweep over the result holds only the overlay.
+pub fn frozen_overlay<P: Probe>(
     params: &ExperimentParams,
+    config: SimConfig,
     probe: &mut P,
     profiler: &mut StageProfiler,
 ) -> DenseOverlay {
-    DenseOverlay::from_dense_sim(&warmed_network(
-        params,
-        params.sim_config(),
-        probe,
-        profiler,
-    ))
+    DenseOverlay::from_dense_sim(&warmed_network(params, config, probe, profiler))
 }
 
-/// Scenario 2 (Section 7.2): the static overlay of scenario 1 in which a
-/// random `fail_fraction` of the nodes is killed *after* freezing, so the
-/// overlay gets no chance to heal (the paper's worst case).
-pub fn catastrophic_overlay(params: &ExperimentParams, fail_fraction: f64) -> SnapshotOverlay {
-    catastrophic_overlay_with(params, params.sim_config(), fail_fraction)
+/// The catastrophic failure of Section 7.2: marks a uniformly random
+/// `fraction` of the overlay's live nodes dead *after* freezing, so every
+/// link to a victim stays in place as a dead link and the overlay gets no
+/// chance to heal (the paper's worst case). The victims are a pure function
+/// of the live ids, `fraction` and `seed`, so failing clones of one overlay
+/// is the same as failing freshly grown ones.
+///
+/// # Panics
+///
+/// Panics if `fraction` is not within `[0, 1]`.
+pub fn fail_nodes(overlay: &mut DenseOverlay, fraction: f64, seed: u64) {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed.wrapping_add(0xFA11));
+    for victim in select_victims(&overlay.live_node_ids(), fraction, &mut rng) {
+        overlay.kill_node(victim);
+    }
 }
 
-/// [`catastrophic_overlay`] over an overlay grown from `config` instead of
-/// [`ExperimentParams::sim_config`] (the connectivity ablation's multi-ring
-/// arms).
-pub fn catastrophic_overlay_with(
-    params: &ExperimentParams,
-    config: SimConfig,
-    fail_fraction: f64,
-) -> SnapshotOverlay {
-    let mut overlay = static_overlay_with(params, config);
-    let mut rng = ChaCha8Rng::seed_from_u64(params.seed.wrapping_add(0xFA11));
-    kill_fraction_in_snapshot(overlay.snapshot_mut(), fail_fraction, &mut rng);
-    overlay
-}
-
-/// Converts a frozen overlay to the dense CSR layout the allocation-free
-/// engine runs over. One conversion serves every (protocol, fanout)
-/// configuration of an experiment.
-pub fn dense_overlay(overlay: &SnapshotOverlay) -> DenseOverlay {
-    DenseOverlay::from(overlay)
-}
-
-/// Grows the churn scenario's runtime: gossip under continuous artificial
+/// Grows the churn world (Section 7.3): gossip under continuous artificial
 /// churn until every bootstrap node has been replaced at least once (capped
 /// at `params.churn_max_cycles`). Every churn `Join`/`Leave` and every
 /// membership `ViewExchange`/`CycleEnd` lands in `probe`. Returns the
-/// runtime and the number of churn cycles executed.
+/// runtime — which knows every node's join cycle, what figures 12 and 13
+/// read — and the number of churn cycles executed.
 ///
 /// The loop mirrors [`ChurnDriver::run_until_all_replaced`] cycle for
 /// cycle; it is inlined here only so a progress heartbeat can tick between
 /// cycles (churn warm-up dominates the wall-clock of the churn figures).
-fn churned_network<P: Probe>(
+pub(crate) fn churned_network<P: Probe>(
     params: &ExperimentParams,
     probe: &mut P,
     profiler: &mut StageProfiler,
@@ -332,32 +307,28 @@ fn churned_network<P: Probe>(
     (network, executed)
 }
 
-/// Scenario 3 (Section 7.3): the churn steady-state overlay, frozen both
-/// into the dense engine input and into the id-keyed snapshot whose node
-/// lifetimes figures 12 and 13 read, plus the churn cycle count.
-pub fn churn_scenario(params: &ExperimentParams) -> (DenseOverlay, SnapshotOverlay, usize) {
-    let (network, cycles) = churned_network(params, &mut NullProbe, &mut StageProfiler::new());
-    let snapshot = SnapshotOverlay::new(network.overlay_snapshot());
-    (DenseOverlay::from_dense_sim(&network), snapshot, cycles)
-}
-
-/// The churn scenario frozen straight into the dense engine input, with a
-/// [`Probe`] attached to the warm-up and the "overlay build" / "warm-up"
-/// stages recorded on `profiler`. Returns the overlay and the churn cycle
-/// count — identical to [`churn_scenario`]'s for the same parameters.
-pub fn churn_dense_overlay_probed<P: Probe>(
-    params: &ExperimentParams,
-    probe: &mut P,
-    profiler: &mut StageProfiler,
-) -> (DenseOverlay, usize) {
-    let (network, cycles) = churned_network(params, probe, profiler);
-    (DenseOverlay::from_dense_sim(&network), cycles)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hybridcast_core::overlay::Overlay;
+    use hybridcast_obs::NullProbe;
+
+    /// The static world of `params` with nothing observing its growth.
+    fn static_world(params: &ExperimentParams) -> DenseOverlay {
+        frozen_overlay(
+            params,
+            params.sim_config(),
+            &mut NullProbe,
+            &mut StageProfiler::new(),
+        )
+    }
+
+    fn assert_same_links(a: &DenseOverlay, b: &DenseOverlay) {
+        assert_eq!(a.live_node_ids(), b.live_node_ids());
+        for id in a.live_node_ids() {
+            assert_eq!(a.r_links(id), b.r_links(id));
+            assert_eq!(a.d_links(id), b.d_links(id));
+        }
+    }
 
     fn tiny() -> ExperimentParams {
         ExperimentParams {
@@ -464,37 +435,48 @@ mod tests {
             threads: 1,
             ..tiny()
         };
-        let one = static_dense_overlay(&base);
-        let four = static_dense_overlay(&ExperimentParams {
+        let four = ExperimentParams {
             threads: 4,
             ..base.clone()
-        });
-        assert_eq!(one.live_node_ids(), four.live_node_ids());
-        for id in one.live_node_ids() {
-            assert_eq!(one.r_links(id), four.r_links(id));
-            assert_eq!(one.d_links(id), four.d_links(id));
-        }
+        };
+        assert_same_links(&static_world(&base), &static_world(&four));
     }
 
     #[test]
     fn static_overlay_has_all_nodes_live() {
-        let overlay = static_overlay(&tiny());
-        assert_eq!(overlay.live_count(), 150);
+        assert_eq!(static_world(&tiny()).live_count(), 150);
     }
 
     #[test]
     fn catastrophic_overlay_kills_the_requested_fraction() {
-        let overlay = catastrophic_overlay(&tiny(), 0.10);
+        let params = tiny();
+        let mut overlay = static_world(&params);
+        let intact = overlay.clone();
+        fail_nodes(&mut overlay, 0.10, params.seed);
         assert_eq!(overlay.live_count(), 135);
+        // Failing happens after freezing: the dead keep their index and
+        // every link, theirs and the ones pointing at them, stays in place.
+        assert_eq!(overlay.len(), intact.len());
+        for idx in 0..overlay.len() as u32 {
+            assert_eq!(overlay.r_links_of(idx), intact.r_links_of(idx));
+            assert_eq!(overlay.d_links_of(idx), intact.d_links_of(idx));
+        }
+        // The victims depend on the seed alone, not on the overlay's history.
+        let mut again = intact.clone();
+        fail_nodes(&mut again, 0.10, params.seed);
+        assert_eq!(again.live_node_ids(), overlay.live_node_ids());
+        fail_nodes(&mut again, 0.0, params.seed);
+        assert_eq!(again.live_count(), 135, "a zero fraction fails nobody");
     }
 
     #[test]
     fn churn_overlay_replaces_every_bootstrap_node() {
-        let (_dense, overlay, cycles) = churn_scenario(&tiny());
-        assert_eq!(overlay.live_count(), 150);
+        let (network, cycles) = churned_network(&tiny(), &mut NullProbe, &mut StageProfiler::new());
+        assert_eq!(network.len(), 150);
         assert!(cycles > 0);
+        assert_eq!(network.cycle(), cycles as u64);
         // All bootstrap ids (0..150) have been replaced by later joiners.
-        let min_id = overlay.snapshot().live_nodes().next().unwrap();
+        let min_id = network.live_ids()[0];
         assert!(min_id.as_u64() >= 150, "bootstrap nodes should be gone");
     }
 
@@ -505,13 +487,8 @@ mod tests {
         let params = tiny();
         let mut probe = VecProbe::new();
         let mut profiler = StageProfiler::new();
-        let probed = static_dense_overlay_probed(&params, &mut probe, &mut profiler);
-        let plain = static_dense_overlay(&params);
-        assert_eq!(probed.live_node_ids(), plain.live_node_ids());
-        for id in probed.live_node_ids() {
-            assert_eq!(probed.r_links(id), plain.r_links(id));
-            assert_eq!(probed.d_links(id), plain.d_links(id));
-        }
+        let probed = frozen_overlay(&params, params.sim_config(), &mut probe, &mut profiler);
+        assert_same_links(&probed, &static_world(&params));
         let count = |probe: &VecProbe, wanted: fn(&TraceEvent) -> bool| {
             probe.events.iter().filter(|e| wanted(e)).count()
         };
@@ -525,14 +502,14 @@ mod tests {
 
         let mut churn_probe = VecProbe::new();
         let (churn_probed, cycles_probed) =
-            churn_dense_overlay_probed(&params, &mut churn_probe, &mut StageProfiler::new());
-        let (churn_plain, _snapshot, cycles_plain) = churn_scenario(&params);
+            churned_network(&params, &mut churn_probe, &mut StageProfiler::new());
+        let (churn_plain, cycles_plain) =
+            churned_network(&params, &mut NullProbe, &mut StageProfiler::new());
         assert_eq!(cycles_probed, cycles_plain);
-        assert_eq!(churn_probed.live_node_ids(), churn_plain.live_node_ids());
-        for id in churn_probed.live_node_ids() {
-            assert_eq!(churn_probed.r_links(id), churn_plain.r_links(id));
-            assert_eq!(churn_probed.d_links(id), churn_plain.d_links(id));
-        }
+        assert_same_links(
+            &DenseOverlay::from_dense_sim(&churn_probed),
+            &DenseOverlay::from_dense_sim(&churn_plain),
+        );
         let joins = count(&churn_probe, |e| matches!(e, TraceEvent::Join { .. }));
         assert!(joins > 0, "churn warm-up must record joins");
         assert_eq!(
@@ -544,11 +521,6 @@ mod tests {
 
     #[test]
     fn same_seed_same_overlay() {
-        let a = static_overlay(&tiny());
-        let b = static_overlay(&tiny());
-        let ids_a: Vec<_> = a.live_node_ids();
-        for id in ids_a {
-            assert_eq!(a.r_links(id), b.r_links(id));
-        }
+        assert_same_links(&static_world(&tiny()), &static_world(&tiny()));
     }
 }

@@ -25,6 +25,7 @@ use hybridcast_bench::figures::{
     AdversarialPartitionRow,
 };
 use hybridcast_bench::scenario::{EngineKind, ExperimentParams};
+use hybridcast_obs::{NullProbe, StageProfiler};
 
 /// Small but non-trivial scale: enough nodes for the bisection to matter,
 /// few enough runs to keep this in tier-1 time.
@@ -72,7 +73,7 @@ fn golden_partition_row() -> AdversarialPartitionRow {
 
 #[test]
 fn dense_loss_row_is_pinned() {
-    let rows = adversarial_loss_sweep(&params(), &[0.1]);
+    let rows = adversarial_loss_sweep(&params(), &[0.1], &mut NullProbe, &mut StageProfiler::new());
     assert_eq!(rows.len(), 1);
     println!("loss row: {:?}", rows[0]);
     assert_eq!(rows[0], golden_loss_row(), "loss row drifted");
@@ -80,7 +81,13 @@ fn dense_loss_row_is_pinned() {
 
 #[test]
 fn dense_partition_row_is_pinned() {
-    let rows = adversarial_partition_sweep(&params(), &[4.0], 2.0);
+    let rows = adversarial_partition_sweep(
+        &params(),
+        &[4.0],
+        2.0,
+        &mut NullProbe,
+        &mut StageProfiler::new(),
+    );
     assert_eq!(rows.len(), 1);
     println!("partition row: {:?}", rows[0]);
     assert_eq!(rows[0], golden_partition_row(), "partition row drifted");

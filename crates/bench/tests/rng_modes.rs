@@ -13,10 +13,11 @@
 //! `crates/sim/tests/frontier.rs`; this file pins the behavioural half
 //! where the harness consumes the overlay.
 
-use hybridcast_bench::scenario::{static_dense_overlay, EngineKind, ExperimentParams};
-use hybridcast_core::overlay::Overlay;
+use hybridcast_bench::scenario::{frozen_overlay, EngineKind, ExperimentParams};
+use hybridcast_core::overlay::{DenseOverlay, Overlay};
 use hybridcast_core::protocols::DenseSelector;
 use hybridcast_core::run_seeded_disseminations;
+use hybridcast_obs::{NullProbe, StageProfiler};
 use hybridcast_sim::RngMode;
 
 fn params(rng: RngMode) -> ExperimentParams {
@@ -35,9 +36,14 @@ fn params(rng: RngMode) -> ExperimentParams {
     }
 }
 
+/// The static overlay the harness grows in the given RNG mode.
+fn static_overlay(p: &ExperimentParams) -> DenseOverlay {
+    frozen_overlay(p, p.sim_config(), &mut NullProbe, &mut StageProfiler::new())
+}
+
 fn mean_hit_ratio(rng: RngMode, selector: &DenseSelector) -> f64 {
     let p = params(rng);
-    let overlay = static_dense_overlay(&p);
+    let overlay = static_overlay(&p);
     let reports = run_seeded_disseminations(&overlay, selector, p.runs, p.seed, p.thread_count());
     reports.iter().map(|r| r.hit_ratio()).sum::<f64>() / reports.len() as f64
 }
@@ -79,8 +85,8 @@ fn randcast_hit_ratios_are_equivalent_across_rng_modes() {
 /// d-links.
 #[test]
 fn both_modes_grow_full_overlays_over_the_same_population() {
-    let shared = static_dense_overlay(&params(RngMode::Shared));
-    let per_node = static_dense_overlay(&params(RngMode::PerNode));
+    let shared = static_overlay(&params(RngMode::Shared));
+    let per_node = static_overlay(&params(RngMode::PerNode));
     assert_eq!(shared.live_node_ids(), per_node.live_node_ids());
     let cap = params(RngMode::Shared).sim_config().cyclon_view;
     for overlay in [&shared, &per_node] {
