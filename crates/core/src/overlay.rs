@@ -543,6 +543,7 @@ mod tests {
     use super::*;
     use hybridcast_graph::builders;
     use hybridcast_sim::{Network, SimConfig};
+    use proptest::prelude::*;
 
     fn n(i: u64) -> NodeId {
         NodeId::new(i)
@@ -679,6 +680,145 @@ mod tests {
             assert_eq!(direct.r_links(id), via_snapshot.r_links(id), "{id} r");
             assert_eq!(direct.d_links(id), via_snapshot.d_links(id), "{id} d");
             assert_eq!(direct.index_of(id), via_snapshot.index_of(id), "{id} index");
+        }
+    }
+
+    /// What a `DenseOverlay` consists of, in comparable form.
+    #[derive(Debug, PartialEq)]
+    struct Parts {
+        ids: Vec<NodeId>,
+        live: Vec<bool>,
+        r_offsets: Vec<u32>,
+        r_targets: Vec<u32>,
+        d_offsets: Vec<u32>,
+        d_targets: Vec<u32>,
+    }
+
+    fn parts_of(overlay: &DenseOverlay) -> Parts {
+        Parts {
+            ids: overlay.ids.clone(),
+            live: (0..cast::to_u32(overlay.len()))
+                .map(|i| overlay.is_live_idx(i))
+                .collect(),
+            r_offsets: overlay.r_offsets.clone(),
+            r_targets: overlay.r_targets.clone(),
+            d_offsets: overlay.d_offsets.clone(),
+            d_targets: overlay.d_targets.clone(),
+        }
+    }
+
+    /// The oracle: the `BTreeSet` universe / `BTreeMap` index builder
+    /// `DenseOverlay::build` started out as, kept verbatim as the reference
+    /// the production builder is pinned against. Returns the parts and the
+    /// id -> index map.
+    fn reference_build(
+        entries: &[(NodeId, bool, &[NodeId], &[NodeId])],
+    ) -> (Parts, BTreeMap<NodeId, u32>) {
+        let mut universe: BTreeSet<NodeId> = entries.iter().map(|&(id, ..)| id).collect();
+        for (_, _, r, d) in entries {
+            universe.extend(r.iter().copied());
+            universe.extend(d.iter().copied());
+        }
+        let ids: Vec<NodeId> = universe.into_iter().collect();
+        let index: BTreeMap<NodeId, u32> = ids
+            .iter()
+            .enumerate()
+            .map(|(i, &id)| (id, cast::to_u32(i)))
+            .collect();
+
+        let mut live = vec![false; ids.len()];
+        let mut r_links: Vec<&[NodeId]> = vec![&[]; ids.len()];
+        let mut d_links: Vec<&[NodeId]> = vec![&[]; ids.len()];
+        for &(id, alive, r, d) in entries {
+            let idx = cast::idx(index[&id]);
+            live[idx] = alive;
+            r_links[idx] = r;
+            d_links[idx] = d;
+        }
+        let pack = |links: &[&[NodeId]]| -> (Vec<u32>, Vec<u32>) {
+            let mut offsets = vec![0u32];
+            let mut targets = Vec::new();
+            for l in links {
+                targets.extend(l.iter().map(|id| index[id]));
+                offsets.push(cast::to_u32(targets.len()));
+            }
+            (offsets, targets)
+        };
+        let (r_offsets, r_targets) = pack(&r_links);
+        let (d_offsets, d_targets) = pack(&d_links);
+        let parts = Parts {
+            ids,
+            live,
+            r_offsets,
+            r_targets,
+            d_offsets,
+            d_targets,
+        };
+        (parts, index)
+    }
+
+    /// Packs per-node link lists into the CSR export shape.
+    fn flat_links_of(nodes: &[(NodeId, Vec<NodeId>, Vec<NodeId>)]) -> FlatLinks {
+        let mut links = FlatLinks {
+            ids: Vec::new(),
+            r_offsets: vec![0],
+            r_targets: Vec::new(),
+            d_offsets: vec![0],
+            d_targets: Vec::new(),
+        };
+        for (id, r, d) in nodes {
+            links.ids.push(*id);
+            links.r_targets.extend_from_slice(r);
+            links.d_targets.extend_from_slice(d);
+            links.r_offsets.push(cast::to_u32(links.r_targets.len()));
+            links.d_offsets.push(cast::to_u32(links.d_targets.len()));
+        }
+        links
+    }
+
+    proptest! {
+        /// Random CSR exports — sorted ids with holes; link targets below
+        /// the first id, in the holes between ids and above the last one
+        /// (all dangling: they become dead nodes); duplicate links; nodes
+        /// without links; no nodes at all — build the overlay the
+        /// reference builder builds, and `index_of` agrees with the
+        /// reference map for every id in and around the range.
+        #[test]
+        fn from_flat_links_equals_the_reference_builder(
+            present in prop::collection::btree_set(10u64..60, 0..25),
+            lists in prop::collection::vec(
+                (
+                    prop::collection::vec(0u64..80, 0..7),
+                    prop::collection::vec(0u64..80, 0..4),
+                ),
+                25,
+            ),
+        ) {
+            let nodes: Vec<(NodeId, Vec<NodeId>, Vec<NodeId>)> = present
+                .iter()
+                .zip(&lists)
+                .map(|(&id, (r, d))| {
+                    let ids = |raw: &[u64]| raw.iter().copied().map(NodeId::new).collect();
+                    (n(id), ids(r), ids(d))
+                })
+                .collect();
+            let entries: Vec<(NodeId, bool, &[NodeId], &[NodeId])> = nodes
+                .iter()
+                .map(|(id, r, d)| (*id, true, r.as_slice(), d.as_slice()))
+                .collect();
+            let (expected, index) = reference_build(&entries);
+
+            let dense = DenseOverlay::from_flat_links(&flat_links_of(&nodes));
+            prop_assert_eq!(parts_of(&dense), expected);
+            prop_assert_eq!(dense.live_len(), nodes.len());
+            for raw in (0..90).chain([u64::MAX - 1, u64::MAX]) {
+                prop_assert_eq!(
+                    dense.index_of(n(raw)),
+                    index.get(&n(raw)).copied(),
+                    "index_of({})",
+                    raw
+                );
+            }
         }
     }
 

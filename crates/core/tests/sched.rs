@@ -167,3 +167,193 @@ fn overflow_tier_is_actually_exercised_by_the_spill_workload() {
     let Scheduled { payload, .. } = queue.pop().expect("non-empty");
     assert_eq!(payload, 0);
 }
+
+/// Both queues driven in lockstep by the deterministic cases below: every
+/// push goes to both, every pop is asserted equal and advances the clock.
+struct Lockstep {
+    calendar: CalendarQueue<u32>,
+    oracle: HeapQueue<u32>,
+    clock: f64,
+    pushed: u32,
+    /// Multiplicative-congruential state for reproducible sub-day offsets.
+    state: u64,
+}
+
+impl Lockstep {
+    fn new(width: f64, num_buckets: usize) -> Self {
+        Lockstep {
+            calendar: CalendarQueue::new(width, num_buckets),
+            oracle: HeapQueue::new(),
+            clock: 0.0,
+            pushed: 0,
+            state: 0x9E37_79B9_7F4A_7C15,
+        }
+    }
+
+    /// Same geometry change on the calendar queue, a plain reset of the
+    /// oracle.
+    fn reset(&mut self, width: f64, num_buckets: usize) {
+        self.calendar.reset(width, num_buckets);
+        self.oracle.reset();
+        self.clock = 0.0;
+        self.pushed = 0;
+    }
+
+    /// A reproducible fraction in `[0, 1)` on a 1/64 grid, so equal times
+    /// (seq tie-breaks) occur within every few dozen draws.
+    fn fraction(&mut self) -> f64 {
+        self.state = self
+            .state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        (self.state >> 58) as f64 / 64.0
+    }
+
+    fn push(&mut self, time: f64) {
+        self.calendar.push(time, self.pushed);
+        self.oracle.push(time, self.pushed);
+        self.pushed += 1;
+        assert_eq!(self.calendar.len(), self.oracle.len());
+    }
+
+    /// Pushes `count` events spread over `[day_start, day_start + span)`.
+    fn push_spread(&mut self, count: usize, day_start: f64, span: f64) {
+        for _ in 0..count {
+            let time = day_start + self.fraction() * span;
+            self.push(time);
+        }
+    }
+
+    /// Pops both queues, asserts the events match, returns `false` once
+    /// both are empty.
+    fn pop(&mut self) -> bool {
+        match (self.calendar.pop(), self.oracle.pop()) {
+            (Some(a), Some(b)) => {
+                assert_eq!(
+                    (a.time, a.seq, a.payload),
+                    (b.time, b.seq, b.payload),
+                    "divergence after {} pushes at clock {}",
+                    self.pushed,
+                    self.clock
+                );
+                assert!(a.time >= self.clock, "time went backwards");
+                self.clock = a.time;
+                true
+            }
+            (None, None) => false,
+            other => panic!("one queue emptied before the other: {other:?}"),
+        }
+    }
+
+    fn drain(&mut self) {
+        while self.pop() {}
+        assert_eq!(self.calendar.high_water(), self.oracle.high_water());
+        assert!(self.calendar.is_empty() && self.oracle.is_empty());
+    }
+}
+
+#[test]
+fn single_day_populations_around_the_chunk_size_match_the_heap_oracle() {
+    // One day holding one event less than, exactly, one more than and
+    // several times a 512-event storage chunk, reached through the bucket
+    // ring (day 3 of an 8-day window) behind an earlier day.
+    for count in [511usize, 512, 513, 3 * 512 + 7] {
+        let mut pair = Lockstep::new(1.0, 8);
+        pair.push(0.5);
+        pair.push_spread(count, 3.0, 1.0);
+        pair.push(4.25);
+        pair.drain();
+        assert_eq!(pair.calendar.high_water(), count + 2, "population {count}");
+    }
+}
+
+#[test]
+fn same_day_pushes_interleaved_with_pops_of_a_multi_chunk_day() {
+    // A 2,000-event day is drained while every third pop schedules a
+    // sub-bucket delay (lands on the day being drained), every seventh a
+    // zero delay (ties with the event just popped) and every fifth a delay
+    // into a later day.
+    let mut pair = Lockstep::new(1.0, 8);
+    pair.push_spread(2_000, 2.0, 1.0);
+    pair.push_spread(700, 3.0, 1.0);
+    let mut step = 0u32;
+    while pair.pop() {
+        step += 1;
+        if step > 6_000 {
+            continue; // stop feeding, let both queues run dry
+        }
+        let clock = pair.clock;
+        if step % 3 == 0 {
+            let within_day = (clock.floor() + 1.0 - clock) * pair.fraction();
+            pair.push(clock + within_day * 0.999);
+        }
+        if step % 7 == 0 {
+            pair.push(clock);
+        }
+        if step % 5 == 0 {
+            let ahead = 1.0 + pair.fraction() * 3.0;
+            pair.push(clock + ahead);
+        }
+    }
+    pair.drain();
+    assert!(step > 2_700, "the interleaving must have fed the queues");
+}
+
+#[test]
+fn overflow_migration_into_the_day_being_drained_matches_the_heap_oracle() {
+    // A 4-day window: everything at day 50 overflows. Once day 0 is done
+    // the ring is empty, the cursor jumps straight to day 50 and the
+    // migrating events join the current day directly; later spills come
+    // back while that day (and the ones after it) are being drained.
+    let mut pair = Lockstep::new(1.0, 4);
+    pair.push_spread(5, 0.0, 1.0);
+    pair.push_spread(1_300, 50.0, 1.0);
+    pair.push_spread(40, 51.0, 2.0);
+    assert_eq!(pair.calendar.overflow_high_water(), 1_340);
+    let mut step = 0u32;
+    while pair.pop() {
+        step += 1;
+        if step > 4_000 {
+            continue;
+        }
+        let clock = pair.clock;
+        if step % 4 == 0 {
+            // Same day as the event just popped.
+            let within_day = (clock.floor() + 1.0 - clock) * pair.fraction();
+            pair.push(clock + within_day * 0.999);
+        }
+        if step % 6 == 0 {
+            // In-window future day.
+            let ahead = 1.0 + pair.fraction();
+            pair.push(clock + ahead);
+        }
+        if step % 9 == 0 {
+            // Beyond the window: a fresh spill.
+            let ahead = 4.0 + pair.fraction() * 30.0;
+            pair.push(clock + ahead);
+        }
+    }
+    pair.drain();
+    assert!(pair.calendar.overflow_high_water() >= 1_340);
+}
+
+#[test]
+fn reset_to_a_smaller_run_then_a_larger_one_matches_the_heap_oracle() {
+    let mut pair = Lockstep::new(0.5, 16);
+    pair.push_spread(3_000, 1.0, 6.0);
+    pair.drain();
+
+    // Smaller run, smaller ring, left half-drained.
+    pair.reset(0.25, 4);
+    pair.push_spread(90, 0.0, 3.0);
+    for _ in 0..45 {
+        assert!(pair.pop());
+    }
+
+    // Larger run over a larger ring than either before.
+    pair.reset(0.125, 64);
+    pair.push_spread(9_000, 0.5, 12.0);
+    pair.push_spread(600, 100.0, 1.0);
+    pair.drain();
+    assert_eq!(pair.calendar.high_water(), 9_600);
+}
