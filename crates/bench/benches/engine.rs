@@ -12,6 +12,12 @@
 //! arm includes materialising it (`.report(..)`), so like is compared with
 //! like.
 //!
+//! The `overlay_build` group times the step in front of all of them,
+//! `DenseOverlay::from_flat_links`: over a synthetic ring + 8 r-links CSR
+//! with hole-free ids (100,000 nodes by default) and over the export of a
+//! churned `DenseSimNetwork`, whose ids have holes and whose links point at
+//! departed nodes.
+//!
 //! The overlay size defaults to 1,000 nodes; set `HYBRIDCAST_BENCH_NODES`
 //! to run at a different scale (CI smoke-runs this at a reduced size; the
 //! latency-ablation acceptance measurement runs it at 10,000).
@@ -20,6 +26,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
+use hybridcast_bench::scenario::synthetic_links;
 use hybridcast_core::async_engine::{
     disseminate_async_dense, disseminate_async_frozen, AsyncConfig, DenseAsyncScratch,
 };
@@ -29,13 +36,17 @@ use hybridcast_core::protocols::DenseSelector;
 use hybridcast_core::pull::{
     disseminate_push_pull, disseminate_push_pull_dense, DensePullScratch, PullConfig,
 };
-use hybridcast_sim::{Network, SimConfig};
+use hybridcast_sim::churn::{ChurnConfig, ChurnDriver};
+use hybridcast_sim::{DenseSimNetwork, Network, SimConfig};
 
-fn bench_nodes() -> usize {
+fn env_nodes() -> Option<usize> {
     std::env::var("HYBRIDCAST_BENCH_NODES")
         .ok()
         .and_then(|v| v.parse().ok())
-        .unwrap_or(1_000)
+}
+
+fn bench_nodes() -> usize {
+    env_nodes().unwrap_or(1_000)
 }
 
 fn warmed_overlay(nodes: usize) -> SnapshotOverlay {
@@ -151,8 +162,46 @@ fn bench_dense_conversion(c: &mut Criterion) {
     });
 }
 
+fn bench_overlay_build(c: &mut Criterion) {
+    let mut group = c.benchmark_group("overlay_build");
+
+    // Hole-free ids: every link target's rank is found by the first probe.
+    let synthetic_nodes = env_nodes().unwrap_or(100_000);
+    let synthetic = synthetic_links(synthetic_nodes, 8, 1);
+    group.bench_function(format!("synthetic_ring_r8/n{synthetic_nodes}"), |b| {
+        b.iter(|| DenseOverlay::from_flat_links(&synthetic))
+    });
+
+    // 1 % churn for 60 cycles: nearly half the bootstrap ids are gone, so
+    // ranks are binary-searched, and links to departed nodes are merged in
+    // as dead nodes.
+    let nodes = bench_nodes();
+    let mut network = DenseSimNetwork::new(
+        SimConfig {
+            nodes,
+            ..SimConfig::default()
+        },
+        11,
+    );
+    network.run_cycles(40);
+    ChurnDriver::new(ChurnConfig { rate: 0.01 }).run_cycles(&mut network, 60);
+    let churned = network.flat_links();
+    let span = churned.ids[churned.ids.len() - 1].as_u64() - churned.ids[0].as_u64() + 1;
+    assert!(span > churned.ids.len() as u64, "churn must leave id holes");
+    let built = DenseOverlay::from_flat_links(&churned);
+    assert!(
+        built.len() > built.live_len(),
+        "churn must leave dead links"
+    );
+    group.bench_function(format!("churned_export/n{nodes}"), |b| {
+        b.iter(|| DenseOverlay::from_flat_links(&churned))
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
+    bench_overlay_build,
     bench_engines,
     bench_async_engines,
     bench_pull_engines,

@@ -15,9 +15,13 @@
 //! identical — a faster-but-wrong scheduler must fail the bench, not post
 //! a number.
 //!
-//! The delay mix matches the engines' adversarial profile: mostly
-//! sub-window forwarding delays plus a heavy tail that spills into the
-//! overflow tier. Sizes are steady-state backlogs (the quantity that sets
+//! The `backlog` groups' delay mix matches the engines' adversarial
+//! profile: mostly sub-window forwarding delays plus a heavy tail that
+//! spills into the overflow tier. The `bursty` groups replay the plain
+//! latency model at scale instead — a forwarding delay with 1 % jitter, so
+//! the whole backlog sits in two or three days of many storage chunks each
+//! — with every tenth delay shorter than a bucket, which lands on the day
+//! being drained. Sizes are steady-state backlogs (the quantity that sets
 //! both schedulers' per-operation cost) and default to 10,000 and 100,000
 //! queued events — the async engines' high-water marks at the paper's
 //! scale and at the million-node gate respectively; set
@@ -45,9 +49,10 @@ fn bench_sizes() -> Vec<usize> {
     }
 }
 
-/// The delay stream both arms replay: ~94% uniform sub-window forwarding
-/// delays, ~6% heavy-tail delays that overshoot the bucket window.
-fn delays(backlog: usize, steps: usize, seed: u64) -> Vec<f64> {
+/// The delay stream both arms of a `backlog` group replay: ~94% uniform
+/// sub-window forwarding delays, ~6% heavy-tail delays that overshoot the
+/// bucket window.
+fn heavy_tail_delays(backlog: usize, steps: usize, seed: u64) -> Vec<f64> {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     (0..backlog + steps)
         .map(|_| {
@@ -55,6 +60,23 @@ fn delays(backlog: usize, steps: usize, seed: u64) -> Vec<f64> {
                 rng.gen_range(4.0..400.0)
             } else {
                 rng.gen_range(0.0..2.0)
+            }
+        })
+        .collect()
+}
+
+/// The delay stream both arms of a `bursty` group replay: ~90% a unit
+/// forwarding delay with 1 % jitter (2.5 buckets wide: days of
+/// `backlog / 2.5` events), ~10% sub-bucket delays that join the day being
+/// drained.
+fn bursty_delays(backlog: usize, steps: usize, seed: u64) -> Vec<f64> {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    (0..backlog + steps)
+        .map(|_| {
+            if rng.gen::<f64>() < 0.1 {
+                rng.gen_range(0.0..WIDTH)
+            } else {
+                rng.gen_range(0.99..1.01)
             }
         })
         .collect()
@@ -112,31 +134,36 @@ fn bench_sched_overhead(c: &mut Criterion) {
         // a few times, so bucket migration and overflow promotion both
         // run at steady state.
         let steps = backlog * 4;
-        let stream = delays(backlog, steps, 17);
+        let workloads = [
+            ("backlog", heavy_tail_delays(backlog, steps, 17)),
+            ("bursty", bursty_delays(backlog, steps, 19)),
+        ];
+        for (name, stream) in &workloads {
+            // Equivalence first: the calendar queue must pop the exact
+            // stream the heap oracle pops before its speed means anything.
+            let mut heap: HeapQueue<u32> = HeapQueue::new();
+            let mut calendar: CalendarQueue<u32> = CalendarQueue::new(WIDTH, NUM_BUCKETS);
+            let heap_out = run_heap(&mut heap, backlog, stream);
+            let calendar_out = run_calendar(&mut calendar, backlog, stream);
+            assert_eq!(
+                heap_out, calendar_out,
+                "calendar queue diverged from the heap oracle at {name} {backlog}"
+            );
+            assert_eq!(
+                calendar.overflow_high_water() > 0,
+                *name == "backlog",
+                "only the heavy-tail mix exercises the overflow tier"
+            );
 
-        // Equivalence first: the calendar queue must pop the exact stream
-        // the heap oracle pops before its speed means anything.
-        let mut heap: HeapQueue<u32> = HeapQueue::new();
-        let mut calendar: CalendarQueue<u32> = CalendarQueue::new(WIDTH, NUM_BUCKETS);
-        let heap_out = run_heap(&mut heap, backlog, &stream);
-        let calendar_out = run_calendar(&mut calendar, backlog, &stream);
-        assert_eq!(
-            heap_out, calendar_out,
-            "calendar queue diverged from the heap oracle at backlog {backlog}"
-        );
-        assert!(
-            calendar.overflow_high_water() > 0,
-            "the heavy-tail mix must exercise the overflow tier"
-        );
-
-        let mut group = c.benchmark_group(format!("sched_overhead/backlog{backlog}"));
-        group.bench_function("heap", |b| {
-            b.iter(|| black_box(run_heap(&mut heap, backlog, &stream)))
-        });
-        group.bench_function("calendar", |b| {
-            b.iter(|| black_box(run_calendar(&mut calendar, backlog, &stream)))
-        });
-        group.finish();
+            let mut group = c.benchmark_group(format!("sched_overhead/{name}{backlog}"));
+            group.bench_function("heap", |b| {
+                b.iter(|| black_box(run_heap(&mut heap, backlog, stream)))
+            });
+            group.bench_function("calendar", |b| {
+                b.iter(|| black_box(run_calendar(&mut calendar, backlog, stream)))
+            });
+            group.finish();
+        }
     }
 }
 

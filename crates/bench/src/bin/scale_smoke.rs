@@ -35,62 +35,21 @@
 
 use std::time::{Duration, Instant};
 
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
+use hybridcast_bench::scenario::synthetic_links;
 use hybridcast_bench::Args;
 use hybridcast_core::async_engine::{disseminate_async_dense, AsyncConfig, DenseAsyncScratch};
 use hybridcast_core::engine::{disseminate_dense, DenseScratch};
 use hybridcast_core::overlay::{DenseOverlay, Overlay};
 use hybridcast_core::protocols::DenseSelector;
 use hybridcast_core::sched::SchedConfig;
-use hybridcast_graph::{cast, NodeId};
 use hybridcast_sim::churn::{ChurnConfig, ChurnDriver};
 use hybridcast_sim::{DenseSimNetwork, FlatLinks, RngMode, SimConfig};
 
 fn main() {
     hybridcast_bench::cli::run_main(run)
-}
-
-/// Builds a RingCast-ready overlay directly in CSR form: a bidirectional
-/// ring as d-links plus `r_degree` uniform random r-links per node.
-///
-/// Growing a million-node overlay through the full gossip stack takes far
-/// longer than a CI job; the synthetic path skips the membership layer
-/// while exercising the exact same dissemination engines over the same
-/// topology class the membership layer converges to.
-fn synthetic_overlay(nodes: usize, r_degree: usize, seed: u64) -> DenseOverlay {
-    let n = nodes as u64;
-    let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x5E7);
-    let ids: Vec<NodeId> = (0..n).map(NodeId::new).collect();
-    let mut r_offsets = Vec::with_capacity(nodes + 1);
-    let mut r_targets = Vec::with_capacity(nodes * r_degree);
-    let mut d_offsets = Vec::with_capacity(nodes + 1);
-    let mut d_targets = Vec::with_capacity(nodes * 2);
-    r_offsets.push(0u32);
-    d_offsets.push(0u32);
-    for i in 0..n {
-        let prev = if i == 0 { n - 1 } else { i - 1 };
-        let next = if i + 1 == n { 0 } else { i + 1 };
-        d_targets.push(NodeId::new(prev));
-        d_targets.push(NodeId::new(next));
-        d_offsets.push(cast::to_u32(d_targets.len()));
-        for _ in 0..r_degree {
-            let mut target = rng.gen_range(0..n);
-            while target == i {
-                target = rng.gen_range(0..n);
-            }
-            r_targets.push(NodeId::new(target));
-        }
-        r_offsets.push(cast::to_u32(r_targets.len()));
-    }
-    DenseOverlay::from_flat_links(&FlatLinks {
-        ids,
-        r_offsets,
-        r_targets,
-        d_offsets,
-        d_targets,
-    })
 }
 
 fn run() -> Result<(), String> {
@@ -137,7 +96,7 @@ fn run() -> Result<(), String> {
             if nodes < 3 {
                 return Err("--overlay synthetic needs at least 3 nodes for a ring".into());
             }
-            let dense = synthetic_overlay(nodes, r_degree, seed);
+            let dense = DenseOverlay::from_flat_links(&synthetic_links(nodes, r_degree, seed));
             (dense, 0u64, start.elapsed(), Duration::ZERO, Duration::ZERO)
         }
         "grown" => {

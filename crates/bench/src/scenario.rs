@@ -14,16 +14,20 @@
 //!   the runtime again;
 //! * [`fail_nodes`] marks a seeded random fraction of a frozen overlay
 //!   dead, so one grown overlay serves every failure fraction.
+//!
+//! Outside the paper's evaluation, [`synthetic_links`] writes a converged
+//! overlay's CSR arrays down directly — the million-node scale gate's input.
 
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
 use hybridcast_core::overlay::{DenseOverlay, Overlay};
+use hybridcast_graph::{cast, NodeId};
 use hybridcast_obs::{Heartbeat, Probe, StageProfiler};
 use hybridcast_sim::churn::{ChurnConfig, ChurnDriver};
 use hybridcast_sim::failure::select_victims;
-use hybridcast_sim::{DenseSimNetwork, RngMode, SimConfig};
+use hybridcast_sim::{DenseSimNetwork, FlatLinks, RngMode, SimConfig};
 
 use crate::cli::Args;
 
@@ -252,6 +256,46 @@ pub fn frozen_overlay<P: Probe>(
     profiler: &mut StageProfiler,
 ) -> DenseOverlay {
     DenseOverlay::from_dense_sim(&warmed_network(params, config, probe, profiler))
+}
+
+/// A RingCast-ready overlay directly in CSR form, skipping the membership
+/// layer: ids `0..nodes`, a bidirectional ring as d-links plus `r_degree`
+/// uniform random r-links per node — the topology class the gossip stack
+/// converges to. Growing a million nodes through the full stack takes far
+/// longer than a CI job; this is what `scale_smoke --overlay synthetic` and
+/// the `overlay_build` bench feed [`DenseOverlay::from_flat_links`].
+pub fn synthetic_links(nodes: usize, r_degree: usize, seed: u64) -> FlatLinks {
+    let n = nodes as u64;
+    let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x5E7);
+    let ids: Vec<NodeId> = (0..n).map(NodeId::new).collect();
+    let mut r_offsets = Vec::with_capacity(nodes + 1);
+    let mut r_targets = Vec::with_capacity(nodes * r_degree);
+    let mut d_offsets = Vec::with_capacity(nodes + 1);
+    let mut d_targets = Vec::with_capacity(nodes * 2);
+    r_offsets.push(0u32);
+    d_offsets.push(0u32);
+    for i in 0..n {
+        let prev = if i == 0 { n - 1 } else { i - 1 };
+        let next = if i + 1 == n { 0 } else { i + 1 };
+        d_targets.push(NodeId::new(prev));
+        d_targets.push(NodeId::new(next));
+        d_offsets.push(cast::to_u32(d_targets.len()));
+        for _ in 0..r_degree {
+            let mut target = rng.gen_range(0..n);
+            while target == i {
+                target = rng.gen_range(0..n);
+            }
+            r_targets.push(NodeId::new(target));
+        }
+        r_offsets.push(cast::to_u32(r_targets.len()));
+    }
+    FlatLinks {
+        ids,
+        r_offsets,
+        r_targets,
+        d_offsets,
+        d_targets,
+    }
 }
 
 /// The catastrophic failure of Section 7.2: marks a uniformly random

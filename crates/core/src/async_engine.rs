@@ -671,9 +671,9 @@ struct DenseEvent {
 /// One complete run over a warm scratch performs no heap allocation in its
 /// event loop: the notified set is a bitset, notification times live in a
 /// flat `f64` array indexed by dense node index, the event queue is a
-/// [`CalendarQueue`] whose bucket ring, current-day heap and overflow tier
-/// are all retained across runs, and the per-hop message counters are a
-/// flat vector. Create one per worker thread and pass it to every run.
+/// [`CalendarQueue`] whose chunk pool, bucket ring, day run and heaps are
+/// all retained across runs, and the per-hop message counters are a flat
+/// vector. Create one per worker thread and pass it to every run.
 #[derive(Debug, Clone, Default)]
 pub struct DenseAsyncScratch {
     notified: DenseBits,
@@ -700,10 +700,10 @@ impl DenseAsyncScratch {
     }
 
     /// Peak number of simultaneously queued deliveries during the most
-    /// recent run. The queue's retained capacity never shrinks below this,
-    /// so it bounds the scratch's steady-state event memory — this is the
-    /// high-water mark `scale_smoke` reports, and the quantity
-    /// [`SchedConfig::event_budget`] caps.
+    /// recent run. The queue's retained storage follows the largest such
+    /// peak (see [`CalendarQueue::resident_bytes`] for the bound) and never
+    /// shrinks below it — this is the high-water mark `scale_smoke`
+    /// reports, and the quantity [`SchedConfig::event_budget`] caps.
     pub fn event_queue_high_water(&self) -> usize {
         self.queue.high_water()
     }

@@ -17,7 +17,7 @@
 //!   either of the above, the input of the allocation-free dissemination
 //!   hot path ([`crate::engine::disseminate_dense`]).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use hybridcast_graph::{cast, DiGraph, NodeId};
 use hybridcast_sim::{DenseSimNetwork, FlatLinks, OverlaySnapshot};
@@ -258,6 +258,22 @@ impl DenseBits {
     }
 }
 
+/// The position of `id` in the strictly ascending `ids`, if present.
+///
+/// Strict ascent means `ids[i] >= ids[0] + i`, so `id` sits at most
+/// `id - ids[0]` places in: that position is probed first — the only probe a
+/// hole-free id range (a freshly grown or synthetic overlay) ever needs — and
+/// a miss binary-searches the prefix below it.
+fn rank(ids: &[NodeId], id: NodeId) -> Option<u32> {
+    let first = ids.first()?.as_u64();
+    let offset = id.as_u64().checked_sub(first)?;
+    let bound = usize::try_from(offset).map_or(ids.len() - 1, |o| o.min(ids.len() - 1));
+    if ids[bound] == id {
+        return Some(cast::to_u32(bound));
+    }
+    ids[..bound].binary_search(&id).ok().map(cast::to_u32)
+}
+
 /// A frozen overlay in compressed-sparse-row (CSR) layout: nodes are dense
 /// `u32` indices into flat arrays, links are contiguous index slices, and
 /// liveness is a bitset.
@@ -271,16 +287,18 @@ impl DenseBits {
 /// The node universe covers every node that appears anywhere — live nodes
 /// *and* dead link targets — sorted by ascending [`NodeId`], so reports
 /// converted back to id-keyed form are ordered identically to the generic
-/// engine's. Build one with [`DenseOverlay::from_snapshot`],
+/// engine's. That sorted id array is also the only id → index structure:
+/// no map is built or kept, and [`DenseOverlay::index_of`] is a binary
+/// search bounded by the id's distance from the first one (a single probe
+/// over a hole-free id range). Build one with [`DenseOverlay::from_snapshot`],
 /// [`DenseOverlay::from_graphs`], or the `From` impls for
 /// [`SnapshotOverlay`] and [`StaticOverlay`]; all of them preserve per-node
 /// link order, which keeps random draws bit-identical between engines.
 #[derive(Debug, Clone)]
 pub struct DenseOverlay {
-    /// Dense index -> node id, sorted ascending.
+    /// Dense index -> node id, strictly ascending. The inverse direction
+    /// is [`rank`] over this array; no id -> index map is kept.
     ids: Vec<NodeId>,
-    /// Node id -> dense index (the inverse of `ids`).
-    index: BTreeMap<NodeId, u32>,
     /// Liveness bitset over dense indices.
     live: DenseBits,
     live_count: usize,
@@ -292,53 +310,56 @@ pub struct DenseOverlay {
 
 impl DenseOverlay {
     /// Builds the overlay from per-node link lists. `entries` must be sorted
-    /// by ascending id with no duplicates; link targets absent from
-    /// `entries` are materialised as dead nodes.
+    /// by strictly ascending id; link targets absent from `entries` are
+    /// materialised as dead nodes.
+    ///
+    /// Works on the sorted ids directly ([`rank`]): no set or map is built
+    /// and none is kept.
     fn build(entries: &[(NodeId, bool, &[NodeId], &[NodeId])]) -> Self {
-        let mut universe: BTreeSet<NodeId> = entries.iter().map(|&(id, ..)| id).collect();
-        for (_, _, r, d) in entries {
-            universe.extend(r.iter().copied());
-            universe.extend(d.iter().copied());
-        }
-        let ids: Vec<NodeId> = universe.into_iter().collect();
-        let index: BTreeMap<NodeId, u32> = ids
-            .iter()
-            .enumerate()
-            .map(|(i, &id)| (id, cast::to_u32(i)))
-            .collect();
+        let entry_ids: Vec<NodeId> = entries.iter().map(|&(id, ..)| id).collect();
+        debug_assert!(entry_ids.windows(2).all(|pair| pair[0] < pair[1]));
 
+        let mut dangling: Vec<NodeId> = entries
+            .iter()
+            .flat_map(|&(_, _, r, d)| r.iter().chain(d))
+            .copied()
+            .filter(|&target| rank(&entry_ids, target).is_none())
+            .collect();
+        dangling.sort_unstable();
+        dangling.dedup();
+        let mut ids = entry_ids;
+        if !dangling.is_empty() {
+            // Two ascending runs: the stable sort merges them in one pass.
+            ids.extend_from_slice(&dangling);
+            ids.sort();
+        }
         let mut live = DenseBits::default();
         live.reset(ids.len());
         let mut live_count = 0usize;
-        let mut r_links: Vec<&[NodeId]> = vec![&[]; ids.len()];
-        let mut d_links: Vec<&[NodeId]> = vec![&[]; ids.len()];
-        for &(id, alive, r, d) in entries {
-            let idx = index[&id];
-            if alive {
-                live.set(idx);
-                live_count += 1;
+        let mut r_offsets = Vec::with_capacity(ids.len() + 1);
+        let mut d_offsets = Vec::with_capacity(ids.len() + 1);
+        let mut r_targets = Vec::with_capacity(entries.iter().map(|e| e.2.len()).sum());
+        let mut d_targets = Vec::with_capacity(entries.iter().map(|e| e.3.len()).sum());
+        r_offsets.push(0u32);
+        d_offsets.push(0u32);
+        let index = |target: &NodeId| rank(&ids, *target).expect("every link target is a node");
+        let mut remaining = entries.iter().peekable();
+        for (idx, &id) in ids.iter().enumerate() {
+            // Ids without an entry are the dangling ones: dead, no links.
+            if let Some(&(_, alive, r, d)) = remaining.next_if(|entry| entry.0 == id) {
+                if alive {
+                    live.set(cast::to_u32(idx));
+                    live_count += 1;
+                }
+                r_targets.extend(r.iter().map(index));
+                d_targets.extend(d.iter().map(index));
             }
-            r_links[cast::idx(idx)] = r;
-            d_links[cast::idx(idx)] = d;
+            r_offsets.push(cast::checked_u32(r_targets.len()));
+            d_offsets.push(cast::checked_u32(d_targets.len()));
         }
-
-        let pack = |links: &[&[NodeId]]| -> (Vec<u32>, Vec<u32>) {
-            let total: usize = links.iter().map(|l| l.len()).sum();
-            let mut offsets = Vec::with_capacity(links.len() + 1);
-            let mut targets = Vec::with_capacity(total);
-            offsets.push(0u32);
-            for l in links {
-                targets.extend(l.iter().map(|id| index[id]));
-                offsets.push(u32::try_from(targets.len()).expect("link count fits in u32"));
-            }
-            (offsets, targets)
-        };
-        let (r_offsets, r_targets) = pack(&r_links);
-        let (d_offsets, d_targets) = pack(&d_links);
 
         DenseOverlay {
             ids,
-            index,
             live,
             live_count,
             r_offsets,
@@ -365,7 +386,30 @@ impl DenseOverlay {
     /// round-trip through an id-keyed [`OverlaySnapshot`]. Link order is
     /// preserved, so disseminations over the result are bit-identical to
     /// ones over `from_snapshot(&net.overlay_snapshot())`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `links` is not a well-formed export: ids not strictly
+    /// ascending, an offset array not `ids.len() + 1` long, or a final
+    /// offset different from the length of its target array.
     pub fn from_flat_links(links: &FlatLinks) -> Self {
+        assert!(
+            links.ids.windows(2).all(|pair| pair[0] < pair[1]),
+            "FlatLinks::ids must be strictly ascending"
+        );
+        for (name, offsets, targets) in [
+            ("r", &links.r_offsets, &links.r_targets),
+            ("d", &links.d_offsets, &links.d_targets),
+        ] {
+            assert!(
+                offsets.len() == links.ids.len() + 1,
+                "FlatLinks::{name}_offsets must have ids.len() + 1 entries"
+            );
+            assert!(
+                cast::idx(offsets[links.ids.len()]) == targets.len(),
+                "FlatLinks::{name}_offsets must end at {name}_targets.len()"
+            );
+        }
         let entries: Vec<(NodeId, bool, &[NodeId], &[NodeId])> = links
             .ids
             .iter()
@@ -392,7 +436,8 @@ impl DenseOverlay {
     /// from `r_graph`; the node set is the union of both graphs, all alive
     /// (the dense analogue of [`StaticOverlay::from_graphs`]).
     pub fn from_graphs(d_graph: &DiGraph, r_graph: &DiGraph) -> Self {
-        let nodes: BTreeSet<NodeId> = d_graph.nodes().chain(r_graph.nodes()).collect();
+        let nodes: std::collections::BTreeSet<NodeId> =
+            d_graph.nodes().chain(r_graph.nodes()).collect();
         let links: Vec<(Vec<NodeId>, Vec<NodeId>)> = nodes
             .iter()
             .map(|&id| (r_graph.successors_vec(id), d_graph.successors_vec(id)))
@@ -425,9 +470,10 @@ impl DenseOverlay {
         self.ids[cast::idx(idx)]
     }
 
-    /// The dense index of a node id, if the node exists in the overlay.
+    /// The dense index of a node id, if the node exists in the overlay:
+    /// `O(log n)` at worst, one probe when the ids have no holes.
     pub fn index_of(&self, id: NodeId) -> Option<u32> {
-        self.index.get(&id).copied()
+        rank(&self.ids, id)
     }
 
     /// Whether the node at a dense index is alive.
@@ -544,6 +590,7 @@ mod tests {
     use hybridcast_graph::builders;
     use hybridcast_sim::{Network, SimConfig};
     use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     fn n(i: u64) -> NodeId {
         NodeId::new(i)
@@ -707,10 +754,9 @@ mod tests {
         }
     }
 
-    /// The oracle: the `BTreeSet` universe / `BTreeMap` index builder
-    /// `DenseOverlay::build` started out as, kept verbatim as the reference
-    /// the production builder is pinned against. Returns the parts and the
-    /// id -> index map.
+    /// The oracle: the straightforward builder — a `BTreeSet` universe, a
+    /// `BTreeMap` index, one map lookup per link — the production builder
+    /// is pinned against. Returns the parts and the id -> index map.
     fn reference_build(
         entries: &[(NodeId, bool, &[NodeId], &[NodeId])],
     ) -> (Parts, BTreeMap<NodeId, u32>) {
@@ -820,6 +866,72 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A well-formed three-node export for the malformed-input tests to
+    /// break one field of.
+    fn small_links() -> FlatLinks {
+        flat_links_of(&[
+            (n(1), vec![n(2), n(4)], vec![n(4)]),
+            (n(2), vec![n(1)], vec![]),
+            (n(4), vec![], vec![n(1), n(9)]),
+        ])
+    }
+
+    #[test]
+    fn from_flat_links_accepts_the_well_formed_and_the_empty_export() {
+        let dense = DenseOverlay::from_flat_links(&small_links());
+        assert_eq!(dense.len(), 4, "three live nodes plus the dangling n9");
+        assert_eq!(dense.live_len(), 3);
+        assert!(DenseOverlay::from_flat_links(&flat_links_of(&[])).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "FlatLinks::ids must be strictly ascending")]
+    fn from_flat_links_rejects_unsorted_ids() {
+        let mut links = small_links();
+        links.ids.swap(0, 1);
+        let _ = DenseOverlay::from_flat_links(&links);
+    }
+
+    #[test]
+    #[should_panic(expected = "FlatLinks::ids must be strictly ascending")]
+    fn from_flat_links_rejects_duplicate_ids() {
+        let mut links = small_links();
+        links.ids[1] = links.ids[0];
+        let _ = DenseOverlay::from_flat_links(&links);
+    }
+
+    #[test]
+    #[should_panic(expected = "FlatLinks::r_offsets must have ids.len() + 1 entries")]
+    fn from_flat_links_rejects_a_short_r_offset_array() {
+        let mut links = small_links();
+        links.r_offsets.pop();
+        let _ = DenseOverlay::from_flat_links(&links);
+    }
+
+    #[test]
+    #[should_panic(expected = "FlatLinks::d_offsets must have ids.len() + 1 entries")]
+    fn from_flat_links_rejects_a_long_d_offset_array() {
+        let mut links = small_links();
+        links.d_offsets.push(3);
+        let _ = DenseOverlay::from_flat_links(&links);
+    }
+
+    #[test]
+    #[should_panic(expected = "FlatLinks::r_offsets must end at r_targets.len()")]
+    fn from_flat_links_rejects_r_targets_beyond_the_final_offset() {
+        let mut links = small_links();
+        links.r_targets.push(n(2));
+        let _ = DenseOverlay::from_flat_links(&links);
+    }
+
+    #[test]
+    #[should_panic(expected = "FlatLinks::d_offsets must end at d_targets.len()")]
+    fn from_flat_links_rejects_a_final_d_offset_past_the_targets() {
+        let mut links = small_links();
+        links.d_targets.pop();
+        let _ = DenseOverlay::from_flat_links(&links);
     }
 
     #[test]

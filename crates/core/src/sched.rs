@@ -11,14 +11,19 @@
 //!
 //! * **Near-future events** live in a ring of [`SchedConfig::num_buckets`]
 //!   fixed-width time buckets ("days" of width [`SchedConfig::bucket_width`]
-//!   simulated-time units). Insertion into a bucket is an `O(1)` vector
-//!   push.
-//! * **The current day** is drained through a small binary heap ordered by
-//!   `(time, seq)`, so events within one bucket pop in exactly the order
-//!   the global heap would have produced — ascending time, ties broken by
-//!   ascending insertion sequence (FIFO). Same-day insertions made *while*
-//!   the day is being drained (zero or sub-bucket delays) merge into that
-//!   heap and keep the order exact.
+//!   simulated-time units). Insertion into a bucket is an `O(1)` append to
+//!   the bucket's last storage chunk; chunks are fixed-size and drawn from
+//!   one pool shared by every bucket.
+//! * **The current day** is sorted once, when the cursor reaches it: its
+//!   bucket's events move into one retained run, `sort_unstable`d by
+//!   `(time, seq)` with the earliest last, and draining the run is a
+//!   `Vec::pop` — the ladder-queue refinement (Tang, Goh & Thng, ACM TOMACS
+//!   2005) of Brown's calendar queue (CACM 1988). Same-day insertions made
+//!   *while* the day is being drained (zero or sub-bucket delays, overflow
+//!   migration) go to a small *late heap* instead; `pop` takes the earlier
+//!   of the run's tail and the heap's top, so events within one bucket pop
+//!   in exactly the order the global heap would have produced — ascending
+//!   time, ties broken by ascending insertion sequence (FIFO).
 //! * **Far-future events** — beyond the sliding window the bucket ring
 //!   covers — spill into a heap-ordered overflow tier and migrate into the
 //!   ring as the window advances past them, paying `O(log overflow)` only
@@ -30,27 +35,35 @@
 //! `(time, seq)`-ascending stream a `BinaryHeap` over the same insertions
 //! yields ([`HeapQueue`] retains that heap as the differential-test oracle
 //! and the benchmark comparator). The argument: every resident event lives
-//! in exactly one tier; the current-day heap holds precisely the events of
-//! the earliest non-empty day and orders them by `(time, seq)`; every event
-//! in a later bucket or in the overflow tier has a strictly later day and
-//! therefore a strictly greater time than everything in the current day
+//! in exactly one tier; the sorted run and the late heap together hold
+//! precisely the events of the earliest non-empty day, each is ordered by
+//! `(time, seq)`, and `pop` takes the earlier of their two fronts; every
+//! event in a later bucket or in the overflow tier has a strictly later day
+//! and therefore a strictly greater time than everything in the current day
 //! (`floor(t / width)` is monotone); and insertions never predate the
-//! cursor because simulated delays are non-negative. `crates/core/tests/`
-//! pins this with differential property tests over random interleavings,
-//! equal-timestamp bursts, bucket-boundary times and far-future spills, and
-//! it is why swapping the engines' heaps for this queue changes no report
-//! bit: identical pop order means identical RNG draw order means identical
+//! cursor because simulated delays are non-negative. `(time, seq)` pairs
+//! are unique, so *how* a day is ordered — one sort, a heap, or both merged
+//! — cannot show in the stream. `crates/core/tests/` pins this with
+//! differential tests over random interleavings, equal-timestamp bursts,
+//! bucket-boundary times, far-future spills and days of several chunks, and
+//! it is why the engines' reports do not depend on the queue behind them:
+//! identical pop order means identical RNG draw order means identical
 //! everything. See docs/DETERMINISM.md.
 //!
 //! # Memory
 //!
-//! All storage — bucket vectors, the current-day heap, the overflow heap —
-//! is retained across [`CalendarQueue::reset`], so a warm re-run performs
-//! no allocation (pinned by `tests/zero_alloc.rs`). The resident event
-//! count is capped by [`SchedConfig::event_budget`]: the engines stop
-//! scheduling (and flag the run truncated) rather than grow past it, which
-//! is what lets `scale_smoke` gate a million-node run under a fixed memory
-//! budget.
+//! All storage — the chunk pool, the bucket spines, the day run, the late
+//! heap, the overflow heap — is retained across [`CalendarQueue::reset`],
+//! so a warm re-run performs no allocation (pinned by
+//! `tests/zero_alloc.rs`). A day's chunks return to the pool the moment the
+//! day becomes current and serve whichever bucket fills next, so resident
+//! storage follows the queue-wide high-water mark — plus at most one
+//! partly filled chunk per bucket and one day's run — not the sum of every
+//! bucket's own peak ([`CalendarQueue::resident_bytes`] has the bound). The
+//! resident event count is capped by [`SchedConfig::event_budget`]: the
+//! engines stop scheduling (and flag the run truncated) rather than grow
+//! past it, which is what lets `scale_smoke` gate a million-node run under
+//! a fixed memory budget.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -76,8 +89,10 @@ pub struct SchedConfig {
     /// Number of fixed-width buckets in the sliding calendar window.
     pub num_buckets: usize,
     /// Hard cap on simultaneously queued dissemination deliveries — the
-    /// scheduler's event memory budget, roughly `event_budget ×`
-    /// [`CalendarQueue::event_footprint`] bytes of resident storage.
+    /// scheduler's event memory budget: about `event_budget ×`
+    /// [`CalendarQueue::event_footprint`] bytes of resident storage, plus
+    /// one day's run and one storage chunk per bucket
+    /// ([`CalendarQueue::resident_bytes`]).
     /// `0` means unbounded. When the cap is hit, a forward that survived
     /// the network model is *not* scheduled: the engines count it in
     /// `truncated_sends` and set the report's `truncated` flag instead of
@@ -179,9 +194,14 @@ impl<T> PartialOrd for Scheduled<T> {
     }
 }
 
-/// A calendar/ladder event queue: `O(1)` insertion for the near future, a
-/// small per-day heap for exact pop order, a heap-ordered overflow tier for
-/// the far future. See the module docs for the design and the equivalence
+/// Events per storage chunk of the bucket ring. Fixed: the chunk size is
+/// not a tuning knob — it only sets the granularity of the slack term in
+/// [`CalendarQueue::resident_bytes`]' bound (one partial chunk per bucket).
+const CHUNK: usize = 512;
+
+/// A calendar/ladder event queue: `O(1)` insertion for the near future, one
+/// sort per day for exact pop order, a heap-ordered overflow tier for the
+/// far future. See the module docs for the design and the equivalence
 /// argument.
 ///
 /// # Contract
@@ -211,20 +231,34 @@ pub struct CalendarQueue<T> {
     /// `[d * width, (d + 1) * width)`.
     width: f64,
     /// The bucket ring: slot `d % num_days` holds the events of day `d`
-    /// for days inside the sliding window `[cur_day, cur_day + num_days)`.
-    buckets: Vec<Vec<Scheduled<T>>>,
+    /// for days inside the sliding window `[cur_day, cur_day + num_days)`,
+    /// as a list of [`CHUNK`]-event chunks of which only the last may be
+    /// partly filled.
+    buckets: Vec<Vec<Vec<Scheduled<T>>>>,
     /// Ring length, pre-widened for day arithmetic.
     num_days: u64,
-    /// Events of the current day, ordered by `(time, seq)`.
+    /// Empty chunks, shared by every bucket: a day's chunks return here
+    /// when the day becomes current and are handed to whichever bucket
+    /// fills up next.
+    pool: Vec<Vec<Scheduled<T>>>,
+    /// Chunks this queue has allocated; the pool's spine is kept at least
+    /// this long so returning chunks never allocates.
+    chunks: usize,
+    /// The current day's run: the events its bucket held when the cursor
+    /// reached it, sorted once, earliest last.
+    day: Vec<Scheduled<T>>,
+    /// The late heap: events pushed *into* the current day while it is
+    /// being drained (zero and sub-bucket delays, overflow migration),
+    /// ordered by `(time, seq)`.
     cur: BinaryHeap<Scheduled<T>>,
     /// Far-future tier: events whose day lies at or beyond the window end,
     /// heap-ordered so the earliest migrates first.
     overflow: BinaryHeap<Scheduled<T>>,
     /// The day the cursor is on; only ever advances.
     cur_day: u64,
-    /// Events resident in `buckets` (excludes `cur` and `overflow`).
+    /// Events resident in `buckets` (excludes `day`, `cur` and `overflow`).
     in_window: usize,
-    /// Total resident events across all three tiers.
+    /// Total resident events across all tiers.
     len: usize,
     /// Insertion sequence counter.
     seq: u64,
@@ -255,6 +289,9 @@ impl<T> CalendarQueue<T> {
             width: 1.0,
             buckets: Vec::new(),
             num_days: 1,
+            pool: Vec::new(),
+            chunks: 0,
+            day: Vec::new(),
             cur: BinaryHeap::new(),
             overflow: BinaryHeap::new(),
             cur_day: 0,
@@ -269,8 +306,9 @@ impl<T> CalendarQueue<T> {
     }
 
     /// Empties the queue and reconfigures its geometry, retaining every
-    /// backing allocation: a warm re-run with the same geometry and the
-    /// same event volume performs no heap allocation.
+    /// backing allocation — the chunk pool, the day run, both heaps and the
+    /// bucket spines: a warm re-run with the same geometry and the same
+    /// event volume performs no heap allocation.
     ///
     /// # Panics
     ///
@@ -284,11 +322,14 @@ impl<T> CalendarQueue<T> {
         assert!(num_buckets > 0, "calendar queue needs at least one bucket");
         self.width = width;
         self.num_days = u64::try_from(num_buckets).expect("bucket count fits u64");
-        self.buckets.resize_with(num_buckets, Vec::new);
-        self.buckets.truncate(num_buckets);
         for bucket in &mut self.buckets {
-            bucket.clear();
+            for mut chunk in bucket.drain(..) {
+                chunk.clear();
+                self.pool.push(chunk);
+            }
         }
+        self.buckets.resize_with(num_buckets, Vec::new);
+        self.day.clear();
         self.cur.clear();
         self.overflow.clear();
         self.cur_day = 0;
@@ -327,26 +368,70 @@ impl<T> CalendarQueue<T> {
         size_of::<Scheduled<T>>()
     }
 
-    /// Approximate resident storage of the queue in bytes: the retained
-    /// capacity of every tier times the per-event footprint, plus the
-    /// bucket ring's spine. Capacity never exceeds roughly twice the
-    /// high-water mark (vector doubling), so a budget-capped queue's
-    /// storage is bounded by `2 × event_budget × event_footprint()`.
+    /// Resident storage of the queue in bytes: the retained capacity of
+    /// every tier — all chunks, pooled or in a bucket, the day run and both
+    /// heaps — times the per-event footprint, plus the spines (bucket ring,
+    /// per-bucket chunk lists, pool).
+    ///
+    /// With `H` the largest [`CalendarQueue::high_water`] of any run so
+    /// far, `D` the largest single day and `B` the bucket count, the event
+    /// storage is at most `(H + D + B × 512) × event_footprint()` plus the
+    /// two heaps at up to twice their own peaks (vector doubling): chunks
+    /// are shared through the pool, so there are never more than `H / 512`
+    /// full ones and one partly filled one per bucket, and the day run is
+    /// sized to the largest day. Under the auto geometry a day is a few
+    /// percent of the in-flight population and nothing reaches the heaps,
+    /// which leaves a budget-capped queue close to
+    /// `event_budget × event_footprint()`.
     pub fn resident_bytes(&self) -> usize {
-        let events = self.cur.capacity()
+        let chunk_capacity =
+            |chunks: &Vec<Vec<Scheduled<T>>>| -> usize { chunks.iter().map(Vec::capacity).sum() };
+        let events = self.day.capacity()
+            + self.cur.capacity()
             + self.overflow.capacity()
+            + chunk_capacity(&self.pool)
+            + self.buckets.iter().map(chunk_capacity).sum::<usize>();
+        events * Self::event_footprint() + self.spine_bytes()
+    }
+
+    /// The part of [`CalendarQueue::resident_bytes`] that holds no events:
+    /// the bucket ring, the per-bucket chunk lists and the pool's spine.
+    fn spine_bytes(&self) -> usize {
+        let chunk_lists = self.pool.capacity()
             + self
                 .buckets
                 .iter()
                 .map(|bucket| bucket.capacity())
                 .sum::<usize>();
-        events * Self::event_footprint() + self.buckets.capacity() * size_of::<Vec<Scheduled<T>>>()
+        self.buckets.capacity() * size_of::<Vec<Vec<Scheduled<T>>>>()
+            + chunk_lists * size_of::<Vec<Scheduled<T>>>()
     }
 
     /// The day (bucket ordinal) a timestamp falls in. Saturating: stray
     /// out-of-range values collapse to the ends without wrapping.
     fn day_of(&self, time: f64) -> u64 {
         (time / self.width) as u64
+    }
+
+    /// Appends `event` to the bucket of in-window day `day`, taking a chunk
+    /// from the pool (or, with the pool empty, the allocator) when the
+    /// bucket's last one is full.
+    fn push_in_window(&mut self, day: u64, event: Scheduled<T>) {
+        let bucket = &mut self.buckets[idx_u64(day % self.num_days)];
+        match bucket.last_mut() {
+            Some(chunk) if chunk.len() < CHUNK => chunk.push(event),
+            _ => {
+                let mut chunk = self.pool.pop().unwrap_or_else(|| {
+                    self.chunks += 1;
+                    // The pool is empty here: room for every chunk.
+                    self.pool.reserve(self.chunks);
+                    Vec::with_capacity(CHUNK)
+                });
+                chunk.push(event);
+                bucket.push(chunk);
+            }
+        }
+        self.in_window += 1;
     }
 
     /// Schedules `payload` at `time`, assigning the next sequence number.
@@ -366,8 +451,7 @@ impl<T> CalendarQueue<T> {
         if day <= self.cur_day {
             self.cur.push(event);
         } else if day < self.cur_day.saturating_add(self.num_days) {
-            self.buckets[idx_u64(day % self.num_days)].push(event);
-            self.in_window += 1;
+            self.push_in_window(day, event);
         } else {
             self.overflow.push(event);
             if self.overflow.len() > self.overflow_high_water {
@@ -384,14 +468,23 @@ impl<T> CalendarQueue<T> {
     /// the queue is empty.
     pub fn pop(&mut self) -> Option<Scheduled<T>> {
         loop {
-            if let Some(event) = self.cur.pop() {
-                self.len -= 1;
-                return Some(event);
-            }
-            if self.len == 0 {
-                return None;
-            }
-            self.advance();
+            // The current day's earliest event is the earlier of the sorted
+            // run's tail and the late heap's top. `Scheduled`'s ordering is
+            // reversed, so the greater of the two pops first.
+            let event = match (self.day.last(), self.cur.peek()) {
+                (Some(sorted), Some(late)) if late > sorted => self.cur.pop(),
+                (Some(_), _) => self.day.pop(),
+                (None, Some(_)) => self.cur.pop(),
+                (None, None) => {
+                    if self.len == 0 {
+                        return None;
+                    }
+                    self.advance();
+                    continue;
+                }
+            };
+            self.len -= 1;
+            return event;
         }
     }
 
@@ -399,7 +492,7 @@ impl<T> CalendarQueue<T> {
     /// window still holds events (an `O(1)` bucket check), or a direct
     /// jump to the overflow tier's earliest day when it does not.
     fn advance(&mut self) {
-        debug_assert!(self.cur.is_empty() && self.len > 0);
+        debug_assert!(self.day.is_empty() && self.cur.is_empty() && self.len > 0);
         if self.in_window == 0 {
             let front = self.overflow.peek().expect("a non-empty queue has a front");
             let day = self.day_of(front.time);
@@ -412,8 +505,8 @@ impl<T> CalendarQueue<T> {
     }
 
     /// Migrates overflow events whose day has entered the sliding window:
-    /// into the current-day heap directly, or into their bucket. The heap
-    /// order of the tier makes this an exact prefix extraction.
+    /// into the late heap directly, or into their bucket. The heap order of
+    /// the tier makes this an exact prefix extraction.
     fn prime_overflow(&mut self) {
         let window_end = self.cur_day.saturating_add(self.num_days);
         while let Some(front) = self.overflow.peek() {
@@ -425,18 +518,25 @@ impl<T> CalendarQueue<T> {
             if day <= self.cur_day {
                 self.cur.push(event);
             } else {
-                self.buckets[idx_u64(day % self.num_days)].push(event);
-                self.in_window += 1;
+                self.push_in_window(day, event);
             }
         }
     }
 
-    /// Drains the current day's bucket into the `(time, seq)`-ordered
-    /// current-day heap.
+    /// Moves the current day's bucket into the day run, returns its chunks
+    /// to the pool and sorts the run once — earliest last, so draining it
+    /// is a `Vec::pop`.
     fn load_current_bucket(&mut self) {
         let bucket = &mut self.buckets[idx_u64(self.cur_day % self.num_days)];
-        self.in_window -= bucket.len();
-        self.cur.extend(bucket.drain(..));
+        let held: usize = bucket.iter().map(Vec::len).sum();
+        // Exact, not amortised: the run stays as large as the largest day.
+        self.day.reserve_exact(held);
+        for mut chunk in bucket.drain(..) {
+            self.day.append(&mut chunk);
+            self.pool.push(chunk);
+        }
+        self.in_window -= held;
+        self.day.sort_unstable();
     }
 }
 
@@ -601,6 +701,52 @@ mod tests {
         queue.push(1.0, 7);
         let event = queue.pop().expect("non-empty");
         assert_eq!((event.time, event.seq, event.payload), (1.0, 1, 7));
+    }
+
+    #[test]
+    fn resident_storage_follows_the_high_water_mark_not_the_per_bucket_peaks() {
+        // A travelling wave: each step schedules one burst `LEAD` days
+        // ahead and drains the oldest day, so all 64 ring slots peak at
+        // `BURST` events, each in its own turn, while never more than
+        // `LEAD + 1` bursts are resident. Per-slot retained vectors would
+        // end up holding 64 bursts (7x the high-water mark, more after
+        // capacity doubling); pooled chunks hold the high-water mark.
+        const NUM_BUCKETS: usize = 64;
+        const LEAD: usize = 8;
+        const BURST: usize = 40 * CHUNK + 17;
+        let mut queue: CalendarQueue<u32> = CalendarQueue::new(1.0, NUM_BUCKETS);
+        let mut popped = 0usize;
+        for step in 0..3 * NUM_BUCKETS {
+            let day = (step + LEAD) as f64;
+            for i in 0..BURST {
+                // Descending within the day: the sort has work to do.
+                queue.push(day + (BURST - i) as f64 / (BURST + 1) as f64, 0);
+            }
+            while queue.len() > LEAD * BURST {
+                queue.pop().expect("non-empty");
+                popped += 1;
+            }
+        }
+        assert_eq!(popped, (3 * NUM_BUCKETS - LEAD) * BURST);
+        let high_water = queue.high_water();
+        assert_eq!(high_water, (LEAD + 1) * BURST);
+
+        let footprint = CalendarQueue::<u32>::event_footprint();
+        let resident = queue.resident_bytes();
+        // Chunks for the high-water population, one partial chunk per
+        // bucket; the day run (one burst) fits into the slack the mostly
+        // empty ring leaves of that second term.
+        assert!(
+            resident <= (high_water + (NUM_BUCKETS + 2) * CHUNK) * footprint + queue.spine_bytes(),
+            "resident {resident} bytes ({} events) at high water {high_water}",
+            resident / footprint
+        );
+        assert!(resident >= high_water * footprint, "storage for the peak");
+
+        // All of it is retained across a reset, none of it grows on a
+        // repeat of the same run.
+        queue.reset(1.0, NUM_BUCKETS);
+        assert_eq!(queue.resident_bytes(), resident);
     }
 
     #[test]

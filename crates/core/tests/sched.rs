@@ -45,45 +45,102 @@ fn delay_of(kind: u8, magnitude: u16, width: f64) -> f64 {
     }
 }
 
-/// Runs `ops` through both queues, popping and pushing in lockstep and
-/// asserting every popped `(time, seq, payload)` triple matches; then
-/// drains both queues and asserts the tails match too.
-fn assert_equivalent(width: f64, num_buckets: usize, ops: &[Op]) {
-    let mut calendar: CalendarQueue<u32> = CalendarQueue::new(width, num_buckets);
-    let mut oracle: HeapQueue<u32> = HeapQueue::new();
-    let mut clock = 0.0f64;
-    for (i, op) in ops.iter().enumerate() {
-        if op.pop {
-            match (calendar.pop(), oracle.pop()) {
-                (Some(a), Some(b)) => {
-                    assert_eq!(
-                        (a.time, a.seq, a.payload),
-                        (b.time, b.seq, b.payload),
-                        "divergence at op {i}"
-                    );
-                    clock = a.time;
-                }
-                (None, None) => {}
-                other => panic!("one queue emptied before the other at op {i}: {other:?}"),
-            }
+/// Both queues driven in lockstep: every push goes to both, every pop is
+/// asserted equal and advances the clock.
+struct Lockstep {
+    calendar: CalendarQueue<u32>,
+    oracle: HeapQueue<u32>,
+    clock: f64,
+    pushed: u32,
+    /// Multiplicative-congruential state for reproducible sub-day offsets.
+    state: u64,
+}
+
+impl Lockstep {
+    fn new(width: f64, num_buckets: usize) -> Self {
+        Lockstep {
+            calendar: CalendarQueue::new(width, num_buckets),
+            oracle: HeapQueue::new(),
+            clock: 0.0,
+            pushed: 0,
+            state: 0x9E37_79B9_7F4A_7C15,
         }
-        let time = clock + delay_of(op.kind, op.magnitude, width);
-        let payload = u32::try_from(i).expect("op count fits u32");
-        calendar.push(time, payload);
-        oracle.push(time, payload);
-        assert_eq!(calendar.len(), oracle.len());
     }
-    loop {
-        match (calendar.pop(), oracle.pop()) {
+
+    /// Same geometry change on the calendar queue, a plain reset of the
+    /// oracle.
+    fn reset(&mut self, width: f64, num_buckets: usize) {
+        self.calendar.reset(width, num_buckets);
+        self.oracle.reset();
+        self.clock = 0.0;
+        self.pushed = 0;
+    }
+
+    /// A reproducible fraction in `[0, 1)` on a 1/64 grid, so equal times
+    /// (seq tie-breaks) occur within every few dozen draws.
+    fn fraction(&mut self) -> f64 {
+        self.state = self
+            .state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        (self.state >> 58) as f64 / 64.0
+    }
+
+    fn push(&mut self, time: f64) {
+        self.calendar.push(time, self.pushed);
+        self.oracle.push(time, self.pushed);
+        self.pushed += 1;
+        assert_eq!(self.calendar.len(), self.oracle.len());
+    }
+
+    /// Pushes `count` events spread over `[day_start, day_start + span)`.
+    fn push_spread(&mut self, count: usize, day_start: f64, span: f64) {
+        for _ in 0..count {
+            let time = day_start + self.fraction() * span;
+            self.push(time);
+        }
+    }
+
+    /// Pops both queues, asserts the events match, returns `false` once
+    /// both are empty.
+    fn pop(&mut self) -> bool {
+        match (self.calendar.pop(), self.oracle.pop()) {
             (Some(a), Some(b)) => {
-                assert_eq!((a.time, a.seq, a.payload), (b.time, b.seq, b.payload));
+                assert_eq!(
+                    (a.time, a.seq, a.payload),
+                    (b.time, b.seq, b.payload),
+                    "divergence after {} pushes at clock {}",
+                    self.pushed,
+                    self.clock
+                );
+                assert!(a.time >= self.clock, "time went backwards");
+                self.clock = a.time;
+                true
             }
-            (None, None) => break,
-            other => panic!("one queue emptied before the other at drain: {other:?}"),
+            (None, None) => false,
+            other => panic!("one queue emptied before the other: {other:?}"),
         }
     }
-    assert_eq!(calendar.high_water(), oracle.high_water());
-    assert!(calendar.is_empty() && oracle.is_empty());
+
+    fn drain(&mut self) {
+        while self.pop() {}
+        assert_eq!(self.calendar.high_water(), self.oracle.high_water());
+        assert!(self.calendar.is_empty() && self.oracle.is_empty());
+    }
+}
+
+/// Runs `ops` through both queues in lockstep, asserting every popped
+/// `(time, seq, payload)` triple matches; then drains both queues and
+/// asserts the tails match too.
+fn assert_equivalent(width: f64, num_buckets: usize, ops: &[Op]) {
+    let mut pair = Lockstep::new(width, num_buckets);
+    for op in ops {
+        if op.pop {
+            pair.pop();
+        }
+        pair.push(pair.clock + delay_of(op.kind, op.magnitude, width));
+    }
+    pair.drain();
 }
 
 /// Maps the raw generated triples onto workload steps, reducing the kind
@@ -166,90 +223,6 @@ fn overflow_tier_is_actually_exercised_by_the_spill_workload() {
     assert!(queue.overflow_high_water() > 0, "spill path not taken");
     let Scheduled { payload, .. } = queue.pop().expect("non-empty");
     assert_eq!(payload, 0);
-}
-
-/// Both queues driven in lockstep by the deterministic cases below: every
-/// push goes to both, every pop is asserted equal and advances the clock.
-struct Lockstep {
-    calendar: CalendarQueue<u32>,
-    oracle: HeapQueue<u32>,
-    clock: f64,
-    pushed: u32,
-    /// Multiplicative-congruential state for reproducible sub-day offsets.
-    state: u64,
-}
-
-impl Lockstep {
-    fn new(width: f64, num_buckets: usize) -> Self {
-        Lockstep {
-            calendar: CalendarQueue::new(width, num_buckets),
-            oracle: HeapQueue::new(),
-            clock: 0.0,
-            pushed: 0,
-            state: 0x9E37_79B9_7F4A_7C15,
-        }
-    }
-
-    /// Same geometry change on the calendar queue, a plain reset of the
-    /// oracle.
-    fn reset(&mut self, width: f64, num_buckets: usize) {
-        self.calendar.reset(width, num_buckets);
-        self.oracle.reset();
-        self.clock = 0.0;
-        self.pushed = 0;
-    }
-
-    /// A reproducible fraction in `[0, 1)` on a 1/64 grid, so equal times
-    /// (seq tie-breaks) occur within every few dozen draws.
-    fn fraction(&mut self) -> f64 {
-        self.state = self
-            .state
-            .wrapping_mul(6_364_136_223_846_793_005)
-            .wrapping_add(1_442_695_040_888_963_407);
-        (self.state >> 58) as f64 / 64.0
-    }
-
-    fn push(&mut self, time: f64) {
-        self.calendar.push(time, self.pushed);
-        self.oracle.push(time, self.pushed);
-        self.pushed += 1;
-        assert_eq!(self.calendar.len(), self.oracle.len());
-    }
-
-    /// Pushes `count` events spread over `[day_start, day_start + span)`.
-    fn push_spread(&mut self, count: usize, day_start: f64, span: f64) {
-        for _ in 0..count {
-            let time = day_start + self.fraction() * span;
-            self.push(time);
-        }
-    }
-
-    /// Pops both queues, asserts the events match, returns `false` once
-    /// both are empty.
-    fn pop(&mut self) -> bool {
-        match (self.calendar.pop(), self.oracle.pop()) {
-            (Some(a), Some(b)) => {
-                assert_eq!(
-                    (a.time, a.seq, a.payload),
-                    (b.time, b.seq, b.payload),
-                    "divergence after {} pushes at clock {}",
-                    self.pushed,
-                    self.clock
-                );
-                assert!(a.time >= self.clock, "time went backwards");
-                self.clock = a.time;
-                true
-            }
-            (None, None) => false,
-            other => panic!("one queue emptied before the other: {other:?}"),
-        }
-    }
-
-    fn drain(&mut self) {
-        while self.pop() {}
-        assert_eq!(self.calendar.high_water(), self.oracle.high_water());
-        assert!(self.calendar.is_empty() && self.oracle.is_empty());
-    }
 }
 
 #[test]
