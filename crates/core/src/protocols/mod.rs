@@ -309,4 +309,107 @@ mod tests {
         let picked = pick_random_targets(&candidates, 10, n(0), None, &[], &mut rng);
         assert_eq!(picked.len(), 2);
     }
+
+    /// Per-node `(d_links, r_links, live)` over ids `0..10`. Self-links,
+    /// duplicate links, ids in both lists and links to absent (dead) ids
+    /// all occur; an `OverlaySnapshot` keeps every one of them.
+    fn link_lists() -> impl proptest::strategy::Strategy<Value = Vec<(Vec<u64>, Vec<u64>, bool)>> {
+        use proptest::prelude::*;
+        prop::collection::vec(
+            (
+                prop::collection::vec(0u64..10, 0..6),
+                prop::collection::vec(0u64..10, 0..12),
+                any::<bool>(),
+            ),
+            10,
+        )
+    }
+
+    proptest::proptest! {
+        /// `select_dense` over the CSR copy of a snapshot picks the same
+        /// targets, in the same order, as each protocol struct over the
+        /// snapshot itself, and leaves the RNG at the same position. The
+        /// sender is absent (origin), only a d-link, only an r-link or both.
+        #[test]
+        fn select_dense_matches_the_protocol_structs(
+            lists in link_lists(),
+            node in 0u64..10,
+            sender in 0u64..10,
+            sender_kind in 0usize..4,
+            fanout in 1usize..=8,
+            protocol in 0usize..4,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            use std::collections::BTreeMap;
+
+            use hybridcast_sim::snapshot::NodeSnapshot;
+            use hybridcast_sim::OverlaySnapshot;
+
+            use crate::overlay::SnapshotOverlay;
+
+            proptest::prop_assume!(sender_kind == 0 || sender != node);
+            let mut entries = BTreeMap::new();
+            for (id, (mut d, mut r, live)) in (0u64..).zip(lists) {
+                if id == node {
+                    match sender_kind {
+                        1 => {
+                            d.push(sender);
+                            r.retain(|&x| x != sender);
+                        }
+                        2 => {
+                            r.push(sender);
+                            d.retain(|&x| x != sender);
+                        }
+                        3 => {
+                            d.push(sender);
+                            r.push(sender);
+                        }
+                        _ => {}
+                    }
+                } else if !live {
+                    continue;
+                }
+                entries.insert(
+                    n(id),
+                    NodeSnapshot {
+                        ring_position: id,
+                        joined_at_cycle: 0,
+                        r_links: r.into_iter().map(n).collect(),
+                        d_links: d.into_iter().map(n).collect(),
+                    },
+                );
+            }
+            let overlay = SnapshotOverlay::new(OverlaySnapshot::new(0, entries));
+            let dense = DenseOverlay::from_snapshot(overlay.snapshot());
+            let (reference, selector): (Box<dyn GossipTargetSelector>, DenseSelector) =
+                match protocol {
+                    0 => (Box::new(RandCast::new(fanout)), DenseSelector::randcast(fanout)),
+                    1 => (Box::new(RingCast::new(fanout)), DenseSelector::ringcast(fanout)),
+                    2 => (Box::new(Flooding::new()), DenseSelector::Flooding),
+                    _ => (
+                        Box::new(DeterministicFlooding::new()),
+                        DenseSelector::DeterministicFlooding,
+                    ),
+                };
+            let from = (sender_kind != 0).then_some(n(sender));
+
+            let mut rng_ref = ChaCha8Rng::seed_from_u64(seed);
+            let expected = reference.select_targets(&overlay, n(node), from, &mut rng_ref);
+
+            let mut rng_dense = ChaCha8Rng::seed_from_u64(seed);
+            let index = |id: NodeId| dense.index_of(id).expect("linked ids are indexed");
+            let (mut targets, mut pool) = (Vec::new(), Vec::new());
+            selector.select_dense(
+                &dense,
+                index(n(node)),
+                from.map_or(NO_NODE, index),
+                &mut rng_dense,
+                &mut targets,
+                &mut pool,
+            );
+            let got: Vec<NodeId> = targets.iter().map(|&t| dense.node_id(t)).collect();
+            proptest::prop_assert_eq!(got, expected);
+            proptest::prop_assert_eq!(rng_dense.next_u64(), rng_ref.next_u64());
+        }
+    }
 }
