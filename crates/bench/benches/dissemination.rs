@@ -8,7 +8,7 @@ use rand_chacha::ChaCha8Rng;
 
 use hybridcast_core::engine::disseminate;
 use hybridcast_core::overlay::{Overlay, SnapshotOverlay};
-use hybridcast_core::protocols::{Flooding, GossipTargetSelector, RandCast, RingCast};
+use hybridcast_core::protocols::DenseSelector;
 use hybridcast_sim::{Network, SimConfig};
 
 fn warmed_overlay(nodes: usize) -> SnapshotOverlay {
@@ -27,15 +27,14 @@ fn bench_protocols(c: &mut Criterion) {
     let overlay = warmed_overlay(1_000);
     let origin = overlay.live_node_ids()[0];
     let mut group = c.benchmark_group("dissemination/protocol");
-    let protocols: Vec<(&str, Box<dyn GossipTargetSelector>)> = vec![
-        ("randcast_f5", Box::new(RandCast::new(5))),
-        ("ringcast_f5", Box::new(RingCast::new(5))),
-        ("flooding", Box::new(Flooding::new())),
-    ];
-    for (name, protocol) in &protocols {
-        group.bench_function(*name, |b| {
+    for (name, protocol) in [
+        ("randcast_f5", DenseSelector::randcast(5)),
+        ("ringcast_f5", DenseSelector::ringcast(5)),
+        ("flooding", DenseSelector::Flooding),
+    ] {
+        group.bench_function(name, |b| {
             let mut rng = ChaCha8Rng::seed_from_u64(3);
-            b.iter(|| disseminate(&overlay, protocol.as_ref(), origin, &mut rng))
+            b.iter(|| disseminate(&overlay, &protocol, origin, &mut rng))
         });
     }
     group.finish();
@@ -47,7 +46,7 @@ fn bench_ringcast_fanout_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("dissemination/ringcast_fanout");
     for &fanout in &[1usize, 3, 6, 12] {
         group.bench_with_input(BenchmarkId::from_parameter(fanout), &fanout, |b, &f| {
-            let protocol = RingCast::new(f);
+            let protocol = DenseSelector::ringcast(f);
             let mut rng = ChaCha8Rng::seed_from_u64(5);
             b.iter(|| disseminate(&overlay, &protocol, origin, &mut rng))
         });

@@ -29,7 +29,7 @@ use hybridcast_core::experiment::{
 use hybridcast_core::metrics::DisseminationReport;
 use hybridcast_core::netmodel::{DelayModel, LossModel, NetModel, PartitionEvent};
 use hybridcast_core::overlay::DenseOverlay;
-use hybridcast_core::protocols::{DenseSelector, GossipTargetSelector, RingCast};
+use hybridcast_core::protocols::DenseSelector;
 use hybridcast_core::pull::{PullConfig, PushPullReport};
 use hybridcast_graph::{builders, harary, NodeId};
 use hybridcast_obs::{Heartbeat, NullProbe, Probe, ProtocolKind, StageProfiler, TraceEvent};
@@ -591,6 +591,17 @@ fn latency_row(ratio: f64, live_membership: bool, reports: &[AsyncReport]) -> La
     }
 }
 
+/// The smallest configured fanout: the one fanout the single-fanout sweeps
+/// (latency, adversarial, connectivity) run at.
+fn smallest_fanout(params: &ExperimentParams) -> usize {
+    params
+        .fanouts
+        .iter()
+        .copied()
+        .min()
+        .expect("ExperimentParams::validate rejects an empty fanout list")
+}
+
 /// **Section 7.1 ablation (asynchronous)**: the paper claims that varying
 /// the message forwarding time from zero to several gossip periods has no
 /// effect on the macroscopic dissemination behaviour. This experiment
@@ -608,7 +619,7 @@ pub fn latency_ablation(
     params: &ExperimentParams,
     delay_ratios: &[f64],
 ) -> Vec<LatencyAblationRow> {
-    let fanout = params.fanouts.first().copied().unwrap_or(3);
+    let fanout = smallest_fanout(params);
     let dense = overlay_of(params, params.sim_config());
     delay_ratios
         .iter()
@@ -630,7 +641,7 @@ pub fn live_latency_ablation(
     params: &ExperimentParams,
     delay_ratios: &[f64],
 ) -> Vec<LatencyAblationRow> {
-    let fanout = params.fanouts.first().copied().unwrap_or(3);
+    let fanout = smallest_fanout(params);
     let mut warmed = Network::new(params.sim_config(), params.seed);
     warmed.run_cycles(params.warmup_cycles);
     let origins = warmed.live_ids();
@@ -649,7 +660,7 @@ pub fn live_latency_ablation(
                     );
                     disseminate_async(
                         &mut network,
-                        &RingCast::new(fanout),
+                        &DenseSelector::ringcast(fanout),
                         origins[run % params.nodes],
                         &config,
                         &mut rng,
@@ -713,7 +724,7 @@ fn adversarial_sweep<P: Probe, Row>(
     probe: &mut P,
     profiler: &mut StageProfiler,
 ) -> Vec<Row> {
-    let fanout = params.fanouts.first().copied().unwrap_or(3);
+    let fanout = smallest_fanout(params);
     let overlay = frozen_overlay(params, params.sim_config(), probe, profiler);
     profiler.stage("dissemination");
     let mut heartbeat = Heartbeat::new(points.len() as u64, "configs", params.quiet);
@@ -873,7 +884,8 @@ fn partition_row(duration: f64, reports: &[AsyncReport]) -> AdversarialPartition
 /// Every configuration is evaluated with RingCast after killing
 /// `fail_fraction` of the nodes. To keep the comparison fair, every arm is
 /// given the same *random-link budget*: the configured base fanout
-/// (smallest entry of `params.fanouts`) is the fanout of the single-ring
+/// (smallest entry of `params.fanouts`, raised to 2 if it is 1, so that
+/// `base - 2` below is never negative) is the fanout of the single-ring
 /// arm, and arms with more deterministic links get their fanout increased
 /// by the extra d-degree, so each arm forwards over `base - 2` random links
 /// plus all of its deterministic links. The extra messages the denser
@@ -883,7 +895,7 @@ pub fn connectivity_ablation(
     params: &ExperimentParams,
     fail_fraction: f64,
 ) -> Vec<(String, AggregateStats)> {
-    let base_fanout = params.fanouts.first().copied().unwrap_or(2).max(2);
+    let base_fanout = smallest_fanout(params).max(2);
 
     let mut out = Vec::new();
     // Fails `fail_fraction` of one arm's overlay and measures RingCast over
@@ -1054,6 +1066,36 @@ mod tests {
                 .iter()
                 .any(|e| matches!(e, TraceEvent::PartitionOpen { .. })),
             "the scripted bisection must be announced in the trace"
+        );
+    }
+
+    #[test]
+    fn single_fanout_sweeps_run_at_the_smallest_fanout_not_the_first() {
+        let descending = ExperimentParams {
+            nodes: 100,
+            runs: 3,
+            warmup_cycles: 40,
+            fanouts: vec![4, 2],
+            ..tiny()
+        };
+        let smallest = ExperimentParams {
+            fanouts: vec![2],
+            ..descending.clone()
+        };
+        let latency = |p: &ExperimentParams| latency_ablation(p, &[0.5]);
+        assert_eq!(latency(&descending), latency(&smallest));
+        let first = ExperimentParams {
+            fanouts: vec![4],
+            ..descending.clone()
+        };
+        assert_ne!(latency(&descending), latency(&first));
+        let loss = |p: &ExperimentParams| {
+            adversarial_loss_sweep(p, &[0.1], &mut NullProbe, &mut StageProfiler::new())
+        };
+        assert_eq!(loss(&descending), loss(&smallest));
+        assert_eq!(
+            connectivity_ablation(&descending, 0.05),
+            connectivity_ablation(&smallest, 0.05)
         );
     }
 

@@ -67,7 +67,7 @@ use hybridcast_sim::Network;
 
 use crate::netmodel::{jittered, partition_recovery, NetModel};
 use crate::overlay::{DenseBits, DenseOverlay, Overlay, NO_NODE};
-use crate::protocols::{DenseSelector, GossipTargetSelector};
+use crate::protocols::DenseSelector;
 use crate::sched::{CalendarQueue, SchedConfig, Scheduled};
 
 /// Configuration of an event-driven dissemination run.
@@ -264,49 +264,9 @@ trait Substrate {
     /// One membership gossip round initiated by the live node `node`.
     fn gossip_once(&mut self, node: NodeId);
 
-    /// The gossip targets `selector` picks for the live node `node` from
-    /// the links it holds at this moment.
-    fn select_targets(
-        &self,
-        selector: &dyn GossipTargetSelector,
-        node: NodeId,
-        sender: Option<NodeId>,
-        rng: &mut ChaCha8Rng,
-    ) -> Vec<NodeId>;
-}
-
-/// A one-node view over the live network state, assembled at delivery time
-/// from the node's *current* Cyclon view and ring neighbours.
-struct MomentaryView {
-    owner: NodeId,
-    r_links: Vec<NodeId>,
-    d_links: Vec<NodeId>,
-}
-
-impl Overlay for MomentaryView {
-    fn is_live(&self, _node: NodeId) -> bool {
-        true
-    }
-
-    fn live_node_ids(&self) -> Vec<NodeId> {
-        vec![self.owner]
-    }
-
-    fn r_links(&self, node: NodeId) -> Vec<NodeId> {
-        if node == self.owner {
-            self.r_links.clone()
-        } else {
-            Vec::new()
-        }
-    }
-
-    fn d_links(&self, node: NodeId) -> Vec<NodeId> {
-        if node == self.owner {
-            self.d_links.clone()
-        } else {
-            Vec::new()
-        }
-    }
+    /// The live node `node`'s links at this moment, as
+    /// `(d_links, r_links)`.
+    fn links(&self, node: NodeId) -> (Vec<NodeId>, Vec<NodeId>);
 }
 
 impl Substrate for &mut Network {
@@ -330,29 +290,10 @@ impl Substrate for &mut Network {
         Network::gossip_once(self, node);
     }
 
-    fn select_targets(
-        &self,
-        selector: &dyn GossipTargetSelector,
-        node: NodeId,
-        sender: Option<NodeId>,
-        rng: &mut ChaCha8Rng,
-    ) -> Vec<NodeId> {
+    /// The node's *current* ring neighbours and Cyclon view.
+    fn links(&self, node: NodeId) -> (Vec<NodeId>, Vec<NodeId>) {
         let sim_node = self.node(node).expect("a live node has membership state");
-        let mut d_links = Vec::new();
-        for vicinity in sim_node.vicinity() {
-            let (pred, succ) = vicinity.ring_neighbors();
-            for link in [pred, succ].into_iter().flatten() {
-                if !d_links.contains(&link) {
-                    d_links.push(link);
-                }
-            }
-        }
-        let view = MomentaryView {
-            owner: node,
-            r_links: sim_node.cyclon().view().node_ids(),
-            d_links,
-        };
-        selector.select_targets(&view, node, sender, rng)
+        (sim_node.d_links(), sim_node.cyclon().view().node_ids())
     }
 }
 
@@ -373,14 +314,8 @@ impl Substrate for &dyn Overlay {
         unreachable!("a frozen overlay schedules no gossip ticks");
     }
 
-    fn select_targets(
-        &self,
-        selector: &dyn GossipTargetSelector,
-        node: NodeId,
-        sender: Option<NodeId>,
-        rng: &mut ChaCha8Rng,
-    ) -> Vec<NodeId> {
-        selector.select_targets(*self, node, sender, rng)
+    fn links(&self, node: NodeId) -> (Vec<NodeId>, Vec<NodeId>) {
+        (self.d_links(node), self.r_links(node))
     }
 }
 
@@ -409,7 +344,7 @@ fn emit_partition_schedule<P: Probe>(net: &NetModel, probe: &mut P) {
 /// Panics if the configuration is invalid or `origin` is not a live node.
 pub fn disseminate_async(
     network: &mut Network,
-    selector: &dyn GossipTargetSelector,
+    selector: &DenseSelector,
     origin: NodeId,
     config: &AsyncConfig,
     rng: &mut ChaCha8Rng,
@@ -433,7 +368,7 @@ pub fn disseminate_async(
 /// Panics if the configuration is invalid or `origin` is not a live node.
 pub fn disseminate_async_frozen(
     overlay: &dyn Overlay,
-    selector: &dyn GossipTargetSelector,
+    selector: &DenseSelector,
     origin: NodeId,
     config: &AsyncConfig,
     rng: &mut ChaCha8Rng,
@@ -450,7 +385,7 @@ pub fn disseminate_async_frozen(
 /// tests pin that down alongside the report equality.
 pub fn disseminate_async_frozen_probed<P: Probe>(
     overlay: &dyn Overlay,
-    selector: &dyn GossipTargetSelector,
+    selector: &DenseSelector,
     origin: NodeId,
     config: &AsyncConfig,
     rng: &mut ChaCha8Rng,
@@ -464,7 +399,7 @@ pub fn disseminate_async_frozen_probed<P: Probe>(
 /// liveness and links from.
 fn disseminate_id_keyed<W: Substrate, P: Probe>(
     mut world: W,
-    selector: &dyn GossipTargetSelector,
+    selector: &DenseSelector,
     origin: NodeId,
     config: &AsyncConfig,
     rng: &mut ChaCha8Rng,
@@ -510,6 +445,7 @@ fn disseminate_id_keyed<W: Substrate, P: Probe>(
     let mut dropped_partition = 0usize;
     let mut ge_bad: BTreeMap<NodeId, bool> = BTreeMap::new();
     let mut per_hop_messages = vec![0usize];
+    let (mut targets, mut pool) = (Vec::new(), Vec::new());
     // Queued `Deliver` events; equals `queue.len()` whenever no gossip
     // ticks are scheduled.
     let mut pending_deliveries = 1usize;
@@ -573,14 +509,15 @@ fn disseminate_id_keyed<W: Substrate, P: Probe>(
         if notified.len() == population {
             completion_time = Some(time);
         }
-        let sender = if from == to { None } else { Some(from) };
-        let targets = world.select_targets(selector, to, sender, rng);
+        // The origin's self-delivery names it as its own sender.
+        let (d_links, r_links) = world.links(to);
+        selector.select(to, from, (&d_links, &r_links), rng, &mut targets, &mut pool);
         let hop_idx = idx(hop) + 1;
         if per_hop_messages.len() <= hop_idx {
             per_hop_messages.resize(hop_idx + 1, 0);
         }
         per_hop_messages[hop_idx] += targets.len();
-        for target in targets {
+        for &target in &targets {
             messages_sent += 1;
             probe.record(TraceEvent::Sent {
                 from: to.as_u64(),
@@ -1000,7 +937,8 @@ pub fn disseminate_async_dense_probed<P: Probe>(
         if reached == population {
             completion_time = Some(time);
         }
-        selector.select_dense(overlay, event.to, event.from, rng, targets, pool);
+        let links = (overlay.d_links_of(event.to), overlay.r_links_of(event.to));
+        selector.select(event.to, event.from, links, rng, targets, pool);
         let hop_idx = idx(event.hop) + 1;
         if per_hop.len() <= hop_idx {
             per_hop.resize(hop_idx + 1, 0);
@@ -1081,7 +1019,6 @@ pub fn disseminate_async_dense_probed<P: Probe>(
 mod tests {
     use super::*;
     use crate::overlay::SnapshotOverlay;
-    use crate::protocols::{RandCast, RingCast};
     use hybridcast_sim::SimConfig;
     use rand::SeedableRng;
 
@@ -1156,7 +1093,7 @@ mod tests {
         network.kill_node(victim);
         disseminate_async(
             &mut network,
-            &RingCast::new(2),
+            &DenseSelector::ringcast(2),
             victim,
             &AsyncConfig::default(),
             &mut rng(1),
@@ -1186,7 +1123,7 @@ mod tests {
         let origin = network.live_ids()[7];
         let report = disseminate_async(
             &mut network,
-            &RingCast::new(3),
+            &DenseSelector::ringcast(3),
             origin,
             &AsyncConfig::default(),
             &mut rng(3),
@@ -1223,7 +1160,7 @@ mod tests {
             };
             let report = disseminate_async(
                 &mut network,
-                &RingCast::new(3),
+                &DenseSelector::ringcast(3),
                 origin,
                 &config,
                 &mut rng(100 + idx as u64),
@@ -1247,7 +1184,7 @@ mod tests {
         let origin = network.live_ids()[3];
         let report = disseminate_async(
             &mut network,
-            &RandCast::new(2),
+            &DenseSelector::randcast(2),
             origin,
             &AsyncConfig::default(),
             &mut rng(6),
@@ -1272,7 +1209,7 @@ mod tests {
             };
             disseminate_async(
                 &mut network,
-                &RingCast::new(3),
+                &DenseSelector::ringcast(3),
                 origin,
                 &config,
                 &mut rng(seed),
@@ -1371,7 +1308,7 @@ mod tests {
                 let mut live_probe = VecProbe::new();
                 let live = disseminate_id_keyed(
                     &mut network,
-                    &RingCast::new(fanout),
+                    &DenseSelector::ringcast(fanout),
                     origin,
                     config,
                     &mut rng(seed ^ 0xF0),
@@ -1380,7 +1317,7 @@ mod tests {
                 let mut frozen_probe = VecProbe::new();
                 let frozen = disseminate_async_frozen_probed(
                     &overlay,
-                    &RingCast::new(fanout),
+                    &DenseSelector::ringcast(fanout),
                     origin,
                     config,
                     &mut rng(seed ^ 0xF0),
@@ -1483,8 +1420,13 @@ mod tests {
         let dense = DenseOverlay::from(&overlay);
         let origin = overlay.live_node_ids()[0];
 
-        let frozen =
-            disseminate_async_frozen(&overlay, &RingCast::new(3), origin, &tiny, &mut rng(41));
+        let frozen = disseminate_async_frozen(
+            &overlay,
+            &DenseSelector::ringcast(3),
+            origin,
+            &tiny,
+            &mut rng(41),
+        );
         assert!(frozen.truncated, "frozen engine must flag the cutoff");
         assert!(!frozen.is_complete());
 
@@ -1502,7 +1444,7 @@ mod tests {
 
         let live = disseminate_async(
             &mut network,
-            &RingCast::new(3),
+            &DenseSelector::ringcast(3),
             origin,
             &AsyncConfig {
                 run_membership_gossip: true,
@@ -1515,7 +1457,7 @@ mod tests {
         // A generous max_time leaves the flag clear.
         let full = disseminate_async_frozen(
             &overlay,
-            &RingCast::new(3),
+            &DenseSelector::ringcast(3),
             origin,
             &AsyncConfig {
                 run_membership_gossip: false,
@@ -1539,7 +1481,7 @@ mod tests {
         };
         let report = disseminate_async(
             &mut network,
-            &RingCast::new(3),
+            &DenseSelector::ringcast(3),
             origin,
             &config,
             &mut rng(43),
@@ -1565,8 +1507,13 @@ mod tests {
             },
             ..AsyncConfig::default()
         };
-        let lossy =
-            disseminate_async_frozen(&overlay, &RingCast::new(3), origin, &config, &mut rng(45));
+        let lossy = disseminate_async_frozen(
+            &overlay,
+            &DenseSelector::ringcast(3),
+            origin,
+            &config,
+            &mut rng(45),
+        );
         assert!(lossy.dropped_loss > 0, "30% loss must drop something");
         assert_eq!(lossy.dropped_partition, 0);
         // Dropped messages still count as sent and per-hop totals balance.
@@ -1598,8 +1545,13 @@ mod tests {
             },
             ..AsyncConfig::default()
         };
-        let report =
-            disseminate_async_frozen(&overlay, &RingCast::new(3), origin, &config, &mut rng(47));
+        let report = disseminate_async_frozen(
+            &overlay,
+            &DenseSelector::ringcast(3),
+            origin,
+            &config,
+            &mut rng(47),
+        );
         assert!(
             report.dropped_partition > 0,
             "a bisection from t=0 must cut cross-side forwards"
@@ -1621,8 +1573,13 @@ mod tests {
             },
             ..AsyncConfig::default()
         };
-        let healed =
-            disseminate_async_frozen(&overlay, &RingCast::new(3), origin, &healing, &mut rng(47));
+        let healed = disseminate_async_frozen(
+            &overlay,
+            &DenseSelector::ringcast(3),
+            origin,
+            &healing,
+            &mut rng(47),
+        );
         assert!(healed.dropped_partition > 0);
         assert!(healed.is_complete(), "the heal lets the frontier cross");
         let recovery =
@@ -1632,7 +1589,7 @@ mod tests {
         // No partitions → empty recovery vector.
         let clean = disseminate_async_frozen(
             &overlay,
-            &RingCast::new(3),
+            &DenseSelector::ringcast(3),
             origin,
             &AsyncConfig {
                 run_membership_gossip: false,
@@ -1671,8 +1628,13 @@ mod tests {
             ..AsyncConfig::default()
         };
 
-        let frozen =
-            disseminate_async_frozen(&overlay, &RingCast::new(3), origin, &capped, &mut rng(51));
+        let frozen = disseminate_async_frozen(
+            &overlay,
+            &DenseSelector::ringcast(3),
+            origin,
+            &capped,
+            &mut rng(51),
+        );
         assert!(
             frozen.truncated_sends > 0,
             "a budget of 8 must refuse forwards on a 200-node RingCast run"
@@ -1709,7 +1671,7 @@ mod tests {
 
         let live = disseminate_async(
             &mut network,
-            &RingCast::new(3),
+            &DenseSelector::ringcast(3),
             origin,
             &capped,
             &mut rng(51),
@@ -1795,7 +1757,7 @@ mod tests {
             let origin = network.live_ids()[5];
             disseminate_async(
                 &mut network,
-                &RingCast::new(2),
+                &DenseSelector::ringcast(2),
                 origin,
                 &AsyncConfig::default(),
                 &mut rng(11),

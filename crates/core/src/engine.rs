@@ -26,7 +26,7 @@ use hybridcast_obs::{DeliveryOutcome, NullProbe, Probe, TraceEvent};
 
 use crate::metrics::DisseminationReport;
 use crate::overlay::{DenseBits, DenseOverlay, Overlay, NO_NODE};
-use crate::protocols::{DenseSelector, GossipTargetSelector};
+use crate::protocols::DenseSelector;
 
 /// Runs one complete dissemination of a message originating at `origin`
 /// over the given overlay, using `selector` to pick gossip targets, and
@@ -46,20 +46,20 @@ use crate::protocols::{DenseSelector, GossipTargetSelector};
 /// ```
 /// use hybridcast_core::engine::disseminate;
 /// use hybridcast_core::overlay::StaticOverlay;
-/// use hybridcast_core::protocols::DeterministicFlooding;
+/// use hybridcast_core::protocols::DenseSelector;
 /// use hybridcast_graph::{builders, NodeId};
 /// use rand::SeedableRng;
 ///
 /// let ids: Vec<NodeId> = (0..8).map(NodeId::new).collect();
 /// let overlay = StaticOverlay::deterministic(&builders::bidirectional_ring(&ids));
 /// let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0);
-/// let report = disseminate(&overlay, &DeterministicFlooding::new(), ids[0], &mut rng);
+/// let report = disseminate(&overlay, &DenseSelector::DeterministicFlooding, ids[0], &mut rng);
 /// assert!(report.is_complete());
 /// assert_eq!(report.last_hop, 4, "half-way around an 8-node ring");
 /// ```
 pub fn disseminate(
     overlay: &dyn Overlay,
-    selector: &dyn GossipTargetSelector,
+    selector: &DenseSelector,
     origin: NodeId,
     rng: &mut dyn RngCore,
 ) -> DisseminationReport {
@@ -79,7 +79,7 @@ pub fn disseminate(
 /// Panics if `origin` is not a live node of the overlay.
 pub fn disseminate_probed<P: Probe>(
     overlay: &dyn Overlay,
-    selector: &dyn GossipTargetSelector,
+    selector: &DenseSelector,
     origin: NodeId,
     rng: &mut dyn RngCore,
     probe: &mut P,
@@ -112,22 +112,32 @@ pub fn disseminate_probed<P: Probe>(
     let mut messages_to_dead = 0usize;
     let mut last_hop = 0usize;
 
-    // Frontier of (node, sender) pairs notified in the previous hop.
-    let mut frontier: Vec<(NodeId, Option<NodeId>)> = vec![(origin, None)];
+    // Frontier of (node, sender) pairs notified in the previous hop; the
+    // origin is its own sender.
+    let mut frontier: Vec<(NodeId, NodeId)> = vec![(origin, origin)];
+    let (mut targets, mut pool) = (Vec::new(), Vec::new());
     let mut hop = 0usize;
 
     while !frontier.is_empty() {
         hop += 1;
         let hop_u = to_u32(hop);
-        let mut next_frontier: Vec<(NodeId, Option<NodeId>)> = Vec::new();
+        let mut next_frontier: Vec<(NodeId, NodeId)> = Vec::new();
         let mut hop_messages = 0usize;
         let mut hop_new = 0usize;
 
         for (node, from) in frontier {
-            let targets = selector.select_targets(overlay, node, from, rng);
+            let (d_links, r_links) = (overlay.d_links(node), overlay.r_links(node));
+            selector.select(
+                node,
+                from,
+                (&d_links, &r_links),
+                rng,
+                &mut targets,
+                &mut pool,
+            );
             *forwarded_counts.entry(node).or_insert(0) += targets.len();
             hop_messages += targets.len();
-            for target in targets {
+            for &target in &targets {
                 probe.record(TraceEvent::Sent {
                     from: node.as_u64(),
                     to: target.as_u64(),
@@ -147,7 +157,7 @@ pub fn disseminate_probed<P: Probe>(
                 if notified.insert(target) {
                     messages_to_virgin += 1;
                     hop_new += 1;
-                    next_frontier.push((target, Some(node)));
+                    next_frontier.push((target, node));
                     probe.record(TraceEvent::Delivered {
                         node: target.as_u64(),
                         from: node.as_u64(),
@@ -461,7 +471,8 @@ pub fn disseminate_dense_probed<P: Probe>(
         let mut hop_new = 0usize;
 
         for &(node, from) in frontier.iter() {
-            selector.select_dense(overlay, node, from, rng, targets, pool);
+            let links = (overlay.d_links_of(node), overlay.r_links_of(node));
+            selector.select(node, from, links, rng, targets, pool);
             forwarded[idx(node)] += to_u32(targets.len());
             hop_messages += targets.len();
             let from_id = overlay.node_id(node).as_u64();
@@ -537,7 +548,6 @@ pub fn disseminate_dense_probed<P: Probe>(
 mod tests {
     use super::*;
     use crate::overlay::{SnapshotOverlay, StaticOverlay};
-    use crate::protocols::{DeterministicFlooding, Flooding, RandCast, RingCast};
     use hybridcast_graph::builders;
     use hybridcast_sim::{Network, SimConfig};
     use rand::SeedableRng;
@@ -571,13 +581,18 @@ mod tests {
     #[should_panic(expected = "not a live node")]
     fn dead_origin_panics() {
         let overlay = StaticOverlay::new();
-        disseminate(&overlay, &Flooding::new(), n(0), &mut rng(0));
+        disseminate(&overlay, &DenseSelector::Flooding, n(0), &mut rng(0));
     }
 
     #[test]
     fn flooding_a_ring_reaches_everyone_in_n_over_2_hops() {
         let overlay = StaticOverlay::deterministic(&builders::bidirectional_ring(&ids(10)));
-        let report = disseminate(&overlay, &DeterministicFlooding::new(), n(0), &mut rng(1));
+        let report = disseminate(
+            &overlay,
+            &DenseSelector::DeterministicFlooding,
+            n(0),
+            &mut rng(1),
+        );
         assert!(report.is_complete());
         assert_eq!(report.last_hop, 5);
         assert_eq!(report.reached, 10);
@@ -590,7 +605,12 @@ mod tests {
     #[test]
     fn flooding_a_clique_takes_one_hop_with_quadratic_overhead() {
         let overlay = StaticOverlay::deterministic(&builders::clique(&ids(12)));
-        let report = disseminate(&overlay, &DeterministicFlooding::new(), n(3), &mut rng(2));
+        let report = disseminate(
+            &overlay,
+            &DenseSelector::DeterministicFlooding,
+            n(3),
+            &mut rng(2),
+        );
         assert!(report.is_complete());
         assert_eq!(report.last_hop, 1);
         assert_eq!(report.messages_to_virgin, 11);
@@ -603,7 +623,12 @@ mod tests {
         let leaves = ids(20)[1..].to_vec();
         let overlay = StaticOverlay::deterministic(&builders::star(n(0), &leaves));
         // From a leaf: hop 1 reaches the hub, hop 2 all other leaves.
-        let report = disseminate(&overlay, &DeterministicFlooding::new(), n(5), &mut rng(3));
+        let report = disseminate(
+            &overlay,
+            &DenseSelector::DeterministicFlooding,
+            n(5),
+            &mut rng(3),
+        );
         assert!(report.is_complete());
         assert_eq!(report.last_hop, 2);
     }
@@ -614,7 +639,12 @@ mod tests {
         overlay.add_d_link(n(0), n(1));
         overlay.add_d_link(n(1), n(0));
         overlay.add_node(n(2)); // isolated
-        let report = disseminate(&overlay, &DeterministicFlooding::new(), n(0), &mut rng(4));
+        let report = disseminate(
+            &overlay,
+            &DenseSelector::DeterministicFlooding,
+            n(0),
+            &mut rng(4),
+        );
         assert_eq!(report.reached, 2);
         assert_eq!(report.unreached, vec![n(2)]);
         assert!((report.miss_ratio() - 1.0 / 3.0).abs() < 1e-12);
@@ -625,7 +655,12 @@ mod tests {
         let ring = builders::bidirectional_ring(&ids(6));
         let mut overlay = StaticOverlay::deterministic(&ring);
         overlay.kill_node(n(3));
-        let report = disseminate(&overlay, &DeterministicFlooding::new(), n(0), &mut rng(5));
+        let report = disseminate(
+            &overlay,
+            &DenseSelector::DeterministicFlooding,
+            n(0),
+            &mut rng(5),
+        );
         // The ring is cut at node 3 but the message flows around the other
         // side; only node 3 is dead, all 5 live nodes are reached.
         assert_eq!(report.population, 5);
@@ -637,7 +672,7 @@ mod tests {
     fn ringcast_is_complete_on_warmed_overlay_even_at_fanout_one() {
         let overlay = warmed_overlay(200, 6);
         let origin = overlay.live_node_ids()[17];
-        let report = disseminate(&overlay, &RingCast::new(1), origin, &mut rng(7));
+        let report = disseminate(&overlay, &DenseSelector::ringcast(1), origin, &mut rng(7));
         assert!(
             report.is_complete(),
             "RingCast must reach all {} nodes, reached {}",
@@ -652,10 +687,19 @@ mod tests {
         let origin = overlay.live_node_ids()[0];
         let mut rand_misses = 0usize;
         for seed in 0..5 {
-            let report = disseminate(&overlay, &RandCast::new(2), origin, &mut rng(100 + seed));
+            let report = disseminate(
+                &overlay,
+                &DenseSelector::randcast(2),
+                origin,
+                &mut rng(100 + seed),
+            );
             rand_misses += report.population - report.reached;
-            let ring_report =
-                disseminate(&overlay, &RingCast::new(2), origin, &mut rng(200 + seed));
+            let ring_report = disseminate(
+                &overlay,
+                &DenseSelector::ringcast(2),
+                origin,
+                &mut rng(200 + seed),
+            );
             assert!(ring_report.is_complete());
         }
         assert!(
@@ -671,7 +715,12 @@ mod tests {
         let overlay = warmed_overlay(300, 9);
         let origin = overlay.live_node_ids()[42];
         let fanout = 4;
-        let report = disseminate(&overlay, &RandCast::new(fanout), origin, &mut rng(10));
+        let report = disseminate(
+            &overlay,
+            &DenseSelector::randcast(fanout),
+            origin,
+            &mut rng(10),
+        );
         assert_eq!(report.total_messages(), fanout * report.reached);
     }
 
@@ -679,7 +728,7 @@ mod tests {
     fn per_hop_series_are_consistent() {
         let overlay = warmed_overlay(200, 11);
         let origin = overlay.live_node_ids()[3];
-        let report = disseminate(&overlay, &RingCast::new(3), origin, &mut rng(12));
+        let report = disseminate(&overlay, &DenseSelector::ringcast(3), origin, &mut rng(12));
         // The series cover every hop including the final redundant sweep
         // (one hop past last_hop, notifying nobody new).
         assert_eq!(report.per_hop_new.len(), report.per_hop_messages.len());
@@ -703,18 +752,14 @@ mod tests {
         let dense = crate::overlay::DenseOverlay::from(&overlay);
         let origin = overlay.live_node_ids()[9];
         let mut scratch = DenseScratch::new();
-        for (selector, dense_selector) in [
-            (
-                Box::new(RandCast::new(3)) as Box<dyn GossipTargetSelector>,
-                DenseSelector::randcast(3),
-            ),
-            (Box::new(RingCast::new(4)), DenseSelector::ringcast(4)),
-            (Box::new(Flooding::new()), DenseSelector::Flooding),
+        for selector in [
+            DenseSelector::randcast(3),
+            DenseSelector::ringcast(4),
+            DenseSelector::Flooding,
         ] {
-            let generic = disseminate(&overlay, selector.as_ref(), origin, &mut rng(77));
-            let fast =
-                disseminate_dense(&dense, &dense_selector, origin, &mut rng(77), &mut scratch)
-                    .report(&dense, &scratch);
+            let generic = disseminate(&overlay, &selector, origin, &mut rng(77));
+            let fast = disseminate_dense(&dense, &selector, origin, &mut rng(77), &mut scratch)
+                .report(&dense, &scratch);
             assert_eq!(generic, fast, "{} reports diverge", selector.name());
         }
     }
@@ -728,7 +773,12 @@ mod tests {
         }
         let dense = crate::overlay::DenseOverlay::from(&overlay);
         let mut scratch = DenseScratch::new();
-        let generic = disseminate(&overlay, &DeterministicFlooding::new(), n(0), &mut rng(5));
+        let generic = disseminate(
+            &overlay,
+            &DenseSelector::DeterministicFlooding,
+            n(0),
+            &mut rng(5),
+        );
         let fast = disseminate_dense(
             &dense,
             &DenseSelector::DeterministicFlooding,
@@ -802,7 +852,7 @@ mod tests {
     fn received_counts_cover_every_non_origin_reached_node() {
         let overlay = warmed_overlay(150, 13);
         let origin = overlay.live_node_ids()[7];
-        let report = disseminate(&overlay, &RingCast::new(3), origin, &mut rng(14));
+        let report = disseminate(&overlay, &DenseSelector::ringcast(3), origin, &mut rng(14));
         // Every reached node other than the origin received at least once.
         // (The origin itself may or may not appear, depending on whether a
         // redundant copy happened to be addressed to it.)
@@ -828,7 +878,7 @@ mod tests {
     fn load_is_roughly_uniform_across_nodes() {
         let overlay = warmed_overlay(300, 15);
         let origin = overlay.live_node_ids()[0];
-        let report = disseminate(&overlay, &RingCast::new(4), origin, &mut rng(16));
+        let report = disseminate(&overlay, &DenseSelector::ringcast(4), origin, &mut rng(16));
         let summary = report.forwarding_load_summary();
         // Every notified node forwards; the per-node forwarding load stays
         // within a small constant of the fanout.

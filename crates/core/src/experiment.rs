@@ -27,7 +27,7 @@ use crate::async_engine::{
 use crate::engine::{disseminate, disseminate_dense, disseminate_dense_probed, DenseScratch};
 use crate::metrics::DisseminationReport;
 use crate::overlay::{DenseOverlay, Overlay};
-use crate::protocols::{DenseSelector, GossipTargetSelector};
+use crate::protocols::DenseSelector;
 use crate::pull::{disseminate_push_pull_dense, DensePullScratch, PullConfig, PushPullReport};
 
 /// Aggregate statistics over a set of disseminations with identical
@@ -116,7 +116,7 @@ pub fn random_origins<R: Rng + ?Sized>(
 /// origin, and returns the individual reports.
 pub fn run_disseminations<R>(
     overlay: &dyn Overlay,
-    selector: &dyn GossipTargetSelector,
+    selector: &DenseSelector,
     origins: &[NodeId],
     rng: &mut R,
 ) -> Vec<DisseminationReport>
@@ -360,27 +360,10 @@ where
     })
 }
 
-/// Convenience wrapper: runs `runs` disseminations from random origins and
-/// aggregates them.
-pub fn run_experiment<R>(
-    overlay: &dyn Overlay,
-    selector: &dyn GossipTargetSelector,
-    runs: usize,
-    rng: &mut R,
-) -> AggregateStats
-where
-    R: Rng,
-{
-    let origins = random_origins(overlay, runs, rng);
-    let reports = run_disseminations(overlay, selector, &origins, rng);
-    AggregateStats::from_reports(selector.name(), selector.fanout(), &reports)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::overlay::{SnapshotOverlay, StaticOverlay};
-    use crate::protocols::{DeterministicFlooding, RandCast, RingCast};
     use hybridcast_graph::builders;
     use hybridcast_sim::{Network, SimConfig};
     use rand::SeedableRng;
@@ -388,6 +371,18 @@ mod tests {
 
     fn ids(count: u64) -> Vec<NodeId> {
         (0..count).map(NodeId::new).collect()
+    }
+
+    /// `runs` disseminations of `selector` from random origins, aggregated.
+    fn run_experiment(
+        overlay: &dyn Overlay,
+        selector: DenseSelector,
+        runs: usize,
+        rng: &mut ChaCha8Rng,
+    ) -> AggregateStats {
+        let origins = random_origins(overlay, runs, rng);
+        let reports = run_disseminations(overlay, &selector, &origins, rng);
+        AggregateStats::from_reports(selector.name(), selector.fanout(), &reports)
     }
 
     fn warmed_overlay(nodes: usize, seed: u64) -> SnapshotOverlay {
@@ -429,7 +424,7 @@ mod tests {
     fn aggregate_over_complete_disseminations() {
         let overlay = StaticOverlay::deterministic(&builders::bidirectional_ring(&ids(20)));
         let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let stats = run_experiment(&overlay, &DeterministicFlooding::new(), 10, &mut rng);
+        let stats = run_experiment(&overlay, DenseSelector::DeterministicFlooding, 10, &mut rng);
         assert_eq!(stats.runs, 10);
         assert_eq!(stats.population, 20);
         assert_eq!(stats.mean_miss_ratio, 0.0);
@@ -443,8 +438,8 @@ mod tests {
     fn ringcast_beats_randcast_at_equal_fanout() {
         let overlay = warmed_overlay(300, 4);
         let mut rng = ChaCha8Rng::seed_from_u64(5);
-        let rand_stats = run_experiment(&overlay, &RandCast::new(2), 10, &mut rng);
-        let ring_stats = run_experiment(&overlay, &RingCast::new(2), 10, &mut rng);
+        let rand_stats = run_experiment(&overlay, DenseSelector::randcast(2), 10, &mut rng);
+        let ring_stats = run_experiment(&overlay, DenseSelector::ringcast(2), 10, &mut rng);
         assert_eq!(ring_stats.mean_miss_ratio, 0.0);
         assert_eq!(ring_stats.complete_fraction, 1.0);
         assert!(rand_stats.mean_miss_ratio > ring_stats.mean_miss_ratio);
@@ -455,8 +450,8 @@ mod tests {
     fn message_counts_scale_with_fanout() {
         let overlay = warmed_overlay(200, 6);
         let mut rng = ChaCha8Rng::seed_from_u64(7);
-        let low = run_experiment(&overlay, &RandCast::new(2), 5, &mut rng);
-        let high = run_experiment(&overlay, &RandCast::new(8), 5, &mut rng);
+        let low = run_experiment(&overlay, DenseSelector::randcast(2), 5, &mut rng);
+        let high = run_experiment(&overlay, DenseSelector::randcast(8), 5, &mut rng);
         assert!(high.mean_total_messages > 3.0 * low.mean_total_messages);
         // Virgin messages are bounded by the population.
         assert!(high.mean_messages_to_virgin <= high.population as f64);
@@ -533,7 +528,7 @@ mod tests {
     fn aggregate_serializes_for_the_harness() {
         let overlay = StaticOverlay::deterministic(&builders::bidirectional_ring(&ids(10)));
         let mut rng = ChaCha8Rng::seed_from_u64(8);
-        let stats = run_experiment(&overlay, &DeterministicFlooding::new(), 3, &mut rng);
+        let stats = run_experiment(&overlay, DenseSelector::DeterministicFlooding, 3, &mut rng);
         let json = serde_json::to_string(&stats).unwrap();
         let back: AggregateStats = serde_json::from_str(&json).unwrap();
         assert_eq!(back, stats);

@@ -9,12 +9,13 @@
 //! * [`overlay::Overlay`] — the read-only view of an overlay a
 //!   dissemination needs: which nodes are alive, and each node's random
 //!   links (r-links) and deterministic links (d-links).
-//! * [`protocols`] — gossip-target selection policies, mirroring the
-//!   paper's `selectGossipTargets` pseudo-code: [`protocols::Flooding`]
-//!   (deterministic dissemination, Section 3), [`protocols::RandCast`]
-//!   (purely probabilistic, Section 4) and [`protocols::RingCast`]
-//!   (hybrid, Section 5). RingCast generalises transparently to multi-ring
-//!   and Harary-graph d-link sets (the reliability extension of Section 8).
+//! * [`protocols`] — the paper's `selectGossipTargets` pseudo-code as one
+//!   function, [`protocols::DenseSelector::select`], over a node's link
+//!   slices, with one variant per protocol: flooding (deterministic
+//!   dissemination, Section 3), RandCast (purely probabilistic, Section 4)
+//!   and RingCast (hybrid, Section 5). RingCast generalises transparently
+//!   to multi-ring and Harary-graph d-link sets (the reliability extension
+//!   of Section 8).
 //! * [`engine`] — the hop-synchronous dissemination model of Section 7:
 //!   hop 0 is the origin, hop `k + 1` notifies the gossip targets of every
 //!   node first notified at hop `k`. Two implementations share the model:
@@ -70,7 +71,7 @@
 //! ```
 //! use hybridcast_core::engine::disseminate;
 //! use hybridcast_core::overlay::{Overlay, SnapshotOverlay};
-//! use hybridcast_core::protocols::{RandCast, RingCast};
+//! use hybridcast_core::protocols::DenseSelector;
 //! use hybridcast_sim::{Network, SimConfig};
 //! use rand::SeedableRng;
 //!
@@ -80,8 +81,8 @@
 //! let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(2);
 //!
 //! let origin = overlay.live_node_ids()[0];
-//! let ringcast = disseminate(&overlay, &RingCast::new(3), origin, &mut rng);
-//! let randcast = disseminate(&overlay, &RandCast::new(3), origin, &mut rng);
+//! let ringcast = disseminate(&overlay, &DenseSelector::ringcast(3), origin, &mut rng);
+//! let randcast = disseminate(&overlay, &DenseSelector::randcast(3), origin, &mut rng);
 //! assert_eq!(ringcast.miss_ratio(), 0.0, "RingCast is complete in fail-free networks");
 //! assert!(ringcast.hit_ratio() >= randcast.hit_ratio());
 //! ```
@@ -113,7 +114,7 @@ pub use experiment::{
 pub use metrics::DisseminationReport;
 pub use netmodel::{DelayModel, LossModel, NetModel, PartitionEvent};
 pub use overlay::{DenseOverlay, Overlay, SnapshotOverlay, StaticOverlay};
-pub use protocols::{DenseSelector, Flooding, GossipTargetSelector, RandCast, RingCast};
+pub use protocols::DenseSelector;
 pub use pull::{
     disseminate_push_pull, disseminate_push_pull_dense, disseminate_push_pull_dense_probed,
     disseminate_push_pull_probed, DensePullScratch, PullConfig, PushPullReport,

@@ -55,7 +55,7 @@ use crate::engine::{disseminate_dense_probed, disseminate_probed, DenseRunStats,
 use crate::metrics::DisseminationReport;
 use crate::netmodel::NetModel;
 use crate::overlay::{DenseBits, DenseOverlay, Overlay, NO_NODE};
-use crate::protocols::{DenseSelector, GossipTargetSelector};
+use crate::protocols::DenseSelector;
 
 /// Configuration of the pull phase.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -169,7 +169,7 @@ impl PushPullReport {
 /// Panics if `origin` is not live or the pull configuration is invalid.
 pub fn disseminate_push_pull(
     overlay: &dyn Overlay,
-    selector: &dyn GossipTargetSelector,
+    selector: &DenseSelector,
     origin: NodeId,
     config: &PullConfig,
     rng: &mut dyn RngCore,
@@ -187,7 +187,7 @@ pub fn disseminate_push_pull(
 /// Panics if `origin` is not live or the pull configuration is invalid.
 pub fn disseminate_push_pull_probed<P: Probe>(
     overlay: &dyn Overlay,
-    selector: &dyn GossipTargetSelector,
+    selector: &DenseSelector,
     origin: NodeId,
     config: &PullConfig,
     rng: &mut dyn RngCore,
@@ -611,7 +611,6 @@ mod tests {
     use super::*;
     use crate::engine::disseminate;
     use crate::overlay::{SnapshotOverlay, StaticOverlay};
-    use crate::protocols::{RandCast, RingCast};
     use hybridcast_graph::builders;
     use hybridcast_sim::{Network, SimConfig};
     use rand::SeedableRng;
@@ -650,7 +649,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(0);
         disseminate_push_pull(
             &overlay,
-            &RingCast::new(1),
+            &DenseSelector::ringcast(1),
             NodeId::new(0),
             &PullConfig {
                 fanout: 0,
@@ -668,7 +667,7 @@ mod tests {
         let origin = overlay.snapshot().live_nodes().next().unwrap();
         let report = disseminate_push_pull(
             &overlay,
-            &RingCast::new(3),
+            &DenseSelector::ringcast(3),
             origin,
             &PullConfig::default(),
             &mut rng,
@@ -687,7 +686,7 @@ mod tests {
         let origin = overlay.snapshot().live_nodes().next().unwrap();
         let report = disseminate_push_pull(
             &overlay,
-            &RandCast::new(2),
+            &DenseSelector::randcast(2),
             origin,
             &PullConfig {
                 fanout: 2,
@@ -725,10 +724,10 @@ mod tests {
         );
         let mut rng = ChaCha8Rng::seed_from_u64(7);
         let origin = overlay.snapshot().live_nodes().next().unwrap();
-        let push_only = disseminate(&overlay, &RandCast::new(3), origin, &mut rng);
+        let push_only = disseminate(&overlay, &DenseSelector::randcast(3), origin, &mut rng);
         let with_pull = disseminate_push_pull(
             &overlay,
-            &RandCast::new(3),
+            &DenseSelector::randcast(3),
             origin,
             &PullConfig {
                 fanout: 2,
@@ -758,7 +757,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(8);
         let report = disseminate_push_pull(
             &overlay,
-            &RingCast::new(2),
+            &DenseSelector::ringcast(2),
             ids[0],
             &PullConfig {
                 fanout: 1,
@@ -890,7 +889,7 @@ mod tests {
         let origin = overlay.snapshot().live_nodes().next().unwrap();
         let report = disseminate_push_pull(
             &overlay,
-            &RandCast::new(2),
+            &DenseSelector::randcast(2),
             origin,
             &PullConfig {
                 fanout: 1,
@@ -928,14 +927,14 @@ mod tests {
         };
         let baseline = disseminate_push_pull(
             &overlay,
-            &RandCast::new(2),
+            &DenseSelector::randcast(2),
             origin,
             &clean,
             &mut ChaCha8Rng::seed_from_u64(20),
         );
         let degraded = disseminate_push_pull(
             &overlay,
-            &RandCast::new(2),
+            &DenseSelector::randcast(2),
             origin,
             &lossy,
             &mut ChaCha8Rng::seed_from_u64(20),
@@ -978,7 +977,7 @@ mod tests {
         };
         let report = disseminate_push_pull(
             &overlay,
-            &RandCast::new(2),
+            &DenseSelector::randcast(2),
             origin,
             &config,
             &mut ChaCha8Rng::seed_from_u64(22),

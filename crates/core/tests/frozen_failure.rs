@@ -19,7 +19,7 @@ use rand_chacha::ChaCha8Rng;
 
 use hybridcast_core::experiment::{run_seeded_disseminations, run_seeded_push_pulls};
 use hybridcast_core::overlay::{DenseOverlay, Overlay};
-use hybridcast_core::protocols::{DenseSelector, GossipTargetSelector};
+use hybridcast_core::protocols::DenseSelector;
 use hybridcast_core::pull::PullConfig;
 use hybridcast_graph::NodeId;
 use hybridcast_sim::failure::{kill_fraction_in_snapshot, select_victims};

@@ -11,9 +11,7 @@ use hybridcast_core::engine::{disseminate, disseminate_dense, DenseScratch};
 use hybridcast_core::experiment::{run_seeded_async, run_seeded_disseminations};
 use hybridcast_core::netmodel::{DelayModel, LossModel, NetModel, PartitionEvent};
 use hybridcast_core::overlay::{DenseOverlay, Overlay, SnapshotOverlay, StaticOverlay};
-use hybridcast_core::protocols::{
-    DenseSelector, DeterministicFlooding, Flooding, GossipTargetSelector, RandCast, RingCast,
-};
+use hybridcast_core::protocols::DenseSelector;
 use hybridcast_core::pull::{
     disseminate_push_pull, disseminate_push_pull_dense, DensePullScratch, PullConfig,
 };
@@ -59,25 +57,13 @@ fn churned_overlay(n: usize, churn_cycles: usize, kill: usize, seed: u64) -> Sna
     overlay
 }
 
-/// The protocol pairs every differential sweeps.
-fn selector_pair(
-    protocol_idx: usize,
-    fanout: usize,
-) -> (Box<dyn GossipTargetSelector>, DenseSelector) {
+/// The protocol every differential sweeps at index `protocol_idx`.
+fn protocol(protocol_idx: usize, fanout: usize) -> DenseSelector {
     match protocol_idx {
-        0 => (
-            Box::new(RandCast::new(fanout)),
-            DenseSelector::randcast(fanout),
-        ),
-        1 => (
-            Box::new(RingCast::new(fanout)),
-            DenseSelector::ringcast(fanout),
-        ),
-        2 => (Box::new(Flooding::new()), DenseSelector::Flooding),
-        _ => (
-            Box::new(DeterministicFlooding::new()),
-            DenseSelector::DeterministicFlooding,
-        ),
+        0 => DenseSelector::randcast(fanout),
+        1 => DenseSelector::ringcast(fanout),
+        2 => DenseSelector::Flooding,
+        _ => DenseSelector::DeterministicFlooding,
     }
 }
 
@@ -137,7 +123,7 @@ proptest! {
         let overlay = StaticOverlay::deterministic(&ring);
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let origin = nodes[(seed % n) as usize];
-        let report = disseminate(&overlay, &DeterministicFlooding::new(), origin, &mut rng);
+        let report = disseminate(&overlay, &DenseSelector::DeterministicFlooding, origin, &mut rng);
         prop_assert!(report.is_complete());
         prop_assert_eq!(report.messages_to_dead, 0);
         // Flooding sends over every outgoing link except the incoming one:
@@ -159,7 +145,7 @@ proptest! {
         let overlay = hybrid_overlay(n, degree, seed);
         let mut rng = ChaCha8Rng::seed_from_u64(seed.wrapping_add(1));
         let origin = NodeId::new(seed % n);
-        let report = disseminate(&overlay, &RingCast::new(fanout), origin, &mut rng);
+        let report = disseminate(&overlay, &DenseSelector::ringcast(fanout), origin, &mut rng);
         prop_assert!(report.is_complete(), "missed {} of {}", report.population - report.reached, report.population);
     }
 
@@ -177,13 +163,7 @@ proptest! {
         let overlay = hybrid_overlay(n, degree, seed);
         let mut rng = ChaCha8Rng::seed_from_u64(seed.wrapping_add(2));
         let origin = NodeId::new(seed % n);
-        let protocol: Box<dyn GossipTargetSelector> = match protocol_idx {
-            0 => Box::new(RandCast::new(fanout)),
-            1 => Box::new(RingCast::new(fanout)),
-            2 => Box::new(Flooding::new()),
-            _ => Box::new(DeterministicFlooding::new()),
-        };
-        let report = disseminate(&overlay, protocol.as_ref(), origin, &mut rng);
+        let report = disseminate(&overlay, &protocol(protocol_idx, fanout), origin, &mut rng);
 
         prop_assert_eq!(report.messages_to_virgin, report.reached - 1,
             "every node except the origin is notified by exactly one virgin message");
@@ -216,8 +196,8 @@ proptest! {
         let origin = NodeId::new(seed % n);
         let mut rng_a = ChaCha8Rng::seed_from_u64(1000 + seed);
         let mut rng_b = ChaCha8Rng::seed_from_u64(1000 + seed);
-        let rand_report = disseminate(&overlay, &RandCast::new(fanout), origin, &mut rng_a);
-        let ring_report = disseminate(&overlay, &RingCast::new(fanout), origin, &mut rng_b);
+        let rand_report = disseminate(&overlay, &DenseSelector::randcast(fanout), origin, &mut rng_a);
+        let ring_report = disseminate(&overlay, &DenseSelector::ringcast(fanout), origin, &mut rng_b);
         prop_assert!(ring_report.reached >= rand_report.reached);
         prop_assert!(ring_report.is_complete());
     }
@@ -234,9 +214,12 @@ proptest! {
         let overlay = hybrid_overlay(n, degree, seed);
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let node = NodeId::new(seed % n);
-        let from = overlay.d_links(node).first().copied();
-        for protocol in [&RandCast::new(fanout) as &dyn GossipTargetSelector, &RingCast::new(fanout)] {
-            let targets = protocol.select_targets(&overlay, node, from, &mut rng);
+        let (d_links, r_links) = (overlay.d_links(node), overlay.r_links(node));
+        let from = d_links.first().copied();
+        let (mut targets, mut pool) = (Vec::new(), Vec::new());
+        for protocol in [DenseSelector::randcast(fanout), DenseSelector::ringcast(fanout)] {
+            let links = (&d_links[..], &r_links[..]);
+            protocol.select(node, from.unwrap_or(node), links, &mut rng, &mut targets, &mut pool);
             prop_assert!(!targets.contains(&node));
             if let Some(sender) = from {
                 prop_assert!(!targets.contains(&sender));
@@ -269,7 +252,7 @@ proptest! {
         }
         let origin = NodeId::new(0);
         prop_assume!(overlay.is_live(origin));
-        let report = disseminate(&overlay, &RingCast::new(3), origin, &mut rng);
+        let report = disseminate(&overlay, &DenseSelector::ringcast(3), origin, &mut rng);
 
         // Every live node adjacent (on the ring) to a reached live node must
         // have been reached too: RingCast exhausts ring segments.
@@ -313,47 +296,29 @@ proptest! {
         let origin = NodeId::new(seed % n);
         prop_assume!(overlay.is_live(origin));
 
-        let (generic, dense_sel): (Box<dyn GossipTargetSelector>, DenseSelector) =
-            match protocol_idx {
-                0 => (Box::new(RandCast::new(fanout)), DenseSelector::randcast(fanout)),
-                1 => (Box::new(RingCast::new(fanout)), DenseSelector::ringcast(fanout)),
-                2 => (Box::new(Flooding::new()), DenseSelector::Flooding),
-                _ => (
-                    Box::new(DeterministicFlooding::new()),
-                    DenseSelector::DeterministicFlooding,
-                ),
-            };
+        let selector = protocol(protocol_idx, fanout);
         let dense = DenseOverlay::from(&overlay);
         let mut scratch = DenseScratch::new();
         let rng_seed = seed.wrapping_add(9);
         let slow = disseminate(
             &overlay,
-            generic.as_ref(),
+            &selector,
             origin,
             &mut ChaCha8Rng::seed_from_u64(rng_seed),
         );
         let fast = disseminate_dense(
             &dense,
-            &dense_sel,
+            &selector,
             origin,
             &mut ChaCha8Rng::seed_from_u64(rng_seed),
             &mut scratch,
         )
         .report(&dense, &scratch);
-        prop_assert_eq!(&slow, &fast, "{} diverged", generic.name());
+        prop_assert_eq!(&slow, &fast, "{} diverged", selector.name());
         prop_assert_eq!(
             fast.per_hop_messages.iter().sum::<usize>(),
             fast.total_messages()
         );
-        // The DenseSelector is also a drop-in generic selector: the same
-        // seed over the generic engine gives the same report again.
-        let via_enum = disseminate(
-            &overlay,
-            &dense_sel,
-            origin,
-            &mut ChaCha8Rng::seed_from_u64(rng_seed),
-        );
-        prop_assert_eq!(&slow, &via_enum);
     }
 
     /// The seeded experiment driver returns the same reports, in the same
@@ -395,7 +360,7 @@ proptest! {
         let origin = NodeId::new(seed % n);
         prop_assume!(overlay.is_live(origin));
 
-        let (generic, dense_sel) = selector_pair(protocol_idx, fanout);
+        let selector = protocol(protocol_idx, fanout);
         let dense = DenseOverlay::from(&overlay);
         let mut scratch = DenseAsyncScratch::new();
         let config = AsyncConfig {
@@ -406,21 +371,21 @@ proptest! {
         let rng_seed = seed.wrapping_add(11);
         let slow = disseminate_async_frozen(
             &overlay,
-            generic.as_ref(),
+            &selector,
             origin,
             &config,
             &mut ChaCha8Rng::seed_from_u64(rng_seed),
         );
         let fast = disseminate_async_dense(
             &dense,
-            &dense_sel,
+            &selector,
             origin,
             &config,
             &mut ChaCha8Rng::seed_from_u64(rng_seed),
             &mut scratch,
         )
         .report(&dense, &config, &scratch);
-        prop_assert_eq!(&slow, &fast, "{} diverged", generic.name());
+        prop_assert_eq!(&slow, &fast, "{} diverged", selector.name());
         // The async per-hop message series accounts for every message sent.
         prop_assert_eq!(
             fast.per_hop_messages.iter().sum::<usize>(),
@@ -524,7 +489,7 @@ proptest! {
         let origin = NodeId::new(seed % n);
         prop_assume!(overlay.is_live(origin));
 
-        let (generic, dense_sel) = selector_pair(protocol_idx, fanout);
+        let selector = protocol(protocol_idx, fanout);
         let dense = DenseOverlay::from(&overlay);
         let mut scratch = DensePullScratch::new();
         let config = PullConfig {
@@ -535,21 +500,21 @@ proptest! {
         let rng_seed = seed.wrapping_add(13);
         let slow = disseminate_push_pull(
             &overlay,
-            generic.as_ref(),
+            &selector,
             origin,
             &config,
             &mut ChaCha8Rng::seed_from_u64(rng_seed),
         );
         let fast = disseminate_push_pull_dense(
             &dense,
-            &dense_sel,
+            &selector,
             origin,
             &config,
             &mut ChaCha8Rng::seed_from_u64(rng_seed),
             &mut scratch,
         )
         .report(&dense, &scratch);
-        prop_assert_eq!(&slow, &fast, "{} diverged", generic.name());
+        prop_assert_eq!(&slow, &fast, "{} diverged", selector.name());
         prop_assert_eq!(
             fast.reached_after_pull + fast.unreached_after_pull.len(),
             fast.push.population
@@ -634,7 +599,7 @@ proptest! {
         prop_assume!(!live.is_empty());
         let origin = live[seed as usize % live.len()];
 
-        let (generic, dense_sel) = selector_pair(protocol_idx, fanout);
+        let selector = protocol(protocol_idx, fanout);
         let mut scratch = DenseAsyncScratch::new();
         let config = AsyncConfig {
             run_membership_gossip: false,
@@ -645,21 +610,21 @@ proptest! {
         let rng_seed = seed.wrapping_add(19);
         let slow = disseminate_async_frozen(
             overlay.as_ref(),
-            generic.as_ref(),
+            &selector,
             origin,
             &config,
             &mut ChaCha8Rng::seed_from_u64(rng_seed),
         );
         let fast = disseminate_async_dense(
             &dense,
-            &dense_sel,
+            &selector,
             origin,
             &config,
             &mut ChaCha8Rng::seed_from_u64(rng_seed),
             &mut scratch,
         )
         .report(&dense, &config, &scratch);
-        prop_assert_eq!(&slow, &fast, "{} diverged under {:?}", generic.name(), config.net);
+        prop_assert_eq!(&slow, &fast, "{} diverged under {:?}", selector.name(), config.net);
 
         // Model-extended accounting: dropped messages still count as sent,
         // and (unless the run was truncated) every non-dropped message was
@@ -804,14 +769,14 @@ proptest! {
         prop_assert!(explicit.net.is_default());
         let a = disseminate_async_frozen(
             &overlay,
-            &RingCast::new(fanout),
+            &DenseSelector::ringcast(fanout),
             origin,
             &implicit,
             &mut ChaCha8Rng::seed_from_u64(seed),
         );
         let b = disseminate_async_frozen(
             &overlay,
-            &RingCast::new(fanout),
+            &DenseSelector::ringcast(fanout),
             origin,
             &explicit,
             &mut ChaCha8Rng::seed_from_u64(seed),
@@ -841,7 +806,7 @@ proptest! {
             candidate = (candidate + 1) % n;
         }
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let report = disseminate(&overlay, &DeterministicFlooding::new(), NodeId::new(0), &mut rng);
+        let report = disseminate(&overlay, &DenseSelector::DeterministicFlooding, NodeId::new(0), &mut rng);
         prop_assert!(report.is_complete(),
             "H({}, {}) flooding missed {} nodes after {} failures",
             n, t, report.unreached.len(), t - 1);

@@ -18,9 +18,7 @@ use hybridcast_core::async_engine::{
 use hybridcast_core::engine::{disseminate_dense_probed, disseminate_probed, DenseScratch};
 use hybridcast_core::netmodel::{LossModel, NetModel};
 use hybridcast_core::overlay::{DenseOverlay, Overlay, StaticOverlay};
-use hybridcast_core::protocols::{
-    DenseSelector, DeterministicFlooding, Flooding, GossipTargetSelector, RandCast, RingCast,
-};
+use hybridcast_core::protocols::DenseSelector;
 use hybridcast_core::pull::{
     disseminate_push_pull_dense_probed, disseminate_push_pull_probed, DensePullScratch, PullConfig,
 };
@@ -43,25 +41,13 @@ fn hybrid_overlay(n: u64, degree: usize, seed: u64) -> StaticOverlay {
     StaticOverlay::from_graphs(&ring, &random)
 }
 
-/// The protocol pairs the differentials sweep.
-fn selector_pair(
-    protocol_idx: usize,
-    fanout: usize,
-) -> (Box<dyn GossipTargetSelector>, DenseSelector) {
+/// The protocol the differentials sweep at index `protocol_idx`.
+fn protocol(protocol_idx: usize, fanout: usize) -> DenseSelector {
     match protocol_idx {
-        0 => (
-            Box::new(RandCast::new(fanout)),
-            DenseSelector::randcast(fanout),
-        ),
-        1 => (
-            Box::new(RingCast::new(fanout)),
-            DenseSelector::ringcast(fanout),
-        ),
-        2 => (Box::new(Flooding::new()), DenseSelector::Flooding),
-        _ => (
-            Box::new(DeterministicFlooding::new()),
-            DenseSelector::DeterministicFlooding,
-        ),
+        0 => DenseSelector::randcast(fanout),
+        1 => DenseSelector::ringcast(fanout),
+        2 => DenseSelector::Flooding,
+        _ => DenseSelector::DeterministicFlooding,
     }
 }
 
@@ -76,7 +62,7 @@ fn golden_trace_deterministic_flood_on_a_4_ring() {
     let mut probe = VecProbe::new();
     let report = disseminate_probed(
         &overlay,
-        &DeterministicFlooding::new(),
+        &DenseSelector::DeterministicFlooding,
         nodes[0],
         &mut ChaCha8Rng::seed_from_u64(0),
         &mut probe,
@@ -192,12 +178,12 @@ proptest! {
         let sparse = hybrid_overlay(n, degree, overlay_seed);
         let dense = DenseOverlay::from(&sparse);
         let origin = sparse.live_node_ids()[0];
-        let (boxed, selector) = selector_pair(protocol_idx, fanout);
+        let selector = protocol(protocol_idx, fanout);
 
         let mut sparse_probe = VecProbe::new();
         let sparse_report = disseminate_probed(
             &sparse,
-            boxed.as_ref(),
+            &selector,
             origin,
             &mut ChaCha8Rng::seed_from_u64(run_seed),
             &mut sparse_probe,
@@ -244,7 +230,7 @@ proptest! {
         let mut frozen_probe = VecProbe::new();
         let frozen_report = disseminate_async_frozen_probed(
             &sparse,
-            &RingCast::new(fanout),
+            &DenseSelector::ringcast(fanout),
             origin,
             &config,
             &mut ChaCha8Rng::seed_from_u64(run_seed),
@@ -285,7 +271,7 @@ proptest! {
         let mut sparse_probe = VecProbe::new();
         let sparse_report = disseminate_push_pull_probed(
             &sparse,
-            &RandCast::new(fanout),
+            &DenseSelector::randcast(fanout),
             origin,
             &config,
             &mut ChaCha8Rng::seed_from_u64(run_seed),
@@ -323,7 +309,7 @@ proptest! {
         let mut vec_probe = VecProbe::new();
         disseminate_probed(
             &sparse,
-            &RingCast::new(fanout),
+            &DenseSelector::ringcast(fanout),
             origin,
             &mut ChaCha8Rng::seed_from_u64(run_seed),
             &mut vec_probe,
@@ -331,7 +317,7 @@ proptest! {
         let mut jsonl = JsonlProbe::new(Vec::new()).unwrap();
         disseminate_probed(
             &sparse,
-            &RingCast::new(fanout),
+            &DenseSelector::ringcast(fanout),
             origin,
             &mut ChaCha8Rng::seed_from_u64(run_seed),
             &mut jsonl,

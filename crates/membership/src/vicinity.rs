@@ -281,6 +281,26 @@ impl<K: Ord + Clone> VicinityNode<K> {
     }
 }
 
+/// The d-links of a node that runs one Vicinity instance per ring: both
+/// ring neighbours of every ring, de-duplicated, in ring order
+/// (predecessor before successor).
+///
+/// This is the one d-link rule of the workspace: the simulator's snapshot
+/// export, the live-membership async engine and the real node all call it
+/// (a single-ring node with `std::slice::from_ref`).
+pub fn d_links<K: Ord + Clone>(rings: &[VicinityNode<K>]) -> Vec<NodeId> {
+    let mut links = Vec::new();
+    for ring in rings {
+        let (pred, succ) = ring.ring_neighbors();
+        for link in [pred, succ].into_iter().flatten() {
+            if !links.contains(&link) {
+                links.push(link);
+            }
+        }
+    }
+    links
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -339,6 +359,22 @@ mod tests {
         node.absorb_candidates(&[desc(3), desc(4), desc(6), desc(7)]);
         assert_eq!(node.closest(2), vec![n(6), n(4)]);
         assert_eq!(node.closest(10), vec![n(6), n(4), n(7), n(3)]);
+    }
+
+    #[test]
+    fn d_links_are_every_rings_neighbours_deduplicated_in_ring_order() {
+        assert!(d_links::<u64>(&[]).is_empty());
+        let mut first = vic(5);
+        first.absorb_candidates(&[desc(3), desc(4), desc(6), desc(7)]);
+        assert_eq!(d_links(std::slice::from_ref(&first)), vec![n(4), n(6)]);
+        // A second ring whose neighbours are 6 (again) and 9.
+        let mut second = VicinityNode::new(n(5), 500, 4, 3);
+        second.absorb_candidates(&[Descriptor::new(n(6), 400), Descriptor::new(n(9), 600)]);
+        assert_eq!(d_links(&[first, second]), vec![n(4), n(6), n(9)]);
+        // Predecessor and successor coincide on a two-node ring.
+        let mut pair = vic(1);
+        pair.absorb_candidates(&[desc(2)]);
+        assert_eq!(d_links(&[pair]), vec![n(2)]);
     }
 
     #[test]

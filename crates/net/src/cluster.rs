@@ -1,28 +1,18 @@
 //! Orchestration of a whole in-process cluster of networked nodes.
 
-use std::sync::Arc;
 use std::time::Duration;
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use hybridcast_core::message::{Message, MessageId};
-use hybridcast_core::protocols::{GossipTargetSelector, RandCast, RingCast};
+use hybridcast_core::protocols::DenseSelector;
 use hybridcast_graph::NodeId;
 use hybridcast_membership::descriptor::Descriptor;
 
 use crate::node::{spawn_node, DeliveryLog, NodeConfig, NodeHandle, NodeStats};
 use crate::transport::{InMemoryHub, Transport, TransportError};
 use crate::wire::Frame;
-
-/// Which dissemination protocol the cluster's nodes forward messages with.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Protocol {
-    /// Hybrid dissemination over ring neighbours plus random links.
-    RingCast,
-    /// Purely probabilistic dissemination over random links only.
-    RandCast,
-}
 
 /// Configuration of an in-process cluster.
 #[derive(Debug, Clone)]
@@ -31,10 +21,9 @@ pub struct ClusterConfig {
     pub nodes: usize,
     /// Membership gossip interval of every node.
     pub gossip_interval: Duration,
-    /// Dissemination fanout `F`.
-    pub fanout: usize,
-    /// Dissemination protocol.
-    pub protocol: Protocol,
+    /// Dissemination protocol (and its fanout `F`) every node forwards
+    /// messages with.
+    pub selector: DenseSelector,
     /// Cyclon/Vicinity view length (the paper uses 20 for both).
     pub view_length: usize,
     /// Cyclon/Vicinity gossip (shuffle) length.
@@ -48,8 +37,7 @@ impl Default for ClusterConfig {
         ClusterConfig {
             nodes: 16,
             gossip_interval: Duration::from_millis(10),
-            fanout: 3,
-            protocol: Protocol::RingCast,
+            selector: DenseSelector::ringcast(3),
             view_length: 20,
             gossip_length: 5,
             seed: 0,
@@ -74,22 +62,18 @@ impl Cluster {
     ///
     /// # Errors
     ///
-    /// Returns an error if the configuration is invalid (zero nodes or zero
-    /// fanout).
+    /// Returns an error if the configuration is invalid (zero nodes, or a
+    /// RandCast/RingCast selector with zero fanout).
     pub fn start(config: ClusterConfig) -> Result<Self, String> {
         if config.nodes == 0 {
             return Err("cluster needs at least one node".into());
         }
-        if config.fanout == 0 {
+        if let DenseSelector::RandCast(0) | DenseSelector::RingCast(0) = config.selector {
             return Err("fanout must be positive".into());
         }
         let hub = InMemoryHub::new();
         let log = DeliveryLog::new();
         let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
-        let selector: Arc<dyn GossipTargetSelector + Send + Sync> = match config.protocol {
-            Protocol::RingCast => Arc::new(RingCast::new(config.fanout)),
-            Protocol::RandCast => Arc::new(RandCast::new(config.fanout)),
-        };
 
         let positions: Vec<u64> = (0..config.nodes).map(|_| rng.gen()).collect();
         let mut handles = Vec::with_capacity(config.nodes);
@@ -116,7 +100,7 @@ impl Cluster {
                 hub.clone(),
                 mailbox,
                 bootstrap,
-                selector.clone(),
+                config.selector,
                 log.clone(),
             ));
         }
@@ -229,7 +213,7 @@ mod tests {
         })
         .is_err());
         assert!(Cluster::start(ClusterConfig {
-            fanout: 0,
+            selector: DenseSelector::RingCast(0),
             ..ClusterConfig::default()
         })
         .is_err());
@@ -240,8 +224,7 @@ mod tests {
         let mut cluster = Cluster::start(ClusterConfig {
             nodes: 20,
             gossip_interval: Duration::from_millis(5),
-            fanout: 3,
-            protocol: Protocol::RingCast,
+            selector: DenseSelector::ringcast(3),
             seed: 42,
             ..ClusterConfig::default()
         })
@@ -271,8 +254,7 @@ mod tests {
         let mut cluster = Cluster::start(ClusterConfig {
             nodes: 12,
             gossip_interval: Duration::from_millis(5),
-            fanout: 4,
-            protocol: Protocol::RingCast,
+            selector: DenseSelector::ringcast(4),
             seed: 7,
             ..ClusterConfig::default()
         })

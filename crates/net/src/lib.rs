@@ -18,9 +18,10 @@
 //!
 //! # Where this crate sits
 //!
-//! The membership exchange halves and the `GossipTargetSelector` policies
-//! are *shared* with the simulator: a node here assembles the same
-//! momentary view (Cyclon view → r-links, ring neighbours → d-links) that
+//! The membership exchange halves and the selection rule
+//! (`hybridcast_core::protocols::DenseSelector::select`) are *shared* with
+//! the simulator: a node here reads the same links (Cyclon view → r-links,
+//! `hybridcast_membership::vicinity::d_links` → d-links) that
 //! `hybridcast_sim::Network::overlay_snapshot` freezes, and pushes fresh
 //! messages to the targets the selector picks — i.e. this runtime is the
 //! asynchronous, wall-clock instantiation of the event-driven latency
@@ -49,13 +50,14 @@
 //! # Example
 //!
 //! ```
+//! use hybridcast_core::protocols::DenseSelector;
 //! use hybridcast_net::cluster::{Cluster, ClusterConfig};
 //! use std::time::Duration;
 //!
 //! let config = ClusterConfig {
 //!     nodes: 16,
 //!     gossip_interval: Duration::from_millis(5),
-//!     fanout: 3,
+//!     selector: DenseSelector::ringcast(3),
 //!     ..ClusterConfig::default()
 //! };
 //! let mut cluster = Cluster::start(config).expect("cluster boots");

@@ -11,12 +11,13 @@
 //!   simulator.
 //!
 //! Freshly received messages are recorded in the shared [`DeliveryLog`] and
-//! forwarded to the targets chosen by the configured
-//! [`GossipTargetSelector`], over the node's *local* view: its r-links are
-//! its current Cyclon view, its d-links its current ring neighbours — the
-//! same information a simulated node exposes through an overlay snapshot.
+//! forwarded to the targets the configured [`DenseSelector`] picks over the
+//! node's *local* links: its r-links are its current Cyclon view, its
+//! d-links its current ring neighbours — the same information a simulated
+//! node exposes through an overlay snapshot.
 
 use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::slice;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -27,12 +28,11 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use hybridcast_core::message::MessageId;
-use hybridcast_core::overlay::Overlay;
-use hybridcast_core::protocols::GossipTargetSelector;
+use hybridcast_core::protocols::DenseSelector;
 use hybridcast_graph::NodeId;
 use hybridcast_membership::cyclon::CyclonNode;
 use hybridcast_membership::proximity::RingPosition;
-use hybridcast_membership::vicinity::{PendingExchange, VicinityNode};
+use hybridcast_membership::vicinity::{self, PendingExchange, VicinityNode};
 
 use crate::transport::Transport;
 use crate::wire::{Frame, WireDescriptor};
@@ -113,43 +113,6 @@ impl DeliveryLog {
     }
 }
 
-/// The node's local view of the overlay, assembled on demand from its
-/// current Cyclon view (r-links) and Vicinity ring neighbours (d-links).
-/// Only the owner's links are known; liveness of peers is unknown and
-/// assumed (pushing to a dead peer is simply a lost message).
-#[derive(Debug, Clone)]
-struct LocalView {
-    owner: NodeId,
-    r_links: Vec<NodeId>,
-    d_links: Vec<NodeId>,
-}
-
-impl Overlay for LocalView {
-    fn is_live(&self, _node: NodeId) -> bool {
-        true
-    }
-
-    fn live_node_ids(&self) -> Vec<NodeId> {
-        vec![self.owner]
-    }
-
-    fn r_links(&self, node: NodeId) -> Vec<NodeId> {
-        if node == self.owner {
-            self.r_links.clone()
-        } else {
-            Vec::new()
-        }
-    }
-
-    fn d_links(&self, node: NodeId) -> Vec<NodeId> {
-        if node == self.owner {
-            self.d_links.clone()
-        } else {
-            Vec::new()
-        }
-    }
-}
-
 /// Handle of a spawned node: its id and the join handle returning the
 /// node's final statistics.
 #[derive(Debug)]
@@ -182,7 +145,7 @@ pub fn spawn_node<T>(
     transport: T,
     mailbox: Receiver<Frame>,
     bootstrap: Vec<WireDescriptor>,
-    selector: Arc<dyn GossipTargetSelector + Send + Sync>,
+    selector: DenseSelector,
     log: DeliveryLog,
 ) -> NodeHandle
 where
@@ -199,7 +162,7 @@ struct NodeWorker<T> {
     config: NodeConfig,
     transport: T,
     mailbox: Receiver<Frame>,
-    selector: Arc<dyn GossipTargetSelector + Send + Sync>,
+    selector: DenseSelector,
     log: DeliveryLog,
     cyclon: CyclonNode<RingPosition>,
     vicinity: VicinityNode<RingPosition>,
@@ -216,7 +179,7 @@ impl<T: Transport> NodeWorker<T> {
         transport: T,
         mailbox: Receiver<Frame>,
         bootstrap: Vec<WireDescriptor>,
-        selector: Arc<dyn GossipTargetSelector + Send + Sync>,
+        selector: DenseSelector,
         log: DeliveryLog,
     ) -> Self {
         let mut cyclon = CyclonNode::new(
@@ -346,26 +309,18 @@ impl<T: Transport> NodeWorker<T> {
                 }
                 self.stats.distinct_messages += 1;
                 self.log.record(message.id, self.config.id);
-                let sender = if from == self.config.id {
-                    None
-                } else {
-                    Some(from)
-                };
-                let (pred, succ) = self.vicinity.ring_neighbors();
-                let mut d_links = Vec::new();
-                for link in [pred, succ].into_iter().flatten() {
-                    if !d_links.contains(&link) {
-                        d_links.push(link);
-                    }
-                }
-                let view = LocalView {
-                    owner: self.config.id,
-                    r_links: self.cyclon.view().node_ids(),
-                    d_links,
-                };
-                let targets =
-                    self.selector
-                        .select_targets(&view, self.config.id, sender, &mut self.rng);
+                // A published message arrives "from" its origin itself.
+                let d_links = vicinity::d_links(slice::from_ref(&self.vicinity));
+                let r_links = self.cyclon.view().node_ids();
+                let (mut targets, mut pool) = (Vec::new(), Vec::new());
+                self.selector.select(
+                    self.config.id,
+                    from,
+                    (&d_links, &r_links),
+                    &mut self.rng,
+                    &mut targets,
+                    &mut pool,
+                );
                 for target in targets {
                     self.stats.messages_forwarded += 1;
                     let _ = self.transport.send(
@@ -433,7 +388,6 @@ mod tests {
     use super::*;
     use crate::transport::InMemoryHub;
     use hybridcast_core::message::Message;
-    use hybridcast_core::protocols::RingCast;
     use hybridcast_membership::descriptor::Descriptor;
 
     fn n(i: u64) -> NodeId {
@@ -471,32 +425,19 @@ mod tests {
     }
 
     #[test]
-    fn local_view_only_knows_its_owner() {
-        let view = LocalView {
-            owner: n(0),
-            r_links: vec![n(1)],
-            d_links: vec![n(2)],
-        };
-        assert_eq!(view.r_links(n(0)), vec![n(1)]);
-        assert_eq!(view.d_links(n(0)), vec![n(2)]);
-        assert!(view.r_links(n(5)).is_empty());
-        assert!(view.is_live(n(99)));
-    }
-
-    #[test]
     fn two_nodes_exchange_membership_and_messages() {
         let hub = InMemoryHub::new();
         let rx0 = hub.register(n(0));
         let rx1 = hub.register(n(1));
         let log = DeliveryLog::new();
-        let selector: Arc<dyn GossipTargetSelector + Send + Sync> = Arc::new(RingCast::new(2));
+        let selector = DenseSelector::ringcast(2);
 
         let h0 = spawn_node(
             config(0, 100),
             hub.clone(),
             rx0,
             vec![descriptor(1, 200)],
-            selector.clone(),
+            selector,
             log.clone(),
         );
         let h1 = spawn_node(

@@ -16,7 +16,7 @@ pub const SCHEMA_VERSION: u32 = 1;
 ///
 /// Mirrors `hybridcast_core::protocols::DenseSelector` (which `obs` cannot
 /// depend on — it sits below `core` in the layering); [`ProtocolKind::name`]
-/// returns the exact string the selectors' `name()` methods use, so trace
+/// returns the exact string `DenseSelector::name` returns, so trace
 /// summaries reproduce the engine reports' protocol labels byte for byte.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ProtocolKind {

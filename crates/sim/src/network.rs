@@ -10,7 +10,7 @@ use hybridcast_graph::NodeId;
 use hybridcast_membership::cyclon::CyclonNode;
 use hybridcast_membership::descriptor::Descriptor;
 use hybridcast_membership::proximity::RingPosition;
-use hybridcast_membership::vicinity::{PendingExchange, VicinityNode};
+use hybridcast_membership::vicinity::{self, PendingExchange, VicinityNode};
 use hybridcast_obs::{NullProbe, Probe, TraceEvent};
 
 use crate::config::SimConfig;
@@ -59,6 +59,11 @@ impl SimNode {
     /// Read access to the node's Vicinity instances (one per ring).
     pub fn vicinity(&self) -> &[VicinityNode<RingPosition>] {
         &self.vicinity
+    }
+
+    /// The node's current d-links: [`vicinity::d_links`] of its rings.
+    pub fn d_links(&self) -> Vec<NodeId> {
+        vicinity::d_links(&self.vicinity)
     }
 }
 
@@ -331,23 +336,13 @@ impl Network {
     pub fn overlay_snapshot(&self) -> OverlaySnapshot {
         let mut entries = BTreeMap::new();
         for (&id, node) in &self.nodes {
-            let r_links = node.cyclon.view().node_ids();
-            let mut d_links = Vec::new();
-            for vicinity in &node.vicinity {
-                let (pred, succ) = vicinity.ring_neighbors();
-                for link in [pred, succ].into_iter().flatten() {
-                    if !d_links.contains(&link) {
-                        d_links.push(link);
-                    }
-                }
-            }
             entries.insert(
                 id,
                 NodeSnapshot {
                     ring_position: node.ring_positions[0],
                     joined_at_cycle: node.joined_at_cycle,
-                    r_links,
-                    d_links,
+                    r_links: node.cyclon.view().node_ids(),
+                    d_links: node.d_links(),
                 },
             );
         }

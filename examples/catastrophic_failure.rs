@@ -13,7 +13,7 @@
 use hybridcast::core::engine::disseminate;
 use hybridcast::core::experiment::{random_origins, run_disseminations, AggregateStats};
 use hybridcast::core::overlay::{Overlay, SnapshotOverlay};
-use hybridcast::core::protocols::{GossipTargetSelector, RandCast, RingCast};
+use hybridcast::core::protocols::DenseSelector;
 use hybridcast::sim::failure::kill_fraction_in_snapshot;
 use hybridcast::sim::{Network, SimConfig};
 use rand::SeedableRng;
@@ -51,11 +51,11 @@ fn main() {
     // Push the alert with both protocols, 20 times each from random origins.
     let mut rng = ChaCha8Rng::seed_from_u64(7);
     for protocol in [
-        &RandCast::new(fanout) as &dyn GossipTargetSelector,
-        &RingCast::new(fanout),
+        DenseSelector::randcast(fanout),
+        DenseSelector::ringcast(fanout),
     ] {
         let origins = random_origins(&overlay, runs, &mut rng);
-        let reports = run_disseminations(&overlay, protocol, &origins, &mut rng);
+        let reports = run_disseminations(&overlay, &protocol, &origins, &mut rng);
         let stats = AggregateStats::from_reports(protocol.name(), fanout, &reports);
         println!(
             "{:<9} fanout {}: mean miss ratio {:.4}% | {:.0}% of alerts reached everyone | \
@@ -73,7 +73,7 @@ fn main() {
     // Figure 4: even where the ring is cut, random links bridge the gaps and
     // the d-links then cover each segment exhaustively.
     let origin = overlay.live_node_ids()[0];
-    let report = disseminate(&overlay, &RingCast::new(fanout), origin, &mut rng);
+    let report = disseminate(&overlay, &DenseSelector::ringcast(fanout), origin, &mut rng);
     println!(
         "\nsingle RingCast run from {}: reached {}/{} survivors in {} hops \
          ({} messages absorbed by dead hosts)",

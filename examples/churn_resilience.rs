@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 
 use hybridcast::core::experiment::{random_origins, run_disseminations};
 use hybridcast::core::overlay::SnapshotOverlay;
-use hybridcast::core::protocols::{GossipTargetSelector, RandCast, RingCast};
+use hybridcast::core::protocols::DenseSelector;
 use hybridcast::sim::churn::{ChurnConfig, ChurnDriver};
 use hybridcast::sim::{Network, SimConfig};
 use rand::SeedableRng;
@@ -45,11 +45,11 @@ fn main() {
     let mut rng = ChaCha8Rng::seed_from_u64(11);
 
     for protocol in [
-        &RandCast::new(fanout) as &dyn GossipTargetSelector,
-        &RingCast::new(fanout),
+        DenseSelector::randcast(fanout),
+        DenseSelector::ringcast(fanout),
     ] {
         let origins = random_origins(&overlay, runs, &mut rng);
-        let reports = run_disseminations(&overlay, protocol, &origins, &mut rng);
+        let reports = run_disseminations(&overlay, &protocol, &origins, &mut rng);
 
         // Split the misses by node age: freshly joined nodes (lifetime below
         // one full view refresh, 20 cycles) versus established nodes.

@@ -9,14 +9,14 @@
 
 use std::time::Duration;
 
-use hybridcast::net::cluster::{Cluster, ClusterConfig, Protocol};
+use hybridcast::core::protocols::DenseSelector;
+use hybridcast::net::cluster::{Cluster, ClusterConfig};
 
 fn main() {
     let config = ClusterConfig {
         nodes: 32,
         gossip_interval: Duration::from_millis(10),
-        fanout: 3,
-        protocol: Protocol::RingCast,
+        selector: DenseSelector::ringcast(3),
         seed: 9,
         ..ClusterConfig::default()
     };

@@ -7,7 +7,7 @@
 
 use hybridcast::core::engine::disseminate;
 use hybridcast::core::overlay::{Overlay, SnapshotOverlay};
-use hybridcast::core::protocols::{GossipTargetSelector, RandCast, RingCast};
+use hybridcast::core::protocols::DenseSelector;
 use hybridcast::sim::{Network, SimConfig};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -31,11 +31,8 @@ fn main() {
     // 3. Disseminate one message per protocol, fanout 3, from the same node.
     let origin = overlay.live_node_ids()[123];
     let mut rng = ChaCha8Rng::seed_from_u64(7);
-    for protocol in [
-        &RingCast::new(3) as &dyn GossipTargetSelector,
-        &RandCast::new(3),
-    ] {
-        let report = disseminate(&overlay, protocol, origin, &mut rng);
+    for protocol in [DenseSelector::ringcast(3), DenseSelector::randcast(3)] {
+        let report = disseminate(&overlay, &protocol, origin, &mut rng);
         println!(
             "{:<9} fanout 3: reached {:>4}/{:<4} nodes ({:.2}% miss) in {} hops, \
              {} messages ({} virgin, {} redundant)",

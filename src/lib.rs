@@ -14,7 +14,7 @@
 //! ```
 //! use hybridcast::core::engine::disseminate;
 //! use hybridcast::core::overlay::{Overlay, SnapshotOverlay};
-//! use hybridcast::core::protocols::RingCast;
+//! use hybridcast::core::protocols::DenseSelector;
 //! use hybridcast::sim::{Network, SimConfig};
 //! use rand::SeedableRng;
 //!
@@ -23,7 +23,7 @@
 //! let overlay = SnapshotOverlay::new(net.overlay_snapshot());
 //! let origin = overlay.live_node_ids()[0];
 //! let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(1);
-//! let report = disseminate(&overlay, &RingCast::new(3), origin, &mut rng);
+//! let report = disseminate(&overlay, &DenseSelector::ringcast(3), origin, &mut rng);
 //! assert!(report.is_complete(), "RingCast is deterministic without failures");
 //! ```
 

@@ -17,7 +17,7 @@ use hybridcast::core::async_engine::{
 use hybridcast::core::engine::disseminate;
 use hybridcast::core::netmodel::{DelayModel, LossModel, NetModel, PartitionEvent};
 use hybridcast::core::overlay::{DenseOverlay, Overlay, SnapshotOverlay, StaticOverlay};
-use hybridcast::core::protocols::{DenseSelector, DeterministicFlooding, RandCast, RingCast};
+use hybridcast::core::protocols::DenseSelector;
 use hybridcast::core::pull::{
     disseminate_push_pull, disseminate_push_pull_dense, DensePullScratch, PullConfig,
 };
@@ -39,7 +39,7 @@ fn tree_flooding_is_optimal_but_fragile() {
     let overlay = StaticOverlay::deterministic(&tree);
     let report = disseminate(
         &overlay,
-        &DeterministicFlooding::new(),
+        &DenseSelector::DeterministicFlooding,
         nodes[0],
         &mut rng(1),
     );
@@ -54,7 +54,7 @@ fn tree_flooding_is_optimal_but_fragile() {
     broken.kill_node(nodes[1]);
     let report = disseminate(
         &broken,
-        &DeterministicFlooding::new(),
+        &DenseSelector::DeterministicFlooding,
         nodes[0],
         &mut rng(2),
     );
@@ -73,7 +73,7 @@ fn star_flooding_concentrates_all_load_on_the_hub() {
     let overlay = StaticOverlay::deterministic(&star);
     let report = disseminate(
         &overlay,
-        &DeterministicFlooding::new(),
+        &DenseSelector::DeterministicFlooding,
         nodes[5],
         &mut rng(3),
     );
@@ -94,7 +94,7 @@ fn star_flooding_concentrates_all_load_on_the_hub() {
     broken.kill_node(hub);
     let report = disseminate(
         &broken,
-        &DeterministicFlooding::new(),
+        &DenseSelector::DeterministicFlooding,
         nodes[5],
         &mut rng(4),
     );
@@ -115,7 +115,7 @@ fn clique_flooding_is_maximally_reliable_and_maximally_wasteful() {
     }
     let report = disseminate(
         &overlay,
-        &DeterministicFlooding::new(),
+        &DenseSelector::DeterministicFlooding,
         nodes[0],
         &mut rng(5),
     );
@@ -136,7 +136,7 @@ fn harary_graphs_trade_links_for_failure_tolerance() {
         }
         let report = disseminate(
             &overlay,
-            &DeterministicFlooding::new(),
+            &DenseSelector::DeterministicFlooding,
             nodes[0],
             &mut rng(6),
         );
@@ -161,7 +161,7 @@ fn bidirectional_ring_is_the_minimal_two_connected_overlay() {
     one_dead.kill_node(nodes[17]);
     let report = disseminate(
         &one_dead,
-        &DeterministicFlooding::new(),
+        &DenseSelector::DeterministicFlooding,
         nodes[0],
         &mut rng(7),
     );
@@ -174,7 +174,7 @@ fn bidirectional_ring_is_the_minimal_two_connected_overlay() {
     two_dead.kill_node(nodes[53]);
     let report = disseminate(
         &two_dead,
-        &DeterministicFlooding::new(),
+        &DenseSelector::DeterministicFlooding,
         nodes[0],
         &mut rng(8),
     );
@@ -187,7 +187,7 @@ fn bidirectional_ring_is_the_minimal_two_connected_overlay() {
         StaticOverlay::from_graphs(&ring, &builders::random_out_degree(&nodes, 10, &mut rng(9)));
     hybrid.kill_node(nodes[17]);
     hybrid.kill_node(nodes[53]);
-    let report = disseminate(&hybrid, &RingCast::new(3), nodes[0], &mut rng(10));
+    let report = disseminate(&hybrid, &DenseSelector::ringcast(3), nodes[0], &mut rng(10));
     assert!(
         report.is_complete(),
         "random links must bridge the ring partitions (Figure 4)"
@@ -237,8 +237,13 @@ fn legacy_frozen_async_baseline_is_bit_stable_under_the_default_model() {
     let origin = overlay.live_node_ids()[0];
     let config = frozen_config();
 
-    let frozen =
-        disseminate_async_frozen(&overlay, &RingCast::new(3), origin, &config, &mut rng(4242));
+    let frozen = disseminate_async_frozen(
+        &overlay,
+        &DenseSelector::ringcast(3),
+        origin,
+        &config,
+        &mut rng(4242),
+    );
     let mut scratch = DenseAsyncScratch::new();
     let fast = disseminate_async_dense(
         &dense,
@@ -279,7 +284,7 @@ fn legacy_live_async_baseline_is_bit_stable_under_the_default_model() {
     let origin = SnapshotOverlay::new(network.overlay_snapshot()).live_node_ids()[0];
     let live = disseminate_async(
         &mut network,
-        &RingCast::new(3),
+        &DenseSelector::ringcast(3),
         origin,
         &AsyncConfig::default(),
         &mut rng(4242),
@@ -312,7 +317,13 @@ fn legacy_push_pull_baseline_is_bit_stable_under_the_default_model() {
         max_rounds: 30,
         ..PullConfig::default()
     };
-    let slow = disseminate_push_pull(&overlay, &RandCast::new(2), origin, &config, &mut rng(777));
+    let slow = disseminate_push_pull(
+        &overlay,
+        &DenseSelector::randcast(2),
+        origin,
+        &config,
+        &mut rng(777),
+    );
     let mut scratch = DensePullScratch::new();
     let fast = disseminate_push_pull_dense(
         &dense,
@@ -352,8 +363,13 @@ fn run_adversarial(net: NetModel) -> hybridcast::core::AsyncReport {
         net,
         ..AsyncConfig::default()
     };
-    let slow =
-        disseminate_async_frozen(&overlay, &RingCast::new(3), origin, &config, &mut rng(4242));
+    let slow = disseminate_async_frozen(
+        &overlay,
+        &DenseSelector::ringcast(3),
+        origin,
+        &config,
+        &mut rng(4242),
+    );
     let mut scratch = DenseAsyncScratch::new();
     let fast = disseminate_async_dense(
         &dense,
@@ -474,8 +490,13 @@ fn golden_fixture_max_time_truncation_on_the_default_model() {
         max_time: 6.0,
         ..AsyncConfig::default()
     };
-    let slow =
-        disseminate_async_frozen(&overlay, &RingCast::new(3), origin, &config, &mut rng(4242));
+    let slow = disseminate_async_frozen(
+        &overlay,
+        &DenseSelector::ringcast(3),
+        origin,
+        &config,
+        &mut rng(4242),
+    );
     let mut scratch = DenseAsyncScratch::new();
     let fast = disseminate_async_dense(
         &dense,
@@ -517,7 +538,7 @@ fn golden_fixture_live_membership_partition_healing() {
     };
     let live = disseminate_async(
         &mut network,
-        &RingCast::new(3),
+        &DenseSelector::ringcast(3),
         origin,
         &config,
         &mut rng(4242),

@@ -12,7 +12,7 @@ use rand_chacha::ChaCha8Rng;
 use hybridcast::core::engine::disseminate;
 use hybridcast::core::experiment::{random_origins, run_disseminations, AggregateStats};
 use hybridcast::core::overlay::{Overlay, SnapshotOverlay};
-use hybridcast::core::protocols::{GossipTargetSelector, RandCast, RingCast};
+use hybridcast::core::protocols::DenseSelector;
 use hybridcast::graph::connectivity;
 use hybridcast::sim::{Network, SimConfig};
 
@@ -53,7 +53,12 @@ fn ringcast_is_complete_at_every_fanout_in_failure_free_networks() {
     let mut rng = ChaCha8Rng::seed_from_u64(3);
     for fanout in [1usize, 2, 3, 5, 8] {
         let origins = random_origins(&overlay, 5, &mut rng);
-        let reports = run_disseminations(&overlay, &RingCast::new(fanout), &origins, &mut rng);
+        let reports = run_disseminations(
+            &overlay,
+            &DenseSelector::ringcast(fanout),
+            &origins,
+            &mut rng,
+        );
         for report in &reports {
             assert!(
                 report.is_complete(),
@@ -72,7 +77,12 @@ fn randcast_miss_ratio_decreases_with_fanout_but_needs_a_large_fanout() {
     let mut miss_at_2 = 0.0;
     for fanout in [2usize, 4, 8] {
         let origins = random_origins(&overlay, 10, &mut rng);
-        let reports = run_disseminations(&overlay, &RandCast::new(fanout), &origins, &mut rng);
+        let reports = run_disseminations(
+            &overlay,
+            &DenseSelector::randcast(fanout),
+            &origins,
+            &mut rng,
+        );
         let stats = AggregateStats::from_reports("RandCast", fanout, &reports);
         assert!(
             stats.mean_miss_ratio <= previous_miss,
@@ -99,14 +109,20 @@ fn ringcast_needs_an_order_of_magnitude_fewer_messages_for_completeness() {
     let mut rng = ChaCha8Rng::seed_from_u64(7);
 
     let origins = random_origins(&overlay, 10, &mut rng);
-    let ring_reports = run_disseminations(&overlay, &RingCast::new(2), &origins, &mut rng);
+    let ring_reports =
+        run_disseminations(&overlay, &DenseSelector::ringcast(2), &origins, &mut rng);
     let ring_stats = AggregateStats::from_reports("RingCast", 2, &ring_reports);
     assert_eq!(ring_stats.complete_fraction, 1.0);
 
     // Find the smallest fanout at which RandCast completes all 10 runs.
     let mut randcast_complete_fanout = None;
     for fanout in 2..=20 {
-        let reports = run_disseminations(&overlay, &RandCast::new(fanout), &origins, &mut rng);
+        let reports = run_disseminations(
+            &overlay,
+            &DenseSelector::randcast(fanout),
+            &origins,
+            &mut rng,
+        );
         let stats = AggregateStats::from_reports("RandCast", fanout, &reports);
         if stats.complete_fraction == 1.0 {
             randcast_complete_fanout = Some((fanout, stats));
@@ -131,11 +147,8 @@ fn dissemination_load_is_spread_evenly_across_nodes() {
     let overlay = warmed_overlay(400, 8);
     let mut rng = ChaCha8Rng::seed_from_u64(9);
     let origin = overlay.live_node_ids()[11];
-    for protocol in [
-        &RandCast::new(4) as &dyn GossipTargetSelector,
-        &RingCast::new(4),
-    ] {
-        let report = disseminate(&overlay, protocol, origin, &mut rng);
+    for protocol in [DenseSelector::randcast(4), DenseSelector::ringcast(4)] {
+        let report = disseminate(&overlay, &protocol, origin, &mut rng);
         let forwarding = report.forwarding_load_summary();
         // Every notified node forwards; nobody forwards more than
         // fanout + 2 messages (ring links + random links).
@@ -164,7 +177,12 @@ fn hop_counts_shrink_as_fanout_grows() {
 
     let mut previous_mean_hops = f64::INFINITY;
     for fanout in [2usize, 5, 10] {
-        let reports = run_disseminations(&overlay, &RingCast::new(fanout), &origins, &mut rng);
+        let reports = run_disseminations(
+            &overlay,
+            &DenseSelector::ringcast(fanout),
+            &origins,
+            &mut rng,
+        );
         let stats = AggregateStats::from_reports("RingCast", fanout, &reports);
         assert!(
             stats.mean_last_hop <= previous_mean_hops,
@@ -185,7 +203,7 @@ fn experiments_are_reproducible_given_the_seed() {
     let mut rng_a = ChaCha8Rng::seed_from_u64(13);
     let mut rng_b = ChaCha8Rng::seed_from_u64(13);
     let origin = overlay_a.live_node_ids()[3];
-    let a = disseminate(&overlay_a, &RandCast::new(3), origin, &mut rng_a);
-    let b = disseminate(&overlay_b, &RandCast::new(3), origin, &mut rng_b);
+    let a = disseminate(&overlay_a, &DenseSelector::randcast(3), origin, &mut rng_a);
+    let b = disseminate(&overlay_b, &DenseSelector::randcast(3), origin, &mut rng_b);
     assert_eq!(a, b, "same seeds must give bit-identical reports");
 }

@@ -6,7 +6,7 @@ use rand_chacha::ChaCha8Rng;
 
 use hybridcast::core::experiment::{random_origins, run_disseminations, AggregateStats};
 use hybridcast::core::overlay::{Overlay, SnapshotOverlay};
-use hybridcast::core::protocols::{RandCast, RingCast};
+use hybridcast::core::protocols::DenseSelector;
 use hybridcast::sim::churn::{lifetime_histogram, ChurnConfig, ChurnDriver};
 use hybridcast::sim::failure::{kill_fraction_in_network, kill_fraction_in_snapshot};
 use hybridcast::sim::{Network, SimConfig};
@@ -37,12 +37,22 @@ fn ringcast_beats_randcast_after_a_catastrophic_failure() {
     let ring = AggregateStats::from_reports(
         "RingCast",
         fanout,
-        &run_disseminations(&overlay, &RingCast::new(fanout), &origins, &mut rng),
+        &run_disseminations(
+            &overlay,
+            &DenseSelector::ringcast(fanout),
+            &origins,
+            &mut rng,
+        ),
     );
     let rand = AggregateStats::from_reports(
         "RandCast",
         fanout,
-        &run_disseminations(&overlay, &RandCast::new(fanout), &origins, &mut rng),
+        &run_disseminations(
+            &overlay,
+            &DenseSelector::randcast(fanout),
+            &origins,
+            &mut rng,
+        ),
     );
 
     assert!(
@@ -72,7 +82,7 @@ fn reliability_degrades_gracefully_with_failure_size() {
         let stats = AggregateStats::from_reports(
             "RingCast",
             2,
-            &run_disseminations(&overlay, &RingCast::new(2), &origins, &mut rng),
+            &run_disseminations(&overlay, &DenseSelector::ringcast(2), &origins, &mut rng),
         );
         assert!(
             stats.mean_miss_ratio + 1e-9 >= previous_miss,
@@ -113,7 +123,7 @@ fn overlay_heals_when_gossip_continues_after_the_failure() {
     let overlay = SnapshotOverlay::new(snapshot);
     let mut rng = ChaCha8Rng::seed_from_u64(9);
     let origins = random_origins(&overlay, 5, &mut rng);
-    let reports = run_disseminations(&overlay, &RingCast::new(2), &origins, &mut rng);
+    let reports = run_disseminations(&overlay, &DenseSelector::ringcast(2), &origins, &mut rng);
     assert!(reports.iter().all(|r| r.is_complete()));
 }
 
@@ -155,7 +165,7 @@ fn under_churn_misses_concentrate_on_recently_joined_nodes() {
 
     let mut rng = ChaCha8Rng::seed_from_u64(12);
     let origins = random_origins(&overlay, 20, &mut rng);
-    let reports = run_disseminations(&overlay, &RingCast::new(3), &origins, &mut rng);
+    let reports = run_disseminations(&overlay, &DenseSelector::ringcast(3), &origins, &mut rng);
 
     let mut young_misses = 0usize;
     let mut old_misses = 0usize;

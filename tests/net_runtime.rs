@@ -4,15 +4,15 @@
 
 use std::time::Duration;
 
+use hybridcast::core::protocols::DenseSelector;
 use hybridcast::graph::NodeId;
-use hybridcast::net::cluster::{Cluster, ClusterConfig, Protocol};
+use hybridcast::net::cluster::{Cluster, ClusterConfig};
 
-fn config(nodes: usize, protocol: Protocol, seed: u64) -> ClusterConfig {
+fn config(nodes: usize, selector: DenseSelector, seed: u64) -> ClusterConfig {
     ClusterConfig {
         nodes,
         gossip_interval: Duration::from_millis(5),
-        fanout: 3,
-        protocol,
+        selector,
         seed,
         ..ClusterConfig::default()
     }
@@ -20,7 +20,7 @@ fn config(nodes: usize, protocol: Protocol, seed: u64) -> ClusterConfig {
 
 #[test]
 fn live_ringcast_reaches_practically_everyone() {
-    let mut cluster = Cluster::start(config(24, Protocol::RingCast, 1)).unwrap();
+    let mut cluster = Cluster::start(config(24, DenseSelector::ringcast(3), 1)).unwrap();
     cluster.run_for(Duration::from_millis(500));
 
     let message = cluster.publish_from_first().unwrap();
@@ -35,7 +35,7 @@ fn live_ringcast_reaches_practically_everyone() {
 
 #[test]
 fn live_randcast_spreads_but_may_miss_nodes() {
-    let mut cluster = Cluster::start(config(24, Protocol::RandCast, 2)).unwrap();
+    let mut cluster = Cluster::start(config(24, DenseSelector::randcast(3), 2)).unwrap();
     cluster.run_for(Duration::from_millis(500));
 
     let message = cluster.publish_from_first().unwrap();
@@ -50,7 +50,7 @@ fn live_randcast_spreads_but_may_miss_nodes() {
 
 #[test]
 fn multiple_messages_from_different_origins_are_all_disseminated() {
-    let mut cluster = Cluster::start(config(20, Protocol::RingCast, 3)).unwrap();
+    let mut cluster = Cluster::start(config(20, DenseSelector::ringcast(3), 3)).unwrap();
     cluster.run_for(Duration::from_millis(500));
 
     let origins = [NodeId::new(0), NodeId::new(7), NodeId::new(13)];
@@ -75,7 +75,7 @@ fn multiple_messages_from_different_origins_are_all_disseminated() {
 
 #[test]
 fn unreachable_nodes_do_not_stall_the_rest_of_the_cluster() {
-    let mut cluster = Cluster::start(config(18, Protocol::RingCast, 4)).unwrap();
+    let mut cluster = Cluster::start(config(18, DenseSelector::ringcast(3), 4)).unwrap();
     cluster.run_for(Duration::from_millis(400));
 
     // Partition two nodes, then publish.
