@@ -425,6 +425,23 @@ mod tests {
     }
 
     #[test]
+    fn delivery_log_survives_a_panic_while_locked() {
+        let log = DeliveryLog::new();
+        let msg = MessageId::new(n(0), 1);
+        log.record(msg, n(1));
+        let held = log.clone();
+        let panicked = std::thread::spawn(move || {
+            let _guard = held.inner.lock();
+            panic!("node thread dies holding the log");
+        })
+        .join();
+        assert!(panicked.is_err());
+        log.record(msg, n(2));
+        assert_eq!(log.count(msg), 2);
+        assert_eq!(log.receivers(msg), vec![n(1), n(2)]);
+    }
+
+    #[test]
     fn two_nodes_exchange_membership_and_messages() {
         let hub = InMemoryHub::new();
         let rx0 = hub.register(n(0));

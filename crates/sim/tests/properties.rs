@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use hybridcast_sim::churn::{ChurnConfig, ChurnDriver};
 use hybridcast_sim::dense::DenseSimNetwork;
 use hybridcast_sim::sessions::{SessionChurnConfig, SessionChurnDriver, SessionLength};
-use hybridcast_sim::{Network, SimConfig};
+use hybridcast_sim::{GossipRuntime, Network, SimConfig};
 
 /// Builds a validated configuration from raw proptest draws.
 fn config(
@@ -29,6 +29,26 @@ fn config(
         warmup_cycles: 0,
         rings,
         run_vicinity,
+    }
+}
+
+/// Applies a kill/spawn schedule: each step kills `live_ids()[k % len]`
+/// for every drawn `k` (arbitrary ids, not RNG draws), spawns nodes whose
+/// introducer is `random_live_node()` (`None` once the population empties),
+/// then runs one cycle.
+fn apply_schedule<N: GossipRuntime>(net: &mut N, schedule: &[(Vec<usize>, usize)]) {
+    for (kills, spawns) in schedule {
+        for &k in kills {
+            let ids = net.live_ids();
+            if !ids.is_empty() {
+                net.kill_node(ids[k % ids.len()]);
+            }
+        }
+        for _ in 0..*spawns {
+            let introducer = net.random_live_node();
+            net.spawn_node(introducer);
+        }
+        net.run_cycles(1);
     }
 }
 
@@ -109,6 +129,36 @@ proptest! {
         prop_assert_eq!(dense_driver.departed(), btree_driver.departed());
         prop_assert_eq!(dense_driver.arrived(), btree_driver.arrived());
         prop_assert_eq!(dense.overlay_snapshot(), btree.overlay_snapshot());
+    }
+
+    /// The same contract under a drawn kill/spawn schedule: the population
+    /// varies and may empty, kills hit arbitrary ids, and spawns take a
+    /// `random_live_node()` introducer that may be `None`.
+    #[test]
+    fn dense_runtime_equals_btree_runtime_under_kill_spawn_schedule(
+        nodes in 1usize..20,
+        warm_cycles in 0usize..10,
+        schedule in prop::collection::vec(
+            (prop::collection::vec(any::<usize>(), 0..6), 0usize..4),
+            0..10,
+        ),
+        seed in any::<u64>(),
+    ) {
+        let cfg = SimConfig {
+            nodes,
+            warmup_cycles: 0,
+            ..SimConfig::default()
+        };
+        let mut dense = DenseSimNetwork::new(cfg.clone(), seed);
+        let mut btree = Network::new(cfg, seed);
+        dense.run_cycles(warm_cycles);
+        btree.run_cycles(warm_cycles);
+
+        apply_schedule(&mut dense, &schedule);
+        apply_schedule(&mut btree, &schedule);
+
+        prop_assert_eq!(dense.overlay_snapshot(), btree.overlay_snapshot());
+        prop_assert_eq!(dense.random_live_node(), btree.random_live_node());
     }
 
     /// The flat CSR export always agrees with the id-keyed snapshot export
