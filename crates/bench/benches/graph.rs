@@ -37,9 +37,6 @@ fn bench_connectivity(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("strongly_connected", n), &graph, |b, g| {
             b.iter(|| connectivity::is_strongly_connected(g))
         });
-        group.bench_with_input(BenchmarkId::new("tarjan_scc", n), &graph, |b, g| {
-            b.iter(|| connectivity::strongly_connected_components(g))
-        });
     }
     group.finish();
 }

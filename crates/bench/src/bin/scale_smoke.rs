@@ -65,13 +65,21 @@ fn run() -> Result<(), String> {
     let mem_budget_mb: u64 = args.get_or("mem-budget-mb", 0)?;
     let rng_mode: RngMode = args.get_or("rng", RngMode::Shared)?;
     let threads: usize = args.get_or("threads", 0)?;
-    let gossip_period: u64 = args.get_or("gossip-period", 1)?;
+    let gossip_period: u64 = args.get_in("gossip-period", 1, 1.., ">= 1")?;
     let check_thread_invariance = args.flag("check-thread-invariance");
     let run_async = args.flag("async");
     args.finish()?;
 
-    if gossip_period == 0 {
-        return Err(String::from("--gossip-period must be at least 1"));
+    // The synthetic CSR indexes its r-links with u32 offsets; refuse the
+    // product before asking the allocator for the array.
+    if nodes
+        .checked_mul(r_degree)
+        .and_then(|links| u32::try_from(links).ok())
+        .is_none()
+    {
+        return Err(format!(
+            "--nodes {nodes} × --r-degree {r_degree} r-links exceed the u32 link offsets"
+        ));
     }
     if check_thread_invariance && rng_mode != RngMode::PerNode {
         return Err(String::from(

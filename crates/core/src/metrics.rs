@@ -83,18 +83,6 @@ impl DisseminationReport {
         self.messages_to_virgin + self.messages_to_notified + self.messages_to_dead
     }
 
-    /// Messages that did not notify a new node (redundant + dead).
-    pub fn wasted_messages(&self) -> usize {
-        self.messages_to_notified + self.messages_to_dead
-    }
-
-    /// Number of hops the dissemination took (same as
-    /// [`DisseminationReport::last_hop`], named after the paper's
-    /// "dissemination speed" metric).
-    pub fn dissemination_latency(&self) -> usize {
-        self.last_hop
-    }
-
     /// Cumulative number of nodes reached after each hop: entry `h` is the
     /// number of distinct nodes notified by the end of hop `h`.
     pub fn cumulative_reached(&self) -> Vec<usize> {
@@ -120,17 +108,6 @@ impl DisseminationReport {
                 }
             })
             .collect()
-    }
-
-    /// Summary statistics of the per-node forwarding load (messages sent),
-    /// the paper's load-distribution metric.
-    pub fn forwarding_load_summary(&self) -> hybridcast_graph::stats::Summary {
-        hybridcast_graph::stats::Summary::of(self.forwarded_counts.values().copied())
-    }
-
-    /// Summary statistics of the per-node receive load.
-    pub fn receive_load_summary(&self) -> hybridcast_graph::stats::Summary {
-        hybridcast_graph::stats::Summary::of(self.received_counts.values().copied())
     }
 }
 
@@ -192,8 +169,6 @@ mod tests {
     fn message_accounting() {
         let r = sample_report();
         assert_eq!(r.total_messages(), 18);
-        assert_eq!(r.wasted_messages(), 11);
-        assert_eq!(r.dissemination_latency(), 3);
     }
 
     #[test]
@@ -209,17 +184,6 @@ mod tests {
             r.total_messages(),
             "fixture obeys the per-hop accounting invariant"
         );
-    }
-
-    #[test]
-    fn load_summaries() {
-        let r = sample_report();
-        let fwd = r.forwarding_load_summary();
-        assert_eq!(fwd.count, 3);
-        assert_eq!(fwd.mean, 3.0);
-        assert_eq!(fwd.std_dev, 0.0, "perfectly balanced forwarding load");
-        let recv = r.receive_load_summary();
-        assert_eq!(recv.max, 3);
     }
 
     #[test]

@@ -68,11 +68,6 @@ impl SnapshotOverlay {
     pub fn snapshot_mut(&mut self) -> &mut OverlaySnapshot {
         &mut self.snapshot
     }
-
-    /// Unwraps the snapshot.
-    pub fn into_inner(self) -> OverlaySnapshot {
-        self.snapshot
-    }
 }
 
 impl From<OverlaySnapshot> for SnapshotOverlay {
@@ -182,11 +177,6 @@ impl StaticOverlay {
             }
             _ => false,
         }
-    }
-
-    /// Total number of nodes, dead or alive.
-    pub fn total_nodes(&self) -> usize {
-        self.nodes.len()
     }
 }
 
@@ -634,7 +624,6 @@ mod tests {
         assert!(!overlay.kill_node(n(9)), "unknown");
         assert!(!overlay.is_live(n(2)));
         assert_eq!(overlay.live_count(), 3);
-        assert_eq!(overlay.total_nodes(), 4);
         // Neighbours still point at the dead node.
         assert!(overlay.d_links(n(1)).contains(&n(2)));
     }

@@ -46,22 +46,6 @@ pub fn bidirectional_ring(nodes: &[NodeId]) -> DiGraph {
     g
 }
 
-/// Builds a unidirectional ring (directed cycle) over `nodes`.
-pub fn unidirectional_ring(nodes: &[NodeId]) -> DiGraph {
-    let mut g = DiGraph::with_nodes(nodes.iter().copied());
-    let n = nodes.len();
-    if n < 2 {
-        return g;
-    }
-    for i in 0..n {
-        let next = (i + 1) % n;
-        if nodes[i] != nodes[next] {
-            g.add_edge(nodes[i], nodes[next]);
-        }
-    }
-    g
-}
-
 /// Builds a star graph: every leaf holds a bidirectional link with `center`.
 ///
 /// This is the "server-based" overlay of Section 3: any leaf failure is
@@ -168,13 +152,7 @@ mod tests {
     fn rings_are_strongly_connected() {
         for n in [2u64, 3, 5, 17, 100] {
             assert!(is_strongly_connected(&bidirectional_ring(&ids(n))));
-            assert!(is_strongly_connected(&unidirectional_ring(&ids(n))));
         }
-    }
-
-    #[test]
-    fn unidirectional_ring_has_n_edges() {
-        assert_eq!(unidirectional_ring(&ids(7)).edge_count(), 7);
     }
 
     #[test]

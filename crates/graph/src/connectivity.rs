@@ -3,11 +3,11 @@
 //! The deterministic component of a hybrid dissemination protocol must form a
 //! *strongly connected* directed graph over all nodes (Section 3 and 5 of the
 //! paper); this module provides the verification tools: breadth-first
-//! reachability, Tarjan's strongly-connected-components algorithm, strong
-//! connectivity checks and a brute-force node-connectivity estimate used to
-//! validate Harary-graph constructions in tests.
+//! reachability, strong connectivity checks and a brute-force
+//! node-connectivity estimate used to validate Harary-graph constructions in
+//! tests.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 
 use crate::digraph::DiGraph;
 use crate::node::NodeId;
@@ -46,28 +46,6 @@ pub fn reachable_from(graph: &DiGraph, start: NodeId) -> BTreeSet<NodeId> {
     visited
 }
 
-/// Returns the number of hops of the shortest directed path between `start`
-/// and every reachable node (`start` maps to 0).
-pub fn bfs_distances(graph: &DiGraph, start: NodeId) -> BTreeMap<NodeId, usize> {
-    let mut dist = BTreeMap::new();
-    if !graph.contains_node(start) {
-        return dist;
-    }
-    let mut queue = VecDeque::new();
-    dist.insert(start, 0);
-    queue.push_back(start);
-    while let Some(node) = queue.pop_front() {
-        let d = dist[&node];
-        for succ in graph.successors(node) {
-            if let std::collections::btree_map::Entry::Vacant(entry) = dist.entry(succ) {
-                entry.insert(d + 1);
-                queue.push_back(succ);
-            }
-        }
-    }
-    dist
-}
-
 /// Returns `true` if the graph is strongly connected: there is a directed
 /// path between every ordered pair of nodes.
 ///
@@ -86,100 +64,6 @@ pub fn is_strongly_connected(graph: &DiGraph) -> bool {
         return false;
     }
     reachable_from(&graph.reversed(), start).len() == n
-}
-
-/// Computes the strongly connected components of the graph using an
-/// iterative version of Tarjan's algorithm.
-///
-/// Components are returned in reverse topological order of the condensation
-/// (i.e. a component appears before every component it can reach), which is
-/// the order Tarjan's algorithm naturally emits.
-pub fn strongly_connected_components(graph: &DiGraph) -> Vec<Vec<NodeId>> {
-    #[derive(Clone, Copy)]
-    struct Meta {
-        index: usize,
-        lowlink: usize,
-        on_stack: bool,
-    }
-
-    let mut meta: BTreeMap<NodeId, Meta> = BTreeMap::new();
-    let mut stack: Vec<NodeId> = Vec::new();
-    let mut components: Vec<Vec<NodeId>> = Vec::new();
-    let mut next_index = 0usize;
-
-    // Iterative DFS frame: (node, iterator position over successors).
-    for root in graph.nodes().collect::<Vec<_>>() {
-        if meta.contains_key(&root) {
-            continue;
-        }
-        let mut call_stack: Vec<(NodeId, Vec<NodeId>, usize)> = Vec::new();
-        meta.insert(
-            root,
-            Meta {
-                index: next_index,
-                lowlink: next_index,
-                on_stack: true,
-            },
-        );
-        next_index += 1;
-        stack.push(root);
-        call_stack.push((root, graph.successors_vec(root), 0));
-
-        while let Some((node, succs, mut pos)) = call_stack.pop() {
-            let mut descended = false;
-            while pos < succs.len() {
-                let succ = succs[pos];
-                pos += 1;
-                match meta.get(&succ).copied() {
-                    None => {
-                        meta.insert(
-                            succ,
-                            Meta {
-                                index: next_index,
-                                lowlink: next_index,
-                                on_stack: true,
-                            },
-                        );
-                        next_index += 1;
-                        stack.push(succ);
-                        call_stack.push((node, succs, pos));
-                        call_stack.push((succ, graph.successors_vec(succ), 0));
-                        descended = true;
-                        break;
-                    }
-                    Some(m) if m.on_stack => {
-                        let low = meta[&node].lowlink.min(m.index);
-                        meta.get_mut(&node).expect("visited").lowlink = low;
-                    }
-                    Some(_) => {}
-                }
-            }
-            if descended {
-                continue;
-            }
-            // Node finished: maybe emit a component, and propagate lowlink.
-            let node_meta = meta[&node];
-            if node_meta.lowlink == node_meta.index {
-                let mut component = Vec::new();
-                loop {
-                    let w = stack.pop().expect("tarjan stack underflow");
-                    meta.get_mut(&w).expect("visited").on_stack = false;
-                    component.push(w);
-                    if w == node {
-                        break;
-                    }
-                }
-                component.sort();
-                components.push(component);
-            }
-            if let Some((parent, _, _)) = call_stack.last() {
-                let parent_low = meta[parent].lowlink.min(meta[&node].lowlink);
-                meta.get_mut(parent).expect("visited").lowlink = parent_low;
-            }
-        }
-    }
-
-    components
 }
 
 /// Returns `true` if removing any set of at most `failures` nodes leaves the
@@ -221,21 +105,6 @@ fn survive_rec(
     true
 }
 
-/// The fraction of ordered node pairs `(a, b)` with a directed path from
-/// `a` to `b`. 1.0 means strongly connected; useful as a "how broken is the
-/// overlay" measure after failures.
-pub fn pairwise_reachability(graph: &DiGraph) -> f64 {
-    let n = graph.node_count();
-    if n <= 1 {
-        return 1.0;
-    }
-    let mut reachable_pairs = 0usize;
-    for node in graph.nodes() {
-        reachable_pairs += reachable_from(graph, node).len() - 1;
-    }
-    reachable_pairs as f64 / (n * (n - 1)) as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -260,15 +129,6 @@ mod tests {
     }
 
     #[test]
-    fn bfs_distances_on_chain() {
-        let g: DiGraph = [(n(0), n(1)), (n(1), n(2))].into_iter().collect();
-        let d = bfs_distances(&g, n(0));
-        assert_eq!(d[&n(0)], 0);
-        assert_eq!(d[&n(1)], 1);
-        assert_eq!(d[&n(2)], 2);
-    }
-
-    #[test]
     fn strong_connectivity_cycle_vs_chain() {
         let cycle: DiGraph = [(n(0), n(1)), (n(1), n(2)), (n(2), n(0))]
             .into_iter()
@@ -288,62 +148,9 @@ mod tests {
     }
 
     #[test]
-    fn scc_decomposition() {
-        // Two 2-cycles joined by a one-way edge, plus an isolated node.
-        let mut g: DiGraph = [
-            (n(0), n(1)),
-            (n(1), n(0)),
-            (n(2), n(3)),
-            (n(3), n(2)),
-            (n(1), n(2)),
-        ]
-        .into_iter()
-        .collect();
-        g.add_node(n(4));
-        let mut sccs = strongly_connected_components(&g);
-        sccs.sort();
-        assert_eq!(sccs.len(), 3);
-        assert!(sccs.contains(&vec![n(0), n(1)]));
-        assert!(sccs.contains(&vec![n(2), n(3)]));
-        assert!(sccs.contains(&vec![n(4)]));
-    }
-
-    #[test]
-    fn scc_of_strongly_connected_graph_is_single_component() {
-        let ring = builders::bidirectional_ring(&ids(50));
-        let sccs = strongly_connected_components(&ring);
-        assert_eq!(sccs.len(), 1);
-        assert_eq!(sccs[0].len(), 50);
-    }
-
-    #[test]
     fn bidirectional_ring_survives_single_failure_but_not_two() {
         let ring = builders::bidirectional_ring(&ids(8));
         assert!(survives_node_failures(&ring, 1));
         assert!(!survives_node_failures(&ring, 2));
-    }
-
-    #[test]
-    fn pairwise_reachability_values() {
-        let cycle: DiGraph = [(n(0), n(1)), (n(1), n(2)), (n(2), n(0))]
-            .into_iter()
-            .collect();
-        assert!((pairwise_reachability(&cycle) - 1.0).abs() < 1e-12);
-
-        let chain: DiGraph = [(n(0), n(1)), (n(1), n(2))].into_iter().collect();
-        // reachable ordered pairs: (0,1), (0,2), (1,2) out of 6.
-        assert!((pairwise_reachability(&chain) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn scc_handles_deep_chains_iteratively() {
-        // A long chain would overflow the stack with a recursive Tarjan.
-        let mut g = DiGraph::new();
-        let count = 50_000u64;
-        for i in 0..count - 1 {
-            g.add_edge(n(i), n(i + 1));
-        }
-        let sccs = strongly_connected_components(&g);
-        assert_eq!(sccs.len(), count as usize);
     }
 }

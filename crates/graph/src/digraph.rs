@@ -90,15 +90,6 @@ impl DiGraph {
         self.add_edge(b, a);
     }
 
-    /// Removes the directed edge `from -> to` if present. Returns `true` if
-    /// an edge was removed.
-    pub fn remove_edge(&mut self, from: NodeId, to: NodeId) -> bool {
-        self.adjacency
-            .get_mut(&from)
-            .map(|succ| succ.remove(&to))
-            .unwrap_or(false)
-    }
-
     /// Removes a node together with all its incoming and outgoing edges.
     /// Returns `true` if the node was present.
     pub fn remove_node(&mut self, node: NodeId) -> bool {
@@ -272,18 +263,17 @@ mod tests {
     }
 
     #[test]
-    fn remove_edge_and_node() {
+    fn remove_node_drops_its_edges() {
         let mut g = DiGraph::new();
         g.add_edge(n(0), n(1));
         g.add_edge(n(1), n(2));
         g.add_edge(n(2), n(0));
-        assert!(g.remove_edge(n(0), n(1)));
-        assert!(!g.remove_edge(n(0), n(1)));
-        assert_eq!(g.edge_count(), 2);
+        assert_eq!(g.edge_count(), 3);
 
         assert!(g.remove_node(n(2)));
         assert!(!g.contains_node(n(2)));
-        assert_eq!(g.edge_count(), 0, "edges touching n2 are gone");
+        assert_eq!(g.edge_count(), 1, "edges touching n2 are gone");
+        assert!(g.has_edge(n(0), n(1)));
         assert!(!g.remove_node(n(2)));
     }
 

@@ -91,32 +91,6 @@ pub fn harary_link_count(n: usize, t: usize) -> usize {
     (t * n).div_ceil(2)
 }
 
-/// Builds `count` independent bidirectional rings over the same node set,
-/// each with its own (caller-supplied) ordering, and merges them into one
-/// overlay.
-///
-/// This is the "multiple rings with independent random IDs" extension from
-/// the paper's conclusions: `count` rings give a minimum cut of `2 * count`
-/// with high probability (exactly `2 * count` when the orderings place
-/// different neighbours next to each node).
-///
-/// # Panics
-///
-/// Panics if the orderings do not all contain the same number of nodes.
-pub fn multi_ring(orderings: &[Vec<NodeId>]) -> DiGraph {
-    let mut g = DiGraph::new();
-    let expected = orderings.first().map(Vec::len);
-    for ordering in orderings {
-        assert_eq!(
-            Some(ordering.len()),
-            expected,
-            "all ring orderings must have the same length"
-        );
-        g.merge(&crate::builders::bidirectional_ring(ordering));
-    }
-    g
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,28 +172,5 @@ mod tests {
     #[should_panic(expected = "requires more than t nodes")]
     fn too_few_nodes_panics() {
         harary_graph(&ids(4), 4);
-    }
-
-    #[test]
-    fn multi_ring_merges_orderings() {
-        let a = ids(8);
-        let mut b = ids(8);
-        b.reverse();
-        let mut c = ids(8);
-        c.swap(0, 4);
-        c.swap(1, 5);
-        let g = multi_ring(&[a.clone(), b, c]);
-        assert!(is_strongly_connected(&g));
-        // Reversed ring is the same link set as the forward ring, the swapped
-        // one adds new links, so degree is at least 2 everywhere.
-        for &node in &a {
-            assert!(g.out_degree(node) >= 2);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "same length")]
-    fn multi_ring_rejects_mismatched_lengths() {
-        multi_ring(&[ids(5), ids(6)]);
     }
 }

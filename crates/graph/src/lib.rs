@@ -5,14 +5,12 @@
 //!
 //! * [`NodeId`] — a lightweight identifier for participating nodes,
 //! * [`DiGraph`] — a directed graph (overlay snapshot) with adjacency lists,
-//! * connectivity algorithms ([`connectivity`]) — strongly connected
-//!   components (Tarjan), reachability, minimum cut of ring-like graphs,
+//! * connectivity algorithms ([`connectivity`]) — reachability, strong
+//!   connectivity, brute-force node-failure tolerance of small graphs,
 //! * overlay constructors ([`builders`]) — ring, star, clique, random
 //!   regular out-degree graphs, balanced trees,
 //! * [`harary`] — Harary graphs `H(n, t)`, the minimal graphs that stay
 //!   connected after `t - 1` node or link failures,
-//! * [`stats`] — degree distributions and other structural statistics used
-//!   by the evaluation harness,
 //! * [`sample`] — the shared partial Fisher–Yates draw every layer samples
 //!   through (gossip targets, failure victims, random overlays).
 //!
@@ -45,7 +43,6 @@ pub mod digraph;
 pub mod harary;
 pub mod node;
 pub mod sample;
-pub mod stats;
 
 pub use digraph::DiGraph;
 pub use node::NodeId;

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use hybridcast_graph::{builders, connectivity, harary, stats, DiGraph, NodeId};
+use hybridcast_graph::{builders, connectivity, harary, DiGraph, NodeId};
 
 fn ids(count: u64) -> Vec<NodeId> {
     (0..count).map(NodeId::new).collect()
@@ -75,32 +75,6 @@ proptest! {
         );
     }
 
-    /// Every strongly connected component reported by Tarjan is indeed
-    /// mutually reachable, and components partition the node set.
-    #[test]
-    fn scc_partition_and_mutual_reachability(
-        edges in prop::collection::vec((0u64..25, 0u64..25), 0..120)
-    ) {
-        let mut g = DiGraph::new();
-        for (a, b) in edges {
-            if a != b {
-                g.add_edge(NodeId::new(a), NodeId::new(b));
-            }
-        }
-        let sccs = connectivity::strongly_connected_components(&g);
-        let total: usize = sccs.iter().map(Vec::len).sum();
-        prop_assert_eq!(total, g.node_count(), "components partition the nodes");
-
-        for component in &sccs {
-            for &a in component {
-                let reach = connectivity::reachable_from(&g, a);
-                for &b in component {
-                    prop_assert!(reach.contains(&b), "{} must reach {}", a, b);
-                }
-            }
-        }
-    }
-
     /// Random out-degree overlays give every node exactly the requested
     /// out-degree (clamped) and never contain self-loops.
     #[test]
@@ -113,34 +87,6 @@ proptest! {
         for &node in &nodes {
             prop_assert_eq!(g.out_degree(node), expected);
             prop_assert!(!g.has_edge(node, node));
-        }
-        let summary = stats::out_degree_summary(&g);
-        prop_assert_eq!(summary.min, expected);
-        prop_assert_eq!(summary.max, expected);
-    }
-
-    /// BFS distances are consistent: distance 0 only for the start node and
-    /// each distance d > 0 node has a predecessor at distance d - 1.
-    #[test]
-    fn bfs_distance_consistency(edges in prop::collection::vec((0u64..30, 0u64..30), 1..150)) {
-        let mut g = DiGraph::new();
-        for (a, b) in &edges {
-            if a != b {
-                g.add_edge(NodeId::new(*a), NodeId::new(*b));
-            }
-        }
-        prop_assume!(g.node_count() > 0);
-        let start = g.nodes().next().unwrap();
-        let dist = connectivity::bfs_distances(&g, start);
-        for (&node, &d) in &dist {
-            if d == 0 {
-                prop_assert_eq!(node, start);
-            } else {
-                let has_predecessor = g
-                    .nodes()
-                    .any(|p| g.has_edge(p, node) && dist.get(&p) == Some(&(d - 1)));
-                prop_assert!(has_predecessor, "node {} at distance {} lacks predecessor", node, d);
-            }
         }
     }
 }

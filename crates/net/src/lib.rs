@@ -9,7 +9,7 @@
 //! * [`wire`] — the frame format exchanged between nodes (length-prefixed
 //!   JSON, friendly to both channels and TCP streams),
 //! * [`transport`] — pluggable delivery: an in-process hub backed by
-//!   crossbeam channels ([`transport::InMemoryHub`]) and a loopback TCP
+//!   `std::sync::mpsc` channels ([`transport::InMemoryHub`]) and a loopback TCP
 //!   transport ([`transport::TcpTransport`]),
 //! * [`node`] — a node running in its own thread: periodic Cyclon/Vicinity
 //!   gossip plus reactive push dissemination,

@@ -18,12 +18,11 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::slice;
-use std::sync::Arc;
+use std::sync::mpsc::{Receiver, RecvTimeoutError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{Receiver, RecvTimeoutError};
-use parking_lot::Mutex;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -84,24 +83,26 @@ impl DeliveryLog {
         Self::default()
     }
 
+    /// Locks the log, recovering the guard if a node thread panicked while
+    /// holding it: every update is a single map operation, so the map is
+    /// valid whenever a holder can panic.
+    fn lock(&self) -> MutexGuard<'_, BTreeMap<MessageId, BTreeSet<NodeId>>> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Records that `node` received `message`.
     pub fn record(&self, message: MessageId, node: NodeId) {
-        self.inner.lock().entry(message).or_default().insert(node);
+        self.lock().entry(message).or_default().insert(node);
     }
 
     /// Number of distinct nodes that received `message`.
     pub fn count(&self, message: MessageId) -> usize {
-        self.inner
-            .lock()
-            .get(&message)
-            .map(BTreeSet::len)
-            .unwrap_or(0)
+        self.lock().get(&message).map(BTreeSet::len).unwrap_or(0)
     }
 
     /// The nodes that received `message`.
     pub fn receivers(&self, message: MessageId) -> Vec<NodeId> {
-        self.inner
-            .lock()
+        self.lock()
             .get(&message)
             .map(|s| s.iter().copied().collect())
             .unwrap_or_default()
@@ -109,7 +110,7 @@ impl DeliveryLog {
 
     /// All messages the log has seen.
     pub fn messages(&self) -> Vec<MessageId> {
-        self.inner.lock().keys().copied().collect()
+        self.lock().keys().copied().collect()
     }
 }
 

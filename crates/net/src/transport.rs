@@ -3,7 +3,7 @@
 //! A [`Transport`] moves a [`Frame`] to a destination node. Two
 //! implementations are provided:
 //!
-//! * [`InMemoryHub`] — crossbeam channels inside one process; the default
+//! * [`InMemoryHub`] — `std::sync::mpsc` channels inside one process; the default
 //!   for tests and for the `hybridcast-net` examples,
 //! * [`TcpTransport`] — loopback (or LAN) TCP with length-prefixed frames,
 //!   demonstrating that the node logic is transport-agnostic.
@@ -11,12 +11,9 @@
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::thread::JoinHandle;
-
-use bytes::BytesMut;
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::RwLock;
 
 use hybridcast_graph::NodeId;
 
@@ -58,6 +55,18 @@ impl From<std::io::Error> for TransportError {
     }
 }
 
+/// Read-locks `lock`, recovering the guard if a thread panicked while
+/// holding it: every update of the maps behind these locks is a single
+/// `insert` or `remove`, so they are valid whenever a holder can panic.
+fn read<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    lock.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Write-locks `lock`, recovering the guard as [`read`] does.
+fn write<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    lock.write().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Moves frames to other nodes. Implementations must be cheap to clone
 /// (each node thread owns a clone).
 pub trait Transport: Send + Sync {
@@ -70,8 +79,8 @@ pub trait Transport: Send + Sync {
     fn send(&self, to: NodeId, frame: Frame) -> Result<(), TransportError>;
 }
 
-/// An in-process hub: every node registers a crossbeam channel, sending is a
-/// channel push.
+/// An in-process hub: every node registers a `std::sync::mpsc` channel,
+/// sending is a channel push.
 #[derive(Debug, Clone, Default)]
 pub struct InMemoryHub {
     endpoints: Arc<RwLock<HashMap<NodeId, Sender<Frame>>>>,
@@ -85,31 +94,31 @@ impl InMemoryHub {
 
     /// Registers a node and returns the receiving end of its mailbox.
     pub fn register(&self, id: NodeId) -> Receiver<Frame> {
-        let (tx, rx) = unbounded();
-        self.endpoints.write().insert(id, tx);
+        let (tx, rx) = channel();
+        write(&self.endpoints).insert(id, tx);
         rx
     }
 
     /// Removes a node's mailbox (subsequent sends to it fail), simulating a
     /// crash.
     pub fn unregister(&self, id: NodeId) {
-        self.endpoints.write().remove(&id);
+        write(&self.endpoints).remove(&id);
     }
 
     /// Number of registered endpoints.
     pub fn len(&self) -> usize {
-        self.endpoints.read().len()
+        read(&self.endpoints).len()
     }
 
     /// Returns `true` if no endpoint is registered.
     pub fn is_empty(&self) -> bool {
-        self.endpoints.read().is_empty()
+        read(&self.endpoints).is_empty()
     }
 }
 
 impl Transport for InMemoryHub {
     fn send(&self, to: NodeId, frame: Frame) -> Result<(), TransportError> {
-        let endpoints = self.endpoints.read();
+        let endpoints = read(&self.endpoints);
         let tx = endpoints
             .get(&to)
             .ok_or(TransportError::UnknownDestination(to))?;
@@ -141,12 +150,12 @@ impl TcpTransport {
     pub fn listen(&self, id: NodeId) -> std::io::Result<(Receiver<Frame>, JoinHandle<()>)> {
         let listener = TcpListener::bind(("127.0.0.1", 0))?;
         let addr = listener.local_addr()?;
-        self.addresses.write().insert(id, addr);
-        let (tx, rx) = unbounded();
+        write(&self.addresses).insert(id, addr);
+        let (tx, rx) = channel();
         let handle = std::thread::spawn(move || {
             for stream in listener.incoming() {
                 let Ok(mut stream) = stream else { continue };
-                let mut buf = BytesMut::new();
+                let mut buf = Vec::new();
                 let mut chunk = [0u8; 4096];
                 // Frames are drained as their bytes arrive, so `buf` never
                 // holds more than one frame (`MAX_FRAME_LEN`) plus a chunk;
@@ -176,12 +185,12 @@ impl TcpTransport {
 
     /// Removes a node from the address book.
     pub fn unregister(&self, id: NodeId) {
-        self.addresses.write().remove(&id);
+        write(&self.addresses).remove(&id);
     }
 
     /// The address a node listens on, if registered.
     pub fn address_of(&self, id: NodeId) -> Option<SocketAddr> {
-        self.addresses.read().get(&id).copied()
+        read(&self.addresses).get(&id).copied()
     }
 }
 
@@ -191,7 +200,7 @@ impl Transport for TcpTransport {
             .address_of(to)
             .ok_or(TransportError::UnknownDestination(to))?;
         let mut stream = TcpStream::connect(addr)?;
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         encode_frame(&frame, &mut buf);
         stream.write_all(&buf)?;
         Ok(())

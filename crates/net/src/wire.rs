@@ -5,7 +5,6 @@
 //! when travelling over a byte stream (TCP), length-prefixed with a 32-bit
 //! big-endian length so they can be reassembled from arbitrary read chunks.
 
-use bytes::{Buf, BufMut, BytesMut};
 use serde::{Deserialize, Serialize};
 
 use hybridcast_core::message::Message;
@@ -120,16 +119,17 @@ impl std::error::Error for FrameError {}
 /// Panics if the frame fails to serialize (only possible with non-string map
 /// keys, which the frame types never contain) or its body exceeds
 /// [`MAX_FRAME_LEN`] (no receiver would accept it).
-pub fn encode_frame(frame: &Frame, buf: &mut BytesMut) {
+pub fn encode_frame(frame: &Frame, buf: &mut Vec<u8>) {
     let body = serde_json::to_vec(frame).expect("frame serialization cannot fail");
     assert!(
         body.len() <= MAX_FRAME_LEN,
         "frame of {} bytes exceeds the {MAX_FRAME_LEN}-byte limit",
         body.len()
     );
+    let len = u32::try_from(body.len()).expect("MAX_FRAME_LEN fits in u32");
     buf.reserve(4 + body.len());
-    buf.put_u32(u32::try_from(body.len()).expect("MAX_FRAME_LEN fits in u32"));
-    buf.put_slice(&body);
+    buf.extend_from_slice(&len.to_be_bytes());
+    buf.extend_from_slice(&body);
 }
 
 /// Attempts to decode one length-prefixed frame from the front of `buf`.
@@ -145,7 +145,7 @@ pub fn encode_frame(frame: &Frame, buf: &mut BytesMut) {
 /// over [`MAX_FRAME_LEN`] — before any of the body arrives;
 /// [`FrameError::Malformed`] if a complete body is not valid JSON for a
 /// [`Frame`].
-pub fn decode_frame(buf: &mut BytesMut) -> Result<Option<Frame>, FrameError> {
+pub fn decode_frame(buf: &mut Vec<u8>) -> Result<Option<Frame>, FrameError> {
     if buf.len() < 4 {
         return Ok(None);
     }
@@ -158,11 +158,9 @@ pub fn decode_frame(buf: &mut BytesMut) -> Result<Option<Frame>, FrameError> {
     if buf.len() < 4 + len {
         return Ok(None);
     }
-    buf.advance(4);
-    let body = buf.split_to(len);
-    serde_json::from_slice(&body)
-        .map(Some)
-        .map_err(FrameError::Malformed)
+    let parsed = serde_json::from_slice(&buf[4..4 + len]);
+    buf.drain(..4 + len);
+    parsed.map(Some).map_err(FrameError::Malformed)
 }
 
 #[cfg(test)]
@@ -211,7 +209,7 @@ mod tests {
     #[test]
     fn encode_decode_round_trip() {
         for frame in sample_frames() {
-            let mut buf = BytesMut::new();
+            let mut buf = Vec::new();
             encode_frame(&frame, &mut buf);
             let decoded = decode_frame(&mut buf).unwrap().unwrap();
             assert_eq!(decoded, frame);
@@ -222,13 +220,13 @@ mod tests {
     #[test]
     fn decode_handles_partial_and_back_to_back_frames() {
         let frames = sample_frames();
-        let mut stream = BytesMut::new();
+        let mut stream = Vec::new();
         for frame in &frames {
             encode_frame(frame, &mut stream);
         }
 
         // Feed the stream a few bytes at a time, as a TCP read would.
-        let mut rx_buf = BytesMut::new();
+        let mut rx_buf = Vec::new();
         let mut decoded = Vec::new();
         for chunk in stream.chunks(7) {
             rx_buf.extend_from_slice(chunk);
@@ -241,12 +239,12 @@ mod tests {
 
     #[test]
     fn decode_incomplete_returns_none() {
-        let mut whole = BytesMut::new();
+        let mut whole = Vec::new();
         encode_frame(&sample_frames()[0], &mut whole);
         // Every strict prefix: none, part of the header, header only, part
         // of the body.
         for cut in 0..whole.len() {
-            let mut partial = BytesMut::from(&whole[..cut]);
+            let mut partial = whole[..cut].to_vec();
             assert!(decode_frame(&mut partial).unwrap().is_none(), "cut {cut}");
             assert_eq!(&partial[..], &whole[..cut], "cut {cut}: buffer untouched");
         }
@@ -254,9 +252,9 @@ mod tests {
 
     #[test]
     fn decode_rejects_garbage() {
-        let mut buf = BytesMut::new();
-        buf.put_u32(3);
-        buf.put_slice(b"???");
+        let mut buf = Vec::new();
+        buf.extend_from_slice(&3u32.to_be_bytes());
+        buf.extend_from_slice(b"???");
         assert!(matches!(
             decode_frame(&mut buf),
             Err(FrameError::Malformed(_))
@@ -267,8 +265,8 @@ mod tests {
     #[test]
     fn decode_refuses_an_oversized_prefix_before_any_body_arrives() {
         for announced in [MAX_FRAME_LEN + 1, 1 << 24, u32::MAX as usize] {
-            let mut buf = BytesMut::new();
-            buf.put_u32(announced as u32);
+            let mut buf = Vec::new();
+            buf.extend_from_slice(&(announced as u32).to_be_bytes());
             let err = decode_frame(&mut buf).unwrap_err();
             assert!(
                 matches!(err, FrameError::TooLarge { len } if len == announced),
@@ -278,8 +276,8 @@ mod tests {
             assert_eq!(buf.len(), 4, "nothing consumed, nothing awaited");
         }
         // The limit itself is still a frame worth waiting for.
-        let mut buf = BytesMut::new();
-        buf.put_u32(MAX_FRAME_LEN as u32);
+        let mut buf = Vec::new();
+        buf.extend_from_slice(&(MAX_FRAME_LEN as u32).to_be_bytes());
         assert!(decode_frame(&mut buf).unwrap().is_none());
     }
 
@@ -293,7 +291,7 @@ mod tests {
                 vec![b'x'; MAX_FRAME_LEN],
             ),
         };
-        encode_frame(&frame, &mut BytesMut::new());
+        encode_frame(&frame, &mut Vec::new());
     }
 
     proptest! {
@@ -306,14 +304,14 @@ mod tests {
             valid_first in any::<bool>(),
             tiny_prefix in any::<bool>(),
         ) {
-            let mut buf = BytesMut::new();
+            let mut buf = Vec::new();
             if valid_first {
                 encode_frame(&sample_frames()[1], &mut buf);
             }
             if tiny_prefix {
                 // Steer some cases past the length check into the JSON
                 // parser: a prefix that the random tail can satisfy.
-                buf.put_u32((bytes.len() / 2) as u32);
+                buf.extend_from_slice(&((bytes.len() / 2) as u32).to_be_bytes());
             }
             buf.extend_from_slice(&bytes);
             let mut decoded = 0usize;

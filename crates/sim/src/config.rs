@@ -50,15 +50,6 @@ impl Default for SimConfig {
 }
 
 impl SimConfig {
-    /// The configuration used throughout the paper's evaluation: 10,000
-    /// nodes, `cyc = vic = 20`, 100 warm-up cycles, a single ring.
-    pub fn paper_scale() -> Self {
-        SimConfig {
-            nodes: 10_000,
-            ..SimConfig::default()
-        }
-    }
-
     /// A small configuration for quick tests (500 nodes, 60 warm-up cycles).
     pub fn small() -> Self {
         SimConfig {
@@ -108,12 +99,6 @@ mod tests {
         assert_eq!(c.rings, 1);
         assert!(c.run_vicinity);
         assert!(c.validate().is_ok());
-    }
-
-    #[test]
-    fn paper_scale_is_ten_thousand_nodes() {
-        assert_eq!(SimConfig::paper_scale().nodes, 10_000);
-        assert!(SimConfig::paper_scale().validate().is_ok());
     }
 
     #[test]

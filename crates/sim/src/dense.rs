@@ -22,7 +22,7 @@
 //! **bit-identical** to [`crate::Network`]: it consumes the exact same RNG
 //! draw sequence (same `shuffle`/`choose`/`gen_range` calls over
 //! identically-ordered candidate lists) and therefore produces equal
-//! [`OverlaySnapshot`]s at every cycle, including under churn and session
+//! [`OverlaySnapshot`]s at every cycle, including under churn and failure
 //! drivers. The differential property tests in `tests/properties.rs` pin
 //! this contract; the id-keyed runtime stays around as the oracle.
 //!

@@ -16,8 +16,6 @@
 //!   failure, Section 7.2),
 //! * [`churn`] applies the artificial churn model of Section 7.3 (a fixed
 //!   percentage of nodes replaced per cycle),
-//! * [`sessions`] provides a trace-like alternative: per-node session
-//!   lengths drawn from exponential or heavy-tailed distributions,
 //! * [`network::Network::overlay_snapshot`] exports the current r-link /
 //!   d-link graphs for dissemination experiments.
 //!
@@ -28,8 +26,8 @@
 //! dense dissemination engine. It is **bit-identical** to
 //! [`network::Network`] per seed — the id-keyed runtime doubles as the
 //! differential-testing oracle — and both are driven through the shared
-//! [`runtime::GossipRuntime`] trait, so every churn / failure / session
-//! policy works on either.
+//! [`runtime::GossipRuntime`] trait, so every churn / failure policy works
+//! on either.
 //!
 //! All randomness flows through a caller-provided seed, so every experiment
 //! is reproducible.
@@ -58,7 +56,6 @@ pub mod failure;
 pub mod frontier;
 pub mod network;
 pub mod runtime;
-pub mod sessions;
 pub mod snapshot;
 
 pub use config::SimConfig;

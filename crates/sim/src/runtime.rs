@@ -13,16 +13,16 @@
 //! [`crate::OverlaySnapshot`]s for the same [`crate::SimConfig`] and seed
 //! (the dense runtime replays exactly the RNG draw sequence of the id-keyed
 //! one; the differential property tests pin this down). [`GossipRuntime`]
-//! captures the operations the churn / failure / session drivers need, so
-//! one driver implementation serves both runtimes.
+//! captures the operations the churn / failure drivers need, so one driver
+//! implementation serves both runtimes.
 
 use hybridcast_graph::NodeId;
 
 use crate::frontier::RngMode;
 use crate::snapshot::OverlaySnapshot;
 
-/// A cycle-driven gossip simulation that can be driven by the churn,
-/// failure and session policies in this crate.
+/// A cycle-driven gossip simulation that can be driven by the churn and
+/// failure policies in this crate.
 pub trait GossipRuntime {
     /// The current cycle number (0 before any [`GossipRuntime::run_cycles`]).
     fn cycle(&self) -> u64;

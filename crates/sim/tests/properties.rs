@@ -7,7 +7,6 @@ use proptest::prelude::*;
 
 use hybridcast_sim::churn::{ChurnConfig, ChurnDriver};
 use hybridcast_sim::dense::DenseSimNetwork;
-use hybridcast_sim::sessions::{SessionChurnConfig, SessionChurnDriver, SessionLength};
 use hybridcast_sim::{GossipRuntime, Network, SimConfig};
 
 /// Builds a validated configuration from raw proptest draws.
@@ -93,42 +92,6 @@ proptest! {
         prop_assert_eq!(dense.overlay_snapshot(), btree.overlay_snapshot());
         // One more shared draw: the RNG streams are still in lock-step.
         prop_assert_eq!(dense.random_live_node(), btree.random_live_node());
-    }
-
-    /// The same contract under the session-based (trace-like) churn model:
-    /// explicit per-node session lengths, fractional arrival rates.
-    #[test]
-    fn dense_runtime_equals_btree_runtime_under_session_churn(
-        nodes in 2usize..30,
-        warm_cycles in 0usize..10,
-        arrivals in 0.0f64..3.0,
-        mean_session in 2.0f64..40.0,
-        session_cycles in 1usize..12,
-        seed in any::<u64>(),
-        driver_seed in any::<u64>(),
-    ) {
-        let cfg = SimConfig {
-            nodes,
-            warmup_cycles: 0,
-            ..SimConfig::default()
-        };
-        let mut dense = DenseSimNetwork::new(cfg.clone(), seed);
-        let mut btree = Network::new(cfg, seed);
-        dense.run_cycles(warm_cycles);
-        btree.run_cycles(warm_cycles);
-
-        let session = SessionChurnConfig {
-            arrivals_per_cycle: arrivals,
-            session_length: SessionLength::Exponential { mean: mean_session },
-        };
-        let mut dense_driver = SessionChurnDriver::new(session, &dense, driver_seed);
-        let mut btree_driver = SessionChurnDriver::new(session, &btree, driver_seed);
-        dense_driver.run_cycles(&mut dense, session_cycles);
-        btree_driver.run_cycles(&mut btree, session_cycles);
-
-        prop_assert_eq!(dense_driver.departed(), btree_driver.departed());
-        prop_assert_eq!(dense_driver.arrived(), btree_driver.arrived());
-        prop_assert_eq!(dense.overlay_snapshot(), btree.overlay_snapshot());
     }
 
     /// The same contract under a drawn kill/spawn schedule: the population
