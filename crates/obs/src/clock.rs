@@ -87,7 +87,7 @@ impl StageProfiler {
 /// Rate-limited progress heartbeat for long-running figure binaries.
 ///
 /// Progress is accumulated in a [`MetricsRegistry`] counter; at most one
-/// line per two seconds is printed to stderr with the current rate and an
+/// line per `interval` is printed to stderr with the current rate and an
 /// ETA. `quiet` silences the output while the counter keeps counting.
 #[derive(Debug)]
 pub struct Heartbeat {
@@ -97,13 +97,11 @@ pub struct Heartbeat {
     unit: &'static str,
     started: Instant,
     last_print: Option<Instant>,
+    interval: Duration,
     quiet: bool,
 }
 
 impl Heartbeat {
-    /// The minimum time between two printed lines.
-    const INTERVAL: Duration = Duration::from_secs(2);
-
     /// Creates a heartbeat for `total` units of work (`unit` is the label
     /// printed after the rate, e.g. `"cycles"` or `"configs"`).
     #[must_use]
@@ -120,6 +118,7 @@ impl Heartbeat {
             unit,
             started: Instant::now(),
             last_print: None,
+            interval: Duration::from_secs(2),
             quiet,
         }
     }
@@ -138,8 +137,8 @@ impl Heartbeat {
             return;
         }
         let due = match self.last_print {
-            None => self.started.elapsed() >= Self::INTERVAL,
-            Some(at) => at.elapsed() >= Self::INTERVAL,
+            None => self.started.elapsed() >= self.interval,
+            Some(at) => at.elapsed() >= self.interval,
         };
         if !due {
             return;
