@@ -33,6 +33,11 @@
 //! message backlog of the run, the quantity that bounds the latency
 //! engine's memory at the million-node scale — and its overflow-tier peak.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "D2: wall-clock throughput is what this binary measures; no result it gates on reads the clock"
+)]
+
 use std::time::{Duration, Instant};
 
 use rand::SeedableRng;

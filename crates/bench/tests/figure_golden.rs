@@ -70,26 +70,28 @@ fn assert_thread_invariant_golden<T: Debug>(
 
 /// Asserts a probed effectiveness sweep against `golden` with the inert
 /// probe and with a recording one, and checks the recorded stream's shape.
-fn assert_probed_golden<T: Debug>(
-    what: &str,
-    golden: u64,
-    figure: impl Fn(&ExperimentParams, &mut dyn hybridcast_obs::Probe, &mut StageProfiler) -> T,
-) {
-    let params = params(2);
-    let inert = figure(&params, &mut NullProbe, &mut StageProfiler::new());
-    assert_golden(&format!("{what} (NullProbe)"), &inert, golden);
+/// A macro, not a function: the two arms call the generic `$figure` with
+/// two probe types, and `Probe: Sized` rules out one `&mut dyn Probe`.
+macro_rules! assert_probed_golden {
+    ($what:expr, $golden:expr, $figure:path) => {{
+        let what = $what;
+        let params = params(2);
+        let inert = $figure(&params, &mut NullProbe, &mut StageProfiler::new());
+        assert_golden(&format!("{what} (NullProbe)"), &inert, $golden);
 
-    let mut probe = VecProbe::new();
-    let traced = figure(&params, &mut probe, &mut StageProfiler::new());
-    assert_golden(&format!("{what} (VecProbe)"), &traced, golden);
-    let count = |wanted: fn(&TraceEvent) -> bool| probe.events.iter().filter(|e| wanted(e)).count();
-    let sections = count(|e| matches!(e, TraceEvent::Section { .. }));
-    assert_eq!(sections, params.fanouts.len() * 2, "{what}: sections");
-    assert_eq!(
-        count(|e| matches!(e, TraceEvent::RunStart { .. })),
-        sections * params.runs,
-        "{what}: runs"
-    );
+        let mut probe = VecProbe::new();
+        let traced = $figure(&params, &mut probe, &mut StageProfiler::new());
+        assert_golden(&format!("{what} (VecProbe)"), &traced, $golden);
+        let count =
+            |wanted: fn(&TraceEvent) -> bool| probe.events.iter().filter(|e| wanted(e)).count();
+        let sections = count(|e| matches!(e, TraceEvent::Section { .. }));
+        assert_eq!(sections, params.fanouts.len() * 2, "{what}: sections");
+        assert_eq!(
+            count(|e| matches!(e, TraceEvent::RunStart { .. })),
+            sections * params.runs,
+            "{what}: runs"
+        );
+    }};
 }
 
 const STATIC_EFFECTIVENESS: u64 = 0x42C3_4FB4_5D82_9449;
@@ -102,12 +104,10 @@ fn static_effectiveness_is_pinned() {
         STATIC_EFFECTIVENESS,
         figures::static_effectiveness,
     );
-    assert_probed_golden(
+    assert_probed_golden!(
         "static_effectiveness_probed",
         STATIC_EFFECTIVENESS,
-        |params, mut probe, profiler| {
-            figures::static_effectiveness_probed(params, &mut probe, profiler)
-        },
+        figures::static_effectiveness_probed
     );
 }
 
@@ -118,12 +118,10 @@ fn churn_effectiveness_is_pinned() {
         CHURN_EFFECTIVENESS,
         figures::churn_effectiveness,
     );
-    assert_probed_golden(
+    assert_probed_golden!(
         "churn_effectiveness_probed",
         CHURN_EFFECTIVENESS,
-        |params, mut probe, profiler| {
-            figures::churn_effectiveness_probed(params, &mut probe, profiler)
-        },
+        figures::churn_effectiveness_probed
     );
 }
 

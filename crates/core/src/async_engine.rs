@@ -54,6 +54,12 @@
 //! pair stays bit-identical under every model; both contracts are pinned by
 //! the differential property tests.
 
+// D3: index casts go through `hybridcast_graph::cast`; tests are exempt.
+#![cfg_attr(
+    not(test),
+    deny(clippy::cast_possible_truncation, clippy::cast_sign_loss)
+)]
+
 use std::collections::{BTreeMap, BTreeSet};
 
 use rand::Rng;

@@ -16,6 +16,12 @@
 //! [`DenseRunStats`]; [`DenseRunStats::report`] materialises the same
 //! [`DisseminationReport`] the oracle returns.
 
+// D3: index casts go through `hybridcast_graph::cast`; tests are exempt.
+#![cfg_attr(
+    not(test),
+    deny(clippy::cast_possible_truncation, clippy::cast_sign_loss)
+)]
+
 use std::collections::{BTreeMap, BTreeSet};
 
 use rand::RngCore;

@@ -17,6 +17,12 @@
 //!   either of the above, the input of the allocation-free dissemination
 //!   hot path ([`crate::engine::disseminate_dense`]).
 
+// D3: index casts go through `hybridcast_graph::cast`; tests are exempt.
+#![cfg_attr(
+    not(test),
+    deny(clippy::cast_possible_truncation, clippy::cast_sign_loss)
+)]
+
 use std::collections::BTreeMap;
 
 use hybridcast_graph::{cast, DiGraph, NodeId};

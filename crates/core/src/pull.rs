@@ -41,6 +41,12 @@
 //! where delays and loss shape the push path. The default model is
 //! bit-identical to the pre-model pull engines, draw for draw.
 
+// D3: index casts go through `hybridcast_graph::cast`; tests are exempt.
+#![cfg_attr(
+    not(test),
+    deny(clippy::cast_possible_truncation, clippy::cast_sign_loss)
+)]
+
 use std::collections::{BTreeMap, BTreeSet};
 
 use rand::seq::SliceRandom;

@@ -65,6 +65,12 @@
 //! past it, which is what lets `scale_smoke` gate a million-node run under
 //! a fixed memory budget.
 
+// D3: index casts go through `hybridcast_graph::cast`; tests are exempt.
+#![cfg_attr(
+    not(test),
+    deny(clippy::cast_possible_truncation, clippy::cast_sign_loss)
+)]
+
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::mem::size_of;
@@ -409,6 +415,11 @@ impl<T> CalendarQueue<T> {
 
     /// The day (bucket ordinal) a timestamp falls in. Saturating: stray
     /// out-of-range values collapse to the ends without wrapping.
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "the saturating float-to-int cast is the clamp this function documents"
+    )]
     fn day_of(&self, time: f64) -> u64 {
         (time / self.width) as u64
     }

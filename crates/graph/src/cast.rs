@@ -8,9 +8,9 @@
 //! direction assert in debug builds while compiling to the same bare cast in
 //! release.
 //!
-//! `hybridcast-lint` rule D3 bans raw `as u32` / `as usize` in the hot-path
-//! files and points offenders here; this module is the one allowlisted home
-//! for the underlying casts.
+//! Rule D3 denies clippy's `cast_possible_truncation` and `cast_sign_loss`
+//! in the hot-path files and points offenders here; this module is the one
+//! sanctioned home for the underlying casts.
 
 /// Widen a packed `u32` node index to a `usize` for slice indexing.
 ///

@@ -73,6 +73,10 @@ impl fmt::Display for NodeId {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "D1: exercises NodeId's Hash impl with a std HashSet; no iteration order is observed"
+)]
 mod tests {
     use super::*;
     use std::collections::HashSet;

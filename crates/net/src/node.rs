@@ -16,6 +16,15 @@
 //! d-links its current ring neighbours — the same information a simulated
 //! node exposes through an overlay snapshot.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "D2: the live runtime schedules real gossip periods from the wall clock; no simulation engine runs this code"
+)]
+#![expect(
+    clippy::disallowed_types,
+    reason = "D1: the seen-set is only probed for membership, never iterated"
+)]
+
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::slice;
 use std::sync::mpsc::{Receiver, RecvTimeoutError};

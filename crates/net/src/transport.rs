@@ -8,6 +8,11 @@
 //! * [`TcpTransport`] — loopback (or LAN) TCP with length-prefixed frames,
 //!   demonstrating that the node logic is transport-agnostic.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "D1: the address books are only looked up by node id, never iterated"
+)]
+
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};

@@ -1,12 +1,17 @@
 //! The workspace's one sanctioned wall-clock module for the experiment
 //! harness: stage profiling and progress heartbeats.
 //!
-//! Rule D2 (`no-ambient-entropy`, see `docs/DETERMINISM.md`) bans
-//! `Instant::now` outside explicitly allowlisted files because wall-clock
-//! reads break run reproducibility. This module is that allowlist entry
-//! for the harness: it only ever *times* work, the timings never feed back
-//! into a seeded simulation, and every simulation result stays a pure
-//! function of its seed whether or not a profiler is attached.
+//! Rule D2 (see `docs/DETERMINISM.md`) bans `Instant::now` through the
+//! root `clippy.toml` because wall-clock reads break run reproducibility.
+//! This module is the harness's exception: it only ever *times* work, the
+//! timings never feed back into a seeded simulation, and every simulation
+//! result stays a pure function of its seed whether or not a profiler is
+//! attached.
+
+#![expect(
+    clippy::disallowed_methods,
+    reason = "D2: the stage profiler and heartbeat measure wall time by design; no engine result reads them"
+)]
 
 use std::time::{Duration, Instant};
 

@@ -18,7 +18,7 @@
 //! The crate sits below `core`/`sim` in the workspace layering and only
 //! depends on the vendored `serde`/`serde_json`. Wall-clock access for the
 //! harness ([`clock`]) and process memory introspection ([`mem`]) live
-//! here too, behind the determinism policy's explicit allowlist (see
+//! here too, behind the determinism policy's explicit exceptions (see
 //! `docs/OBSERVABILITY.md` and `docs/DETERMINISM.md`).
 
 #![forbid(unsafe_code)]
@@ -41,7 +41,11 @@ pub use sink::{parse_jsonl, JsonlProbe, RingSink, VecProbe};
 /// engine reads: a probe observes a run, it never steers one. That is the
 /// invariant that keeps every probed engine bit-identical to its
 /// unprobed twin regardless of the sink attached.
-pub trait Probe {
+///
+/// The `Sized` bound rules out `dyn Probe`: a trait object would put a
+/// virtual call on every event, where a concrete `P: Probe` monomorphizes
+/// [`NullProbe`] to nothing.
+pub trait Probe: Sized {
     /// `false` if recording is a no-op, letting harness code skip
     /// trace-only work (the engines themselves call [`Probe::record`]
     /// unconditionally and rely on monomorphization to erase it).
@@ -68,7 +72,7 @@ impl Probe for NullProbe {
     fn record(&mut self, _event: TraceEvent) {}
 }
 
-impl<P: Probe + ?Sized> Probe for &mut P {
+impl<P: Probe> Probe for &mut P {
     #[inline]
     fn enabled(&self) -> bool {
         (**self).enabled()

@@ -24,6 +24,12 @@
 //! stated once, which is what guarantees the two kernels agree on protocol
 //! semantics even though their RNG schedules differ.
 
+// D3: index casts go through `hybridcast_graph::cast`; tests are exempt.
+#![cfg_attr(
+    not(test),
+    deny(clippy::cast_possible_truncation, clippy::cast_sign_loss)
+)]
+
 use rand::seq::SliceRandom;
 use rand::Rng;
 
@@ -111,6 +117,10 @@ impl RingSelection {
 
     /// Offers one candidate descriptor.
     #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the debug check reads a ring rank's low 64 bits, the id"
+    )]
     pub fn offer(&mut self, (id, age, key): ViDesc) {
         let k = self.k;
         if id == self.exclude || k == 0 {
@@ -171,6 +181,10 @@ impl RingSelection {
         let n = self.kept.len();
         (0..n).map(move |j| {
             let (rank, age) = self.kept[if j % 2 == 0 { j / 2 } else { n - 1 - j / 2 }];
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "a ring rank's low 64 bits are the id: the truncation is the split"
+            )]
             let (dist, id) = ((rank >> 64) as u64, rank as u64);
             (id, age, dist.wrapping_add(self.centre).wrapping_add(1))
         })
@@ -621,6 +635,10 @@ impl ViArena {
                 Some((succ.min(rank), pred.max(rank)))
             });
         // The low half of a rank is the id.
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "a ring rank's low 64 bits are the id: the truncation is the split"
+        )]
         let id = |rank: u128| NodeId::new(rank as u64);
         (ends.map(|e| id(e.1)), ends.map(|e| id(e.0)))
     }

@@ -31,6 +31,12 @@
 //! `run_seed(master, i)` convention) and fan the runs out with
 //! [`par_map_seeds`] — results are identical at any thread count.
 
+// D3: index casts go through `hybridcast_graph::cast`; tests are exempt.
+#![cfg_attr(
+    not(test),
+    deny(clippy::cast_possible_truncation, clippy::cast_sign_loss)
+)]
+
 use std::collections::BTreeMap;
 
 use rand::seq::SliceRandom;

@@ -47,6 +47,12 @@
 //! statistical-equivalence tests instead of snapshot equality; see
 //! `tests/frontier.rs` and DETERMINISM.md.
 
+// D3: index casts go through `hybridcast_graph::cast`; tests are exempt.
+#![cfg_attr(
+    not(test),
+    deny(clippy::cast_possible_truncation, clippy::cast_sign_loss)
+)]
+
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 

@@ -1,4 +1,5 @@
-//! A counting global allocator: the dynamic twin of `hybridcast-lint`.
+//! A counting global allocator: the dynamic twin of the workspace's static
+//! lints.
 //!
 //! The dense engines document a scratch-reuse contract — a run over a warm
 //! scratch performs **zero heap allocations** in its hot loop. This crate
@@ -13,8 +14,8 @@
 //! scratch-reuse contracts being pinned.
 //!
 //! This is the one first-party crate allowed to contain `unsafe` code
-//! (implementing [`GlobalAlloc`] requires it); the exception is recorded in
-//! the repo's `lint.toml` and surfaced by lint rule D4.
+//! (implementing [`GlobalAlloc`] requires it): its manifest repeats the
+//! workspace lints without `unsafe_code = "forbid"`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

@@ -5,7 +5,7 @@
 //! as its global allocator; each test runs an engine once cold (growing the
 //! scratch buffers to their steady-state capacity), then re-runs the exact
 //! same seeded workload and asserts the warm run never touched the
-//! allocator. Together with the static rules in `crates/lint`, this pins
+//! allocator. Together with the static lints in docs/DETERMINISM.md, this pins
 //! the contract ARCHITECTURE.md and docs/DETERMINISM.md document.
 //!
 //! The warm and cold runs use the same seed so the warm run's buffer demand
