@@ -4,16 +4,20 @@
 //! `figure_golden.rs` pins what the figure functions return; this file pins
 //! what reaches stdout once a binary has parsed its options, applied its own
 //! defaults (fanouts, fractions, ratios, ...) and rendered the result. Each
-//! binary runs as a child process at `--threads 1` and `--threads 4` and the
-//! FNV-1a-64 digest of its stdout must equal the pinned one — "byte-identical
-//! to the parent commit" as an assertion instead of a diff done by hand.
+//! binary runs as a child process at `--threads 1` and `--threads 4` with
+//! `--json <file>`, and the FNV-1a-64 digests of its stdout and of the figure
+//! JSON it wrote must equal the pinned ones — "byte-identical to the parent
+//! commit" as an assertion instead of a diff done by hand. One more case
+//! folds a `--trace` back through `trace_summary --check`, the read-back of
+//! both the JSONL trace and the figure JSON.
 //!
 //! The digests were produced by this code base; they are a regression
 //! fence, not an external ground truth. If an intentional change shifts
 //! one, run the binary with the arguments the failure prints, check the
 //! output and update the constant.
 
-use std::process::Command;
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
 
 /// The common scale: small enough for a debug build, large enough that
 /// every binary prints non-trivial rows (RandCast misses nodes, churn
@@ -45,21 +49,39 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
-/// Runs the binary at [`SCALE`] plus `extra` and asserts the digest of its
-/// stdout at 1 and at 4 worker threads.
-fn assert_stdout((name, exe): (&str, &str), extra: &[&str], golden: u64) {
+/// A scratch file for one binary's output, private to this test binary.
+fn scratch(file: &str) -> PathBuf {
+    Path::new(env!("CARGO_TARGET_TMPDIR")).join(file)
+}
+
+/// Runs `exe` with `args`, panicking with its stderr unless it succeeds.
+fn run(name: &str, exe: &str, args: &[&str]) -> Output {
+    let output = Command::new(exe)
+        .args(args)
+        .output()
+        .unwrap_or_else(|e| panic!("{name}: cannot run {exe}: {e}"));
+    assert!(
+        output.status.success(),
+        "{name} failed: {}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    output
+}
+
+/// Runs the binary at [`SCALE`] plus `extra` and `--json <file>`, and
+/// asserts the digests of its stdout and of that file at 1 and at 4 worker
+/// threads.
+fn assert_stdout((name, exe): (&str, &str), extra: &[&str], golden: u64, golden_json: u64) {
     for threads in ["1", "4"] {
-        let output = Command::new(exe)
-            .args(SCALE)
-            .args(extra)
-            .args(["--threads", threads])
-            .output()
-            .unwrap_or_else(|e| panic!("{name}: cannot run {exe}: {e}"));
-        assert!(
-            output.status.success(),
-            "{name} failed: {}",
-            String::from_utf8_lossy(&output.stderr)
-        );
+        let json = scratch(&format!("{name}-threads{threads}.json"));
+        let json_arg = json.to_str().expect("UTF-8 scratch path");
+        let args: Vec<&str> = SCALE
+            .iter()
+            .chain(extra)
+            .chain(&["--threads", threads, "--json", json_arg])
+            .copied()
+            .collect();
+        let output = run(name, exe, &args);
         let digest = fnv1a(&output.stdout);
         assert_eq!(
             digest,
@@ -68,6 +90,16 @@ fn assert_stdout((name, exe): (&str, &str), extra: &[&str], golden: u64) {
             SCALE.join(" "),
             extra.join(" "),
             String::from_utf8_lossy(&output.stdout)
+        );
+        let bytes = std::fs::read(&json).unwrap_or_else(|e| panic!("{name}: {json_arg}: {e}"));
+        let digest = fnv1a(&bytes);
+        assert_eq!(
+            digest,
+            golden_json,
+            "{name} {} {} --threads {threads} --json drifted: digest {digest:#018X}, JSON:\n{}",
+            SCALE.join(" "),
+            extra.join(" "),
+            String::from_utf8_lossy(&bytes)
         );
     }
 }
@@ -78,9 +110,20 @@ fn static_figures_print_pinned_bytes() {
         bin!("fig06_static_effectiveness"),
         &[],
         0x2989_4EC5_6F2A_3FFE,
+        0xE29D_B1E9_DFA6_E395,
     );
-    assert_stdout(bin!("fig07_static_progress"), &[], 0xB7B9_5FF8_1051_8ACE);
-    assert_stdout(bin!("fig08_message_overhead"), &[], 0x7CAC_44EF_8F72_7169);
+    assert_stdout(
+        bin!("fig07_static_progress"),
+        &[],
+        0xB7B9_5FF8_1051_8ACE,
+        0x8A77_5BE7_8042_CD4D,
+    );
+    assert_stdout(
+        bin!("fig08_message_overhead"),
+        &[],
+        0x7CAC_44EF_8F72_7169,
+        0xE29D_B1E9_DFA6_E395,
+    );
 }
 
 #[test]
@@ -90,11 +133,13 @@ fn catastrophic_figures_print_pinned_bytes() {
         bin!("fig09_catastrophic_effectiveness"),
         &[],
         0xABC4_730A_6A17_F9C2,
+        0x6D33_C5F5_7D88_3594,
     );
     assert_stdout(
         bin!("fig10_catastrophic_progress"),
         &[],
         0x68F8_4C3C_8918_8327,
+        0x4110_91E9_D328_1142,
     );
 }
 
@@ -104,30 +149,87 @@ fn churn_figures_print_pinned_bytes() {
         bin!("fig11_churn_effectiveness"),
         &[],
         0xCDEB_6CB3_FA35_71FE,
+        0x65BE_3C6C_A9B8_B575,
     );
     assert_stdout(
         bin!("fig12_lifetime_distribution"),
         &["--repeats", "2"],
         0x44A7_2DAE_1A5F_D9D7,
+        0x0255_06DF_1844_46D5,
     );
-    assert_stdout(bin!("fig13_miss_lifetimes"), &[], 0xC9EA_A633_2974_DCFF);
+    assert_stdout(
+        bin!("fig13_miss_lifetimes"),
+        &[],
+        0xC9EA_A633_2974_DCFF,
+        0x36AA_B67C_45D2_EA53,
+    );
 }
 
 #[test]
 fn ablations_print_pinned_bytes() {
-    assert_stdout(bin!("ablation_frozen_overlay"), &[], 0x0E1C_915E_01FF_DFCA);
-    assert_stdout(bin!("ablation_async_latency"), &[], 0xDDB2_2520_B51B_137F);
-    assert_stdout(bin!("ablation_connectivity"), &[], 0x31E9_E1AC_1A0D_FBD8);
-    assert_stdout(bin!("ablation_view_length"), &[], 0xAC5A_4673_5A6E_8495);
+    assert_stdout(
+        bin!("ablation_frozen_overlay"),
+        &[],
+        0x0E1C_915E_01FF_DFCA,
+        0xABD8_ECAC_58C3_9D33,
+    );
+    assert_stdout(
+        bin!("ablation_async_latency"),
+        &[],
+        0xDDB2_2520_B51B_137F,
+        0x9393_7AE3_C2AC_4E91,
+    );
+    assert_stdout(
+        bin!("ablation_connectivity"),
+        &[],
+        0x31E9_E1AC_1A0D_FBD8,
+        0x9DC8_B379_B9C3_B787,
+    );
+    assert_stdout(
+        bin!("ablation_view_length"),
+        &[],
+        0xAC5A_4673_5A6E_8495,
+        0xF8CF_AECE_BACE_A543,
+    );
 }
 
 #[test]
 fn extensions_print_pinned_bytes() {
-    assert_stdout(bin!("ext_push_pull"), &[], 0xE06D_D789_8B9A_3BC4);
+    assert_stdout(
+        bin!("ext_push_pull"),
+        &[],
+        0xE06D_D789_8B9A_3BC4,
+        0x3492_E343_6FEA_2601,
+    );
     assert_stdout(
         bin!("ext_push_pull"),
         &["--fraction", "0.05"],
         0xF54E_5F3B_24CA_013A,
+        0x3716_0A28_3EB3_8AF7,
     );
-    assert_stdout(bin!("ext_adversarial"), &[], 0x6B68_762C_9321_3F1D);
+    assert_stdout(
+        bin!("ext_adversarial"),
+        &[],
+        0x6B68_762C_9321_3F1D,
+        0xB852_76A5_24BF_852F,
+    );
+}
+
+#[test]
+fn traced_run_folds_back_to_its_json_table() {
+    let (name, exe) = bin!("fig06_static_effectiveness");
+    let trace = scratch("round-trip.jsonl");
+    let json = scratch("round-trip.json");
+    let trace = trace.to_str().expect("UTF-8 scratch path");
+    let json = json.to_str().expect("UTF-8 scratch path");
+    let args: Vec<&str> = SCALE
+        .iter()
+        .chain(&["--trace", trace, "--json", json])
+        .copied()
+        .collect();
+    run(name, exe, &args);
+    let (name, exe) = bin!("trace_summary");
+    let output = run(name, exe, &["--trace", trace, "--check", json]);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("bit-identical"), "{name}: {stderr}");
 }
