@@ -139,7 +139,7 @@ impl EffectivenessTable {
 
 /// The averaged per-hop progress of a set of disseminations, one series per
 /// (protocol, fanout), as plotted in Figures 7 and 10.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ProgressSeries {
     /// Protocol name.
     pub protocol: String,
@@ -155,7 +155,7 @@ pub struct ProgressSeries {
 }
 
 /// A lifetime histogram (Figure 12) or miss-lifetime histogram (Figure 13).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct LifetimeHistogram {
     /// Description of what is being counted.
     pub label: String,
@@ -434,7 +434,7 @@ pub fn miss_lifetimes(
 }
 
 /// Result row of the push/pull extension experiment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct PushPullRow {
     /// Protocol used for the push phase.
     pub protocol: String,
@@ -544,7 +544,7 @@ pub fn frozen_overlay_ablation(
 
 /// Result row of the asynchronous-latency ablation: macroscopic
 /// dissemination quantities for one forwarding-delay setting.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct LatencyAblationRow {
     /// Forwarding delay as a fraction of the gossip period.
     pub delay_over_period: f64,
@@ -674,7 +674,7 @@ pub fn live_latency_ablation(
 
 /// Result row of the adversarial loss sweep: macroscopic dissemination
 /// quantities for one i.i.d. per-message loss rate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct AdversarialLossRow {
     /// Probability that any single message is dropped in flight.
     pub loss_rate: f64,
@@ -694,7 +694,7 @@ pub struct AdversarialLossRow {
 
 /// Result row of the partition sweep: dissemination behaviour for one
 /// scripted network-bisection duration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct AdversarialPartitionRow {
     /// How long the bisection stayed up (0 = no partition, the baseline).
     pub duration: f64,

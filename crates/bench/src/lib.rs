@@ -48,7 +48,6 @@
 //! assert_eq!(params.runs, 3);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cli;

@@ -20,7 +20,6 @@
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 use hybridcast_core::overlay::{DenseOverlay, Overlay};
 use hybridcast_graph::{cast, NodeId};
@@ -38,14 +37,14 @@ use crate::cli::Args;
 /// Nothing reads [`ExperimentParams::engine`]; the enum and the field stay
 /// only so `ExperimentParams { .. }` literals in the frozen `benchmark/`
 /// adapter keep compiling, and a later `benchmark` PR removes both.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineKind {
     /// Arena runtime + CSR engines, seeded runs fanned across threads.
     Dense,
 }
 
 /// Common parameters of every experiment, derived from the command line.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentParams {
     /// Network size (`N`).
     pub nodes: usize,

@@ -64,7 +64,6 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 use hybridcast_graph::cast::{idx, to_u32};
 use hybridcast_graph::NodeId;
@@ -77,7 +76,7 @@ use crate::protocols::DenseSelector;
 use crate::sched::{CalendarQueue, SchedConfig, Scheduled};
 
 /// Configuration of an event-driven dissemination run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AsyncConfig {
     /// Gossip period of the membership protocols (time units).
     pub gossip_period: f64,
@@ -162,7 +161,7 @@ impl AsyncConfig {
 }
 
 /// Result of an event-driven dissemination.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AsyncReport {
     /// Live nodes at the start of the dissemination.
     pub population: usize,

@@ -87,7 +87,6 @@
 //! assert!(ringcast.hit_ratio() >= randcast.hit_ratio());
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod async_engine;

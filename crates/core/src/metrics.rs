@@ -2,8 +2,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use hybridcast_graph::NodeId;
 
 /// Complete record of a single dissemination produced by
@@ -25,7 +23,7 @@ use hybridcast_graph::NodeId;
 ///   [`DisseminationReport::forwarded_counts`];
 /// * **which nodes were missed** (Figure 13 correlates them with node
 ///   lifetime) — [`DisseminationReport::unreached`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DisseminationReport {
     /// The node the message originated at.
     pub origin: NodeId,
@@ -184,13 +182,5 @@ mod tests {
             r.total_messages(),
             "fixture obeys the per-hop accounting invariant"
         );
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let r = sample_report();
-        let json = serde_json::to_string(&r).unwrap();
-        let back: DisseminationReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, r);
     }
 }

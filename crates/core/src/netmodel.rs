@@ -28,7 +28,6 @@
 //! to the engines as they existed before the model was introduced.
 
 use rand::{Rng, RngCore};
-use serde::{Deserialize, Serialize};
 
 use hybridcast_graph::NodeId;
 
@@ -45,7 +44,7 @@ pub(crate) fn jittered<R: RngCore + ?Sized>(base: f64, rng: &mut R, jitter: f64)
 }
 
 /// Per-message forwarding-delay distribution.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum DelayModel {
     /// The legacy model: the configured base delay under the configured
     /// multiplicative uniform jitter. Draw schedule: one `f64`, or none
@@ -153,7 +152,7 @@ impl DelayModel {
 /// the model of a node's flaky uplink, where consecutive messages from the
 /// same sender see correlated conditions. The engines own the state (a
 /// `bool` per node, `false` = good) and pass it to [`LossModel::sample`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum LossModel {
     /// No loss, no draws — the bit-identity default.
     #[default]
@@ -285,7 +284,7 @@ fn mix(mut z: u64) -> u64 {
 /// event-driven engines `start`/`duration` are simulated time; the
 /// round-based pull engines read them as pull-round indices (round `r`
 /// is blocked when `start <= r < start + duration`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PartitionEvent {
     /// Time (or pull round) at which the partition appears.
     pub start: f64,
@@ -348,7 +347,7 @@ impl PartitionEvent {
 /// The default — fixed-jitter delays, no loss, no partitions — is the
 /// bit-identity contract: engines running it consume exactly the RNG
 /// draws of the pre-model engines and produce identical reports.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct NetModel {
     /// Per-message forwarding-delay distribution.
     pub delay: DelayModel,
@@ -797,26 +796,5 @@ mod tests {
         };
         assert!(model.validate().is_err());
         assert!(!model.is_default());
-    }
-
-    #[test]
-    fn models_serialize_round_trip() {
-        let model = NetModel {
-            delay: DelayModel::Bimodal {
-                local_delay: 0.5,
-                wan_delay: 5.0,
-                wan_fraction: 0.2,
-            },
-            loss: LossModel::GilbertElliott {
-                p_enter_bad: 0.05,
-                p_exit_bad: 0.2,
-                loss_good: 0.01,
-                loss_bad: 0.6,
-            },
-            partitions: vec![PartitionEvent::bisection(2.0, 4.0, 99)],
-        };
-        let json = serde_json::to_string(&model).unwrap();
-        let back: NetModel = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, model);
     }
 }

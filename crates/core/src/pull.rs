@@ -51,7 +51,6 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use rand::seq::SliceRandom;
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 
 use hybridcast_graph::cast::{idx, to_u32};
 use hybridcast_graph::NodeId;
@@ -64,7 +63,7 @@ use crate::overlay::{DenseBits, DenseOverlay, Overlay, NO_NODE};
 use crate::protocols::DenseSelector;
 
 /// Configuration of the pull phase.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PullConfig {
     /// Number of random neighbours each still-missing node polls per round.
     pub fanout: usize,
@@ -103,7 +102,7 @@ impl PullConfig {
 }
 
 /// The outcome of a push phase followed by pull-based anti-entropy.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PushPullReport {
     /// The unchanged report of the push phase.
     pub push: DisseminationReport,

@@ -75,8 +75,6 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::mem::size_of;
 
-use serde::{Deserialize, Serialize};
-
 use hybridcast_graph::cast::idx_u64;
 
 /// Configuration of the calendar event queue, carried by
@@ -85,7 +83,7 @@ use hybridcast_graph::cast::idx_u64;
 /// The default configuration (`bucket_width` auto, 512 buckets, unbounded
 /// budget) reproduces the pre-calendar engines bit for bit — the scheduler
 /// only changes *where* events wait, never the order they pop in.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SchedConfig {
     /// Width of one calendar bucket in simulated-time units. `0.0` (the
     /// default) derives a width from the run's mean forwarding delay so
@@ -854,17 +852,5 @@ mod tests {
             ..SchedConfig::default()
         };
         assert_eq!(explicit.resolved_width(1.0, 10.0), 0.25);
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let config = SchedConfig {
-            bucket_width: 0.125,
-            num_buckets: 64,
-            event_budget: 1_000_000,
-        };
-        let json = serde_json::to_string(&config).expect("serializes");
-        let back: SchedConfig = serde_json::from_str(&json).expect("parses");
-        assert_eq!(config, back);
     }
 }

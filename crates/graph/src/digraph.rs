@@ -8,8 +8,6 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use serde::{Deserialize, Serialize};
-
 use crate::node::NodeId;
 
 /// A directed graph over a set of [`NodeId`]s.
@@ -35,7 +33,7 @@ use crate::node::NodeId;
 /// assert!(!g.has_edge(b, a));
 /// assert_eq!(g.out_degree(a), 1);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DiGraph {
     /// Adjacency: node -> set of successors. A `BTreeMap`/`BTreeSet` keeps
     /// iteration order deterministic, which matters for reproducible

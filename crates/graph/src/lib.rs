@@ -33,7 +33,6 @@
 //! assert!(connectivity::is_strongly_connected(&ring));
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod builders;

@@ -29,7 +29,6 @@ use serde::{Deserialize, Serialize};
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
 )]
-#[serde(transparent)]
 pub struct NodeId(u64);
 
 impl NodeId {

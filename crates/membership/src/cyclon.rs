@@ -20,7 +20,6 @@
 //! self-healing behaviour discussed in the catastrophic-failure experiments.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use hybridcast_graph::NodeId;
 
@@ -38,7 +37,7 @@ pub const DEFAULT_SHUFFLE_LENGTH: usize = 5;
 /// The profile type `P` is carried opaquely inside descriptors so that
 /// higher layers (Vicinity) can learn profiles of random peers from Cyclon's
 /// view; plain peer sampling uses `P = ()`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CyclonNode<P> {
     id: NodeId,
     profile: P,
@@ -49,7 +48,7 @@ pub struct CyclonNode<P> {
 /// The state an initiator keeps between sending a shuffle request and
 /// receiving the reply: which target it contacted and which descriptors it
 /// sent (the reply may overwrite exactly those).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PendingShuffle<P> {
     /// The peer the shuffle request was sent to.
     pub target: NodeId,

@@ -40,7 +40,6 @@
 //! assert!(payload.iter().any(|d| d.id == NodeId::new(1)), "always advertises itself");
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cyclon;

@@ -21,8 +21,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use hybridcast_graph::NodeId;
 
 /// A position on the RingCast identifier ring: a plain 64-bit integer drawn
@@ -53,7 +51,7 @@ pub fn circular_distance(a: RingPosition, b: RingPosition) -> u64 {
 /// `ch.ethz.inf.1234`: sorting these keys groups nodes by country, then
 /// organisation, then department, so a dissemination walking the ring visits
 /// whole domains consecutively instead of criss-crossing the planet.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct DomainKey {
     /// Domain labels in reversed order (`["ch", "ethz", "inf"]`).
     pub reversed_labels: Vec<String>,

@@ -17,7 +17,6 @@
 //! lets a newly joined node find its ring position within a few cycles.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use hybridcast_graph::NodeId;
 
@@ -34,7 +33,7 @@ pub const DEFAULT_GOSSIP_LENGTH: usize = 5;
 /// State of one node running the Vicinity protocol over an `Ord` ring-key
 /// space `K` (e.g. [`crate::proximity::RingPosition`] or
 /// [`crate::proximity::DomainKey`]).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct VicinityNode<K> {
     id: NodeId,
     key: K,
@@ -43,7 +42,7 @@ pub struct VicinityNode<K> {
 }
 
 /// Pending state of a Vicinity exchange initiated by this node.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PendingExchange {
     /// The peer the exchange request was sent to.
     pub target: NodeId,

@@ -2,7 +2,6 @@
 
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use hybridcast_graph::NodeId;
 
@@ -31,7 +30,7 @@ use crate::descriptor::Descriptor;
 /// assert!(view.contains(NodeId::new(1)));
 /// assert!(!view.insert(Descriptor::new(NodeId::new(0), ())), "never inserts the owner");
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct View<P> {
     owner: NodeId,
     capacity: usize,

@@ -69,7 +69,6 @@
 //! cluster.shutdown();
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cluster;

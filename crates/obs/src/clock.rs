@@ -15,8 +15,6 @@
 
 use std::time::{Duration, Instant};
 
-use crate::metrics::{CounterId, MetricsRegistry};
-
 /// Wall-clock profiler for the coarse stages of a figure binary
 /// (overlay build, warm-up, dissemination, aggregation).
 ///
@@ -91,13 +89,12 @@ impl StageProfiler {
 
 /// Rate-limited progress heartbeat for long-running figure binaries.
 ///
-/// Progress is accumulated in a [`MetricsRegistry`] counter; at most one
+/// Progress is accumulated in a plain counter; at most one
 /// line per `interval` is printed to stderr with the current rate and an
 /// ETA. `quiet` silences the output while the counter keeps counting.
 #[derive(Debug)]
 pub struct Heartbeat {
-    registry: MetricsRegistry,
-    progress: CounterId,
+    done: u64,
     total: u64,
     unit: &'static str,
     started: Instant,
@@ -111,14 +108,8 @@ impl Heartbeat {
     /// printed after the rate, e.g. `"cycles"` or `"configs"`).
     #[must_use]
     pub fn new(total: u64, unit: &'static str, quiet: bool) -> Self {
-        let mut registry = MetricsRegistry::new();
-        let progress = registry.counter(
-            "hybridcast_progress_units_total",
-            "Work units completed by the running experiment",
-        );
         Heartbeat {
-            registry,
-            progress,
+            done: 0,
             total,
             unit,
             started: Instant::now(),
@@ -131,13 +122,13 @@ impl Heartbeat {
     /// Work units completed so far.
     #[must_use]
     pub fn done(&self) -> u64 {
-        self.registry.counter_value(self.progress)
+        self.done
     }
 
     /// Records `n` completed units and prints a rate-limited progress
     /// line (`label` names the current phase).
     pub fn advance(&mut self, n: u64, label: &str) {
-        self.registry.add(self.progress, n);
+        self.done += n;
         if self.quiet {
             return;
         }

@@ -12,8 +12,7 @@
 //! * [`sink::RingSink`] — bounded ring buffer, allocation-free recording.
 //! * [`sink::JsonlProbe`] — JSON Lines trace export for offline analysis
 //!   (`--trace` on the figure binaries; `trace_summary` folds it back).
-//! * [`metrics::MetricsProbe`] — folds events into a
-//!   [`metrics::MetricsRegistry`] of Prometheus-style counters.
+//! * [`metrics::MetricsProbe`] — counts events by kind in plain `u64`s.
 //!
 //! The crate sits below `core`/`sim` in the workspace layering and only
 //! depends on the vendored `serde`/`serde_json`. Wall-clock access for the
@@ -21,7 +20,6 @@
 //! here too, behind the determinism policy's explicit exceptions (see
 //! `docs/OBSERVABILITY.md` and `docs/DETERMINISM.md`).
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod clock;
@@ -32,7 +30,7 @@ pub mod sink;
 
 pub use clock::{Heartbeat, StageProfiler};
 pub use event::{DeliveryOutcome, ProtocolKind, TraceEvent, SCHEMA_VERSION};
-pub use metrics::{CounterId, GaugeId, MetricsProbe, MetricsRegistry};
+pub use metrics::MetricsProbe;
 pub use sink::{parse_jsonl, JsonlProbe, RingSink, VecProbe};
 
 /// An event consumer threaded through the engines as a generic parameter.
@@ -84,21 +82,6 @@ impl<P: Probe> Probe for &mut P {
     }
 }
 
-/// Tee: record every event into both probes (e.g. a ring sink plus a
-/// metrics registry). Enabled if either side is.
-impl<A: Probe, B: Probe> Probe for (A, B) {
-    #[inline]
-    fn enabled(&self) -> bool {
-        self.0.enabled() || self.1.enabled()
-    }
-
-    #[inline]
-    fn record(&mut self, event: TraceEvent) {
-        self.0.record(event);
-        self.1.record(event);
-    }
-}
-
 /// A probe that may be absent: `None` is inert like [`NullProbe`], `Some`
 /// delegates. This is how a binary turns an optional `--trace` sink into
 /// one statically dispatched probe type.
@@ -125,15 +108,6 @@ mod tests {
         let mut p = NullProbe;
         assert!(!p.enabled());
         p.record(TraceEvent::RunEnd { reached: 1 });
-    }
-
-    #[test]
-    fn tee_records_into_both_sides() {
-        let mut tee = (VecProbe::new(), VecProbe::new());
-        assert!(tee.enabled());
-        tee.record(TraceEvent::RunEnd { reached: 3 });
-        assert_eq!(tee.0.events, tee.1.events);
-        assert_eq!(tee.0.events.len(), 1);
     }
 
     #[test]

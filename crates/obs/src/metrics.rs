@@ -1,279 +1,81 @@
-//! A registry of monotonic counters and gauges with Prometheus text
-//! exposition — the surface a future `hybridcastd` daemon will serve.
-//!
-//! Metrics are registered once (allocating their name/help strings) and
-//! updated through `Copy` handles, so the update path is a plain indexed
-//! add that never allocates. [`MetricsProbe`] adapts the registry to the
-//! [`Probe`] trait, folding every engine trace event into counters.
-
-use std::fmt::Write as _;
+//! Event counters: [`MetricsProbe`] folds every engine trace event into a
+//! plain `u64` per event kind.
 
 use crate::event::{DeliveryOutcome, TraceEvent};
 use crate::Probe;
 
-/// Handle to a registered counter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CounterId(usize);
-
-/// Handle to a registered gauge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GaugeId(usize);
-
-#[derive(Debug, Clone)]
-struct Metric<T> {
-    name: String,
-    help: String,
-    value: T,
-}
-
-/// Registration-ordered metrics with Prometheus text exposition.
-#[derive(Debug, Clone, Default)]
-pub struct MetricsRegistry {
-    counters: Vec<Metric<u64>>,
-    gauges: Vec<Metric<f64>>,
-}
-
-impl MetricsRegistry {
-    /// Creates an empty registry.
-    #[must_use]
-    pub fn new() -> Self {
-        MetricsRegistry::default()
-    }
-
-    /// Registers (or looks up) a monotonic counter by name.
-    ///
-    /// Registration is idempotent: a second call with the same name
-    /// returns the existing handle and keeps the original help text.
-    pub fn counter(&mut self, name: &str, help: &str) -> CounterId {
-        if let Some(i) = self.counters.iter().position(|m| m.name == name) {
-            return CounterId(i);
-        }
-        self.counters.push(Metric {
-            name: name.to_string(),
-            help: help.to_string(),
-            value: 0,
-        });
-        CounterId(self.counters.len() - 1)
-    }
-
-    /// Registers (or looks up) a gauge by name.
-    pub fn gauge(&mut self, name: &str, help: &str) -> GaugeId {
-        if let Some(i) = self.gauges.iter().position(|m| m.name == name) {
-            return GaugeId(i);
-        }
-        self.gauges.push(Metric {
-            name: name.to_string(),
-            help: help.to_string(),
-            value: 0.0,
-        });
-        GaugeId(self.gauges.len() - 1)
-    }
-
-    /// Increments a counter by 1.
-    #[inline]
-    pub fn inc(&mut self, id: CounterId) {
-        self.counters[id.0].value += 1;
-    }
-
-    /// Adds `n` to a counter.
-    #[inline]
-    pub fn add(&mut self, id: CounterId, n: u64) {
-        self.counters[id.0].value += n;
-    }
-
-    /// Reads a counter.
-    #[must_use]
-    pub fn counter_value(&self, id: CounterId) -> u64 {
-        self.counters[id.0].value
-    }
-
-    /// Sets a gauge.
-    #[inline]
-    pub fn set_gauge(&mut self, id: GaugeId, value: f64) {
-        self.gauges[id.0].value = value;
-    }
-
-    /// Raises a gauge to `value` if it is higher (high-water tracking).
-    #[inline]
-    pub fn raise_gauge(&mut self, id: GaugeId, value: f64) {
-        if value > self.gauges[id.0].value {
-            self.gauges[id.0].value = value;
-        }
-    }
-
-    /// Reads a gauge.
-    #[must_use]
-    pub fn gauge_value(&self, id: GaugeId) -> f64 {
-        self.gauges[id.0].value
-    }
-
-    /// Renders every metric in Prometheus text exposition format, in
-    /// registration order (counters first, then gauges).
-    #[must_use]
-    pub fn render_prometheus(&self) -> String {
-        let mut out = String::new();
-        for m in &self.counters {
-            let _ = writeln!(out, "# HELP {} {}", m.name, m.help);
-            let _ = writeln!(out, "# TYPE {} counter", m.name);
-            let _ = writeln!(out, "{} {}", m.name, m.value);
-        }
-        for m in &self.gauges {
-            let _ = writeln!(out, "# HELP {} {}", m.name, m.help);
-            let _ = writeln!(out, "# TYPE {} gauge", m.name);
-            let _ = writeln!(out, "{} {}", m.name, m.value);
-        }
-        out
-    }
-}
-
-/// A [`Probe`] that folds engine trace events into a [`MetricsRegistry`]
-/// of `hybridcast_*` counters. The record path is a match plus an indexed
-/// increment — no allocation, so it composes with the ring sink inside
-/// warm engine runs.
-#[derive(Debug, Clone)]
+/// A [`Probe`] that counts engine trace events by kind. The record path is
+/// a match plus an add — no allocation, so it composes with the ring sink
+/// inside warm engine runs.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MetricsProbe {
-    registry: MetricsRegistry,
-    runs: CounterId,
-    sent: CounterId,
-    delivered_virgin: CounterId,
-    delivered_duplicate: CounterId,
-    delivered_dead: CounterId,
-    dropped_loss: CounterId,
-    dropped_partition: CounterId,
-    pull_requests: CounterId,
-    pull_transfers: CounterId,
-    polls_lost: CounterId,
-    polls_blocked: CounterId,
-    hops: CounterId,
-    rounds: CounterId,
-    cycles: CounterId,
-    view_exchanges: CounterId,
-    joins: CounterId,
-    leaves: CounterId,
-}
-
-impl Default for MetricsProbe {
-    fn default() -> Self {
-        MetricsProbe::new()
-    }
+    /// Dissemination runs completed.
+    pub runs: u64,
+    /// Messages handed to the network.
+    pub sent: u64,
+    /// Deliveries that notified a new node.
+    pub delivered_virgin: u64,
+    /// Deliveries to already-notified nodes.
+    pub delivered_duplicate: u64,
+    /// Messages addressed to dead nodes.
+    pub delivered_dead: u64,
+    /// Messages dropped by the loss model.
+    pub dropped_loss: u64,
+    /// Messages blocked by a scripted partition.
+    pub dropped_partition: u64,
+    /// Pull-phase polls issued.
+    pub pull_requests: u64,
+    /// Pull polls that transferred the message.
+    pub pull_transfers: u64,
+    /// Pull polls dropped by the loss model.
+    pub polls_lost: u64,
+    /// Pull polls blocked by a partition.
+    pub polls_blocked: u64,
+    /// Frontier expansions completed.
+    pub hops: u64,
+    /// Pull rounds completed.
+    pub rounds: u64,
+    /// Membership gossip cycles run.
+    pub cycles: u64,
+    /// Per-node membership gossip initiations.
+    pub view_exchanges: u64,
+    /// Nodes added by churn.
+    pub joins: u64,
+    /// Nodes removed by churn.
+    pub leaves: u64,
 }
 
 impl MetricsProbe {
-    /// Creates the probe with every engine counter pre-registered.
+    /// Creates the probe with every counter at zero.
     #[must_use]
     pub fn new() -> Self {
-        let mut r = MetricsRegistry::new();
-        let runs = r.counter("hybridcast_runs_total", "Dissemination runs completed");
-        let sent = r.counter(
-            "hybridcast_messages_sent_total",
-            "Messages handed to the network",
-        );
-        let delivered_virgin = r.counter(
-            "hybridcast_delivered_virgin_total",
-            "Deliveries that notified a new node",
-        );
-        let delivered_duplicate = r.counter(
-            "hybridcast_delivered_duplicate_total",
-            "Deliveries to already-notified nodes",
-        );
-        let delivered_dead = r.counter(
-            "hybridcast_delivered_dead_total",
-            "Messages addressed to dead nodes",
-        );
-        let dropped_loss = r.counter(
-            "hybridcast_dropped_loss_total",
-            "Messages dropped by the loss model",
-        );
-        let dropped_partition = r.counter(
-            "hybridcast_dropped_partition_total",
-            "Messages blocked by a scripted partition",
-        );
-        let pull_requests = r.counter("hybridcast_pull_requests_total", "Pull-phase polls issued");
-        let pull_transfers = r.counter(
-            "hybridcast_pull_transfers_total",
-            "Pull polls that transferred the message",
-        );
-        let polls_lost = r.counter(
-            "hybridcast_polls_lost_total",
-            "Pull polls dropped by the loss model",
-        );
-        let polls_blocked = r.counter(
-            "hybridcast_polls_blocked_total",
-            "Pull polls blocked by a partition",
-        );
-        let hops = r.counter("hybridcast_hops_total", "Frontier expansions completed");
-        let rounds = r.counter("hybridcast_pull_rounds_total", "Pull rounds completed");
-        let cycles = r.counter("hybridcast_cycles_total", "Membership gossip cycles run");
-        let view_exchanges = r.counter(
-            "hybridcast_view_exchanges_total",
-            "Per-node membership gossip initiations",
-        );
-        let joins = r.counter("hybridcast_joins_total", "Nodes added by churn");
-        let leaves = r.counter("hybridcast_leaves_total", "Nodes removed by churn");
-        MetricsProbe {
-            registry: r,
-            runs,
-            sent,
-            delivered_virgin,
-            delivered_duplicate,
-            delivered_dead,
-            dropped_loss,
-            dropped_partition,
-            pull_requests,
-            pull_transfers,
-            polls_lost,
-            polls_blocked,
-            hops,
-            rounds,
-            cycles,
-            view_exchanges,
-            joins,
-            leaves,
-        }
-    }
-
-    /// The underlying registry (for exposition or extra app counters).
-    #[must_use]
-    pub fn registry(&self) -> &MetricsRegistry {
-        &self.registry
-    }
-
-    /// Mutable access to the underlying registry.
-    pub fn registry_mut(&mut self) -> &mut MetricsRegistry {
-        &mut self.registry
-    }
-
-    /// Renders the folded counters in Prometheus text format.
-    #[must_use]
-    pub fn render_prometheus(&self) -> String {
-        self.registry.render_prometheus()
+        MetricsProbe::default()
     }
 }
 
 impl Probe for MetricsProbe {
     #[inline]
     fn record(&mut self, event: TraceEvent) {
-        let r = &mut self.registry;
         match event {
-            TraceEvent::RunEnd { .. } => r.inc(self.runs),
-            TraceEvent::Sent { .. } => r.inc(self.sent),
+            TraceEvent::RunEnd { .. } => self.runs += 1,
+            TraceEvent::Sent { .. } => self.sent += 1,
             TraceEvent::Delivered { outcome, .. } => match outcome {
-                DeliveryOutcome::Virgin => r.inc(self.delivered_virgin),
-                DeliveryOutcome::Duplicate => r.inc(self.delivered_duplicate),
-                DeliveryOutcome::Dead => r.inc(self.delivered_dead),
+                DeliveryOutcome::Virgin => self.delivered_virgin += 1,
+                DeliveryOutcome::Duplicate => self.delivered_duplicate += 1,
+                DeliveryOutcome::Dead => self.delivered_dead += 1,
             },
-            TraceEvent::DroppedLoss { .. } => r.inc(self.dropped_loss),
-            TraceEvent::DroppedPartition { .. } => r.inc(self.dropped_partition),
-            TraceEvent::PullRequest { .. } => r.inc(self.pull_requests),
-            TraceEvent::PullTransfer { .. } => r.inc(self.pull_transfers),
-            TraceEvent::PollLost { .. } => r.inc(self.polls_lost),
-            TraceEvent::PollBlocked { .. } => r.inc(self.polls_blocked),
-            TraceEvent::HopEnd { .. } => r.inc(self.hops),
-            TraceEvent::RoundEnd { .. } => r.inc(self.rounds),
-            TraceEvent::CycleEnd { .. } => r.inc(self.cycles),
-            TraceEvent::ViewExchange { .. } => r.inc(self.view_exchanges),
-            TraceEvent::Join { .. } => r.inc(self.joins),
-            TraceEvent::Leave { .. } => r.inc(self.leaves),
+            TraceEvent::DroppedLoss { .. } => self.dropped_loss += 1,
+            TraceEvent::DroppedPartition { .. } => self.dropped_partition += 1,
+            TraceEvent::PullRequest { .. } => self.pull_requests += 1,
+            TraceEvent::PullTransfer { .. } => self.pull_transfers += 1,
+            TraceEvent::PollLost { .. } => self.polls_lost += 1,
+            TraceEvent::PollBlocked { .. } => self.polls_blocked += 1,
+            TraceEvent::HopEnd { .. } => self.hops += 1,
+            TraceEvent::RoundEnd { .. } => self.rounds += 1,
+            TraceEvent::CycleEnd { .. } => self.cycles += 1,
+            TraceEvent::ViewExchange { .. } => self.view_exchanges += 1,
+            TraceEvent::Join { .. } => self.joins += 1,
+            TraceEvent::Leave { .. } => self.leaves += 1,
             TraceEvent::Schema { .. }
             | TraceEvent::Section { .. }
             | TraceEvent::RunStart { .. }
@@ -286,46 +88,6 @@ impl Probe for MetricsProbe {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counters_register_idempotently_and_accumulate() {
-        let mut r = MetricsRegistry::new();
-        let a = r.counter("x_total", "first help");
-        let b = r.counter("x_total", "second help ignored");
-        assert_eq!(a, b);
-        r.inc(a);
-        r.add(b, 4);
-        assert_eq!(r.counter_value(a), 5);
-        let g = r.gauge("depth", "queue depth");
-        r.set_gauge(g, 2.5);
-        r.raise_gauge(g, 1.0);
-        assert_eq!(r.gauge_value(g), 2.5);
-        r.raise_gauge(g, 9.0);
-        assert_eq!(r.gauge_value(g), 9.0);
-    }
-
-    #[test]
-    fn prometheus_exposition_snapshot() {
-        // Snapshot of the exact exposition text: the format is a public
-        // contract (a scrape endpoint will serve it verbatim).
-        let mut r = MetricsRegistry::new();
-        let sent = r.counter(
-            "hybridcast_messages_sent_total",
-            "Messages handed to the network",
-        );
-        let g = r.gauge("hybridcast_event_heap_depth", "Event heap high-water mark");
-        r.add(sent, 42);
-        r.set_gauge(g, 17.0);
-        let expected = "\
-# HELP hybridcast_messages_sent_total Messages handed to the network
-# TYPE hybridcast_messages_sent_total counter
-hybridcast_messages_sent_total 42
-# HELP hybridcast_event_heap_depth Event heap high-water mark
-# TYPE hybridcast_event_heap_depth gauge
-hybridcast_event_heap_depth 17
-";
-        assert_eq!(r.render_prometheus(), expected);
-    }
 
     #[test]
     fn metrics_probe_folds_events_into_counters() {
@@ -342,10 +104,14 @@ hybridcast_event_heap_depth 17
             outcome: DeliveryOutcome::Virgin,
         });
         probe.record(TraceEvent::RunEnd { reached: 2 });
-        let text = probe.render_prometheus();
-        assert!(text.contains("hybridcast_messages_sent_total 1"));
-        assert!(text.contains("hybridcast_delivered_virgin_total 1"));
-        assert!(text.contains("hybridcast_runs_total 1"));
-        assert!(text.contains("hybridcast_dropped_loss_total 0"));
+        assert_eq!(
+            probe,
+            MetricsProbe {
+                runs: 1,
+                sent: 1,
+                delivered_virgin: 1,
+                ..MetricsProbe::default()
+            }
+        );
     }
 }

@@ -12,8 +12,6 @@
 //! node has been removed and re-inserted at least once (in practice several
 //! thousand cycles), then freeze the overlay.
 
-use serde::{Deserialize, Serialize};
-
 use hybridcast_graph::NodeId;
 use hybridcast_obs::{NullProbe, Probe, TraceEvent};
 
@@ -24,7 +22,7 @@ use crate::runtime::GossipRuntime;
 pub const PAPER_CHURN_RATE: f64 = 0.002;
 
 /// Configuration of the artificial churn process.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChurnConfig {
     /// Fraction of the population replaced per cycle (e.g. `0.002`).
     pub rate: f64,

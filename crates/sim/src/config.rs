@@ -1,7 +1,5 @@
 //! Simulation parameters.
 
-use serde::{Deserialize, Serialize};
-
 /// Parameters of a simulated network, mirroring the experimental setup of
 /// Section 7 of the paper.
 ///
@@ -9,7 +7,7 @@ use serde::{Deserialize, Serialize};
 /// (`cyc = vic = 20`, 100 warm-up cycles) with a smaller default population
 /// so unit tests stay fast; the figure-reproduction harnesses override
 /// [`SimConfig::nodes`] to 10,000.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimConfig {
     /// Number of nodes instantiated at bootstrap (`N`).
     pub nodes: usize,

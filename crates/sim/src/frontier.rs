@@ -118,10 +118,7 @@ fn pair_seed(master: u64, responder_sgid: u64, initiator_sgid: u64, cycle: u64) 
 
 /// Which RNG discipline a runtime steps its cycles with. See the module
 /// documentation for the contract of each mode.
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize, Hash,
-)]
-#[serde(rename_all = "kebab-case")]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum RngMode {
     /// One shared ChaCha8 stream in stepping order — the default, and
     /// bit-identical to the id-keyed BTree oracle.

@@ -45,7 +45,6 @@
 //! assert_eq!(snapshot.live_nodes().count(), 50);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub(crate) mod arena;

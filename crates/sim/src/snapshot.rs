@@ -9,12 +9,10 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use hybridcast_graph::{DiGraph, NodeId};
 
 /// The per-node part of a snapshot.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NodeSnapshot {
     /// The node's position on the primary identifier ring.
     pub ring_position: u64,
@@ -29,7 +27,7 @@ pub struct NodeSnapshot {
 }
 
 /// An immutable snapshot of the overlay at a given cycle.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OverlaySnapshot {
     cycle: u64,
     nodes: BTreeMap<NodeId, NodeSnapshot>,

@@ -27,7 +27,6 @@
 //! assert!(report.is_complete(), "RingCast is deterministic without failures");
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use hybridcast_core as core;
