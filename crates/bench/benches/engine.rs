@@ -1,10 +1,11 @@
-//! Criterion comparison of the BTree and dense dissemination engines on
+//! Criterion comparison of the BTree oracle engines (`hybridcast-oracle`)
+//! and the dense dissemination engines on
 //! the same warmed overlay with the same protocols, across all three
 //! dissemination modes:
 //!
 //! * hop-synchronous push: `disseminate` vs. `disseminate_dense`,
-//! * event-driven latency model: `disseminate_async_frozen` vs.
-//!   `disseminate_async_dense`,
+//! * event-driven latency model: `disseminate_async` (over the frozen
+//!   overlay) vs. `disseminate_async_dense`,
 //! * push + pull anti-entropy: `disseminate_push_pull` vs.
 //!   `disseminate_push_pull_dense`.
 //!
@@ -27,17 +28,15 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use hybridcast_bench::scenario::synthetic_links;
-use hybridcast_core::async_engine::{
-    disseminate_async_dense, disseminate_async_frozen, AsyncConfig, DenseAsyncScratch,
-};
-use hybridcast_core::engine::{disseminate, disseminate_dense, DenseScratch};
+use hybridcast_core::async_engine::{disseminate_async_dense, AsyncConfig, DenseAsyncScratch};
+use hybridcast_core::engine::{disseminate_dense, DenseScratch};
 use hybridcast_core::overlay::{DenseOverlay, Overlay, SnapshotOverlay};
 use hybridcast_core::protocols::DenseSelector;
-use hybridcast_core::pull::{
-    disseminate_push_pull, disseminate_push_pull_dense, DensePullScratch, PullConfig,
-};
+use hybridcast_core::pull::{disseminate_push_pull_dense, DensePullScratch, PullConfig};
+use hybridcast_obs::NullProbe;
+use hybridcast_oracle::{disseminate, disseminate_async, disseminate_push_pull, Network};
 use hybridcast_sim::churn::{ChurnConfig, ChurnDriver};
-use hybridcast_sim::{DenseSimNetwork, Network, SimConfig};
+use hybridcast_sim::{DenseSimNetwork, GossipRuntime, SimConfig};
 
 fn env_nodes() -> Option<usize> {
     std::env::var("HYBRIDCAST_BENCH_NODES")
@@ -76,7 +75,7 @@ fn bench_engines(c: &mut Criterion) {
     for (name, selector) in &protocols {
         group.bench_function(format!("btree/{name}"), |b| {
             let mut rng = ChaCha8Rng::seed_from_u64(3);
-            b.iter(|| disseminate(&overlay, selector, origin, &mut rng))
+            b.iter(|| disseminate(&overlay, selector, origin, &mut rng, &mut NullProbe))
         });
         group.bench_function(format!("dense/{name}"), |b| {
             let mut rng = ChaCha8Rng::seed_from_u64(3);
@@ -111,8 +110,8 @@ fn bench_async_engines(c: &mut Criterion) {
     let mut group = c.benchmark_group(format!("async_engine/n{nodes}"));
     for (name, selector) in &protocols {
         group.bench_function(format!("btree/{name}"), |b| {
-            let mut rng = ChaCha8Rng::seed_from_u64(5);
-            b.iter(|| disseminate_async_frozen(&overlay, selector, origin, &config, &mut rng))
+            let rng = &mut ChaCha8Rng::seed_from_u64(5);
+            b.iter(|| disseminate_async(&overlay, selector, origin, &config, rng, &mut NullProbe))
         });
         group.bench_function(format!("dense/{name}"), |b| {
             let mut rng = ChaCha8Rng::seed_from_u64(5);
@@ -141,8 +140,8 @@ fn bench_pull_engines(c: &mut Criterion) {
 
     let mut group = c.benchmark_group(format!("pull_engine/n{nodes}"));
     group.bench_function("btree/randcast_f2", |b| {
-        let mut rng = ChaCha8Rng::seed_from_u64(7);
-        b.iter(|| disseminate_push_pull(&overlay, &selector, origin, &config, &mut rng))
+        let rng = &mut ChaCha8Rng::seed_from_u64(7);
+        b.iter(|| disseminate_push_pull(&overlay, &selector, origin, &config, rng, &mut NullProbe))
     });
     group.bench_function("dense/randcast_f2", |b| {
         let mut rng = ChaCha8Rng::seed_from_u64(7);

@@ -1,5 +1,6 @@
-//! Criterion micro-benchmarks of the membership layer, comparing the two
-//! simulation runtimes on identical work: the cost of one full gossip cycle
+//! Criterion micro-benchmarks of the membership layer, comparing the arena
+//! runtime with the id-keyed oracle runtime (`hybridcast-oracle`) on
+//! identical work: the cost of one full gossip cycle
 //! (Cyclon + Vicinity for every node) at different network sizes, a gossip
 //! cycle with the paper's churn applied, and a single node join.
 //!
@@ -8,8 +9,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
+use hybridcast_oracle::Network;
 use hybridcast_sim::churn::{ChurnConfig, ChurnDriver};
-use hybridcast_sim::{DenseSimNetwork, GossipRuntime, Network, SimConfig};
+use hybridcast_sim::{DenseSimNetwork, GossipRuntime, SimConfig};
 
 fn bench_sizes() -> Vec<usize> {
     match std::env::var("HYBRIDCAST_BENCH_NODES")

@@ -32,7 +32,8 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-use hybridcast_core::sched::{CalendarQueue, HeapQueue};
+use hybridcast_core::sched::CalendarQueue;
+use hybridcast_oracle::HeapQueue;
 
 /// Bucket geometry under test: the engines' auto geometry for a unit
 /// forwarding delay (window = 4.0 over 512 buckets).

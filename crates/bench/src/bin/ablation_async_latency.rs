@@ -4,16 +4,15 @@
 //! message overhead unchanged and only stretches the wall-clock completion
 //! time.
 //!
-//! By default the overlay is grown once, frozen into CSR form and the
-//! seeded runs of every delay setting fan out across worker threads
-//! (`--threads`), which makes the sweep runnable at 100k+ nodes.
-//! `--live-membership` instead keeps membership gossip running *live*
-//! during every dissemination, on the id-keyed runtime — the pairing that
-//! demonstrates the frozen-overlay equivalence the paper asserts.
+//! The overlay is grown once, frozen into CSR form and the seeded runs of
+//! every delay setting fan out across worker threads (`--threads`), which
+//! makes the sweep runnable at 100k+ nodes. That freezing the overlay
+//! changes nothing macroscopic — the same table with membership gossip
+//! running live during every dissemination — is checked by a test against
+//! the id-keyed live-membership engine, not by this binary.
 //!
 //! `--ratios 0.1,1,5` overrides the delay/period ratios swept; `--runs` and
-//! `--nodes` control the scale (the live arm runs sequentially over one
-//! network copy per run, so it defaults to a modest one).
+//! `--nodes` control the scale.
 
 use hybridcast_bench::{figures, output, Args, ExperimentParams};
 
@@ -23,18 +22,7 @@ fn main() {
 
 fn run() -> Result<(), String> {
     let args = Args::from_env()?;
-    let mut params = ExperimentParams::from_args(&args)?;
-    let live = args.flag("live-membership");
-    // The live arm copies the network per run; default it to a smaller
-    // sweep than the frozen arm, which shares one overlay across threads.
-    if live {
-        if args.value("nodes").is_none() && !args.flag("paper") {
-            params.nodes = 600;
-        }
-        if args.value("runs").is_none() && !args.flag("paper") {
-            params.runs = 5;
-        }
-    }
+    let params = ExperimentParams::from_args(&args)?;
     let ratios = args.get_list_in(
         "ratios",
         vec![0.1, 0.5, 1.0, 3.0],
@@ -44,17 +32,10 @@ fn run() -> Result<(), String> {
     let json = args.value("json");
     args.finish()?;
     eprintln!(
-        "# ablation: async forwarding delay ratios {:?}, {} nodes, {} runs each, {} membership",
-        ratios,
-        params.nodes,
-        params.runs,
-        if live { "live" } else { "frozen" }
+        "# ablation: async forwarding delay ratios {:?}, {} nodes, {} runs each, frozen membership",
+        ratios, params.nodes, params.runs,
     );
-    let rows = if live {
-        figures::live_latency_ablation(&params, &ratios)
-    } else {
-        figures::latency_ablation(&params, &ratios)
-    };
+    let rows = figures::latency_ablation(&params, &ratios);
     println!(
         "{:<18} {:>12} {:>14} {:>20}",
         "delay/period", "hit_ratio", "messages", "completion_time"

@@ -21,7 +21,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
-use hybridcast_core::async_engine::{disseminate_async, AsyncConfig, AsyncReport};
+use hybridcast_core::async_engine::{AsyncConfig, AsyncReport};
 use hybridcast_core::experiment::{
     run_seed, run_seeded_async, run_seeded_async_probed, run_seeded_disseminations,
     run_seeded_disseminations_probed, run_seeded_push_pulls, AggregateStats,
@@ -34,7 +34,7 @@ use hybridcast_core::pull::{PullConfig, PushPullReport};
 use hybridcast_graph::{builders, harary, NodeId};
 use hybridcast_obs::{Heartbeat, NullProbe, Probe, ProtocolKind, StageProfiler, TraceEvent};
 use hybridcast_sim::churn::lifetime_histogram;
-use hybridcast_sim::{Network, SimConfig};
+use hybridcast_sim::SimConfig;
 
 use crate::scenario::{
     churned_network, fail_nodes, frozen_overlay, warmed_network, ExperimentParams,
@@ -549,6 +549,10 @@ pub struct LatencyAblationRow {
     /// Forwarding delay as a fraction of the gossip period.
     pub delay_over_period: f64,
     /// Whether membership gossip kept running during the dissemination.
+    /// Always `false` here: [`latency_ablation`] runs over a frozen
+    /// overlay. The field stays in the row (and its JSON) for tables built
+    /// from live-membership runs, such as the oracle comparison in the
+    /// tests.
     pub live_membership: bool,
     /// Mean hit ratio over the runs.
     pub mean_hit_ratio: f64,
@@ -560,34 +564,38 @@ pub struct LatencyAblationRow {
     pub runs: usize,
 }
 
-/// The async configuration of one latency-ablation arm: a forwarding delay
-/// of `ratio` gossip periods, with membership gossip frozen or live.
-fn latency_config(ratio: f64, live_membership: bool) -> AsyncConfig {
-    AsyncConfig {
-        gossip_period: 10.0,
-        forwarding_delay: 10.0 * ratio,
-        jitter: 0.1,
-        run_membership_gossip: live_membership,
-        max_time: 1_000_000.0,
-        ..AsyncConfig::default()
+impl LatencyAblationRow {
+    /// The async configuration of one latency-ablation arm: a forwarding
+    /// delay of `ratio` gossip periods (10 time units each), ±10 % jitter,
+    /// membership gossip frozen.
+    pub fn config(ratio: f64) -> AsyncConfig {
+        AsyncConfig {
+            gossip_period: 10.0,
+            forwarding_delay: 10.0 * ratio,
+            jitter: 0.1,
+            run_membership_gossip: false,
+            max_time: 1_000_000.0,
+            ..AsyncConfig::default()
+        }
     }
-}
 
-/// Folds one delay setting's reports into its result row.
-fn latency_row(ratio: f64, live_membership: bool, reports: &[AsyncReport]) -> LatencyAblationRow {
-    let runs = reports.len();
-    let completed: Vec<f64> = reports.iter().filter_map(|r| r.completion_time).collect();
-    LatencyAblationRow {
-        delay_over_period: ratio,
-        live_membership,
-        mean_hit_ratio: reports.iter().map(AsyncReport::hit_ratio).sum::<f64>() / runs as f64,
-        mean_messages: reports.iter().map(|r| r.messages_sent as f64).sum::<f64>() / runs as f64,
-        mean_completion_time: if completed.is_empty() {
-            None
-        } else {
-            Some(completed.iter().sum::<f64>() / completed.len() as f64)
-        },
-        runs,
+    /// Folds one delay setting's reports into its result row.
+    pub fn from_reports(ratio: f64, live_membership: bool, reports: &[AsyncReport]) -> Self {
+        let runs = reports.len();
+        let completed: Vec<f64> = reports.iter().filter_map(|r| r.completion_time).collect();
+        LatencyAblationRow {
+            delay_over_period: ratio,
+            live_membership,
+            mean_hit_ratio: reports.iter().map(AsyncReport::hit_ratio).sum::<f64>() / runs as f64,
+            mean_messages: reports.iter().map(|r| r.messages_sent as f64).sum::<f64>()
+                / runs as f64,
+            mean_completion_time: if completed.is_empty() {
+                None
+            } else {
+                Some(completed.iter().sum::<f64>() / completed.len() as f64)
+            },
+            runs,
+        }
     }
 }
 
@@ -614,7 +622,8 @@ fn smallest_fanout(params: &ExperimentParams) -> usize {
 /// across [`ExperimentParams::thread_count`] worker threads over
 /// [`hybridcast_core::async_engine::disseminate_async_dense`] — the
 /// frozen-overlay setting whose equivalence to live membership the paper
-/// asserts and [`live_latency_ablation`] demonstrates.
+/// asserts (a test in `tests/figure_golden.rs` checks it against the
+/// id-keyed live-membership engine of the test-only oracle crate).
 pub fn latency_ablation(
     params: &ExperimentParams,
     delay_ratios: &[f64],
@@ -625,49 +634,9 @@ pub fn latency_ablation(
         .iter()
         .zip(0u64..)
         .map(|(&ratio, tag)| {
-            let config = latency_config(ratio, false);
+            let config = LatencyAblationRow::config(ratio);
             let reports = async_runs(&dense, fanout, &config, params, tag, &mut NullProbe);
-            latency_row(ratio, false, &reports)
-        })
-        .collect()
-}
-
-/// [`latency_ablation`] with membership gossip running *live* during each
-/// dissemination (`ablation_async_latency --live-membership`): views keep
-/// being shuffled while the message spreads, which only the id-keyed
-/// [`Network`] runtime under [`disseminate_async`] models. Runs are
-/// sequential and each mutates its network, so keep the scale modest.
-pub fn live_latency_ablation(
-    params: &ExperimentParams,
-    delay_ratios: &[f64],
-) -> Vec<LatencyAblationRow> {
-    let fanout = smallest_fanout(params);
-    let mut warmed = Network::new(params.sim_config(), params.seed);
-    warmed.run_cycles(params.warmup_cycles);
-    let origins = warmed.live_ids();
-    delay_ratios
-        .iter()
-        .map(|&ratio| {
-            let config = latency_config(ratio, true);
-            let reports: Vec<AsyncReport> = (0..params.runs)
-                .map(|run| {
-                    // The engine gossips over (and so mutates) the network
-                    // it is handed: every run starts from its own copy of
-                    // the one warmed overlay.
-                    let mut network = warmed.clone();
-                    let mut rng = ChaCha8Rng::seed_from_u64(
-                        params.seed ^ (run as u64) ^ ((ratio * 1000.0) as u64),
-                    );
-                    disseminate_async(
-                        &mut network,
-                        &DenseSelector::ringcast(fanout),
-                        origins[run % params.nodes],
-                        &config,
-                        &mut rng,
-                    )
-                })
-                .collect();
-            latency_row(ratio, true, &reports)
+            LatencyAblationRow::from_reports(ratio, false, &reports)
         })
         .collect()
 }
@@ -1196,18 +1165,6 @@ mod tests {
         let mut sequential = params.clone();
         sequential.threads = 1;
         assert_eq!(rows, latency_ablation(&sequential, &[0.1, 3.0]));
-    }
-
-    #[test]
-    fn live_latency_ablation_keeps_membership_gossiping() {
-        let mut params = tiny();
-        params.nodes = 120;
-        params.runs = 2;
-        params.fanouts = vec![3];
-        let rows = live_latency_ablation(&params, &[0.5]);
-        assert_eq!(rows.len(), 1);
-        assert!(rows[0].live_membership, "the live arm keeps gossiping");
-        assert_eq!(rows[0].mean_hit_ratio, 1.0);
     }
 
     #[test]

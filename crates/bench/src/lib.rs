@@ -13,8 +13,9 @@
 //!   helper that kills a seeded fraction of a frozen overlay,
 //! * [`figures`] — one function per figure, each returning serializable
 //!   result tables; every figure grows its world once, freezes it once
-//!   and has a single code path over the dense engines (the id-keyed BTree engines in `core`/`sim` are test oracles,
-//!   compared by `benches/engine.rs` and `benches/membership.rs`),
+//!   and has a single code path over the dense engines (the id-keyed
+//!   oracles of the test-only `hybridcast-oracle` crate are compared with
+//!   them by `benches/engine.rs` and `benches/membership.rs`),
 //! * [`probing`] — turns `--trace` / `--profile` into the probe and
 //!   profiler the traceable sweeps are generic over,
 //! * [`output`] — plain-text/CSV rendering of those tables, matching the
@@ -33,7 +34,7 @@
 //! | Fig. 12 | `fig12_lifetime_distribution` | [`figures::lifetime_distribution`] |
 //! | Fig. 13 | `fig13_miss_lifetimes` | [`figures::miss_lifetimes`] |
 //! | §7.1 ablation | `ablation_frozen_overlay` | [`figures::frozen_overlay_ablation`] |
-//! | §7.1 ablation | `ablation_async_latency` | [`figures::latency_ablation`], [`figures::live_latency_ablation`] |
+//! | §7.1 ablation | `ablation_async_latency` | [`figures::latency_ablation`] |
 //! | §8 ablation | `ablation_connectivity` | [`figures::connectivity_ablation`] |
 //! | §6 ablation | `ablation_view_length` | [`figures::view_length_ablation`] |
 

@@ -21,10 +21,17 @@
 use std::collections::BTreeMap;
 use std::fmt::Debug;
 
-use hybridcast_bench::figures;
+use rand::SeedableRng;
+use rand_chacha::ChaCha8Rng;
+
+use hybridcast_bench::figures::{self, LatencyAblationRow};
 use hybridcast_bench::scenario::{EngineKind, ExperimentParams};
+use hybridcast_bench::Args;
+use hybridcast_core::protocols::DenseSelector;
 use hybridcast_obs::{NullProbe, StageProfiler, TraceEvent, VecProbe};
+use hybridcast_oracle::{disseminate_async, Network};
 use hybridcast_sim::churn::{lifetime_histogram, ChurnConfig, ChurnDriver};
+use hybridcast_sim::GossipRuntime;
 
 fn params(threads: usize) -> ExperimentParams {
     ExperimentParams {
@@ -195,6 +202,39 @@ fn push_pull_extension_is_pinned() {
     );
 }
 
+/// [`figures::latency_ablation`] with membership gossip running *live*
+/// during every dissemination, on the id-keyed runtime and engine of the
+/// oracle crate: the overlay is warmed once, every run gossips over its own
+/// copy of it, and RingCast runs at the smallest configured fanout.
+fn live_latency_ablation(params: &ExperimentParams, ratios: &[f64]) -> Vec<LatencyAblationRow> {
+    let ringcast = DenseSelector::ringcast(*params.fanouts.iter().min().expect("not empty"));
+    let mut warmed = Network::new(params.sim_config(), params.seed);
+    warmed.run_cycles(params.warmup_cycles);
+    let origins = warmed.live_ids();
+    let row = |ratio: f64| {
+        let mut config = LatencyAblationRow::config(ratio);
+        config.run_membership_gossip = true;
+        let reports: Vec<_> = (0..params.runs)
+            .map(|run| {
+                let seed = params.seed ^ (run as u64) ^ ((ratio * 1000.0) as u64);
+                let (mut rng, origin) =
+                    (ChaCha8Rng::seed_from_u64(seed), origins[run % params.nodes]);
+                let network = &mut warmed.clone();
+                disseminate_async(
+                    network,
+                    &ringcast,
+                    origin,
+                    &config,
+                    &mut rng,
+                    &mut NullProbe,
+                )
+            })
+            .collect();
+        LatencyAblationRow::from_reports(ratio, true, &reports)
+    };
+    ratios.iter().map(|&ratio| row(ratio)).collect()
+}
+
 #[test]
 fn latency_ablation_is_pinned_frozen_and_live() {
     assert_thread_invariant_golden("latency_ablation", 0x33C8_0D57_B7A3_8854, |p| {
@@ -207,9 +247,39 @@ fn latency_ablation_is_pinned_frozen_and_live() {
     };
     assert_golden(
         "live_latency_ablation",
-        &figures::live_latency_ablation(&live, &[0.5, 2.0]),
+        &live_latency_ablation(&live, &[0.5, 2.0]),
         0x356E_92E5_5783_070D,
     );
+}
+
+/// Section 7.1: membership gossip that keeps running during the
+/// dissemination changes nothing macroscopic. At the `ablation_async_latency`
+/// defaults, the live arm reaches the same nodes with the same messages as
+/// the frozen one, and completes in the same time up to the delay jitter.
+#[test]
+fn live_membership_matches_the_frozen_latency_ablation() {
+    let args = Args::parse(["--nodes", "100", "--runs", "2"]).expect("valid arguments");
+    let params = ExperimentParams::from_args(&args).expect("valid parameters");
+    let ratios = [0.1, 1.0];
+    let frozen = figures::latency_ablation(&params, &ratios);
+    let live = live_latency_ablation(&params, &ratios);
+    for (frozen, live) in frozen.iter().zip(&live) {
+        let ratio = frozen.delay_over_period;
+        assert_eq!(live.mean_hit_ratio, frozen.mean_hit_ratio, "ratio {ratio}");
+        assert_eq!(live.mean_messages, frozen.mean_messages, "ratio {ratio}");
+        // Every forwarding delay is drawn within ±jitter of its mean d, so a
+        // completion time over h hops lies in [h·d·(1 − j), h·d·(1 + j)].
+        // With the same hop depth in both arms (same nodes, same messages),
+        // live / frozen lies in [(1 − j) / (1 + j), (1 + j) / (1 − j)].
+        let j = LatencyAblationRow::config(ratio).jitter;
+        let quotient = live.mean_completion_time.expect("completes")
+            / frozen.mean_completion_time.expect("completes");
+        let band = (1.0 - j) / (1.0 + j)..=(1.0 + j) / (1.0 - j);
+        assert!(
+            band.contains(&quotient),
+            "ratio {ratio}: live / frozen = {quotient}"
+        );
+    }
 }
 
 #[test]

@@ -10,27 +10,17 @@
 //! dissemination forward takes a configurable processing + network delay
 //! (jittered per message) and deliveries interleave in timestamp order.
 //!
-//! Three entry points share the model, over two event loops:
-//!
-//! * [`disseminate_async`] — the full live-network engine: every node keeps
-//!   running its Cyclon and Vicinity gossip on its own (jittered) period,
-//!   so the overlay keeps evolving mid-dissemination. This is the engine
-//!   that validates the frozen-overlay simplification itself.
-//! * [`disseminate_async_frozen`] — the same id-keyed
-//!   `BTreeMap`/`BTreeSet` event loop reading liveness and links from a
-//!   frozen [`Overlay`] instead: no membership gossip, links fixed for the
-//!   whole run. Event-for-event identical to [`disseminate_async`] with
-//!   [`AsyncConfig::run_membership_gossip`]` = false` over the matching
-//!   snapshot, and the **oracle** the dense engine is differentially
-//!   tested against.
-//! * [`disseminate_async_dense`] — the allocation-free rewrite over a CSR
-//!   [`DenseOverlay`] and a reusable [`DenseAsyncScratch`]: bitset notified
-//!   set, flat `f64` notification-time array, retained calendar event queue
-//!   ([`crate::sched`]), flat per-hop counters. It returns `Copy`
-//!   [`DenseAsyncRunStats`]; [`DenseAsyncRunStats::report`] materialises
-//!   an [`AsyncReport`] bit-identical to [`disseminate_async_frozen`]'s for
-//!   the same overlay, selector and seed, at a fraction of the cost — this
-//!   is what makes the latency ablation runnable at 100k+ nodes.
+//! [`disseminate_async_dense`] runs that model over a frozen CSR
+//! [`DenseOverlay`] and a reusable [`DenseAsyncScratch`]: bitset notified
+//! set, flat `f64` notification-time array, retained calendar event queue
+//! ([`crate::sched`]), flat per-hop counters. It returns `Copy`
+//! [`DenseAsyncRunStats`]; [`DenseAsyncRunStats::report`] materialises the
+//! id-keyed [`AsyncReport`] — this is what makes the latency ablation
+//! runnable at 100k+ nodes. The test-only `hybridcast-oracle` crate keeps
+//! the readable `BTreeMap` event loop, over a frozen overlay (the reference
+//! this engine is checked against bit for bit per seed) or over a live
+//! membership network whose gossip keeps running mid-dissemination (the
+//! check that freezing the overlay changes nothing macroscopic).
 //!
 //! The `ablation_async_latency` harness sweeps the forwarding delay from a
 //! small fraction of the gossip period to several periods and shows that
@@ -39,7 +29,7 @@
 //!
 //! # Adversarial network models
 //!
-//! Each engine threads [`AsyncConfig::net`] — a [`NetModel`] — through its
+//! The engine threads [`AsyncConfig::net`] — a [`NetModel`] — through its
 //! per-message hot path: scripted partitions drop messages whose endpoints
 //! are separated at *send* time, a loss process ([`crate::netmodel::LossModel`])
 //! drops messages per sender, and a delay distribution
@@ -47,12 +37,12 @@
 //! Dropped messages still count in [`AsyncReport::messages_sent`] and the
 //! per-hop totals (they were sent; the network ate them), and are broken
 //! out in [`AsyncReport::dropped_loss`] / [`AsyncReport::dropped_partition`].
-//! Membership gossip in [`disseminate_async`] is *not* subject to the model:
-//! it abstracts the overlay-maintenance plane, and the model targets the
+//! The oracle's live membership gossip is *not* subject to the model: it
+//! abstracts the overlay-maintenance plane, and the model targets the
 //! dissemination plane. The default model is bit-identical to the engines
-//! before the model existed — same draws, same reports — and the dense/BTree
-//! pair stays bit-identical under every model; both contracts are pinned by
-//! the differential property tests.
+//! before the model existed — same draws, same reports — and the dense
+//! engine stays bit-identical to the oracle under every model; both
+//! contracts are pinned by the differential property tests.
 
 // D3: index casts go through `hybridcast_graph::cast`; tests are exempt.
 #![cfg_attr(
@@ -60,18 +50,16 @@
     deny(clippy::cast_possible_truncation, clippy::cast_sign_loss)
 )]
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
-use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 
 use hybridcast_graph::cast::{idx, to_u32};
 use hybridcast_graph::NodeId;
 use hybridcast_obs::{DeliveryOutcome, NullProbe, Probe, TraceEvent};
-use hybridcast_sim::Network;
 
-use crate::netmodel::{jittered, partition_recovery, NetModel};
-use crate::overlay::{DenseBits, DenseOverlay, Overlay, NO_NODE};
+use crate::netmodel::{partition_recovery, NetModel};
+use crate::overlay::{DenseBits, DenseOverlay, NO_NODE};
 use crate::protocols::DenseSelector;
 use crate::sched::{CalendarQueue, SchedConfig, Scheduled};
 
@@ -86,8 +74,9 @@ pub struct AsyncConfig {
     pub jitter: f64,
     /// Whether membership gossip keeps running during the dissemination
     /// (`false` reproduces the frozen-overlay setting event-by-event).
-    /// Only [`disseminate_async`] reads this flag: the frozen and dense
-    /// engines run over an immutable overlay by construction.
+    /// Only the live engine of the test-only `hybridcast-oracle` crate
+    /// reads this flag: [`disseminate_async_dense`] runs over an immutable
+    /// overlay by construction.
     pub run_membership_gossip: bool,
     /// Hard cap on simulated time, as a safety net. A run cut off by the
     /// cap sets [`AsyncReport::truncated`].
@@ -103,7 +92,8 @@ pub struct AsyncConfig {
     /// caps how many deliveries may be queued at once: a forward that
     /// survives the network model but finds the queue full is *not*
     /// scheduled, counts in [`AsyncReport::truncated_sends`], and flags the
-    /// run [`AsyncReport::truncated`] — identically in all three engines.
+    /// run [`AsyncReport::truncated`] — identically in the dense engine and
+    /// the oracle.
     /// The default (unbounded) reproduces the pre-budget engines bit for
     /// bit.
     pub sched: SchedConfig,
@@ -128,35 +118,27 @@ impl AsyncConfig {
     ///
     /// # Errors
     ///
-    /// Returns an error if any duration is non-positive (except the
-    /// forwarding delay, which may be zero), the jitter is not in
-    /// `[0, 1)`, the scheduler geometry is malformed (negative or
+    /// Returns an error if any duration is non-finite or non-positive
+    /// (except the forwarding delay, which may be zero), the jitter is not
+    /// in `[0, 1)`, the scheduler geometry is malformed (negative or
     /// non-finite bucket width, zero buckets), or the network model is
     /// malformed (negative loss rates, out-of-range burst parameters,
     /// non-positive partition durations).
     pub fn validate(&self) -> Result<(), String> {
-        if self.gossip_period <= 0.0 {
-            return Err("gossip period must be positive".into());
+        if !(self.gossip_period.is_finite() && self.gossip_period > 0.0) {
+            return Err("gossip period must be finite and positive".into());
         }
-        if self.forwarding_delay < 0.0 {
-            return Err("forwarding delay cannot be negative".into());
+        if !(self.forwarding_delay.is_finite() && self.forwarding_delay >= 0.0) {
+            return Err("forwarding delay must be finite and non-negative".into());
         }
         if !(0.0..1.0).contains(&self.jitter) {
             return Err("jitter must be within [0, 1)".into());
         }
-        if self.max_time <= 0.0 {
-            return Err("max time must be positive".into());
+        if !(self.max_time.is_finite() && self.max_time > 0.0) {
+            return Err("max time must be finite and positive".into());
         }
         self.sched.validate()?;
         self.net.validate()
-    }
-
-    /// The calendar bucket width this configuration resolves to:
-    /// [`SchedConfig::resolved_width`] over the mean forwarding delay,
-    /// falling back to the gossip period for zero-delay runs.
-    fn bucket_width(&self) -> f64 {
-        self.sched
-            .resolved_width(self.forwarding_delay, self.gossip_period)
     }
 }
 
@@ -240,94 +222,11 @@ impl AsyncReport {
     }
 }
 
-#[derive(Debug, Clone, PartialEq)]
-enum Event {
-    /// A node's periodic membership gossip fires.
-    GossipTick { node: NodeId },
-    /// A dissemination message from `from` arrives at `to`; if `to` has not
-    /// seen the message yet, `hop` becomes its notification depth.
-    Deliver { to: NodeId, from: NodeId, hop: u32 },
-}
-
-/// What the id-keyed engine disseminates over: where it reads liveness and
-/// a notified node's links from, and which nodes (if any) keep gossiping
-/// while the message spreads. The live [`Network`] and a frozen
-/// [`Overlay`] are the two implementations; the event loop, the send path
-/// and the accounting are shared.
-trait Substrate {
-    /// Live nodes at the start of the run.
-    fn live_count(&self) -> usize;
-
-    /// Whether `node` is alive right now.
-    fn is_live(&self, node: NodeId) -> bool;
-
-    /// The nodes whose membership gossip timers run during the
-    /// dissemination. Each costs one RNG draw (its timer offset), so a
-    /// substrate that gossips nothing must return nothing.
-    fn gossiping_nodes(&self, config: &AsyncConfig) -> Vec<NodeId>;
-
-    /// One membership gossip round initiated by the live node `node`.
-    fn gossip_once(&mut self, node: NodeId);
-
-    /// The live node `node`'s links at this moment, as
-    /// `(d_links, r_links)`.
-    fn links(&self, node: NodeId) -> (Vec<NodeId>, Vec<NodeId>);
-}
-
-impl Substrate for &mut Network {
-    fn live_count(&self) -> usize {
-        self.len()
-    }
-
-    fn is_live(&self, node: NodeId) -> bool {
-        Network::is_live(self, node)
-    }
-
-    fn gossiping_nodes(&self, config: &AsyncConfig) -> Vec<NodeId> {
-        if config.run_membership_gossip {
-            self.live_ids()
-        } else {
-            Vec::new()
-        }
-    }
-
-    fn gossip_once(&mut self, node: NodeId) {
-        Network::gossip_once(self, node);
-    }
-
-    /// The node's *current* ring neighbours and Cyclon view.
-    fn links(&self, node: NodeId) -> (Vec<NodeId>, Vec<NodeId>) {
-        let sim_node = self.node(node).expect("a live node has membership state");
-        (sim_node.d_links(), sim_node.cyclon().view().node_ids())
-    }
-}
-
-impl Substrate for &dyn Overlay {
-    fn live_count(&self) -> usize {
-        Overlay::live_count(*self)
-    }
-
-    fn is_live(&self, node: NodeId) -> bool {
-        Overlay::is_live(*self, node)
-    }
-
-    fn gossiping_nodes(&self, _config: &AsyncConfig) -> Vec<NodeId> {
-        Vec::new()
-    }
-
-    fn gossip_once(&mut self, _node: NodeId) {
-        unreachable!("a frozen overlay schedules no gossip ticks");
-    }
-
-    fn links(&self, node: NodeId) -> (Vec<NodeId>, Vec<NodeId>) {
-        (self.d_links(node), self.r_links(node))
-    }
-}
-
 /// Announces the scripted partition schedule of `net` into `probe`, right
 /// after a run's `RunStart`: one `PartitionOpen`/`PartitionHeal` pair per
-/// scripted [`crate::netmodel::PartitionEvent`], in script order.
-fn emit_partition_schedule<P: Probe>(net: &NetModel, probe: &mut P) {
+/// scripted [`crate::netmodel::PartitionEvent`], in script order. Public so
+/// that the id-keyed oracle engines emit the same records.
+pub fn emit_partition_schedule<P: Probe>(net: &NetModel, probe: &mut P) {
     for event in &net.partitions {
         let heal = event.start + event.duration;
         probe.record(TraceEvent::PartitionOpen {
@@ -335,265 +234,6 @@ fn emit_partition_schedule<P: Probe>(net: &NetModel, probe: &mut P) {
             heal,
         });
         probe.record(TraceEvent::PartitionHeal { heal });
-    }
-}
-
-/// Runs one event-driven dissemination of a message originating at `origin`
-/// over the live `network`.
-///
-/// The network is mutated (its membership protocols keep gossiping while
-/// the message spreads) unless `config.run_membership_gossip` is `false`.
-///
-/// # Panics
-///
-/// Panics if the configuration is invalid or `origin` is not a live node.
-pub fn disseminate_async(
-    network: &mut Network,
-    selector: &DenseSelector,
-    origin: NodeId,
-    config: &AsyncConfig,
-    rng: &mut ChaCha8Rng,
-) -> AsyncReport {
-    disseminate_id_keyed(network, selector, origin, config, rng, &mut NullProbe)
-}
-
-/// Runs one event-driven dissemination over a **frozen** overlay: the
-/// latency model of [`disseminate_async`] without the live membership
-/// machinery.
-///
-/// For a snapshot taken from a live network, this produces the exact
-/// [`AsyncReport`] that [`disseminate_async`] produces with
-/// [`AsyncConfig::run_membership_gossip`]` = false` and the same RNG seed —
-/// event for event, draw for draw: both are the same event loop. It is the
-/// id-keyed oracle the dense engine ([`disseminate_async_dense`]) is
-/// differentially tested against.
-///
-/// # Panics
-///
-/// Panics if the configuration is invalid or `origin` is not a live node.
-pub fn disseminate_async_frozen(
-    overlay: &dyn Overlay,
-    selector: &DenseSelector,
-    origin: NodeId,
-    config: &AsyncConfig,
-    rng: &mut ChaCha8Rng,
-) -> AsyncReport {
-    disseminate_async_frozen_probed(overlay, selector, origin, config, rng, &mut NullProbe)
-}
-
-/// [`disseminate_async_frozen`] with a [`Probe`] attached. The probe
-/// observes the run — it never feeds back into the RNG or the event queue —
-/// so the report is bit-identical to the unprobed call for any probe. Given
-/// the same overlay pair, selector, origin, configuration and seed, the
-/// event stream is identical — record for record — to the one
-/// [`disseminate_async_dense_probed`] emits: the differential property
-/// tests pin that down alongside the report equality.
-pub fn disseminate_async_frozen_probed<P: Probe>(
-    overlay: &dyn Overlay,
-    selector: &DenseSelector,
-    origin: NodeId,
-    config: &AsyncConfig,
-    rng: &mut ChaCha8Rng,
-    probe: &mut P,
-) -> AsyncReport {
-    disseminate_id_keyed(overlay, selector, origin, config, rng, probe)
-}
-
-/// The id-keyed event loop behind [`disseminate_async`] and
-/// [`disseminate_async_frozen`], generic over the [`Substrate`] it reads
-/// liveness and links from.
-fn disseminate_id_keyed<W: Substrate, P: Probe>(
-    mut world: W,
-    selector: &DenseSelector,
-    origin: NodeId,
-    config: &AsyncConfig,
-    rng: &mut ChaCha8Rng,
-    probe: &mut P,
-) -> AsyncReport {
-    config.validate().expect("invalid async configuration");
-    assert!(
-        world.is_live(origin),
-        "dissemination origin {origin} is not a live node"
-    );
-
-    let population = world.live_count();
-    let mut queue: CalendarQueue<Event> =
-        CalendarQueue::new(config.bucket_width(), config.sched.num_buckets);
-
-    // Desynchronised gossip timers, as in the paper ("nodes have
-    // independent, non-synchronized timers").
-    for node in world.gossiping_nodes(config) {
-        let offset = rng.gen::<f64>() * config.gossip_period;
-        queue.push(offset, Event::GossipTick { node });
-    }
-    // The origin "receives" the message from itself at time zero.
-    queue.push(
-        0.0,
-        Event::Deliver {
-            to: origin,
-            from: origin,
-            hop: 0,
-        },
-    );
-    probe.record(TraceEvent::RunStart {
-        origin: origin.as_u64(),
-        population: population as u64,
-    });
-    emit_partition_schedule(&config.net, probe);
-
-    let mut notified: BTreeSet<NodeId> = BTreeSet::new();
-    let mut notification_times: BTreeMap<NodeId, f64> = BTreeMap::new();
-    let mut messages_sent = 0usize;
-    let mut messages_redundant = 0usize;
-    let mut messages_to_dead = 0usize;
-    let mut dropped_loss = 0usize;
-    let mut dropped_partition = 0usize;
-    let mut ge_bad: BTreeMap<NodeId, bool> = BTreeMap::new();
-    let mut per_hop_messages = vec![0usize];
-    let (mut targets, mut pool) = (Vec::new(), Vec::new());
-    // Queued `Deliver` events; equals `queue.len()` whenever no gossip
-    // ticks are scheduled.
-    let mut pending_deliveries = 1usize;
-    let mut truncated_sends = 0usize;
-    let mut completion_time = None;
-    let mut truncated = false;
-
-    while let Some(Scheduled {
-        time,
-        payload: event,
-        ..
-    }) = queue.pop()
-    {
-        if time > config.max_time {
-            // Leftover gossip ticks alone are not a truncated
-            // *dissemination*.
-            truncated = pending_deliveries > 0;
-            break;
-        }
-        let (to, from, hop) = match event {
-            Event::GossipTick { node } => {
-                // Once the dissemination is over there is no need to keep
-                // the membership machinery spinning.
-                if pending_deliveries > 0 && world.is_live(node) {
-                    world.gossip_once(node);
-                    let next = time + jittered(config.gossip_period, rng, config.jitter);
-                    queue.push(next, Event::GossipTick { node });
-                }
-                continue;
-            }
-            Event::Deliver { to, from, hop } => (to, from, hop),
-        };
-        pending_deliveries -= 1;
-        if !world.is_live(to) {
-            messages_to_dead += 1;
-            probe.record(TraceEvent::Delivered {
-                node: to.as_u64(),
-                from: from.as_u64(),
-                hop,
-                outcome: DeliveryOutcome::Dead,
-            });
-            continue;
-        }
-        if !notified.insert(to) {
-            messages_redundant += 1;
-            probe.record(TraceEvent::Delivered {
-                node: to.as_u64(),
-                from: from.as_u64(),
-                hop,
-                outcome: DeliveryOutcome::Duplicate,
-            });
-            continue;
-        }
-        probe.record(TraceEvent::Delivered {
-            node: to.as_u64(),
-            from: from.as_u64(),
-            hop,
-            outcome: DeliveryOutcome::Virgin,
-        });
-        notification_times.insert(to, time);
-        if notified.len() == population {
-            completion_time = Some(time);
-        }
-        // The origin's self-delivery names it as its own sender.
-        let (d_links, r_links) = world.links(to);
-        selector.select(to, from, (&d_links, &r_links), rng, &mut targets, &mut pool);
-        let hop_idx = idx(hop) + 1;
-        if per_hop_messages.len() <= hop_idx {
-            per_hop_messages.resize(hop_idx + 1, 0);
-        }
-        per_hop_messages[hop_idx] += targets.len();
-        for &target in &targets {
-            messages_sent += 1;
-            probe.record(TraceEvent::Sent {
-                from: to.as_u64(),
-                to: target.as_u64(),
-                hop: hop + 1,
-            });
-            if config.net.blocks(to, target, time) {
-                dropped_partition += 1;
-                probe.record(TraceEvent::DroppedPartition {
-                    from: to.as_u64(),
-                    to: target.as_u64(),
-                    hop: hop + 1,
-                });
-                continue;
-            }
-            if !config.net.loss.is_none() {
-                let bad = ge_bad.entry(to).or_insert(false);
-                if config.net.loss.sample(bad, rng) {
-                    dropped_loss += 1;
-                    probe.record(TraceEvent::DroppedLoss {
-                        from: to.as_u64(),
-                        to: target.as_u64(),
-                        hop: hop + 1,
-                    });
-                    continue;
-                }
-            }
-            if config.sched.budget_exhausted(pending_deliveries) {
-                // The forward survived the network model, but the queue
-                // sits at its event budget: refuse the scheduling (no
-                // delay draw) and account for it. The budget caps queued
-                // deliveries, not gossip ticks — the same boundary the
-                // dense engine caps on.
-                truncated_sends += 1;
-                continue;
-            }
-            pending_deliveries += 1;
-            let delay = config
-                .net
-                .delay
-                .sample(config.forwarding_delay, config.jitter, rng);
-            queue.push(
-                time + delay,
-                Event::Deliver {
-                    to: target,
-                    from: to,
-                    hop: hop + 1,
-                },
-            );
-        }
-    }
-
-    probe.record(TraceEvent::RunEnd {
-        reached: notified.len() as u64,
-    });
-    let partition_recovery =
-        partition_recovery(&config.net.partitions, notification_times.values().copied());
-    AsyncReport {
-        population,
-        reached: notified.len(),
-        messages_sent,
-        messages_redundant,
-        messages_to_dead,
-        per_hop_messages,
-        completion_time,
-        notification_times,
-        dropped_loss,
-        dropped_partition,
-        partition_recovery,
-        truncated_sends,
-        truncated: truncated || truncated_sends > 0,
     }
 }
 
@@ -634,11 +274,6 @@ impl DenseAsyncScratch {
     /// use and are reused afterwards.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Messages sent at each hop distance of the most recent run.
-    pub fn per_hop_messages(&self) -> &[usize] {
-        &self.per_hop
     }
 
     /// Peak number of simultaneously queued deliveries during the most
@@ -728,8 +363,8 @@ impl DenseAsyncRunStats {
     }
 
     /// Materialises the id-keyed [`AsyncReport`], equal field for field to
-    /// what [`disseminate_async_frozen`] returns for the same overlay,
-    /// selector, origin, configuration and seed. `overlay`, `config` and
+    /// what the id-keyed oracle returns for the same overlay, selector,
+    /// origin, configuration and seed. `overlay`, `config` and
     /// `scratch` must be the ones the run was given, and the scratch must
     /// not have served another run since. This is the only part of a dense
     /// run that allocates, and it is O(population) — independent of message
@@ -766,17 +401,17 @@ impl DenseAsyncRunStats {
     }
 }
 
-/// Runs one event-driven dissemination over a frozen [`DenseOverlay`]: the
-/// allocation-free rewrite of [`disseminate_async_frozen`].
+/// Runs one event-driven dissemination of a message originating at `origin`
+/// over a frozen [`DenseOverlay`].
 ///
-/// The latency model, the accounting and the RNG draw sequence are
-/// identical to the frozen oracle's; given the same overlay (converted),
-/// selector, origin, configuration and seed, [`DenseAsyncRunStats::report`]
-/// is equal to the oracle's [`AsyncReport`] field for field — the contract
-/// the differential property tests pin down. The difference is purely
-/// mechanical: node identities are dense `u32` indices, link access is
-/// borrowed slices, and all per-run state lives in the caller-provided
-/// [`DenseAsyncScratch`].
+/// Node identities are dense `u32` indices, link access is borrowed
+/// slices, and all per-run state lives in the caller-provided
+/// [`DenseAsyncScratch`]. The latency model, the accounting and the RNG
+/// draw sequence are those of the frozen id-keyed oracle in
+/// `hybridcast-oracle`: for the same overlay, selector, origin,
+/// configuration and seed, [`DenseAsyncRunStats::report`] equals its
+/// [`AsyncReport`] field for field — the contract the differential
+/// property tests pin down.
 ///
 /// Over a warm scratch (one prior run of at least this overlay size and
 /// event volume) the call performs **zero heap allocations** — the
@@ -789,10 +424,8 @@ impl DenseAsyncRunStats {
 /// # Example
 ///
 /// ```
-/// use hybridcast_core::async_engine::{
-///     disseminate_async_dense, disseminate_async_frozen, AsyncConfig, DenseAsyncScratch,
-/// };
-/// use hybridcast_core::overlay::{DenseOverlay, StaticOverlay};
+/// use hybridcast_core::async_engine::{disseminate_async_dense, AsyncConfig, DenseAsyncScratch};
+/// use hybridcast_core::overlay::DenseOverlay;
 /// use hybridcast_core::protocols::DenseSelector;
 /// use hybridcast_graph::{builders, NodeId};
 /// use rand::SeedableRng;
@@ -801,18 +434,16 @@ impl DenseAsyncRunStats {
 /// let ring = builders::bidirectional_ring(&ids);
 /// let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(1);
 /// let random = builders::random_out_degree(&ids, 4, &mut rng);
-/// let sparse = StaticOverlay::from_graphs(&ring, &random);
-/// let dense = DenseOverlay::from(&sparse);
+/// let overlay = DenseOverlay::from_graphs(&ring, &random);
 /// let selector = DenseSelector::ringcast(3);
 /// let config = AsyncConfig { run_membership_gossip: false, ..AsyncConfig::default() };
 ///
 /// let mut scratch = DenseAsyncScratch::new();
 /// let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(7);
-/// let fast = disseminate_async_dense(&dense, &selector, ids[0], &config, &mut rng, &mut scratch);
-/// let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(7);
-/// let slow = disseminate_async_frozen(&sparse, &selector, ids[0], &config, &mut rng);
-/// assert_eq!(fast.report(&dense, &config, &scratch), slow);
-/// assert_eq!(fast.reached, fast.population);
+/// let stats = disseminate_async_dense(&overlay, &selector, ids[0], &config, &mut rng, &mut scratch);
+/// assert_eq!(stats.reached, stats.population, "RingCast completes");
+/// let report = stats.report(&overlay, &config, &scratch);
+/// assert_eq!(report.notification_times[&ids[0]], 0.0);
 /// ```
 pub fn disseminate_async_dense(
     overlay: &DenseOverlay,
@@ -835,8 +466,8 @@ pub fn disseminate_async_dense(
 
 /// [`disseminate_async_dense`] with a [`Probe`] attached. Events use raw
 /// node ids (`overlay.node_id(..)`), and the origin's self-delivery reports
-/// itself as the sender, so the stream matches
-/// [`disseminate_async_frozen_probed`]'s bit for bit. With a recording
+/// itself as the sender, so the stream matches the id-keyed oracle's bit
+/// for bit. With a recording
 /// probe attached the zero-allocation contract is the probe's to keep:
 /// over a warmed [`hybridcast_obs::RingSink`] the run still performs no
 /// heap allocation (pinned in `tests/zero_alloc.rs`).
@@ -857,7 +488,10 @@ pub fn disseminate_async_dense_probed<P: Probe>(
 
     let population = overlay.live_len();
     let len = overlay.len();
-    scratch.reset(len, config.bucket_width(), config.sched.num_buckets);
+    let width = config
+        .sched
+        .resolved_width(config.forwarding_delay, config.gossip_period);
+    scratch.reset(len, width, config.sched.num_buckets);
     let DenseAsyncScratch {
         notified,
         notify_time,
@@ -1023,24 +657,25 @@ pub fn disseminate_async_dense_probed<P: Probe>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::overlay::SnapshotOverlay;
-    use hybridcast_sim::SimConfig;
+    use crate::overlay::tests::warmed_overlay;
+    use crate::overlay::Overlay;
     use rand::SeedableRng;
-
-    fn warmed_network(nodes: usize, seed: u64) -> Network {
-        let mut network = Network::new(
-            SimConfig {
-                nodes,
-                ..SimConfig::default()
-            },
-            seed,
-        );
-        network.run_cycles(120);
-        network
-    }
 
     fn rng(seed: u64) -> ChaCha8Rng {
         ChaCha8Rng::seed_from_u64(seed)
+    }
+
+    /// One run over a fresh scratch, as the id-keyed report.
+    fn disseminate(
+        overlay: &DenseOverlay,
+        selector: &DenseSelector,
+        origin: NodeId,
+        config: &AsyncConfig,
+        rng: &mut ChaCha8Rng,
+    ) -> AsyncReport {
+        let mut scratch = DenseAsyncScratch::new();
+        disseminate_async_dense(overlay, selector, origin, config, rng, &mut scratch)
+            .report(overlay, config, &scratch)
     }
 
     #[test]
@@ -1091,13 +726,35 @@ mod tests {
     }
 
     #[test]
+    fn config_validation_rejects_non_finite_durations() {
+        type Break = fn(&mut AsyncConfig);
+        let breaks: [(&str, Break); 6] = [
+            ("NaN gossip period", |c| c.gossip_period = f64::NAN),
+            ("infinite gossip period", |c| {
+                c.gossip_period = f64::INFINITY
+            }),
+            ("NaN forwarding delay", |c| c.forwarding_delay = f64::NAN),
+            ("infinite forwarding delay", |c| {
+                c.forwarding_delay = f64::INFINITY
+            }),
+            ("NaN max time", |c| c.max_time = f64::NAN),
+            ("infinite max time", |c| c.max_time = f64::INFINITY),
+        ];
+        for (name, break_it) in breaks {
+            let mut config = AsyncConfig::default();
+            break_it(&mut config);
+            assert!(config.validate().is_err(), "{name} must be rejected");
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "not a live node")]
     fn dead_origin_panics() {
-        let mut network = warmed_network(50, 1);
+        let mut overlay = warmed_overlay(50, 1);
         let victim = NodeId::new(3);
-        network.kill_node(victim);
-        disseminate_async(
-            &mut network,
+        overlay.kill_node(victim);
+        disseminate(
+            &overlay,
             &DenseSelector::ringcast(2),
             victim,
             &AsyncConfig::default(),
@@ -1108,9 +765,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "not a live node")]
     fn dense_dead_origin_panics() {
-        let network = warmed_network(50, 1);
-        let overlay = SnapshotOverlay::new(network.overlay_snapshot());
-        let dense = DenseOverlay::from(&overlay);
+        let dense = warmed_overlay(50, 1);
         let mut scratch = DenseAsyncScratch::new();
         disseminate_async_dense(
             &dense,
@@ -1123,275 +778,20 @@ mod tests {
     }
 
     #[test]
-    fn ringcast_completes_asynchronously_with_live_gossip() {
-        let mut network = warmed_network(250, 2);
-        let origin = network.live_ids()[7];
-        let report = disseminate_async(
-            &mut network,
-            &DenseSelector::ringcast(3),
-            origin,
-            &AsyncConfig::default(),
-            &mut rng(3),
-        );
-        assert!(
-            report.is_complete(),
-            "missed {}",
-            report.population - report.reached
-        );
-        assert!(report.completion_time.is_some());
-        assert_eq!(report.notification_times.len(), report.reached);
-        assert_eq!(report.notification_times[&origin], 0.0);
-        assert_eq!(
-            report.per_hop_messages.iter().sum::<usize>(),
-            report.total_messages(),
-            "per-hop messages must account for every message sent"
-        );
-        assert_eq!(report.per_hop_messages[0], 0, "nobody sends at hop 0");
-    }
-
-    #[test]
-    fn forwarding_delay_changes_latency_but_not_coverage() {
-        // The Section 7.1 claim: macroscopic behaviour (hit ratio, message
-        // overhead) is insensitive to the forwarding delay; only the
-        // wall-clock completion time scales with it.
-        let mut coverages = Vec::new();
-        let mut times = Vec::new();
-        for (idx, delay) in [0.5f64, 5.0, 20.0].into_iter().enumerate() {
-            let mut network = warmed_network(250, 4);
-            let origin = network.live_ids()[11];
-            let config = AsyncConfig {
-                forwarding_delay: delay,
-                ..AsyncConfig::default()
-            };
-            let report = disseminate_async(
-                &mut network,
-                &DenseSelector::ringcast(3),
-                origin,
-                &config,
-                &mut rng(100 + idx as u64),
-            );
-            coverages.push(report.reached);
-            times.push(report.completion_time.expect("completes"));
-        }
-        assert!(
-            coverages.iter().all(|&c| c == coverages[0]),
-            "{coverages:?}"
-        );
-        assert!(
-            times[2] > times[0] * 5.0,
-            "a 40x larger delay must slow completion substantially: {times:?}"
-        );
-    }
-
-    #[test]
-    fn randcast_async_misses_roughly_like_the_synchronous_model() {
-        let mut network = warmed_network(300, 5);
-        let origin = network.live_ids()[3];
-        let report = disseminate_async(
-            &mut network,
-            &DenseSelector::randcast(2),
-            origin,
-            &AsyncConfig::default(),
-            &mut rng(6),
-        );
-        assert!(report.miss_ratio() > 0.0, "fanout 2 should miss someone");
-        assert!(report.miss_ratio() < 0.5, "but reach most of the network");
-        assert_eq!(
-            report.messages_sent,
-            report.reached * 2,
-            "every notified node forwards F = 2 messages"
-        );
-    }
-
-    #[test]
-    fn frozen_and_live_membership_agree_macroscopically() {
-        let build_report = |run_gossip: bool, seed: u64| {
-            let mut network = warmed_network(250, 7);
-            let origin = network.live_ids()[0];
-            let config = AsyncConfig {
-                run_membership_gossip: run_gossip,
-                ..AsyncConfig::default()
-            };
-            disseminate_async(
-                &mut network,
-                &DenseSelector::ringcast(3),
-                origin,
-                &config,
-                &mut rng(seed),
-            )
-        };
-        let frozen = build_report(false, 8);
-        let live = build_report(true, 9);
-        assert_eq!(frozen.reached, live.reached);
-        // Message overhead is F * reached in both cases (ring links may add
-        // a couple of extra messages at most).
-        let bound = |r: &AsyncReport| (r.messages_sent as f64) / (r.reached as f64);
-        assert!((bound(&frozen) - bound(&live)).abs() < 0.2);
-    }
-
-    #[test]
-    fn frozen_oracle_equals_live_engine_with_gossip_disabled() {
-        use crate::netmodel::{DelayModel, LossModel, PartitionEvent};
-        use hybridcast_obs::VecProbe;
-
-        // The frozen-overlay oracle must reproduce the live engine with
-        // membership gossip off, event for event: the snapshot exports
-        // exactly the links the momentary views would hand out. That has
-        // to hold along the whole send path — partition, loss, budget,
-        // delay draw, `max_time` cut-off — so every stage gets an input
-        // that makes it fire (checked by the third tuple element).
-        type Fires = fn(&AsyncReport) -> bool;
-        let base = AsyncConfig {
-            run_membership_gossip: false,
-            ..AsyncConfig::default()
-        };
-        let with_net = |net: NetModel| AsyncConfig {
-            net,
-            ..base.clone()
-        };
-        let configs: [(&str, AsyncConfig, Fires); 6] = [
-            ("default", base.clone(), |r| r.is_complete()),
-            (
-                "gilbert-elliott loss",
-                with_net(NetModel {
-                    loss: LossModel::GilbertElliott {
-                        p_enter_bad: 0.2,
-                        p_exit_bad: 0.3,
-                        loss_good: 0.02,
-                        loss_bad: 0.6,
-                    },
-                    ..NetModel::default()
-                }),
-                |r| r.dropped_loss > 0,
-            ),
-            (
-                "scripted partition",
-                with_net(NetModel {
-                    partitions: vec![PartitionEvent::bisection(1.0, 4.0, 0xC0FFEE)],
-                    ..NetModel::default()
-                }),
-                |r| r.dropped_partition > 0 && r.partition_recovery.len() == 1,
-            ),
-            (
-                "log-normal delay",
-                with_net(NetModel {
-                    delay: DelayModel::LogNormal {
-                        mu: 0.0,
-                        sigma: 0.75,
-                    },
-                    ..NetModel::default()
-                }),
-                |r| r.is_complete(),
-            ),
-            (
-                "event budget",
-                AsyncConfig {
-                    sched: SchedConfig {
-                        event_budget: 8,
-                        ..SchedConfig::default()
-                    },
-                    ..base.clone()
-                },
-                |r| r.truncated_sends > 0,
-            ),
-            (
-                "max_time",
-                AsyncConfig {
-                    max_time: 2.5,
-                    ..base.clone()
-                },
-                |r| r.truncated && r.truncated_sends == 0,
-            ),
-        ];
-        for (seed, fanout) in [(21u64, 2usize), (22, 3), (23, 4)] {
-            // With gossip off the live engine leaves the network untouched,
-            // so one warmed network serves every configuration.
-            let mut network = warmed_network(200, seed);
-            let overlay = SnapshotOverlay::new(network.overlay_snapshot());
-            let origin = network.live_ids()[5];
-            for (name, config, fires) in &configs {
-                let mut live_probe = VecProbe::new();
-                let live = disseminate_id_keyed(
-                    &mut network,
-                    &DenseSelector::ringcast(fanout),
-                    origin,
-                    config,
-                    &mut rng(seed ^ 0xF0),
-                    &mut live_probe,
-                );
-                let mut frozen_probe = VecProbe::new();
-                let frozen = disseminate_async_frozen_probed(
-                    &overlay,
-                    &DenseSelector::ringcast(fanout),
-                    origin,
-                    config,
-                    &mut rng(seed ^ 0xF0),
-                    &mut frozen_probe,
-                );
-                assert_eq!(live, frozen, "{name}: seed {seed} fanout {fanout}");
-                assert_eq!(
-                    live_probe.events, frozen_probe.events,
-                    "{name}: event streams diverge at seed {seed} fanout {fanout}"
-                );
-                assert!(
-                    fires(&live),
-                    "{name} never fired at seed {seed} fanout {fanout}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn dense_engine_matches_frozen_oracle_on_warmed_overlay() {
-        let network = warmed_network(250, 12);
-        let overlay = SnapshotOverlay::new(network.overlay_snapshot());
-        let dense = DenseOverlay::from(&overlay);
-        let origin = overlay.live_node_ids()[9];
-        let config = AsyncConfig {
-            run_membership_gossip: false,
-            ..AsyncConfig::default()
-        };
-        let mut scratch = DenseAsyncScratch::new();
-        for selector in [
-            DenseSelector::randcast(2),
-            DenseSelector::ringcast(3),
-            DenseSelector::Flooding,
-        ] {
-            let slow = disseminate_async_frozen(&overlay, &selector, origin, &config, &mut rng(77));
-            let fast = disseminate_async_dense(
-                &dense,
-                &selector,
-                origin,
-                &config,
-                &mut rng(77),
-                &mut scratch,
-            )
-            .report(&dense, &config, &scratch);
-            assert_eq!(slow, fast, "{} reports diverge", selector.name());
-            assert_eq!(
-                fast.per_hop_messages.iter().sum::<usize>(),
-                fast.total_messages()
-            );
-        }
-    }
-
-    #[test]
     fn dense_async_scratch_is_reusable_across_runs_and_overlays() {
         let config = AsyncConfig {
             run_membership_gossip: false,
             ..AsyncConfig::default()
         };
         let mut scratch = DenseAsyncScratch::new();
-        let big_net = warmed_network(150, 30);
-        let big = DenseOverlay::from_snapshot(&big_net.overlay_snapshot());
+        let big = warmed_overlay(150, 30);
         let origin = big.live_node_ids()[0];
         let selector = DenseSelector::ringcast(3);
         let first =
             disseminate_async_dense(&big, &selector, origin, &config, &mut rng(1), &mut scratch)
                 .report(&big, &config, &scratch);
         // A smaller overlay afterwards: buffers shrink correctly.
-        let small_net = warmed_network(40, 31);
-        let small = DenseOverlay::from_snapshot(&small_net.overlay_snapshot());
+        let small = warmed_overlay(40, 31);
         let small_origin = small.live_node_ids()[3];
         let report = disseminate_async_dense(
             &small,
@@ -1412,97 +812,9 @@ mod tests {
     }
 
     #[test]
-    fn tiny_max_time_sets_the_truncated_flag_in_all_three_engines() {
-        // With a forwarding delay of 1.0 and a max_time well below the
-        // network diameter, every engine must cut the run short and say so.
-        let tiny = AsyncConfig {
-            run_membership_gossip: false,
-            max_time: 1.5,
-            ..AsyncConfig::default()
-        };
-        let mut network = warmed_network(200, 40);
-        let overlay = SnapshotOverlay::new(network.overlay_snapshot());
-        let dense = DenseOverlay::from(&overlay);
-        let origin = overlay.live_node_ids()[0];
-
-        let frozen = disseminate_async_frozen(
-            &overlay,
-            &DenseSelector::ringcast(3),
-            origin,
-            &tiny,
-            &mut rng(41),
-        );
-        assert!(frozen.truncated, "frozen engine must flag the cutoff");
-        assert!(!frozen.is_complete());
-
-        let mut scratch = DenseAsyncScratch::new();
-        let fast = disseminate_async_dense(
-            &dense,
-            &DenseSelector::ringcast(3),
-            origin,
-            &tiny,
-            &mut rng(41),
-            &mut scratch,
-        )
-        .report(&dense, &tiny, &scratch);
-        assert_eq!(frozen, fast, "truncated reports must stay bit-identical");
-
-        let live = disseminate_async(
-            &mut network,
-            &DenseSelector::ringcast(3),
-            origin,
-            &AsyncConfig {
-                run_membership_gossip: true,
-                ..tiny.clone()
-            },
-            &mut rng(41),
-        );
-        assert!(live.truncated, "live engine must flag the cutoff");
-
-        // A generous max_time leaves the flag clear.
-        let full = disseminate_async_frozen(
-            &overlay,
-            &DenseSelector::ringcast(3),
-            origin,
-            &AsyncConfig {
-                run_membership_gossip: false,
-                ..AsyncConfig::default()
-            },
-            &mut rng(41),
-        );
-        assert!(!full.truncated);
-        assert!(full.is_complete());
-    }
-
-    #[test]
-    fn live_engine_is_not_truncated_when_only_gossip_ticks_remain() {
-        // Gossip ticks keep firing past the dissemination's end; cutting
-        // those off is not a truncated *dissemination*.
-        let mut network = warmed_network(100, 42);
-        let origin = network.live_ids()[0];
-        let config = AsyncConfig {
-            max_time: 500.0,
-            ..AsyncConfig::default()
-        };
-        let report = disseminate_async(
-            &mut network,
-            &DenseSelector::ringcast(3),
-            origin,
-            &config,
-            &mut rng(43),
-        );
-        assert!(report.is_complete());
-        assert!(
-            !report.truncated,
-            "leftover gossip ticks at max_time are not a truncation"
-        );
-    }
-
-    #[test]
     fn iid_loss_drops_messages_and_keeps_the_accounting_consistent() {
         use crate::netmodel::LossModel;
-        let network = warmed_network(250, 44);
-        let overlay = SnapshotOverlay::new(network.overlay_snapshot());
+        let overlay = warmed_overlay(250, 44);
         let origin = overlay.live_node_ids()[2];
         let config = AsyncConfig {
             run_membership_gossip: false,
@@ -1512,7 +824,7 @@ mod tests {
             },
             ..AsyncConfig::default()
         };
-        let lossy = disseminate_async_frozen(
+        let lossy = disseminate(
             &overlay,
             &DenseSelector::ringcast(3),
             origin,
@@ -1537,8 +849,7 @@ mod tests {
     #[test]
     fn partition_drops_cross_cut_messages_and_reports_recovery() {
         use crate::netmodel::PartitionEvent;
-        let network = warmed_network(300, 46);
-        let overlay = SnapshotOverlay::new(network.overlay_snapshot());
+        let overlay = warmed_overlay(300, 46);
         let origin = overlay.live_node_ids()[0];
         // Partition from t=0 outlasting the whole run: the origin's side
         // disseminates normally, the far side stays dark.
@@ -1550,7 +861,7 @@ mod tests {
             },
             ..AsyncConfig::default()
         };
-        let report = disseminate_async_frozen(
+        let report = disseminate(
             &overlay,
             &DenseSelector::ringcast(3),
             origin,
@@ -1578,7 +889,7 @@ mod tests {
             },
             ..AsyncConfig::default()
         };
-        let healed = disseminate_async_frozen(
+        let healed = disseminate(
             &overlay,
             &DenseSelector::ringcast(3),
             origin,
@@ -1592,7 +903,7 @@ mod tests {
         assert!(recovery > 0.0);
 
         // No partitions → empty recovery vector.
-        let clean = disseminate_async_frozen(
+        let clean = disseminate(
             &overlay,
             &DenseSelector::ringcast(3),
             origin,
@@ -1619,84 +930,13 @@ mod tests {
     }
 
     #[test]
-    fn event_budget_caps_scheduling_identically_in_all_three_engines() {
-        let mut network = warmed_network(200, 50);
-        let overlay = SnapshotOverlay::new(network.overlay_snapshot());
-        let dense = DenseOverlay::from(&overlay);
-        let origin = overlay.live_node_ids()[0];
-        let capped = AsyncConfig {
-            run_membership_gossip: false,
-            sched: SchedConfig {
-                event_budget: 8,
-                ..SchedConfig::default()
-            },
-            ..AsyncConfig::default()
-        };
-
-        let frozen = disseminate_async_frozen(
-            &overlay,
-            &DenseSelector::ringcast(3),
-            origin,
-            &capped,
-            &mut rng(51),
-        );
-        assert!(
-            frozen.truncated_sends > 0,
-            "a budget of 8 must refuse forwards on a 200-node RingCast run"
-        );
-        assert!(frozen.truncated, "budget truncation must flag the run");
-        assert_eq!(frozen.dropped_loss, 0, "the budget is not a loss process");
-        assert_eq!(frozen.dropped_partition, 0);
-        // Every sent message is delivered, dropped, or budget-refused —
-        // never silently lost: with no drops the accounting balances.
-        assert_eq!(
-            frozen.messages_sent - frozen.truncated_sends,
-            frozen.messages_redundant + frozen.messages_to_dead + frozen.reached - 1
-        );
-
-        let mut scratch = DenseAsyncScratch::new();
-        let fast = disseminate_async_dense(
-            &dense,
-            &DenseSelector::ringcast(3),
-            origin,
-            &capped,
-            &mut rng(51),
-            &mut scratch,
-        )
-        .report(&dense, &capped, &scratch);
-        assert_eq!(
-            frozen, fast,
-            "budget-capped reports must stay bit-identical"
-        );
-        assert!(
-            scratch.event_queue_high_water() <= 8,
-            "the queue must never grow past the budget, got {}",
-            scratch.event_queue_high_water()
-        );
-
-        let live = disseminate_async(
-            &mut network,
-            &DenseSelector::ringcast(3),
-            origin,
-            &capped,
-            &mut rng(51),
-        );
-        assert_eq!(
-            frozen, live,
-            "the live engine must cap on the same boundary"
-        );
-    }
-
-    #[test]
     fn budget_at_the_high_water_mark_schedules_everything() {
         // The cap refuses a push only when the queue already holds
         // `event_budget` deliveries, so a budget equal to the uncapped
         // run's high-water mark changes nothing — and one below it must
         // refuse at least the push that would have set that mark.
-        let network = warmed_network(150, 52);
-        let overlay = SnapshotOverlay::new(network.overlay_snapshot());
-        let dense = DenseOverlay::from(&overlay);
-        let origin = overlay.live_node_ids()[4];
+        let dense = warmed_overlay(150, 52);
+        let origin = dense.live_node_ids()[4];
         let free = AsyncConfig {
             run_membership_gossip: false,
             ..AsyncConfig::default()
@@ -1753,21 +993,5 @@ mod tests {
         );
         assert!(capped.truncated);
         assert!(scratch.event_queue_high_water() < high_water);
-    }
-
-    #[test]
-    fn event_ordering_is_deterministic_for_a_fixed_seed() {
-        let run = || {
-            let mut network = warmed_network(150, 10);
-            let origin = network.live_ids()[5];
-            disseminate_async(
-                &mut network,
-                &DenseSelector::ringcast(2),
-                origin,
-                &AsyncConfig::default(),
-                &mut rng(11),
-            )
-        };
-        assert_eq!(run(), run());
     }
 }

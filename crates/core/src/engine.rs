@@ -4,17 +4,17 @@
 //! generation of a message is hop 0; at hop 1 it reaches the origin's gossip
 //! targets; at hop `k + 1` it reaches the targets of every node first
 //! notified at hop `k`. The engine reproduces that model exactly over a
-//! frozen [`Overlay`]: the paper verifies (Section 7.1) that freezing the
+//! frozen overlay: the paper verifies (Section 7.1) that freezing the
 //! membership gossip does not change the macroscopic behaviour, so a frozen
 //! overlay plus a hop-synchronous sweep is a faithful stand-in for the
 //! asynchronous real-time process.
 //!
-//! Two implementations share the model: [`disseminate`], the readable
-//! id-keyed oracle over any [`Overlay`], and [`disseminate_dense`], the
-//! allocation-free engine every figure runs, over a CSR [`DenseOverlay`]
-//! and a reusable [`DenseScratch`]. The dense engine returns `Copy`
-//! [`DenseRunStats`]; [`DenseRunStats::report`] materialises the same
-//! [`DisseminationReport`] the oracle returns.
+//! [`disseminate_dense`] runs the model over a CSR [`DenseOverlay`] and a
+//! reusable [`DenseScratch`] without touching the allocator, and returns
+//! `Copy` [`DenseRunStats`]; [`DenseRunStats::report`] materialises the
+//! id-keyed [`DisseminationReport`]. The readable `BTreeSet` version of the
+//! same engine lives in the test-only `hybridcast-oracle` crate, which the
+//! differential tests check this one against bit for bit per seed.
 
 // D3: index casts go through `hybridcast_graph::cast`; tests are exempt.
 #![cfg_attr(
@@ -22,7 +22,7 @@
     deny(clippy::cast_possible_truncation, clippy::cast_sign_loss)
 )]
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use rand::RngCore;
 
@@ -31,199 +31,8 @@ use hybridcast_graph::NodeId;
 use hybridcast_obs::{DeliveryOutcome, NullProbe, Probe, TraceEvent};
 
 use crate::metrics::DisseminationReport;
-use crate::overlay::{DenseBits, DenseOverlay, Overlay, NO_NODE};
+use crate::overlay::{DenseBits, DenseOverlay, NO_NODE};
 use crate::protocols::DenseSelector;
-
-/// Runs one complete dissemination of a message originating at `origin`
-/// over the given overlay, using `selector` to pick gossip targets, and
-/// returns the full accounting.
-///
-/// Dead targets absorb messages without forwarding them (the message is
-/// counted in [`DisseminationReport::messages_to_dead`]); live targets that
-/// have already seen the message ignore it (counted in
-/// [`DisseminationReport::messages_to_notified`]).
-///
-/// # Panics
-///
-/// Panics if `origin` is not a live node of the overlay.
-///
-/// # Example
-///
-/// ```
-/// use hybridcast_core::engine::disseminate;
-/// use hybridcast_core::overlay::StaticOverlay;
-/// use hybridcast_core::protocols::DenseSelector;
-/// use hybridcast_graph::{builders, NodeId};
-/// use rand::SeedableRng;
-///
-/// let ids: Vec<NodeId> = (0..8).map(NodeId::new).collect();
-/// let overlay = StaticOverlay::deterministic(&builders::bidirectional_ring(&ids));
-/// let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0);
-/// let report = disseminate(&overlay, &DenseSelector::DeterministicFlooding, ids[0], &mut rng);
-/// assert!(report.is_complete());
-/// assert_eq!(report.last_hop, 4, "half-way around an 8-node ring");
-/// ```
-pub fn disseminate(
-    overlay: &dyn Overlay,
-    selector: &DenseSelector,
-    origin: NodeId,
-    rng: &mut dyn RngCore,
-) -> DisseminationReport {
-    disseminate_probed(overlay, selector, origin, rng, &mut NullProbe)
-}
-
-/// [`disseminate`] with a [`Probe`] attached: emits the structured trace
-/// stream of the run (`RunStart`, then per message `Sent` + `Delivered`,
-/// `HopEnd` per frontier expansion, and a final `RunEnd`).
-///
-/// Probes observe, they never steer: no probe touches the RNG, so the
-/// returned report is identical for every probe — with [`NullProbe`] this
-/// *is* [`disseminate`], monomorphized back to the uninstrumented engine.
-///
-/// # Panics
-///
-/// Panics if `origin` is not a live node of the overlay.
-pub fn disseminate_probed<P: Probe>(
-    overlay: &dyn Overlay,
-    selector: &DenseSelector,
-    origin: NodeId,
-    rng: &mut dyn RngCore,
-    probe: &mut P,
-) -> DisseminationReport {
-    assert!(
-        overlay.is_live(origin),
-        "dissemination origin {origin} is not a live node"
-    );
-
-    let population = overlay.live_count();
-    probe.record(TraceEvent::RunStart {
-        origin: origin.as_u64(),
-        population: population as u64,
-    });
-    probe.record(TraceEvent::Delivered {
-        node: origin.as_u64(),
-        from: origin.as_u64(),
-        hop: 0,
-        outcome: DeliveryOutcome::Virgin,
-    });
-    let mut notified: BTreeSet<NodeId> = BTreeSet::new();
-    notified.insert(origin);
-
-    let mut received_counts: BTreeMap<NodeId, usize> = BTreeMap::new();
-    let mut forwarded_counts: BTreeMap<NodeId, usize> = BTreeMap::new();
-    let mut per_hop_new = vec![1usize];
-    let mut per_hop_messages = vec![0usize];
-    let mut messages_to_virgin = 0usize;
-    let mut messages_to_notified = 0usize;
-    let mut messages_to_dead = 0usize;
-    let mut last_hop = 0usize;
-
-    // Frontier of (node, sender) pairs notified in the previous hop; the
-    // origin is its own sender.
-    let mut frontier: Vec<(NodeId, NodeId)> = vec![(origin, origin)];
-    let (mut targets, mut pool) = (Vec::new(), Vec::new());
-    let mut hop = 0usize;
-
-    while !frontier.is_empty() {
-        hop += 1;
-        let hop_u = to_u32(hop);
-        let mut next_frontier: Vec<(NodeId, NodeId)> = Vec::new();
-        let mut hop_messages = 0usize;
-        let mut hop_new = 0usize;
-
-        for (node, from) in frontier {
-            let (d_links, r_links) = (overlay.d_links(node), overlay.r_links(node));
-            selector.select(
-                node,
-                from,
-                (&d_links, &r_links),
-                rng,
-                &mut targets,
-                &mut pool,
-            );
-            *forwarded_counts.entry(node).or_insert(0) += targets.len();
-            hop_messages += targets.len();
-            for &target in &targets {
-                probe.record(TraceEvent::Sent {
-                    from: node.as_u64(),
-                    to: target.as_u64(),
-                    hop: hop_u,
-                });
-                if !overlay.is_live(target) {
-                    messages_to_dead += 1;
-                    probe.record(TraceEvent::Delivered {
-                        node: target.as_u64(),
-                        from: node.as_u64(),
-                        hop: hop_u,
-                        outcome: DeliveryOutcome::Dead,
-                    });
-                    continue;
-                }
-                *received_counts.entry(target).or_insert(0) += 1;
-                if notified.insert(target) {
-                    messages_to_virgin += 1;
-                    hop_new += 1;
-                    next_frontier.push((target, node));
-                    probe.record(TraceEvent::Delivered {
-                        node: target.as_u64(),
-                        from: node.as_u64(),
-                        hop: hop_u,
-                        outcome: DeliveryOutcome::Virgin,
-                    });
-                } else {
-                    messages_to_notified += 1;
-                    probe.record(TraceEvent::Delivered {
-                        node: target.as_u64(),
-                        from: node.as_u64(),
-                        hop: hop_u,
-                        outcome: DeliveryOutcome::Duplicate,
-                    });
-                }
-            }
-        }
-
-        per_hop_messages.push(hop_messages);
-        per_hop_new.push(hop_new);
-        if hop_new > 0 {
-            last_hop = hop;
-        }
-        probe.record(TraceEvent::HopEnd {
-            hop: hop_u,
-            new: hop_new as u64,
-            messages: hop_messages as u64,
-        });
-        frontier = next_frontier;
-    }
-    probe.record(TraceEvent::RunEnd {
-        reached: notified.len() as u64,
-    });
-
-    let unreached: Vec<NodeId> = overlay
-        .live_node_ids()
-        .into_iter()
-        .filter(|id| !notified.contains(id))
-        .collect();
-
-    // The vectors deliberately keep the final redundant-sweep hop (the hop
-    // after `last_hop`, in which the last-notified nodes forward without
-    // reaching anyone new): dropping it would silently lose its messages
-    // and break `per_hop_messages.iter().sum() == total_messages()`.
-
-    DisseminationReport {
-        origin,
-        population,
-        reached: notified.len(),
-        last_hop,
-        per_hop_new,
-        per_hop_messages,
-        messages_to_virgin,
-        messages_to_notified,
-        messages_to_dead,
-        received_counts,
-        forwarded_counts,
-        unreached,
-    }
-}
 
 /// Reusable scratch buffers for [`disseminate_dense`].
 ///
@@ -259,17 +68,6 @@ impl DenseScratch {
         &self.notified
     }
 
-    /// Nodes first notified at each hop of the most recent run (hop 0 is
-    /// the origin), including the final redundant sweep.
-    pub fn per_hop_new(&self) -> &[usize] {
-        &self.per_hop_new
-    }
-
-    /// Messages sent at each hop of the most recent run.
-    pub fn per_hop_messages(&self) -> &[usize] {
-        &self.per_hop_messages
-    }
-
     fn reset(&mut self, len: usize) {
         self.notified.reset(len);
         self.received.clear();
@@ -290,9 +88,8 @@ impl DenseScratch {
 /// allocator.
 ///
 /// The per-hop series and per-node counters of the run stay behind in the
-/// [`DenseScratch`] (see [`DenseScratch::per_hop_new`]);
-/// [`DenseRunStats::report`] reads them back into the id-keyed
-/// [`DisseminationReport`].
+/// [`DenseScratch`]; [`DenseRunStats::report`] reads them back into the
+/// id-keyed [`DisseminationReport`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DenseRunStats {
     /// The node the message originated at.
@@ -318,8 +115,8 @@ impl DenseRunStats {
     }
 
     /// Materialises the id-keyed [`DisseminationReport`] all metrics and
-    /// figure code is written against, equal field for field to what
-    /// [`disseminate`] returns for the same overlay, selector, origin and
+    /// figure code is written against, equal field for field to what the
+    /// id-keyed oracle returns for the same overlay, selector, origin and
     /// seed. `overlay` and `scratch` must be the ones the run was given,
     /// and the scratch must not have served another run since. This is the
     /// only part of a dense dissemination that allocates, and it is
@@ -357,16 +154,18 @@ impl DenseRunStats {
     }
 }
 
-/// Runs one complete dissemination over a [`DenseOverlay`]: the
-/// allocation-free rewrite of [`disseminate`].
+/// Runs one complete dissemination of a message originating at `origin`
+/// over a [`DenseOverlay`], using `selector` to pick gossip targets.
 ///
-/// The hop-synchronous model, the accounting and the RNG draw sequence are
-/// identical to the generic engine's; given the same overlay (converted),
-/// selector, origin and seed, [`DenseRunStats::report`] is equal to the
-/// generic [`DisseminationReport`] field for field. The difference is
-/// purely mechanical: node identities are dense `u32` indices, link access
-/// is borrowed slices, and all per-run state lives in the caller-provided
-/// [`DenseScratch`].
+/// Dead targets absorb messages without forwarding them (counted in
+/// [`DenseRunStats::messages_to_dead`]); live targets that have already
+/// seen the message ignore it (counted in
+/// [`DenseRunStats::messages_to_notified`]). Node identities are dense
+/// `u32` indices, link access is borrowed slices, and all per-run state
+/// lives in the caller-provided [`DenseScratch`]. The model, the accounting
+/// and the RNG draw sequence are those of the id-keyed oracle in
+/// `hybridcast-oracle`, whose report [`DenseRunStats::report`] equals field
+/// for field.
 ///
 /// Over a warm scratch (one prior run of at least this overlay size and
 /// message volume) the call performs **zero heap allocations** — the
@@ -379,26 +178,23 @@ impl DenseRunStats {
 /// # Example
 ///
 /// ```
-/// use hybridcast_core::engine::{disseminate, disseminate_dense, DenseScratch};
-/// use hybridcast_core::overlay::{DenseOverlay, StaticOverlay};
+/// use hybridcast_core::engine::{disseminate_dense, DenseScratch};
+/// use hybridcast_core::overlay::DenseOverlay;
 /// use hybridcast_core::protocols::DenseSelector;
-/// use hybridcast_graph::{builders, NodeId};
+/// use hybridcast_graph::{builders, DiGraph, NodeId};
 /// use rand::SeedableRng;
 ///
 /// let ids: Vec<NodeId> = (0..8).map(NodeId::new).collect();
-/// let sparse = StaticOverlay::deterministic(&builders::bidirectional_ring(&ids));
-/// let dense = DenseOverlay::from(&sparse);
+/// let ring = builders::bidirectional_ring(&ids);
+/// let overlay = DenseOverlay::from_graphs(&ring, &DiGraph::new());
 /// let mut scratch = DenseScratch::new();
-/// let selector = DenseSelector::DeterministicFlooding;
+/// let flooding = DenseSelector::DeterministicFlooding;
 ///
 /// let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0);
-/// let stats = disseminate_dense(&dense, &selector, ids[0], &mut rng, &mut scratch);
+/// let stats = disseminate_dense(&overlay, &flooding, ids[0], &mut rng, &mut scratch);
 /// assert_eq!(stats.reached, 8);
-/// let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0);
-/// assert_eq!(
-///     stats.report(&dense, &scratch),
-///     disseminate(&sparse, &selector, ids[0], &mut rng)
-/// );
+/// assert_eq!(stats.last_hop, 4, "half-way around an 8-node ring");
+/// assert!(stats.report(&overlay, &scratch).is_complete());
 /// ```
 pub fn disseminate_dense(
     overlay: &DenseOverlay,
@@ -412,9 +208,12 @@ pub fn disseminate_dense(
 
 /// [`disseminate_dense`] with a [`Probe`] attached.
 ///
-/// Emits exactly the event stream [`disseminate_probed`] emits for the
-/// same overlay, selector, origin and seed — events carry raw `u64` node
-/// ids, so the dense index layout is invisible in the trace. With an
+/// Emits `RunStart`, then per message `Sent` + `Delivered`, `HopEnd` per
+/// frontier expansion and a final `RunEnd` — exactly the stream the
+/// id-keyed oracle emits for the same overlay, selector, origin and seed:
+/// events carry raw `u64` node ids, so the dense index layout is invisible
+/// in the trace. Probes observe, they never steer: no probe touches the
+/// RNG, so the stats are identical for every probe. With an
 /// allocation-free sink (the ring buffer, a metrics registry, or
 /// [`NullProbe`]) the warm-run zero-allocation contract holds unchanged —
 /// `tests/zero_alloc.rs` pins both modes.
@@ -553,9 +352,9 @@ pub fn disseminate_dense_probed<P: Probe>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::overlay::{SnapshotOverlay, StaticOverlay};
-    use hybridcast_graph::builders;
-    use hybridcast_sim::{Network, SimConfig};
+    use crate::overlay::tests::warmed_overlay;
+    use crate::overlay::Overlay;
+    use hybridcast_graph::{builders, DiGraph};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -571,28 +370,31 @@ mod tests {
         ChaCha8Rng::seed_from_u64(seed)
     }
 
-    fn warmed_overlay(nodes: usize, seed: u64) -> SnapshotOverlay {
-        let mut net = Network::new(
-            SimConfig {
-                nodes,
-                ..SimConfig::default()
-            },
-            seed,
-        );
-        net.run_cycles(120);
-        SnapshotOverlay::new(net.overlay_snapshot())
+    fn deterministic(d_graph: &DiGraph) -> DenseOverlay {
+        DenseOverlay::from_graphs(d_graph, &DiGraph::new())
+    }
+
+    /// One dissemination over a fresh scratch, as the id-keyed report.
+    fn disseminate(
+        overlay: &DenseOverlay,
+        selector: &DenseSelector,
+        origin: NodeId,
+        rng: &mut ChaCha8Rng,
+    ) -> DisseminationReport {
+        let mut scratch = DenseScratch::new();
+        disseminate_dense(overlay, selector, origin, rng, &mut scratch).report(overlay, &scratch)
     }
 
     #[test]
     #[should_panic(expected = "not a live node")]
     fn dead_origin_panics() {
-        let overlay = StaticOverlay::new();
+        let overlay = deterministic(&DiGraph::new());
         disseminate(&overlay, &DenseSelector::Flooding, n(0), &mut rng(0));
     }
 
     #[test]
     fn flooding_a_ring_reaches_everyone_in_n_over_2_hops() {
-        let overlay = StaticOverlay::deterministic(&builders::bidirectional_ring(&ids(10)));
+        let overlay = deterministic(&builders::bidirectional_ring(&ids(10)));
         let report = disseminate(
             &overlay,
             &DenseSelector::DeterministicFlooding,
@@ -610,7 +412,7 @@ mod tests {
 
     #[test]
     fn flooding_a_clique_takes_one_hop_with_quadratic_overhead() {
-        let overlay = StaticOverlay::deterministic(&builders::clique(&ids(12)));
+        let overlay = deterministic(&builders::clique(&ids(12)));
         let report = disseminate(
             &overlay,
             &DenseSelector::DeterministicFlooding,
@@ -627,7 +429,7 @@ mod tests {
     #[test]
     fn flooding_a_star_reaches_leaves_in_two_hops() {
         let leaves = ids(20)[1..].to_vec();
-        let overlay = StaticOverlay::deterministic(&builders::star(n(0), &leaves));
+        let overlay = deterministic(&builders::star(n(0), &leaves));
         // From a leaf: hop 1 reaches the hub, hop 2 all other leaves.
         let report = disseminate(
             &overlay,
@@ -641,12 +443,12 @@ mod tests {
 
     #[test]
     fn disconnected_overlay_is_not_fully_reached() {
-        let mut overlay = StaticOverlay::new();
-        overlay.add_d_link(n(0), n(1));
-        overlay.add_d_link(n(1), n(0));
-        overlay.add_node(n(2)); // isolated
+        let mut links = DiGraph::new();
+        links.add_edge(n(0), n(1));
+        links.add_edge(n(1), n(0));
+        links.add_node(n(2)); // isolated
         let report = disseminate(
-            &overlay,
+            &deterministic(&links),
             &DenseSelector::DeterministicFlooding,
             n(0),
             &mut rng(4),
@@ -658,8 +460,7 @@ mod tests {
 
     #[test]
     fn dead_nodes_absorb_messages() {
-        let ring = builders::bidirectional_ring(&ids(6));
-        let mut overlay = StaticOverlay::deterministic(&ring);
+        let mut overlay = deterministic(&builders::bidirectional_ring(&ids(6)));
         overlay.kill_node(n(3));
         let report = disseminate(
             &overlay,
@@ -673,7 +474,6 @@ mod tests {
         assert!(report.is_complete());
         assert!(report.messages_to_dead >= 1);
     }
-
     #[test]
     fn ringcast_is_complete_on_warmed_overlay_even_at_fanout_one() {
         let overlay = warmed_overlay(200, 6);
@@ -753,58 +553,12 @@ mod tests {
     }
 
     #[test]
-    fn dense_engine_matches_generic_engine_on_warmed_overlay() {
-        let overlay = warmed_overlay(250, 21);
-        let dense = crate::overlay::DenseOverlay::from(&overlay);
-        let origin = overlay.live_node_ids()[9];
-        let mut scratch = DenseScratch::new();
-        for selector in [
-            DenseSelector::randcast(3),
-            DenseSelector::ringcast(4),
-            DenseSelector::Flooding,
-        ] {
-            let generic = disseminate(&overlay, &selector, origin, &mut rng(77));
-            let fast = disseminate_dense(&dense, &selector, origin, &mut rng(77), &mut scratch)
-                .report(&dense, &scratch);
-            assert_eq!(generic, fast, "{} reports diverge", selector.name());
-        }
-    }
-
-    #[test]
-    fn dense_engine_accounts_dead_nodes_like_generic_engine() {
-        let ring = builders::bidirectional_ring(&ids(30));
-        let mut overlay = StaticOverlay::deterministic(&ring);
-        for dead in [4u64, 11, 12, 25] {
-            overlay.kill_node(n(dead));
-        }
-        let dense = crate::overlay::DenseOverlay::from(&overlay);
-        let mut scratch = DenseScratch::new();
-        let generic = disseminate(
-            &overlay,
-            &DenseSelector::DeterministicFlooding,
-            n(0),
-            &mut rng(5),
-        );
-        let fast = disseminate_dense(
-            &dense,
-            &DenseSelector::DeterministicFlooding,
-            n(0),
-            &mut rng(5),
-            &mut scratch,
-        )
-        .report(&dense, &scratch);
-        assert_eq!(generic, fast);
-        assert!(fast.messages_to_dead >= 1);
-        assert!(!fast.unreached.is_empty(), "the ring is partitioned");
-    }
-
-    #[test]
     #[should_panic(expected = "not a live node")]
     fn dense_dead_origin_panics() {
-        let mut overlay = StaticOverlay::new();
-        overlay.add_d_link(n(0), n(1));
-        overlay.kill_node(n(1));
-        let dense = crate::overlay::DenseOverlay::from(&overlay);
+        let mut links = DiGraph::new();
+        links.add_edge(n(0), n(1));
+        let mut dense = deterministic(&links);
+        dense.kill_node(n(1));
         let mut scratch = DenseScratch::new();
         disseminate_dense(
             &dense,
@@ -818,9 +572,8 @@ mod tests {
     #[test]
     fn dense_scratch_is_reusable_across_runs_and_overlays() {
         let mut scratch = DenseScratch::new();
-        let big = warmed_overlay(150, 30);
-        let big_dense = crate::overlay::DenseOverlay::from(&big);
-        let origin = big.live_node_ids()[0];
+        let big_dense = warmed_overlay(150, 30);
+        let origin = big_dense.live_node_ids()[0];
         let first = disseminate_dense(
             &big_dense,
             &DenseSelector::ringcast(3),
@@ -830,8 +583,7 @@ mod tests {
         )
         .report(&big_dense, &scratch);
         // A smaller overlay afterwards: buffers shrink correctly.
-        let small = StaticOverlay::deterministic(&builders::bidirectional_ring(&ids(10)));
-        let small_dense = crate::overlay::DenseOverlay::from(&small);
+        let small_dense = deterministic(&builders::bidirectional_ring(&ids(10)));
         let report = disseminate_dense(
             &small_dense,
             &DenseSelector::DeterministicFlooding,

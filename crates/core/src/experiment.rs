@@ -12,7 +12,6 @@
 //! under a recording probe — with run `r` a pure function of
 //! `(master_seed, r)`, and materialises every run's id-keyed report.
 
-use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -24,9 +23,9 @@ use crate::async_engine::{
     disseminate_async_dense, disseminate_async_dense_probed, AsyncConfig, AsyncReport,
     DenseAsyncScratch,
 };
-use crate::engine::{disseminate, disseminate_dense, disseminate_dense_probed, DenseScratch};
+use crate::engine::{disseminate_dense, disseminate_dense_probed, DenseScratch};
 use crate::metrics::DisseminationReport;
-use crate::overlay::{DenseOverlay, Overlay};
+use crate::overlay::DenseOverlay;
 use crate::protocols::DenseSelector;
 use crate::pull::{disseminate_push_pull_dense, DensePullScratch, PullConfig, PushPullReport};
 
@@ -91,42 +90,6 @@ impl AggregateStats {
             mean_total_messages: mean(&|r| r.total_messages() as f64),
         }
     }
-}
-
-/// Picks `count` dissemination origins uniformly at random (with
-/// replacement across runs, as the paper does) from the overlay's live
-/// nodes.
-///
-/// # Panics
-///
-/// Panics if the overlay has no live nodes.
-pub fn random_origins<R: Rng + ?Sized>(
-    overlay: &dyn Overlay,
-    count: usize,
-    rng: &mut R,
-) -> Vec<NodeId> {
-    let live = overlay.live_node_ids();
-    assert!(!live.is_empty(), "overlay has no live nodes");
-    (0..count)
-        .map(|_| *live.choose(rng).expect("non-empty"))
-        .collect()
-}
-
-/// Runs `origins.len()` disseminations of `selector` over `overlay`, one per
-/// origin, and returns the individual reports.
-pub fn run_disseminations<R>(
-    overlay: &dyn Overlay,
-    selector: &DenseSelector,
-    origins: &[NodeId],
-    rng: &mut R,
-) -> Vec<DisseminationReport>
-where
-    R: Rng,
-{
-    origins
-        .iter()
-        .map(|&origin| disseminate(overlay, selector, origin, rng))
-        .collect()
 }
 
 /// Derives the RNG seed of run `run` from a master seed (SplitMix64-style
@@ -363,55 +326,24 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::overlay::{SnapshotOverlay, StaticOverlay};
-    use hybridcast_graph::builders;
-    use hybridcast_sim::{Network, SimConfig};
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
+    use crate::overlay::tests::warmed_overlay;
+    use hybridcast_graph::{builders, DiGraph};
 
-    fn ids(count: u64) -> Vec<NodeId> {
-        (0..count).map(NodeId::new).collect()
+    fn ring(count: u64) -> DenseOverlay {
+        let ids: Vec<NodeId> = (0..count).map(NodeId::new).collect();
+        DenseOverlay::from_graphs(&builders::bidirectional_ring(&ids), &DiGraph::new())
     }
 
-    /// `runs` disseminations of `selector` from random origins, aggregated.
+    /// `runs` seeded disseminations of `selector` from random origins,
+    /// aggregated.
     fn run_experiment(
-        overlay: &dyn Overlay,
+        overlay: &DenseOverlay,
         selector: DenseSelector,
         runs: usize,
-        rng: &mut ChaCha8Rng,
+        master_seed: u64,
     ) -> AggregateStats {
-        let origins = random_origins(overlay, runs, rng);
-        let reports = run_disseminations(overlay, &selector, &origins, rng);
+        let reports = run_seeded_disseminations(overlay, &selector, runs, master_seed, 1);
         AggregateStats::from_reports(selector.name(), selector.fanout(), &reports)
-    }
-
-    fn warmed_overlay(nodes: usize, seed: u64) -> SnapshotOverlay {
-        let mut net = Network::new(
-            SimConfig {
-                nodes,
-                ..SimConfig::default()
-            },
-            seed,
-        );
-        net.run_cycles(120);
-        SnapshotOverlay::new(net.overlay_snapshot())
-    }
-
-    #[test]
-    fn random_origins_are_live_nodes() {
-        let overlay = StaticOverlay::deterministic(&builders::bidirectional_ring(&ids(10)));
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let origins = random_origins(&overlay, 25, &mut rng);
-        assert_eq!(origins.len(), 25);
-        assert!(origins.iter().all(|&o| overlay.is_live(o)));
-    }
-
-    #[test]
-    #[should_panic(expected = "no live nodes")]
-    fn random_origins_panics_on_empty_overlay() {
-        let overlay = StaticOverlay::new();
-        let mut rng = ChaCha8Rng::seed_from_u64(2);
-        random_origins(&overlay, 1, &mut rng);
     }
 
     #[test]
@@ -422,9 +354,7 @@ mod tests {
 
     #[test]
     fn aggregate_over_complete_disseminations() {
-        let overlay = StaticOverlay::deterministic(&builders::bidirectional_ring(&ids(20)));
-        let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let stats = run_experiment(&overlay, DenseSelector::DeterministicFlooding, 10, &mut rng);
+        let stats = run_experiment(&ring(20), DenseSelector::DeterministicFlooding, 10, 3);
         assert_eq!(stats.runs, 10);
         assert_eq!(stats.population, 20);
         assert_eq!(stats.mean_miss_ratio, 0.0);
@@ -437,9 +367,8 @@ mod tests {
     #[test]
     fn ringcast_beats_randcast_at_equal_fanout() {
         let overlay = warmed_overlay(300, 4);
-        let mut rng = ChaCha8Rng::seed_from_u64(5);
-        let rand_stats = run_experiment(&overlay, DenseSelector::randcast(2), 10, &mut rng);
-        let ring_stats = run_experiment(&overlay, DenseSelector::ringcast(2), 10, &mut rng);
+        let rand_stats = run_experiment(&overlay, DenseSelector::randcast(2), 10, 5);
+        let ring_stats = run_experiment(&overlay, DenseSelector::ringcast(2), 10, 5);
         assert_eq!(ring_stats.mean_miss_ratio, 0.0);
         assert_eq!(ring_stats.complete_fraction, 1.0);
         assert!(rand_stats.mean_miss_ratio > ring_stats.mean_miss_ratio);
@@ -449,9 +378,8 @@ mod tests {
     #[test]
     fn message_counts_scale_with_fanout() {
         let overlay = warmed_overlay(200, 6);
-        let mut rng = ChaCha8Rng::seed_from_u64(7);
-        let low = run_experiment(&overlay, DenseSelector::randcast(2), 5, &mut rng);
-        let high = run_experiment(&overlay, DenseSelector::randcast(8), 5, &mut rng);
+        let low = run_experiment(&overlay, DenseSelector::randcast(2), 5, 7);
+        let high = run_experiment(&overlay, DenseSelector::randcast(8), 5, 7);
         assert!(high.mean_total_messages > 3.0 * low.mean_total_messages);
         // Virgin messages are bounded by the population.
         assert!(high.mean_messages_to_virgin <= high.population as f64);
@@ -460,8 +388,7 @@ mod tests {
 
     #[test]
     fn seeded_runs_are_thread_count_invariant() {
-        let overlay = warmed_overlay(200, 10);
-        let dense = crate::overlay::DenseOverlay::from(&overlay);
+        let dense = warmed_overlay(200, 10);
         let selector = DenseSelector::ringcast(3);
         let sequential = run_seeded_disseminations(&dense, &selector, 13, 42, 1);
         for threads in [2, 3, 8, 64] {
@@ -473,8 +400,7 @@ mod tests {
 
     #[test]
     fn seeded_runs_depend_only_on_master_seed_and_index() {
-        let overlay = warmed_overlay(150, 11);
-        let dense = crate::overlay::DenseOverlay::from(&overlay);
+        let dense = warmed_overlay(150, 11);
         let selector = DenseSelector::randcast(4);
         // Run r is a pure function of (master, r): a longer experiment is a
         // prefix-extension of a shorter one, and a different master seed
@@ -488,8 +414,7 @@ mod tests {
 
     #[test]
     fn seeded_async_runs_are_thread_count_invariant() {
-        let overlay = warmed_overlay(150, 20);
-        let dense = crate::overlay::DenseOverlay::from(&overlay);
+        let dense = warmed_overlay(150, 20);
         let selector = DenseSelector::ringcast(3);
         let config = AsyncConfig {
             run_membership_gossip: false,
@@ -505,8 +430,7 @@ mod tests {
 
     #[test]
     fn seeded_push_pull_runs_are_thread_count_invariant() {
-        let overlay = warmed_overlay(150, 21);
-        let dense = crate::overlay::DenseOverlay::from(&overlay);
+        let dense = warmed_overlay(150, 21);
         let selector = DenseSelector::randcast(2);
         let config = PullConfig {
             fanout: 1,
@@ -526,9 +450,7 @@ mod tests {
 
     #[test]
     fn aggregate_serializes_for_the_harness() {
-        let overlay = StaticOverlay::deterministic(&builders::bidirectional_ring(&ids(10)));
-        let mut rng = ChaCha8Rng::seed_from_u64(8);
-        let stats = run_experiment(&overlay, DenseSelector::DeterministicFlooding, 3, &mut rng);
+        let stats = run_experiment(&ring(10), DenseSelector::DeterministicFlooding, 3, 8);
         let json = serde_json::to_string(&stats).unwrap();
         let back: AggregateStats = serde_json::from_str(&json).unwrap();
         assert_eq!(back, stats);

@@ -6,9 +6,9 @@
 //! dissemination protocols evaluated over overlays produced by the
 //! membership layer.
 //!
-//! * [`overlay::Overlay`] — the read-only view of an overlay a
-//!   dissemination needs: which nodes are alive, and each node's random
-//!   links (r-links) and deterministic links (d-links).
+//! * [`overlay::DenseOverlay`] — the frozen overlay a dissemination runs
+//!   over: which nodes are alive, and each node's random links (r-links)
+//!   and deterministic links (d-links), in compressed-sparse-row form.
 //! * [`protocols`] — the paper's `selectGossipTargets` pseudo-code as one
 //!   function, [`protocols::DenseSelector::select`], over a node's link
 //!   slices, with one variant per protocol: flooding (deterministic
@@ -18,30 +18,18 @@
 //!   of Section 8).
 //! * [`engine`] — the hop-synchronous dissemination model of Section 7:
 //!   hop 0 is the origin, hop `k + 1` notifies the gossip targets of every
-//!   node first notified at hop `k`. Two implementations share the model:
-//!   the generic [`engine::disseminate`] over any [`overlay::Overlay`], and
-//!   the allocation-free [`engine::disseminate_dense`] over a CSR
-//!   [`overlay::DenseOverlay`], which returns `Copy` statistics and
-//!   materialises the bit-identical report on request
-//!   ([`engine::DenseRunStats::report`]) — orders of magnitude apart in
-//!   throughput.
+//!   node first notified at hop `k`.
 //! * [`metrics`] — per-dissemination accounting: hit/miss ratio,
 //!   completeness, per-hop progress, virgin vs. redundant messages, load
 //!   distribution.
-//! * [`experiment`] — repetition and aggregation helpers used by the
-//!   figure-reproduction harnesses.
+//! * [`experiment`] — the seeded, thread-count-invariant repetition
+//!   drivers and the aggregation the figure harnesses use.
 //! * [`pull`] — the pull-based anti-entropy extension the paper leaves as
-//!   future work: a push phase followed by periodic pull rounds, as the
-//!   id-keyed oracle [`pull::disseminate_push_pull`] and the
-//!   allocation-free [`pull::disseminate_push_pull_dense`].
-//! * [`async_engine`] — the event-driven latency-model engines with
-//!   configurable forwarding delays, used to validate the Section 7.1
-//!   claim that the frozen-overlay simplification is harmless:
-//!   [`async_engine::disseminate_async`] (live membership gossip) and
-//!   [`async_engine::disseminate_async_frozen`] (frozen oracle) — one
-//!   id-keyed event loop over two link sources — and the allocation-free
-//!   [`async_engine::disseminate_async_dense`].
-//! * [`sched`] — the calendar/ladder event queue behind the async engines:
+//!   future work: a push phase followed by periodic pull rounds.
+//! * [`async_engine`] — the event-driven latency-model engine with
+//!   configurable forwarding delays, used to check the Section 7.1 claim
+//!   that the frozen-overlay simplification is harmless.
+//! * [`sched`] — the calendar/ladder event queue behind the async engine:
 //!   `O(1)` near-future bucket insertion, an exact `(time, seq)` pop-order
 //!   contract pinned against a retained-heap oracle, a heap-ordered
 //!   overflow tier for the delay distribution's tail, and an explicit
@@ -53,38 +41,38 @@
 //!   timelines, all seed-reproducible off the per-run RNG streams. The
 //!   default model is bit-identical to the engines without it.
 //!
-//! Every dissemination mode thus ships as a matched pair — a readable
-//! id-keyed BTree engine that serves as the oracle, and a dense CSR
-//! engine over reusable scratch that returns `Copy` statistics without
-//! touching the allocator and whose `report(..)` method materialises the
-//! oracle's report bit for bit per seed (pinned by differential property
-//! tests) at a fraction of the cost:
+//! Every dissemination mode ships as one dense engine over a CSR
+//! [`overlay::DenseOverlay`] and reusable scratch: it returns `Copy`
+//! statistics without touching the allocator, and their `report(..)`
+//! method materialises the id-keyed report. Each engine has a readable
+//! `BTreeMap` twin in the test-only `hybridcast-oracle` crate, which the
+//! differential property tests check it against bit for bit per seed:
 //!
-//! | mode | BTree oracle | dense hot path |
-//! |---|---|---|
-//! | hop-synchronous push | [`engine::disseminate`] | [`engine::disseminate_dense`] |
-//! | async latency model | [`async_engine::disseminate_async_frozen`] | [`async_engine::disseminate_async_dense`] |
-//! | push + pull anti-entropy | [`pull::disseminate_push_pull`] | [`pull::disseminate_push_pull_dense`] |
+//! | mode | dense engine |
+//! |---|---|
+//! | hop-synchronous push | [`engine::disseminate_dense`] |
+//! | async latency model | [`async_engine::disseminate_async_dense`] |
+//! | push + pull anti-entropy | [`pull::disseminate_push_pull_dense`] |
 //!
 //! # Example: RingCast beats RandCast at equal fanout
 //!
 //! ```
-//! use hybridcast_core::engine::disseminate;
-//! use hybridcast_core::overlay::{Overlay, SnapshotOverlay};
+//! use hybridcast_core::experiment::run_seeded_disseminations;
+//! use hybridcast_core::overlay::DenseOverlay;
 //! use hybridcast_core::protocols::DenseSelector;
-//! use hybridcast_sim::{Network, SimConfig};
-//! use rand::SeedableRng;
+//! use hybridcast_core::DisseminationReport;
+//! use hybridcast_sim::{DenseSimNetwork, SimConfig};
 //!
-//! let mut net = Network::new(SimConfig { nodes: 300, ..SimConfig::default() }, 1);
+//! let mut net = DenseSimNetwork::new(SimConfig { nodes: 300, ..SimConfig::default() }, 1);
 //! net.run_cycles(120);
-//! let overlay = SnapshotOverlay::new(net.overlay_snapshot());
-//! let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(2);
+//! let overlay = DenseOverlay::from_dense_sim(&net);
 //!
-//! let origin = overlay.live_node_ids()[0];
-//! let ringcast = disseminate(&overlay, &DenseSelector::ringcast(3), origin, &mut rng);
-//! let randcast = disseminate(&overlay, &DenseSelector::randcast(3), origin, &mut rng);
-//! assert_eq!(ringcast.miss_ratio(), 0.0, "RingCast is complete in fail-free networks");
-//! assert!(ringcast.hit_ratio() >= randcast.hit_ratio());
+//! // 5 runs from seeded random origins, on 1 thread.
+//! let runs = |selector: DenseSelector| run_seeded_disseminations(&overlay, &selector, 5, 2, 1);
+//! let (ringcast, randcast) = (runs(DenseSelector::ringcast(3)), runs(DenseSelector::randcast(3)));
+//! assert!(ringcast.iter().all(DisseminationReport::is_complete), "complete without failures");
+//! let hits = |reports: &[DisseminationReport]| reports.iter().map(|r| r.hit_ratio()).sum::<f64>();
+//! assert!(hits(&ringcast) >= hits(&randcast));
 //! ```
 
 #![warn(missing_docs)]
@@ -101,21 +89,20 @@ pub mod pull;
 pub mod sched;
 
 pub use async_engine::{
-    disseminate_async, disseminate_async_dense, disseminate_async_dense_probed,
-    disseminate_async_frozen, disseminate_async_frozen_probed, AsyncConfig, AsyncReport,
+    disseminate_async_dense, disseminate_async_dense_probed, AsyncConfig, AsyncReport,
     DenseAsyncScratch,
 };
-pub use engine::{disseminate, disseminate_dense, disseminate_dense_probed, DenseScratch};
+pub use engine::{disseminate_dense, disseminate_dense_probed, DenseScratch};
 pub use experiment::{
     run_seed, run_seeded_async, run_seeded_async_probed, run_seeded_disseminations,
     run_seeded_disseminations_probed, run_seeded_push_pulls, stream_seed,
 };
 pub use metrics::DisseminationReport;
 pub use netmodel::{DelayModel, LossModel, NetModel, PartitionEvent};
-pub use overlay::{DenseOverlay, Overlay, SnapshotOverlay, StaticOverlay};
+pub use overlay::{DenseOverlay, Overlay, SnapshotOverlay};
 pub use protocols::DenseSelector;
 pub use pull::{
-    disseminate_push_pull, disseminate_push_pull_dense, disseminate_push_pull_dense_probed,
-    disseminate_push_pull_probed, DensePullScratch, PullConfig, PushPullReport,
+    disseminate_push_pull_dense, disseminate_push_pull_dense_probed, DensePullScratch, PullConfig,
+    PushPullReport,
 };
-pub use sched::{CalendarQueue, HeapQueue, SchedConfig, Scheduled};
+pub use sched::{CalendarQueue, SchedConfig, Scheduled};

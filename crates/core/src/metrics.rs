@@ -4,8 +4,8 @@ use std::collections::BTreeMap;
 
 use hybridcast_graph::NodeId;
 
-/// Complete record of a single dissemination produced by
-/// [`crate::engine::disseminate`].
+/// Complete record of a single dissemination, materialised by
+/// [`crate::engine::DenseRunStats::report`].
 ///
 /// All the quantities plotted in the paper's evaluation derive from this
 /// report:

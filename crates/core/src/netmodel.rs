@@ -34,8 +34,10 @@ use hybridcast_graph::NodeId;
 /// The shared jitter rule of the async engines: a multiplicative uniform
 /// perturbation of ±`jitter`, drawn as exactly one `f64` — or no draw at
 /// all when the jitter or the base duration is zero. Keeping this in one
-/// place is what keeps the RNG streams of all engines aligned.
-pub(crate) fn jittered<R: RngCore + ?Sized>(base: f64, rng: &mut R, jitter: f64) -> f64 {
+/// place is what keeps the RNG streams of all engines aligned: the delay
+/// models draw through it, and so do the gossip timers of the id-keyed
+/// live-membership oracle, which is why it is public.
+pub fn jittered<R: RngCore + ?Sized>(base: f64, rng: &mut R, jitter: f64) -> f64 {
     if jitter == 0.0 || base == 0.0 {
         base
     } else {

@@ -3,27 +3,20 @@
 //! A dissemination only needs to know, for every node, which other nodes it
 //! can forward a message to: its random links (r-links, from the peer
 //! sampling service) and its deterministic links (d-links, e.g. ring
-//! neighbours). [`Overlay`] captures exactly that, so the same engine and
-//! protocols run over
+//! neighbours).
 //!
-//! * [`SnapshotOverlay`] — a frozen overlay exported by the simulator
-//!   (`hybridcast_sim::OverlaySnapshot`), the setup of all paper
-//!   experiments, and
-//! * [`StaticOverlay`] — overlays assembled directly from
-//!   `hybridcast_graph` constructions (rings, Harary graphs, random
-//!   graphs), used for the deterministic baselines of Section 3 and in unit
-//!   tests, and
-//! * [`DenseOverlay`] — a frozen, index-based compressed-sparse-row copy of
-//!   either of the above, the input of the allocation-free dissemination
-//!   hot path ([`crate::engine::disseminate_dense`]).
+//! * [`DenseOverlay`] — a frozen compressed-sparse-row overlay, the input of
+//!   every dissemination engine, built from a simulator export or from
+//!   `hybridcast_graph` constructions (rings, Harary graphs, random graphs).
+//! * [`Overlay`] — id-keyed read access (liveness, links as `Vec<NodeId>`),
+//!   which the oracle engines of the test-only `hybridcast-oracle` crate run
+//!   over; [`SnapshotOverlay`] wraps a simulator snapshot as one.
 
 // D3: index casts go through `hybridcast_graph::cast`; tests are exempt.
 #![cfg_attr(
     not(test),
     deny(clippy::cast_possible_truncation, clippy::cast_sign_loss)
 )]
-
-use std::collections::BTreeMap;
 
 use hybridcast_graph::{cast, DiGraph, NodeId};
 use hybridcast_sim::{DenseSimNetwork, FlatLinks, OverlaySnapshot};
@@ -41,9 +34,7 @@ pub trait Overlay {
     fn live_node_ids(&self) -> Vec<NodeId>;
 
     /// Number of live nodes.
-    fn live_count(&self) -> usize {
-        self.live_node_ids().len()
-    }
+    fn live_count(&self) -> usize;
 
     /// The node's outgoing random links (may include dead nodes).
     fn r_links(&self, node: NodeId) -> Vec<NodeId>;
@@ -76,12 +67,6 @@ impl SnapshotOverlay {
     }
 }
 
-impl From<OverlaySnapshot> for SnapshotOverlay {
-    fn from(snapshot: OverlaySnapshot) -> Self {
-        SnapshotOverlay::new(snapshot)
-    }
-}
-
 impl Overlay for SnapshotOverlay {
     fn is_live(&self, node: NodeId) -> bool {
         self.snapshot.is_live(node)
@@ -101,114 +86,6 @@ impl Overlay for SnapshotOverlay {
 
     fn d_links(&self, node: NodeId) -> Vec<NodeId> {
         self.snapshot.d_links(node)
-    }
-}
-
-/// An [`Overlay`] assembled from explicit link graphs.
-///
-/// Used for the deterministic baselines (trees, stars, cliques, Harary
-/// graphs flooded over their d-links) and for tests that need precise
-/// control over the topology.
-#[derive(Debug, Clone, Default)]
-pub struct StaticOverlay {
-    nodes: BTreeMap<NodeId, bool>,
-    r_links: BTreeMap<NodeId, Vec<NodeId>>,
-    d_links: BTreeMap<NodeId, Vec<NodeId>>,
-}
-
-impl StaticOverlay {
-    /// Creates an empty overlay.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates an overlay whose d-links come from `d_graph` and r-links from
-    /// `r_graph`; the node set is the union of both graphs, all alive.
-    pub fn from_graphs(d_graph: &DiGraph, r_graph: &DiGraph) -> Self {
-        let mut overlay = StaticOverlay::new();
-        for node in d_graph.nodes().chain(r_graph.nodes()) {
-            overlay.add_node(node);
-        }
-        for (from, to) in d_graph.edges() {
-            overlay.add_d_link(from, to);
-        }
-        for (from, to) in r_graph.edges() {
-            overlay.add_r_link(from, to);
-        }
-        overlay
-    }
-
-    /// Creates an overlay with only deterministic links (r-link set empty),
-    /// as used by the flooding baselines of Section 3.
-    pub fn deterministic(d_graph: &DiGraph) -> Self {
-        Self::from_graphs(d_graph, &DiGraph::new())
-    }
-
-    /// Creates an overlay with only random links (d-link set empty), the
-    /// shape RandCast runs over.
-    pub fn random(r_graph: &DiGraph) -> Self {
-        Self::from_graphs(&DiGraph::new(), r_graph)
-    }
-
-    /// Registers a live node.
-    pub fn add_node(&mut self, node: NodeId) {
-        self.nodes.entry(node).or_insert(true);
-    }
-
-    /// Adds an outgoing r-link.
-    pub fn add_r_link(&mut self, from: NodeId, to: NodeId) {
-        self.add_node(from);
-        let links = self.r_links.entry(from).or_default();
-        if !links.contains(&to) {
-            links.push(to);
-        }
-    }
-
-    /// Adds an outgoing d-link.
-    pub fn add_d_link(&mut self, from: NodeId, to: NodeId) {
-        self.add_node(from);
-        let links = self.d_links.entry(from).or_default();
-        if !links.contains(&to) {
-            links.push(to);
-        }
-    }
-
-    /// Marks a node as dead. Its links (and links pointing to it) stay in
-    /// place as dead links. Returns `true` if the node was alive.
-    pub fn kill_node(&mut self, node: NodeId) -> bool {
-        match self.nodes.get_mut(&node) {
-            Some(alive) if *alive => {
-                *alive = false;
-                true
-            }
-            _ => false,
-        }
-    }
-}
-
-impl Overlay for StaticOverlay {
-    fn is_live(&self, node: NodeId) -> bool {
-        self.nodes.get(&node).copied().unwrap_or(false)
-    }
-
-    fn live_node_ids(&self) -> Vec<NodeId> {
-        self.nodes
-            .iter()
-            .filter(|&(_, &alive)| alive)
-            .map(|(&id, _)| id)
-            .collect()
-    }
-
-    fn live_count(&self) -> usize {
-        self.nodes.values().filter(|&&alive| alive).count()
-    }
-
-    fn r_links(&self, node: NodeId) -> Vec<NodeId> {
-        self.r_links.get(&node).cloned().unwrap_or_default()
-    }
-
-    fn d_links(&self, node: NodeId) -> Vec<NodeId> {
-        self.d_links.get(&node).cloned().unwrap_or_default()
     }
 }
 
@@ -286,10 +163,10 @@ fn rank(ids: &[NodeId], id: NodeId) -> Option<u32> {
 /// engine's. That sorted id array is also the only id → index structure:
 /// no map is built or kept, and [`DenseOverlay::index_of`] is a binary
 /// search bounded by the id's distance from the first one (a single probe
-/// over a hole-free id range). Build one with [`DenseOverlay::from_snapshot`],
-/// [`DenseOverlay::from_graphs`], or the `From` impls for
-/// [`SnapshotOverlay`] and [`StaticOverlay`]; all of them preserve per-node
-/// link order, which keeps random draws bit-identical between engines.
+/// over a hole-free id range). Build one with [`DenseOverlay::from_dense_sim`],
+/// [`DenseOverlay::from_snapshot`], [`DenseOverlay::from_graphs`] or the
+/// `From` impl for [`SnapshotOverlay`]; all of them preserve per-node link
+/// order, which keeps random draws bit-identical between engines.
 #[derive(Debug, Clone)]
 pub struct DenseOverlay {
     /// Dense index -> node id, strictly ascending. The inverse direction
@@ -305,19 +182,19 @@ pub struct DenseOverlay {
 }
 
 impl DenseOverlay {
-    /// Builds the overlay from per-node link lists. `entries` must be sorted
-    /// by strictly ascending id; link targets absent from `entries` are
-    /// materialised as dead nodes.
+    /// Builds the overlay from the per-node link lists of its live nodes.
+    /// `entries` must be sorted by strictly ascending id; link targets absent
+    /// from `entries` are materialised as dead nodes.
     ///
     /// Works on the sorted ids directly ([`rank`]): no set or map is built
     /// and none is kept.
-    fn build(entries: &[(NodeId, bool, &[NodeId], &[NodeId])]) -> Self {
+    fn build(entries: &[(NodeId, &[NodeId], &[NodeId])]) -> Self {
         let entry_ids: Vec<NodeId> = entries.iter().map(|&(id, ..)| id).collect();
         debug_assert!(entry_ids.windows(2).all(|pair| pair[0] < pair[1]));
 
         let mut dangling: Vec<NodeId> = entries
             .iter()
-            .flat_map(|&(_, _, r, d)| r.iter().chain(d))
+            .flat_map(|&(_, r, d)| r.iter().chain(d))
             .copied()
             .filter(|&target| rank(&entry_ids, target).is_none())
             .collect();
@@ -331,22 +208,18 @@ impl DenseOverlay {
         }
         let mut live = DenseBits::default();
         live.reset(ids.len());
-        let mut live_count = 0usize;
         let mut r_offsets = Vec::with_capacity(ids.len() + 1);
         let mut d_offsets = Vec::with_capacity(ids.len() + 1);
-        let mut r_targets = Vec::with_capacity(entries.iter().map(|e| e.2.len()).sum());
-        let mut d_targets = Vec::with_capacity(entries.iter().map(|e| e.3.len()).sum());
+        let mut r_targets = Vec::with_capacity(entries.iter().map(|e| e.1.len()).sum());
+        let mut d_targets = Vec::with_capacity(entries.iter().map(|e| e.2.len()).sum());
         r_offsets.push(0u32);
         d_offsets.push(0u32);
         let index = |target: &NodeId| rank(&ids, *target).expect("every link target is a node");
         let mut remaining = entries.iter().peekable();
         for (idx, &id) in ids.iter().enumerate() {
             // Ids without an entry are the dangling ones: dead, no links.
-            if let Some(&(_, alive, r, d)) = remaining.next_if(|entry| entry.0 == id) {
-                if alive {
-                    live.set(cast::to_u32(idx));
-                    live_count += 1;
-                }
+            if let Some(&(_, r, d)) = remaining.next_if(|entry| entry.0 == id) {
+                live.set(cast::to_u32(idx));
                 r_targets.extend(r.iter().map(index));
                 d_targets.extend(d.iter().map(index));
             }
@@ -357,7 +230,7 @@ impl DenseOverlay {
         DenseOverlay {
             ids,
             live,
-            live_count,
+            live_count: entries.len(),
             r_offsets,
             r_targets,
             d_offsets,
@@ -369,9 +242,9 @@ impl DenseOverlay {
     /// snapshot link order; link targets that are not live in the snapshot
     /// become dead nodes with no outgoing links.
     pub fn from_snapshot(snapshot: &OverlaySnapshot) -> Self {
-        let entries: Vec<(NodeId, bool, &[NodeId], &[NodeId])> = snapshot
+        let entries: Vec<(NodeId, &[NodeId], &[NodeId])> = snapshot
             .nodes()
-            .map(|(id, node)| (id, true, node.r_links.as_slice(), node.d_links.as_slice()))
+            .map(|(id, node)| (id, node.r_links.as_slice(), node.d_links.as_slice()))
             .collect();
         Self::build(&entries)
     }
@@ -406,7 +279,7 @@ impl DenseOverlay {
                 "FlatLinks::{name}_offsets must end at {name}_targets.len()"
             );
         }
-        let entries: Vec<(NodeId, bool, &[NodeId], &[NodeId])> = links
+        let entries: Vec<(NodeId, &[NodeId], &[NodeId])> = links
             .ids
             .iter()
             .enumerate()
@@ -415,7 +288,7 @@ impl DenseOverlay {
                     [cast::idx(links.r_offsets[i])..cast::idx(links.r_offsets[i + 1])];
                 let d = &links.d_targets
                     [cast::idx(links.d_offsets[i])..cast::idx(links.d_offsets[i + 1])];
-                (id, true, r, d)
+                (id, r, d)
             })
             .collect();
         Self::build(&entries)
@@ -429,8 +302,7 @@ impl DenseOverlay {
     }
 
     /// Builds a dense overlay whose d-links come from `d_graph` and r-links
-    /// from `r_graph`; the node set is the union of both graphs, all alive
-    /// (the dense analogue of [`StaticOverlay::from_graphs`]).
+    /// from `r_graph`; the node set is the union of both graphs, all alive.
     pub fn from_graphs(d_graph: &DiGraph, r_graph: &DiGraph) -> Self {
         let nodes: std::collections::BTreeSet<NodeId> =
             d_graph.nodes().chain(r_graph.nodes()).collect();
@@ -438,10 +310,10 @@ impl DenseOverlay {
             .iter()
             .map(|&id| (r_graph.successors_vec(id), d_graph.successors_vec(id)))
             .collect();
-        let entries: Vec<(NodeId, bool, &[NodeId], &[NodeId])> = nodes
+        let entries: Vec<(NodeId, &[NodeId], &[NodeId])> = nodes
             .iter()
             .zip(&links)
-            .map(|(&id, (r, d))| (id, true, r.as_slice(), d.as_slice()))
+            .map(|(&id, (r, d))| (id, r.as_slice(), d.as_slice()))
             .collect();
         Self::build(&entries)
     }
@@ -503,8 +375,8 @@ impl DenseOverlay {
     }
 
     /// Marks a node as dead (catastrophic-failure experiments kill nodes
-    /// after freezing). Its links stay in place as dead links, exactly like
-    /// [`StaticOverlay::kill_node`]. Returns `true` if the node was alive.
+    /// after freezing). Its links, and links pointing to it, stay in place as
+    /// dead links. Returns `true` if the node was alive.
     pub fn kill_node(&mut self, id: NodeId) -> bool {
         match self.index_of(id) {
             Some(idx) if self.live.get(idx) => {
@@ -526,22 +398,6 @@ impl From<&OverlaySnapshot> for DenseOverlay {
 impl From<&SnapshotOverlay> for DenseOverlay {
     fn from(overlay: &SnapshotOverlay) -> Self {
         DenseOverlay::from_snapshot(overlay.snapshot())
-    }
-}
-
-impl From<&StaticOverlay> for DenseOverlay {
-    fn from(overlay: &StaticOverlay) -> Self {
-        static EMPTY: &[NodeId] = &[];
-        let entries: Vec<(NodeId, bool, &[NodeId], &[NodeId])> = overlay
-            .nodes
-            .iter()
-            .map(|(&id, &alive)| {
-                let r = overlay.r_links.get(&id).map_or(EMPTY, |v| v.as_slice());
-                let d = overlay.d_links.get(&id).map_or(EMPTY, |v| v.as_slice());
-                (id, alive, r, d)
-            })
-            .collect();
-        DenseOverlay::build(&entries)
     }
 }
 
@@ -581,12 +437,30 @@ impl Overlay for DenseOverlay {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use hybridcast_graph::builders;
-    use hybridcast_sim::{Network, SimConfig};
+    use hybridcast_sim::{DenseSimNetwork, SimConfig};
     use proptest::prelude::*;
-    use std::collections::BTreeSet;
+    use std::collections::{BTreeMap, BTreeSet};
+
+    /// A membership network of `nodes` nodes after 120 gossip cycles.
+    pub(crate) fn warmed_network(nodes: usize, seed: u64) -> DenseSimNetwork {
+        let mut net = DenseSimNetwork::new(
+            SimConfig {
+                nodes,
+                ..SimConfig::default()
+            },
+            seed,
+        );
+        net.run_cycles(120);
+        net
+    }
+
+    /// The frozen overlay of [`warmed_network`].
+    pub(crate) fn warmed_overlay(nodes: usize, seed: u64) -> DenseOverlay {
+        DenseOverlay::from_dense_sim(&warmed_network(nodes, seed))
+    }
 
     fn n(i: u64) -> NodeId {
         NodeId::new(i)
@@ -597,87 +471,11 @@ mod tests {
     }
 
     #[test]
-    fn static_overlay_from_graphs() {
-        let ring = builders::bidirectional_ring(&ids(6));
-        let mut rng = <rand_chacha::ChaCha8Rng as rand::SeedableRng>::seed_from_u64(1);
-        let random = builders::random_out_degree(&ids(6), 3, &mut rng);
-        let overlay = StaticOverlay::from_graphs(&ring, &random);
-        assert_eq!(overlay.live_count(), 6);
-        assert_eq!(overlay.d_links(n(0)).len(), 2);
-        assert_eq!(overlay.r_links(n(0)).len(), 3);
-        assert!(overlay.is_live(n(5)));
-        assert!(!overlay.is_live(n(99)));
-    }
-
-    #[test]
-    fn deterministic_and_random_constructors() {
-        let ring = builders::bidirectional_ring(&ids(5));
-        let det = StaticOverlay::deterministic(&ring);
-        assert!(det.r_links(n(0)).is_empty());
-        assert_eq!(det.d_links(n(0)).len(), 2);
-
-        let rnd = StaticOverlay::random(&ring);
-        assert!(rnd.d_links(n(0)).is_empty());
-        assert_eq!(rnd.r_links(n(0)).len(), 2);
-    }
-
-    #[test]
-    fn kill_node_keeps_links_in_place() {
-        let ring = builders::bidirectional_ring(&ids(4));
-        let mut overlay = StaticOverlay::deterministic(&ring);
-        assert!(overlay.kill_node(n(2)));
-        assert!(!overlay.kill_node(n(2)), "already dead");
-        assert!(!overlay.kill_node(n(9)), "unknown");
-        assert!(!overlay.is_live(n(2)));
-        assert_eq!(overlay.live_count(), 3);
-        // Neighbours still point at the dead node.
-        assert!(overlay.d_links(n(1)).contains(&n(2)));
-    }
-
-    #[test]
-    fn duplicate_links_are_not_stored_twice() {
-        let mut overlay = StaticOverlay::new();
-        overlay.add_r_link(n(0), n(1));
-        overlay.add_r_link(n(0), n(1));
-        overlay.add_d_link(n(0), n(2));
-        overlay.add_d_link(n(0), n(2));
-        assert_eq!(overlay.r_links(n(0)), vec![n(1)]);
-        assert_eq!(overlay.d_links(n(0)), vec![n(2)]);
-    }
-
-    #[test]
-    fn dense_overlay_mirrors_static_overlay() {
-        let ring = builders::bidirectional_ring(&ids(8));
-        let mut rng = <rand_chacha::ChaCha8Rng as rand::SeedableRng>::seed_from_u64(2);
-        let random = builders::random_out_degree(&ids(8), 3, &mut rng);
-        let mut sparse = StaticOverlay::from_graphs(&ring, &random);
-        sparse.kill_node(n(5));
-        let dense = DenseOverlay::from(&sparse);
-
-        assert_eq!(dense.len(), 8);
-        assert_eq!(dense.live_len(), 7);
-        assert_eq!(dense.live_count(), sparse.live_count());
-        assert_eq!(dense.live_node_ids(), sparse.live_node_ids());
-        for id in ids(8) {
-            assert_eq!(dense.is_live(id), sparse.is_live(id), "{id}");
-            assert_eq!(dense.r_links(id), sparse.r_links(id), "{id} r-links");
-            assert_eq!(dense.d_links(id), sparse.d_links(id), "{id} d-links");
-            let idx = dense.index_of(id).unwrap();
-            assert_eq!(dense.node_id(idx), id);
-            assert_eq!(dense.r_links_of(idx).len(), sparse.r_links(id).len());
-        }
-        assert!(dense.index_of(n(99)).is_none());
-        assert!(!dense.is_live(n(99)));
-    }
-
-    #[test]
     fn dense_overlay_materialises_dead_link_targets() {
-        // A link to an unregistered node: the generic overlay reports it as
-        // not live; the dense overlay must index it as a dead node so the
-        // engine can account messages_to_dead.
-        let mut sparse = StaticOverlay::new();
-        sparse.add_r_link(n(0), n(7));
-        let dense = DenseOverlay::from(&sparse);
+        // A link to a node without an entry of its own: the dense overlay
+        // must index it as a dead node so the engine can account
+        // messages_to_dead.
+        let dense = DenseOverlay::from_flat_links(&flat_links_of(&[(n(0), vec![n(7)], vec![])]));
         assert_eq!(dense.len(), 2, "n0 plus the dead target n7");
         assert_eq!(dense.live_len(), 1);
         let seven = dense.index_of(n(7)).unwrap();
@@ -687,7 +485,7 @@ mod tests {
 
     #[test]
     fn dense_overlay_from_snapshot_preserves_link_order() {
-        let mut net = Network::new(
+        let mut net = DenseSimNetwork::new(
             SimConfig {
                 nodes: 60,
                 ..SimConfig::default()
@@ -707,7 +505,6 @@ mod tests {
 
     #[test]
     fn dense_overlay_from_flat_links_equals_snapshot_route() {
-        use hybridcast_sim::DenseSimNetwork;
         let config = SimConfig {
             nodes: 70,
             ..SimConfig::default()
@@ -753,10 +550,10 @@ mod tests {
     /// `BTreeMap` index, one map lookup per link — the production builder
     /// is pinned against. Returns the parts and the id -> index map.
     fn reference_build(
-        entries: &[(NodeId, bool, &[NodeId], &[NodeId])],
+        entries: &[(NodeId, &[NodeId], &[NodeId])],
     ) -> (Parts, BTreeMap<NodeId, u32>) {
         let mut universe: BTreeSet<NodeId> = entries.iter().map(|&(id, ..)| id).collect();
-        for (_, _, r, d) in entries {
+        for (_, r, d) in entries {
             universe.extend(r.iter().copied());
             universe.extend(d.iter().copied());
         }
@@ -770,9 +567,9 @@ mod tests {
         let mut live = vec![false; ids.len()];
         let mut r_links: Vec<&[NodeId]> = vec![&[]; ids.len()];
         let mut d_links: Vec<&[NodeId]> = vec![&[]; ids.len()];
-        for &(id, alive, r, d) in entries {
+        for &(id, r, d) in entries {
             let idx = cast::idx(index[&id]);
-            live[idx] = alive;
+            live[idx] = true;
             r_links[idx] = r;
             d_links[idx] = d;
         }
@@ -843,9 +640,9 @@ mod tests {
                     (n(id), ids(r), ids(d))
                 })
                 .collect();
-            let entries: Vec<(NodeId, bool, &[NodeId], &[NodeId])> = nodes
+            let entries: Vec<(NodeId, &[NodeId], &[NodeId])> = nodes
                 .iter()
-                .map(|(id, r, d)| (*id, true, r.as_slice(), d.as_slice()))
+                .map(|(id, r, d)| (*id, r.as_slice(), d.as_slice()))
                 .collect();
             let (expected, index) = reference_build(&entries);
 
@@ -944,7 +741,7 @@ mod tests {
 
     #[test]
     fn snapshot_overlay_delegates_to_snapshot() {
-        let mut net = Network::new(
+        let mut net = DenseSimNetwork::new(
             SimConfig {
                 nodes: 40,
                 ..SimConfig::default()

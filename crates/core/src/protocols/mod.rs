@@ -217,10 +217,19 @@ impl DenseSelector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hybridcast_graph::NodeId;
+    use hybridcast_graph::{DiGraph, NodeId};
     use rand_chacha::ChaCha8Rng;
 
     use crate::overlay::Overlay;
+
+    /// The graph of the given `(from, to)` edges.
+    pub(super) fn graph(edges: &[(u64, u64)]) -> DiGraph {
+        let mut graph = DiGraph::new();
+        for &(from, to) in edges {
+            graph.add_edge(NodeId::new(from), NodeId::new(to));
+        }
+        graph
+    }
 
     /// The targets `selector` picks for `node` over the id-keyed links of
     /// `overlay`, received from `from` (`None` for the origin).
@@ -260,8 +269,8 @@ mod tests {
 #[cfg(test)]
 mod flooding {
     mod tests {
-        use crate::overlay::StaticOverlay;
-        use crate::protocols::tests::select;
+        use crate::overlay::DenseOverlay;
+        use crate::protocols::tests::{graph, select};
         use crate::protocols::DenseSelector;
         use hybridcast_graph::{builders, NodeId};
         use rand::SeedableRng;
@@ -278,8 +287,7 @@ mod flooding {
         #[test]
         fn flooding_uses_all_links_except_sender() {
             let ring = builders::bidirectional_ring(&ids(5));
-            let mut overlay = StaticOverlay::deterministic(&ring);
-            overlay.add_r_link(n(0), n(3));
+            let overlay = DenseOverlay::from_graphs(&ring, &graph(&[(0, 3)]));
             let mut rng = ChaCha8Rng::seed_from_u64(0);
 
             let targets = select(
@@ -297,9 +305,7 @@ mod flooding {
 
         #[test]
         fn flooding_deduplicates_links_present_in_both_sets() {
-            let mut overlay = StaticOverlay::new();
-            overlay.add_d_link(n(0), n(1));
-            overlay.add_r_link(n(0), n(1));
+            let overlay = DenseOverlay::from_graphs(&graph(&[(0, 1)]), &graph(&[(0, 1)]));
             let mut rng = ChaCha8Rng::seed_from_u64(0);
             let targets = select(DenseSelector::Flooding, &overlay, n(0), None, &mut rng);
             assert_eq!(targets, vec![n(1)]);
@@ -308,8 +314,7 @@ mod flooding {
         #[test]
         fn deterministic_flooding_ignores_r_links() {
             let ring = builders::bidirectional_ring(&ids(5));
-            let mut overlay = StaticOverlay::deterministic(&ring);
-            overlay.add_r_link(n(0), n(3));
+            let overlay = DenseOverlay::from_graphs(&ring, &graph(&[(0, 3)]));
             let mut rng = ChaCha8Rng::seed_from_u64(0);
             let targets = select(
                 DenseSelector::DeterministicFlooding,
@@ -337,10 +342,10 @@ mod flooding {
 #[cfg(test)]
 mod randcast {
     mod tests {
-        use crate::overlay::{Overlay, StaticOverlay};
-        use crate::protocols::tests::select;
+        use crate::overlay::{DenseOverlay, Overlay};
+        use crate::protocols::tests::{graph, select};
         use crate::protocols::DenseSelector;
-        use hybridcast_graph::{builders, NodeId};
+        use hybridcast_graph::{builders, DiGraph, NodeId};
         use rand::SeedableRng;
         use rand_chacha::ChaCha8Rng;
 
@@ -352,9 +357,10 @@ mod randcast {
             (0..count).map(NodeId::new).collect()
         }
 
-        fn random_overlay(nodes: u64, degree: usize, seed: u64) -> StaticOverlay {
+        fn random_overlay(nodes: u64, degree: usize, seed: u64) -> DenseOverlay {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
-            StaticOverlay::random(&builders::random_out_degree(&ids(nodes), degree, &mut rng))
+            let random = builders::random_out_degree(&ids(nodes), degree, &mut rng);
+            DenseOverlay::from_graphs(&DiGraph::new(), &random)
         }
 
         #[test]
@@ -388,10 +394,7 @@ mod randcast {
 
         #[test]
         fn ignores_d_links_entirely() {
-            let mut overlay = StaticOverlay::new();
-            overlay.add_d_link(n(0), n(1));
-            overlay.add_d_link(n(0), n(2));
-            overlay.add_r_link(n(0), n(3));
+            let overlay = DenseOverlay::from_graphs(&graph(&[(0, 1), (0, 2)]), &graph(&[(0, 3)]));
             let mut rng = ChaCha8Rng::seed_from_u64(5);
             let targets = select(DenseSelector::randcast(5), &overlay, n(0), None, &mut rng);
             assert_eq!(targets, vec![n(3)]);
@@ -410,10 +413,10 @@ mod randcast {
 #[cfg(test)]
 mod ringcast {
     mod tests {
-        use crate::overlay::StaticOverlay;
-        use crate::protocols::tests::select;
+        use crate::overlay::DenseOverlay;
+        use crate::protocols::tests::{graph, select};
         use crate::protocols::DenseSelector;
-        use hybridcast_graph::{builders, NodeId};
+        use hybridcast_graph::{builders, DiGraph, NodeId};
         use rand::SeedableRng;
         use rand_chacha::ChaCha8Rng;
 
@@ -426,12 +429,12 @@ mod ringcast {
         }
 
         /// A 10-node bidirectional ring with a full random graph on top.
-        fn ring_overlay(seed: u64) -> StaticOverlay {
+        fn ring_overlay(seed: u64) -> DenseOverlay {
             let nodes = ids(10);
             let ring = builders::bidirectional_ring(&nodes);
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
             let random = builders::random_out_degree(&nodes, 6, &mut rng);
-            StaticOverlay::from_graphs(&ring, &random)
+            DenseOverlay::from_graphs(&ring, &random)
         }
 
         #[test]
@@ -483,12 +486,8 @@ mod ringcast {
         #[test]
         fn random_targets_never_duplicate_d_links() {
             // r-links identical to d-links: the random fill must not pick them again.
-            let mut overlay = StaticOverlay::new();
-            overlay.add_d_link(n(0), n(1));
-            overlay.add_d_link(n(0), n(2));
-            overlay.add_r_link(n(0), n(1));
-            overlay.add_r_link(n(0), n(2));
-            overlay.add_r_link(n(0), n(3));
+            let d_links = graph(&[(0, 1), (0, 2)]);
+            let overlay = DenseOverlay::from_graphs(&d_links, &graph(&[(0, 1), (0, 2), (0, 3)]));
             let mut rng = ChaCha8Rng::seed_from_u64(7);
             let targets = select(DenseSelector::ringcast(4), &overlay, n(0), None, &mut rng);
             assert_eq!(targets.len(), 3);
@@ -501,11 +500,8 @@ mod ringcast {
         fn multi_ring_d_links_are_all_followed() {
             // Four d-links (two rings), fanout 3: all four d-links followed, no
             // random fill since the deterministic part already exceeds F.
-            let mut overlay = StaticOverlay::new();
-            for d in [1, 2, 3, 4] {
-                overlay.add_d_link(n(0), n(d));
-            }
-            overlay.add_r_link(n(0), n(9));
+            let d_links = graph(&[(0, 1), (0, 2), (0, 3), (0, 4)]);
+            let overlay = DenseOverlay::from_graphs(&d_links, &graph(&[(0, 9)]));
             let mut rng = ChaCha8Rng::seed_from_u64(8);
             let targets = select(DenseSelector::ringcast(3), &overlay, n(0), None, &mut rng);
             assert_eq!(targets.len(), 4);
@@ -514,8 +510,7 @@ mod ringcast {
 
         #[test]
         fn isolated_node_selects_nothing() {
-            let mut overlay = StaticOverlay::new();
-            overlay.add_node(n(0));
+            let overlay = DenseOverlay::from_graphs(&DiGraph::with_nodes([n(0)]), &DiGraph::new());
             let mut rng = ChaCha8Rng::seed_from_u64(9);
             let targets = select(DenseSelector::ringcast(5), &overlay, n(0), None, &mut rng);
             assert!(targets.is_empty());

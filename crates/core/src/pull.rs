@@ -13,18 +13,15 @@
 //! latency, since pulls are periodic rather than reactive — and extra
 //! polling traffic.
 //!
-//! Two implementations share the model:
-//!
-//! * [`disseminate_push_pull`] — the id-keyed `BTreeSet` engine over any
-//!   [`Overlay`], the oracle; and
-//! * [`disseminate_push_pull_dense`] — the allocation-free rewrite over a
-//!   CSR [`DenseOverlay`] and a reusable [`DensePullScratch`]: the push
-//!   phase runs on [`crate::engine::disseminate_dense`], the holder set is
-//!   a bitset seeded straight from the push scratch, and each pull round
-//!   polls over borrowed index slices. It returns `Copy`
-//!   [`DensePullRunStats`], whose [`DensePullRunStats::report`] is a
-//!   [`PushPullReport`] bit-identical to the oracle's for the same overlay,
-//!   selector, origin and seed, pinned by differential property tests.
+//! [`disseminate_push_pull_dense`] runs the model over a CSR
+//! [`DenseOverlay`] and a reusable [`DensePullScratch`]: the push phase runs
+//! on [`crate::engine::disseminate_dense`], the holder set is a bitset
+//! seeded straight from the push scratch, and each pull round polls over
+//! borrowed index slices. It returns `Copy` [`DensePullRunStats`], whose
+//! [`DensePullRunStats::report`] is a [`PushPullReport`] bit-identical to
+//! that of the id-keyed `BTreeSet` oracle in `hybridcast-oracle` for the
+//! same overlay, selector, origin and seed, pinned by differential
+//! property tests.
 //!
 //! # Adversarial network models
 //!
@@ -47,8 +44,6 @@
     deny(clippy::cast_possible_truncation, clippy::cast_sign_loss)
 )]
 
-use std::collections::{BTreeMap, BTreeSet};
-
 use rand::seq::SliceRandom;
 use rand::RngCore;
 
@@ -56,10 +51,10 @@ use hybridcast_graph::cast::{idx, to_u32};
 use hybridcast_graph::NodeId;
 use hybridcast_obs::{NullProbe, Probe, TraceEvent};
 
-use crate::engine::{disseminate_dense_probed, disseminate_probed, DenseRunStats, DenseScratch};
+use crate::engine::{disseminate_dense_probed, DenseRunStats, DenseScratch};
 use crate::metrics::DisseminationReport;
 use crate::netmodel::NetModel;
-use crate::overlay::{DenseBits, DenseOverlay, Overlay, NO_NODE};
+use crate::overlay::{DenseBits, DenseOverlay, NO_NODE};
 use crate::protocols::DenseSelector;
 
 /// Configuration of the pull phase.
@@ -161,159 +156,6 @@ impl PushPullReport {
     }
 }
 
-/// Runs a push dissemination followed by pull-based anti-entropy rounds.
-///
-/// During each pull round every live node that does not yet hold the
-/// message polls `config.fanout` random neighbours from its r-links; if at
-/// least one of them already holds the message, the node obtains it at the
-/// end of the round (rounds are synchronous, matching the cycle-based model
-/// of the rest of the evaluation).
-///
-/// # Panics
-///
-/// Panics if `origin` is not live or the pull configuration is invalid.
-pub fn disseminate_push_pull(
-    overlay: &dyn Overlay,
-    selector: &DenseSelector,
-    origin: NodeId,
-    config: &PullConfig,
-    rng: &mut dyn RngCore,
-) -> PushPullReport {
-    disseminate_push_pull_probed(overlay, selector, origin, config, rng, &mut NullProbe)
-}
-
-/// [`disseminate_push_pull`] with a [`Probe`] attached: the push phase
-/// emits its usual stream, then each pull round adds `PullRequest`,
-/// `PollBlocked` / `PollLost`, `PullTransfer` and `RoundEnd` events.
-/// Probes never touch the RNG, so the report is identical for any probe.
-///
-/// # Panics
-///
-/// Panics if `origin` is not live or the pull configuration is invalid.
-pub fn disseminate_push_pull_probed<P: Probe>(
-    overlay: &dyn Overlay,
-    selector: &DenseSelector,
-    origin: NodeId,
-    config: &PullConfig,
-    rng: &mut dyn RngCore,
-    probe: &mut P,
-) -> PushPullReport {
-    config.validate().expect("invalid pull configuration");
-    let push = disseminate_probed(overlay, selector, origin, rng, probe);
-
-    let mut holders: BTreeSet<NodeId> = overlay
-        .live_node_ids()
-        .into_iter()
-        .filter(|id| !push.unreached.contains(id))
-        .collect();
-    let live: Vec<NodeId> = overlay.live_node_ids();
-
-    let mut pull_rounds = 0usize;
-    let mut pull_requests = 0usize;
-    let mut pull_transfers = 0usize;
-    let mut polls_lost = 0usize;
-    let mut polls_blocked = 0usize;
-    let mut ge_bad: BTreeMap<NodeId, bool> = BTreeMap::new();
-    let mut per_round_new = Vec::new();
-
-    while holders.len() < live.len() && pull_rounds < config.max_rounds {
-        pull_rounds += 1;
-        // Partitions read the 1-based round index as their time axis.
-        let round_time = pull_rounds as f64;
-        let mut obtained_this_round = Vec::new();
-        for &node in live.iter().filter(|id| !holders.contains(id)) {
-            let mut neighbours: Vec<NodeId> = overlay
-                .r_links(node)
-                .into_iter()
-                .filter(|&peer| peer != node && overlay.is_live(peer))
-                .collect();
-            neighbours.shuffle(rng);
-            neighbours.truncate(config.fanout);
-            pull_requests += neighbours.len();
-            let round_u = to_u32(pull_rounds);
-            // Every poll draws its loss sample (no short-circuit): the
-            // draw schedule must not depend on holder state, or the dense
-            // engine's stream would drift from the oracle's.
-            let mut serving: Option<NodeId> = None;
-            for &peer in &neighbours {
-                probe.record(TraceEvent::PullRequest {
-                    from: node.as_u64(),
-                    to: peer.as_u64(),
-                    round: round_u,
-                });
-                if config.net.blocks(node, peer, round_time) {
-                    polls_blocked += 1;
-                    probe.record(TraceEvent::PollBlocked {
-                        from: node.as_u64(),
-                        to: peer.as_u64(),
-                        round: round_u,
-                    });
-                    continue;
-                }
-                if !config.net.loss.is_none() {
-                    let bad = ge_bad.entry(node).or_insert(false);
-                    if config.net.loss.sample(bad, rng) {
-                        polls_lost += 1;
-                        probe.record(TraceEvent::PollLost {
-                            from: node.as_u64(),
-                            to: peer.as_u64(),
-                            round: round_u,
-                        });
-                        continue;
-                    }
-                }
-                if holders.contains(&peer) && serving.is_none() {
-                    serving = Some(peer);
-                }
-            }
-            if let Some(peer) = serving {
-                pull_transfers += 1;
-                obtained_this_round.push(node);
-                probe.record(TraceEvent::PullTransfer {
-                    from: node.as_u64(),
-                    to: peer.as_u64(),
-                    round: round_u,
-                });
-            }
-        }
-        per_round_new.push(obtained_this_round.len());
-        probe.record(TraceEvent::RoundEnd {
-            round: to_u32(pull_rounds),
-            new: obtained_this_round.len() as u64,
-        });
-        if obtained_this_round.is_empty()
-            && per_round_new.len() >= 3
-            && per_round_new.iter().rev().take(3).all(|&n| n == 0)
-        {
-            // Three consecutive dry rounds: the remaining nodes almost
-            // certainly have no live links into the holder set (isolated by
-            // failures); polling further cannot help. Fewer than three
-            // recorded rounds never trigger the cutoff — a single unlucky
-            // all-miss round must not end the phase.
-            break;
-        }
-        holders.extend(obtained_this_round);
-    }
-
-    let unreached_after_pull: Vec<NodeId> = live
-        .iter()
-        .copied()
-        .filter(|id| !holders.contains(id))
-        .collect();
-
-    PushPullReport {
-        push,
-        pull_rounds,
-        pull_requests,
-        pull_transfers,
-        per_round_new,
-        reached_after_pull: holders.len(),
-        unreached_after_pull,
-        polls_lost,
-        polls_blocked,
-    }
-}
-
 /// Reusable scratch buffers for [`disseminate_push_pull_dense`].
 ///
 /// Holds the push engine's [`DenseScratch`] plus the pull phase's own
@@ -339,12 +181,6 @@ impl DensePullScratch {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Nodes that obtained the message in each pull round of the most
-    /// recent run.
-    pub fn per_round_new(&self) -> &[usize] {
-        &self.per_round_new
-    }
 }
 
 /// Scalar accounting of one dense push + pull run: everything
@@ -352,9 +188,8 @@ impl DensePullScratch {
 /// touches the allocator.
 ///
 /// The per-round series and the holder bitset stay behind in the
-/// [`DensePullScratch`] (see [`DensePullScratch::per_round_new`]);
-/// [`DensePullRunStats::report`] reads them back into the id-keyed
-/// [`PushPullReport`].
+/// [`DensePullScratch`]; [`DensePullRunStats::report`] reads them back into
+/// the id-keyed [`PushPullReport`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DensePullRunStats {
     /// Scalar accounting of the push phase.
@@ -375,14 +210,14 @@ pub struct DensePullRunStats {
 
 impl DensePullRunStats {
     /// Materialises the id-keyed [`PushPullReport`], equal field for field
-    /// to what [`disseminate_push_pull`] returns for the same overlay,
+    /// to what the id-keyed oracle returns for the same overlay,
     /// selector, origin, configuration and seed. `overlay` and `scratch`
     /// must be the ones the run was given, and the scratch must not have
     /// served another run since. This is the only part of a dense run that
     /// allocates, and it is O(population).
     pub fn report(&self, overlay: &DenseOverlay, scratch: &DensePullScratch) -> PushPullReport {
-        // Dense indices ascend by id, so the unreached list is ordered
-        // exactly like the generic engine's.
+        // Dense indices ascend by id, so the unreached list is ordered by
+        // id, like the oracle's.
         let unreached_after_pull: Vec<NodeId> = (0..to_u32(overlay.len()))
             .filter(|&i| overlay.is_live_idx(i) && !scratch.holders.get(i))
             .map(|i| overlay.node_id(i))
@@ -402,15 +237,17 @@ impl DensePullRunStats {
 }
 
 /// Runs a push dissemination followed by pull-based anti-entropy rounds
-/// over a [`DenseOverlay`]: the allocation-free rewrite of
-/// [`disseminate_push_pull`].
+/// over a [`DenseOverlay`].
 ///
-/// The round model, the accounting and the RNG draw sequence are identical
-/// to the generic engine's — the push phase delegates to
-/// [`crate::engine::disseminate_dense`] and each pull round shuffles the
-/// same filtered candidate pools — so for the same overlay (converted),
-/// selector, origin, configuration and seed [`DensePullRunStats::report`]
-/// is equal to the generic [`PushPullReport`] field for field.
+/// During each pull round every live node that does not yet hold the
+/// message polls `config.fanout` random neighbours from its r-links; if at
+/// least one of them already holds the message, the node obtains it at the
+/// end of the round (rounds are synchronous, matching the cycle-based model
+/// of the rest of the evaluation). The push phase is
+/// [`crate::engine::disseminate_dense`]. The round model, the accounting
+/// and the RNG draw sequence are those of the id-keyed oracle in
+/// `hybridcast-oracle`, whose [`PushPullReport`]
+/// [`DensePullRunStats::report`] equals field for field.
 ///
 /// Over a warm [`DensePullScratch`] the call performs **zero heap
 /// allocations** — the invariant `tests/zero_alloc.rs` pins with a counting
@@ -423,28 +260,25 @@ impl DensePullRunStats {
 /// # Example
 ///
 /// ```
-/// use hybridcast_core::pull::{
-///     disseminate_push_pull, disseminate_push_pull_dense, DensePullScratch, PullConfig,
-/// };
-/// use hybridcast_core::overlay::{DenseOverlay, StaticOverlay};
+/// use hybridcast_core::pull::{disseminate_push_pull_dense, DensePullScratch, PullConfig};
+/// use hybridcast_core::overlay::DenseOverlay;
 /// use hybridcast_core::protocols::DenseSelector;
-/// use hybridcast_graph::{builders, NodeId};
+/// use hybridcast_graph::{builders, DiGraph, NodeId};
 /// use rand::SeedableRng;
 ///
 /// let ids: Vec<NodeId> = (0..48).map(NodeId::new).collect();
 /// let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(3);
 /// let random = builders::random_out_degree(&ids, 5, &mut rng);
-/// let sparse = StaticOverlay::random(&random);
-/// let dense = DenseOverlay::from(&sparse);
+/// let overlay = DenseOverlay::from_graphs(&DiGraph::new(), &random);
 /// let selector = DenseSelector::randcast(2);
 /// let config = PullConfig { fanout: 2, max_rounds: 30, ..PullConfig::default() };
 ///
 /// let mut scratch = DensePullScratch::new();
 /// let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(9);
-/// let fast = disseminate_push_pull_dense(&dense, &selector, ids[0], &config, &mut rng, &mut scratch);
-/// let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(9);
-/// let slow = disseminate_push_pull(&sparse, &selector, ids[0], &config, &mut rng);
-/// assert_eq!(fast.report(&dense, &scratch), slow);
+/// let stats = disseminate_push_pull_dense(&overlay, &selector, ids[0], &config, &mut rng, &mut scratch);
+/// assert!(stats.reached_after_pull >= stats.push.reached, "pulling only adds holders");
+/// let report = stats.report(&overlay, &scratch);
+/// assert_eq!(report.per_round_new.len(), report.pull_rounds);
 /// ```
 pub fn disseminate_push_pull_dense(
     overlay: &DenseOverlay,
@@ -467,8 +301,10 @@ pub fn disseminate_push_pull_dense(
 
 /// [`disseminate_push_pull_dense`] with a [`Probe`] attached.
 ///
-/// Emits exactly the event stream [`disseminate_push_pull_probed`] emits
-/// for the same overlay, selector, origin, configuration and seed. With an
+/// The push phase emits its usual stream, then each pull round adds
+/// `PullRequest`, `PollBlocked` / `PollLost`, `PullTransfer` and `RoundEnd`
+/// events — exactly the stream the id-keyed oracle emits for the same
+/// overlay, selector, origin, configuration and seed. With an
 /// allocation-free sink the warm-run zero-allocation contract holds
 /// unchanged.
 ///
@@ -533,8 +369,9 @@ pub fn disseminate_push_pull_dense_probed<P: Probe>(
             pull_requests += neighbours.len();
             let round_u = to_u32(pull_rounds);
             let node_id = overlay.node_id(node).as_u64();
-            // Same full-scan (no short-circuit) poll loop as the oracle:
-            // every poll draws its loss sample in neighbour order.
+            // Every poll draws its loss sample (no short-circuit): the draw
+            // schedule must not depend on holder state, or this engine's
+            // stream would drift from the oracle's.
             let mut serving = NO_NODE;
             for &peer in neighbours.iter() {
                 let peer_id = overlay.node_id(peer).as_u64();
@@ -590,8 +427,11 @@ pub fn disseminate_push_pull_dense_probed<P: Probe>(
             && per_round_new.len() >= 3
             && per_round_new.iter().rev().take(3).all(|&n| n == 0)
         {
-            // Same cutoff as the generic engine: three consecutive dry
-            // rounds, never fewer than three recorded rounds.
+            // Three consecutive dry rounds: the remaining nodes almost
+            // certainly have no live links into the holder set (isolated by
+            // failures); polling further cannot help. Fewer than three
+            // recorded rounds never trigger the cutoff — a single unlucky
+            // all-miss round must not end the phase.
             break;
         }
         for &node in obtained.iter() {
@@ -614,23 +454,24 @@ pub fn disseminate_push_pull_dense_probed<P: Probe>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::disseminate;
-    use crate::overlay::{SnapshotOverlay, StaticOverlay};
-    use hybridcast_graph::builders;
-    use hybridcast_sim::{Network, SimConfig};
+    use crate::engine::disseminate_dense;
+    use crate::overlay::tests::{warmed_network, warmed_overlay};
+    use crate::overlay::Overlay;
+    use hybridcast_graph::{builders, DiGraph};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
-    fn warmed_overlay(nodes: usize, seed: u64) -> SnapshotOverlay {
-        let mut net = Network::new(
-            SimConfig {
-                nodes,
-                ..SimConfig::default()
-            },
-            seed,
-        );
-        net.run_cycles(120);
-        SnapshotOverlay::new(net.overlay_snapshot())
+    /// One push + pull run over a fresh scratch, as the id-keyed report.
+    fn disseminate_push_pull(
+        overlay: &DenseOverlay,
+        selector: &DenseSelector,
+        origin: NodeId,
+        config: &PullConfig,
+        rng: &mut dyn RngCore,
+    ) -> PushPullReport {
+        let mut scratch = DensePullScratch::new();
+        disseminate_push_pull_dense(overlay, selector, origin, config, rng, &mut scratch)
+            .report(overlay, &scratch)
     }
 
     #[test]
@@ -648,9 +489,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "invalid pull configuration")]
     fn invalid_config_panics() {
-        let overlay = StaticOverlay::deterministic(&builders::bidirectional_ring(
-            &(0..4).map(NodeId::new).collect::<Vec<_>>(),
-        ));
+        let ids: Vec<NodeId> = (0..4).map(NodeId::new).collect();
+        let overlay =
+            DenseOverlay::from_graphs(&builders::bidirectional_ring(&ids), &DiGraph::new());
         let mut rng = ChaCha8Rng::seed_from_u64(0);
         disseminate_push_pull(
             &overlay,
@@ -669,7 +510,7 @@ mod tests {
     fn pull_is_a_no_op_when_push_already_completed() {
         let overlay = warmed_overlay(200, 1);
         let mut rng = ChaCha8Rng::seed_from_u64(2);
-        let origin = overlay.snapshot().live_nodes().next().unwrap();
+        let origin = overlay.live_node_ids()[0];
         let report = disseminate_push_pull(
             &overlay,
             &DenseSelector::ringcast(3),
@@ -688,7 +529,7 @@ mod tests {
     fn pull_completes_what_low_fanout_randcast_misses() {
         let overlay = warmed_overlay(400, 3);
         let mut rng = ChaCha8Rng::seed_from_u64(4);
-        let origin = overlay.snapshot().live_nodes().next().unwrap();
+        let origin = overlay.live_node_ids()[0];
         let report = disseminate_push_pull(
             &overlay,
             &DenseSelector::randcast(2),
@@ -720,16 +561,20 @@ mod tests {
 
     #[test]
     fn pull_improves_reliability_after_catastrophic_failure() {
-        let mut overlay = warmed_overlay(400, 5);
+        let mut snapshot = warmed_network(400, 5).overlay_snapshot();
         let mut failure_rng = ChaCha8Rng::seed_from_u64(6);
-        hybridcast_sim::failure::kill_fraction_in_snapshot(
-            overlay.snapshot_mut(),
-            0.10,
-            &mut failure_rng,
-        );
+        hybridcast_sim::failure::kill_fraction_in_snapshot(&mut snapshot, 0.10, &mut failure_rng);
+        let overlay = DenseOverlay::from_snapshot(&snapshot);
         let mut rng = ChaCha8Rng::seed_from_u64(7);
-        let origin = overlay.snapshot().live_nodes().next().unwrap();
-        let push_only = disseminate(&overlay, &DenseSelector::randcast(3), origin, &mut rng);
+        let origin = overlay.live_node_ids()[0];
+        let mut scratch = DenseScratch::new();
+        let push_only = disseminate_dense(
+            &overlay,
+            &DenseSelector::randcast(3),
+            origin,
+            &mut rng,
+            &mut scratch,
+        );
         let with_pull = disseminate_push_pull(
             &overlay,
             &DenseSelector::randcast(3),
@@ -741,7 +586,7 @@ mod tests {
             },
             &mut rng,
         );
-        assert!(with_pull.hit_ratio() >= push_only.hit_ratio());
+        assert!(with_pull.reached_after_pull >= push_only.reached);
         assert!(
             with_pull.miss_ratio() < 0.01,
             "pull should bring the miss ratio below 1%, got {:.4}",
@@ -755,10 +600,10 @@ mod tests {
         // phase must stop polling after a few dry rounds instead of
         // spinning until max_rounds.
         let ids: Vec<NodeId> = (0..20).map(NodeId::new).collect();
-        let ring = builders::bidirectional_ring(&ids[..18]);
-        let mut overlay = StaticOverlay::deterministic(&ring);
-        overlay.add_node(NodeId::new(18));
-        overlay.add_node(NodeId::new(19));
+        let mut ring = builders::bidirectional_ring(&ids[..18]);
+        ring.add_node(NodeId::new(18));
+        ring.add_node(NodeId::new(19));
+        let overlay = DenseOverlay::from_graphs(&ring, &DiGraph::new());
         let mut rng = ChaCha8Rng::seed_from_u64(8);
         let report = disseminate_push_pull(
             &overlay,
@@ -780,70 +625,9 @@ mod tests {
     }
 
     #[test]
-    fn dense_pull_matches_generic_engine() {
-        let overlay = warmed_overlay(300, 11);
-        let dense = crate::overlay::DenseOverlay::from(&overlay);
-        let origin = overlay.snapshot().live_nodes().next().unwrap();
-        let mut scratch = DensePullScratch::new();
-        for (seed, selector) in [
-            (20u64, DenseSelector::randcast(2)),
-            (21, DenseSelector::ringcast(1)),
-            (22, DenseSelector::randcast(1)),
-        ] {
-            let config = PullConfig {
-                fanout: 1,
-                max_rounds: 40,
-                ..PullConfig::default()
-            };
-            let mut rng = ChaCha8Rng::seed_from_u64(seed);
-            let slow = disseminate_push_pull(&overlay, &selector, origin, &config, &mut rng);
-            let mut rng = ChaCha8Rng::seed_from_u64(seed);
-            let fast = disseminate_push_pull_dense(
-                &dense,
-                &selector,
-                origin,
-                &config,
-                &mut rng,
-                &mut scratch,
-            )
-            .report(&dense, &scratch);
-            assert_eq!(slow, fast, "{} diverged at seed {seed}", selector.name());
-        }
-    }
-
-    #[test]
-    fn dense_pull_matches_generic_engine_after_failures() {
-        let mut overlay = warmed_overlay(300, 12);
-        let mut failure_rng = ChaCha8Rng::seed_from_u64(13);
-        hybridcast_sim::failure::kill_fraction_in_snapshot(
-            overlay.snapshot_mut(),
-            0.10,
-            &mut failure_rng,
-        );
-        let dense = crate::overlay::DenseOverlay::from(&overlay);
-        let origin = overlay.snapshot().live_nodes().next().unwrap();
-        let selector = DenseSelector::randcast(3);
-        let config = PullConfig {
-            fanout: 2,
-            max_rounds: 30,
-            ..PullConfig::default()
-        };
-        let mut scratch = DensePullScratch::new();
-        let mut rng = ChaCha8Rng::seed_from_u64(14);
-        let slow = disseminate_push_pull(&overlay, &selector, origin, &config, &mut rng);
-        let mut rng = ChaCha8Rng::seed_from_u64(14);
-        let fast =
-            disseminate_push_pull_dense(&dense, &selector, origin, &config, &mut rng, &mut scratch)
-                .report(&dense, &scratch);
-        assert_eq!(slow, fast);
-        assert!(fast.push.messages_to_dead > 0, "stale links hit dead nodes");
-    }
-
-    #[test]
     fn dense_pull_scratch_is_reusable_across_runs_and_overlays() {
-        let big = warmed_overlay(200, 15);
-        let big_dense = crate::overlay::DenseOverlay::from(&big);
-        let origin = big.snapshot().live_nodes().next().unwrap();
+        let big_dense = warmed_overlay(200, 15);
+        let origin = big_dense.live_node_ids()[0];
         let selector = DenseSelector::randcast(2);
         let config = PullConfig {
             fanout: 1,
@@ -861,9 +645,8 @@ mod tests {
         )
         .report(&big_dense, &scratch);
         // A smaller overlay afterwards: buffers shrink correctly.
-        let small = warmed_overlay(60, 17);
-        let small_dense = crate::overlay::DenseOverlay::from(&small);
-        let small_origin = small.snapshot().live_nodes().next().unwrap();
+        let small_dense = warmed_overlay(60, 17);
+        let small_origin = small_dense.live_node_ids()[0];
         let report = disseminate_push_pull_dense(
             &small_dense,
             &selector,
@@ -891,7 +674,7 @@ mod tests {
     fn report_accounting_is_consistent() {
         let overlay = warmed_overlay(300, 9);
         let mut rng = ChaCha8Rng::seed_from_u64(10);
-        let origin = overlay.snapshot().live_nodes().next().unwrap();
+        let origin = overlay.live_node_ids()[0];
         let report = disseminate_push_pull(
             &overlay,
             &DenseSelector::randcast(2),
@@ -913,64 +696,10 @@ mod tests {
     }
 
     #[test]
-    fn lossy_polls_slow_the_pull_phase_but_equality_holds_across_engines() {
-        use crate::netmodel::{LossModel, NetModel};
-        let overlay = warmed_overlay(400, 19);
-        let dense = crate::overlay::DenseOverlay::from(&overlay);
-        let origin = overlay.snapshot().live_nodes().next().unwrap();
-        let clean = PullConfig {
-            fanout: 1,
-            max_rounds: 60,
-            ..PullConfig::default()
-        };
-        let lossy = PullConfig {
-            net: NetModel {
-                loss: LossModel::Iid { rate: 0.5 },
-                ..NetModel::default()
-            },
-            ..clean.clone()
-        };
-        let baseline = disseminate_push_pull(
-            &overlay,
-            &DenseSelector::randcast(2),
-            origin,
-            &clean,
-            &mut ChaCha8Rng::seed_from_u64(20),
-        );
-        let degraded = disseminate_push_pull(
-            &overlay,
-            &DenseSelector::randcast(2),
-            origin,
-            &lossy,
-            &mut ChaCha8Rng::seed_from_u64(20),
-        );
-        assert!(degraded.polls_lost > 0, "half the polls should be eaten");
-        assert_eq!(degraded.polls_blocked, 0);
-        assert!(
-            degraded.pull_rounds >= baseline.pull_rounds,
-            "loss cannot speed up anti-entropy: {} < {}",
-            degraded.pull_rounds,
-            baseline.pull_rounds
-        );
-        // Dense engine stays bit-identical under the lossy model.
-        let mut scratch = DensePullScratch::new();
-        let fast = disseminate_push_pull_dense(
-            &dense,
-            &DenseSelector::randcast(2),
-            origin,
-            &lossy,
-            &mut ChaCha8Rng::seed_from_u64(20),
-            &mut scratch,
-        )
-        .report(&dense, &scratch);
-        assert_eq!(degraded, fast);
-    }
-
-    #[test]
     fn partitioned_rounds_block_cross_cut_polls() {
         use crate::netmodel::{NetModel, PartitionEvent};
         let overlay = warmed_overlay(400, 21);
-        let origin = overlay.snapshot().live_nodes().next().unwrap();
+        let origin = overlay.live_node_ids()[0];
         // Partition covering pull rounds 1–5 (time axis = round index).
         let config = PullConfig {
             fanout: 2,

@@ -4,33 +4,23 @@ use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use hybridcast_core::async_engine::{
-    disseminate_async_dense, disseminate_async_frozen, AsyncConfig, DenseAsyncScratch,
-};
-use hybridcast_core::engine::{disseminate, disseminate_dense, DenseScratch};
+use hybridcast_core::async_engine::{disseminate_async_dense, AsyncConfig, DenseAsyncScratch};
+use hybridcast_core::engine::{disseminate_dense, DenseScratch};
 use hybridcast_core::experiment::{run_seeded_async, run_seeded_disseminations};
 use hybridcast_core::netmodel::{DelayModel, LossModel, NetModel, PartitionEvent};
-use hybridcast_core::overlay::{DenseOverlay, Overlay, SnapshotOverlay, StaticOverlay};
+use hybridcast_core::overlay::{DenseOverlay, Overlay, SnapshotOverlay};
 use hybridcast_core::protocols::DenseSelector;
-use hybridcast_core::pull::{
-    disseminate_push_pull, disseminate_push_pull_dense, DensePullScratch, PullConfig,
-};
+use hybridcast_core::pull::{disseminate_push_pull_dense, DensePullScratch, PullConfig};
 use hybridcast_graph::{builders, connectivity, harary, NodeId};
+use hybridcast_obs::NullProbe;
+use hybridcast_oracle::{
+    disseminate, disseminate_async, disseminate_push_pull, Network, StaticOverlay,
+};
 use hybridcast_sim::churn::{ChurnConfig, ChurnDriver};
-use hybridcast_sim::{Network, SimConfig};
+use hybridcast_sim::{GossipRuntime, SimConfig};
 
 fn ids(count: u64) -> Vec<NodeId> {
     (0..count).map(NodeId::new).collect()
-}
-
-/// Builds a RingCast-shaped overlay: a bidirectional ring as d-links plus a
-/// random out-degree graph as r-links.
-fn hybrid_overlay(n: u64, degree: usize, seed: u64) -> StaticOverlay {
-    let nodes = ids(n);
-    let ring = builders::bidirectional_ring(&nodes);
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let random = builders::random_out_degree(&nodes, degree, &mut rng);
-    StaticOverlay::from_graphs(&ring, &random)
 }
 
 /// Grows a small overlay under continuous churn and freezes it, then kills
@@ -123,7 +113,7 @@ proptest! {
         let overlay = StaticOverlay::deterministic(&ring);
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let origin = nodes[(seed % n) as usize];
-        let report = disseminate(&overlay, &DenseSelector::DeterministicFlooding, origin, &mut rng);
+        let report = disseminate(&overlay, &DenseSelector::DeterministicFlooding, origin, &mut rng, &mut NullProbe);
         prop_assert!(report.is_complete());
         prop_assert_eq!(report.messages_to_dead, 0);
         // Flooding sends over every outgoing link except the incoming one:
@@ -142,10 +132,10 @@ proptest! {
         degree in 1usize..10,
         seed in 0u64..100,
     ) {
-        let overlay = hybrid_overlay(n, degree, seed);
+        let overlay = StaticOverlay::hybrid(n, degree, seed);
         let mut rng = ChaCha8Rng::seed_from_u64(seed.wrapping_add(1));
         let origin = NodeId::new(seed % n);
-        let report = disseminate(&overlay, &DenseSelector::ringcast(fanout), origin, &mut rng);
+        let report = disseminate(&overlay, &DenseSelector::ringcast(fanout), origin, &mut rng, &mut NullProbe);
         prop_assert!(report.is_complete(), "missed {} of {}", report.population - report.reached, report.population);
     }
 
@@ -160,10 +150,10 @@ proptest! {
         seed in 0u64..100,
         protocol_idx in 0usize..4,
     ) {
-        let overlay = hybrid_overlay(n, degree, seed);
+        let overlay = StaticOverlay::hybrid(n, degree, seed);
         let mut rng = ChaCha8Rng::seed_from_u64(seed.wrapping_add(2));
         let origin = NodeId::new(seed % n);
-        let report = disseminate(&overlay, &protocol(protocol_idx, fanout), origin, &mut rng);
+        let report = disseminate(&overlay, &protocol(protocol_idx, fanout), origin, &mut rng, &mut NullProbe);
 
         prop_assert_eq!(report.messages_to_virgin, report.reached - 1,
             "every node except the origin is notified by exactly one virgin message");
@@ -192,12 +182,12 @@ proptest! {
         fanout in 2usize..6,
         seed in 0u64..60,
     ) {
-        let overlay = hybrid_overlay(n, 8, seed);
+        let overlay = StaticOverlay::hybrid(n, 8, seed);
         let origin = NodeId::new(seed % n);
         let mut rng_a = ChaCha8Rng::seed_from_u64(1000 + seed);
         let mut rng_b = ChaCha8Rng::seed_from_u64(1000 + seed);
-        let rand_report = disseminate(&overlay, &DenseSelector::randcast(fanout), origin, &mut rng_a);
-        let ring_report = disseminate(&overlay, &DenseSelector::ringcast(fanout), origin, &mut rng_b);
+        let rand_report = disseminate(&overlay, &DenseSelector::randcast(fanout), origin, &mut rng_a, &mut NullProbe);
+        let ring_report = disseminate(&overlay, &DenseSelector::ringcast(fanout), origin, &mut rng_b, &mut NullProbe);
         prop_assert!(ring_report.reached >= rand_report.reached);
         prop_assert!(ring_report.is_complete());
     }
@@ -211,7 +201,7 @@ proptest! {
         degree in 1usize..12,
         seed in 0u64..100,
     ) {
-        let overlay = hybrid_overlay(n, degree, seed);
+        let overlay = StaticOverlay::hybrid(n, degree, seed);
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let node = NodeId::new(seed % n);
         let (d_links, r_links) = (overlay.d_links(node), overlay.r_links(node));
@@ -252,7 +242,7 @@ proptest! {
         }
         let origin = NodeId::new(0);
         prop_assume!(overlay.is_live(origin));
-        let report = disseminate(&overlay, &DenseSelector::ringcast(3), origin, &mut rng);
+        let report = disseminate(&overlay, &DenseSelector::ringcast(3), origin, &mut rng, &mut NullProbe);
 
         // Every live node adjacent (on the ring) to a reached live node must
         // have been reached too: RingCast exhausts ring segments.
@@ -289,7 +279,7 @@ proptest! {
         seed in 0u64..100,
         protocol_idx in 0usize..4,
     ) {
-        let mut overlay = hybrid_overlay(n, degree, seed);
+        let mut overlay = StaticOverlay::hybrid(n, degree, seed);
         for k in 0..kill.min(n as usize - 1) {
             overlay.kill_node(NodeId::new((seed + 3 * k as u64 + 1) % n));
         }
@@ -304,7 +294,7 @@ proptest! {
             &overlay,
             &selector,
             origin,
-            &mut ChaCha8Rng::seed_from_u64(rng_seed),
+            &mut ChaCha8Rng::seed_from_u64(rng_seed), &mut NullProbe,
         );
         let fast = disseminate_dense(
             &dense,
@@ -331,7 +321,7 @@ proptest! {
         threads in 2usize..6,
         runs in 1usize..12,
     ) {
-        let overlay = hybrid_overlay(n, 6, master_seed);
+        let overlay = StaticOverlay::hybrid(n, 6, master_seed);
         let dense = DenseOverlay::from(&overlay);
         let selector = DenseSelector::ringcast(fanout);
         let sequential = run_seeded_disseminations(&dense, &selector, runs, master_seed, 1);
@@ -353,7 +343,7 @@ proptest! {
         protocol_idx in 0usize..4,
         delay_tenths in 0usize..40,
     ) {
-        let mut overlay = hybrid_overlay(n, degree, seed);
+        let mut overlay = StaticOverlay::hybrid(n, degree, seed);
         for k in 0..kill.min(n as usize - 1) {
             overlay.kill_node(NodeId::new((seed + 3 * k as u64 + 1) % n));
         }
@@ -369,12 +359,12 @@ proptest! {
             ..AsyncConfig::default()
         };
         let rng_seed = seed.wrapping_add(11);
-        let slow = disseminate_async_frozen(
+        let slow = disseminate_async(
             &overlay,
             &selector,
             origin,
             &config,
-            &mut ChaCha8Rng::seed_from_u64(rng_seed),
+            &mut ChaCha8Rng::seed_from_u64(rng_seed), &mut NullProbe,
         );
         let fast = disseminate_async_dense(
             &dense,
@@ -422,12 +412,12 @@ proptest! {
         .enumerate()
         {
             let rng_seed = seed.wrapping_add(idx as u64).wrapping_mul(97);
-            let slow = disseminate_async_frozen(
+            let slow = disseminate_async(
                 &overlay,
                 &selector,
                 origin,
                 &config,
-                &mut ChaCha8Rng::seed_from_u64(rng_seed),
+                &mut ChaCha8Rng::seed_from_u64(rng_seed), &mut NullProbe,
             );
             let fast = disseminate_async_dense(
                 &dense,
@@ -456,7 +446,7 @@ proptest! {
         threads in 2usize..6,
         runs in 1usize..8,
     ) {
-        let overlay = hybrid_overlay(n, 6, master_seed);
+        let overlay = StaticOverlay::hybrid(n, 6, master_seed);
         let dense = DenseOverlay::from(&overlay);
         let selector = DenseSelector::ringcast(fanout);
         let config = AsyncConfig {
@@ -482,7 +472,7 @@ proptest! {
         seed in 0u64..100,
         protocol_idx in 0usize..2,
     ) {
-        let mut overlay = hybrid_overlay(n, degree, seed);
+        let mut overlay = StaticOverlay::hybrid(n, degree, seed);
         for k in 0..kill.min(n as usize - 1) {
             overlay.kill_node(NodeId::new((seed + 3 * k as u64 + 1) % n));
         }
@@ -503,7 +493,7 @@ proptest! {
             &selector,
             origin,
             &config,
-            &mut ChaCha8Rng::seed_from_u64(rng_seed),
+            &mut ChaCha8Rng::seed_from_u64(rng_seed), &mut NullProbe,
         );
         let fast = disseminate_push_pull_dense(
             &dense,
@@ -549,7 +539,7 @@ proptest! {
             &selector,
             origin,
             &config,
-            &mut ChaCha8Rng::seed_from_u64(rng_seed),
+            &mut ChaCha8Rng::seed_from_u64(rng_seed), &mut NullProbe,
         );
         let fast = disseminate_push_pull_dense(
             &dense,
@@ -588,7 +578,7 @@ proptest! {
             let d = DenseOverlay::from(&o);
             (Box::new(o), d)
         } else {
-            let mut o = hybrid_overlay(n, 6, seed);
+            let mut o = StaticOverlay::hybrid(n, 6, seed);
             for k in 0..kill.min(n as usize - 1) {
                 o.kill_node(NodeId::new((seed + 3 * k as u64 + 1) % n));
             }
@@ -608,12 +598,12 @@ proptest! {
         };
         prop_assert!(config.validate().is_ok());
         let rng_seed = seed.wrapping_add(19);
-        let slow = disseminate_async_frozen(
+        let slow = disseminate_async(
             overlay.as_ref(),
             &selector,
             origin,
             &config,
-            &mut ChaCha8Rng::seed_from_u64(rng_seed),
+            &mut ChaCha8Rng::seed_from_u64(rng_seed), &mut NullProbe,
         );
         let fast = disseminate_async_dense(
             &dense,
@@ -663,7 +653,7 @@ proptest! {
         parts in 0usize..3,
         knob in 0u64..1000,
     ) {
-        let overlay = hybrid_overlay(n, 6, master_seed);
+        let overlay = StaticOverlay::hybrid(n, 6, master_seed);
         let dense = DenseOverlay::from(&overlay);
         let selector = DenseSelector::ringcast(fanout);
         let config = AsyncConfig {
@@ -696,7 +686,7 @@ proptest! {
             let d = DenseOverlay::from(&o);
             (Box::new(o), d)
         } else {
-            let mut o = hybrid_overlay(n, 6, seed);
+            let mut o = StaticOverlay::hybrid(n, 6, seed);
             for k in 0..kill.min(n as usize - 1) {
                 o.kill_node(NodeId::new((seed + 3 * k as u64 + 1) % n));
             }
@@ -721,7 +711,7 @@ proptest! {
             &selector,
             origin,
             &config,
-            &mut ChaCha8Rng::seed_from_u64(rng_seed),
+            &mut ChaCha8Rng::seed_from_u64(rng_seed), &mut NullProbe,
         );
         let fast = disseminate_push_pull_dense(
             &dense,
@@ -752,7 +742,7 @@ proptest! {
         fanout in 1usize..5,
         seed in 0u64..100,
     ) {
-        let overlay = hybrid_overlay(n, 6, seed);
+        let overlay = StaticOverlay::hybrid(n, 6, seed);
         let origin = NodeId::new(seed % n);
         let implicit = AsyncConfig {
             run_membership_gossip: false,
@@ -767,19 +757,19 @@ proptest! {
             ..implicit.clone()
         };
         prop_assert!(explicit.net.is_default());
-        let a = disseminate_async_frozen(
+        let a = disseminate_async(
             &overlay,
             &DenseSelector::ringcast(fanout),
             origin,
             &implicit,
-            &mut ChaCha8Rng::seed_from_u64(seed),
+            &mut ChaCha8Rng::seed_from_u64(seed), &mut NullProbe,
         );
-        let b = disseminate_async_frozen(
+        let b = disseminate_async(
             &overlay,
             &DenseSelector::ringcast(fanout),
             origin,
             &explicit,
-            &mut ChaCha8Rng::seed_from_u64(seed),
+            &mut ChaCha8Rng::seed_from_u64(seed), &mut NullProbe,
         );
         prop_assert_eq!(a, b);
     }
@@ -806,7 +796,7 @@ proptest! {
             candidate = (candidate + 1) % n;
         }
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let report = disseminate(&overlay, &DenseSelector::DeterministicFlooding, NodeId::new(0), &mut rng);
+        let report = disseminate(&overlay, &DenseSelector::DeterministicFlooding, NodeId::new(0), &mut rng, &mut NullProbe);
         prop_assert!(report.is_complete(),
             "H({}, {}) flooding missed {} nodes after {} failures",
             n, t, report.unreached.len(), t - 1);

@@ -14,7 +14,8 @@
 
 use proptest::prelude::*;
 
-use hybridcast_core::sched::{CalendarQueue, HeapQueue, Scheduled};
+use hybridcast_core::sched::{CalendarQueue, Scheduled};
+use hybridcast_oracle::HeapQueue;
 
 /// One step of a differential workload: maybe pop, then push a delay of the
 /// given kind scaled by `magnitude`. See [`delay_of`] for the kinds.

@@ -13,32 +13,21 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use hybridcast_core::async_engine::{
-    disseminate_async_dense_probed, disseminate_async_frozen_probed, AsyncConfig, DenseAsyncScratch,
+    disseminate_async_dense_probed, AsyncConfig, DenseAsyncScratch,
 };
-use hybridcast_core::engine::{disseminate_dense_probed, disseminate_probed, DenseScratch};
+use hybridcast_core::engine::{disseminate_dense_probed, DenseScratch};
 use hybridcast_core::netmodel::{LossModel, NetModel};
-use hybridcast_core::overlay::{DenseOverlay, Overlay, StaticOverlay};
+use hybridcast_core::overlay::{DenseOverlay, Overlay};
 use hybridcast_core::protocols::DenseSelector;
-use hybridcast_core::pull::{
-    disseminate_push_pull_dense_probed, disseminate_push_pull_probed, DensePullScratch, PullConfig,
-};
+use hybridcast_core::pull::{disseminate_push_pull_dense_probed, DensePullScratch, PullConfig};
 use hybridcast_graph::{builders, NodeId};
 use hybridcast_obs::{
     parse_jsonl, DeliveryOutcome, JsonlProbe, TraceEvent, VecProbe, SCHEMA_VERSION,
 };
+use hybridcast_oracle::{disseminate, disseminate_async, disseminate_push_pull, StaticOverlay};
 
 fn ids(count: u64) -> Vec<NodeId> {
     (0..count).map(NodeId::new).collect()
-}
-
-/// A RingCast-shaped overlay: bidirectional ring d-links plus random
-/// out-degree r-links (the same shape `tests/properties.rs` sweeps).
-fn hybrid_overlay(n: u64, degree: usize, seed: u64) -> StaticOverlay {
-    let nodes = ids(n);
-    let ring = builders::bidirectional_ring(&nodes);
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let random = builders::random_out_degree(&nodes, degree, &mut rng);
-    StaticOverlay::from_graphs(&ring, &random)
 }
 
 /// The protocol the differentials sweep at index `protocol_idx`.
@@ -60,7 +49,7 @@ fn golden_trace_deterministic_flood_on_a_4_ring() {
     let nodes = ids(4);
     let overlay = StaticOverlay::deterministic(&builders::bidirectional_ring(&nodes));
     let mut probe = VecProbe::new();
-    let report = disseminate_probed(
+    let report = disseminate(
         &overlay,
         &DenseSelector::DeterministicFlooding,
         nodes[0],
@@ -175,13 +164,13 @@ proptest! {
         protocol_idx in 0usize..4,
         fanout in 1usize..5,
     ) {
-        let sparse = hybrid_overlay(n, degree, overlay_seed);
+        let sparse = StaticOverlay::hybrid(n, degree, overlay_seed);
         let dense = DenseOverlay::from(&sparse);
         let origin = sparse.live_node_ids()[0];
         let selector = protocol(protocol_idx, fanout);
 
         let mut sparse_probe = VecProbe::new();
-        let sparse_report = disseminate_probed(
+        let sparse_report = disseminate(
             &sparse,
             &selector,
             origin,
@@ -215,7 +204,7 @@ proptest! {
         fanout in 1usize..5,
         loss_centi in 0u64..40,
     ) {
-        let sparse = hybrid_overlay(n, degree, overlay_seed);
+        let sparse = StaticOverlay::hybrid(n, degree, overlay_seed);
         let dense = DenseOverlay::from(&sparse);
         let origin = sparse.live_node_ids()[0];
         let config = AsyncConfig {
@@ -228,7 +217,7 @@ proptest! {
         };
 
         let mut frozen_probe = VecProbe::new();
-        let frozen_report = disseminate_async_frozen_probed(
+        let frozen_report = disseminate_async(
             &sparse,
             &DenseSelector::ringcast(fanout),
             origin,
@@ -263,13 +252,13 @@ proptest! {
         run_seed in 0u64..500,
         fanout in 1usize..4,
     ) {
-        let sparse = hybrid_overlay(n, degree, overlay_seed);
+        let sparse = StaticOverlay::hybrid(n, degree, overlay_seed);
         let dense = DenseOverlay::from(&sparse);
         let origin = sparse.live_node_ids()[0];
         let config = PullConfig { fanout, max_rounds: 20, ..PullConfig::default() };
 
         let mut sparse_probe = VecProbe::new();
-        let sparse_report = disseminate_push_pull_probed(
+        let sparse_report = disseminate_push_pull(
             &sparse,
             &DenseSelector::randcast(fanout),
             origin,
@@ -303,11 +292,11 @@ proptest! {
         run_seed in 0u64..500,
         fanout in 1usize..5,
     ) {
-        let sparse = hybrid_overlay(n, 4, overlay_seed);
+        let sparse = StaticOverlay::hybrid(n, 4, overlay_seed);
         let origin = sparse.live_node_ids()[0];
 
         let mut vec_probe = VecProbe::new();
-        disseminate_probed(
+        disseminate(
             &sparse,
             &DenseSelector::ringcast(fanout),
             origin,
@@ -315,7 +304,7 @@ proptest! {
             &mut vec_probe,
         );
         let mut jsonl = JsonlProbe::new(Vec::new()).unwrap();
-        disseminate_probed(
+        disseminate(
             &sparse,
             &DenseSelector::ringcast(fanout),
             origin,

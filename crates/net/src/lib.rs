@@ -22,7 +22,7 @@
 //! (`hybridcast_core::protocols::DenseSelector::select`) are *shared* with
 //! the simulator: a node here reads the same links (Cyclon view → r-links,
 //! `hybridcast_membership::vicinity::d_links` → d-links) that
-//! `hybridcast_sim::Network::overlay_snapshot` freezes, and pushes fresh
+//! `hybridcast_sim::DenseSimNetwork::overlay_snapshot` freezes, and pushes fresh
 //! messages to the targets the selector picks — i.e. this runtime is the
 //! asynchronous, wall-clock instantiation of the event-driven latency
 //! model that `hybridcast_core::async_engine` simulates with virtual

@@ -1,4 +1,13 @@
-//! The cycle-driven simulated network.
+//! [`Network`]: the id-keyed cycle-driven membership runtime
+//! (`BTreeMap<NodeId, SimNode>`), the reference
+//! `hybridcast_sim::DenseSimNetwork` replays draw for draw.
+//!
+//! Every initial node boots with the star topology the paper uses (one
+//! introducer contact), and [`Network::run_cycles`] gives every live node,
+//! in a fresh random order, one Cyclon shuffle and one Vicinity exchange per
+//! ring, exactly like PeerSim's cycle-driven mode. [`Network`] implements
+//! [`GossipRuntime`], so the churn and failure drivers of `hybridcast-sim`
+//! drive it like the dense runtime.
 
 use std::collections::BTreeMap;
 
@@ -13,9 +22,8 @@ use hybridcast_membership::proximity::RingPosition;
 use hybridcast_membership::vicinity::{self, PendingExchange, VicinityNode};
 use hybridcast_obs::{NullProbe, Probe, TraceEvent};
 
-use crate::config::SimConfig;
-use crate::runtime::GossipRuntime;
-use crate::snapshot::{NodeSnapshot, OverlaySnapshot};
+use hybridcast_sim::snapshot::{NodeSnapshot, OverlaySnapshot};
+use hybridcast_sim::{GossipRuntime, SimConfig};
 
 /// The application profile carried inside Cyclon descriptors: the node's
 /// position on every identifier ring. Ring 0 is the primary RingCast ring;
@@ -70,7 +78,6 @@ impl SimNode {
 /// The simulated network: a population of [`SimNode`]s driven in discrete
 /// gossip cycles, as in PeerSim's cycle-driven mode.
 ///
-/// See the crate-level documentation for an end-to-end example.
 #[derive(Debug, Clone)]
 pub struct Network {
     config: SimConfig,
@@ -106,26 +113,6 @@ impl Network {
         net
     }
 
-    /// The simulation parameters.
-    pub fn config(&self) -> &SimConfig {
-        &self.config
-    }
-
-    /// The current cycle number (0 before any [`Network::run_cycles`] call).
-    pub fn cycle(&self) -> u64 {
-        self.cycle
-    }
-
-    /// Number of live nodes.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Returns `true` if no node is alive.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
     /// Iterates over the live nodes.
     pub fn nodes(&self) -> impl Iterator<Item = &SimNode> {
         self.nodes.values()
@@ -134,16 +121,6 @@ impl Network {
     /// Returns the node with the given id, if it is alive.
     pub fn node(&self, id: NodeId) -> Option<&SimNode> {
         self.nodes.get(&id)
-    }
-
-    /// Returns `true` if the node with the given id is alive.
-    pub fn is_live(&self, id: NodeId) -> bool {
-        self.nodes.contains_key(&id)
-    }
-
-    /// The ids of all live nodes.
-    pub fn live_ids(&self) -> Vec<NodeId> {
-        self.nodes.keys().copied().collect()
     }
 
     /// Creates a brand-new node and adds it to the network.
@@ -199,34 +176,11 @@ impl Network {
         id
     }
 
-    /// Removes a node from the network (it stops responding to gossip and
-    /// dissemination immediately; links pointing to it become dead links).
-    /// Returns `true` if the node existed.
-    pub fn kill_node(&mut self, id: NodeId) -> bool {
-        self.nodes.remove(&id).is_some()
-    }
-
-    /// Picks a uniformly random live node, if any.
-    pub fn random_live_node(&mut self) -> Option<NodeId> {
-        let ids = self.live_ids();
-        ids.choose(&mut self.rng).copied()
-    }
-
-    /// Runs `count` gossip cycles.
-    ///
-    /// In each cycle every live node, in a fresh random order, initiates one
-    /// Cyclon shuffle and (if enabled) one Vicinity exchange per ring.
-    /// Exchanges towards dead nodes fail silently, exactly as a timed-out
-    /// gossip would in a deployed system.
-    pub fn run_cycles(&mut self, count: usize) {
-        self.run_cycles_probed(count, &mut NullProbe);
-    }
-
-    /// [`Network::run_cycles`] with a [`Probe`] attached: one
+    /// [`GossipRuntime::run_cycles`] with a [`Probe`] attached: one
     /// `ViewExchange` per gossiping node (in shuffle order) and a
     /// `CycleEnd` per cycle. The probe never touches the simulation RNG,
     /// so the network evolves bit-identically to the unprobed call — and
-    /// the stream matches [`crate::DenseSimNetwork::run_cycles_probed`]'s
+    /// the stream matches [`hybridcast_sim::DenseSimNetwork::run_cycles_probed`]'s
     /// record for record when both runtimes were built from the same seed.
     pub fn run_cycles_probed<P: Probe>(&mut self, count: usize, probe: &mut P) {
         for _ in 0..count {
@@ -348,29 +302,25 @@ impl Network {
         }
         OverlaySnapshot::new(self.cycle, entries)
     }
-
-    /// Access to the simulation RNG, for drivers that need extra randomness
-    /// tied to the same seed (e.g. choosing dissemination origins).
-    pub fn rng(&mut self) -> &mut ChaCha8Rng {
-        &mut self.rng
-    }
 }
 
+/// Exchanges towards dead nodes fail silently, as a timed-out gossip would in
+/// a deployed system; links pointing to a killed node become dead links.
 impl GossipRuntime for Network {
     fn cycle(&self) -> u64 {
-        Network::cycle(self)
+        self.cycle
     }
 
     fn len(&self) -> usize {
-        Network::len(self)
+        self.nodes.len()
     }
 
     fn live_ids(&self) -> Vec<NodeId> {
-        Network::live_ids(self)
+        self.nodes.keys().copied().collect()
     }
 
     fn is_live(&self, id: NodeId) -> bool {
-        Network::is_live(self, id)
+        self.nodes.contains_key(&id)
     }
 
     fn joined_at(&self, id: NodeId) -> Option<u64> {
@@ -382,15 +332,16 @@ impl GossipRuntime for Network {
     }
 
     fn kill_node(&mut self, id: NodeId) -> bool {
-        Network::kill_node(self, id)
+        self.nodes.remove(&id).is_some()
     }
 
     fn random_live_node(&mut self) -> Option<NodeId> {
-        Network::random_live_node(self)
+        let ids = self.live_ids();
+        ids.choose(&mut self.rng).copied()
     }
 
     fn run_cycles(&mut self, count: usize) {
-        Network::run_cycles(self, count)
+        self.run_cycles_probed(count, &mut NullProbe);
     }
 
     fn overlay_snapshot(&self) -> OverlaySnapshot {
@@ -399,9 +350,22 @@ impl GossipRuntime for Network {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use hybridcast_graph::{connectivity, DiGraph};
+
+    /// A network of `nodes` nodes after 120 gossip cycles.
+    pub(crate) fn warmed_network(nodes: usize, seed: u64) -> Network {
+        let mut network = Network::new(
+            SimConfig {
+                nodes,
+                ..SimConfig::default()
+            },
+            seed,
+        );
+        network.run_cycles(120);
+        network
+    }
 
     fn small_net(nodes: usize, seed: u64) -> Network {
         let config = SimConfig {

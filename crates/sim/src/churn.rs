@@ -61,9 +61,8 @@ impl ChurnConfig {
     }
 }
 
-/// Drives a [`GossipRuntime`] (the id-keyed [`crate::Network`] or the
-/// arena-based [`crate::DenseSimNetwork`]) through gossip cycles with churn
-/// applied each cycle.
+/// Drives a [`GossipRuntime`] (such as [`crate::DenseSimNetwork`]) through
+/// gossip cycles with churn applied each cycle.
 #[derive(Debug)]
 pub struct ChurnDriver {
     config: ChurnConfig,
@@ -208,10 +207,10 @@ pub fn lifetime_histogram<N: GossipRuntime + ?Sized>(
 mod tests {
     use super::*;
     use crate::config::SimConfig;
-    use crate::network::Network;
+    use crate::dense::DenseSimNetwork;
 
-    fn net(nodes: usize, seed: u64) -> Network {
-        Network::new(
+    fn net(nodes: usize, seed: u64) -> DenseSimNetwork {
+        DenseSimNetwork::new(
             SimConfig {
                 nodes,
                 ..SimConfig::default()
@@ -262,7 +261,11 @@ mod tests {
         let mut network = net(100, 2);
         let mut driver = ChurnDriver::new(ChurnConfig { rate: 0.02 });
         driver.run_cycles(&mut network, 10);
-        let late_joiners = network.nodes().filter(|n| n.joined_at_cycle() > 0).count();
+        let late_joiners = network
+            .live_ids()
+            .into_iter()
+            .filter(|&id| network.joined_at_cycle(id) > Some(0))
+            .count();
         assert!(late_joiners >= 10, "expected at least 10 churned-in nodes");
         assert_eq!(network.len(), 100, "population size is preserved");
     }
@@ -278,8 +281,8 @@ mod tests {
         );
         assert_eq!(network.len(), 30);
         // No original node survives.
-        for node in network.nodes() {
-            assert!(node.joined_at_cycle() > 0);
+        for id in network.live_ids() {
+            assert!(network.joined_at_cycle(id) > Some(0));
         }
     }
 

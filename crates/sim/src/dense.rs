@@ -1,8 +1,7 @@
 //! The arena-based epoch gossip runtime.
 //!
-//! [`DenseSimNetwork`] is the million-node counterpart of the id-keyed
-//! [`crate::Network`]: the same cycle-driven Cyclon + Vicinity simulation,
-//! but with **all node state in flat arrays**:
+//! [`DenseSimNetwork`] is the cycle-driven Cyclon + Vicinity simulation,
+//! with **all node state in flat arrays**:
 //!
 //! * nodes live in a slab of `u32` slots with a free-list, so churn reuses
 //!   storage instead of rebalancing a `BTreeMap`,
@@ -19,12 +18,13 @@
 //! # Determinism contract
 //!
 //! For the same [`SimConfig`] and master seed, `DenseSimNetwork` is
-//! **bit-identical** to [`crate::Network`]: it consumes the exact same RNG
-//! draw sequence (same `shuffle`/`choose`/`gen_range` calls over
+//! **bit-identical** to the id-keyed `BTreeMap` runtime
+//! of the test-only `hybridcast-oracle` crate: it consumes the exact same
+//! RNG draw sequence (same `shuffle`/`choose`/`gen_range` calls over
 //! identically-ordered candidate lists) and therefore produces equal
 //! [`OverlaySnapshot`]s at every cycle, including under churn and failure
 //! drivers. The differential property tests in `tests/properties.rs` pin
-//! this contract; the id-keyed runtime stays around as the oracle.
+//! this contract.
 //!
 //! Because each network owns its RNG, independent runs are embarrassingly
 //! parallel: derive one seed per run (e.g. with the experiment layer's
@@ -145,14 +145,15 @@ pub struct FlatLinks {
 /// # Example
 ///
 /// ```
-/// use hybridcast_sim::{DenseSimNetwork, Network, SimConfig};
+/// use hybridcast_sim::{DenseSimNetwork, SimConfig};
 ///
 /// let config = SimConfig { nodes: 40, ..SimConfig::default() };
-/// let mut dense = DenseSimNetwork::new(config.clone(), 7);
-/// let mut btree = Network::new(config, 7);
-/// dense.run_cycles(20);
-/// btree.run_cycles(20);
-/// assert_eq!(dense.overlay_snapshot(), btree.overlay_snapshot());
+/// let mut a = DenseSimNetwork::new(config.clone(), 7);
+/// let mut b = DenseSimNetwork::new(config, 7);
+/// a.run_cycles(20);
+/// b.run_cycles(20);
+/// assert_eq!(a.overlay_snapshot(), b.overlay_snapshot(), "a seed fixes the run");
+/// assert_eq!(a.flat_links().ids.len(), 40);
 /// ```
 #[derive(Debug, Clone)]
 pub struct DenseSimNetwork {
@@ -201,7 +202,8 @@ pub struct DenseSimNetwork {
 
 impl DenseSimNetwork {
     /// Boots a network of `config.nodes` nodes with the paper's star
-    /// bootstrap topology, exactly like [`crate::Network::new`].
+    /// bootstrap topology: every node but the first boots with the first as
+    /// its only Cyclon contact.
     ///
     /// # Panics
     ///
@@ -345,8 +347,7 @@ impl DenseSimNetwork {
     }
 
     /// Creates a brand-new node, reusing a free slot when one exists.
-    /// RNG-compatible with [`crate::Network::spawn_node`]: exactly `rings`
-    /// uniform draws for the ring positions, nothing else.
+    /// Exactly `rings` uniform draws for the ring positions, nothing else.
     pub fn spawn_node(&mut self, introducer: Option<NodeId>) -> NodeId {
         let id = self.next_id;
         self.next_id += 1;
@@ -409,9 +410,8 @@ impl DenseSimNetwork {
         }
     }
 
-    /// Picks a uniformly random live node, if any. RNG-compatible with
-    /// [`crate::Network::random_live_node`] (one `choose` over the
-    /// id-ordered live list).
+    /// Picks a uniformly random live node, if any: one `choose` over the
+    /// id-ordered live list.
     ///
     /// This and [`DenseSimNetwork::spawn_node`] are the only draws a driver
     /// can cause: the stream itself is never handed out, so no caller can
@@ -428,8 +428,8 @@ impl DenseSimNetwork {
 
     /// [`DenseSimNetwork::run_cycles`] with a [`Probe`] attached: one
     /// `ViewExchange` per gossiping node (in shuffle order) and a
-    /// `CycleEnd` per cycle — the same stream, record for record, that
-    /// [`crate::Network::run_cycles_probed`] emits from the same seed.
+    /// `CycleEnd` per cycle — the same stream, record for record, that the
+    /// id-keyed oracle runtime emits from the same seed.
     pub fn run_cycles_probed<P: Probe>(&mut self, count: usize, probe: &mut P) {
         for _ in 0..count {
             if self.per_node.is_some() {
@@ -607,8 +607,8 @@ impl DenseSimNetwork {
         }
     }
 
-    /// Exports a frozen id-keyed snapshot, bit-identical to
-    /// [`crate::Network::overlay_snapshot`] for the same seed and history.
+    /// Exports a frozen id-keyed snapshot, bit-identical to the id-keyed
+    /// oracle runtime's for the same seed and history.
     pub fn overlay_snapshot(&self) -> OverlaySnapshot {
         let mut entries = BTreeMap::new();
         let view = self.cy.view();
@@ -746,8 +746,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::churn::{ChurnConfig, ChurnDriver};
-    use crate::network::Network;
 
     fn config(nodes: usize) -> SimConfig {
         SimConfig {
@@ -757,103 +755,9 @@ mod tests {
         }
     }
 
-    fn pair(nodes: usize, seed: u64) -> (DenseSimNetwork, Network) {
-        (
-            DenseSimNetwork::new(config(nodes), seed),
-            Network::new(config(nodes), seed),
-        )
-    }
-
-    #[test]
-    fn bootstrap_matches_the_btree_runtime() {
-        let (dense, btree) = pair(50, 1);
-        assert_eq!(dense.len(), 50);
-        assert_eq!(dense.overlay_snapshot(), btree.overlay_snapshot());
-    }
-
-    #[test]
-    fn warmed_overlays_are_bit_identical() {
-        let (mut dense, mut btree) = pair(80, 2);
-        dense.run_cycles(60);
-        btree.run_cycles(60);
-        assert_eq!(dense.cycle(), 60);
-        assert_eq!(dense.overlay_snapshot(), btree.overlay_snapshot());
-    }
-
-    #[test]
-    fn multi_ring_overlays_are_bit_identical() {
-        let cfg = SimConfig {
-            nodes: 40,
-            rings: 3,
-            ..SimConfig::default()
-        };
-        let mut dense = DenseSimNetwork::new(cfg.clone(), 3);
-        let mut btree = Network::new(cfg, 3);
-        dense.run_cycles(40);
-        btree.run_cycles(40);
-        assert_eq!(dense.overlay_snapshot(), btree.overlay_snapshot());
-    }
-
-    #[test]
-    fn randcast_only_mode_matches_without_vicinity() {
-        let cfg = SimConfig {
-            nodes: 30,
-            run_vicinity: false,
-            rings: 0,
-            ..SimConfig::default()
-        };
-        let mut dense = DenseSimNetwork::new(cfg.clone(), 4);
-        let mut btree = Network::new(cfg, 4);
-        dense.run_cycles(30);
-        btree.run_cycles(30);
-        assert_eq!(dense.overlay_snapshot(), btree.overlay_snapshot());
-    }
-
-    #[test]
-    fn churn_reuses_slots_and_stays_bit_identical() {
-        let (mut dense, mut btree) = pair(100, 5);
-        let mut driver_a = ChurnDriver::new(ChurnConfig { rate: 0.05 });
-        let mut driver_b = ChurnDriver::new(ChurnConfig { rate: 0.05 });
-        driver_a.run_cycles(&mut dense, 30);
-        driver_b.run_cycles(&mut btree, 30);
-        assert_eq!(dense.overlay_snapshot(), btree.overlay_snapshot());
-        assert_eq!(dense.len(), 100);
-        assert_eq!(
-            dense.slot_capacity(),
-            100,
-            "steady-state churn must recycle slots instead of growing the arena"
-        );
-        // And the RNG streams are still aligned afterwards.
-        assert_eq!(dense.random_live_node(), btree.random_live_node());
-    }
-
-    #[test]
-    fn kill_and_spawn_mirror_the_btree_runtime() {
-        let (mut dense, mut btree) = pair(20, 6);
-        dense.run_cycles(10);
-        btree.run_cycles(10);
-        let victim = NodeId::new(7);
-        assert_eq!(dense.kill_node(victim), btree.kill_node(victim));
-        assert!(!dense.kill_node(victim));
-        assert!(!dense.is_live(victim));
-        let introducer = dense.random_live_node();
-        assert_eq!(introducer, btree.random_live_node());
-        let a = dense.spawn_node(introducer);
-        let b = btree.spawn_node(introducer);
-        assert_eq!(a, b);
-        assert_eq!(dense.joined_at_cycle(a), Some(10));
-        assert_eq!(
-            dense.ring_position(a),
-            btree.node(a).map(|n| n.ring_position())
-        );
-        dense.run_cycles(10);
-        btree.run_cycles(10);
-        assert_eq!(dense.overlay_snapshot(), btree.overlay_snapshot());
-    }
-
     #[test]
     fn flat_links_agree_with_the_snapshot() {
-        let (mut dense, _) = pair(60, 7);
+        let mut dense = DenseSimNetwork::new(config(60), 7);
         dense.run_cycles(40);
         let snapshot = dense.overlay_snapshot();
         let flat = dense.flat_links();
@@ -881,7 +785,7 @@ mod tests {
 
     #[test]
     fn r_links_accessor_matches_snapshot() {
-        let (mut dense, _) = pair(30, 11);
+        let mut dense = DenseSimNetwork::new(config(30), 11);
         dense.run_cycles(25);
         let snapshot = dense.overlay_snapshot();
         for id in dense.live_ids() {

@@ -6,8 +6,8 @@
 //! pointing to a killed node stays in place as a dead link. Two entry points
 //! are provided:
 //!
-//! * [`kill_fraction_in_network`] removes nodes from a live [`crate::Network`]
-//!   (use when you want to study subsequent healing),
+//! * [`kill_fraction_in_network`] removes nodes from a live
+//!   [`GossipRuntime`] (use when you want to study subsequent healing),
 //! * [`kill_fraction_in_snapshot`] removes nodes from a frozen
 //!   [`OverlaySnapshot`] (the paper's setup: freeze first, then fail).
 
@@ -40,9 +40,9 @@ pub fn select_victims<R: Rng + ?Sized>(
     ids
 }
 
-/// Kills a random `fraction` of the live nodes in a running network (either
-/// the id-keyed [`crate::Network`] or the arena-based
-/// [`crate::DenseSimNetwork`]). Returns the ids of the killed nodes.
+/// Kills a random `fraction` of the live nodes in a running network (any
+/// [`GossipRuntime`], such as [`crate::DenseSimNetwork`]). Returns the ids
+/// of the killed nodes.
 pub fn kill_fraction_in_network<N: GossipRuntime + ?Sized, R: Rng + ?Sized>(
     network: &mut N,
     fraction: f64,
@@ -75,12 +75,12 @@ pub fn kill_fraction_in_snapshot<R: Rng + ?Sized>(
 mod tests {
     use super::*;
     use crate::config::SimConfig;
-    use crate::network::Network;
+    use crate::dense::DenseSimNetwork;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
-    fn net(nodes: usize) -> Network {
-        Network::new(
+    fn net(nodes: usize) -> DenseSimNetwork {
+        DenseSimNetwork::new(
             SimConfig {
                 nodes,
                 ..SimConfig::default()

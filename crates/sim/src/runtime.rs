@@ -1,20 +1,10 @@
-//! The common driving surface of the two simulator runtimes.
+//! The driving surface of a cycle-driven gossip simulation.
 //!
-//! The workspace ships two implementations of the cycle-driven gossip
-//! simulation:
-//!
-//! * [`crate::Network`] — the original id-keyed runtime
-//!   (`BTreeMap<NodeId, SimNode>`), easy to introspect node by node, and
-//! * [`crate::DenseSimNetwork`] — the arena-based epoch runtime that holds
-//!   all node state in flat slot arrays and is built for million-node
-//!   populations.
-//!
-//! Both are deterministic per seed and produce **bit-identical**
-//! [`crate::OverlaySnapshot`]s for the same [`crate::SimConfig`] and seed
-//! (the dense runtime replays exactly the RNG draw sequence of the id-keyed
-//! one; the differential property tests pin this down). [`GossipRuntime`]
-//! captures the operations the churn / failure drivers need, so one driver
-//! implementation serves both runtimes.
+//! [`GossipRuntime`] captures the operations the churn / failure drivers
+//! need. [`crate::DenseSimNetwork`] implements it, and so does the id-keyed
+//! runtime of the test-only `hybridcast-oracle` crate, so one driver
+//! implementation serves both, and the differential tests can drive the
+//! two runtimes through the same churn schedule.
 
 use hybridcast_graph::NodeId;
 

@@ -17,7 +17,8 @@ use proptest::prelude::*;
 
 use hybridcast_graph::NodeId;
 use hybridcast_obs::VecProbe;
-use hybridcast_sim::{DenseSimNetwork, GossipRuntime, Network, RngMode, SimConfig};
+use hybridcast_oracle::Network;
+use hybridcast_sim::{DenseSimNetwork, GossipRuntime, RngMode, SimConfig};
 
 fn config(nodes: usize) -> SimConfig {
     SimConfig {

@@ -5,9 +5,10 @@
 
 use proptest::prelude::*;
 
+use hybridcast_oracle::Network;
 use hybridcast_sim::churn::{ChurnConfig, ChurnDriver};
 use hybridcast_sim::dense::DenseSimNetwork;
-use hybridcast_sim::{GossipRuntime, Network, SimConfig};
+use hybridcast_sim::{GossipRuntime, SimConfig};
 
 /// Builds a validated configuration from raw proptest draws.
 fn config(

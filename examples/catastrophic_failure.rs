@@ -10,12 +10,11 @@
 //! cargo run --release --example catastrophic_failure
 //! ```
 
-use hybridcast::core::engine::disseminate;
-use hybridcast::core::experiment::{random_origins, run_disseminations, AggregateStats};
-use hybridcast::core::overlay::{Overlay, SnapshotOverlay};
+use hybridcast::core::experiment::{default_threads, run_seeded_disseminations, AggregateStats};
+use hybridcast::core::overlay::DenseOverlay;
 use hybridcast::core::protocols::DenseSelector;
 use hybridcast::sim::failure::kill_fraction_in_snapshot;
-use hybridcast::sim::{Network, SimConfig};
+use hybridcast::sim::{DenseSimNetwork, SimConfig};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -26,7 +25,7 @@ fn main() {
     let runs = 20;
 
     // Build and freeze the healthy overlay.
-    let mut network = Network::new(
+    let mut network = DenseSimNetwork::new(
         SimConfig {
             nodes,
             ..SimConfig::default()
@@ -34,28 +33,27 @@ fn main() {
         1,
     );
     network.run_cycles(100);
-    let mut overlay = SnapshotOverlay::new(network.overlay_snapshot());
+    let mut snapshot = network.overlay_snapshot();
 
     // The outage: 5% of the machines disappear simultaneously. Links
     // pointing at them stay in place as dead links.
     let mut failure_rng = ChaCha8Rng::seed_from_u64(99);
-    let victims =
-        kill_fraction_in_snapshot(overlay.snapshot_mut(), fail_fraction, &mut failure_rng);
+    let victims = kill_fraction_in_snapshot(&mut snapshot, fail_fraction, &mut failure_rng);
+    let overlay = DenseOverlay::from_snapshot(&snapshot);
     println!(
         "outage: {} of {} hosts failed, {} survivors must receive the alert",
         victims.len(),
         nodes,
-        overlay.live_count()
+        overlay.live_len()
     );
 
-    // Push the alert with both protocols, 20 times each from random origins.
-    let mut rng = ChaCha8Rng::seed_from_u64(7);
+    // Push the alert with both protocols, 20 times each from seeded random
+    // origins.
     for protocol in [
         DenseSelector::randcast(fanout),
         DenseSelector::ringcast(fanout),
     ] {
-        let origins = random_origins(&overlay, runs, &mut rng);
-        let reports = run_disseminations(&overlay, &protocol, &origins, &mut rng);
+        let reports = run_seeded_disseminations(&overlay, &protocol, runs, 7, default_threads());
         let stats = AggregateStats::from_reports(protocol.name(), fanout, &reports);
         println!(
             "{:<9} fanout {}: mean miss ratio {:.4}% | {:.0}% of alerts reached everyone | \
@@ -72,11 +70,11 @@ fn main() {
     // Zoom into a single RingCast run to show the partitioned-ring effect of
     // Figure 4: even where the ring is cut, random links bridge the gaps and
     // the d-links then cover each segment exhaustively.
-    let origin = overlay.live_node_ids()[0];
-    let report = disseminate(&overlay, &DenseSelector::ringcast(fanout), origin, &mut rng);
+    let ringcast = DenseSelector::ringcast(fanout);
+    let report = &run_seeded_disseminations(&overlay, &ringcast, 1, 7, 1)[0];
     println!(
         "\nsingle RingCast run from {}: reached {}/{} survivors in {} hops \
          ({} messages absorbed by dead hosts)",
-        origin, report.reached, report.population, report.last_hop, report.messages_to_dead
+        report.origin, report.reached, report.population, report.last_hop, report.messages_to_dead
     );
 }

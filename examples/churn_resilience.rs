@@ -12,13 +12,11 @@
 
 use std::collections::BTreeMap;
 
-use hybridcast::core::experiment::{random_origins, run_disseminations};
-use hybridcast::core::overlay::SnapshotOverlay;
+use hybridcast::core::experiment::{default_threads, run_seeded_disseminations};
+use hybridcast::core::overlay::DenseOverlay;
 use hybridcast::core::protocols::DenseSelector;
 use hybridcast::sim::churn::{ChurnConfig, ChurnDriver};
-use hybridcast::sim::{Network, SimConfig};
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
+use hybridcast::sim::{DenseSimNetwork, SimConfig};
 
 fn main() {
     let nodes = 1_500;
@@ -26,7 +24,7 @@ fn main() {
     let runs = 30;
 
     // Gossip under continuous churn until every bootstrap node is gone.
-    let mut network = Network::new(
+    let mut network = DenseSimNetwork::new(
         SimConfig {
             nodes,
             ..SimConfig::default()
@@ -41,25 +39,26 @@ fn main() {
         driver.removed()
     );
 
-    let overlay = SnapshotOverlay::new(network.overlay_snapshot());
-    let mut rng = ChaCha8Rng::seed_from_u64(11);
+    // The snapshot keeps each node's join cycle; the dense overlay is what
+    // the engine runs over.
+    let snapshot = network.overlay_snapshot();
+    let overlay = DenseOverlay::from_dense_sim(&network);
 
     for protocol in [
         DenseSelector::randcast(fanout),
         DenseSelector::ringcast(fanout),
     ] {
-        let origins = random_origins(&overlay, runs, &mut rng);
-        let reports = run_disseminations(&overlay, &protocol, &origins, &mut rng);
+        // `runs` updates from seeded random origins; the thread count only
+        // decides how fast, never what.
+        let reports = run_seeded_disseminations(&overlay, &protocol, runs, 11, default_threads());
 
         // Split the misses by node age: freshly joined nodes (lifetime below
         // one full view refresh, 20 cycles) versus established nodes.
         let mut fresh_misses = 0usize;
         let mut old_misses = 0usize;
-        let mut total_misses = 0usize;
         for report in &reports {
             for &missed in &report.unreached {
-                total_misses += 1;
-                match overlay.snapshot().lifetime(missed) {
+                match snapshot.lifetime(missed) {
                     Some(lifetime) if lifetime < 20 => fresh_misses += 1,
                     _ => old_misses += 1,
                 }
@@ -76,13 +75,12 @@ fn main() {
             fresh_misses,
             old_misses
         );
-        let _ = total_misses;
     }
 
     // Show the lifetime distribution itself (the data of Figure 12).
     let mut lifetimes: BTreeMap<u64, usize> = BTreeMap::new();
-    for id in overlay.snapshot().live_nodes() {
-        if let Some(lifetime) = overlay.snapshot().lifetime(id) {
+    for id in snapshot.live_nodes() {
+        if let Some(lifetime) = snapshot.lifetime(id) {
             *lifetimes.entry(lifetime / 100).or_insert(0) += 1;
         }
     }

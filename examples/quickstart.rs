@@ -5,10 +5,10 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use hybridcast::core::engine::disseminate;
-use hybridcast::core::overlay::{Overlay, SnapshotOverlay};
+use hybridcast::core::engine::{disseminate_dense, DenseScratch};
+use hybridcast::core::overlay::{DenseOverlay, Overlay};
 use hybridcast::core::protocols::DenseSelector;
-use hybridcast::sim::{Network, SimConfig};
+use hybridcast::sim::{DenseSimNetwork, SimConfig};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -19,20 +19,22 @@ fn main() {
         nodes: 1_000,
         ..SimConfig::default()
     };
-    let mut network = Network::new(config, 42);
+    let mut network = DenseSimNetwork::new(config, 42);
 
     // 2. Let the membership protocols self-organize for 100 cycles, then
     //    freeze the overlay (the paper shows ongoing gossip does not change
     //    the macroscopic dissemination behaviour).
     network.run_cycles(100);
-    let overlay = SnapshotOverlay::new(network.overlay_snapshot());
-    println!("overlay ready: {} live nodes", overlay.live_count());
+    let overlay = DenseOverlay::from_dense_sim(&network);
+    println!("overlay ready: {} live nodes", overlay.live_len());
 
     // 3. Disseminate one message per protocol, fanout 3, from the same node.
     let origin = overlay.live_node_ids()[123];
     let mut rng = ChaCha8Rng::seed_from_u64(7);
+    let mut scratch = DenseScratch::new();
     for protocol in [DenseSelector::ringcast(3), DenseSelector::randcast(3)] {
-        let report = disseminate(&overlay, &protocol, origin, &mut rng);
+        let report = disseminate_dense(&overlay, &protocol, origin, &mut rng, &mut scratch)
+            .report(&overlay, &scratch);
         println!(
             "{:<9} fanout 3: reached {:>4}/{:<4} nodes ({:.2}% miss) in {} hops, \
              {} messages ({} virgin, {} redundant)",

@@ -12,19 +12,20 @@
 //! # Example: warm an overlay, then disseminate with RingCast
 //!
 //! ```
-//! use hybridcast::core::engine::disseminate;
-//! use hybridcast::core::overlay::{Overlay, SnapshotOverlay};
+//! use hybridcast::core::engine::{disseminate_dense, DenseScratch};
+//! use hybridcast::core::overlay::{DenseOverlay, Overlay};
 //! use hybridcast::core::protocols::DenseSelector;
-//! use hybridcast::sim::{Network, SimConfig};
+//! use hybridcast::sim::{DenseSimNetwork, SimConfig};
 //! use rand::SeedableRng;
 //!
-//! let mut net = Network::new(SimConfig { nodes: 100, ..SimConfig::default() }, 7);
+//! let mut net = DenseSimNetwork::new(SimConfig { nodes: 100, ..SimConfig::default() }, 7);
 //! net.run_cycles(60);
-//! let overlay = SnapshotOverlay::new(net.overlay_snapshot());
+//! let overlay = DenseOverlay::from_dense_sim(&net);
 //! let origin = overlay.live_node_ids()[0];
 //! let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(1);
-//! let report = disseminate(&overlay, &DenseSelector::ringcast(3), origin, &mut rng);
-//! assert!(report.is_complete(), "RingCast is deterministic without failures");
+//! let mut scratch = DenseScratch::new();
+//! let stats = disseminate_dense(&overlay, &DenseSelector::ringcast(3), origin, &mut rng, &mut scratch);
+//! assert_eq!(stats.reached, stats.population, "RingCast is deterministic without failures");
 //! ```
 
 #![warn(missing_docs)]

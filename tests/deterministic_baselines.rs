@@ -1,28 +1,26 @@
 //! Integration tests for the deterministic dissemination baselines of
-//! Section 3: flooding over trees, stars, cliques, rings and Harary graphs,
-//! and how their trade-offs compare to the hybrid protocol — plus seeded
-//! golden fixtures pinning the async/pull engines' exact reports: the
-//! legacy (default network model) values captured from the engines before
-//! the `NetModel` extension existed, and three canonical adversarial
-//! scenarios. Any RNG-stream drift or report-schema drift fails loudly
-//! here.
+//! Section 3 — flooding over trees, stars, cliques, rings and Harary graphs,
+//! and how their trade-offs compare to the hybrid protocol, on the dense
+//! engine the figures use — plus seeded golden fixtures pinning the
+//! async/pull engines' exact reports: the legacy (default network model)
+//! values captured from the engines before the `NetModel` extension existed,
+//! and three canonical adversarial scenarios. Any RNG-stream drift or
+//! report-schema drift fails loudly here.
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use hybridcast::core::async_engine::{
-    disseminate_async, disseminate_async_dense, disseminate_async_frozen, AsyncConfig,
-    DenseAsyncScratch,
-};
-use hybridcast::core::engine::disseminate;
+use hybridcast::core::async_engine::{disseminate_async_dense, AsyncConfig, DenseAsyncScratch};
+use hybridcast::core::engine::{disseminate_dense, DenseScratch};
 use hybridcast::core::netmodel::{DelayModel, LossModel, NetModel, PartitionEvent};
-use hybridcast::core::overlay::{DenseOverlay, Overlay, SnapshotOverlay, StaticOverlay};
+use hybridcast::core::overlay::{DenseOverlay, Overlay, SnapshotOverlay};
 use hybridcast::core::protocols::DenseSelector;
-use hybridcast::core::pull::{
-    disseminate_push_pull, disseminate_push_pull_dense, DensePullScratch, PullConfig,
-};
-use hybridcast::graph::{builders, harary, NodeId};
-use hybridcast::sim::{Network, SimConfig};
+use hybridcast::core::pull::{disseminate_push_pull_dense, DensePullScratch, PullConfig};
+use hybridcast::core::DisseminationReport;
+use hybridcast::graph::{builders, harary, DiGraph, NodeId};
+use hybridcast::obs::NullProbe;
+use hybridcast::sim::{GossipRuntime, SimConfig};
+use hybridcast_oracle::{disseminate_async, disseminate_push_pull, Network};
 
 fn ids(count: u64) -> Vec<NodeId> {
     (0..count).map(NodeId::new).collect()
@@ -32,17 +30,34 @@ fn rng(seed: u64) -> ChaCha8Rng {
     ChaCha8Rng::seed_from_u64(seed)
 }
 
+/// An overlay of `d_links` alone, as the flooding baselines use.
+fn deterministic(d_links: &DiGraph) -> DenseOverlay {
+    DenseOverlay::from_graphs(d_links, &DiGraph::new())
+}
+
+/// One run of the dense engine the figures use, as the id-keyed report.
+fn run(
+    overlay: &DenseOverlay,
+    selector: &DenseSelector,
+    origin: NodeId,
+    seed: u64,
+) -> DisseminationReport {
+    let mut scratch = DenseScratch::new();
+    disseminate_dense(overlay, selector, origin, &mut rng(seed), &mut scratch)
+        .report(overlay, &scratch)
+}
+
+/// Deterministic flooding over the d-links from `origin`.
+fn flood(overlay: &DenseOverlay, origin: NodeId, seed: u64) -> DisseminationReport {
+    run(overlay, &DenseSelector::DeterministicFlooding, origin, seed)
+}
+
 #[test]
 fn tree_flooding_is_optimal_but_fragile() {
     let nodes = ids(127);
     let tree = builders::balanced_tree(&nodes, 2);
-    let overlay = StaticOverlay::deterministic(&tree);
-    let report = disseminate(
-        &overlay,
-        &DenseSelector::DeterministicFlooding,
-        nodes[0],
-        &mut rng(1),
-    );
+    let overlay = deterministic(&tree);
+    let report = flood(&overlay, nodes[0], 1);
     assert!(report.is_complete());
     // Optimal overhead: exactly N - 1 virgin messages and no redundancy
     // beyond the echo back up the tree (suppressed by the sender rule).
@@ -50,14 +65,9 @@ fn tree_flooding_is_optimal_but_fragile() {
     assert_eq!(report.messages_to_notified, 0);
 
     // A single internal-node failure cuts off a whole branch.
-    let mut broken = StaticOverlay::deterministic(&tree);
+    let mut broken = deterministic(&tree);
     broken.kill_node(nodes[1]);
-    let report = disseminate(
-        &broken,
-        &DenseSelector::DeterministicFlooding,
-        nodes[0],
-        &mut rng(2),
-    );
+    let report = flood(&broken, nodes[0], 2);
     assert!(
         !report.is_complete(),
         "losing an internal tree node must disconnect its subtree"
@@ -70,13 +80,8 @@ fn star_flooding_concentrates_all_load_on_the_hub() {
     let nodes = ids(100);
     let hub = nodes[0];
     let star = builders::star(hub, &nodes[1..]);
-    let overlay = StaticOverlay::deterministic(&star);
-    let report = disseminate(
-        &overlay,
-        &DenseSelector::DeterministicFlooding,
-        nodes[5],
-        &mut rng(3),
-    );
+    let overlay = deterministic(&star);
+    let report = flood(&overlay, nodes[5], 3);
     assert!(report.is_complete());
     assert_eq!(report.last_hop, 2);
     // The hub forwards to everyone: worst possible load distribution.
@@ -90,14 +95,9 @@ fn star_flooding_concentrates_all_load_on_the_hub() {
     assert!(leaves_forwarding <= 99, "leaves only talk to the hub");
 
     // Killing the hub kills the dissemination entirely.
-    let mut broken = StaticOverlay::deterministic(&star);
+    let mut broken = deterministic(&star);
     broken.kill_node(hub);
-    let report = disseminate(
-        &broken,
-        &DenseSelector::DeterministicFlooding,
-        nodes[5],
-        &mut rng(4),
-    );
+    let report = flood(&broken, nodes[5], 4);
     assert_eq!(
         report.reached, 1,
         "only the origin is notified without the hub"
@@ -108,17 +108,12 @@ fn star_flooding_concentrates_all_load_on_the_hub() {
 fn clique_flooding_is_maximally_reliable_and_maximally_wasteful() {
     let nodes = ids(40);
     let clique = builders::clique(&nodes);
-    let mut overlay = StaticOverlay::deterministic(&clique);
+    let mut overlay = deterministic(&clique);
     // Kill 30% of the nodes: the clique still reaches every survivor.
     for i in 0..12 {
         overlay.kill_node(nodes[3 * i + 1]);
     }
-    let report = disseminate(
-        &overlay,
-        &DenseSelector::DeterministicFlooding,
-        nodes[0],
-        &mut rng(5),
-    );
+    let report = flood(&overlay, nodes[0], 5);
     assert!(report.is_complete());
     // But the overhead is quadratic in the population.
     assert!(report.total_messages() > 27 * 26 / 2);
@@ -129,17 +124,12 @@ fn harary_graphs_trade_links_for_failure_tolerance() {
     let nodes = ids(60);
     for t in [2usize, 3, 4] {
         let h = harary::harary_graph(&nodes, t);
-        let mut overlay = StaticOverlay::deterministic(&h);
+        let mut overlay = deterministic(&h);
         // Kill exactly t - 1 nodes (not the origin).
         for k in 0..t - 1 {
             overlay.kill_node(nodes[10 + k]);
         }
-        let report = disseminate(
-            &overlay,
-            &DenseSelector::DeterministicFlooding,
-            nodes[0],
-            &mut rng(6),
-        );
+        let report = flood(&overlay, nodes[0], 6);
         assert!(
             report.is_complete(),
             "H(60, {t}) must survive {} failures",
@@ -157,37 +147,27 @@ fn bidirectional_ring_is_the_minimal_two_connected_overlay() {
     assert_eq!(ring.edge_count() / 2, harary::harary_link_count(80, 2));
 
     // Any single failure is tolerated...
-    let mut one_dead = StaticOverlay::deterministic(&ring);
+    let mut one_dead = deterministic(&ring);
     one_dead.kill_node(nodes[17]);
-    let report = disseminate(
-        &one_dead,
-        &DenseSelector::DeterministicFlooding,
-        nodes[0],
-        &mut rng(7),
-    );
+    let report = flood(&one_dead, nodes[0], 7);
     assert!(report.is_complete());
 
     // ...but two non-adjacent failures partition the ring, and only the
     // hybrid protocol (random links) bridges the gap.
-    let mut two_dead = StaticOverlay::deterministic(&ring);
+    let mut two_dead = deterministic(&ring);
     two_dead.kill_node(nodes[17]);
     two_dead.kill_node(nodes[53]);
-    let report = disseminate(
-        &two_dead,
-        &DenseSelector::DeterministicFlooding,
-        nodes[0],
-        &mut rng(8),
-    );
+    let report = flood(&two_dead, nodes[0], 8);
     assert!(
         !report.is_complete(),
         "a partitioned ring cannot flood across the cut"
     );
 
     let mut hybrid =
-        StaticOverlay::from_graphs(&ring, &builders::random_out_degree(&nodes, 10, &mut rng(9)));
+        DenseOverlay::from_graphs(&ring, &builders::random_out_degree(&nodes, 10, &mut rng(9)));
     hybrid.kill_node(nodes[17]);
     hybrid.kill_node(nodes[53]);
-    let report = disseminate(&hybrid, &DenseSelector::ringcast(3), nodes[0], &mut rng(10));
+    let report = run(&hybrid, &DenseSelector::ringcast(3), nodes[0], 10);
     assert!(
         report.is_complete(),
         "random links must bridge the ring partitions (Figure 4)"
@@ -237,12 +217,13 @@ fn legacy_frozen_async_baseline_is_bit_stable_under_the_default_model() {
     let origin = overlay.live_node_ids()[0];
     let config = frozen_config();
 
-    let frozen = disseminate_async_frozen(
+    let frozen = disseminate_async(
         &overlay,
         &DenseSelector::ringcast(3),
         origin,
         &config,
         &mut rng(4242),
+        &mut NullProbe,
     );
     let mut scratch = DenseAsyncScratch::new();
     let fast = disseminate_async_dense(
@@ -288,6 +269,7 @@ fn legacy_live_async_baseline_is_bit_stable_under_the_default_model() {
         origin,
         &AsyncConfig::default(),
         &mut rng(4242),
+        &mut NullProbe,
     );
     // Captured from the pre-NetModel live engine (membership gossip on).
     assert_eq!(live.population, 300);
@@ -323,6 +305,7 @@ fn legacy_push_pull_baseline_is_bit_stable_under_the_default_model() {
         origin,
         &config,
         &mut rng(777),
+        &mut NullProbe,
     );
     let mut scratch = DensePullScratch::new();
     let fast = disseminate_push_pull_dense(
@@ -363,12 +346,13 @@ fn run_adversarial(net: NetModel) -> hybridcast::core::AsyncReport {
         net,
         ..AsyncConfig::default()
     };
-    let slow = disseminate_async_frozen(
+    let slow = disseminate_async(
         &overlay,
         &DenseSelector::ringcast(3),
         origin,
         &config,
         &mut rng(4242),
+        &mut NullProbe,
     );
     let mut scratch = DenseAsyncScratch::new();
     let fast = disseminate_async_dense(
@@ -490,12 +474,13 @@ fn golden_fixture_max_time_truncation_on_the_default_model() {
         max_time: 6.0,
         ..AsyncConfig::default()
     };
-    let slow = disseminate_async_frozen(
+    let slow = disseminate_async(
         &overlay,
         &DenseSelector::ringcast(3),
         origin,
         &config,
         &mut rng(4242),
+        &mut NullProbe,
     );
     let mut scratch = DenseAsyncScratch::new();
     let fast = disseminate_async_dense(
@@ -542,6 +527,7 @@ fn golden_fixture_live_membership_partition_healing() {
         origin,
         &config,
         &mut rng(4242),
+        &mut NullProbe,
     );
     assert_eq!(live.reached, 297);
     assert_eq!(live.messages_sent, 891);

@@ -1,6 +1,7 @@
 //! End-to-end integration tests spanning the whole stack: membership
 //! (Cyclon + Vicinity) driven by the simulator, overlays frozen into
-//! snapshots, and disseminations run by the core engine.
+//! snapshots, and disseminations run by the id-keyed engine of the oracle
+//! crate (bit-identical per seed to the dense engines the figures run).
 //!
 //! These tests assert the paper's headline qualitative claims at reduced
 //! scale (hundreds of nodes instead of 10,000) so they stay fast in debug
@@ -9,12 +10,13 @@
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use hybridcast::core::engine::disseminate;
-use hybridcast::core::experiment::{random_origins, run_disseminations, AggregateStats};
+use hybridcast::core::experiment::AggregateStats;
 use hybridcast::core::overlay::{Overlay, SnapshotOverlay};
 use hybridcast::core::protocols::DenseSelector;
 use hybridcast::graph::connectivity;
-use hybridcast::sim::{Network, SimConfig};
+use hybridcast::obs::NullProbe;
+use hybridcast::sim::{GossipRuntime, SimConfig};
+use hybridcast_oracle::{disseminate, random_origins, run_disseminations, Network};
 
 fn warmed_overlay(nodes: usize, seed: u64) -> SnapshotOverlay {
     let mut network = Network::new(
@@ -149,7 +151,7 @@ fn dissemination_load_is_spread_evenly_across_nodes() {
     let mut rng = ChaCha8Rng::seed_from_u64(9);
     let origin = overlay.live_node_ids()[11];
     for protocol in [DenseSelector::randcast(4), DenseSelector::ringcast(4)] {
-        let report = disseminate(&overlay, &protocol, origin, &mut rng);
+        let report = disseminate(&overlay, &protocol, origin, &mut rng, &mut NullProbe);
         // Every notified node forwards; nobody forwards more than
         // fanout + 2 messages (ring links + random links).
         assert_eq!(report.forwarded_counts.len(), report.reached);
@@ -202,7 +204,8 @@ fn experiments_are_reproducible_given_the_seed() {
     let mut rng_a = ChaCha8Rng::seed_from_u64(13);
     let mut rng_b = ChaCha8Rng::seed_from_u64(13);
     let origin = overlay_a.live_node_ids()[3];
-    let a = disseminate(&overlay_a, &DenseSelector::randcast(3), origin, &mut rng_a);
-    let b = disseminate(&overlay_b, &DenseSelector::randcast(3), origin, &mut rng_b);
+    let randcast = DenseSelector::randcast(3);
+    let a = run_disseminations(&overlay_a, &randcast, &[origin], &mut rng_a);
+    let b = run_disseminations(&overlay_b, &randcast, &[origin], &mut rng_b);
     assert_eq!(a, b, "same seeds must give bit-identical reports");
 }

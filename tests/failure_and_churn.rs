@@ -4,12 +4,13 @@
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use hybridcast::core::experiment::{random_origins, run_disseminations, AggregateStats};
+use hybridcast::core::experiment::AggregateStats;
 use hybridcast::core::overlay::{Overlay, SnapshotOverlay};
 use hybridcast::core::protocols::DenseSelector;
 use hybridcast::sim::churn::{lifetime_histogram, ChurnConfig, ChurnDriver};
 use hybridcast::sim::failure::{kill_fraction_in_network, kill_fraction_in_snapshot};
-use hybridcast::sim::{Network, SimConfig};
+use hybridcast::sim::{GossipRuntime, SimConfig};
+use hybridcast_oracle::{random_origins, run_disseminations, Network};
 
 fn warmed_network(nodes: usize, seed: u64) -> Network {
     let mut network = Network::new(
