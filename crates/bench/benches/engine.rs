@@ -11,7 +11,9 @@
 //!
 //! Both arms of every pair end with the id-keyed report in hand: the dense
 //! arm includes materialising it (`.report(..)`), so like is compared with
-//! like.
+//! like. The `report` group times that materialisation alone
+//! (`DenseRunStats::report`, `DenseAsyncRunStats::report`), after one run
+//! over the same warmed overlay has filled the scratch.
 //!
 //! The `overlay_build` group times the step in front of all of them,
 //! `DenseOverlay::from_flat_links`: over a synthetic ring + 8 r-links CSR
@@ -154,6 +156,44 @@ fn bench_pull_engines(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_reports(c: &mut Criterion) {
+    let nodes = bench_nodes();
+    let overlay = warmed_overlay(nodes);
+    let dense = DenseOverlay::from(&overlay);
+    let origin = overlay.live_node_ids()[0];
+    let selector = DenseSelector::randcast(5);
+    let config = AsyncConfig {
+        run_membership_gossip: false,
+        ..AsyncConfig::default()
+    };
+
+    let mut group = c.benchmark_group(format!("report/n{nodes}"));
+    let mut scratch = DenseScratch::new();
+    let run = disseminate_dense(
+        &dense,
+        &selector,
+        origin,
+        &mut ChaCha8Rng::seed_from_u64(3),
+        &mut scratch,
+    );
+    group.bench_function("sync/randcast_f5", |b| {
+        b.iter(|| run.report(&dense, &scratch))
+    });
+    let mut scratch = DenseAsyncScratch::new();
+    let run = disseminate_async_dense(
+        &dense,
+        &selector,
+        origin,
+        &config,
+        &mut ChaCha8Rng::seed_from_u64(5),
+        &mut scratch,
+    );
+    group.bench_function("async/randcast_f5", |b| {
+        b.iter(|| run.report(&dense, &config, &scratch))
+    });
+    group.finish();
+}
+
 fn bench_dense_conversion(c: &mut Criterion) {
     let overlay = warmed_overlay(bench_nodes());
     c.bench_function("engine/snapshot_to_dense", |b| {
@@ -204,6 +244,7 @@ criterion_group!(
     bench_engines,
     bench_async_engines,
     bench_pull_engines,
+    bench_reports,
     bench_dense_conversion
 );
 criterion_main!(benches);

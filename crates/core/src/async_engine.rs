@@ -17,7 +17,7 @@
 //! [`DenseAsyncRunStats`]; [`DenseAsyncRunStats::report`] materialises the
 //! id-keyed [`AsyncReport`] — this is what makes the latency ablation
 //! runnable at 100k+ nodes. The test-only `hybridcast-oracle` crate keeps
-//! the readable `BTreeMap` event loop, over a frozen overlay (the reference
+//! the readable id-keyed event loop, over a frozen overlay (the reference
 //! this engine is checked against bit for bit per seed) or over a live
 //! membership network whose gossip keeps running mid-dissemination (the
 //! check that freezing the overlay changes nothing macroscopic).
@@ -49,8 +49,6 @@
     not(test),
     deny(clippy::cast_possible_truncation, clippy::cast_sign_loss)
 )]
-
-use std::collections::BTreeMap;
 
 use rand_chacha::ChaCha8Rng;
 
@@ -164,8 +162,9 @@ pub struct AsyncReport {
     /// Simulated time at which the last node was notified, if the
     /// dissemination completed.
     pub completion_time: Option<f64>,
-    /// Per-node notification time.
-    pub notification_times: BTreeMap<NodeId, f64>,
+    /// Per-node notification time of every notified node, strictly
+    /// ascending by id; the origin's entry is `0.0`.
+    pub notification_times: Vec<(NodeId, f64)>,
     /// Messages dropped by the loss process ([`crate::netmodel::LossModel`]).
     /// Dropped messages still count in [`AsyncReport::messages_sent`] and
     /// the per-hop totals.
@@ -369,20 +368,27 @@ impl DenseAsyncRunStats {
     /// not have served another run since. This is the only part of a dense
     /// run that allocates, and it is O(population) — independent of message
     /// count.
+    ///
+    /// [`AsyncReport::notification_times`] is a plain vector, strictly
+    /// ascending by id (dense indices ascend by id), filled in one pass over
+    /// the notified bitset with no map and reserved up front from
+    /// [`DenseAsyncRunStats::reached`].
     pub fn report(
         &self,
         overlay: &DenseOverlay,
         config: &AsyncConfig,
         scratch: &DenseAsyncScratch,
     ) -> AsyncReport {
-        let mut notification_times: BTreeMap<NodeId, f64> = BTreeMap::new();
+        let mut notification_times: Vec<(NodeId, f64)> = Vec::with_capacity(self.reached);
         for i in 0..to_u32(overlay.len()) {
             if scratch.notified.get(i) {
-                notification_times.insert(overlay.node_id(i), scratch.notify_time[idx(i)]);
+                notification_times.push((overlay.node_id(i), scratch.notify_time[idx(i)]));
             }
         }
-        let partition_recovery =
-            partition_recovery(&config.net.partitions, notification_times.values().copied());
+        let partition_recovery = partition_recovery(
+            &config.net.partitions,
+            notification_times.iter().map(|&(_, time)| time),
+        );
         AsyncReport {
             population: self.population,
             reached: self.reached,
@@ -443,7 +449,7 @@ impl DenseAsyncRunStats {
 /// let stats = disseminate_async_dense(&overlay, &selector, ids[0], &config, &mut rng, &mut scratch);
 /// assert_eq!(stats.reached, stats.population, "RingCast completes");
 /// let report = stats.report(&overlay, &config, &scratch);
-/// assert_eq!(report.notification_times[&ids[0]], 0.0);
+/// assert_eq!(report.notification_times[0], (ids[0], 0.0), "the origin, first by id");
 /// ```
 pub fn disseminate_async_dense(
     overlay: &DenseOverlay,

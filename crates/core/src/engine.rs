@@ -22,8 +22,6 @@
     deny(clippy::cast_possible_truncation, clippy::cast_sign_loss)
 )]
 
-use std::collections::BTreeMap;
-
 use rand::RngCore;
 
 use hybridcast_graph::cast::{idx, to_u32};
@@ -121,17 +119,23 @@ impl DenseRunStats {
     /// and the scratch must not have served another run since. This is the
     /// only part of a dense dissemination that allocates, and it is
     /// O(population) — independent of message count.
+    ///
+    /// The per-node fields are plain vectors, strictly ascending by id
+    /// (dense indices ascend by id), filled in one pass over the dense
+    /// arrays with no map. Each is reserved up front from the run's
+    /// counts, so the report makes one allocation per non-empty `Vec`
+    /// field whatever the population.
     pub fn report(&self, overlay: &DenseOverlay, scratch: &DenseScratch) -> DisseminationReport {
-        let mut received_counts: BTreeMap<NodeId, usize> = BTreeMap::new();
-        let mut forwarded_counts: BTreeMap<NodeId, usize> = BTreeMap::new();
-        let mut unreached: Vec<NodeId> = Vec::new();
+        let mut received_counts: Vec<(NodeId, usize)> = Vec::with_capacity(self.reached);
+        let mut forwarded_counts: Vec<(NodeId, usize)> = Vec::with_capacity(self.reached);
+        let mut unreached: Vec<NodeId> = Vec::with_capacity(self.population - self.reached);
         for i in 0..to_u32(overlay.len()) {
             let id = overlay.node_id(i);
             if scratch.received[idx(i)] > 0 {
-                received_counts.insert(id, idx(scratch.received[idx(i)]));
+                received_counts.push((id, idx(scratch.received[idx(i)])));
             }
             if scratch.notified.get(i) {
-                forwarded_counts.insert(id, idx(scratch.forwarded[idx(i)]));
+                forwarded_counts.push((id, idx(scratch.forwarded[idx(i)])));
             } else if overlay.is_live_idx(i) {
                 unreached.push(id);
             }
@@ -617,7 +621,10 @@ mod tests {
         for node in overlay.live_node_ids() {
             if node != origin && !report.unreached.contains(&node) {
                 assert!(
-                    report.received_counts.contains_key(&node),
+                    report
+                        .received_counts
+                        .binary_search_by_key(&node, |&(id, _)| id)
+                        .is_ok(),
                     "reached node {node} missing from received_counts"
                 );
             }
@@ -625,7 +632,7 @@ mod tests {
         assert!(report.received_counts.len() >= report.reached - 1);
         assert!(report.received_counts.len() <= report.reached);
         // Total receive events match the virgin + notified message count.
-        let total_received: usize = report.received_counts.values().sum();
+        let total_received: usize = report.received_counts.iter().map(|&(_, c)| c).sum();
         assert_eq!(
             total_received,
             report.messages_to_virgin + report.messages_to_notified
@@ -640,7 +647,12 @@ mod tests {
         // Every notified node forwards; the per-node forwarding load stays
         // within a small constant of the fanout.
         assert_eq!(report.forwarded_counts.len(), report.reached);
-        let max = report.forwarded_counts.values().max().copied().unwrap_or(0);
+        let max = report
+            .forwarded_counts
+            .iter()
+            .map(|&(_, c)| c)
+            .max()
+            .unwrap_or(0);
         assert!(max <= 6, "forwarding load {max} exceeds 6");
     }
 }

@@ -7,6 +7,7 @@ use rand_chacha::ChaCha8Rng;
 use hybridcast_core::async_engine::{disseminate_async_dense, AsyncConfig, DenseAsyncScratch};
 use hybridcast_core::engine::{disseminate_dense, DenseScratch};
 use hybridcast_core::experiment::{run_seeded_async, run_seeded_disseminations};
+use hybridcast_core::metrics::DisseminationReport;
 use hybridcast_core::netmodel::{DelayModel, LossModel, NetModel, PartitionEvent};
 use hybridcast_core::overlay::{DenseOverlay, Overlay, SnapshotOverlay};
 use hybridcast_core::protocols::DenseSelector;
@@ -102,6 +103,130 @@ fn adversarial_model(delay_idx: usize, loss_idx: usize, parts: usize, knob: u64)
     }
 }
 
+/// `true` if the ids are strictly ascending, which also rules out
+/// duplicates.
+fn strictly_ascending(ids: impl Iterator<Item = NodeId>) -> bool {
+    let ids: Vec<NodeId> = ids.collect();
+    ids.windows(2).all(|pair| pair[0] < pair[1])
+}
+
+/// The per-node contract of a push [`DisseminationReport`]: every list is
+/// strictly ascending by id, `forwarded_counts` names exactly the reached
+/// nodes, and `received_counts` names only live nodes and sums to the
+/// messages delivered to them.
+fn check_push_report(
+    dense: &DenseOverlay,
+    report: &DisseminationReport,
+) -> Result<(), TestCaseError> {
+    prop_assert!(strictly_ascending(
+        report.received_counts.iter().map(|&(id, _)| id)
+    ));
+    prop_assert!(strictly_ascending(
+        report.forwarded_counts.iter().map(|&(id, _)| id)
+    ));
+    prop_assert!(strictly_ascending(report.unreached.iter().copied()));
+    let live = dense.live_node_ids();
+    let reached: Vec<NodeId> = live
+        .iter()
+        .copied()
+        .filter(|id| report.unreached.binary_search(id).is_err())
+        .collect();
+    let forwarded: Vec<NodeId> = report.forwarded_counts.iter().map(|&(id, _)| id).collect();
+    prop_assert_eq!(
+        &forwarded,
+        &reached,
+        "forwarded_counts names exactly the reached nodes"
+    );
+    prop_assert_eq!(forwarded.len(), report.reached);
+    for &(id, count) in &report.received_counts {
+        prop_assert!(
+            live.binary_search(&id).is_ok(),
+            "{} received but is dead",
+            id
+        );
+        prop_assert!(count > 0);
+    }
+    prop_assert_eq!(
+        report
+            .received_counts
+            .iter()
+            .map(|&(_, count)| count)
+            .sum::<usize>(),
+        report.messages_to_virgin + report.messages_to_notified
+    );
+    Ok(())
+}
+
+/// Runs the sync, async and push-pull dense engines from `origin` and
+/// checks each report's per-node lists against [`check_push_report`] and
+/// the async contract: `notification_times` is strictly ascending, names
+/// `reached` live nodes, and gives the origin time `0.0`.
+fn check_dense_report_contracts(
+    dense: &DenseOverlay,
+    selector: &DenseSelector,
+    origin: NodeId,
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    let mut scratch = DenseScratch::new();
+    let push = disseminate_dense(
+        dense,
+        selector,
+        origin,
+        &mut ChaCha8Rng::seed_from_u64(seed),
+        &mut scratch,
+    )
+    .report(dense, &scratch);
+    check_push_report(dense, &push)?;
+
+    let mut pull_scratch = DensePullScratch::new();
+    let pulled = disseminate_push_pull_dense(
+        dense,
+        selector,
+        origin,
+        &PullConfig::default(),
+        &mut ChaCha8Rng::seed_from_u64(seed),
+        &mut pull_scratch,
+    )
+    .report(dense, &pull_scratch);
+    check_push_report(dense, &pulled.push)?;
+    prop_assert!(strictly_ascending(
+        pulled.unreached_after_pull.iter().copied()
+    ));
+
+    let config = AsyncConfig {
+        run_membership_gossip: false,
+        ..AsyncConfig::default()
+    };
+    let mut async_scratch = DenseAsyncScratch::new();
+    let timed = disseminate_async_dense(
+        dense,
+        selector,
+        origin,
+        &config,
+        &mut ChaCha8Rng::seed_from_u64(seed),
+        &mut async_scratch,
+    )
+    .report(dense, &config, &async_scratch);
+    prop_assert!(strictly_ascending(
+        timed.notification_times.iter().map(|&(id, _)| id)
+    ));
+    prop_assert_eq!(timed.notification_times.len(), timed.reached);
+    let live = dense.live_node_ids();
+    for &(id, _) in &timed.notification_times {
+        prop_assert!(
+            live.binary_search(&id).is_ok(),
+            "{} notified but is dead",
+            id
+        );
+    }
+    let origin_time = timed
+        .notification_times
+        .binary_search_by_key(&origin, |&(id, _)| id)
+        .map(|at| timed.notification_times[at].1);
+    prop_assert_eq!(origin_time, Ok(0.0));
+    Ok(())
+}
+
 proptest! {
     /// Flooding over any strongly connected d-link overlay reaches every
     /// node, and uses exactly edge_count messages.
@@ -167,7 +292,7 @@ proptest! {
         prop_assert_eq!(report.reached + report.unreached.len(), report.population);
         prop_assert!(report.hit_ratio() >= 0.0 && report.hit_ratio() <= 1.0);
         // The forwarding load of any node is bounded by its total out-links.
-        for (&node, &sent) in &report.forwarded_counts {
+        for &(node, sent) in &report.forwarded_counts {
             let capacity = overlay.r_links(node).len() + overlay.d_links(node).len();
             prop_assert!(sent <= capacity, "{} forwarded {} > {} links", node, sent, capacity);
         }
@@ -433,6 +558,46 @@ proptest! {
                 fast.per_hop_messages.iter().sum::<usize>(),
                 fast.total_messages()
             );
+        }
+    }
+
+    /// The report contract of every dense engine on hybrid overlays with
+    /// dead nodes: per-node lists strictly ascending by id, forwarders
+    /// exactly the reached nodes, receivers live, the origin at time 0.
+    #[test]
+    fn dense_reports_keep_the_per_node_contract(
+        n in 3u64..80,
+        fanout in 1usize..5,
+        degree in 1usize..8,
+        kill in 0usize..4,
+        seed in 0u64..100,
+        protocol_idx in 0usize..4,
+    ) {
+        let mut overlay = StaticOverlay::hybrid(n, degree, seed);
+        for k in 0..kill.min(n as usize - 1) {
+            overlay.kill_node(NodeId::new((seed + 3 * k as u64 + 1) % n));
+        }
+        let origin = NodeId::new(seed % n);
+        prop_assume!(overlay.is_live(origin));
+        let dense = DenseOverlay::from(&overlay);
+        check_dense_report_contracts(&dense, &protocol(protocol_idx, fanout), origin, seed)?;
+    }
+
+    /// The same report contract on churned overlays, whose links hold
+    /// stale ids and dead targets.
+    #[test]
+    fn dense_reports_keep_the_per_node_contract_on_churned_overlays(
+        n in 20usize..60,
+        churn_cycles in 5usize..25,
+        kill in 0usize..5,
+        fanout in 1usize..4,
+        seed in 0u64..50,
+    ) {
+        let overlay = churned_overlay(n, churn_cycles, kill, seed);
+        let origin = overlay.live_node_ids()[0];
+        let dense = DenseOverlay::from(&overlay);
+        for selector in [DenseSelector::ringcast(fanout), DenseSelector::randcast(fanout)] {
+            check_dense_report_contracts(&dense, &selector, origin, seed)?;
         }
     }
 

@@ -316,7 +316,7 @@ pub fn disseminate_async<W: Substrate, P: Probe>(
         messages_to_dead,
         per_hop_messages,
         completion_time,
-        notification_times,
+        notification_times: notification_times.into_iter().collect(),
         dropped_loss,
         dropped_partition,
         partition_recovery,
@@ -370,7 +370,11 @@ mod tests {
         );
         assert!(report.completion_time.is_some());
         assert_eq!(report.notification_times.len(), report.reached);
-        assert_eq!(report.notification_times[&origin], 0.0);
+        let at = report
+            .notification_times
+            .binary_search_by_key(&origin, |&(id, _)| id)
+            .expect("origin notified");
+        assert_eq!(report.notification_times[at].1, 0.0);
         assert_eq!(
             report.per_hop_messages.iter().sum::<usize>(),
             report.total_messages(),

@@ -183,8 +183,8 @@ pub fn disseminate<P: Probe>(
         messages_to_virgin,
         messages_to_notified,
         messages_to_dead,
-        received_counts,
-        forwarded_counts,
+        received_counts: received_counts.into_iter().collect(),
+        forwarded_counts: forwarded_counts.into_iter().collect(),
         unreached,
     }
 }

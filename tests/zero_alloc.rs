@@ -16,6 +16,10 @@
 //! `NullProbe` runs must be allocation-free and bit-identical to the
 //! unprobed engines, and recording into a warmed bounded `RingSink` must
 //! stay allocation-free too.
+//!
+//! The one allocating step, `stats.report(..)`, is held to a weaker but
+//! still size-independent contract: one allocation per non-empty `Vec`
+//! field, never a reallocation, at every population.
 
 use hybridcast::core::async_engine::{
     disseminate_async_dense, disseminate_async_dense_probed, AsyncConfig, DenseAsyncScratch,
@@ -26,7 +30,7 @@ use hybridcast::core::overlay::DenseOverlay;
 use hybridcast::core::protocols::DenseSelector;
 use hybridcast::core::pull::{disseminate_push_pull_dense, DensePullScratch, PullConfig};
 use hybridcast::core::sched::SchedConfig;
-use hybridcast::graph::NodeId;
+use hybridcast::graph::{builders, NodeId};
 use hybridcast::obs::{NullProbe, RingSink};
 use hybridcast::sim::churn::{ChurnConfig, ChurnDriver};
 use hybridcast::sim::{DenseSimNetwork, SimConfig};
@@ -446,5 +450,86 @@ fn warm_per_node_frontier_cycle_is_allocation_free() {
     assert!(
         stats.is_allocation_free(),
         "warm per-node frontier cycle allocated: {stats:?}"
+    );
+}
+
+/// A RandCast-friendly overlay of `nodes` ids over a ring plus random
+/// links, with every tenth node dead so the report has misses and dead
+/// targets to account for.
+fn failed_overlay(nodes: u64) -> (DenseOverlay, NodeId) {
+    let ids: Vec<NodeId> = (0..nodes).map(NodeId::new).collect();
+    let ring = builders::bidirectional_ring(&ids);
+    let random = builders::random_out_degree(&ids, 6, &mut rng(nodes));
+    let mut overlay = DenseOverlay::from_graphs(&ring, &random);
+    for id in ids.iter().skip(5).step_by(10) {
+        overlay.kill_node(*id);
+    }
+    (overlay, ids[0])
+}
+
+#[test]
+fn report_allocations_do_not_grow_with_population() {
+    // Each per-node list is reserved from the run's counts and filled in
+    // one pass, so `report()` allocates once per non-empty `Vec` field —
+    // the same count at 1,000 and at 4,000 nodes. A per-node map or an
+    // unreserved push loop would allocate O(population) times and fail.
+    let config = AsyncConfig {
+        run_membership_gossip: false,
+        ..AsyncConfig::default()
+    };
+    let mut sync_counts = Vec::new();
+    let mut async_counts = Vec::new();
+    for nodes in [1_000, 4_000] {
+        let (overlay, origin) = failed_overlay(nodes);
+        let selector = DenseSelector::randcast(2);
+
+        let mut scratch = DenseScratch::new();
+        let run = disseminate_dense(&overlay, &selector, origin, &mut rng(5), &mut scratch);
+        let (report, stats) = measure(|| run.report(&overlay, &scratch));
+        assert!(
+            !report.unreached.is_empty(),
+            "{nodes} nodes: the run must leave misses so every field is filled"
+        );
+        let filled = [
+            report.per_hop_new.len(),
+            report.per_hop_messages.len(),
+            report.received_counts.len(),
+            report.forwarded_counts.len(),
+            report.unreached.len(),
+        ]
+        .iter()
+        .filter(|&&len| len > 0)
+        .count();
+        assert_eq!(stats.allocations, filled as u64, "{nodes} nodes: {stats:?}");
+        assert_eq!(stats.reallocations, 0, "{nodes} nodes: {stats:?}");
+        sync_counts.push(stats.allocations);
+
+        let mut scratch = DenseAsyncScratch::new();
+        let run = disseminate_async_dense(
+            &overlay,
+            &selector,
+            origin,
+            &config,
+            &mut rng(5),
+            &mut scratch,
+        );
+        let (report, stats) = measure(|| run.report(&overlay, &config, &scratch));
+        let filled = [
+            report.per_hop_messages.len(),
+            report.notification_times.len(),
+            report.partition_recovery.len(),
+        ]
+        .iter()
+        .filter(|&&len| len > 0)
+        .count();
+        assert_eq!(stats.allocations, filled as u64, "{nodes} nodes: {stats:?}");
+        assert_eq!(stats.reallocations, 0, "{nodes} nodes: {stats:?}");
+        async_counts.push(stats.allocations);
+    }
+    assert_eq!(sync_counts, [5, 5], "one allocation per sync report field");
+    assert_eq!(
+        async_counts,
+        [2, 2],
+        "one allocation per async report field"
     );
 }
