@@ -233,3 +233,38 @@ fn traced_run_folds_back_to_its_json_table() {
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(stderr.contains("bit-identical"), "{name}: {stderr}");
 }
+
+#[test]
+fn adversarial_trace_folds_to_pinned_sections() {
+    // The event-driven side of the read-back: loss and partition sweeps,
+    // with their drop, open and heal events, fold into 4 sections of 2 runs.
+    let (name, exe) = bin!("ext_adversarial");
+    let trace = scratch("adversarial.jsonl");
+    let trace = trace.to_str().expect("UTF-8 scratch path");
+    run(
+        name,
+        exe,
+        &[
+            "--nodes",
+            "100",
+            "--runs",
+            "2",
+            "--loss-rates",
+            "0,0.2",
+            "--durations",
+            "0,4",
+            "--trace",
+            trace,
+        ],
+    );
+    let (name, exe) = bin!("trace_summary");
+    let output = run(name, exe, &["--trace", trace]);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("4 sections, 8 runs"), "{name}: {stderr}");
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    let digest = fnv1a(&output.stdout);
+    assert_eq!(
+        digest, 0xE9AE_7465_D3DE_4CD1,
+        "{name} --trace {trace} drifted: digest {digest:#018X}, stdout:\n{stdout}"
+    );
+}

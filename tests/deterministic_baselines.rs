@@ -471,6 +471,35 @@ fn golden_fixture_heavy_tail_delays_with_bursty_loss() {
 }
 
 #[test]
+fn golden_fixture_heavy_tail_delays_with_iid_loss() {
+    // Log-normal delays (σ = 1.25 ⇒ a tail several bucket-windows long,
+    // exercising the calendar queue's overflow tier) under 5 % i.i.d. loss:
+    // the heavy-tail and loss draws interleaved on one stream.
+    let report = run_adversarial(NetModel {
+        delay: DelayModel::LogNormal {
+            mu: 0.0,
+            sigma: 1.25,
+        },
+        loss: LossModel::Iid { rate: 0.05 },
+        ..NetModel::default()
+    });
+    assert_eq!(report.reached, 299);
+    assert_eq!(report.messages_sent, 897);
+    assert_eq!(report.messages_redundant, 555);
+    assert_eq!(report.messages_to_dead, 0);
+    assert_eq!(report.dropped_loss, 44);
+    assert_eq!(report.dropped_partition, 0);
+    assert_eq!(
+        report.per_hop_messages,
+        vec![0, 3, 9, 24, 42, 63, 84, 114, 111, 108, 111, 105, 60, 39, 21, 3]
+    );
+    assert_eq!(report.completion_time, None);
+    assert_eq!(notification_time_sum_bits(&report), 4652327047595970756);
+    assert_eq!(report.truncated_sends, 0);
+    assert!(!report.truncated);
+}
+
+#[test]
 fn golden_fixture_max_time_truncation_on_the_default_model() {
     // A max_time cutting the canonical run off mid-flight: the truncation
     // path through the scheduler (pending events abandoned unpopped) must
