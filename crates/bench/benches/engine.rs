@@ -137,7 +137,6 @@ fn bench_pull_engines(c: &mut Criterion) {
     let config = PullConfig {
         fanout: 1,
         max_rounds: 50,
-        ..PullConfig::default()
     };
 
     let mut group = c.benchmark_group(format!("pull_engine/n{nodes}"));

@@ -12,6 +12,13 @@ fn main() {
 fn run() -> Result<(), String> {
     let args = Args::from_env()?;
     let params = ExperimentParams::from_args(&args)?;
+    // The Harary arm builds H(n, 4), which needs more than 4 nodes.
+    args.get_in(
+        "nodes",
+        params.nodes,
+        5..,
+        ">= 5 (the Harary arm needs n > 4)",
+    )?;
     let fraction = args.get_in("fraction", 0.05, 0.0..1.0, "in [0, 1)")?;
     let json = args.value("json");
     args.finish()?;

@@ -23,7 +23,7 @@ use serde::{Deserialize, Serialize};
 
 use hybridcast_core::async_engine::{AsyncConfig, AsyncReport};
 use hybridcast_core::experiment::{
-    run_seed, run_seeded_async, run_seeded_async_probed, run_seeded_disseminations,
+    fan_out_seeded, run_seed, run_seeded_async, run_seeded_async_probed, run_seeded_disseminations,
     run_seeded_disseminations_probed, run_seeded_push_pulls, AggregateStats,
 };
 use hybridcast_core::metrics::DisseminationReport;
@@ -379,17 +379,19 @@ pub fn churn_effectiveness_probed<P: Probe>(
 /// identical for every thread count (repeat `r` is a pure function of
 /// `seed + r`).
 pub fn lifetime_distribution(params: &ExperimentParams, repeats: usize) -> LifetimeHistogram {
-    let seeds: Vec<u64> = (0..repeats as u64)
-        .map(|repeat| params.seed.wrapping_add(repeat))
-        .collect();
-    let per_repeat = hybridcast_sim::dense::par_map_seeds(&seeds, params.thread_count(), |seed| {
-        let seeded = ExperimentParams {
-            seed,
-            ..params.clone()
-        };
-        let (network, _) = churned_network(&seeded, &mut NullProbe, &mut StageProfiler::new());
-        lifetime_histogram(&network)
-    });
+    let per_repeat = fan_out_seeded(
+        repeats,
+        params.thread_count(),
+        || (),
+        |repeat, _| {
+            let seeded = ExperimentParams {
+                seed: params.seed.wrapping_add(repeat as u64),
+                ..params.clone()
+            };
+            let (network, _) = churned_network(&seeded, &mut NullProbe, &mut StageProfiler::new());
+            lifetime_histogram(&network)
+        },
+    );
     let mut counts: BTreeMap<u64, usize> = BTreeMap::new();
     for repeat_counts in per_repeat {
         for (lifetime, count) in repeat_counts {
@@ -493,7 +495,6 @@ pub fn push_pull_extension(params: &ExperimentParams, fail_fraction: f64) -> Vec
     let pull_config = PullConfig {
         fanout: 1,
         max_rounds: 50,
-        ..PullConfig::default()
     };
     let mut dense = overlay_of(params, params.sim_config());
     fail_nodes(&mut dense, fail_fraction, params.seed);
@@ -802,11 +803,6 @@ pub fn adversarial_partition_sweep<P: Probe>(
 /// bisection from `start` for `duration` (none at 0.0) under heavy-tailed
 /// per-link delays.
 fn partition_config(duration: f64, start: f64) -> AsyncConfig {
-    let partitions = if duration > 0.0 {
-        vec![PartitionEvent::bisection(start, duration, 0x00C0_FFEE)]
-    } else {
-        Vec::new()
-    };
     AsyncConfig {
         run_membership_gossip: false,
         net: NetModel {
@@ -814,7 +810,8 @@ fn partition_config(duration: f64, start: f64) -> AsyncConfig {
                 mu: 0.0,
                 sigma: 1.25,
             },
-            partitions,
+            partition: (duration > 0.0)
+                .then(|| PartitionEvent::bisection(start, duration, 0x00C0_FFEE)),
             ..NetModel::default()
         },
         ..AsyncConfig::default()
@@ -826,7 +823,7 @@ fn partition_row(duration: f64, reports: &[AsyncReport]) -> AdversarialPartition
     let runs = reports.len();
     let recoveries: Vec<f64> = reports
         .iter()
-        .filter_map(|r| r.partition_recovery.first().copied().flatten())
+        .filter_map(|r| r.partition_recovery)
         .collect();
     AdversarialPartitionRow {
         duration,

@@ -177,8 +177,6 @@ pub fn fold_trace(events: &[TraceEvent]) -> Result<Vec<TraceSection>, String> {
             | TraceEvent::DroppedLoss { .. }
             | TraceEvent::DroppedPartition { .. }
             | TraceEvent::PullRequest { .. }
-            | TraceEvent::PollLost { .. }
-            | TraceEvent::PollBlocked { .. }
             | TraceEvent::PullTransfer { .. }
             | TraceEvent::RoundEnd { .. }
             | TraceEvent::ViewExchange { .. }

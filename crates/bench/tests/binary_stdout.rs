@@ -7,9 +7,11 @@
 //! binary runs as a child process at `--threads 1` and `--threads 4` with
 //! `--json <file>`, and the FNV-1a-64 digests of its stdout and of the figure
 //! JSON it wrote must equal the pinned ones — "byte-identical to the parent
-//! commit" as an assertion instead of a diff done by hand. One more case
-//! folds a `--trace` back through `trace_summary --check`, the read-back of
-//! both the JSONL trace and the figure JSON.
+//! commit" as an assertion instead of a diff done by hand. Two more cases
+//! fold a `--trace` back through `trace_summary`: fig06's against its own
+//! figure JSON (`--check`), and `ext_adversarial`'s loss and partition
+//! sweeps against a pinned digest. A last case checks that an option no
+//! arm can run is refused with an `error:` line, not a panic.
 //!
 //! The digests were produced by this code base; they are a regression
 //! fence, not an external ground truth. If an intentional change shifts
@@ -267,4 +269,27 @@ fn adversarial_trace_folds_to_pinned_sections() {
         digest, 0xE9AE_7465_D3DE_4CD1,
         "{name} --trace {trace} drifted: digest {digest:#018X}, stdout:\n{stdout}"
     );
+}
+
+#[test]
+fn connectivity_ablation_rejects_too_few_nodes() {
+    // The Harary arm builds H(n, 4): below 5 nodes the binary must refuse
+    // the option with one `error:` line instead of panicking in the builder.
+    let (name, exe) = bin!("ablation_connectivity");
+    for nodes in ["4", "3"] {
+        let output = Command::new(exe)
+            .args(["--nodes", nodes, "--runs", "2"])
+            .output()
+            .unwrap_or_else(|e| panic!("{name}: cannot run {exe}: {e}"));
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(!output.status.success(), "{name} --nodes {nodes} ran");
+        assert!(
+            stderr.lines().any(|line| line.starts_with("error:")),
+            "{name} --nodes {nodes}: {stderr}"
+        );
+        assert!(
+            !stderr.contains("panicked"),
+            "{name} --nodes {nodes}: {stderr}"
+        );
+    }
 }

@@ -30,10 +30,11 @@
 //! # Adversarial network models
 //!
 //! The engine threads [`AsyncConfig::net`] — a [`NetModel`] — through its
-//! per-message hot path: scripted partitions drop messages whose endpoints
-//! are separated at *send* time, a loss process ([`crate::netmodel::LossModel`])
-//! drops messages per sender, and a delay distribution
-//! ([`crate::netmodel::DelayModel`]) replaces the legacy fixed-jitter draw.
+//! per-message hot path: a scripted partition drops messages whose
+//! endpoints are separated at *send* time, i.i.d. loss
+//! ([`crate::netmodel::LossModel`]) drops messages independently, and a
+//! delay distribution ([`crate::netmodel::DelayModel`]) replaces the legacy
+//! fixed-jitter draw.
 //! Dropped messages still count in [`AsyncReport::messages_sent`] and the
 //! per-hop totals (they were sent; the network ate them), and are broken
 //! out in [`AsyncReport::dropped_loss`] / [`AsyncReport::dropped_partition`].
@@ -80,12 +81,12 @@ pub struct AsyncConfig {
     /// cap sets [`AsyncReport::truncated`].
     pub max_time: f64,
     /// Adversarial network model: per-message delay distribution, loss
-    /// process and scripted partitions. The default model reproduces the
-    /// pre-model engines bit for bit.
+    /// process and an optional scripted partition. The default model
+    /// reproduces the pre-model engines bit for bit.
     pub net: NetModel,
     /// Calendar event-queue geometry and memory budget
-    /// ([`crate::sched::SchedConfig`]). The geometry (bucket width, bucket
-    /// count) is a pure performance knob — pop order, and therefore every
+    /// ([`crate::sched::SchedConfig`]). The geometry (the bucket count) is
+    /// a pure performance knob — pop order, and therefore every
     /// report bit, is identical for any valid geometry. The event budget
     /// caps how many deliveries may be queued at once: a forward that
     /// survives the network model but finds the queue full is *not*
@@ -118,10 +119,9 @@ impl AsyncConfig {
     ///
     /// Returns an error if any duration is non-finite or non-positive
     /// (except the forwarding delay, which may be zero), the jitter is not
-    /// in `[0, 1)`, the scheduler geometry is malformed (negative or
-    /// non-finite bucket width, zero buckets), or the network model is
-    /// malformed (negative loss rates, out-of-range burst parameters,
-    /// non-positive partition durations).
+    /// in `[0, 1)`, the scheduler has zero buckets, or the network model
+    /// is malformed (a loss rate outside `[0, 1]`, a negative log-normal
+    /// sigma, a non-positive partition duration).
     pub fn validate(&self) -> Result<(), String> {
         if !(self.gossip_period.is_finite() && self.gossip_period > 0.0) {
             return Err("gossip period must be finite and positive".into());
@@ -172,11 +172,11 @@ pub struct AsyncReport {
     /// Messages dropped because a scripted partition separated the
     /// endpoints at send time.
     pub dropped_partition: usize,
-    /// Per scripted [`crate::netmodel::PartitionEvent`] (in script order):
-    /// how long after the heal instant the last notification landed —
-    /// the re-convergence time — or `None` if no node was notified at or
-    /// after the heal.
-    pub partition_recovery: Vec<Option<f64>>,
+    /// For the scripted [`crate::netmodel::PartitionEvent`]: how long after
+    /// the heal instant the last notification landed — the re-convergence
+    /// time — or `None` without a partition or if no node was notified at
+    /// or after the heal.
+    pub partition_recovery: Option<f64>,
     /// Forwards that survived the network model but were *not* scheduled
     /// because the event queue was at its configured budget
     /// ([`crate::sched::SchedConfig::event_budget`]). Budget-truncated
@@ -221,12 +221,12 @@ impl AsyncReport {
     }
 }
 
-/// Announces the scripted partition schedule of `net` into `probe`, right
-/// after a run's `RunStart`: one `PartitionOpen`/`PartitionHeal` pair per
-/// scripted [`crate::netmodel::PartitionEvent`], in script order. Public so
-/// that the id-keyed oracle engines emit the same records.
+/// Announces the scripted partition of `net` into `probe`, right after a
+/// run's `RunStart`: one `PartitionOpen`/`PartitionHeal` pair if a
+/// [`crate::netmodel::PartitionEvent`] is scripted. Public so that the
+/// id-keyed oracle engines emit the same records.
 pub fn emit_partition_schedule<P: Probe>(net: &NetModel, probe: &mut P) {
-    for event in &net.partitions {
+    if let Some(event) = net.partition {
         let heal = event.start + event.duration;
         probe.record(TraceEvent::PartitionOpen {
             start: event.start,
@@ -263,9 +263,6 @@ pub struct DenseAsyncScratch {
     queue: CalendarQueue<DenseEvent>,
     targets: Vec<u32>,
     pool: Vec<u32>,
-    /// Per-sender Gilbert–Elliott chain state (`false` = good), the dense
-    /// mirror of the oracle's id-keyed state map.
-    ge_bad: Vec<bool>,
 }
 
 impl DenseAsyncScratch {
@@ -313,8 +310,6 @@ impl DenseAsyncScratch {
         self.queue.reset(width, num_buckets);
         self.targets.clear();
         self.pool.clear();
-        self.ge_bad.clear();
-        self.ge_bad.resize(len, false);
     }
 }
 
@@ -386,7 +381,7 @@ impl DenseAsyncRunStats {
             }
         }
         let partition_recovery = partition_recovery(
-            &config.net.partitions,
+            config.net.partition,
             notification_times.iter().map(|&(_, time)| time),
         );
         AsyncReport {
@@ -505,7 +500,6 @@ pub fn disseminate_async_dense_probed<P: Probe>(
         queue,
         targets,
         pool,
-        ge_bad,
     } = scratch;
 
     queue.push(
@@ -609,17 +603,14 @@ pub fn disseminate_async_dense_probed<P: Probe>(
                 });
                 continue;
             }
-            if !config.net.loss.is_none() {
-                let bad = &mut ge_bad[idx(event.to)];
-                if config.net.loss.sample(bad, rng) {
-                    dropped_loss += 1;
-                    probe.record(TraceEvent::DroppedLoss {
-                        from: node_id,
-                        to: target_id,
-                        hop: event.hop + 1,
-                    });
-                    continue;
-                }
+            if config.net.loss.sample(rng) {
+                dropped_loss += 1;
+                probe.record(TraceEvent::DroppedLoss {
+                    from: node_id,
+                    to: target_id,
+                    hop: event.hop + 1,
+                });
+                continue;
             }
             if config.sched.budget_exhausted(queue.len()) {
                 // Every queued event is a pending delivery here, so the
@@ -714,15 +705,6 @@ mod tests {
         assert!(AsyncConfig {
             sched: SchedConfig {
                 num_buckets: 0,
-                ..SchedConfig::default()
-            },
-            ..AsyncConfig::default()
-        }
-        .validate()
-        .is_err());
-        assert!(AsyncConfig {
-            sched: SchedConfig {
-                bucket_width: f64::NAN,
                 ..SchedConfig::default()
             },
             ..AsyncConfig::default()
@@ -862,7 +844,7 @@ mod tests {
         let config = AsyncConfig {
             run_membership_gossip: false,
             net: NetModel {
-                partitions: vec![PartitionEvent::bisection(0.0, 50.0, 0xFEED)],
+                partition: Some(PartitionEvent::bisection(0.0, 50.0, 0xFEED)),
                 ..NetModel::default()
             },
             ..AsyncConfig::default()
@@ -878,7 +860,6 @@ mod tests {
             report.dropped_partition > 0,
             "a bisection from t=0 must cut cross-side forwards"
         );
-        assert_eq!(report.partition_recovery.len(), 1);
         assert!(!report.is_complete(), "the far side is unreachable");
         // The bisection is roughly balanced: the origin's side alone is
         // notified, so coverage sits near half the population.
@@ -890,7 +871,7 @@ mod tests {
         let healing = AsyncConfig {
             run_membership_gossip: false,
             net: NetModel {
-                partitions: vec![PartitionEvent::bisection(0.0, 6.0, 0xFEED)],
+                partition: Some(PartitionEvent::bisection(0.0, 6.0, 0xFEED)),
                 ..NetModel::default()
             },
             ..AsyncConfig::default()
@@ -904,11 +885,12 @@ mod tests {
         );
         assert!(healed.dropped_partition > 0);
         assert!(healed.is_complete(), "the heal lets the frontier cross");
-        let recovery =
-            healed.partition_recovery[0].expect("notifications land after the heal at t = 6");
+        let recovery = healed
+            .partition_recovery
+            .expect("notifications land after the heal at t = 6");
         assert!(recovery > 0.0);
 
-        // No partitions → empty recovery vector.
+        // No partition → no recovery time.
         let clean = disseminate(
             &overlay,
             &DenseSelector::ringcast(3),
@@ -919,7 +901,7 @@ mod tests {
             },
             &mut rng(47),
         );
-        assert!(clean.partition_recovery.is_empty());
+        assert_eq!(clean.partition_recovery, None);
         assert_eq!(clean.dropped_partition, 0);
     }
 
@@ -931,7 +913,7 @@ mod tests {
         config.net.loss = LossModel::Iid { rate: -0.5 };
         assert!(config.validate().is_err());
         config.net.loss = LossModel::None;
-        config.net.partitions = vec![PartitionEvent::bisection(1.0, -1.0, 0)];
+        config.net.partition = Some(PartitionEvent::bisection(1.0, -1.0, 0));
         assert!(config.validate().is_err());
     }
 

@@ -286,9 +286,22 @@ pub fn run_seeded_push_pulls(
 /// The shared thread fan-out of every seeded driver: splits `runs` into
 /// contiguous chunks, gives each worker its own scratch (built by
 /// `make_scratch`), and concatenates the per-worker results back in run
-/// order. Because each run draws from a private seeded RNG, the output is
-/// the same for every thread count.
-fn fan_out_seeded<T, S, M, F>(runs: usize, threads: usize, make_scratch: M, one_run: F) -> Vec<T>
+/// order.
+///
+/// When run `r` is a pure function of `r` (each run draws from a private
+/// RNG seeded from its index, e.g. with [`run_seed`], and the scratch holds
+/// no state between runs), the result vector is **bit-identical for every
+/// thread count** — `threads` only decides wall-clock time.
+///
+/// # Panics
+///
+/// Panics if a worker thread panics.
+pub fn fan_out_seeded<T, S, M, F>(
+    runs: usize,
+    threads: usize,
+    make_scratch: M,
+    one_run: F,
+) -> Vec<T>
 where
     T: Send,
     M: Fn() -> S + Sync,
@@ -435,7 +448,6 @@ mod tests {
         let config = PullConfig {
             fanout: 1,
             max_rounds: 30,
-            ..PullConfig::default()
         };
         let sequential = run_seeded_push_pulls(&dense, &selector, &config, 9, 34, 1);
         for threads in [2, 4, 16] {
@@ -445,6 +457,30 @@ mod tests {
         // Pull rounds only ever improve on the push phase.
         for report in &sequential {
             assert!(report.reached_after_pull >= report.push.reached);
+        }
+    }
+
+    #[test]
+    fn fan_out_seeded_is_thread_count_invariant() {
+        use hybridcast_sim::{DenseSimNetwork, SimConfig};
+        let seeds: Vec<u64> = (0..7).map(|i| 1000 + i).collect();
+        let run = |run: usize, _: &mut ()| {
+            let config = SimConfig {
+                nodes: 25,
+                warmup_cycles: 0,
+                ..SimConfig::default()
+            };
+            let mut net = DenseSimNetwork::new(config, seeds[run]);
+            net.run_cycles(8);
+            net.overlay_snapshot()
+        };
+        let sequential = fan_out_seeded(seeds.len(), 1, || (), run);
+        for threads in [2, 3, 8] {
+            assert_eq!(
+                sequential,
+                fan_out_seeded(seeds.len(), threads, || (), run),
+                "{threads} threads"
+            );
         }
     }
 

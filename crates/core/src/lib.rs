@@ -36,10 +36,10 @@
 //!   event memory budget ([`sched::SchedConfig`]) that lets million-node
 //!   runs gate under a fixed resident-memory ceiling.
 //! * [`netmodel`] — adversarial network models threaded through the async
-//!   and pull engines: heavy-tailed and bimodal delay distributions,
-//!   i.i.d. and Gilbert–Elliott bursty loss, and scripted partition/heal
-//!   timelines, all seed-reproducible off the per-run RNG streams. The
-//!   default model is bit-identical to the engines without it.
+//!   engine: a heavy-tailed log-normal delay distribution, i.i.d. loss and
+//!   one scripted bisection that heals, all seed-reproducible off the
+//!   per-run RNG streams. The default model is bit-identical to the engine
+//!   without it.
 //!
 //! Every dissemination mode ships as one dense engine over a CSR
 //! [`overlay::DenseOverlay`] and reusable scratch: it returns `Copy`

@@ -1,29 +1,26 @@
-//! Adversarial network models for the event-driven and pull engines.
+//! Adversarial network models for the event-driven engine.
 //!
 //! The paper evaluates reliability under *node* failure and churn but
 //! assumes an idealized network: every message arrives, after a uniformly
 //! jittered delay. Real deployments lose, delay and partition *messages*.
-//! This module provides the pluggable [`NetModel`] that the async engines
-//! ([`crate::async_engine`]) and the pull engines ([`crate::pull`]) thread
-//! through their per-message hot paths:
+//! This module provides the [`NetModel`] that the async engine
+//! ([`crate::async_engine`]) threads through its per-message hot path:
 //!
 //! * [`DelayModel`] — per-message forwarding delays: the legacy uniform
-//!   jitter, a log-normal heavy tail, or a bimodal same-DC/WAN mixture;
-//! * [`LossModel`] — per-message loss: i.i.d. Bernoulli or a bursty
-//!   Gilbert–Elliott two-state chain (one chain per sending node);
-//! * [`PartitionEvent`] — a scripted timeline of node-set bisections:
-//!   during `[start, start + duration)` every message whose endpoints fall
-//!   on opposite sides of the (salt-keyed, pseudo-random) bisection is
-//!   dropped.
+//!   jitter or a log-normal heavy tail;
+//! * [`LossModel`] — independent (i.i.d. Bernoulli) per-message loss;
+//! * [`PartitionEvent`] — one scripted bisection of the node set: during
+//!   `[start, start + duration)` every message whose endpoints fall on
+//!   opposite sides of the (salt-keyed, pseudo-random) cut is dropped.
 //!
 //! Everything samples from the caller's per-run `ChaCha8` stream with a
 //! *fixed draw schedule* (a given model variant always consumes the same
-//! number of draws per message), which is what keeps the dense engines
-//! bit-identical to their BTree oracles under every model, and every
+//! number of draws per message), which is what keeps the dense engine
+//! bit-identical to its BTree oracle under every model, and every
 //! scenario seed-reproducible and thread-fan-out invariant.
 //!
 //! The contract the test layer pins: [`NetModel::default()`] — no loss, no
-//! partitions, legacy fixed-jitter delays — consumes *exactly* the draws the
+//! partition, legacy fixed-jitter delays — consumes *exactly* the draws the
 //! pre-model engines consumed, so default-model reports are bit-identical
 //! to the engines as they existed before the model was introduced.
 
@@ -34,9 +31,9 @@ use hybridcast_graph::NodeId;
 /// The shared jitter rule of the async engines: a multiplicative uniform
 /// perturbation of ±`jitter`, drawn as exactly one `f64` — or no draw at
 /// all when the jitter or the base duration is zero. Keeping this in one
-/// place is what keeps the RNG streams of all engines aligned: the delay
-/// models draw through it, and so do the gossip timers of the id-keyed
-/// live-membership oracle, which is why it is public.
+/// place is what keeps the RNG streams of all engines aligned: the
+/// fixed-jitter delay model draws through it, and so do the gossip timers
+/// of the id-keyed live-membership oracle, which is why it is public.
 pub fn jittered<R: RngCore + ?Sized>(base: f64, rng: &mut R, jitter: f64) -> f64 {
     if jitter == 0.0 || base == 0.0 {
         base
@@ -65,25 +62,11 @@ pub enum DelayModel {
         /// heavier tail.
         sigma: f64,
     },
-    /// Bimodal same-datacenter vs WAN delays: with probability
-    /// `wan_fraction` the message takes `wan_delay`, otherwise
-    /// `local_delay`, each under the configured multiplicative jitter.
-    /// Draw schedule: one `f64` for the mode, plus the fixed-jitter
-    /// schedule for the chosen base.
-    Bimodal {
-        /// Base delay of the fast (same-DC) mode.
-        local_delay: f64,
-        /// Base delay of the slow (WAN) mode.
-        wan_delay: f64,
-        /// Probability that a message takes the WAN mode, in `[0, 1]`.
-        wan_fraction: f64,
-    },
 }
 
 impl DelayModel {
     /// Samples one forwarding delay. `base` and `jitter` are the engine
-    /// configuration's legacy parameters, used by [`DelayModel::FixedJitter`]
-    /// and (jitter only, around the chosen mode) [`DelayModel::Bimodal`].
+    /// configuration's legacy parameters, used by [`DelayModel::FixedJitter`].
     pub fn sample<R: RngCore + ?Sized>(&self, base: f64, jitter: f64, rng: &mut R) -> f64 {
         match *self {
             DelayModel::FixedJitter => jittered(base, rng, jitter),
@@ -94,18 +77,6 @@ impl DelayModel {
                 let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
                 (mu + sigma * z).exp()
             }
-            DelayModel::Bimodal {
-                local_delay,
-                wan_delay,
-                wan_fraction,
-            } => {
-                let mode = if rng.gen::<f64>() < wan_fraction {
-                    wan_delay
-                } else {
-                    local_delay
-                };
-                jittered(mode, rng, jitter)
-            }
         }
     }
 
@@ -113,9 +84,8 @@ impl DelayModel {
     ///
     /// # Errors
     ///
-    /// Returns an error if any parameter is non-finite, a delay is
-    /// negative, `sigma` is negative, or `wan_fraction` is outside
-    /// `[0, 1]`.
+    /// Returns an error if a log-normal parameter is non-finite or `sigma`
+    /// is negative.
     pub fn validate(&self) -> Result<(), String> {
         match *self {
             DelayModel::FixedJitter => Ok(()),
@@ -128,32 +98,11 @@ impl DelayModel {
                 }
                 Ok(())
             }
-            DelayModel::Bimodal {
-                local_delay,
-                wan_delay,
-                wan_fraction,
-            } => {
-                if !local_delay.is_finite() || !wan_delay.is_finite() || !wan_fraction.is_finite() {
-                    return Err("bimodal delay parameters must be finite".into());
-                }
-                if local_delay < 0.0 || wan_delay < 0.0 {
-                    return Err("bimodal delays cannot be negative".into());
-                }
-                if !(0.0..=1.0).contains(&wan_fraction) {
-                    return Err("bimodal wan fraction must be within [0, 1]".into());
-                }
-                Ok(())
-            }
         }
     }
 }
 
 /// Per-message loss model.
-///
-/// Stateful variants (Gilbert–Elliott) keep one chain per *sending* node —
-/// the model of a node's flaky uplink, where consecutive messages from the
-/// same sender see correlated conditions. The engines own the state (a
-/// `bool` per node, `false` = good) and pass it to [`LossModel::sample`].
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum LossModel {
     /// No loss, no draws — the bit-identity default.
@@ -165,75 +114,15 @@ pub enum LossModel {
         /// Loss probability in `[0, 1]`.
         rate: f64,
     },
-    /// Bursty Gilbert–Elliott loss: a two-state (good/bad) Markov chain
-    /// advanced once per message sent, with state-dependent loss
-    /// probabilities. Stationary loss rate:
-    /// `π_bad * loss_bad + (1 - π_bad) * loss_good` with
-    /// `π_bad = p_enter_bad / (p_enter_bad + p_exit_bad)`.
-    /// Draw schedule: exactly two `f64`s per message (transition, loss).
-    GilbertElliott {
-        /// Probability of moving good → bad at each message.
-        p_enter_bad: f64,
-        /// Probability of moving bad → good at each message.
-        p_exit_bad: f64,
-        /// Loss probability while in the good state.
-        loss_good: f64,
-        /// Loss probability while in the bad state (the burst).
-        loss_bad: f64,
-    },
 }
 
 impl LossModel {
-    /// `true` for [`LossModel::None`] — engines use this to skip the
-    /// per-sender state bookkeeping entirely on the default path.
-    pub fn is_none(&self) -> bool {
-        matches!(self, LossModel::None)
-    }
-
-    /// Samples whether one message is lost. `bad` is the sending node's
-    /// Gilbert–Elliott state (`false` = good), updated in place; it is
-    /// ignored by the stateless variants.
-    pub fn sample<R: RngCore + ?Sized>(&self, bad: &mut bool, rng: &mut R) -> bool {
+    /// Samples whether one message is lost. [`LossModel::None`] draws
+    /// nothing.
+    pub fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> bool {
         match *self {
             LossModel::None => false,
             LossModel::Iid { rate } => rng.gen::<f64>() < rate,
-            LossModel::GilbertElliott {
-                p_enter_bad,
-                p_exit_bad,
-                loss_good,
-                loss_bad,
-            } => {
-                let u = rng.gen::<f64>();
-                *bad = if *bad {
-                    u >= p_exit_bad
-                } else {
-                    u < p_enter_bad
-                };
-                let loss = if *bad { loss_bad } else { loss_good };
-                rng.gen::<f64>() < loss
-            }
-        }
-    }
-
-    /// The long-run fraction of messages lost under this model.
-    pub fn stationary_loss_rate(&self) -> f64 {
-        match *self {
-            LossModel::None => 0.0,
-            LossModel::Iid { rate } => rate,
-            LossModel::GilbertElliott {
-                p_enter_bad,
-                p_exit_bad,
-                loss_good,
-                loss_bad,
-            } => {
-                let denom = p_enter_bad + p_exit_bad;
-                if denom == 0.0 {
-                    // The chain never leaves its initial (good) state.
-                    return loss_good;
-                }
-                let pi_bad = p_enter_bad / denom;
-                pi_bad * loss_bad + (1.0 - pi_bad) * loss_good
-            }
         }
     }
 
@@ -241,28 +130,15 @@ impl LossModel {
     ///
     /// # Errors
     ///
-    /// Returns an error if any probability is non-finite or outside
-    /// `[0, 1]`.
+    /// Returns an error if the loss rate is non-finite or outside `[0, 1]`.
     pub fn validate(&self) -> Result<(), String> {
-        let prob = |name: &str, p: f64| -> Result<(), String> {
-            if !p.is_finite() || !(0.0..=1.0).contains(&p) {
-                return Err(format!("{name} must be a probability within [0, 1]"));
-            }
-            Ok(())
-        };
         match *self {
             LossModel::None => Ok(()),
-            LossModel::Iid { rate } => prob("loss rate", rate),
-            LossModel::GilbertElliott {
-                p_enter_bad,
-                p_exit_bad,
-                loss_good,
-                loss_bad,
-            } => {
-                prob("burst entry probability", p_enter_bad)?;
-                prob("burst exit probability", p_exit_bad)?;
-                prob("good-state loss probability", loss_good)?;
-                prob("bad-state loss probability", loss_bad)
+            LossModel::Iid { rate } => {
+                if !rate.is_finite() || !(0.0..=1.0).contains(&rate) {
+                    return Err("loss rate must be a probability within [0, 1]".into());
+                }
+                Ok(())
             }
         }
     }
@@ -277,15 +153,13 @@ fn mix(mut z: u64) -> u64 {
 }
 
 /// One scripted partition: a pseudo-random bisection of the node set that
-/// is in force during `[start, start + duration)` and heals afterwards.
+/// is in force during `[start, start + duration)` (simulated time) and
+/// heals afterwards.
 ///
 /// The side of a node is a pure function of its id and the event's `salt`
 /// (a SplitMix64 hash bit), so the cut is identical in the id-keyed and
-/// dense engines, splits any node population roughly in half, and two
-/// events with different salts cut along independent bisections. In the
-/// event-driven engines `start`/`duration` are simulated time; the
-/// round-based pull engines read them as pull-round indices (round `r`
-/// is blocked when `start <= r < start + duration`).
+/// dense engines, splits any node population roughly in half, and
+/// different salts cut along independent bisections.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PartitionEvent {
     /// Time (or pull round) at which the partition appears.
@@ -344,9 +218,9 @@ impl PartitionEvent {
 }
 
 /// The full adversarial network model of one run: delay distribution,
-/// loss process and scripted partition timeline.
+/// loss process and an optional scripted partition.
 ///
-/// The default — fixed-jitter delays, no loss, no partitions — is the
+/// The default — fixed-jitter delays, no loss, no partition — is the
 /// bit-identity contract: engines running it consume exactly the RNG
 /// draws of the pre-model engines and produce identical reports.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -355,65 +229,46 @@ pub struct NetModel {
     pub delay: DelayModel,
     /// Per-message loss process.
     pub loss: LossModel,
-    /// Scripted partition/heal timeline. Events may overlap; a message is
-    /// dropped if *any* active event separates its endpoints at send time.
-    pub partitions: Vec<PartitionEvent>,
+    /// Scripted bisection that opens and heals mid-run, if any.
+    pub partition: Option<PartitionEvent>,
 }
 
 impl NetModel {
-    /// `true` when the model is the bit-identity default (fixed-jitter
-    /// delays, no loss, no partitions).
-    pub fn is_default(&self) -> bool {
-        self.delay == DelayModel::FixedJitter && self.loss.is_none() && self.partitions.is_empty()
-    }
-
-    /// `true` if a message sent from `a` to `b` at `time` is cut by an
+    /// `true` if a message sent from `a` to `b` at `time` is cut by the
     /// active partition. Decided at *send* time: a link into a partition
     /// fails immediately, while messages already in flight (sent before
     /// the partition, however long their delay) still arrive.
     pub fn blocks(&self, a: NodeId, b: NodeId, time: f64) -> bool {
-        self.partitions
-            .iter()
-            .any(|p| p.active_at(time) && p.separates(a, b))
+        self.partition
+            .is_some_and(|p| p.active_at(time) && p.separates(a, b))
     }
 
     /// Validates every component of the model.
     ///
     /// # Errors
     ///
-    /// Returns an error if the delay model, the loss model or any
+    /// Returns an error if the delay model, the loss model or the
     /// partition event is invalid.
     pub fn validate(&self) -> Result<(), String> {
         self.delay.validate()?;
         self.loss.validate()?;
-        for event in &self.partitions {
-            event.validate()?;
-        }
-        Ok(())
+        self.partition.map_or(Ok(()), |event| event.validate())
     }
 }
 
-/// Per-partition re-convergence times: for each scripted event, how long
-/// after its heal instant the last notification landed (`None` if nothing
-/// was notified at or after the heal). `times` is the run's notification
-/// times in any order; the result is order-insensitive.
+/// The re-convergence time of a scripted partition: how long after its
+/// heal instant the last notification landed (`None` without a partition,
+/// or if nothing was notified at or after the heal). `times` is the run's
+/// notification times in any order; the result is order-insensitive.
 pub fn partition_recovery(
-    partitions: &[PartitionEvent],
+    partition: Option<PartitionEvent>,
     times: impl Iterator<Item = f64>,
-) -> Vec<Option<f64>> {
-    let mut last_after: Vec<Option<f64>> = vec![None; partitions.len()];
-    for time in times {
-        for (slot, event) in last_after.iter_mut().zip(partitions) {
-            if time >= event.end() && slot.map_or(true, |current| time > current) {
-                *slot = Some(time);
-            }
-        }
-    }
-    last_after
-        .iter()
-        .zip(partitions)
-        .map(|(last, event)| last.map(|t| t - event.end()))
-        .collect()
+) -> Option<f64> {
+    let heal = partition?.end();
+    times
+        .filter(|&time| time >= heal)
+        .reduce(f64::max)
+        .map(|last| last - heal)
 }
 
 #[cfg(test)]
@@ -469,94 +324,13 @@ mod tests {
     }
 
     #[test]
-    fn bimodal_mixes_the_two_modes_at_the_configured_fraction() {
-        let model = DelayModel::Bimodal {
-            local_delay: 1.0,
-            wan_delay: 20.0,
-            wan_fraction: 0.25,
-        };
-        // With zero jitter the support is exactly the two modes.
-        let mut r = rng(4);
-        let n = 20_000usize;
-        let mut wan = 0usize;
-        for _ in 0..n {
-            let d = model.sample(999.0, 0.0, &mut r);
-            assert!(d == 1.0 || d == 20.0, "unexpected delay {d}");
-            if d == 20.0 {
-                wan += 1;
-            }
-        }
-        let fraction = wan as f64 / n as f64;
-        assert!(
-            (fraction - 0.25).abs() < 0.02,
-            "WAN fraction was {fraction}"
-        );
-        // Mean under jitter stays near the mixture mean (jitter is
-        // symmetric around 1).
-        let mut r = rng(5);
-        let mean = (0..n).map(|_| model.sample(1.0, 0.1, &mut r)).sum::<f64>() / n as f64;
-        let expected = 0.75 * 1.0 + 0.25 * 20.0;
-        assert!((mean - expected).abs() < 0.15 * expected, "mean {mean}");
-    }
-
-    #[test]
     fn iid_loss_hits_the_configured_rate() {
         let model = LossModel::Iid { rate: 0.2 };
         let mut r = rng(6);
-        let mut state = false;
         let n = 50_000usize;
-        let lost = (0..n).filter(|_| model.sample(&mut state, &mut r)).count();
+        let lost = (0..n).filter(|_| model.sample(&mut r)).count();
         let rate = lost as f64 / n as f64;
         assert!((rate - 0.2).abs() < 0.01, "iid loss rate was {rate}");
-        assert!(!state, "iid loss never touches the chain state");
-        assert_eq!(model.stationary_loss_rate(), 0.2);
-    }
-
-    #[test]
-    fn gilbert_elliott_stationary_loss_rate_within_tolerance() {
-        let model = LossModel::GilbertElliott {
-            p_enter_bad: 0.05,
-            p_exit_bad: 0.20,
-            loss_good: 0.01,
-            loss_bad: 0.60,
-        };
-        // π_bad = 0.05 / 0.25 = 0.2 → rate = 0.2*0.6 + 0.8*0.01 = 0.128.
-        let expected = model.stationary_loss_rate();
-        assert!((expected - 0.128).abs() < 1e-12);
-        let mut r = rng(7);
-        let mut bad = false;
-        let n = 200_000usize;
-        let lost = (0..n).filter(|_| model.sample(&mut bad, &mut r)).count();
-        let rate = lost as f64 / n as f64;
-        assert!(
-            (rate - expected).abs() < 0.01,
-            "empirical GE loss rate {rate} vs stationary {expected}"
-        );
-    }
-
-    #[test]
-    fn gilbert_elliott_losses_are_bursty() {
-        // Same stationary rate as an i.i.d. model, but losses must clump:
-        // the probability that a loss is followed by another loss exceeds
-        // the marginal loss rate.
-        let model = LossModel::GilbertElliott {
-            p_enter_bad: 0.02,
-            p_exit_bad: 0.10,
-            loss_good: 0.0,
-            loss_bad: 0.72,
-        };
-        let mut r = rng(8);
-        let mut bad = false;
-        let outcomes: Vec<bool> = (0..100_000)
-            .map(|_| model.sample(&mut bad, &mut r))
-            .collect();
-        let rate = outcomes.iter().filter(|&&l| l).count() as f64 / outcomes.len() as f64;
-        let after_loss: Vec<bool> = outcomes.windows(2).filter(|w| w[0]).map(|w| w[1]).collect();
-        let burst_rate = after_loss.iter().filter(|&&l| l).count() as f64 / after_loss.len() as f64;
-        assert!(
-            burst_rate > 2.0 * rate,
-            "burstiness missing: P(loss|loss) = {burst_rate}, P(loss) = {rate}"
-        );
     }
 
     #[test]
@@ -575,7 +349,7 @@ mod tests {
             .find(|&n| event.separates(a, n))
             .expect("some node falls on the other side");
         let model = NetModel {
-            partitions: vec![event],
+            partition: Some(event),
             ..NetModel::default()
         };
         assert!(!model.blocks(a, b, 4.0), "before the partition");
@@ -613,16 +387,14 @@ mod tests {
 
     #[test]
     fn partition_recovery_measures_time_past_the_heal() {
-        let partitions = vec![
-            PartitionEvent::bisection(2.0, 4.0, 1),  // heals at 6.0
-            PartitionEvent::bisection(10.0, 5.0, 2), // heals at 15.0
-        ];
         let times = [0.0, 3.0, 6.0, 9.5];
-        let recovery = partition_recovery(&partitions, times.iter().copied());
-        assert_eq!(recovery.len(), 2);
-        assert_eq!(recovery[0], Some(3.5), "last notification 9.5, heal 6.0");
-        assert_eq!(recovery[1], None, "nothing landed after 15.0");
-        assert!(partition_recovery(&[], times.iter().copied()).is_empty());
+        let early = PartitionEvent::bisection(2.0, 4.0, 1); // heals at 6.0
+        let recovery = partition_recovery(Some(early), times.iter().copied());
+        assert_eq!(recovery, Some(3.5), "last notification 9.5, heal 6.0");
+        let late = PartitionEvent::bisection(10.0, 5.0, 2); // heals at 15.0
+        let recovery = partition_recovery(Some(late), times.iter().copied());
+        assert_eq!(recovery, None, "nothing landed after 15.0");
+        assert_eq!(partition_recovery(None, times.iter().copied()), None);
     }
 
     #[test]
@@ -640,7 +412,7 @@ mod tests {
         // Even if one sneaks past validation, the model-level gate stays
         // open: no pair is ever blocked by an empty window.
         let model = NetModel {
-            partitions: vec![degenerate],
+            partition: Some(degenerate),
             ..NetModel::default()
         };
         for n in 1..50 {
@@ -649,8 +421,8 @@ mod tests {
 
         // And recovery measurement treats every notification as landing
         // after the (instantaneous) heal.
-        let recovery = partition_recovery(&[degenerate], [5.0, 7.5].into_iter());
-        assert_eq!(recovery, vec![Some(2.5)]);
+        let recovery = partition_recovery(Some(degenerate), [5.0, 7.5].into_iter());
+        assert_eq!(recovery, Some(2.5));
 
         // A positive duration below one ULP of the start passes validation
         // but is absorbed by the addition in `end()` — the window still
@@ -671,92 +443,13 @@ mod tests {
     }
 
     #[test]
-    fn degenerate_gilbert_elliott_rates_behave_as_documented() {
-        // Frozen chain: with both transition probabilities zero the chain
-        // never leaves its initial good state, so the stationary rate is
-        // exactly `loss_good` (the 0/0 branch) and sampling never flips the
-        // state bit.
-        let frozen = LossModel::GilbertElliott {
-            p_enter_bad: 0.0,
-            p_exit_bad: 0.0,
-            loss_good: 0.25,
-            loss_bad: 1.0,
-        };
-        assert!(frozen.validate().is_ok());
-        assert_eq!(frozen.stationary_loss_rate(), 0.25);
-        let mut bad = false;
-        let mut r = rng(101);
-        for _ in 0..10_000 {
-            frozen.sample(&mut bad, &mut r);
-            assert!(!bad, "a frozen chain must never enter the bad state");
-        }
-
-        // Absorbing chain: entry probability 1, exit probability 0 — the
-        // first draw lands in the bad state and stays there, so with
-        // `loss_bad = 1` every message after the first draw is lost.
-        let absorbing = LossModel::GilbertElliott {
-            p_enter_bad: 1.0,
-            p_exit_bad: 0.0,
-            loss_good: 0.0,
-            loss_bad: 1.0,
-        };
-        assert!(absorbing.validate().is_ok());
-        assert_eq!(absorbing.stationary_loss_rate(), 1.0);
-        let mut bad = false;
-        let mut r = rng(102);
-        for _ in 0..100 {
-            assert!(absorbing.sample(&mut bad, &mut r));
-            assert!(bad);
-        }
-
-        // Equal-loss states: when both states lose at the same rate the
-        // chain is irrelevant and the stationary rate collapses to it.
-        let flat = LossModel::GilbertElliott {
-            p_enter_bad: 0.3,
-            p_exit_bad: 0.6,
-            loss_good: 0.2,
-            loss_bad: 0.2,
-        };
-        assert!((flat.stationary_loss_rate() - 0.2).abs() < 1e-12);
-
-        // NaN probabilities are rejected, in every parameter slot.
-        for slot in 0..4 {
-            let p = |i: usize| if i == slot { f64::NAN } else { 0.1 };
-            let model = LossModel::GilbertElliott {
-                p_enter_bad: p(0),
-                p_exit_bad: p(1),
-                loss_good: p(2),
-                loss_bad: p(3),
-            };
-            assert!(model.validate().is_err(), "NaN in slot {slot} accepted");
-        }
-    }
-
-    #[test]
     fn validation_rejects_malformed_models() {
         assert!(NetModel::default().validate().is_ok());
-        assert!(NetModel::default().is_default());
 
         assert!(LossModel::Iid { rate: -0.1 }.validate().is_err());
         assert!(LossModel::Iid { rate: 1.5 }.validate().is_err());
         assert!(LossModel::Iid { rate: f64::NAN }.validate().is_err());
         assert!(LossModel::Iid { rate: 0.0 }.validate().is_ok());
-        assert!(LossModel::GilbertElliott {
-            p_enter_bad: 1.2,
-            p_exit_bad: 0.5,
-            loss_good: 0.0,
-            loss_bad: 0.5,
-        }
-        .validate()
-        .is_err());
-        assert!(LossModel::GilbertElliott {
-            p_enter_bad: 0.1,
-            p_exit_bad: 0.5,
-            loss_good: 0.0,
-            loss_bad: -0.5,
-        }
-        .validate()
-        .is_err());
 
         assert!(DelayModel::LogNormal {
             mu: 0.0,
@@ -770,20 +463,6 @@ mod tests {
         }
         .validate()
         .is_err());
-        assert!(DelayModel::Bimodal {
-            local_delay: -1.0,
-            wan_delay: 5.0,
-            wan_fraction: 0.1,
-        }
-        .validate()
-        .is_err());
-        assert!(DelayModel::Bimodal {
-            local_delay: 1.0,
-            wan_delay: 5.0,
-            wan_fraction: 1.1,
-        }
-        .validate()
-        .is_err());
 
         assert!(PartitionEvent::bisection(-1.0, 2.0, 0).validate().is_err());
         assert!(PartitionEvent::bisection(1.0, 0.0, 0).validate().is_err());
@@ -793,10 +472,9 @@ mod tests {
             .is_err());
         assert!(PartitionEvent::bisection(1.0, 2.0, 0).validate().is_ok());
         let model = NetModel {
-            partitions: vec![PartitionEvent::bisection(1.0, -2.0, 0)],
+            partition: Some(PartitionEvent::bisection(1.0, -2.0, 0)),
             ..NetModel::default()
         };
         assert!(model.validate().is_err());
-        assert!(!model.is_default());
     }
 }

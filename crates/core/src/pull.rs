@@ -23,20 +23,9 @@
 //! same overlay, selector, origin and seed, pinned by differential
 //! property tests.
 //!
-//! # Adversarial network models
-//!
-//! The pull phase threads [`PullConfig::net`] — a
-//! [`crate::netmodel::NetModel`] — through every poll: a poll whose
-//! round-trip is eaten by the loss process yields nothing even if the
-//! polled peer holds the message, and a poll across an active scripted
-//! partition is blocked outright. Since pull rounds are synchronous, the
-//! model's time axis is the 1-based *round index* (a partition with
-//! `start = 2.0`, `duration = 3.0` blocks cross-cut polls in rounds 2–4),
-//! and the delay distribution is ignored — rounds have no sub-round
-//! timing. The push phase is the hop-synchronous engine and runs
-//! unmodeled; the event-driven engines in [`crate::async_engine`] are
-//! where delays and loss shape the push path. The default model is
-//! bit-identical to the pre-model pull engines, draw for draw.
+//! Like the paper's own evaluation, both phases assume every message
+//! arrives: the adversarial network models of [`crate::netmodel`] apply to
+//! the event-driven engine ([`crate::async_engine`]) only.
 
 // D3: index casts go through `hybridcast_graph::cast`; tests are exempt.
 #![cfg_attr(
@@ -47,13 +36,12 @@
 use rand::seq::SliceRandom;
 use rand::RngCore;
 
-use hybridcast_graph::cast::{idx, to_u32};
+use hybridcast_graph::cast::to_u32;
 use hybridcast_graph::NodeId;
 use hybridcast_obs::{NullProbe, Probe, TraceEvent};
 
 use crate::engine::{disseminate_dense_probed, DenseRunStats, DenseScratch};
 use crate::metrics::DisseminationReport;
-use crate::netmodel::NetModel;
 use crate::overlay::{DenseBits, DenseOverlay, NO_NODE};
 use crate::protocols::DenseSelector;
 
@@ -64,11 +52,6 @@ pub struct PullConfig {
     pub fanout: usize,
     /// Maximum number of pull rounds before giving up.
     pub max_rounds: usize,
-    /// Adversarial network model applied to the pull polls. The delay
-    /// distribution is ignored (rounds are synchronous); partitions read
-    /// the 1-based round index as their time axis. The default model
-    /// reproduces the pre-model engines bit for bit.
-    pub net: NetModel,
 }
 
 impl Default for PullConfig {
@@ -76,7 +59,6 @@ impl Default for PullConfig {
         PullConfig {
             fanout: 1,
             max_rounds: 20,
-            net: NetModel::default(),
         }
     }
 }
@@ -86,13 +68,12 @@ impl PullConfig {
     ///
     /// # Errors
     ///
-    /// Returns an error if the pull fanout is zero or the network model is
-    /// malformed.
+    /// Returns an error if the pull fanout is zero.
     pub fn validate(&self) -> Result<(), String> {
         if self.fanout == 0 {
             return Err("pull fanout must be positive".into());
         }
-        self.net.validate()
+        Ok(())
     }
 }
 
@@ -114,13 +95,6 @@ pub struct PushPullReport {
     pub reached_after_pull: usize,
     /// Live nodes still missing the message after the pull phase.
     pub unreached_after_pull: Vec<NodeId>,
-    /// Polls whose round-trip was eaten by the loss process
-    /// ([`crate::netmodel::LossModel`]); they count in
-    /// [`PushPullReport::pull_requests`] but cannot yield a transfer.
-    pub polls_lost: usize,
-    /// Polls blocked because a scripted partition separated poller and
-    /// peer in that round.
-    pub polls_blocked: usize,
 }
 
 impl PushPullReport {
@@ -169,9 +143,6 @@ pub struct DensePullScratch {
     holders: DenseBits,
     neighbours: Vec<u32>,
     obtained: Vec<u32>,
-    /// Per-poller Gilbert–Elliott chain state (`false` = good), the dense
-    /// mirror of the oracle's id-keyed state map.
-    ge_bad: Vec<bool>,
     per_round_new: Vec<usize>,
 }
 
@@ -202,10 +173,6 @@ pub struct DensePullRunStats {
     pub pull_transfers: usize,
     /// Nodes holding the message after the pull phase.
     pub reached_after_pull: usize,
-    /// Polls eaten by the loss process.
-    pub polls_lost: usize,
-    /// Polls blocked by an active scripted partition.
-    pub polls_blocked: usize,
 }
 
 impl DensePullRunStats {
@@ -230,8 +197,6 @@ impl DensePullRunStats {
             per_round_new: scratch.per_round_new.clone(),
             reached_after_pull: self.reached_after_pull,
             unreached_after_pull,
-            polls_lost: self.polls_lost,
-            polls_blocked: self.polls_blocked,
         }
     }
 }
@@ -271,7 +236,7 @@ impl DensePullRunStats {
 /// let random = builders::random_out_degree(&ids, 5, &mut rng);
 /// let overlay = DenseOverlay::from_graphs(&DiGraph::new(), &random);
 /// let selector = DenseSelector::randcast(2);
-/// let config = PullConfig { fanout: 2, max_rounds: 30, ..PullConfig::default() };
+/// let config = PullConfig { fanout: 2, max_rounds: 30, };
 ///
 /// let mut scratch = DensePullScratch::new();
 /// let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(9);
@@ -302,8 +267,7 @@ pub fn disseminate_push_pull_dense(
 /// [`disseminate_push_pull_dense`] with a [`Probe`] attached.
 ///
 /// The push phase emits its usual stream, then each pull round adds
-/// `PullRequest`, `PollBlocked` / `PollLost`, `PullTransfer` and `RoundEnd`
-/// events — exactly the stream the id-keyed oracle emits for the same
+/// `PullRequest`, `PullTransfer` and `RoundEnd` events — exactly the stream the id-keyed oracle emits for the same
 /// overlay, selector, origin, configuration and seed. With an
 /// allocation-free sink the warm-run zero-allocation contract holds
 /// unchanged.
@@ -329,11 +293,8 @@ pub fn disseminate_push_pull_dense_probed<P: Probe>(
         holders,
         neighbours,
         obtained,
-        ge_bad,
         per_round_new,
     } = scratch;
-    ge_bad.clear();
-    ge_bad.resize(len, false);
     per_round_new.clear();
     // Only live nodes are ever notified, so the push engine's notified
     // bitset *is* the initial holder set.
@@ -344,13 +305,9 @@ pub fn disseminate_push_pull_dense_probed<P: Probe>(
     let mut pull_rounds = 0usize;
     let mut pull_requests = 0usize;
     let mut pull_transfers = 0usize;
-    let mut polls_lost = 0usize;
-    let mut polls_blocked = 0usize;
 
     while holder_count < live_count && pull_rounds < config.max_rounds {
         pull_rounds += 1;
-        // Partitions read the 1-based round index as their time axis.
-        let round_time = pull_rounds as f64;
         obtained.clear();
         for node in 0..to_u32(len) {
             if !overlay.is_live_idx(node) || holders.get(node) {
@@ -369,41 +326,13 @@ pub fn disseminate_push_pull_dense_probed<P: Probe>(
             pull_requests += neighbours.len();
             let round_u = to_u32(pull_rounds);
             let node_id = overlay.node_id(node).as_u64();
-            // Every poll draws its loss sample (no short-circuit): the draw
-            // schedule must not depend on holder state, or this engine's
-            // stream would drift from the oracle's.
             let mut serving = NO_NODE;
             for &peer in neighbours.iter() {
-                let peer_id = overlay.node_id(peer).as_u64();
                 probe.record(TraceEvent::PullRequest {
                     from: node_id,
-                    to: peer_id,
+                    to: overlay.node_id(peer).as_u64(),
                     round: round_u,
                 });
-                if config
-                    .net
-                    .blocks(overlay.node_id(node), overlay.node_id(peer), round_time)
-                {
-                    polls_blocked += 1;
-                    probe.record(TraceEvent::PollBlocked {
-                        from: node_id,
-                        to: peer_id,
-                        round: round_u,
-                    });
-                    continue;
-                }
-                if !config.net.loss.is_none() {
-                    let bad = &mut ge_bad[idx(node)];
-                    if config.net.loss.sample(bad, rng) {
-                        polls_lost += 1;
-                        probe.record(TraceEvent::PollLost {
-                            from: node_id,
-                            to: peer_id,
-                            round: round_u,
-                        });
-                        continue;
-                    }
-                }
                 if holders.get(peer) && serving == NO_NODE {
                     serving = peer;
                 }
@@ -446,8 +375,6 @@ pub fn disseminate_push_pull_dense_probed<P: Probe>(
         pull_requests,
         pull_transfers,
         reached_after_pull: holder_count,
-        polls_lost,
-        polls_blocked,
     }
 }
 
@@ -480,7 +407,6 @@ mod tests {
         assert!(PullConfig {
             fanout: 0,
             max_rounds: 5,
-            ..PullConfig::default()
         }
         .validate()
         .is_err());
@@ -500,7 +426,6 @@ mod tests {
             &PullConfig {
                 fanout: 0,
                 max_rounds: 1,
-                ..PullConfig::default()
             },
             &mut rng,
         );
@@ -537,7 +462,6 @@ mod tests {
             &PullConfig {
                 fanout: 2,
                 max_rounds: 30,
-                ..PullConfig::default()
             },
             &mut rng,
         );
@@ -582,7 +506,6 @@ mod tests {
             &PullConfig {
                 fanout: 2,
                 max_rounds: 30,
-                ..PullConfig::default()
             },
             &mut rng,
         );
@@ -612,7 +535,6 @@ mod tests {
             &PullConfig {
                 fanout: 1,
                 max_rounds: 1_000,
-                ..PullConfig::default()
             },
             &mut rng,
         );
@@ -632,7 +554,6 @@ mod tests {
         let config = PullConfig {
             fanout: 1,
             max_rounds: 30,
-            ..PullConfig::default()
         };
         let mut scratch = DensePullScratch::new();
         let first = disseminate_push_pull_dense(
@@ -682,7 +603,6 @@ mod tests {
             &PullConfig {
                 fanout: 1,
                 max_rounds: 50,
-                ..PullConfig::default()
             },
             &mut rng,
         );
@@ -693,38 +613,5 @@ mod tests {
         assert_eq!(report.per_round_new.len(), report.pull_rounds);
         assert!(report.pull_transfers <= report.pull_requests);
         assert!(report.hit_ratio() >= report.push.hit_ratio());
-    }
-
-    #[test]
-    fn partitioned_rounds_block_cross_cut_polls() {
-        use crate::netmodel::{NetModel, PartitionEvent};
-        let overlay = warmed_overlay(400, 21);
-        let origin = overlay.live_node_ids()[0];
-        // Partition covering pull rounds 1–5 (time axis = round index).
-        let config = PullConfig {
-            fanout: 2,
-            max_rounds: 40,
-            net: NetModel {
-                partitions: vec![PartitionEvent::bisection(1.0, 5.0, 0xBEEF)],
-                ..NetModel::default()
-            },
-        };
-        let report = disseminate_push_pull(
-            &overlay,
-            &DenseSelector::randcast(2),
-            origin,
-            &config,
-            &mut ChaCha8Rng::seed_from_u64(22),
-        );
-        if report.pull_rounds > 0 {
-            assert!(
-                report.polls_blocked > 0,
-                "a balanced bisection must block some cross-cut polls"
-            );
-        }
-        assert!(
-            report.is_complete(),
-            "polling resumes across the healed cut and closes the gap"
-        );
     }
 }

@@ -10,8 +10,9 @@
 //! [`SchedConfig`]:
 //!
 //! * **Near-future events** live in a ring of [`SchedConfig::num_buckets`]
-//!   fixed-width time buckets ("days" of width [`SchedConfig::bucket_width`]
-//!   simulated-time units). Insertion into a bucket is an `O(1)` append to
+//!   fixed-width time buckets ("days" of
+//!   [`SchedConfig::resolved_width`] simulated-time units, a width derived
+//!   from the run's mean forwarding delay). Insertion into a bucket is an `O(1)` append to
 //!   the bucket's last storage chunk; chunks are fixed-size and drawn from
 //!   one pool shared by every bucket.
 //! * **The current day** is sorted once, when the cursor reaches it: its
@@ -80,16 +81,11 @@ use hybridcast_graph::cast::idx_u64;
 /// Configuration of the calendar event queue, carried by
 /// [`crate::async_engine::AsyncConfig::sched`].
 ///
-/// The default configuration (`bucket_width` auto, 512 buckets, unbounded
-/// budget) reproduces the pre-calendar engines bit for bit — the scheduler
-/// only changes *where* events wait, never the order they pop in.
+/// The default configuration (512 buckets, unbounded budget) reproduces
+/// the pre-calendar engines bit for bit — the scheduler only changes
+/// *where* events wait, never the order they pop in.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SchedConfig {
-    /// Width of one calendar bucket in simulated-time units. `0.0` (the
-    /// default) derives a width from the run's mean forwarding delay so
-    /// that the bucket ring spans roughly four mean delays — the window
-    /// the bulk of the in-flight population lives in.
-    pub bucket_width: f64,
     /// Number of fixed-width buckets in the sliding calendar window.
     pub num_buckets: usize,
     /// Hard cap on simultaneously queued dissemination deliveries — the
@@ -107,7 +103,6 @@ pub struct SchedConfig {
 impl Default for SchedConfig {
     fn default() -> Self {
         SchedConfig {
-            bucket_width: 0.0,
             num_buckets: 512,
             event_budget: 0,
         }
@@ -119,29 +114,22 @@ impl SchedConfig {
     ///
     /// # Errors
     ///
-    /// Returns an error if the bucket width is negative or non-finite, or
-    /// the bucket count is zero.
+    /// Returns an error if the bucket count is zero.
     pub fn validate(&self) -> Result<(), String> {
-        if !self.bucket_width.is_finite() || self.bucket_width < 0.0 {
-            return Err("scheduler bucket width must be finite and non-negative".into());
-        }
         if self.num_buckets == 0 {
             return Err("scheduler needs at least one calendar bucket".into());
         }
         Ok(())
     }
 
-    /// The bucket width a run should use: the explicit
-    /// [`SchedConfig::bucket_width`] if set, otherwise a width derived so
-    /// the bucket ring spans four mean forwarding delays (falling back to
-    /// the gossip period when the forwarding delay is zero).
+    /// The bucket width a run uses: derived so the bucket ring spans four
+    /// mean forwarding delays — the window the bulk of the in-flight
+    /// population lives in — falling back to the gossip period when the
+    /// forwarding delay is zero.
     ///
-    /// The choice is a pure performance knob — pop order, and therefore
+    /// The width is a pure performance choice — pop order, and therefore
     /// every engine report, is identical for any positive width.
     pub fn resolved_width(&self, forwarding_delay: f64, gossip_period: f64) -> f64 {
-        if self.bucket_width > 0.0 {
-            return self.bucket_width;
-        }
         let base = if forwarding_delay > 0.0 {
             forwarding_delay
         } else {
@@ -713,18 +701,6 @@ mod tests {
     fn sched_config_validation() {
         assert!(SchedConfig::default().validate().is_ok());
         assert!(SchedConfig {
-            bucket_width: -1.0,
-            ..SchedConfig::default()
-        }
-        .validate()
-        .is_err());
-        assert!(SchedConfig {
-            bucket_width: f64::NAN,
-            ..SchedConfig::default()
-        }
-        .validate()
-        .is_err());
-        assert!(SchedConfig {
             num_buckets: 0,
             ..SchedConfig::default()
         }
@@ -740,11 +716,5 @@ mod tests {
         // Zero forwarding delay falls back to the gossip period.
         let width = config.resolved_width(0.0, 10.0);
         assert!((width - 40.0 / 512.0).abs() < 1e-12);
-        // An explicit width wins.
-        let explicit = SchedConfig {
-            bucket_width: 0.25,
-            ..SchedConfig::default()
-        };
-        assert_eq!(explicit.resolved_width(1.0, 10.0), 0.25);
     }
 }

@@ -33,7 +33,6 @@ fn assert_report_identical(removed: &DenseOverlay, marked: &DenseOverlay) {
     let pull = PullConfig {
         fanout: 1,
         max_rounds: 50,
-        ..PullConfig::default()
     };
     for selector in [
         DenseSelector::randcast(2),

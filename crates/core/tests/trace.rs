@@ -255,7 +255,7 @@ proptest! {
         let sparse = StaticOverlay::hybrid(n, degree, overlay_seed);
         let dense = DenseOverlay::from(&sparse);
         let origin = sparse.live_node_ids()[0];
-        let config = PullConfig { fanout, max_rounds: 20, ..PullConfig::default() };
+        let config = PullConfig { fanout, max_rounds: 20 };
 
         let mut sparse_probe = VecProbe::new();
         let sparse_report = disseminate_push_pull(

@@ -139,24 +139,6 @@ pub enum TraceEvent {
         /// Pull round (1-based).
         round: u32,
     },
-    /// A pull poll was dropped by the loss model.
-    PollLost {
-        /// Polling node.
-        from: u64,
-        /// Polled neighbour.
-        to: u64,
-        /// Pull round.
-        round: u32,
-    },
-    /// A pull poll was blocked by a scripted partition.
-    PollBlocked {
-        /// Polling node.
-        from: u64,
-        /// Polled neighbour.
-        to: u64,
-        /// Pull round.
-        round: u32,
-    },
     /// A pull poll hit a holder and transferred the message.
     PullTransfer {
         /// Receiving (previously message-less) node.

@@ -27,10 +27,6 @@ pub struct MetricsProbe {
     pub pull_requests: u64,
     /// Pull polls that transferred the message.
     pub pull_transfers: u64,
-    /// Pull polls dropped by the loss model.
-    pub polls_lost: u64,
-    /// Pull polls blocked by a partition.
-    pub polls_blocked: u64,
     /// Frontier expansions completed.
     pub hops: u64,
     /// Pull rounds completed.
@@ -68,8 +64,6 @@ impl Probe for MetricsProbe {
             TraceEvent::DroppedPartition { .. } => self.dropped_partition += 1,
             TraceEvent::PullRequest { .. } => self.pull_requests += 1,
             TraceEvent::PullTransfer { .. } => self.pull_transfers += 1,
-            TraceEvent::PollLost { .. } => self.polls_lost += 1,
-            TraceEvent::PollBlocked { .. } => self.polls_blocked += 1,
             TraceEvent::HopEnd { .. } => self.hops += 1,
             TraceEvent::RoundEnd { .. } => self.rounds += 1,
             TraceEvent::CycleEnd { .. } => self.cycles += 1,

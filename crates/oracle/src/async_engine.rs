@@ -176,7 +176,6 @@ pub fn disseminate_async<W: Substrate, P: Probe>(
     let mut messages_to_dead = 0usize;
     let mut dropped_loss = 0usize;
     let mut dropped_partition = 0usize;
-    let mut ge_bad: BTreeMap<NodeId, bool> = BTreeMap::new();
     let mut per_hop_messages = vec![0usize];
     let (mut targets, mut pool) = (Vec::new(), Vec::new());
     // Queued `Deliver` events; equals `queue.len()` whenever no gossip
@@ -266,17 +265,14 @@ pub fn disseminate_async<W: Substrate, P: Probe>(
                 });
                 continue;
             }
-            if !config.net.loss.is_none() {
-                let bad = ge_bad.entry(to).or_insert(false);
-                if config.net.loss.sample(bad, rng) {
-                    dropped_loss += 1;
-                    probe.record(TraceEvent::DroppedLoss {
-                        from: to.as_u64(),
-                        to: target.as_u64(),
-                        hop: hop + 1,
-                    });
-                    continue;
-                }
+            if config.net.loss.sample(rng) {
+                dropped_loss += 1;
+                probe.record(TraceEvent::DroppedLoss {
+                    from: to.as_u64(),
+                    to: target.as_u64(),
+                    hop: hop + 1,
+                });
+                continue;
             }
             if config.sched.budget_exhausted(pending_deliveries) {
                 // The forward survived the network model, but the queue
@@ -307,7 +303,7 @@ pub fn disseminate_async<W: Substrate, P: Probe>(
         reached: notified.len() as u64,
     });
     let partition_recovery =
-        partition_recovery(&config.net.partitions, notification_times.values().copied());
+        partition_recovery(config.net.partition, notification_times.values().copied());
     AsyncReport {
         population,
         reached: notified.len(),
@@ -486,14 +482,9 @@ mod tests {
         let configs: [(&str, AsyncConfig, Fires); 6] = [
             ("default", base.clone(), |r| r.is_complete()),
             (
-                "gilbert-elliott loss",
+                "i.i.d. loss",
                 with_net(NetModel {
-                    loss: LossModel::GilbertElliott {
-                        p_enter_bad: 0.2,
-                        p_exit_bad: 0.3,
-                        loss_good: 0.02,
-                        loss_bad: 0.6,
-                    },
+                    loss: LossModel::Iid { rate: 0.2 },
                     ..NetModel::default()
                 }),
                 |r| r.dropped_loss > 0,
@@ -501,10 +492,10 @@ mod tests {
             (
                 "scripted partition",
                 with_net(NetModel {
-                    partitions: vec![PartitionEvent::bisection(1.0, 4.0, 0xC0FFEE)],
+                    partition: Some(PartitionEvent::bisection(1.0, 4.0, 0xC0FFEE)),
                     ..NetModel::default()
                 }),
-                |r| r.dropped_partition > 0 && r.partition_recovery.len() == 1,
+                |r| r.dropped_partition > 0,
             ),
             (
                 "log-normal delay",

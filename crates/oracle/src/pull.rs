@@ -1,7 +1,7 @@
 //! The id-keyed push + pull anti-entropy engine: the reference
 //! `hybridcast_core::pull::disseminate_push_pull_dense` is checked against.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use rand::seq::SliceRandom;
 use rand::RngCore;
@@ -24,8 +24,7 @@ use crate::engine::disseminate;
 /// of the rest of the evaluation).
 ///
 /// The probe sees the push phase's usual stream, then per pull round
-/// `PullRequest`, `PollBlocked` / `PollLost`, `PullTransfer` and `RoundEnd`
-/// events. Probes never touch the RNG, so the report is identical for any
+/// `PullRequest`, `PullTransfer` and `RoundEnd` events. Probes never touch the RNG, so the report is identical for any
 /// probe.
 ///
 /// # Panics
@@ -52,15 +51,10 @@ pub fn disseminate_push_pull<P: Probe>(
     let mut pull_rounds = 0usize;
     let mut pull_requests = 0usize;
     let mut pull_transfers = 0usize;
-    let mut polls_lost = 0usize;
-    let mut polls_blocked = 0usize;
-    let mut ge_bad: BTreeMap<NodeId, bool> = BTreeMap::new();
     let mut per_round_new = Vec::new();
 
     while holders.len() < live.len() && pull_rounds < config.max_rounds {
         pull_rounds += 1;
-        // Partitions read the 1-based round index as their time axis.
-        let round_time = pull_rounds as f64;
         let mut obtained_this_round = Vec::new();
         for &node in live.iter().filter(|id| !holders.contains(id)) {
             let mut neighbours: Vec<NodeId> = overlay
@@ -72,42 +66,14 @@ pub fn disseminate_push_pull<P: Probe>(
             neighbours.truncate(config.fanout);
             pull_requests += neighbours.len();
             let round_u = to_u32(pull_rounds);
-            // Every poll draws its loss sample (no short-circuit): the
-            // draw schedule must not depend on holder state, or the dense
-            // engine's stream would drift from the oracle's.
-            let mut serving: Option<NodeId> = None;
             for &peer in &neighbours {
                 probe.record(TraceEvent::PullRequest {
                     from: node.as_u64(),
                     to: peer.as_u64(),
                     round: round_u,
                 });
-                if config.net.blocks(node, peer, round_time) {
-                    polls_blocked += 1;
-                    probe.record(TraceEvent::PollBlocked {
-                        from: node.as_u64(),
-                        to: peer.as_u64(),
-                        round: round_u,
-                    });
-                    continue;
-                }
-                if !config.net.loss.is_none() {
-                    let bad = ge_bad.entry(node).or_insert(false);
-                    if config.net.loss.sample(bad, rng) {
-                        polls_lost += 1;
-                        probe.record(TraceEvent::PollLost {
-                            from: node.as_u64(),
-                            to: peer.as_u64(),
-                            round: round_u,
-                        });
-                        continue;
-                    }
-                }
-                if holders.contains(&peer) && serving.is_none() {
-                    serving = Some(peer);
-                }
             }
-            if let Some(peer) = serving {
+            if let Some(&peer) = neighbours.iter().find(|peer| holders.contains(peer)) {
                 pull_transfers += 1;
                 obtained_this_round.push(node);
                 probe.record(TraceEvent::PullTransfer {
@@ -150,8 +116,6 @@ pub fn disseminate_push_pull<P: Probe>(
         per_round_new,
         reached_after_pull: holders.len(),
         unreached_after_pull,
-        polls_lost,
-        polls_blocked,
     }
 }
 
@@ -183,7 +147,6 @@ mod tests {
             let config = PullConfig {
                 fanout: 1,
                 max_rounds: 40,
-                ..PullConfig::default()
             };
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
             let slow = disseminate_push_pull(
@@ -223,7 +186,6 @@ mod tests {
         let config = PullConfig {
             fanout: 2,
             max_rounds: 30,
-            ..PullConfig::default()
         };
         let mut scratch = DensePullScratch::new();
         let mut rng = ChaCha8Rng::seed_from_u64(14);
@@ -241,61 +203,5 @@ mod tests {
                 .report(&dense, &scratch);
         assert_eq!(slow, fast);
         assert!(fast.push.messages_to_dead > 0, "stale links hit dead nodes");
-    }
-
-    #[test]
-    fn lossy_polls_slow_the_pull_phase_but_equality_holds_across_engines() {
-        use hybridcast_core::netmodel::{LossModel, NetModel};
-        let overlay = warmed_overlay(400, 19);
-        let dense = DenseOverlay::from(&overlay);
-        let origin = overlay.snapshot().live_nodes().next().unwrap();
-        let clean = PullConfig {
-            fanout: 1,
-            max_rounds: 60,
-            ..PullConfig::default()
-        };
-        let lossy = PullConfig {
-            net: NetModel {
-                loss: LossModel::Iid { rate: 0.5 },
-                ..NetModel::default()
-            },
-            ..clean.clone()
-        };
-        let baseline = disseminate_push_pull(
-            &overlay,
-            &DenseSelector::randcast(2),
-            origin,
-            &clean,
-            &mut ChaCha8Rng::seed_from_u64(20),
-            &mut NullProbe,
-        );
-        let degraded = disseminate_push_pull(
-            &overlay,
-            &DenseSelector::randcast(2),
-            origin,
-            &lossy,
-            &mut ChaCha8Rng::seed_from_u64(20),
-            &mut NullProbe,
-        );
-        assert!(degraded.polls_lost > 0, "half the polls should be eaten");
-        assert_eq!(degraded.polls_blocked, 0);
-        assert!(
-            degraded.pull_rounds >= baseline.pull_rounds,
-            "loss cannot speed up anti-entropy: {} < {}",
-            degraded.pull_rounds,
-            baseline.pull_rounds
-        );
-        // Dense engine stays bit-identical under the lossy model.
-        let mut scratch = DensePullScratch::new();
-        let fast = disseminate_push_pull_dense(
-            &dense,
-            &DenseSelector::randcast(2),
-            origin,
-            &lossy,
-            &mut ChaCha8Rng::seed_from_u64(20),
-            &mut scratch,
-        )
-        .report(&dense, &scratch);
-        assert_eq!(degraded, fast);
     }
 }

@@ -27,9 +27,9 @@
 //! this contract.
 //!
 //! Because each network owns its RNG, independent runs are embarrassingly
-//! parallel: derive one seed per run (e.g. with the experiment layer's
-//! `run_seed(master, i)` convention) and fan the runs out with
-//! [`par_map_seeds`] — results are identical at any thread count.
+//! parallel: derive one seed per run and fan the runs out with the
+//! experiment layer's `fan_out_seeded` — results are identical at any
+//! thread count.
 
 // D3: index casts go through `hybridcast_graph::cast`; tests are exempt.
 #![cfg_attr(
@@ -706,43 +706,6 @@ impl GossipRuntime for DenseSimNetwork {
     }
 }
 
-/// Runs `f` once per seed, fanned out across `threads` workers, returning
-/// the results in seed order.
-///
-/// Every run is a pure function of its seed (a [`DenseSimNetwork`] owns its
-/// RNG), so the result vector is **bit-identical for every thread count** —
-/// `threads` only decides wall-clock time. Derive the per-run seeds with the
-/// experiment layer's `run_seed(master, i)` mixer (or any other pure
-/// scheme) and pass them here.
-///
-/// # Panics
-///
-/// Panics if a worker thread panics.
-pub fn par_map_seeds<T, F>(seeds: &[u64], threads: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(u64) -> T + Sync,
-{
-    let threads = threads.max(1).min(seeds.len().max(1));
-    if threads == 1 {
-        return seeds.iter().map(|&seed| f(seed)).collect();
-    }
-    let chunk = seeds.len().div_ceil(threads);
-    let f = &f;
-    std::thread::scope(|scope| {
-        let workers: Vec<_> = seeds
-            .chunks(chunk)
-            .map(|chunk_seeds| {
-                scope.spawn(move || chunk_seeds.iter().map(|&seed| f(seed)).collect::<Vec<T>>())
-            })
-            .collect();
-        workers
-            .into_iter()
-            .flat_map(|w| w.join().expect("seeded simulation worker panicked"))
-            .collect()
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -792,23 +755,5 @@ mod tests {
             assert_eq!(dense.r_links(id), snapshot.r_links(id));
         }
         assert!(dense.r_links(NodeId::new(999)).is_empty());
-    }
-
-    #[test]
-    fn par_map_seeds_is_thread_count_invariant() {
-        let seeds: Vec<u64> = (0..7).map(|i| 1000 + i).collect();
-        let run = |seed: u64| {
-            let mut net = DenseSimNetwork::new(config(25), seed);
-            net.run_cycles(8);
-            net.overlay_snapshot()
-        };
-        let sequential = par_map_seeds(&seeds, 1, run);
-        for threads in [2, 3, 8] {
-            assert_eq!(
-                sequential,
-                par_map_seeds(&seeds, threads, run),
-                "{threads} threads"
-            );
-        }
     }
 }

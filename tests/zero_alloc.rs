@@ -233,8 +233,8 @@ fn warm_probed_async_dissemination_is_allocation_free() {
 fn warm_async_dissemination_is_allocation_free() {
     let (overlay, origin) = warmed_overlay(2);
     let selector = DenseSelector::ringcast(3);
-    // Exercise the full adversarial model path: heavy-tailed delays plus a
-    // Gilbert–Elliott loss chain, the worst case for hidden allocations.
+    // Exercise the full adversarial model path: heavy-tailed delays plus
+    // i.i.d. loss, the worst case for hidden allocations.
     let config = AsyncConfig {
         run_membership_gossip: false,
         net: NetModel {
@@ -242,12 +242,7 @@ fn warm_async_dissemination_is_allocation_free() {
                 mu: 0.0,
                 sigma: 1.25,
             },
-            loss: LossModel::GilbertElliott {
-                loss_good: 0.01,
-                loss_bad: 0.4,
-                p_enter_bad: 0.05,
-                p_exit_bad: 0.3,
-            },
+            loss: LossModel::Iid { rate: 0.05 },
             ..NetModel::default()
         },
         ..AsyncConfig::default()
@@ -349,7 +344,6 @@ fn warm_push_pull_dissemination_is_allocation_free() {
     let config = PullConfig {
         fanout: 2,
         max_rounds: 30,
-        ..PullConfig::default()
     };
     let mut scratch = DensePullScratch::new();
 
@@ -517,7 +511,6 @@ fn report_allocations_do_not_grow_with_population() {
         let filled = [
             report.per_hop_messages.len(),
             report.notification_times.len(),
-            report.partition_recovery.len(),
         ]
         .iter()
         .filter(|&&len| len > 0)
