@@ -86,8 +86,8 @@ pub struct AsyncConfig {
     pub net: NetModel,
     /// Calendar event-queue geometry and memory budget
     /// ([`crate::sched::SchedConfig`]). The geometry (the bucket count) is
-    /// a pure performance knob — pop order, and therefore every
-    /// report bit, is identical for any valid geometry. The event budget
+    /// a pure performance knob — pop order, and therefore every report
+    /// bit, is identical for any valid geometry. The event budget
     /// caps how many deliveries may be queued at once: a forward that
     /// survives the network model but finds the queue full is *not*
     /// scheduled, counts in [`AsyncReport::truncated_sends`], and flags the

@@ -236,7 +236,7 @@ impl DensePullRunStats {
 /// let random = builders::random_out_degree(&ids, 5, &mut rng);
 /// let overlay = DenseOverlay::from_graphs(&DiGraph::new(), &random);
 /// let selector = DenseSelector::randcast(2);
-/// let config = PullConfig { fanout: 2, max_rounds: 30, };
+/// let config = PullConfig { fanout: 2, max_rounds: 30 };
 ///
 /// let mut scratch = DensePullScratch::new();
 /// let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(9);
@@ -267,10 +267,10 @@ pub fn disseminate_push_pull_dense(
 /// [`disseminate_push_pull_dense`] with a [`Probe`] attached.
 ///
 /// The push phase emits its usual stream, then each pull round adds
-/// `PullRequest`, `PullTransfer` and `RoundEnd` events — exactly the stream the id-keyed oracle emits for the same
-/// overlay, selector, origin, configuration and seed. With an
-/// allocation-free sink the warm-run zero-allocation contract holds
-/// unchanged.
+/// `PullRequest`, `PullTransfer` and `RoundEnd` events — exactly the
+/// stream the id-keyed oracle emits for the same overlay, selector,
+/// origin, configuration and seed. With an allocation-free sink the
+/// warm-run zero-allocation contract holds unchanged.
 ///
 /// # Panics
 ///

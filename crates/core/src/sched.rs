@@ -10,11 +10,11 @@
 //! [`SchedConfig`]:
 //!
 //! * **Near-future events** live in a ring of [`SchedConfig::num_buckets`]
-//!   fixed-width time buckets ("days" of
-//!   [`SchedConfig::resolved_width`] simulated-time units, a width derived
-//!   from the run's mean forwarding delay). Insertion into a bucket is an `O(1)` append to
-//!   the bucket's last storage chunk; chunks are fixed-size and drawn from
-//!   one pool shared by every bucket.
+//!   fixed-width time buckets ("days" of [`SchedConfig::resolved_width`]
+//!   simulated-time units, derived from the run's mean forwarding delay).
+//!   Insertion into a bucket is an `O(1)` append to the bucket's last
+//!   storage chunk; chunks are fixed-size and drawn from one pool shared
+//!   by every bucket.
 //! * **The current day** is sorted once, when the cursor reaches it: its
 //!   bucket's events move into one retained run, `sort_unstable`d by
 //!   `(time, seq)` with the earliest last, and draining the run is a

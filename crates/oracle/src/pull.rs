@@ -24,8 +24,8 @@ use crate::engine::disseminate;
 /// of the rest of the evaluation).
 ///
 /// The probe sees the push phase's usual stream, then per pull round
-/// `PullRequest`, `PullTransfer` and `RoundEnd` events. Probes never touch the RNG, so the report is identical for any
-/// probe.
+/// `PullRequest`, `PullTransfer` and `RoundEnd` events. Probes never touch
+/// the RNG, so the report is identical for any probe.
 ///
 /// # Panics
 ///
