@@ -1,11 +1,15 @@
 //! Property-based tests for the dissemination protocols and engine.
 
+use std::collections::BTreeMap;
+
 use proptest::prelude::*;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-use hybridcast_core::async_engine::{disseminate_async_dense, AsyncConfig, DenseAsyncScratch};
-use hybridcast_core::engine::{disseminate_dense, DenseScratch};
+use hybridcast_core::async_engine::{
+    disseminate_async_dense, disseminate_async_dense_probed, AsyncConfig, DenseAsyncScratch,
+};
+use hybridcast_core::engine::{disseminate_dense, disseminate_dense_probed, DenseScratch};
 use hybridcast_core::experiment::{run_seeded_async, run_seeded_disseminations};
 use hybridcast_core::metrics::DisseminationReport;
 use hybridcast_core::netmodel::{DelayModel, LossModel, NetModel, PartitionEvent};
@@ -13,7 +17,7 @@ use hybridcast_core::overlay::{DenseOverlay, Overlay, SnapshotOverlay};
 use hybridcast_core::protocols::DenseSelector;
 use hybridcast_core::pull::{disseminate_push_pull_dense, DensePullScratch, PullConfig};
 use hybridcast_graph::{builders, connectivity, harary, NodeId};
-use hybridcast_obs::NullProbe;
+use hybridcast_obs::{NullProbe, TraceEvent, VecProbe};
 use hybridcast_oracle::{
     disseminate, disseminate_async, disseminate_push_pull, Network, StaticOverlay,
 };
@@ -260,7 +264,8 @@ proptest! {
         let overlay = StaticOverlay::hybrid(n, degree, seed);
         let mut rng = ChaCha8Rng::seed_from_u64(seed.wrapping_add(2));
         let origin = NodeId::new(seed % n);
-        let report = disseminate(&overlay, &protocol(protocol_idx, fanout), origin, &mut rng, &mut NullProbe);
+        let mut probe = VecProbe::new();
+        let report = disseminate(&overlay, &protocol(protocol_idx, fanout), origin, &mut rng, &mut probe);
 
         prop_assert_eq!(report.messages_to_virgin, report.reached - 1,
             "every node except the origin is notified by exactly one virgin message");
@@ -273,10 +278,18 @@ proptest! {
         prop_assert_eq!(report.per_hop_new.len(), report.per_hop_messages.len());
         prop_assert_eq!(report.reached + report.unreached.len(), report.population);
         prop_assert!(report.hit_ratio() >= 0.0 && report.hit_ratio() <= 1.0);
-        // The forwarding load of any node is bounded by its total out-links.
-        for &(node, sent) in &report.forwarded_counts {
+        // The forwarding load of any node, folded from the trace, is
+        // bounded by its total out-links.
+        let mut sent: BTreeMap<u64, usize> = BTreeMap::new();
+        for event in &probe.events {
+            if let TraceEvent::Sent { from, .. } = *event {
+                *sent.entry(from).or_insert(0) += 1;
+            }
+        }
+        for (&node, &count) in &sent {
+            let node = NodeId::new(node);
             let capacity = overlay.r_links(node).len() + overlay.d_links(node).len();
-            prop_assert!(sent <= capacity, "{} forwarded {} > {} links", node, sent, capacity);
+            prop_assert!(count <= capacity, "{} forwarded {} > {} links", node, count, capacity);
         }
     }
 
@@ -541,6 +554,91 @@ proptest! {
                 fast.total_messages()
             );
         }
+    }
+
+    /// The hop-synchronous engine is the event-driven engine at unit delay:
+    /// with no jitter, a forwarding delay of 1 and the default network
+    /// model, the event engine draws nothing but the selections and pops
+    /// deliveries in send order, which is hop order. Both engines then send
+    /// the same messages in the same order and notify each node at time
+    /// equal to its hop. Only the interleaving of the two event kinds
+    /// differs: the hop engine emits each `Delivered` right after its
+    /// `Sent`, the event engine when the delivery is popped.
+    #[test]
+    fn hop_engine_is_the_event_engine_at_unit_delay(
+        n in 3u64..100,
+        fanout in 1usize..5,
+        degree in 1usize..8,
+        kill in 0usize..4,
+        seed in 0u64..100,
+        protocol_idx in 0usize..3,
+    ) {
+        let mut overlay = StaticOverlay::hybrid(n, degree, seed);
+        for k in 0..kill.min(n as usize - 1) {
+            overlay.kill_node(NodeId::new((seed + 3 * k as u64 + 1) % n));
+        }
+        let origin = NodeId::new(seed % n);
+        prop_assume!(overlay.is_live(origin));
+
+        let selector = protocol(protocol_idx, fanout);
+        let dense = DenseOverlay::from(&overlay);
+        let config = AsyncConfig {
+            jitter: 0.0,
+            forwarding_delay: 1.0,
+            run_membership_gossip: false,
+            ..AsyncConfig::default()
+        };
+        let (mut hop_rng, mut event_rng) =
+            (ChaCha8Rng::seed_from_u64(seed), ChaCha8Rng::seed_from_u64(seed));
+        let (mut hop_probe, mut event_probe) = (VecProbe::new(), VecProbe::new());
+        let mut scratch = DenseScratch::new();
+        let hop = disseminate_dense_probed(
+            &dense, &selector, origin, &mut hop_rng, &mut scratch, &mut hop_probe,
+        )
+        .report(&dense, &scratch);
+        let mut async_scratch = DenseAsyncScratch::new();
+        let timed = disseminate_async_dense_probed(
+            &dense, &selector, origin, &config, &mut event_rng, &mut async_scratch, &mut event_probe,
+        )
+        .report(&dense, &config, &async_scratch);
+
+        prop_assert_eq!(hop.reached, timed.reached);
+        prop_assert_eq!(hop.total_messages(), timed.total_messages());
+        prop_assert_eq!(hop.messages_to_notified, timed.messages_redundant);
+        prop_assert_eq!(hop.messages_to_dead, timed.messages_to_dead);
+        prop_assert_eq!(&hop.per_hop_messages, &timed.per_hop_messages);
+        prop_assert_eq!(hop_rng.next_u64(), event_rng.next_u64());
+
+        // Notification time h is hop h.
+        let mut per_time_new = vec![0usize; hop.per_hop_new.len()];
+        let mut last_time = 0.0f64;
+        for &(_, time) in &timed.notification_times {
+            prop_assert!(time.fract() == 0.0 && (time as usize) < per_time_new.len(), "time {}", time);
+            per_time_new[time as usize] += 1;
+            last_time = last_time.max(time);
+        }
+        prop_assert_eq!(&per_time_new, &hop.per_hop_new);
+        prop_assert_eq!(last_time, hop.last_hop as f64);
+        let unreached: Vec<NodeId> = dense
+            .live_node_ids()
+            .into_iter()
+            .filter(|id| timed.notification_times.binary_search_by_key(id, |&(node, _)| node).is_err())
+            .collect();
+        prop_assert_eq!(&unreached, &hop.unreached);
+
+        let only = |events: &[TraceEvent], sent: bool| -> Vec<TraceEvent> {
+            events
+                .iter()
+                .filter(|event| match event {
+                    TraceEvent::Sent { .. } => sent,
+                    TraceEvent::Delivered { .. } => !sent,
+                    _ => false,
+                })
+                .copied()
+                .collect()
+        };
+        prop_assert_eq!(only(&hop_probe.events, true), only(&event_probe.events, true));
+        prop_assert_eq!(only(&hop_probe.events, false), only(&event_probe.events, false));
     }
 
     /// The report contract of every dense engine on hybrid overlays with

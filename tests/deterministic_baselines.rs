@@ -11,14 +11,14 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use hybridcast::core::async_engine::{disseminate_async_dense, AsyncConfig, DenseAsyncScratch};
-use hybridcast::core::engine::{disseminate_dense, DenseScratch};
+use hybridcast::core::engine::{disseminate_dense, disseminate_dense_probed, DenseScratch};
 use hybridcast::core::netmodel::{DelayModel, LossModel, NetModel, PartitionEvent};
 use hybridcast::core::overlay::{DenseOverlay, Overlay, SnapshotOverlay};
 use hybridcast::core::protocols::DenseSelector;
 use hybridcast::core::pull::{disseminate_push_pull_dense, DensePullScratch, PullConfig};
 use hybridcast::core::DisseminationReport;
 use hybridcast::graph::{builders, harary, DiGraph, NodeId};
-use hybridcast::obs::NullProbe;
+use hybridcast::obs::{NullProbe, TraceEvent, VecProbe};
 use hybridcast::sim::{GossipRuntime, SimConfig};
 use hybridcast_oracle::{disseminate_async, disseminate_push_pull, Network};
 
@@ -81,22 +81,29 @@ fn star_flooding_concentrates_all_load_on_the_hub() {
     let hub = nodes[0];
     let star = builders::star(hub, &nodes[1..]);
     let overlay = deterministic(&star);
-    let report = flood(&overlay, nodes[5], 3);
-    assert!(report.is_complete());
-    assert_eq!(report.last_hop, 2);
+    let mut scratch = DenseScratch::new();
+    let mut probe = VecProbe::new();
+    let stats = disseminate_dense_probed(
+        &overlay,
+        &DenseSelector::DeterministicFlooding,
+        nodes[5],
+        &mut rng(3),
+        &mut scratch,
+        &mut probe,
+    );
+    assert_eq!(stats.reached, stats.population);
+    assert_eq!(stats.last_hop, 2);
     // The hub forwards to everyone: worst possible load distribution.
-    let hub_at = report
-        .forwarded_counts
-        .binary_search_by_key(&hub, |&(id, _)| id)
-        .expect("the hub is reached");
-    assert_eq!(report.forwarded_counts[hub_at].1, 98);
-    let leaves_forwarding: usize = report
-        .forwarded_counts
-        .iter()
-        .filter(|&&(id, _)| id != hub)
-        .map(|&(_, count)| count)
-        .sum();
-    assert!(leaves_forwarding <= 99, "leaves only talk to the hub");
+    let (mut hub_sent, mut leaves_sent) = (0usize, 0usize);
+    for event in &probe.events {
+        match event {
+            TraceEvent::Sent { from, .. } if *from == hub.as_u64() => hub_sent += 1,
+            TraceEvent::Sent { .. } => leaves_sent += 1,
+            _ => {}
+        }
+    }
+    assert_eq!(hub_sent, 98);
+    assert!(leaves_sent <= 99, "leaves only talk to the hub");
 
     // Killing the hub kills the dissemination entirely.
     let mut broken = deterministic(&star);

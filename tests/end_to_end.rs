@@ -7,6 +7,8 @@
 //! scale (hundreds of nodes instead of 10,000) so they stay fast in debug
 //! builds; the full-scale sweeps live in the `hybridcast-bench` binaries.
 
+use std::collections::BTreeMap;
+
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -14,7 +16,7 @@ use hybridcast::core::experiment::AggregateStats;
 use hybridcast::core::overlay::{Overlay, SnapshotOverlay};
 use hybridcast::core::protocols::DenseSelector;
 use hybridcast::graph::connectivity;
-use hybridcast::obs::NullProbe;
+use hybridcast::obs::{DeliveryOutcome, TraceEvent, VecProbe};
 use hybridcast::sim::{GossipRuntime, SimConfig};
 use hybridcast_oracle::{disseminate, random_origins, run_disseminations, Network};
 
@@ -151,27 +153,27 @@ fn dissemination_load_is_spread_evenly_across_nodes() {
     let mut rng = ChaCha8Rng::seed_from_u64(9);
     let origin = overlay.live_node_ids()[11];
     for protocol in [DenseSelector::randcast(4), DenseSelector::ringcast(4)] {
-        let report = disseminate(&overlay, &protocol, origin, &mut rng, &mut NullProbe);
-        // Every notified node forwards; nobody forwards more than
-        // fanout + 2 messages (ring links + random links).
-        assert_eq!(report.forwarded_counts.len(), report.reached);
-        let max_forwarded = report
-            .forwarded_counts
-            .iter()
-            .map(|&(_, count)| count)
-            .max()
-            .unwrap_or(0);
-        assert!(
-            max_forwarded <= 6,
-            "{}: max load {max_forwarded}",
-            protocol.name()
-        );
-        let max_received = report
-            .received_counts
-            .iter()
-            .map(|&(_, count)| count)
-            .max()
-            .unwrap_or(0);
+        let mut probe = VecProbe::new();
+        disseminate(&overlay, &protocol, origin, &mut rng, &mut probe);
+        // Per-node load, folded from the trace: messages each node sent,
+        // and copies each live node received after the origin's own.
+        let (mut sent, mut received) = (BTreeMap::new(), BTreeMap::new());
+        for event in &probe.events {
+            match *event {
+                TraceEvent::Sent { from, .. } => *sent.entry(from).or_insert(0usize) += 1,
+                TraceEvent::Delivered {
+                    node, hop, outcome, ..
+                } if hop > 0 && outcome != DeliveryOutcome::Dead => {
+                    *received.entry(node).or_insert(0usize) += 1;
+                }
+                _ => {}
+            }
+        }
+        // Nobody forwards more than fanout + 2 messages (ring links +
+        // random links).
+        let max_sent = sent.values().copied().max().unwrap_or(0);
+        assert!(max_sent <= 6, "{}: max load {max_sent}", protocol.name());
+        let max_received = received.values().copied().max().unwrap_or(0);
         assert!(
             max_received <= 25,
             "{}: some node received {max_received} copies",
