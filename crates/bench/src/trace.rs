@@ -83,11 +83,9 @@ impl RunBuilder {
             messages_to_virgin: self.virgin_forwarded,
             messages_to_notified: self.duplicates,
             messages_to_dead: self.dead,
-            // Load distribution and the miss list are not reconstructed:
-            // no aggregate read by `AggregateStats::from_reports` uses
-            // them, and the trace only names the nodes a run touched.
-            received_counts: Default::default(),
-            forwarded_counts: Default::default(),
+            // The miss list is not reconstructed: no aggregate read by
+            // `AggregateStats::from_reports` uses it, and the trace only
+            // names the nodes a run touched.
             unreached: Vec::new(),
         })
     }

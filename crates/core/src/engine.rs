@@ -24,7 +24,7 @@
 
 use rand::RngCore;
 
-use hybridcast_graph::cast::{idx, to_u32};
+use hybridcast_graph::cast::to_u32;
 use hybridcast_graph::NodeId;
 use hybridcast_obs::{DeliveryOutcome, NullProbe, Probe, TraceEvent};
 
@@ -35,15 +35,12 @@ use crate::protocols::DenseSelector;
 /// Reusable scratch buffers for [`disseminate_dense`].
 ///
 /// One complete dissemination over a warm scratch performs no heap
-/// allocation in its hot loop: the notified set is a bitset, the per-node
-/// counters are flat `u32` arrays, and the frontier / target / draw buffers
-/// are reused across hops and across runs. Create one per worker thread and
+/// allocation in its hot loop: the notified set is a bitset, and the
+/// frontier / target / draw buffers are reused across hops and across runs. Create one per worker thread and
 /// pass it to every run.
 #[derive(Debug, Clone, Default)]
 pub struct DenseScratch {
     notified: DenseBits,
-    received: Vec<u32>,
-    forwarded: Vec<u32>,
     frontier: Vec<(u32, u32)>,
     next_frontier: Vec<(u32, u32)>,
     targets: Vec<u32>,
@@ -68,10 +65,6 @@ impl DenseScratch {
 
     fn reset(&mut self, len: usize) {
         self.notified.reset(len);
-        self.received.clear();
-        self.received.resize(len, 0);
-        self.forwarded.clear();
-        self.forwarded.resize(len, 0);
         self.frontier.clear();
         self.next_frontier.clear();
         self.targets.clear();
@@ -85,7 +78,7 @@ impl DenseScratch {
 /// [`disseminate_dense`] returns is `Copy`, so the run never touches the
 /// allocator.
 ///
-/// The per-hop series and per-node counters of the run stay behind in the
+/// The per-hop series and the notified set of the run stay behind in the
 /// [`DenseScratch`]; [`DenseRunStats::report`] reads them back into the
 /// id-keyed [`DisseminationReport`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -120,24 +113,16 @@ impl DenseRunStats {
     /// only part of a dense dissemination that allocates, and it is
     /// O(population) — independent of message count.
     ///
-    /// The per-node fields are plain vectors, strictly ascending by id
-    /// (dense indices ascend by id), filled in one pass over the dense
-    /// arrays with no map. Each is reserved up front from the run's
-    /// counts, so the report makes one allocation per non-empty `Vec`
-    /// field whatever the population.
+    /// [`DisseminationReport::unreached`] is a plain vector, strictly
+    /// ascending by id (dense indices ascend by id), filled in one pass
+    /// over the notified bitset with no map and reserved up front from the
+    /// run's counts, so the report makes one allocation per non-empty
+    /// `Vec` field whatever the population.
     pub fn report(&self, overlay: &DenseOverlay, scratch: &DenseScratch) -> DisseminationReport {
-        let mut received_counts: Vec<(NodeId, usize)> = Vec::with_capacity(self.reached);
-        let mut forwarded_counts: Vec<(NodeId, usize)> = Vec::with_capacity(self.reached);
         let mut unreached: Vec<NodeId> = Vec::with_capacity(self.population - self.reached);
         for i in 0..to_u32(overlay.len()) {
-            let id = overlay.node_id(i);
-            if scratch.received[idx(i)] > 0 {
-                received_counts.push((id, idx(scratch.received[idx(i)])));
-            }
-            if scratch.notified.get(i) {
-                forwarded_counts.push((id, idx(scratch.forwarded[idx(i)])));
-            } else if overlay.is_live_idx(i) {
-                unreached.push(id);
+            if !scratch.notified.get(i) && overlay.is_live_idx(i) {
+                unreached.push(overlay.node_id(i));
             }
         }
 
@@ -151,8 +136,6 @@ impl DenseRunStats {
             messages_to_virgin: self.messages_to_virgin,
             messages_to_notified: self.messages_to_notified,
             messages_to_dead: self.messages_to_dead,
-            received_counts,
-            forwarded_counts,
             unreached,
         }
     }
@@ -242,8 +225,6 @@ pub fn disseminate_dense_probed<P: Probe>(
     scratch.reset(len);
     let DenseScratch {
         notified,
-        received,
-        forwarded,
         frontier,
         next_frontier,
         targets,
@@ -282,7 +263,6 @@ pub fn disseminate_dense_probed<P: Probe>(
         for &(node, from) in frontier.iter() {
             let links = (overlay.d_links_of(node), overlay.r_links_of(node));
             selector.select(node, from, links, rng, targets, pool);
-            forwarded[idx(node)] += to_u32(targets.len());
             hop_messages += targets.len();
             let from_id = overlay.node_id(node).as_u64();
             for &target in targets.iter() {
@@ -302,7 +282,6 @@ pub fn disseminate_dense_probed<P: Probe>(
                     });
                     continue;
                 }
-                received[idx(target)] += 1;
                 if notified.set(target) {
                     messages_to_virgin += 1;
                     hop_new += 1;
@@ -608,51 +587,5 @@ mod tests {
         )
         .report(&big_dense, &scratch);
         assert_eq!(first, again);
-    }
-
-    #[test]
-    fn received_counts_cover_every_non_origin_reached_node() {
-        let overlay = warmed_overlay(150, 13);
-        let origin = overlay.live_node_ids()[7];
-        let report = disseminate(&overlay, &DenseSelector::ringcast(3), origin, &mut rng(14));
-        // Every reached node other than the origin received at least once.
-        // (The origin itself may or may not appear, depending on whether a
-        // redundant copy happened to be addressed to it.)
-        for node in overlay.live_node_ids() {
-            if node != origin && !report.unreached.contains(&node) {
-                assert!(
-                    report
-                        .received_counts
-                        .binary_search_by_key(&node, |&(id, _)| id)
-                        .is_ok(),
-                    "reached node {node} missing from received_counts"
-                );
-            }
-        }
-        assert!(report.received_counts.len() >= report.reached - 1);
-        assert!(report.received_counts.len() <= report.reached);
-        // Total receive events match the virgin + notified message count.
-        let total_received: usize = report.received_counts.iter().map(|&(_, c)| c).sum();
-        assert_eq!(
-            total_received,
-            report.messages_to_virgin + report.messages_to_notified
-        );
-    }
-
-    #[test]
-    fn load_is_roughly_uniform_across_nodes() {
-        let overlay = warmed_overlay(300, 15);
-        let origin = overlay.live_node_ids()[0];
-        let report = disseminate(&overlay, &DenseSelector::ringcast(4), origin, &mut rng(16));
-        // Every notified node forwards; the per-node forwarding load stays
-        // within a small constant of the fanout.
-        assert_eq!(report.forwarded_counts.len(), report.reached);
-        let max = report
-            .forwarded_counts
-            .iter()
-            .map(|&(_, c)| c)
-            .max()
-            .unwrap_or(0);
-        assert!(max <= 6, "forwarding load {max} exceeds 6");
     }
 }

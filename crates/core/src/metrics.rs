@@ -17,10 +17,6 @@ use hybridcast_graph::NodeId;
 ///   [`DisseminationReport::messages_to_virgin`],
 ///   [`DisseminationReport::messages_to_notified`],
 ///   [`DisseminationReport::messages_to_dead`];
-/// * **load distribution** — [`DisseminationReport::received_counts`] and
-///   [`DisseminationReport::forwarded_counts`], per-node `(id, count)`
-///   vectors strictly ascending by id (no figure reads them; tests look a
-///   node up with `binary_search_by_key`);
 /// * **which nodes were missed** (Figure 13 correlates them with node
 ///   lifetime) — [`DisseminationReport::unreached`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -49,12 +45,6 @@ pub struct DisseminationReport {
     pub messages_to_notified: usize,
     /// Messages sent to dead nodes (wasted on stale links).
     pub messages_to_dead: usize,
-    /// Per-node count of messages received, for every live node that
-    /// received at least one, strictly ascending by id.
-    pub received_counts: Vec<(NodeId, usize)>,
-    /// Per-node count of messages forwarded, for every reached node,
-    /// strictly ascending by id.
-    pub forwarded_counts: Vec<(NodeId, usize)>,
     /// Live nodes that never received the message, ascending by id.
     pub unreached: Vec<NodeId>,
 }
@@ -132,8 +122,6 @@ mod tests {
             messages_to_virgin: 7,
             messages_to_notified: 9,
             messages_to_dead: 2,
-            received_counts: vec![(n(1), 2), (n(2), 1), (n(3), 3)],
-            forwarded_counts: vec![(n(0), 3), (n(1), 3), (n(2), 3)],
             unreached: vec![n(8), n(9)],
         }
     }

@@ -1,7 +1,7 @@
 //! The id-keyed hop-synchronous engine: the reference
 //! `hybridcast_core::engine::disseminate_dense` is checked against.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use rand::RngCore;
 
@@ -73,8 +73,6 @@ pub fn disseminate<P: Probe>(
     let mut notified: BTreeSet<NodeId> = BTreeSet::new();
     notified.insert(origin);
 
-    let mut received_counts: BTreeMap<NodeId, usize> = BTreeMap::new();
-    let mut forwarded_counts: BTreeMap<NodeId, usize> = BTreeMap::new();
     let mut per_hop_new = vec![1usize];
     let mut per_hop_messages = vec![0usize];
     let mut messages_to_virgin = 0usize;
@@ -105,7 +103,6 @@ pub fn disseminate<P: Probe>(
                 &mut targets,
                 &mut pool,
             );
-            *forwarded_counts.entry(node).or_insert(0) += targets.len();
             hop_messages += targets.len();
             for &target in &targets {
                 probe.record(TraceEvent::Sent {
@@ -123,7 +120,6 @@ pub fn disseminate<P: Probe>(
                     });
                     continue;
                 }
-                *received_counts.entry(target).or_insert(0) += 1;
                 if notified.insert(target) {
                     messages_to_virgin += 1;
                     hop_new += 1;
@@ -183,8 +179,6 @@ pub fn disseminate<P: Probe>(
         messages_to_virgin,
         messages_to_notified,
         messages_to_dead,
-        received_counts: received_counts.into_iter().collect(),
-        forwarded_counts: forwarded_counts.into_iter().collect(),
         unreached,
     }
 }
