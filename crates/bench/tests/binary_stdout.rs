@@ -293,3 +293,27 @@ fn connectivity_ablation_rejects_too_few_nodes() {
         );
     }
 }
+
+#[test]
+fn figures_reject_node_counts_past_the_dense_index_range() {
+    // Dense node slots are `u32`: a population of 2^32 must end in one
+    // `error:` line before anything is sized by it, not in an abort on a
+    // 32 GiB allocation.
+    let (name, exe) = bin!("fig06_static_effectiveness");
+    let output = Command::new(exe)
+        .args(["--nodes", "4294967296", "--runs", "1", "--fanouts", "1"])
+        .output()
+        .unwrap_or_else(|e| panic!("{name}: cannot run {exe}: {e}"));
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(!output.status.success(), "{name} ran: {stderr}");
+    assert_eq!(
+        stderr
+            .lines()
+            .filter(|line| line.starts_with("error:"))
+            .count(),
+        1,
+        "{name}: {stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{name}: {stderr}");
+    assert!(!stderr.contains("memory allocation"), "{name}: {stderr}");
+}

@@ -1,5 +1,7 @@
 //! Simulation parameters.
 
+use hybridcast_graph::cast::idx;
+
 /// Parameters of a simulated network, mirroring the experimental setup of
 /// Section 7 of the paper.
 ///
@@ -63,11 +65,20 @@ impl SimConfig {
     /// # Errors
     ///
     /// Returns an error if any parameter is zero (except `rings`, which may
-    /// be zero only when `run_vicinity` is `false`), or if `rings` is zero
-    /// while Vicinity is enabled.
+    /// be zero only when `run_vicinity` is `false`), if `rings` is zero
+    /// while Vicinity is enabled, or if `nodes` is `u32::MAX` or more.
     pub fn validate(&self) -> Result<(), String> {
         if self.nodes == 0 {
             return Err("node count must be positive".into());
+        }
+        // Dense node slots are `u32` indices, and `u32::MAX` is the
+        // engines' "no node" sentinel.
+        if self.nodes >= idx(u32::MAX) {
+            return Err(format!(
+                "node count must be below {}, got {}",
+                u32::MAX,
+                self.nodes
+            ));
         }
         if self.cyclon_view == 0 || self.cyclon_shuffle == 0 {
             return Err("cyclon view and shuffle lengths must be positive".into());
@@ -126,5 +137,22 @@ mod tests {
             ..SimConfig::default()
         };
         assert!(c.validate().is_ok());
+    }
+
+    #[test]
+    fn validation_rejects_node_counts_past_the_dense_index_range() {
+        let at = |nodes: usize| {
+            SimConfig {
+                nodes,
+                ..SimConfig::default()
+            }
+            .validate()
+        };
+        assert!(at(u32::MAX as usize - 1).is_ok());
+        assert_eq!(
+            at(u32::MAX as usize),
+            Err(format!("node count must be below {0}, got {0}", u32::MAX))
+        );
+        assert!(at(1 << 32).is_err());
     }
 }
