@@ -36,8 +36,8 @@ use crate::protocols::DenseSelector;
 ///
 /// One complete dissemination over a warm scratch performs no heap
 /// allocation in its hot loop: the notified set is a bitset, and the
-/// frontier / target / draw buffers are reused across hops and across runs. Create one per worker thread and
-/// pass it to every run.
+/// frontier / target / draw buffers are reused across hops and across runs.
+/// Create one per worker thread and pass it to every run.
 #[derive(Debug, Clone, Default)]
 pub struct DenseScratch {
     notified: DenseBits,

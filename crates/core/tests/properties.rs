@@ -568,7 +568,13 @@ proptest! {
         .report(&dense, &scratch);
         let mut async_scratch = DenseAsyncScratch::new();
         let timed = disseminate_async_dense_probed(
-            &dense, &selector, origin, &config, &mut event_rng, &mut async_scratch, &mut event_probe,
+            &dense,
+            &selector,
+            origin,
+            &config,
+            &mut event_rng,
+            &mut async_scratch,
+            &mut event_probe,
         )
         .report(&dense, &config, &async_scratch);
 
@@ -583,8 +589,9 @@ proptest! {
         let mut per_time_new = vec![0usize; hop.per_hop_new.len()];
         let mut last_time = 0.0f64;
         for &(_, time) in &timed.notification_times {
-            prop_assert!(time.fract() == 0.0 && (time as usize) < per_time_new.len(), "time {}", time);
-            per_time_new[time as usize] += 1;
+            let at = time as usize;
+            prop_assert!(time.fract() == 0.0 && at < per_time_new.len(), "time {}", time);
+            per_time_new[at] += 1;
             last_time = last_time.max(time);
         }
         prop_assert_eq!(&per_time_new, &hop.per_hop_new);
@@ -592,7 +599,12 @@ proptest! {
         let unreached: Vec<NodeId> = dense
             .live_node_ids()
             .into_iter()
-            .filter(|id| timed.notification_times.binary_search_by_key(id, |&(node, _)| node).is_err())
+            .filter(|id| {
+                timed
+                    .notification_times
+                    .binary_search_by_key(id, |&(node, _)| node)
+                    .is_err()
+            })
             .collect();
         prop_assert_eq!(&unreached, &hop.unreached);
 
