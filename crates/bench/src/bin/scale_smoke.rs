@@ -13,7 +13,8 @@
 //! job), `--rng shared|per-node` (RNG discipline of the grown membership
 //! phase — `per-node` selects the counter-based per-node stream kernel
 //! with its sparse frontier), `--threads` (worker
-//! threads for the per-node kernel's intra-cycle fan-out, 0 = auto),
+//! threads for the per-node kernel's intra-cycle fan-out, 0 = auto, at
+//! most 1024),
 //! `--gossip-period` (per-node mode only: each node gossips every N
 //! cycles on a seeded stagger, so only ~1/N of the population steps per
 //! cycle — the quiescent-network regime the sparse frontier exists for),
@@ -43,7 +44,7 @@ use std::time::{Duration, Instant};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use hybridcast_bench::scenario::synthetic_links;
+use hybridcast_bench::scenario::{synthetic_links, MAX_THREADS};
 use hybridcast_bench::Args;
 use hybridcast_core::async_engine::{disseminate_async_dense, AsyncConfig, DenseAsyncScratch};
 use hybridcast_core::engine::{disseminate_dense, DenseScratch};
@@ -69,7 +70,12 @@ fn run() -> Result<(), String> {
     let event_budget: usize = args.get_or("event-budget", 0)?;
     let mem_budget_mb: u64 = args.get_or("mem-budget-mb", 0)?;
     let rng_mode: RngMode = args.get_or("rng", RngMode::Shared)?;
-    let threads: usize = args.get_or("threads", 0)?;
+    let threads: usize = args.get_in(
+        "threads",
+        0,
+        0..=MAX_THREADS,
+        &format!("in [0, {MAX_THREADS}]"),
+    )?;
     let gossip_period: u64 = args.get_in("gossip-period", 1, 1.., ">= 1")?;
     let check_thread_invariance = args.flag("check-thread-invariance");
     let run_async = args.flag("async");

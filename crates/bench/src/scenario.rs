@@ -43,6 +43,11 @@ pub enum EngineKind {
     Dense,
 }
 
+/// The largest `--threads` value a binary accepts. Each configuration
+/// starts up to this many OS threads, so a fixed bound keeps a typo from
+/// asking the OS for thousands, the same way on every machine.
+pub const MAX_THREADS: usize = 1024;
+
 /// Common parameters of every experiment, derived from the command line.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentParams {
@@ -158,12 +163,18 @@ impl ExperimentParams {
     /// # Errors
     ///
     /// Returns an error if `runs` is zero (nothing to aggregate), `fanouts`
-    /// is empty or contains a zero, the simulator rejects the network size
-    /// ([`SimConfig::validate`]), or the churn rate is outside `[0, 1]`
-    /// ([`ChurnConfig::validate`]).
+    /// is empty or contains a zero, `threads` exceeds [`MAX_THREADS`], the
+    /// simulator rejects the network size ([`SimConfig::validate`]), or the
+    /// churn rate is outside `[0, 1]` ([`ChurnConfig::validate`]).
     pub fn validate(&self) -> Result<(), String> {
         if self.runs == 0 {
             return Err("--runs must be at least 1".into());
+        }
+        if self.threads > MAX_THREADS {
+            return Err(format!(
+                "--threads must be in [0, {MAX_THREADS}], got {}",
+                self.threads
+            ));
         }
         if self.fanouts.is_empty() {
             return Err("--fanouts must list at least one fanout".into());
@@ -433,6 +444,23 @@ mod tests {
         }
         let err = ExperimentParams::from_args(&Args::parse(["--runs", "0"]).unwrap()).unwrap_err();
         assert!(err.contains("--runs"), "unexpected error text: {err}");
+    }
+
+    #[test]
+    fn thread_counts_past_the_fixed_bound_are_rejected() {
+        let at_bound = ExperimentParams {
+            threads: MAX_THREADS,
+            ..tiny()
+        };
+        assert!(at_bound.validate().is_ok());
+        let past = ExperimentParams {
+            threads: MAX_THREADS + 1,
+            ..tiny()
+        };
+        assert_eq!(
+            past.validate().unwrap_err(),
+            "--threads must be in [0, 1024], got 1025"
+        );
     }
 
     #[test]

@@ -317,3 +317,35 @@ fn figures_reject_node_counts_past_the_dense_index_range() {
     assert!(!stderr.contains("panicked"), "{name}: {stderr}");
     assert!(!stderr.contains("memory allocation"), "{name}: {stderr}");
 }
+
+#[test]
+fn figures_reject_thread_counts_past_the_fixed_bound() {
+    // `--threads` sizes the worker pools: a value past 1024 must end in one
+    // `error:` line before any worker starts. `--nodes 10 --runs 1` keeps
+    // even a missing check down to a handful of threads.
+    let (name, exe) = bin!("fig06_static_effectiveness");
+    let output = Command::new(exe)
+        .args([
+            "--nodes",
+            "10",
+            "--runs",
+            "1",
+            "--fanouts",
+            "1",
+            "--threads",
+            "1025",
+        ])
+        .output()
+        .unwrap_or_else(|e| panic!("{name}: cannot run {exe}: {e}"));
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(!output.status.success(), "{name} ran: {stderr}");
+    assert_eq!(
+        stderr
+            .lines()
+            .filter(|line| line.starts_with("error:"))
+            .count(),
+        1,
+        "{name}: {stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{name}: {stderr}");
+}

@@ -80,7 +80,6 @@
 pub mod async_engine;
 pub mod engine;
 pub mod experiment;
-pub mod message;
 pub mod metrics;
 pub mod netmodel;
 pub mod overlay;

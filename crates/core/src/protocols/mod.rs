@@ -15,7 +15,7 @@
 //!
 //! [`DenseSelector::select`] is that function, written once over a node's
 //! link slices. The CSR engines instantiate it at dense `u32` indices, the
-//! id-keyed oracles and the real-transport runtime (`hybridcast-net`) at
+//! id-keyed oracles and the threaded runtime (`hybridcast-net`) at
 //! [`hybridcast_graph::NodeId`]s; every instantiation filters candidates in
 //! the same order and draws through the same
 //! [`hybridcast_graph::sample::partial_fisher_yates`], so for the same

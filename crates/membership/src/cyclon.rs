@@ -206,12 +206,6 @@ impl<P: Clone> CyclonNode<P> {
             }
         }
     }
-
-    /// Drops a specific peer from the view (used by failure detectors or by
-    /// the simulator when it knows a node is gone).
-    pub fn forget_peer(&mut self, peer: NodeId) {
-        self.view.remove(peer);
-    }
 }
 
 #[cfg(test)]
@@ -354,13 +348,5 @@ mod tests {
         let pending = CyclonNode::pending(target, sent);
         node.shuffle_failed(&pending);
         assert!(!node.view().contains(target));
-    }
-
-    #[test]
-    fn forget_peer_removes_entry() {
-        let mut node = node_with_view(0, &[1, 2]);
-        node.forget_peer(n(1));
-        assert!(!node.view().contains(n(1)));
-        assert!(node.view().contains(n(2)));
     }
 }

@@ -57,19 +57,6 @@ impl<P> Descriptor<P> {
     pub fn increment_age(&mut self) {
         self.age = self.age.saturating_add(1);
     }
-
-    /// Returns a copy of this descriptor with age reset to 0, as created by
-    /// the node itself at the start of an exchange.
-    pub fn refreshed(&self) -> Self
-    where
-        P: Clone,
-    {
-        Descriptor {
-            id: self.id,
-            age: 0,
-            profile: self.profile.clone(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -90,14 +77,5 @@ mod tests {
         assert_eq!(d.age, u32::MAX);
         d.increment_age();
         assert_eq!(d.age, u32::MAX, "age saturates instead of wrapping");
-    }
-
-    #[test]
-    fn refreshed_resets_age_and_keeps_profile() {
-        let d = Descriptor::with_age(NodeId::new(9), 17, 42u64);
-        let fresh = d.refreshed();
-        assert_eq!(fresh.age, 0);
-        assert_eq!(fresh.id, d.id);
-        assert_eq!(fresh.profile, 42);
     }
 }

@@ -19,7 +19,7 @@
 //! exchange with one selected peer. The types here expose the three halves
 //! of an exchange (`initiate…`, `handle…request`, `handle…response`) so that
 //! the same implementation can be driven by the deterministic simulator
-//! (`hybridcast-sim`) or by a real transport (`hybridcast-net`).
+//! (`hybridcast-sim`) or by message-passing node threads (`hybridcast-net`).
 //!
 //! # Quick example
 //!

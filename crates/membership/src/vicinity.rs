@@ -211,11 +211,6 @@ impl<K: Ord + Clone> VicinityNode<K> {
             .collect()
     }
 
-    /// Drops a specific peer from the view.
-    pub fn forget_peer(&mut self, peer: NodeId) {
-        self.view.remove(peer);
-    }
-
     /// Builds a payload of descriptors for a peer with key `target_key`:
     /// this node's own fresh descriptor plus the view entries closest to the
     /// target (never the target itself).
@@ -442,14 +437,6 @@ mod tests {
         node.absorb_candidates(&[Descriptor::with_age(n(4), 9, 400u64)]);
         node.absorb_candidates(&[Descriptor::with_age(n(4), 2, 400u64)]);
         assert_eq!(node.view().get(n(4)).unwrap().age, 2);
-    }
-
-    #[test]
-    fn forget_peer_removes_entry() {
-        let mut node = vic(5);
-        node.absorb_candidates(&[desc(4), desc(6)]);
-        node.forget_peer(n(4));
-        assert!(!node.view().contains(n(4)));
     }
 
     #[test]

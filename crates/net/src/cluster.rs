@@ -5,14 +5,13 @@ use std::time::Duration;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-use hybridcast_core::message::{Message, MessageId};
 use hybridcast_core::protocols::DenseSelector;
 use hybridcast_graph::NodeId;
 use hybridcast_membership::descriptor::Descriptor;
 
 use crate::node::{spawn_node, DeliveryLog, NodeConfig, NodeHandle, NodeStats};
-use crate::transport::{InMemoryHub, Transport, TransportError};
-use crate::wire::Frame;
+use crate::transport::{InMemoryHub, TransportError};
+use crate::wire::{Frame, MessageId};
 
 /// Configuration of an in-process cluster.
 #[derive(Debug, Clone)]
@@ -62,14 +61,21 @@ impl Cluster {
     ///
     /// # Errors
     ///
-    /// Returns an error if the configuration is invalid (zero nodes, or a
-    /// RandCast/RingCast selector with zero fanout).
+    /// Returns an error, before any node thread starts, if the
+    /// configuration is invalid: zero nodes, a RandCast/RingCast selector
+    /// with zero fanout, or a zero view or gossip length.
     pub fn start(config: ClusterConfig) -> Result<Self, String> {
         if config.nodes == 0 {
             return Err("cluster needs at least one node".into());
         }
         if let DenseSelector::RandCast(0) | DenseSelector::RingCast(0) = config.selector {
             return Err("fanout must be positive".into());
+        }
+        if config.view_length == 0 {
+            return Err("view length must be positive".into());
+        }
+        if config.gossip_length == 0 {
+            return Err("gossip length must be positive".into());
         }
         let hub = InMemoryHub::new();
         let log = DeliveryLog::new();
@@ -148,13 +154,8 @@ impl Cluster {
     pub fn publish(&mut self, origin: NodeId) -> Result<MessageId, TransportError> {
         let id = MessageId::new(origin, self.next_sequence);
         self.next_sequence += 1;
-        self.hub.send(
-            origin,
-            Frame::Dissemination {
-                from: origin,
-                message: Message::marker(origin, id.sequence),
-            },
-        )?;
+        self.hub
+            .send(origin, Frame::Dissemination { from: origin, id })?;
         Ok(id)
     }
 
@@ -217,6 +218,28 @@ mod tests {
             ..ClusterConfig::default()
         })
         .is_err());
+        assert!(Cluster::start(ClusterConfig {
+            view_length: 0,
+            ..ClusterConfig::default()
+        })
+        .is_err());
+        assert!(Cluster::start(ClusterConfig {
+            gossip_length: 0,
+            ..ClusterConfig::default()
+        })
+        .is_err());
+
+        let mut single = Cluster::start(ClusterConfig {
+            nodes: 1,
+            ..ClusterConfig::default()
+        })
+        .unwrap();
+        let stranger = NodeId::new(1);
+        assert!(matches!(
+            single.publish(stranger),
+            Err(TransportError::UnknownDestination(id)) if id == stranger
+        ));
+        single.shutdown();
     }
 
     #[test]

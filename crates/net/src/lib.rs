@@ -1,16 +1,17 @@
-//! Real-transport runtime for the hybridcast dissemination protocols.
+//! Threaded message-passing runtime for the hybridcast dissemination
+//! protocols.
 //!
 //! The paper evaluates RandCast and RingCast inside a cycle-driven simulator
 //! (reproduced by `hybridcast-sim`). This crate demonstrates that the exact
 //! same protocol implementations — Cyclon and Vicinity from
 //! `hybridcast-membership`, the gossip-target selectors from
-//! `hybridcast-core` — also run as real message-passing processes:
+//! `hybridcast-core` — also run as message-passing processes: one thread
+//! per node, exchanging frames over one in-process hub.
 //!
-//! * [`wire`] — the frame format exchanged between nodes (length-prefixed
-//!   JSON, friendly to both channels and TCP streams),
-//! * [`transport`] — pluggable delivery: an in-process hub backed by
-//!   `std::sync::mpsc` channels ([`transport::InMemoryHub`]) and a loopback TCP
-//!   transport ([`transport::TcpTransport`]),
+//! * [`wire`] — the [`Frame`]s nodes exchange; a disseminated message
+//!   travels as its [`wire::MessageId`] alone,
+//! * [`transport`] — the [`InMemoryHub`], one `std::sync::mpsc` mailbox
+//!   per node,
 //! * [`node`] — a node running in its own thread: periodic Cyclon/Vicinity
 //!   gossip plus reactive push dissemination,
 //! * [`cluster`] — convenience orchestration: boot `n` nodes, let the
@@ -32,9 +33,9 @@
 //! # Determinism boundary
 //!
 //! This is deliberately the **only** nondeterministic layer of the
-//! workspace: thread scheduling and (for TCP) the kernel decide delivery
-//! order, so its tests assert convergence envelopes (e.g. "≥ 14 of 16
-//! nodes delivered") rather than exact traces. Every quantitative claim
+//! workspace: thread scheduling decides delivery order, so its tests
+//! assert convergence envelopes (e.g. "≥ 14 of 16 nodes delivered") rather
+//! than exact traces. Every quantitative claim
 //! lives in the deterministic simulator + engine layers; this crate exists
 //! to show the protocol code is not simulator-bound. Per-node state still
 //! uses the same seeded `ChaCha8Rng`, so single-node protocol decisions
@@ -44,8 +45,7 @@
 //!
 //! One OS thread per node bounds practical cluster sizes to the hundreds —
 //! this is a demonstrator, not the million-node path (that is the arena
-//! runtime + dense engines; see `docs/ARCHITECTURE.md`). A dense,
-//! shared-arena transport runtime is an open ROADMAP item.
+//! runtime + dense engines; see `docs/ARCHITECTURE.md`).
 //!
 //! # Example
 //!
@@ -77,5 +77,5 @@ pub mod transport;
 pub mod wire;
 
 pub use cluster::{Cluster, ClusterConfig};
-pub use transport::{InMemoryHub, TcpTransport, Transport};
+pub use transport::InMemoryHub;
 pub use wire::Frame;

@@ -35,15 +35,14 @@ use std::time::{Duration, Instant};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use hybridcast_core::message::MessageId;
 use hybridcast_core::protocols::DenseSelector;
 use hybridcast_graph::NodeId;
 use hybridcast_membership::cyclon::CyclonNode;
 use hybridcast_membership::proximity::RingPosition;
 use hybridcast_membership::vicinity::{self, PendingExchange, VicinityNode};
 
-use crate::transport::Transport;
-use crate::wire::{Frame, WireDescriptor};
+use crate::transport::InMemoryHub;
+use crate::wire::{Frame, MessageId, WireDescriptor};
 
 /// Configuration of a single networked node.
 #[derive(Debug, Clone)]
@@ -146,31 +145,28 @@ impl NodeHandle {
 
 /// Spawns a node thread.
 ///
-/// `mailbox` is the receiving end registered with the transport;
+/// `mailbox` is the receiving end registered with `hub`;
 /// `bootstrap` seeds the Cyclon view (typically a single introducer, the
 /// star-topology join of the paper); `selector` decides how dissemination
 /// messages are forwarded.
-pub fn spawn_node<T>(
+pub fn spawn_node(
     config: NodeConfig,
-    transport: T,
+    hub: InMemoryHub,
     mailbox: Receiver<Frame>,
     bootstrap: Vec<WireDescriptor>,
     selector: DenseSelector,
     log: DeliveryLog,
-) -> NodeHandle
-where
-    T: Transport + Clone + 'static,
-{
+) -> NodeHandle {
     let id = config.id;
     let handle = std::thread::spawn(move || {
-        NodeWorker::new(config, transport, mailbox, bootstrap, selector, log).run()
+        NodeWorker::new(config, hub, mailbox, bootstrap, selector, log).run()
     });
     NodeHandle { id, handle }
 }
 
-struct NodeWorker<T> {
+struct NodeWorker {
     config: NodeConfig,
-    transport: T,
+    hub: InMemoryHub,
     mailbox: Receiver<Frame>,
     selector: DenseSelector,
     log: DeliveryLog,
@@ -183,10 +179,10 @@ struct NodeWorker<T> {
     stats: NodeStats,
 }
 
-impl<T: Transport> NodeWorker<T> {
+impl NodeWorker {
     fn new(
         config: NodeConfig,
-        transport: T,
+        hub: InMemoryHub,
         mailbox: Receiver<Frame>,
         bootstrap: Vec<WireDescriptor>,
         selector: DenseSelector,
@@ -210,7 +206,7 @@ impl<T: Transport> NodeWorker<T> {
         let rng = ChaCha8Rng::seed_from_u64(config.seed);
         NodeWorker {
             config,
-            transport,
+            hub,
             mailbox,
             selector,
             log,
@@ -263,7 +259,7 @@ impl<T: Transport> NodeWorker<T> {
                     .handle_shuffle_request(from, &payload, &mut self.rng);
                 // Every descriptor that passes by is also a proximity candidate.
                 self.vicinity.absorb_candidates(&payload);
-                let _ = self.transport.send(
+                let _ = self.hub.send(
                     from,
                     Frame::CyclonResponse {
                         from: self.config.id,
@@ -293,7 +289,7 @@ impl<T: Transport> NodeWorker<T> {
                     &payload,
                     &candidates,
                 );
-                let _ = self.transport.send(
+                let _ = self.hub.send(
                     from,
                     Frame::VicinityResponse {
                         from: self.config.id,
@@ -312,13 +308,13 @@ impl<T: Transport> NodeWorker<T> {
                     }
                 }
             }
-            Frame::Dissemination { from, message } => {
+            Frame::Dissemination { from, id } => {
                 self.stats.messages_received += 1;
-                if !self.seen.insert(message.id) {
+                if !self.seen.insert(id) {
                     return;
                 }
                 self.stats.distinct_messages += 1;
-                self.log.record(message.id, self.config.id);
+                self.log.record(id, self.config.id);
                 // A published message arrives "from" its origin itself.
                 let d_links = vicinity::d_links(slice::from_ref(&self.vicinity));
                 let r_links = self.cyclon.view().node_ids();
@@ -333,11 +329,11 @@ impl<T: Transport> NodeWorker<T> {
                 );
                 for target in targets {
                     self.stats.messages_forwarded += 1;
-                    let _ = self.transport.send(
+                    let _ = self.hub.send(
                         target,
                         Frame::Dissemination {
                             from: self.config.id,
-                            message: message.clone(),
+                            id,
                         },
                     );
                 }
@@ -355,7 +351,7 @@ impl<T: Transport> NodeWorker<T> {
         self.cyclon.begin_cycle();
         if let Some((target, payload)) = self.cyclon.initiate_shuffle(&mut self.rng) {
             let pending = CyclonNode::pending(target, payload.clone());
-            let sent = self.transport.send(
+            let sent = self.hub.send(
                 target,
                 Frame::CyclonRequest {
                     from: self.config.id,
@@ -377,7 +373,7 @@ impl<T: Transport> NodeWorker<T> {
         if let Some((target, payload)) = self.vicinity.initiate_exchange(&candidates, &mut self.rng)
         {
             let pending = PendingExchange { target };
-            let sent = self.transport.send(
+            let sent = self.hub.send(
                 target,
                 Frame::VicinityRequest {
                     from: self.config.id,
@@ -396,8 +392,6 @@ impl<T: Transport> NodeWorker<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::InMemoryHub;
-    use hybridcast_core::message::Message;
     use hybridcast_membership::descriptor::Descriptor;
 
     fn n(i: u64) -> NodeId {
@@ -478,18 +472,17 @@ mod tests {
 
         // Let a few gossip cycles run, then publish from node 0.
         std::thread::sleep(Duration::from_millis(60));
-        let message = Message::marker(n(0), 1);
+        let msg_id = MessageId::new(n(0), 1);
         hub.send(
             n(0),
             Frame::Dissemination {
                 from: n(0),
-                message,
+                id: msg_id,
             },
         )
         .unwrap();
         std::thread::sleep(Duration::from_millis(60));
 
-        let msg_id = MessageId::new(n(0), 1);
         assert_eq!(log.count(msg_id), 2, "both nodes must see the message");
 
         hub.send(n(0), Frame::Shutdown).unwrap();

@@ -1,7 +1,6 @@
 //! The same protocols outside the simulator: an in-process cluster of
-//! threads exchanging real frames over channels (see `hybridcast-net` for a
-//! TCP transport as well), converging their membership views and pushing a
-//! message with RingCast.
+//! threads exchanging frames over one channel hub, converging their
+//! membership views and pushing a message with RingCast.
 //!
 //! ```text
 //! cargo run --release --example live_cluster

@@ -5,7 +5,8 @@
 //! * [`hybridcast_membership`] — Cyclon and Vicinity membership protocols,
 //! * [`hybridcast_sim`] — cycle-driven simulator,
 //! * [`hybridcast_core`] — dissemination protocols (RandCast, RingCast, ...),
-//! * [`hybridcast_net`] — real-transport runtime,
+//! * [`hybridcast_net`] — threaded runtime: node threads exchanging frames
+//!   over one in-process hub,
 //! * [`hybridcast_obs`] — zero-cost probe layer (trace events, metrics,
 //!   stage profiling).
 //!

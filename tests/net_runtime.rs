@@ -1,4 +1,4 @@
-//! Integration tests for the real-transport runtime: the same protocol
+//! Integration tests for the threaded runtime: the same protocol
 //! implementations that the simulator drives also work as threads exchanging
 //! frames, and behave qualitatively like their simulated counterparts.
 
