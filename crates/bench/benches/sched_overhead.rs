@@ -11,9 +11,9 @@
 //!   heap-ordered overflow tier for the delay tail.
 //!
 //! Before timing anything, the harness replays the full workload through
-//! both queues and asserts the popped `(time, seq, payload)` streams are
-//! identical — a faster-but-wrong scheduler must fail the bench, not post
-//! a number.
+//! both queues and asserts the popped streams — times and push-index
+//! payloads, so the FIFO tie-break too — are identical: a faster-but-wrong
+//! scheduler must fail the bench, not post a number.
 //!
 //! The `backlog` groups' delay mix matches the engines' adversarial
 //! profile: mostly sub-window forwarding delays plus a heavy tail that

@@ -14,7 +14,8 @@
 //! `--ratios 0.1,1,5` overrides the delay/period ratios swept; `--runs` and
 //! `--nodes` control the scale.
 
-use hybridcast_bench::{figures, output, Args, ExperimentParams};
+use hybridcast_bench::figures::{self, LatencyAblationRow};
+use hybridcast_bench::{output, Args, ExperimentParams};
 
 fn main() {
     hybridcast_bench::cli::run_main(run)
@@ -31,6 +32,12 @@ fn run() -> Result<(), String> {
     )?;
     let json = args.value("json");
     args.finish()?;
+    // A finite ratio can still overflow the delay it scales.
+    for &ratio in &ratios {
+        LatencyAblationRow::config(ratio)
+            .validate()
+            .map_err(|e| format!("--ratios {ratio:?}: {e}"))?;
+    }
     eprintln!(
         "# ablation: async forwarding delay ratios {:?}, {} nodes, {} runs each, frozen membership",
         ratios, params.nodes, params.runs,

@@ -349,3 +349,26 @@ fn figures_reject_thread_counts_past_the_fixed_bound() {
     );
     assert!(!stderr.contains("panicked"), "{name}: {stderr}");
 }
+
+#[test]
+fn async_ablation_rejects_ratios_that_overflow_the_delay() {
+    // `--ratios` accepts any finite ratio, but the delay is the ratio times
+    // the gossip period: 1e308 of them is infinite and must end in one
+    // `error:` line before any overlay is built.
+    let (name, exe) = bin!("ablation_async_latency");
+    let output = Command::new(exe)
+        .args(["--nodes", "200", "--runs", "2", "--ratios", "1e308"])
+        .output()
+        .unwrap_or_else(|e| panic!("{name}: cannot run {exe}: {e}"));
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(!output.status.success(), "{name} ran: {stderr}");
+    assert_eq!(
+        stderr
+            .lines()
+            .filter(|line| line.starts_with("error:"))
+            .count(),
+        1,
+        "{name}: {stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{name}: {stderr}");
+}

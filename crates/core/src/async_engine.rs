@@ -12,8 +12,8 @@
 //!
 //! [`disseminate_async_dense`] runs that model over a frozen CSR
 //! [`DenseOverlay`] and a reusable [`DenseAsyncScratch`]: bitset notified
-//! set, flat `f64` notification-time array, retained calendar event queue
-//! ([`crate::sched`]), flat per-hop counters. It returns `Copy`
+//! set, per-node notification-time and hop arrays, retained calendar event
+//! queue ([`crate::sched`]), flat per-hop counters. It returns `Copy`
 //! [`DenseAsyncRunStats`]; [`DenseAsyncRunStats::report`] materialises the
 //! id-keyed [`AsyncReport`] — this is what makes the latency ablation
 //! runnable at 100k+ nodes. The test-only `hybridcast-oracle` crate keeps
@@ -237,28 +237,33 @@ pub fn emit_partition_schedule<P: Probe>(net: &NetModel, probe: &mut P) {
 }
 
 /// A delivery in the dense event queue: node identities are dense `u32`
-/// indices, the hop rides along for per-hop accounting. Due time and the
-/// FIFO tie-break sequence live in the queue's [`Scheduled`] wrapper, so
-/// the payload itself carries no ordering.
+/// indices. The due time lives in the queue's [`Scheduled`] wrapper, and
+/// the message's hop is its sender's plus one, read from
+/// [`DenseAsyncScratch`]'s per-node hop array.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct DenseEvent {
     to: u32,
     from: u32,
-    hop: u32,
 }
 
 /// Reusable scratch buffers for [`disseminate_async_dense`].
 ///
 /// One complete run over a warm scratch performs no heap allocation in its
-/// event loop: the notified set is a bitset, notification times live in a
-/// flat `f64` array indexed by dense node index, the event queue is a
-/// [`CalendarQueue`] whose chunk pool, bucket ring, day run and heaps are
-/// all retained across runs, and the per-hop message counters are a flat
-/// vector. Create one per worker thread and pass it to every run.
+/// event loop: the notified set is a bitset, each node's notification time
+/// and hop live in flat arrays indexed by dense node index, the event queue
+/// is a [`CalendarQueue`] whose chunk pool, bucket ring, day run, sort
+/// buffer and heaps are all retained across runs, and the per-hop message
+/// counters are a flat vector. Create one per worker thread and pass it to
+/// every run.
 #[derive(Debug, Clone, Default)]
 pub struct DenseAsyncScratch {
     notified: DenseBits,
+    /// Notification time per node; entry `i` is meaningful only while
+    /// `notified` holds `i`.
     notify_time: Vec<f64>,
+    /// Notification hop per node (the origin's is 0); entry `i` is
+    /// meaningful only while `notified` holds `i`.
+    hop: Vec<u32>,
     per_hop: Vec<usize>,
     queue: CalendarQueue<DenseEvent>,
     targets: Vec<u32>,
@@ -303,8 +308,12 @@ impl DenseAsyncScratch {
 
     fn reset(&mut self, len: usize, width: f64, num_buckets: usize) {
         self.notified.reset(len);
-        self.notify_time.clear();
-        self.notify_time.resize(len, f64::NAN);
+        // Both arrays are written at a node's first notification and read
+        // only for notified nodes: grow them, never refill them.
+        if self.notify_time.len() < len {
+            self.notify_time.resize(len, 0.0);
+            self.hop.resize(len, 0);
+        }
         self.per_hop.clear();
         self.per_hop.push(0);
         self.queue.reset(width, num_buckets);
@@ -496,6 +505,7 @@ pub fn disseminate_async_dense_probed<P: Probe>(
     let DenseAsyncScratch {
         notified,
         notify_time,
+        hop,
         per_hop,
         queue,
         targets,
@@ -507,7 +517,6 @@ pub fn disseminate_async_dense_probed<P: Probe>(
         DenseEvent {
             to: origin_idx,
             from: NO_NODE,
-            hop: 0,
         },
     );
     probe.record(TraceEvent::RunStart {
@@ -525,11 +534,15 @@ pub fn disseminate_async_dense_probed<P: Probe>(
     let mut truncated_sends = 0usize;
     let mut completion_time = None;
     let mut truncated = false;
+    // Node ids and the hops of dead and duplicate deliveries are read only
+    // for the trace: most deliveries are duplicates, and each read is a
+    // random load.
+    let traced = probe.enabled();
+    let partitioned = config.net.partition.is_some();
 
     while let Some(Scheduled {
         time,
-        payload: event,
-        ..
+        payload: DenseEvent { to, from },
     }) = queue.pop()
     {
         if time > config.max_time {
@@ -537,69 +550,101 @@ pub fn disseminate_async_dense_probed<P: Probe>(
             truncated = true;
             break;
         }
+        // The message's hop: its sender's plus one; the origin's
+        // self-delivery (sender `NO_NODE`) is hop 0.
+        let hop_of = |hop: &[u32]| {
+            if from == NO_NODE {
+                0
+            } else {
+                hop[idx(from)] + 1
+            }
+        };
         // The origin's self-delivery carries the `NO_NODE` sentinel; the
         // oracle reports the origin as its own sender, so mirror that.
-        let node_id = overlay.node_id(event.to).as_u64();
-        let from_id = if event.from == NO_NODE {
-            node_id
-        } else {
-            overlay.node_id(event.from).as_u64()
+        let trace_ids = || {
+            let node = overlay.node_id(to).as_u64();
+            let sender = if from == NO_NODE {
+                node
+            } else {
+                overlay.node_id(from).as_u64()
+            };
+            (node, sender)
         };
-        if !overlay.is_live_idx(event.to) {
+        if !overlay.is_live_idx(to) {
             messages_to_dead += 1;
-            probe.record(TraceEvent::Delivered {
-                node: node_id,
-                from: from_id,
-                hop: event.hop,
-                outcome: DeliveryOutcome::Dead,
-            });
+            if traced {
+                let (node, from) = trace_ids();
+                probe.record(TraceEvent::Delivered {
+                    node,
+                    from,
+                    hop: hop_of(hop),
+                    outcome: DeliveryOutcome::Dead,
+                });
+            }
             continue;
         }
-        if !notified.set(event.to) {
+        if !notified.set(to) {
             messages_redundant += 1;
-            probe.record(TraceEvent::Delivered {
-                node: node_id,
-                from: from_id,
-                hop: event.hop,
-                outcome: DeliveryOutcome::Duplicate,
-            });
+            if traced {
+                let (node, from) = trace_ids();
+                probe.record(TraceEvent::Delivered {
+                    node,
+                    from,
+                    hop: hop_of(hop),
+                    outcome: DeliveryOutcome::Duplicate,
+                });
+            }
             continue;
         }
-        probe.record(TraceEvent::Delivered {
-            node: node_id,
-            from: from_id,
-            hop: event.hop,
-            outcome: DeliveryOutcome::Virgin,
-        });
-        notify_time[idx(event.to)] = time;
+        let node_hop = hop_of(hop);
+        hop[idx(to)] = node_hop;
+        // Trace ids are 0 when no probe records: `record` is a no-op then.
+        let node_id = if traced {
+            let (node, from) = trace_ids();
+            probe.record(TraceEvent::Delivered {
+                node,
+                from,
+                hop: node_hop,
+                outcome: DeliveryOutcome::Virgin,
+            });
+            node
+        } else {
+            0
+        };
+        notify_time[idx(to)] = time;
         reached += 1;
         if reached == population {
             completion_time = Some(time);
         }
-        let links = (overlay.d_links_of(event.to), overlay.r_links_of(event.to));
-        selector.select(event.to, event.from, links, rng, targets, pool);
-        let hop_idx = idx(event.hop) + 1;
+        let links = (overlay.d_links_of(to), overlay.r_links_of(to));
+        selector.select(to, from, links, rng, targets, pool);
+        let hop_idx = idx(node_hop) + 1;
         if per_hop.len() <= hop_idx {
             per_hop.resize(hop_idx + 1, 0);
         }
         per_hop[hop_idx] += targets.len();
         for &target in targets.iter() {
             messages_sent += 1;
-            let target_id = overlay.node_id(target).as_u64();
+            let target_id = if traced {
+                overlay.node_id(target).as_u64()
+            } else {
+                0
+            };
             probe.record(TraceEvent::Sent {
                 from: node_id,
                 to: target_id,
-                hop: event.hop + 1,
+                hop: node_hop + 1,
             });
-            if config
-                .net
-                .blocks(overlay.node_id(event.to), overlay.node_id(target), time)
+            if partitioned
+                && config
+                    .net
+                    .blocks(overlay.node_id(to), overlay.node_id(target), time)
             {
                 dropped_partition += 1;
                 probe.record(TraceEvent::DroppedPartition {
                     from: node_id,
                     to: target_id,
-                    hop: event.hop + 1,
+                    hop: node_hop + 1,
                 });
                 continue;
             }
@@ -608,7 +653,7 @@ pub fn disseminate_async_dense_probed<P: Probe>(
                 probe.record(TraceEvent::DroppedLoss {
                     from: node_id,
                     to: target_id,
-                    hop: event.hop + 1,
+                    hop: node_hop + 1,
                 });
                 continue;
             }
@@ -627,8 +672,7 @@ pub fn disseminate_async_dense_probed<P: Probe>(
                 time + delay,
                 DenseEvent {
                     to: target,
-                    from: event.to,
-                    hop: event.hop + 1,
+                    from: to,
                 },
             );
         }
@@ -673,6 +717,12 @@ mod tests {
         let mut scratch = DenseAsyncScratch::new();
         disseminate_async_dense(overlay, selector, origin, config, rng, &mut scratch)
             .report(overlay, config, &scratch)
+    }
+
+    #[test]
+    fn a_queued_event_is_sixteen_bytes() {
+        // `{time, to, from}`: a field added back to the event fails here.
+        assert_eq!(DenseAsyncScratch::event_footprint(), 16);
     }
 
     #[test]

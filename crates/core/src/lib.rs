@@ -30,10 +30,10 @@
 //!   configurable forwarding delays, used to check the Section 7.1 claim
 //!   that the frozen-overlay simplification is harmless.
 //! * [`sched`] — the calendar/ladder event queue behind the async engine:
-//!   `O(1)` near-future bucket insertion, an exact `(time, seq)` pop-order
-//!   contract pinned against a retained-heap oracle, a heap-ordered
-//!   overflow tier for the delay distribution's tail, and an explicit
-//!   event memory budget ([`sched::SchedConfig`]) that lets million-node
+//!   `O(1)` near-future bucket insertion, an exact pop-order contract
+//!   (ascending time, ties in insertion order) pinned against a
+//!   retained-heap oracle, a heap-ordered overflow tier for the delay
+//!   distribution's tail, and an explicit event memory budget ([`sched::SchedConfig`]) that lets million-node
 //!   runs gate under a fixed resident-memory ceiling.
 //! * [`netmodel`] — adversarial network models threaded through the async
 //!   engine: a heavy-tailed log-normal delay distribution, i.i.d. loss and

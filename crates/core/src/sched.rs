@@ -12,19 +12,19 @@
 //! * **Near-future events** live in a ring of [`SchedConfig::num_buckets`]
 //!   fixed-width time buckets ("days" of [`SchedConfig::resolved_width`]
 //!   simulated-time units, derived from the run's mean forwarding delay).
-//!   Insertion into a bucket is an `O(1)` append to the bucket's last
-//!   storage chunk; chunks are fixed-size and drawn from one pool shared
-//!   by every bucket.
+//!   Insertion into a bucket is an `O(1)` append of a `{time, payload}`
+//!   entry to the bucket's last storage chunk; chunks are fixed-size and
+//!   drawn from one pool shared by every bucket.
 //! * **The current day** is sorted once, when the cursor reaches it: its
-//!   bucket's events move into one retained run, `sort_unstable`d by
-//!   `(time, seq)` with the earliest last, and draining the run is a
-//!   `Vec::pop` — the ladder-queue refinement (Tang, Goh & Thng, ACM TOMACS
-//!   2005) of Brown's calendar queue (CACM 1988). Same-day insertions made
-//!   *while* the day is being drained (zero or sub-bucket delays, overflow
+//!   bucket's events move into one retained run, which a stable LSD radix
+//!   sort orders by time, and draining the run advances a read cursor —
+//!   the ladder-queue refinement (Tang, Goh & Thng, ACM TOMACS 2005) of
+//!   Brown's calendar queue (CACM 1988). Same-day insertions made *while*
+//!   the day is being drained (zero or sub-bucket delays, overflow
 //!   migration) go to a small *late heap* instead; `pop` takes the earlier
-//!   of the run's tail and the heap's top, so events within one bucket pop
+//!   of the run's head and the heap's top, so events within one bucket pop
 //!   in exactly the order the global heap would have produced — ascending
-//!   time, ties broken by ascending insertion sequence (FIFO).
+//!   time, ties broken by insertion order (FIFO).
 //! * **Far-future events** — beyond the sliding window the bucket ring
 //!   covers — spill into a heap-ordered overflow tier and migrate into the
 //!   ring as the window advances past them, paying `O(log overflow)` only
@@ -33,38 +33,63 @@
 //! # Pop-order equivalence
 //!
 //! The scheduler's contract is that [`CalendarQueue::pop`] yields the exact
-//! `(time, seq)`-ascending stream a `BinaryHeap` over the same insertions
-//! yields (the test-only `hybridcast-oracle` crate retains that heap as the
-//! differential-test oracle and the benchmark comparator). The argument: every resident event lives
-//! in exactly one tier; the sorted run and the late heap together hold
-//! precisely the events of the earliest non-empty day, each is ordered by
-//! `(time, seq)`, and `pop` takes the earlier of their two fronts; every
-//! event in a later bucket or in the overflow tier has a strictly later day
-//! and therefore a strictly greater time than everything in the current day
-//! (`floor(t / width)` is monotone); and insertions never predate the
-//! cursor because simulated delays are non-negative. `(time, seq)` pairs
-//! are unique, so *how* a day is ordered — one sort, a heap, or both merged
-//! — cannot show in the stream. `crates/core/tests/` pins this with
-//! differential tests over random interleavings, equal-timestamp bursts,
-//! bucket-boundary times, far-future spills and days of several chunks, and
-//! it is why the engines' reports do not depend on the queue behind them:
-//! identical pop order means identical RNG draw order means identical
-//! everything. See docs/DETERMINISM.md.
+//! stream a `BinaryHeap` keyed by `(time, insertion sequence)` yields over
+//! the same insertions: ascending time by [`f64::total_cmp`], ties in
+//! insertion order (the test-only `hybridcast-oracle` crate retains that
+//! heap as the differential-test oracle and the benchmark comparator).
+//! Only the two heaps store a sequence number; a ring or day-run entry is
+//! `{time, payload}`, and its FIFO rank is where it sits. The argument:
+//!
+//! * Every resident event lives in exactly one tier. The day run and the
+//!   late heap together hold precisely the events of the current day;
+//!   every event in a later bucket or in the overflow tier has a strictly
+//!   later day and therefore a strictly greater time (`floor(t / width)`
+//!   is monotone), and insertions never predate the cursor because
+//!   simulated delays are non-negative.
+//! * A bucket's chunks hold its events in insertion order. An event
+//!   reaches a bucket either by a direct push or by migrating from the
+//!   overflow tier. All of a day's overflow events were pushed while the
+//!   day lay beyond the window end, all of its direct pushes after the
+//!   window reached it, and the window end only advances; the overflow
+//!   events migrate in one batch the moment the window reaches the day,
+//!   popped from their heap in `(time, seq)` order, so before any direct
+//!   push can land there. A bucket therefore lists its events by time
+//!   within the migrated batch and in push order after it, and a
+//!   **stable** ascending sort by time yields exactly `(time, seq)` order.
+//!   The sort's key maps a time's bits onto an unsigned integer that
+//!   orders like [`f64::total_cmp`], so `-0.0` precedes `+0.0` as it does
+//!   in the heaps.
+//! * The late heap orders its own events by `(time, seq)`. Every one of
+//!   them was pushed after the day run was loaded and so follows every
+//!   run event in insertion order — with one exception: the jump advance
+//!   (an empty window, the cursor skipping to the overflow tier's earliest
+//!   day) migrates that day's overflow events straight into the late heap,
+//!   and there the day run is empty. So `pop` takes the late heap's top
+//!   only when its time is strictly earlier than the run's head; on a tie
+//!   the run's event goes first.
+//!
+//! `crates/core/tests/` pins this with differential tests over random
+//! interleavings, equal-timestamp bursts, bucket-boundary times, far-future
+//! spills and their migration, the jump advance, signed zeros and days
+//! around the sort's cutoffs, and it is why the engines' reports do not
+//! depend on the queue behind them: identical pop order means identical
+//! RNG draw order means identical everything. See docs/DETERMINISM.md.
 //!
 //! # Memory
 //!
-//! All storage — the chunk pool, the bucket spines, the day run, the late
-//! heap, the overflow heap — is retained across [`CalendarQueue::reset`],
-//! so a warm re-run performs no allocation (pinned by
-//! `tests/zero_alloc.rs`). A day's chunks return to the pool the moment the
-//! day becomes current and serve whichever bucket fills next, so resident
-//! storage follows the queue-wide high-water mark — plus at most one
-//! partly filled chunk per bucket and one day's run — not the sum of every
-//! bucket's own peak ([`CalendarQueue::resident_bytes`] has the bound). The
-//! resident event count is capped by [`SchedConfig::event_budget`]: the
-//! engines stop scheduling (and flag the run truncated) rather than grow
-//! past it, which is what lets `scale_smoke` gate a million-node run under
-//! a fixed memory budget.
+//! All storage — the chunk pool, the bucket spines, the day run and its
+//! sort buffer, the late heap, the overflow heap — is retained across
+//! [`CalendarQueue::reset`], so a warm re-run performs no allocation
+//! (pinned by `tests/zero_alloc.rs`). A day's chunks return to the pool the
+//! moment the day becomes current and serve whichever bucket fills next,
+//! so resident storage follows the queue-wide high-water mark — plus at
+//! most one partly filled chunk per bucket and two buffers the size of the
+//! largest day — not the sum of every bucket's own peak
+//! ([`CalendarQueue::resident_bytes`] has the bound). The resident event
+//! count is capped by [`SchedConfig::event_budget`]: the engines stop
+//! scheduling (and flag the run truncated) rather than grow past it, which
+//! is what lets `scale_smoke` gate a million-node run under a fixed memory
+//! budget.
 
 // D3: index casts go through `hybridcast_graph::cast`; tests are exempt.
 #![cfg_attr(
@@ -76,7 +101,7 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::mem::size_of;
 
-use hybridcast_graph::cast::idx_u64;
+use hybridcast_graph::cast::{idx, idx_u64};
 
 /// Configuration of the calendar event queue, carried by
 /// [`crate::async_engine::AsyncConfig::sched`].
@@ -91,8 +116,8 @@ pub struct SchedConfig {
     /// Hard cap on simultaneously queued dissemination deliveries — the
     /// scheduler's event memory budget: about `event_budget ×`
     /// [`CalendarQueue::event_footprint`] bytes of resident storage, plus
-    /// one day's run and one storage chunk per bucket
-    /// ([`CalendarQueue::resident_bytes`]).
+    /// the current day's run and its sort buffer and one storage chunk per
+    /// bucket ([`CalendarQueue::resident_bytes`]).
     /// `0` means unbounded. When the cap is hit, a forward that survived
     /// the network model is *not* scheduled: the engines count it in
     /// `truncated_sends` and set the report's `truncated` flag instead of
@@ -135,7 +160,8 @@ impl SchedConfig {
         } else {
             gossip_period
         };
-        (base * 4.0 / self.num_buckets as f64).max(f64::MIN_POSITIVE)
+        // Clamped above too: four times a huge finite delay overflows.
+        (base * 4.0 / self.num_buckets as f64).clamp(f64::MIN_POSITIVE, f64::MAX)
     }
 
     /// `true` if scheduling one more event on top of `queued` already
@@ -145,34 +171,39 @@ impl SchedConfig {
     }
 }
 
-/// One scheduled entry: a payload tagged with its due time and the strictly
-/// increasing per-queue insertion sequence number that breaks time ties.
-///
-/// The ordering implementations compare `(time, seq)` only — reversed, so
-/// a max-`BinaryHeap` of `Scheduled` values pops earliest-first — and
-/// deliberately ignore the payload, freeing payload types from `Ord`.
-#[derive(Debug, Clone, Copy)]
+/// One scheduled entry: a payload tagged with its due time. Entries that
+/// tie on time pop in the order they were pushed.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Scheduled<T> {
     /// Simulated time the event is due.
     pub time: f64,
-    /// Insertion sequence number (1-based, unique within one queue run).
-    pub seq: u64,
     /// The event itself.
     pub payload: T,
 }
 
-impl<T> PartialEq for Scheduled<T> {
+/// A heap entry of the late and overflow tiers: a [`Scheduled`] entry plus
+/// the insertion sequence number that breaks its time ties.
+///
+/// The ordering compares `(time, seq)` only — reversed, so a max-
+/// `BinaryHeap` pops earliest-first — and ignores the payload, freeing
+/// payload types from `Ord`.
+#[derive(Debug, Clone, Copy)]
+struct Keyed<T> {
+    time: f64,
+    seq: u64,
+    payload: T,
+}
+
+impl<T> PartialEq for Keyed<T> {
     fn eq(&self, other: &Self) -> bool {
-        self.time.total_cmp(&other.time) == Ordering::Equal && self.seq == other.seq
+        self.cmp(other) == Ordering::Equal
     }
 }
 
-impl<T> Eq for Scheduled<T> {}
+impl<T> Eq for Keyed<T> {}
 
-impl<T> Ord for Scheduled<T> {
+impl<T> Ord for Keyed<T> {
     fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, the queues want the earliest
-        // (time, seq) first.
         other
             .time
             .total_cmp(&self.time)
@@ -180,7 +211,7 @@ impl<T> Ord for Scheduled<T> {
     }
 }
 
-impl<T> PartialOrd for Scheduled<T> {
+impl<T> PartialOrd for Keyed<T> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
@@ -190,6 +221,14 @@ impl<T> PartialOrd for Scheduled<T> {
 /// not a tuning knob — it only sets the granularity of the slack term in
 /// [`CalendarQueue::resident_bytes`]' bound (one partial chunk per bucket).
 const CHUNK: usize = 512;
+
+/// Widest digit of the day sort's radix passes, in bits: a 2,048-slot
+/// histogram row still fits the L1 cache.
+const MAX_DIGIT_BITS: u32 = 11;
+
+/// Days of at most this many events are insertion-sorted: below it a
+/// radix pass costs more in histogram upkeep than it saves.
+const INSERTION_SORT_MAX: usize = 48;
 
 /// A calendar/ladder event queue: `O(1)` insertion for the near future, one
 /// sort per day for exact pop order, a heap-ordered overflow tier for the
@@ -201,9 +240,8 @@ const CHUNK: usize = 512;
 /// Pushed times must be finite, non-negative, and no earlier than the last
 /// popped event's time (a discrete-event simulation with non-negative
 /// delays satisfies this by construction). Within that contract,
-/// [`CalendarQueue::pop`] yields exactly the `(time, seq)`-ascending
-/// stream a `BinaryHeap` of [`Scheduled`] entries yields for the same
-/// pushes.
+/// [`CalendarQueue::pop`] yields exactly the stream a `BinaryHeap` keyed by
+/// `(time, insertion sequence)` yields for the same pushes.
 ///
 /// # Example
 ///
@@ -213,7 +251,7 @@ const CHUNK: usize = 512;
 /// let mut queue: CalendarQueue<&str> = CalendarQueue::new(0.5, 8);
 /// queue.push(3.7, "late");
 /// queue.push(0.2, "early");
-/// queue.push(0.2, "early-tie"); // same time: FIFO via the seq tie-break
+/// queue.push(0.2, "early-tie"); // same time: FIFO
 /// queue.push(40.0, "far-future"); // beyond the 8-bucket window: overflow
 /// let order: Vec<&str> = std::iter::from_fn(|| queue.pop().map(|e| e.payload)).collect();
 /// assert_eq!(order, ["early", "early-tie", "late", "far-future"]);
@@ -225,8 +263,8 @@ pub struct CalendarQueue<T> {
     width: f64,
     /// The bucket ring: slot `d % num_days` holds the events of day `d`
     /// for days inside the sliding window `[cur_day, cur_day + num_days)`,
-    /// as a list of [`CHUNK`]-event chunks of which only the last may be
-    /// partly filled.
+    /// in insertion order, as a list of [`CHUNK`]-event chunks of which
+    /// only the last may be partly filled.
     buckets: Vec<Vec<Vec<Scheduled<T>>>>,
     /// Ring length, pre-widened for day arithmetic.
     num_days: u64,
@@ -238,22 +276,28 @@ pub struct CalendarQueue<T> {
     /// this long so returning chunks never allocates.
     chunks: usize,
     /// The current day's run: the events its bucket held when the cursor
-    /// reached it, sorted once, earliest last.
+    /// reached it, stably sorted by time once.
     day: Vec<Scheduled<T>>,
+    /// Position of the run's next event; `day[..day_head]` is consumed.
+    day_head: usize,
+    /// The radix sort's ping-pong buffer, as large as the largest day.
+    spare: Vec<Scheduled<T>>,
+    /// The radix sort's digit histograms, one row per pass.
+    counts: Vec<usize>,
     /// The late heap: events pushed *into* the current day while it is
     /// being drained (zero and sub-bucket delays, overflow migration),
     /// ordered by `(time, seq)`.
-    cur: BinaryHeap<Scheduled<T>>,
+    cur: BinaryHeap<Keyed<T>>,
     /// Far-future tier: events whose day lies at or beyond the window end,
     /// heap-ordered so the earliest migrates first.
-    overflow: BinaryHeap<Scheduled<T>>,
+    overflow: BinaryHeap<Keyed<T>>,
     /// The day the cursor is on; only ever advances.
     cur_day: u64,
     /// Events resident in `buckets` (excludes `day`, `cur` and `overflow`).
     in_window: usize,
     /// Total resident events across all tiers.
     len: usize,
-    /// Insertion sequence counter.
+    /// Insertion sequence counter, read only by the two heaps.
     seq: u64,
     /// Largest `len` observed since the last reset.
     high_water: usize,
@@ -261,7 +305,7 @@ pub struct CalendarQueue<T> {
     overflow_high_water: usize,
 }
 
-impl<T> Default for CalendarQueue<T> {
+impl<T: Copy> Default for CalendarQueue<T> {
     /// A minimal one-bucket queue (degenerates to a plain heap); callers
     /// that know their run's time scale should [`CalendarQueue::reset`]
     /// with a real geometry before use.
@@ -270,7 +314,7 @@ impl<T> Default for CalendarQueue<T> {
     }
 }
 
-impl<T> CalendarQueue<T> {
+impl<T: Copy> CalendarQueue<T> {
     /// Creates an empty queue with the given bucket width and ring length.
     ///
     /// # Panics
@@ -285,6 +329,9 @@ impl<T> CalendarQueue<T> {
             pool: Vec::new(),
             chunks: 0,
             day: Vec::new(),
+            day_head: 0,
+            spare: Vec::new(),
+            counts: Vec::new(),
             cur: BinaryHeap::new(),
             overflow: BinaryHeap::new(),
             cur_day: 0,
@@ -299,9 +346,9 @@ impl<T> CalendarQueue<T> {
     }
 
     /// Empties the queue and reconfigures its geometry, retaining every
-    /// backing allocation — the chunk pool, the day run, both heaps and the
-    /// bucket spines: a warm re-run with the same geometry and the same
-    /// event volume performs no heap allocation.
+    /// backing allocation — the chunk pool, the day run and its sort
+    /// buffer, both heaps and the bucket spines: a warm re-run with the
+    /// same geometry and the same event volume performs no heap allocation.
     ///
     /// # Panics
     ///
@@ -323,6 +370,7 @@ impl<T> CalendarQueue<T> {
         }
         self.buckets.resize_with(num_buckets, Vec::new);
         self.day.clear();
+        self.day_head = 0;
         self.cur.clear();
         self.overflow.clear();
         self.cur_day = 0;
@@ -355,40 +403,44 @@ impl<T> CalendarQueue<T> {
         self.overflow_high_water
     }
 
-    /// Bytes of one resident event, the unit [`SchedConfig::event_budget`]
-    /// is denominated in.
+    /// Bytes of one resident event in the bucket ring and the day run, the
+    /// unit [`SchedConfig::event_budget`] is denominated in. An event in
+    /// one of the two heaps also carries its 8-byte sequence number.
     pub const fn event_footprint() -> usize {
         size_of::<Scheduled<T>>()
     }
 
     /// Resident storage of the queue in bytes: the retained capacity of
-    /// every tier — all chunks, pooled or in a bucket, the day run and both
-    /// heaps — times the per-event footprint, plus the spines (bucket ring,
-    /// per-bucket chunk lists, pool).
+    /// every tier — all chunks, pooled or in a bucket, the day run, its
+    /// sort buffer and both heaps — times each tier's entry size, plus the
+    /// spines (bucket ring, per-bucket chunk lists, pool) and the sort's
+    /// histograms.
     ///
     /// With `H` the largest [`CalendarQueue::high_water`] of any run so
-    /// far, `D` the largest single day and `B` the bucket count, the event
-    /// storage is at most `(H + D + B × 512) × event_footprint()` plus the
-    /// two heaps at up to twice their own peaks (vector doubling): chunks
-    /// are shared through the pool, so there are never more than `H / 512`
-    /// full ones and one partly filled one per bucket, and the day run is
-    /// sized to the largest day. Under the auto geometry a day is a few
-    /// percent of the in-flight population and nothing reaches the heaps,
-    /// which leaves a budget-capped queue close to
-    /// `event_budget × event_footprint()`.
+    /// far, `D` the largest single day and `B` the bucket count, the ring
+    /// and day storage is at most `(H + 2D + B × 512) × event_footprint()`,
+    /// plus the two heaps at up to twice their own peaks (vector doubling)
+    /// in entries `event_footprint()` plus 8 bytes, rounded up to the
+    /// payload's alignment: chunks are shared through the pool, so there
+    /// are never more than `H / 512` full ones and one partly filled one
+    /// per bucket, and the day run and its sort buffer are each sized to
+    /// the largest day. Under the auto geometry a day is a few percent of
+    /// the in-flight population and nothing reaches the heaps, which leaves
+    /// a budget-capped queue close to `event_budget × event_footprint()`.
     pub fn resident_bytes(&self) -> usize {
         let chunk_capacity =
             |chunks: &Vec<Vec<Scheduled<T>>>| -> usize { chunks.iter().map(Vec::capacity).sum() };
-        let events = self.day.capacity()
-            + self.cur.capacity()
-            + self.overflow.capacity()
+        let entries = self.day.capacity()
+            + self.spare.capacity()
             + chunk_capacity(&self.pool)
             + self.buckets.iter().map(chunk_capacity).sum::<usize>();
-        events * Self::event_footprint() + self.spine_bytes()
+        let keyed = self.cur.capacity() + self.overflow.capacity();
+        entries * Self::event_footprint() + keyed * size_of::<Keyed<T>>() + self.spine_bytes()
     }
 
     /// The part of [`CalendarQueue::resident_bytes`] that holds no events:
-    /// the bucket ring, the per-bucket chunk lists and the pool's spine.
+    /// the bucket ring, the per-bucket chunk lists, the pool's spine and
+    /// the sort's histograms.
     fn spine_bytes(&self) -> usize {
         let chunk_lists = self.pool.capacity()
             + self
@@ -398,6 +450,7 @@ impl<T> CalendarQueue<T> {
                 .sum::<usize>();
         self.buckets.capacity() * size_of::<Vec<Vec<Scheduled<T>>>>()
             + chunk_lists * size_of::<Vec<Scheduled<T>>>()
+            + self.counts.capacity() * size_of::<usize>()
     }
 
     /// The day (bucket ordinal) a timestamp falls in. Saturating: stray
@@ -432,14 +485,10 @@ impl<T> CalendarQueue<T> {
         self.in_window += 1;
     }
 
-    /// Schedules `payload` at `time`, assigning the next sequence number.
+    /// Schedules `payload` at `time`, after every resident event of an
+    /// equal time.
     pub fn push(&mut self, time: f64, payload: T) {
         self.seq += 1;
-        let event = Scheduled {
-            time,
-            seq: self.seq,
-            payload,
-        };
         let day = self.day_of(time);
         debug_assert!(
             day >= self.cur_day || self.len == 0,
@@ -447,11 +496,19 @@ impl<T> CalendarQueue<T> {
             self.cur_day
         );
         if day <= self.cur_day {
-            self.cur.push(event);
+            self.cur.push(Keyed {
+                time,
+                seq: self.seq,
+                payload,
+            });
         } else if day < self.cur_day.saturating_add(self.num_days) {
-            self.push_in_window(day, event);
+            self.push_in_window(day, Scheduled { time, payload });
         } else {
-            self.overflow.push(event);
+            self.overflow.push(Keyed {
+                time,
+                seq: self.seq,
+                payload,
+            });
             if self.overflow.len() > self.overflow_high_water {
                 self.overflow_high_water = self.overflow.len();
             }
@@ -462,17 +519,17 @@ impl<T> CalendarQueue<T> {
         }
     }
 
-    /// Removes and returns the earliest `(time, seq)` event, or `None` if
-    /// the queue is empty.
+    /// Removes and returns the earliest event — the first pushed among
+    /// equal times — or `None` if the queue is empty.
     pub fn pop(&mut self) -> Option<Scheduled<T>> {
         loop {
-            // The current day's earliest event is the earlier of the sorted
-            // run's tail and the late heap's top. `Scheduled`'s ordering is
-            // reversed, so the greater of the two pops first.
-            let event = match (self.day.last(), self.cur.peek()) {
-                (Some(sorted), Some(late)) if late > sorted => self.cur.pop(),
-                (Some(_), _) => self.day.pop(),
-                (None, Some(_)) => self.cur.pop(),
+            // The current day's earliest event is the earlier of the day
+            // run's head and the late heap's top; on a tie the run's goes
+            // first, as it was pushed first (see the module docs).
+            let late_first = match (self.day.get(self.day_head), self.cur.peek()) {
+                (Some(sorted), Some(late)) => late.time.total_cmp(&sorted.time).is_lt(),
+                (Some(_), None) => false,
+                (None, Some(_)) => true,
                 (None, None) => {
                     if self.len == 0 {
                         return None;
@@ -482,7 +539,13 @@ impl<T> CalendarQueue<T> {
                 }
             };
             self.len -= 1;
-            return event;
+            if late_first {
+                let Keyed { time, payload, .. } = self.cur.pop().expect("peeked");
+                return Some(Scheduled { time, payload });
+            }
+            let event = self.day[self.day_head];
+            self.day_head += 1;
+            return Some(event);
         }
     }
 
@@ -490,7 +553,7 @@ impl<T> CalendarQueue<T> {
     /// window still holds events (an `O(1)` bucket check), or a direct
     /// jump to the overflow tier's earliest day when it does not.
     fn advance(&mut self) {
-        debug_assert!(self.day.is_empty() && self.cur.is_empty() && self.len > 0);
+        debug_assert!(self.day_head == self.day.len() && self.cur.is_empty() && self.len > 0);
         if self.in_window == 0 {
             let front = self.overflow.peek().expect("a non-empty queue has a front");
             let day = self.day_of(front.time);
@@ -504,7 +567,8 @@ impl<T> CalendarQueue<T> {
 
     /// Migrates overflow events whose day has entered the sliding window:
     /// into the late heap directly, or into their bucket. The heap order of
-    /// the tier makes this an exact prefix extraction.
+    /// the tier makes this an exact prefix extraction, in `(time, seq)`
+    /// order.
     fn prime_overflow(&mut self) {
         let window_end = self.cur_day.saturating_add(self.num_days);
         while let Some(front) = self.overflow.peek() {
@@ -516,17 +580,19 @@ impl<T> CalendarQueue<T> {
             if day <= self.cur_day {
                 self.cur.push(event);
             } else {
-                self.push_in_window(day, event);
+                let Keyed { time, payload, .. } = event;
+                self.push_in_window(day, Scheduled { time, payload });
             }
         }
     }
 
     /// Moves the current day's bucket into the day run, returns its chunks
-    /// to the pool and sorts the run once — earliest last, so draining it
-    /// is a `Vec::pop`.
+    /// to the pool and sorts the run once, stably by time.
     fn load_current_bucket(&mut self) {
         let bucket = &mut self.buckets[idx_u64(self.cur_day % self.num_days)];
         let held: usize = bucket.iter().map(Vec::len).sum();
+        self.day.clear();
+        self.day_head = 0;
         // Exact, not amortised: the run stays as large as the largest day.
         self.day.reserve_exact(held);
         for mut chunk in bucket.drain(..) {
@@ -534,7 +600,95 @@ impl<T> CalendarQueue<T> {
             self.pool.push(chunk);
         }
         self.in_window -= held;
-        self.day.sort_unstable();
+        sort_by_time(&mut self.day, &mut self.spare, &mut self.counts);
+    }
+}
+
+/// A time's sort key: its bits as an unsigned integer that orders like
+/// [`f64::total_cmp`] — negative values with every bit flipped, the others
+/// with only the sign bit set — so `-0.0` sorts before `+0.0`.
+fn time_key(time: f64) -> u64 {
+    let bits = time.to_bits();
+    bits ^ (0u64.wrapping_sub(bits >> 63) | 1 << 63)
+}
+
+/// Sorts `run` stably by time, ascending: an insertion sort for short
+/// runs, otherwise an LSD radix sort over the bits in which the keys
+/// differ, ping-ponging through `spare`. `spare` and `counts` are scratch,
+/// retained by the caller so that a warm sort allocates nothing.
+fn sort_by_time<T: Copy>(
+    run: &mut Vec<Scheduled<T>>,
+    spare: &mut Vec<Scheduled<T>>,
+    counts: &mut Vec<usize>,
+) {
+    let n = run.len();
+    if n <= INSERTION_SORT_MAX {
+        for i in 1..n {
+            let event = run[i];
+            let key = time_key(event.time);
+            let mut j = i;
+            while j > 0 && time_key(run[j - 1].time) > key {
+                run[j] = run[j - 1];
+                j -= 1;
+            }
+            run[j] = event;
+        }
+        return;
+    }
+    // Bits above the highest one in which the smallest and the largest
+    // key differ are shared by every key of the run: no pass needs them.
+    let (low, high) = run.iter().fold((u64::MAX, 0), |(low, high), event| {
+        let key = time_key(event.time);
+        (low.min(key), high.max(key))
+    });
+    let bits = u64::BITS - (low ^ high).leading_zeros();
+    // Digits about as wide as the run is long: a pass then spends no more
+    // on its histogram row than on moving events.
+    let digit_bits = n.ilog2().min(MAX_DIGIT_BITS);
+    let radix = 1usize << digit_bits;
+    let passes = bits.div_ceil(digit_bits);
+    // Digit `pass` of a sort key, least significant first.
+    let digit = |key: u64, pass: u32| idx_u64((key >> (pass * digit_bits)) & (radix as u64 - 1));
+    counts.clear();
+    counts.resize(idx(passes) * radix, 0);
+    for event in run.iter() {
+        let key = time_key(event.time);
+        for pass in 0..passes {
+            counts[idx(pass) * radix + digit(key, pass)] += 1;
+        }
+    }
+    if spare.len() < n {
+        spare.reserve_exact(n - spare.len());
+        spare.resize(n, run[0]);
+    }
+    let mut in_spare = false;
+    let first_key = time_key(run[0].time);
+    for pass in 0..passes {
+        let slots = &mut counts[idx(pass) * radix..idx(pass + 1) * radix];
+        if slots[digit(first_key, pass)] == n {
+            continue; // every key shares this digit
+        }
+        let mut offset = 0;
+        for slot in slots.iter_mut() {
+            let count = *slot;
+            *slot = offset;
+            offset += count;
+        }
+        let (src, dst) = if in_spare {
+            (&spare[..n], &mut run[..n])
+        } else {
+            (&run[..n], &mut spare[..n])
+        };
+        for &event in src {
+            let slot = &mut slots[digit(time_key(event.time), pass)];
+            dst[*slot] = event;
+            *slot += 1;
+        }
+        in_spare = !in_spare;
+    }
+    if in_spare {
+        std::mem::swap(run, spare);
+        run.truncate(n);
     }
 }
 
@@ -542,8 +696,8 @@ impl<T> CalendarQueue<T> {
 mod tests {
     use super::*;
 
-    fn drain<T>(queue: &mut CalendarQueue<T>) -> Vec<(f64, u64)> {
-        std::iter::from_fn(|| queue.pop().map(|e| (e.time, e.seq))).collect()
+    fn drain<T: Copy>(queue: &mut CalendarQueue<T>) -> Vec<(f64, T)> {
+        std::iter::from_fn(|| queue.pop().map(|e| (e.time, e.payload))).collect()
     }
 
     #[test]
@@ -554,7 +708,7 @@ mod tests {
         }
         assert_eq!(
             drain(&mut queue),
-            vec![(0.0, 5), (0.5, 2), (0.5, 3), (2.75, 4), (3.0, 1), (3.0, 6)]
+            vec![(0.0, 4), (0.5, 1), (0.5, 2), (2.75, 3), (3.0, 0), (3.0, 5)]
         );
         assert_eq!(queue.high_water(), 6);
     }
@@ -620,7 +774,7 @@ mod tests {
         queue.push(0.5, 0);
         queue.push(5.5, 1); // overflow at insert time
         queue.push(2.5, 2); // in-window
-        assert_eq!(drain(&mut queue), vec![(0.5, 1), (2.5, 3), (5.5, 2)]);
+        assert_eq!(drain(&mut queue), vec![(0.5, 0), (2.5, 2), (5.5, 1)]);
     }
 
     #[test]
@@ -634,8 +788,9 @@ mod tests {
         assert!(queue.is_empty());
         assert_eq!(queue.high_water(), 0);
         queue.push(1.0, 7);
-        let event = queue.pop().expect("non-empty");
-        assert_eq!((event.time, event.seq, event.payload), (1.0, 1, 7));
+        queue.push(0.0, 8);
+        queue.push(1.0, 9);
+        assert_eq!(drain(&mut queue), vec![(0.0, 8), (1.0, 7), (1.0, 9)]);
     }
 
     #[test]
@@ -666,13 +821,20 @@ mod tests {
         let high_water = queue.high_water();
         assert_eq!(high_water, (LEAD + 1) * BURST);
 
+        // Ring and day entries are `{time, payload}`; heap entries also
+        // carry their sequence number.
         let footprint = CalendarQueue::<u32>::event_footprint();
+        assert_eq!(footprint, 16);
+        assert_eq!(size_of::<Keyed<u32>>(), 24);
+        let heaps = (queue.cur.capacity() + queue.overflow.capacity()) * size_of::<Keyed<u32>>();
         let resident = queue.resident_bytes();
         // Chunks for the high-water population, one partial chunk per
-        // bucket; the day run (one burst) fits into the slack the mostly
-        // empty ring leaves of that second term.
+        // bucket, the day run and its sort buffer (one burst each).
         assert!(
-            resident <= (high_water + (NUM_BUCKETS + 2) * CHUNK) * footprint + queue.spine_bytes(),
+            resident
+                <= (high_water + NUM_BUCKETS * CHUNK + 2 * BURST) * footprint
+                    + heaps
+                    + queue.spine_bytes(),
             "resident {resident} bytes ({} events) at high water {high_water}",
             resident / footprint
         );
@@ -682,6 +844,29 @@ mod tests {
         // repeat of the same run.
         queue.reset(1.0, NUM_BUCKETS);
         assert_eq!(queue.resident_bytes(), resident);
+    }
+
+    #[test]
+    fn day_sort_is_stable_and_orders_like_total_cmp() {
+        // Runs on both sides of the insertion-sort cutoff, with ties,
+        // signed zeros and keys differing in high bits only.
+        let times = [-0.0, 0.0, 1.5, -2.0, f64::MIN_POSITIVE, 1.5, -0.0, 3.0e10];
+        let (mut spare, mut counts) = (Vec::new(), Vec::new());
+        for len in [7usize, 48, 49, 1_000] {
+            let mut run: Vec<Scheduled<usize>> = (0..len)
+                .map(|i| Scheduled {
+                    time: times[i * 5 % times.len()],
+                    payload: i,
+                })
+                .collect();
+            let mut expected = run.clone();
+            expected.sort_by(|a, b| a.time.total_cmp(&b.time));
+            sort_by_time(&mut run, &mut spare, &mut counts);
+            let bits = |run: &[Scheduled<usize>]| -> Vec<(u64, usize)> {
+                run.iter().map(|e| (e.time.to_bits(), e.payload)).collect()
+            };
+            assert_eq!(bits(&run), bits(&expected), "run of {len}");
+        }
     }
 
     #[test]
@@ -716,5 +901,14 @@ mod tests {
         // Zero forwarding delay falls back to the gossip period.
         let width = config.resolved_width(0.0, 10.0);
         assert!((width - 40.0 / 512.0).abs() < 1e-12);
+        // Every finite delay gives a usable width.
+        let width = config.resolved_width(f64::MAX, 10.0);
+        assert!(width.is_finite() && width > 0.0);
+        assert!(SchedConfig {
+            num_buckets: 1,
+            ..config
+        }
+        .resolved_width(f64::MAX, 10.0)
+        .is_finite());
     }
 }

@@ -4,13 +4,16 @@
 //! The scheduler's whole contract is pop-order equivalence: for any push
 //! sequence a discrete-event simulation can produce (times never earlier
 //! than the last pop — delays are non-negative), [`CalendarQueue`] must
-//! yield exactly the `(time, seq, payload)` stream [`HeapQueue`] yields.
-//! These tests drive both queues through the same randomized workloads —
-//! arbitrary insert/pop interleavings, equal-timestamp bursts, times on and
-//! one ULP below bucket boundaries, and far-future spills through the
-//! overflow tier — across randomized bucket geometries, and assert the
-//! streams stay identical element for element. The `PROPTEST_CASES=256` CI
-//! job runs them at depth.
+//! yield exactly the stream [`HeapQueue`] yields. Every push carries its
+//! unique push index as payload, so comparing `(time bits, payload)` pins
+//! the insertion-order tie-break as well as the times. These tests drive
+//! both queues through the same randomized workloads — arbitrary
+//! insert/pop interleavings, equal-timestamp bursts, times on and one ULP
+//! below bucket boundaries, and far-future spills through the overflow
+//! tier — across randomized bucket geometries, and assert the streams stay
+//! identical element for element; fixed workloads cover the cases the
+//! calendar queue's sequence-free ordering argument rests on. The
+//! `PROPTEST_CASES=256` CI job runs the property tests at depth.
 
 use proptest::prelude::*;
 
@@ -102,14 +105,19 @@ impl Lockstep {
         }
     }
 
+    /// Pops both queues until the clock reaches `time`, or both are empty.
+    fn pop_until(&mut self, time: f64) {
+        while self.clock < time && self.pop() {}
+    }
+
     /// Pops both queues, asserts the events match, returns `false` once
     /// both are empty.
     fn pop(&mut self) -> bool {
         match (self.calendar.pop(), self.oracle.pop()) {
             (Some(a), Some(b)) => {
                 assert_eq!(
-                    (a.time, a.seq, a.payload),
-                    (b.time, b.seq, b.payload),
+                    (a.time.to_bits(), a.payload),
+                    (b.time.to_bits(), b.payload),
                     "divergence after {} pushes at clock {}",
                     self.pushed,
                     self.clock
@@ -131,7 +139,7 @@ impl Lockstep {
 }
 
 /// Runs `ops` through both queues in lockstep, asserting every popped
-/// `(time, seq, payload)` triple matches; then drains both queues and
+/// `(time bits, payload)` pair matches; then drains both queues and
 /// asserts the tails match too.
 fn assert_equivalent(width: f64, num_buckets: usize, ops: &[Op]) {
     let mut pair = Lockstep::new(width, num_buckets);
@@ -330,4 +338,86 @@ fn reset_to_a_smaller_run_then_a_larger_one_matches_the_heap_oracle() {
     pair.push_spread(600, 100.0, 1.0);
     pair.drain();
     assert_eq!(pair.calendar.high_water(), 9_600);
+}
+
+#[test]
+fn equal_times_through_overflow_then_direct_pushes_match_the_heap_oracle() {
+    // A 4-day window stepping day by day: one event per day keeps the ring
+    // non-empty, so the cursor never jumps. Day 10 first fills up in the
+    // overflow tier with exact ties; the window reaches it while day 7 is
+    // current and the batch migrates into its bucket; then direct pushes
+    // at the very same times join the bucket behind the batch.
+    let mut pair = Lockstep::new(1.0, 4);
+    for day in 0..12 {
+        pair.push(f64::from(day) + 0.5);
+    }
+    for i in 0..150 {
+        pair.push(if i % 3 == 0 { 10.25 } else { 10.5 });
+    }
+    assert_eq!(pair.calendar.overflow_high_water(), 158);
+    pair.pop_until(7.5);
+    for i in 0..60 {
+        pair.push(if i % 2 == 0 { 10.25 } else { 10.5 });
+    }
+    pair.pop_until(9.5);
+    pair.push(10.5);
+    pair.drain();
+}
+
+#[test]
+fn jump_advance_with_equal_overflow_times_matches_the_heap_oracle() {
+    // Once day 0 is drained the window is empty and the cursor jumps to
+    // day 50: its overflow events, several at one time, migrate straight
+    // into the late heap; zero-delay pushes made while it drains tie with
+    // them and must pop after them.
+    let mut pair = Lockstep::new(1.0, 4);
+    pair.push(0.5);
+    for i in 0..6 {
+        pair.push(if i % 2 == 0 { 50.5 } else { 50.25 });
+    }
+    pair.push(51.5);
+    pair.push(60.5);
+    pair.push(60.5);
+    pair.pop_until(50.25);
+    pair.push(50.25);
+    pair.push(50.5);
+    pair.push(50.5);
+    pair.pop_until(50.5);
+    pair.push(50.5);
+    pair.drain();
+}
+
+#[test]
+fn signed_zero_times_match_the_heap_oracle() {
+    // `-0.0` orders before `+0.0` under `total_cmp`, the heap's order; a
+    // long mixed burst, then a short one pushed while the first drains.
+    let mut pair = Lockstep::new(0.5, 8);
+    for i in 0..120 {
+        pair.push(if i % 3 == 0 { 0.0 } else { -0.0 });
+    }
+    pair.push(0.25);
+    for _ in 0..30 {
+        assert!(pair.pop());
+    }
+    for i in 0..10 {
+        pair.push(if i % 2 == 0 { 0.0 } else { -0.0 });
+    }
+    pair.drain();
+}
+
+#[test]
+fn days_around_the_insertion_sort_cutoff_match_the_heap_oracle() {
+    // The day run is insertion-sorted up to 48 events and radix-sorted
+    // above: days of 40, 48, 49 and 400 events reached through the bucket
+    // ring, each mostly exact ties of three times pushed out of order.
+    for count in [40u32, 48, 49, 400] {
+        let mut pair = Lockstep::new(1.0, 8);
+        pair.push(0.5);
+        for i in 0..count {
+            pair.push(3.0 + f64::from(2 - i % 3) * 0.25);
+        }
+        pair.push(3.0 + 1.0 / 3.0);
+        pair.drain();
+        assert_eq!(pair.calendar.high_water(), count as usize + 2);
+    }
 }

@@ -29,7 +29,7 @@ use hybridcast_sim::GossipRuntime;
 
 use crate::network::Network;
 
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum Event {
     /// A node's periodic membership gossip fires.
     GossipTick { node: NodeId },
@@ -188,7 +188,6 @@ pub fn disseminate_async<W: Substrate, P: Probe>(
     while let Some(Scheduled {
         time,
         payload: event,
-        ..
     }) = queue.pop()
     {
         if time > config.max_time {

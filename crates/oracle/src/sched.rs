@@ -1,17 +1,52 @@
 //! [`HeapQueue`]: the retained-`BinaryHeap` event queue
 //! `hybridcast_core::sched::CalendarQueue` replaced, kept as its reference.
 
+use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use hybridcast_core::sched::Scheduled;
 
+/// A heap entry: the due time, the insertion sequence number that breaks
+/// time ties, and the payload. Ordered by `(time, seq)` only, reversed, so
+/// the max-`BinaryHeap` pops earliest-first.
+#[derive(Debug, Clone)]
+struct Entry<T> {
+    time: f64,
+    seq: u64,
+    payload: T,
+}
+
+impl<T> PartialEq for Entry<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl<T> Eq for Entry<T> {}
+
+impl<T> Ord for Entry<T> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other
+            .time
+            .total_cmp(&self.time)
+            .then(other.seq.cmp(&self.seq))
+    }
+}
+
+impl<T> PartialOrd for Entry<T> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
 /// The retained-`BinaryHeap` event queue the calendar queue replaced, kept
 /// under the same `push`/`pop` API as the differential-test **oracle** and
 /// the `sched_overhead` benchmark comparator. Pops in ascending
-/// `(time, seq)` order; ties are FIFO.
+/// `(time, insertion sequence)` order, times compared by
+/// [`f64::total_cmp`]; ties are FIFO.
 #[derive(Debug, Clone, Default)]
 pub struct HeapQueue<T> {
-    heap: BinaryHeap<Scheduled<T>>,
+    heap: BinaryHeap<Entry<T>>,
     seq: u64,
     high_water: usize,
 }
@@ -51,7 +86,7 @@ impl<T> HeapQueue<T> {
     /// Schedules `payload` at `time`, assigning the next sequence number.
     pub fn push(&mut self, time: f64, payload: T) {
         self.seq += 1;
-        self.heap.push(Scheduled {
+        self.heap.push(Entry {
             time,
             seq: self.seq,
             payload,
@@ -64,7 +99,9 @@ impl<T> HeapQueue<T> {
     /// Removes and returns the earliest `(time, seq)` event, or `None` if
     /// the queue is empty.
     pub fn pop(&mut self) -> Option<Scheduled<T>> {
-        self.heap.pop()
+        self.heap
+            .pop()
+            .map(|Entry { time, payload, .. }| Scheduled { time, payload })
     }
 }
 
@@ -97,7 +134,7 @@ mod tests {
                 let b = oracle.pop();
                 match (a, b) {
                     (Some(x), Some(y)) => {
-                        assert_eq!((x.time, x.seq, x.payload), (y.time, y.seq, y.payload));
+                        assert_eq!((x.time.to_bits(), x.payload), (y.time.to_bits(), y.payload));
                         clock = x.time;
                     }
                     (None, None) => {}
@@ -108,7 +145,7 @@ mod tests {
         loop {
             match (calendar.pop(), oracle.pop()) {
                 (Some(x), Some(y)) => {
-                    assert_eq!((x.time, x.seq, x.payload), (y.time, y.seq, y.payload));
+                    assert_eq!((x.time.to_bits(), x.payload), (y.time.to_bits(), y.payload));
                 }
                 (None, None) => break,
                 other => panic!("queues diverged at drain: {other:?}"),
