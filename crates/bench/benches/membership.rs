@@ -2,7 +2,10 @@
 //! runtime with the id-keyed oracle runtime (`hybridcast-oracle`) on
 //! identical work: the cost of one full gossip cycle
 //! (Cyclon + Vicinity for every node) at different network sizes, a gossip
-//! cycle with the paper's churn applied, and a single node join.
+//! cycle with the paper's churn applied, and a single node join. The arena
+//! runtime's gossip cycle is also timed with Cyclon alone
+//! (`gossip_cycle/dense_cyclon_only`, `run_vicinity: false`), so the two
+//! arms split a cycle into its Cyclon and Vicinity halves.
 //!
 //! Sizes default to 250 / 1,000 / 4,000 nodes; set `HYBRIDCAST_BENCH_NODES`
 //! to benchmark one specific scale (CI smoke-runs this at a reduced size).
@@ -36,8 +39,8 @@ fn warmed_btree(nodes: usize) -> Network {
     network
 }
 
-fn warmed_dense(nodes: usize) -> DenseSimNetwork {
-    let mut network = DenseSimNetwork::new(config(nodes), 7);
+fn warmed_dense(config: SimConfig) -> DenseSimNetwork {
+    let mut network = DenseSimNetwork::new(config, 7);
     network.run_cycles(30);
     network
 }
@@ -53,14 +56,20 @@ fn bench_gossip_cycle(c: &mut Criterion) {
                 criterion::BatchSize::LargeInput,
             )
         });
-        let dense = warmed_dense(nodes);
-        group.bench_with_input(BenchmarkId::new("dense", nodes), &nodes, |b, _| {
-            b.iter_batched(
-                || dense.clone(),
-                |mut net| net.run_cycles(1),
-                criterion::BatchSize::LargeInput,
-            )
-        });
+        let cyclon_only = SimConfig {
+            run_vicinity: false,
+            ..config(nodes)
+        };
+        for (arm, config) in [("dense", config(nodes)), ("dense_cyclon_only", cyclon_only)] {
+            let dense = warmed_dense(config);
+            group.bench_with_input(BenchmarkId::new(arm, nodes), &nodes, |b, _| {
+                b.iter_batched(
+                    || dense.clone(),
+                    |mut net| net.run_cycles(1),
+                    criterion::BatchSize::LargeInput,
+                )
+            });
+        }
     }
     group.finish();
 }
@@ -76,7 +85,7 @@ fn bench_churn_cycle(c: &mut Criterion) {
             criterion::BatchSize::LargeInput,
         )
     });
-    let dense = warmed_dense(nodes);
+    let dense = warmed_dense(config(nodes));
     group.bench_function(BenchmarkId::new("dense", nodes), |b| {
         b.iter_batched(
             || (dense.clone(), ChurnDriver::new(ChurnConfig::default())),
@@ -100,7 +109,7 @@ fn bench_node_join(c: &mut Criterion) {
             criterion::BatchSize::LargeInput,
         )
     });
-    let dense = warmed_dense(nodes);
+    let dense = warmed_dense(config(nodes));
     c.bench_function("membership/node_join/dense", |b| {
         b.iter_batched(
             || dense.clone(),

@@ -21,6 +21,17 @@ fn main() {
     hybridcast_bench::cli::run_main(run)
 }
 
+/// The ratio as a row label that fits its 18-character column: `Display`
+/// when it fits (every default ratio does), else the shortest exponent
+/// form, else the exponent form rounded to 12 significant digits, which
+/// fits every finite non-negative `f64`.
+fn label(ratio: f64) -> String {
+    [format!("{ratio}"), format!("{ratio:e}")]
+        .into_iter()
+        .find(|s| s.len() <= 18)
+        .unwrap_or_else(|| format!("{ratio:.11e}"))
+}
+
 fn run() -> Result<(), String> {
     let args = Args::from_env()?;
     let params = ExperimentParams::from_args(&args)?;
@@ -50,7 +61,7 @@ fn run() -> Result<(), String> {
     for row in &rows {
         println!(
             "{:<18} {:>12.6} {:>14.1} {:>20}",
-            row.delay_over_period,
+            label(row.delay_over_period),
             row.mean_hit_ratio,
             row.mean_messages,
             row.mean_completion_time

@@ -372,3 +372,29 @@ fn async_ablation_rejects_ratios_that_overflow_the_delay() {
     );
     assert!(!stderr.contains("panicked"), "{name}: {stderr}");
 }
+
+#[test]
+fn async_ablation_row_labels_fit_their_column() {
+    // `Display` spells 1e307 with 308 digits and 1e-300 with 302; the
+    // label falls back to an exponent form, rounded when even that is too
+    // long, so every row keeps the table's columns.
+    let (name, exe) = bin!("ablation_async_latency");
+    let ratios = "0.5,1e307,1e-300,1.2345678901234567e-300";
+    let output = run(
+        name,
+        exe,
+        &["--nodes", "200", "--runs", "2", "--ratios", ratios],
+    );
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    let labels: Vec<&str> = stdout
+        .lines()
+        .skip(1)
+        .filter_map(|line| line.split_whitespace().next())
+        .collect();
+    assert_eq!(
+        labels,
+        ["0.5", "1e307", "1e-300", "1.23456789012e-300"],
+        "{stdout}"
+    );
+    assert!(labels.iter().all(|label| label.len() <= 18), "{stdout}");
+}

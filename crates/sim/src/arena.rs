@@ -16,13 +16,22 @@
 //! a contiguous slot range (`base..base + slots`) with all protocol
 //! operations — the initiator half of each exchange
 //! ([`CyChunk::begin_shuffle`], [`ViChunk::pick_partner`]), the Cyclon
-//! payload and merge rules and the Vicinity payload and merge rules (both
-//! one [`RingSelection`]) — expressed against chunk-relative rows. The
-//! sequential kernel takes the chunk covering the whole arena
-//! ([`CyArena::full`]), the frontier kernel one chunk per worker
+//! payload and merge rules and the Vicinity payload and merge rules —
+//! expressed against chunk-relative rows. The sequential kernel takes the
+//! chunk covering the whole arena ([`CyArena::full`]), the frontier kernel
+//! one chunk per worker
 //! ([`CyArena::chunks`]). Every rule is generic over its draw source and
 //! stated once, which is what guarantees the two kernels agree on protocol
 //! semantics even though their RNG schedules differ.
+//!
+//! **Row order.** A Cyclon row is in view order, which the payload shuffle
+//! and eviction read. A Vicinity row is kept in ascending [`ring_rank`]
+//! around its owner's key: [`ViChunk::merge`] writes it so and
+//! [`ViChunk::remove_id`]'s shift keeps it. No rule can tell: the partner
+//! choice takes (max age, min id), entries are found by id, and the ring
+//! neighbours and both selections depend on the set alone. The order is
+//! what lets a merge start from the row as it is, a payload be a window
+//! read and the ring neighbours be the row's two ends.
 
 // D3: index casts go through `hybridcast_graph::cast`; tests are exempt.
 #![cfg_attr(
@@ -78,7 +87,7 @@ pub(crate) fn ring_rank(centre: u64, key: u64, id: u64) -> u128 {
 }
 
 /// Bounded two-ended selection: the `k` descriptors closest to a centre key
-/// in `rank_by_ring_distance` order, picked out of a stream of candidates
+/// in `rank_by_ring_distance`'s sense, picked out of a stream of candidates
 /// without building, de-duplicating or sorting the whole pool.
 ///
 /// `rank_by_ring_distance` sorts by [`ring_rank`] and emits front, back,
@@ -106,10 +115,25 @@ pub(crate) struct RingSelection {
 }
 
 impl RingSelection {
-    /// Starts a selection of the `k` descriptors closest to `centre`.
-    pub fn start(&mut self, centre: u64, k: usize, exclude: u64) {
+    /// Starts a selection of the `k` descriptors closest to `centre` from
+    /// `row`: at most `k` distinct descriptors, none of them `exclude`, in
+    /// ascending [`ring_rank`] around `centre` — a finished selection of
+    /// its own set, so it is copied in without a comparison.
+    pub fn start(
+        &mut self,
+        centre: u64,
+        k: usize,
+        exclude: u64,
+        row: impl Iterator<Item = ViDesc>,
+    ) {
         self.kept.clear();
         self.kept.reserve(k);
+        let rank = |(id, age, key): ViDesc| (ring_rank(centre, key, id), age);
+        self.kept.extend(row.map(rank));
+        debug_assert!(
+            self.kept.len() <= k && self.kept.windows(2).all(|w| w[0].0 < w[1].0),
+            "a Vicinity row is a selection in ascending ring order"
+        );
         self.centre = centre;
         self.k = k;
         self.exclude = exclude;
@@ -142,7 +166,7 @@ impl RingSelection {
         } else {
             return;
         };
-        // A view row arrives closest-first on alternating sides, so its
+        // A payload arrives closest-first on alternating sides, so its
         // entries land near the top of their part: scan down from there.
         let mut p = hi;
         while p > lo && kept[p - 1].0 > rank {
@@ -174,13 +198,11 @@ impl RingSelection {
         self.kept.len()
     }
 
-    /// The selected descriptors, closest first, alternating successor and
-    /// predecessor sides: element for element the first `k` entries of
-    /// `rank_by_ring_distance` over the de-duplicated candidates.
-    pub fn ranked(&self) -> impl Iterator<Item = ViDesc> + '_ {
-        let n = self.kept.len();
-        (0..n).map(move |j| {
-            let (rank, age) = self.kept[if j % 2 == 0 { j / 2 } else { n - 1 - j / 2 }];
+    /// The selected descriptors in ascending [`ring_rank`] around the
+    /// centre: the ranker's first `k`, with its front, back, front, …
+    /// alternation undone.
+    pub fn sorted(&self) -> impl Iterator<Item = ViDesc> + '_ {
+        self.kept.iter().map(|&(rank, age)| {
             #[expect(
                 clippy::cast_possible_truncation,
                 reason = "a ring rank's low 64 bits are the id: the truncation is the split"
@@ -525,7 +547,8 @@ impl<'a> CyView<'a> {
 
 /// The Vicinity descriptor arena: one fixed-stride view per slot and ring
 /// (stride `vic_rings * vic` per slot) in parallel `id` / `age` / `key`
-/// arrays.
+/// arrays. Each row is in ascending [`ring_rank`] around its owner's key on
+/// that ring, an order no protocol rule can observe (see the module doc).
 #[derive(Debug, Clone)]
 pub(crate) struct ViArena {
     id: Vec<u64>,
@@ -616,31 +639,15 @@ impl ViArena {
     }
 
     /// The ring neighbours `(predecessor, successor)` of `slot` on one ring,
-    /// computed from its view exactly like `VicinityNode::ring_neighbors`:
-    /// the entries of highest and lowest [`ring_rank`] around `own_key` —
-    /// the [`RingSelection`] order with `k = 2`, read off in one pass. A
-    /// single-entry view is its own two-node ring.
-    pub fn ring_neighbors(
-        &self,
-        slot: u32,
-        ring: usize,
-        own_key: u64,
-    ) -> (Option<NodeId>, Option<NodeId>) {
+    /// as `VicinityNode::ring_neighbors` finds them: the entries of highest
+    /// and lowest [`ring_rank`] around the node's key, which are the last
+    /// and the first of its ascending row. A single-entry view is its own
+    /// two-node ring.
+    pub fn ring_neighbors(&self, slot: u32, ring: usize) -> (Option<NodeId>, Option<NodeId>) {
         let base = (idx(slot) * self.vic_rings + ring) * self.vic;
-        let len = idx(self.len[idx(slot) * self.vic_rings + ring]);
-        let ends = (base..base + len)
-            .map(|i| ring_rank(own_key, self.key[i], self.id[i]))
-            .fold(None, |ends: Option<(u128, u128)>, rank| {
-                let (succ, pred) = ends.unwrap_or((rank, rank));
-                Some((succ.min(rank), pred.max(rank)))
-            });
-        // The low half of a rank is the id.
-        #[expect(
-            clippy::cast_possible_truncation,
-            reason = "a ring rank's low 64 bits are the id: the truncation is the split"
-        )]
-        let id = |rank: u128| NodeId::new(rank as u64);
-        (ends.map(|e| id(e.1)), ends.map(|e| id(e.0)))
+        let row = &self.id[base..base + idx(self.len[idx(slot) * self.vic_rings + ring])];
+        let node = |&id: &u64| NodeId::new(id);
+        (row.last().map(node), row.first().map(node))
     }
 }
 
@@ -753,8 +760,17 @@ impl ViChunk<'_> {
 
     /// The Vicinity request/reply payload rule (`VicinityNode::payload_for`):
     /// the view entries closest to the target's key (never the target
-    /// itself), capped at `gos - 1`, plus a fresh descriptor of the local
-    /// node. `target` and `own` are `(id, ring key)` pairs.
+    /// itself), capped at `gos - 1`, in `rank_by_ring_distance` order, plus
+    /// a fresh descriptor of the local node. `target` and `own` are
+    /// `(id, ring key)` pairs.
+    ///
+    /// Around the target's key the row's ring order is the same cycle,
+    /// rotated: with `δ = target key − own key`, the `p` entries whose
+    /// `key − own key − 1` falls below `δ` move to the back, and ties on a
+    /// key stay ordered by id. So the payload is a window read of
+    /// `row[p..] ++ row[..p]` without the target: with `m` the smaller of
+    /// `gos - 1` and the entries left, its first `⌈m/2⌉` and last `⌊m/2⌋`,
+    /// emitted front, back, front, ….
     pub fn payload_into(
         &self,
         slot: u32,
@@ -762,19 +778,40 @@ impl ViChunk<'_> {
         target: (u64, u64),
         own: (u64, u64),
         out: &mut Vec<ViDesc>,
-        sel: &mut RingSelection,
     ) {
-        sel.start(target.1, self.gos.saturating_sub(1), target.0);
-        self.offer_view(slot, ring, sel);
+        let base = self.row(slot, ring);
+        let n = self.view_len(slot, ring);
+        let (id, age, key) = (
+            &self.id[base..base + n],
+            &self.age[base..base + n],
+            &self.key[base..base + n],
+        );
+        let delta = target.1.wrapping_sub(own.1);
+        let p = key.partition_point(|&k| k.wrapping_sub(own.1).wrapping_sub(1) < delta);
+        // Rotated position -> row position, skipping the target.
+        let at = |i: usize| if p + i < n { p + i } else { p + i - n };
+        let mut front = (0..n).map(at).filter(|&i| id[i] != target.0);
+        let mut back = (0..n).rev().map(at).filter(|&i| id[i] != target.0);
+        let m = (n - usize::from(id.contains(&target.0))).min(self.gos.saturating_sub(1));
         out.clear();
-        out.extend(sel.ranked());
+        for j in 0..m {
+            let i = if j % 2 == 0 {
+                front.next()
+            } else {
+                back.next()
+            };
+            let i = i.expect("the two ends of the window never meet");
+            out.push((id[i], age[i], key[i]));
+        }
         out.push((own.0, 0, own.1));
     }
 
     /// The Vicinity merge rule (`VicinityNode::merge`): of the own view
     /// entries, the received descriptors and the random-layer candidates
     /// (younger duplicate wins), keep the `vic` closest to the local key,
-    /// closest first. `own` is the local `(id, ring key)`.
+    /// stored in ascending ring order. The row itself is already such a
+    /// selection, so only the received descriptors and the candidates are
+    /// offered. `own` is the local `(id, ring key)`.
     pub fn merge(
         &mut self,
         slot: u32,
@@ -784,26 +821,19 @@ impl ViChunk<'_> {
         cyclon_candidates: &[ViDesc],
         sel: &mut RingSelection,
     ) {
-        sel.start(own.1, self.vic, own.0);
-        self.offer_view(slot, ring, sel);
+        let base = self.row(slot, ring);
+        let row = (base..base + self.view_len(slot, ring))
+            .map(|i| (self.id[i], self.age[i], self.key[i]));
+        sel.start(own.1, self.vic, own.0, row);
         for &d in received.iter().chain(cyclon_candidates) {
             sel.offer(d);
         }
-        let base = self.row(slot, ring);
-        for (i, (id, age, key)) in sel.ranked().enumerate() {
+        for (i, (id, age, key)) in sel.sorted().enumerate() {
             self.id[base + i] = id;
             self.age[base + i] = age;
             self.key[base + i] = key;
         }
         self.len[self.l(slot) * self.vic_rings + ring] = to_u32(sel.len());
-    }
-
-    /// Offers every view entry of `slot` on `ring` to `sel`, in view order.
-    fn offer_view(&self, slot: u32, ring: usize, sel: &mut RingSelection) {
-        let base = self.row(slot, ring);
-        for i in base..base + self.view_len(slot, ring) {
-            sel.offer((self.id[i], self.age[i], self.key[i]));
-        }
     }
 }
 
@@ -841,6 +871,7 @@ mod tests {
             .collect()
     }
 
+    /// Runs a selection over `pool` and reads it in the ranker's order.
     fn select(
         sel: &mut RingSelection,
         centre: u64,
@@ -848,12 +879,51 @@ mod tests {
         exclude: u64,
         pool: &[ViDesc],
     ) -> Vec<ViDesc> {
-        sel.start(centre, k, exclude);
+        sel.start(centre, k, exclude, std::iter::empty());
         for &d in pool {
             sel.offer(d);
         }
-        assert_eq!(sel.len(), sel.ranked().count());
-        sel.ranked().collect()
+        let sorted: Vec<ViDesc> = sel.sorted().collect();
+        assert_eq!(sel.len(), sorted.len());
+        let n = sorted.len();
+        (0..n)
+            .map(|j| sorted[if j % 2 == 0 { j / 2 } else { n - 1 - j / 2 }])
+            .collect()
+    }
+
+    /// A one-slot, one-ring arena whose row holds the first copy of each id
+    /// in `entries` (never `owner`), keyed by [`key_of`], in ascending ring
+    /// order around the owner's key and cut to `vic`. Returns the row too.
+    fn one_row(
+        entries: &[(u64, u32)],
+        owner: u64,
+        spread: u64,
+        vic: usize,
+        gos: usize,
+    ) -> (ViArena, Vec<ViDesc>) {
+        let own_key = key_of(owner, spread);
+        let mut row: Vec<ViDesc> = Vec::new();
+        for &(id, age) in entries {
+            if id != owner && row.iter().all(|d| d.0 != id) {
+                row.push((id, age, key_of(id, spread)));
+            }
+        }
+        row.sort_by_key(|&(id, _, key)| ring_rank(own_key, key, id));
+        row.truncate(vic);
+        let mut vi = ViArena::with_capacity(1, vic, 1, gos);
+        vi.push_slot();
+        for (i, &(id, age, key)) in row.iter().enumerate() {
+            (vi.id[i], vi.age[i], vi.key[i]) = (id, age, key);
+        }
+        vi.len[0] = to_u32(row.len());
+        (vi, row)
+    }
+
+    /// The `(id, age, key)` entries of the one row of a [`one_row`] arena.
+    fn row_of(vi: &ViArena) -> Vec<ViDesc> {
+        (0..idx(vi.len[0]))
+            .map(|i| (vi.id[i], vi.age[i], vi.key[i]))
+            .collect()
     }
 
     /// Every id has one ring key, seven ids share each key, and the keys
@@ -927,6 +997,86 @@ mod tests {
             prop_assert_eq!(
                 select(&mut sel, centre, k, exclude, &pool),
                 oracle(centre, k, exclude, &pool)
+            );
+        }
+    }
+
+    proptest! {
+        /// The payload's window read over an ascending row equals the
+        /// ranker around the target's key: shared keys, the target in the
+        /// row or not, a target sharing the owner's key, a centre one step
+        /// before or after a row key (the rotation's cut), keys on both
+        /// sides of the ring's wrap-around point, and `gos - 1` below, at
+        /// and above the row's length.
+        #[test]
+        fn payload_window_equals_the_ranker_around_the_target(
+            entries in prop::collection::vec((0u64..40, 0u32..6), 0..40),
+            owner in 0u64..40,
+            target in 0u64..48,
+            target_at_owner_key in any::<bool>(),
+            shift in 0u64..3,
+            spread in any::<u64>(),
+            vic in 0usize..14,
+            gos in 0usize..16,
+        ) {
+            let (mut vi, row) = one_row(&entries, owner, spread, vic, gos);
+            // Ids of one residue mod 7 share a key.
+            let target = if target_at_owner_key { target - target % 7 + owner % 7 } else { target };
+            let target_key = key_of(target, spread).wrapping_add(shift).wrapping_sub(1);
+            let own = (owner, key_of(owner, spread));
+            let mut out = Vec::new();
+            vi.full().payload_into(0, 0, (target, target_key), own, &mut out);
+            let mut expected = oracle(target_key, gos.saturating_sub(1), target, &row);
+            expected.push((own.0, 0, own.1));
+            prop_assert_eq!(out, expected);
+        }
+
+        /// A merge that starts from the stored row keeps what the ranker
+        /// keeps over the whole pool (row, received, candidates), stored in
+        /// ascending ring order.
+        #[test]
+        fn merge_from_the_stored_row_equals_the_ranker_over_the_pool(
+            entries in prop::collection::vec((0u64..40, 0u32..6), 0..40),
+            received in prop::collection::vec((0u64..48, 0u32..6), 0..12),
+            cand in prop::collection::vec((0u64..48, 0u32..6), 0..24),
+            owner in 0u64..40,
+            spread in any::<u64>(),
+            vic in 0usize..14,
+        ) {
+            let (mut vi, row) = one_row(&entries, owner, spread, vic, 1);
+            let desc = |&(id, age): &(u64, u32)| (id, age, key_of(id, spread));
+            let received: Vec<ViDesc> = received.iter().map(desc).collect();
+            let cand: Vec<ViDesc> = cand.iter().map(desc).collect();
+            let own = (owner, key_of(owner, spread));
+            vi.full().merge(0, 0, own, &received, &cand, &mut RingSelection::default());
+            let pool: Vec<ViDesc> = row.iter().chain(&received).chain(&cand).copied().collect();
+            let mut expected = oracle(own.1, vic, owner, &pool);
+            expected.sort_by_key(|&(id, _, key)| ring_rank(own.1, key, id));
+            prop_assert_eq!(row_of(&vi), expected);
+        }
+
+        /// The row's two ends are the entries of highest and lowest ring
+        /// rank, as the min/max fold over the row found them.
+        #[test]
+        fn ring_neighbors_are_the_min_max_fold_over_the_row(
+            entries in prop::collection::vec((0u64..40, 0u32..6), 0..40),
+            owner in 0u64..40,
+            spread in any::<u64>(),
+            vic in 0usize..14,
+        ) {
+            let (vi, row) = one_row(&entries, owner, spread, vic, 1);
+            let own_key = key_of(owner, spread);
+            let ends = row
+                .iter()
+                .map(|&(id, _, key)| ring_rank(own_key, key, id))
+                .fold(None, |ends: Option<(u128, u128)>, rank| {
+                    let (succ, pred) = ends.unwrap_or((rank, rank));
+                    Some((succ.min(rank), pred.max(rank)))
+                });
+            let id = |rank: u128| NodeId::new(rank as u64);
+            prop_assert_eq!(
+                vi.ring_neighbors(0, 0),
+                (ends.map(|e| id(e.1)), ends.map(|e| id(e.0)))
             );
         }
     }

@@ -432,7 +432,7 @@ impl PerNodeState {
 struct Ctx<'a> {
     ids: &'a [u64],
     positions: &'a [u64],
-    by_id: &'a [u32],
+    slot_of: &'a [u32],
     slot_gen: &'a [u32],
     master: u64,
     cycle: u64,
@@ -456,7 +456,7 @@ impl Ctx<'_> {
 
     /// The live slot of node `id`, if it has one.
     fn lookup(&self, id: u64) -> Option<u32> {
-        lookup_live_in(self.by_id, self.ids, id)
+        lookup_live_in(self.slot_of, id)
     }
 }
 
@@ -505,7 +505,7 @@ impl DenseSimNetwork {
             let ctx = Ctx {
                 ids: &self.ids,
                 positions: &self.positions,
-                by_id: &self.by_id,
+                slot_of: &self.slot_of,
                 slot_gen: &pn.slot_gen,
                 master: pn.master,
                 cycle: self.cycle,
@@ -745,7 +745,7 @@ fn vi_initiate(
         let Some(target) = vi.pick_partner(slot, ring, own.1, &scr.cand, pick) else {
             continue; // No partner known at all.
         };
-        vi.payload_into(slot, ring, target, own, &mut scr.pay, &mut scr.sel);
+        vi.payload_into(slot, ring, target, own, &mut scr.pay);
         match ctx.lookup(target.0) {
             Some(peer) => lane.push_vi(slot, peer, &scr.pay),
             // exchange_failed: drop the dead peer so the ring can re-close
@@ -781,7 +781,6 @@ fn vi_respond(
             rc.node(rec.initiator),
             own,
             &mut scr.reply_v,
-            &mut scr.sel,
         );
         lane.push_vi(rec.initiator, target, &scr.reply_v);
         vi.merge(
