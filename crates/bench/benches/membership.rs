@@ -2,7 +2,8 @@
 //! runtime with the id-keyed oracle runtime (`hybridcast-oracle`) on
 //! identical work: the cost of one full gossip cycle
 //! (Cyclon + Vicinity for every node) at different network sizes, a gossip
-//! cycle with the paper's churn applied, and a single node join. The arena
+//! cycle with the paper's churn applied, and one node joining and leaving
+//! a warmed network. The arena
 //! runtime's gossip cycle is also timed with Cyclon alone
 //! (`gossip_cycle/dense_cyclon_only`, `run_vicinity: false`), so the two
 //! arms split a cycle into its Cyclon and Vicinity halves.
@@ -96,29 +97,24 @@ fn bench_churn_cycle(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_node_join(c: &mut Criterion) {
+/// One join through a random live introducer, then the newcomer's
+/// departure: the population stays constant across iterations, the dense
+/// arena reuses the freed slot, and nothing is cloned or dropped.
+fn join_leave<N: GossipRuntime>(net: &mut N) -> bool {
+    let introducer = net.random_live_node();
+    let newcomer = net.spawn_node(introducer);
+    net.kill_node(newcomer)
+}
+
+fn bench_node_join_leave(c: &mut Criterion) {
     let nodes = bench_sizes()[0];
-    let btree = warmed_btree(nodes);
-    c.bench_function("membership/node_join/btree", |b| {
-        b.iter_batched(
-            || btree.clone(),
-            |mut net| {
-                let introducer = net.random_live_node();
-                net.spawn_node(introducer)
-            },
-            criterion::BatchSize::LargeInput,
-        )
+    let mut btree = warmed_btree(nodes);
+    c.bench_function("membership/node_join_leave/btree", |b| {
+        b.iter(|| join_leave(&mut btree))
     });
-    let dense = warmed_dense(config(nodes));
-    c.bench_function("membership/node_join/dense", |b| {
-        b.iter_batched(
-            || dense.clone(),
-            |mut net| {
-                let introducer = net.random_live_node();
-                GossipRuntime::spawn_node(&mut net, introducer)
-            },
-            criterion::BatchSize::LargeInput,
-        )
+    let mut dense = warmed_dense(config(nodes));
+    c.bench_function("membership/node_join_leave/dense", |b| {
+        b.iter(|| join_leave(&mut dense))
     });
 }
 
@@ -126,6 +122,6 @@ criterion_group!(
     benches,
     bench_gossip_cycle,
     bench_churn_cycle,
-    bench_node_join
+    bench_node_join_leave
 );
 criterion_main!(benches);

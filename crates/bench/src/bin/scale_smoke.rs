@@ -17,7 +17,8 @@
 //! most 1024),
 //! `--gossip-period` (per-node mode only: each node gossips every N
 //! cycles on a seeded stagger, so only ~1/N of the population steps per
-//! cycle — the quiescent-network regime the sparse frontier exists for),
+//! cycle — the quiescent-network regime the sparse frontier exists for; at
+//! most 65,536),
 //! `--check-thread-invariance` (regrows the per-node overlay at
 //! `--threads 1` and fails unless the exported link arrays are
 //! bit-identical), `--async` (additionally pushes one message through the dense
@@ -52,6 +53,7 @@ use hybridcast_core::overlay::{DenseOverlay, Overlay};
 use hybridcast_core::protocols::DenseSelector;
 use hybridcast_core::sched::SchedConfig;
 use hybridcast_sim::churn::{ChurnConfig, ChurnDriver};
+use hybridcast_sim::frontier::MAX_GOSSIP_PERIOD;
 use hybridcast_sim::{DenseSimNetwork, FlatLinks, RngMode, SimConfig};
 
 fn main() {
@@ -76,7 +78,12 @@ fn run() -> Result<(), String> {
         0..=MAX_THREADS,
         &format!("in [0, {MAX_THREADS}]"),
     )?;
-    let gossip_period: u64 = args.get_in("gossip-period", 1, 1.., ">= 1")?;
+    let gossip_period: u64 = args.get_in(
+        "gossip-period",
+        1,
+        1..=MAX_GOSSIP_PERIOD,
+        &format!("in [1, {MAX_GOSSIP_PERIOD}]"),
+    )?;
     let check_thread_invariance = args.flag("check-thread-invariance");
     let run_async = args.flag("async");
     args.finish()?;

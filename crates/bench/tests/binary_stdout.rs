@@ -351,6 +351,35 @@ fn figures_reject_thread_counts_past_the_fixed_bound() {
 }
 
 #[test]
+fn scale_smoke_rejects_a_gossip_period_past_the_fixed_bound() {
+    // Per-node mode keeps one timer bucket per period unit: a period past
+    // 65,536 must end in one `error:` line before the bucket ring is
+    // sized, not in a `capacity overflow` panic or a huge allocation.
+    let (name, exe) = bin!("scale_smoke");
+    for period in ["65537", "18446744073709551615"] {
+        let output = Command::new(exe)
+            .args(["--nodes", "10", "--cycles", "1", "--rng", "per-node"])
+            .args(["--threads", "1", "--gossip-period", period])
+            .output()
+            .unwrap_or_else(|e| panic!("{name}: cannot run {exe}: {e}"));
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            !output.status.success(),
+            "{name} --gossip-period {period} ran"
+        );
+        assert_eq!(
+            stderr
+                .lines()
+                .filter(|line| line.starts_with("error:"))
+                .count(),
+            1,
+            "{name} --gossip-period {period}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{name}: {stderr}");
+    }
+}
+
+#[test]
 fn async_ablation_rejects_ratios_that_overflow_the_delay() {
     // `--ratios` accepts any finite ratio, but the delay is the ratio times
     // the gossip period: 1e308 of them is infinite and must end in one

@@ -45,17 +45,6 @@ pub struct CyclonNode<P> {
     shuffle_len: usize,
 }
 
-/// The state an initiator keeps between sending a shuffle request and
-/// receiving the reply: which target it contacted and which descriptors it
-/// sent (the reply may overwrite exactly those).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PendingShuffle<P> {
-    /// The peer the shuffle request was sent to.
-    pub target: NodeId,
-    /// The descriptors that were sent (including the initiator's own).
-    pub sent: Vec<Descriptor<P>>,
-}
-
 impl<P: Clone> CyclonNode<P> {
     /// Creates a Cyclon node with an empty view.
     ///
@@ -114,9 +103,9 @@ impl<P: Clone> CyclonNode<P> {
     /// `shuffle_len - 1` random other entries).
     ///
     /// Returns `None` when the view is empty (an isolated node cannot
-    /// shuffle). The returned [`PendingShuffle`] must be fed back into
-    /// [`CyclonNode::handle_shuffle_response`] (or
-    /// [`CyclonNode::shuffle_failed`] if the target is unreachable).
+    /// shuffle). The initiator keeps the payload it sent until the reply
+    /// reaches [`CyclonNode::handle_shuffle_response`] (or the target turns
+    /// out unreachable: [`CyclonNode::shuffle_failed`]).
     pub fn initiate_shuffle<R: Rng + ?Sized>(
         &mut self,
         rng: &mut R,
@@ -131,13 +120,6 @@ impl<P: Clone> CyclonNode<P> {
                 .random_descriptors(self.shuffle_len.saturating_sub(1), &[target], rng);
         payload.push(Descriptor::new(self.id, self.profile.clone()));
         Some((target, payload))
-    }
-
-    /// Returns the pending-state value corresponding to an
-    /// [`CyclonNode::initiate_shuffle`] result, for callers that need to
-    /// store it (the simulator passes it around explicitly).
-    pub fn pending(target: NodeId, sent: Vec<Descriptor<P>>) -> PendingShuffle<P> {
-        PendingShuffle { target, sent }
     }
 
     /// Handles an incoming shuffle request from `from`, returning the reply
@@ -157,13 +139,10 @@ impl<P: Clone> CyclonNode<P> {
         reply
     }
 
-    /// Handles the reply to a shuffle this node initiated.
-    pub fn handle_shuffle_response(
-        &mut self,
-        pending: &PendingShuffle<P>,
-        received: &[Descriptor<P>],
-    ) {
-        self.merge_received(received, &pending.sent);
+    /// Handles the reply to a shuffle this node initiated; `sent` is the
+    /// request payload (the reply may overwrite exactly those entries).
+    pub fn handle_shuffle_response(&mut self, sent: &[Descriptor<P>], received: &[Descriptor<P>]) {
+        self.merge_received(received, sent);
     }
 
     /// Records that a shuffle initiated towards an unreachable peer failed.
@@ -171,7 +150,7 @@ impl<P: Clone> CyclonNode<P> {
     /// Cyclon needs no repair action: the target's descriptor was already
     /// removed when the shuffle was initiated, which is precisely how dead
     /// links leave the overlay.
-    pub fn shuffle_failed(&mut self, _pending: &PendingShuffle<P>) {}
+    pub fn shuffle_failed(&mut self, _target: NodeId) {}
 
     /// Merges `received` descriptors into the view following the Cyclon
     /// rules: ignore self-descriptors and already-known nodes, fill empty
@@ -280,12 +259,11 @@ mod tests {
 
         a.begin_cycle();
         b.begin_cycle();
-        let (target, request) = a.initiate_shuffle(&mut rng).unwrap();
-        let pending = CyclonNode::pending(target, request.clone());
+        let (_, request) = a.initiate_shuffle(&mut rng).unwrap();
         // Deliver to b even though target may differ; the protocol only
         // requires a shuffle partner.
         let reply = b.handle_shuffle_request(a.id(), &request, &mut rng);
-        a.handle_shuffle_response(&pending, &reply);
+        a.handle_shuffle_response(&request, &reply);
 
         for node in [&a, &b] {
             let ids = node.view().node_ids();
@@ -344,9 +322,8 @@ mod tests {
     fn failed_shuffle_leaves_target_forgotten() {
         let mut node = node_with_view(0, &[1]);
         let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let (target, sent) = node.initiate_shuffle(&mut rng).unwrap();
-        let pending = CyclonNode::pending(target, sent);
-        node.shuffle_failed(&pending);
+        let (target, _) = node.initiate_shuffle(&mut rng).unwrap();
+        node.shuffle_failed(target);
         assert!(!node.view().contains(target));
     }
 }

@@ -17,26 +17,27 @@
 //!
 //! Both protocols are *cycle-driven*: once every cycle a node initiates an
 //! exchange with one selected peer. The types here expose the three halves
-//! of an exchange (`initiate…`, `handle…request`, `handle…response`) so that
-//! the same implementation can be driven by the deterministic simulator
-//! (`hybridcast-sim`) or by message-passing node threads (`hybridcast-net`).
+//! of an exchange (`initiate…`, `handle…request`, `handle…response`);
+//! [`node::NodeMachine`] sequences them into one node's cycle as a sans-IO
+//! state machine, which the id-keyed reference simulator and the
+//! message-passing node threads (`hybridcast-net`) both drive.
 //!
 //! # Quick example
 //!
 //! ```
-//! use hybridcast_membership::cyclon::CyclonNode;
-//! use hybridcast_membership::descriptor::Descriptor;
+//! use hybridcast_membership::{Descriptor, Gossip, NodeMachine};
 //! use hybridcast_graph::NodeId;
 //! use rand::SeedableRng;
 //!
 //! let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(7);
-//! // Node 1 boots knowing only node 0 (star-topology bootstrap).
-//! let mut node = CyclonNode::new(NodeId::new(1), (), 20, 5);
-//! node.add_bootstrap_contact(Descriptor::new(NodeId::new(0), ()));
+//! // Node 1 boots knowing only node 0 (star-topology bootstrap); one ring,
+//! // Cyclon and Vicinity views of 20 exchanging 5 descriptors.
+//! let mut node = NodeMachine::new(NodeId::new(1), vec![200], (20, 5), Some((20, 5)));
+//! node.add_contact(Descriptor::new(NodeId::new(0), vec![100]));
 //!
-//! node.begin_cycle();
-//! let (target, payload) = node.initiate_shuffle(&mut rng).expect("has a contact");
+//! let (target, request) = node.on_tick(&mut rng).expect("has a contact");
 //! assert_eq!(target, NodeId::new(0));
+//! let Gossip::ShuffleRequest(payload) = request else { panic!("a cycle opens with the shuffle") };
 //! assert!(payload.iter().any(|d| d.id == NodeId::new(1)), "always advertises itself");
 //! ```
 
@@ -44,11 +45,13 @@
 
 pub mod cyclon;
 pub mod descriptor;
+pub mod node;
 pub mod proximity;
 pub mod vicinity;
 pub mod view;
 
 pub use cyclon::CyclonNode;
 pub use descriptor::Descriptor;
+pub use node::{Gossip, NodeMachine};
 pub use vicinity::VicinityNode;
 pub use view::{oldest_descriptor_index, View};

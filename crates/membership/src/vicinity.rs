@@ -41,13 +41,6 @@ pub struct VicinityNode<K> {
     gossip_len: usize,
 }
 
-/// Pending state of a Vicinity exchange initiated by this node.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PendingExchange {
-    /// The peer the exchange request was sent to.
-    pub target: NodeId,
-}
-
 impl<K: Ord + Clone> VicinityNode<K> {
     /// Creates a Vicinity node with an empty view.
     ///
@@ -164,18 +157,17 @@ impl<K: Ord + Clone> VicinityNode<K> {
     /// Handles the reply to an exchange this node initiated.
     pub fn handle_exchange_response(
         &mut self,
-        _pending: &PendingExchange,
         received: &[Descriptor<K>],
         cyclon_candidates: &[Descriptor<K>],
     ) {
         self.merge(received, cyclon_candidates);
     }
 
-    /// Records that an exchange towards an unreachable peer failed: the dead
-    /// peer is dropped from the proximity view so the ring can re-close
-    /// around it.
-    pub fn exchange_failed(&mut self, pending: &PendingExchange) {
-        self.view.remove(pending.target);
+    /// Records that an exchange towards the unreachable `target` failed:
+    /// the dead peer is dropped from the proximity view so the ring can
+    /// re-close around it.
+    pub fn exchange_failed(&mut self, target: NodeId) {
+        self.view.remove(target);
     }
 
     /// Merges arbitrary candidate descriptors (e.g. the local Cyclon view)
@@ -395,10 +387,9 @@ mod tests {
 
         a.begin_cycle();
         b.begin_cycle();
-        let (target, request) = a.initiate_exchange(&[desc(2)], &mut rng).unwrap();
-        let pending = PendingExchange { target };
+        let (_, request) = a.initiate_exchange(&[desc(2)], &mut rng).unwrap();
         let reply = b.handle_exchange_request(a.id(), Some(a.key()), &request, &[]);
-        a.handle_exchange_response(&pending, &reply, &[]);
+        a.handle_exchange_response(&reply, &[]);
 
         assert!(b.view().contains(n(1)), "responder learned the initiator");
         assert!(a.view().contains(n(2)), "initiator learned the responder");
@@ -427,7 +418,7 @@ mod tests {
         let mut node = vic(5);
         node.absorb_candidates(&[desc(4), desc(6)]);
         assert_eq!(node.ring_neighbors(), (Some(n(4)), Some(n(6))));
-        node.exchange_failed(&PendingExchange { target: n(6) });
+        node.exchange_failed(n(6));
         assert_eq!(node.ring_neighbors(), (Some(n(4)), Some(n(4))));
     }
 

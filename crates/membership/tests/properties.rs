@@ -51,12 +51,11 @@ proptest! {
             nodes[initiator].begin_cycle();
             let exchange = nodes[initiator].initiate_shuffle(&mut rng);
             if let Some((target, request)) = exchange {
-                let pending = CyclonNode::pending(target, request.clone());
                 let target_idx = target.as_index();
                 prop_assume!(target_idx < population);
                 let from = nodes[initiator].id();
                 let reply = nodes[target_idx].handle_shuffle_request(from, &request, &mut rng);
-                nodes[initiator].handle_shuffle_response(&pending, &reply);
+                nodes[initiator].handle_shuffle_response(&request, &reply);
             }
             for node in &nodes {
                 assert_cyclon_invariants(node)?;

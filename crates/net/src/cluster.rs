@@ -89,7 +89,7 @@ impl Cluster {
             let bootstrap = if i == 0 {
                 Vec::new()
             } else {
-                vec![Descriptor::new(NodeId::new(0), positions[0])]
+                vec![Descriptor::new(NodeId::new(0), vec![positions[0]])]
             };
             let node_config = NodeConfig {
                 id,

@@ -19,27 +19,23 @@
 //!
 //! # Where this crate sits
 //!
-//! The membership exchange halves and the selection rule
-//! (`hybridcast_core::protocols::DenseSelector::select`) are *shared* with
-//! the simulator: a node here reads the same links (Cyclon view → r-links,
-//! `hybridcast_membership::vicinity::d_links` → d-links) that
-//! `hybridcast_sim::DenseSimNetwork::overlay_snapshot` freezes, and pushes fresh
-//! messages to the targets the selector picks — i.e. this runtime is the
-//! asynchronous, wall-clock instantiation of the event-driven latency
-//! model that `hybridcast_core::async_engine` simulates with virtual
-//! timestamps. Anything added to the protocols (new proximity functions,
-//! multi-ring d-links, new selectors) is automatically available here.
+//! Each node thread is a shell around one
+//! `hybridcast_membership::NodeMachine`, the machine the id-keyed
+//! reference simulator pumps in lock step, and forwards a fresh message to
+//! the targets `hybridcast_core::protocols::DenseSelector::select` picks
+//! over the machine's links (Cyclon view → r-links, ring neighbours →
+//! d-links) — the asynchronous, wall-clock instantiation of the
+//! event-driven latency model that `hybridcast_core::async_engine`
+//! simulates with virtual timestamps.
 //!
 //! # Determinism boundary
 //!
 //! This is deliberately the **only** nondeterministic layer of the
-//! workspace: thread scheduling decides delivery order, so its tests
-//! assert convergence envelopes (e.g. "≥ 14 of 16 nodes delivered") rather
-//! than exact traces. Every quantitative claim
-//! lives in the deterministic simulator + engine layers; this crate exists
-//! to show the protocol code is not simulator-bound. Per-node state still
-//! uses the same seeded `ChaCha8Rng`, so single-node protocol decisions
-//! remain reproducible given an identical inbound frame sequence.
+//! workspace: the thread shell reads the wall clock, and thread scheduling
+//! decides delivery order, so its tests assert convergence envelopes (e.g.
+//! "≥ 14 of 16 nodes delivered") rather than exact traces. The machine
+//! reads no clock and draws from the node's seeded `ChaCha8Rng`, so its
+//! decisions are reproducible given an identical inbound frame sequence.
 //!
 //! # Scale expectations
 //!

@@ -1,24 +1,26 @@
 //! A node running the full protocol stack in its own thread.
 //!
-//! Each [`spawn_node`] call starts a thread owning one Cyclon instance, one
-//! Vicinity instance and a dissemination-deduplication set. The thread
-//! alternates between
+//! Each [`spawn_node`] call starts a thread: the shell around one
+//! membership [`NodeMachine`] (a single ring) and a
+//! dissemination-deduplication set. The thread alternates between
 //!
-//! * **reactive work** — handling incoming frames from its mailbox
-//!   (shuffle requests/replies, vicinity exchanges, pushed messages), and
-//! * **periodic work** — once per `gossip_interval` it initiates one Cyclon
-//!   shuffle and one Vicinity exchange, exactly like a cycle of the
-//!   simulator.
+//! * **reactive work** — handing every membership frame to the machine and
+//!   pushing fresh dissemination messages on, and
+//! * **periodic work** — once per `gossip_interval` it ticks the machine,
+//!   which starts one Cyclon shuffle and then the Vicinity exchange,
+//!   exactly like a cycle of the simulator.
 //!
+//! Whatever the machine answers goes out through the hub; a frame the hub
+//! cannot deliver is reported back to the machine as undeliverable.
 //! Freshly received messages are recorded in the shared [`DeliveryLog`] and
 //! forwarded to the targets the configured [`DenseSelector`] picks over the
-//! node's *local* links: its r-links are its current Cyclon view, its
+//! machine's *local* links: its r-links are its current Cyclon view, its
 //! d-links its current ring neighbours — the same information a simulated
 //! node exposes through an overlay snapshot.
 
 #![expect(
     clippy::disallowed_methods,
-    reason = "D2: the live runtime schedules real gossip periods from the wall clock; no simulation engine runs this code"
+    reason = "D2: the thread shell schedules real gossip periods from the wall clock; the machine it drives reads no clock"
 )]
 #![expect(
     clippy::disallowed_types,
@@ -26,7 +28,6 @@
 )]
 
 use std::collections::{BTreeMap, BTreeSet, HashSet};
-use std::slice;
 use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
@@ -37,12 +38,12 @@ use rand_chacha::ChaCha8Rng;
 
 use hybridcast_core::protocols::DenseSelector;
 use hybridcast_graph::NodeId;
-use hybridcast_membership::cyclon::CyclonNode;
+use hybridcast_membership::descriptor::Descriptor;
+use hybridcast_membership::node::{Gossip, NodeMachine, RingProfile};
 use hybridcast_membership::proximity::RingPosition;
-use hybridcast_membership::vicinity::{self, PendingExchange, VicinityNode};
 
 use crate::transport::InMemoryHub;
-use crate::wire::{Frame, MessageId, WireDescriptor};
+use crate::wire::{Frame, MessageId};
 
 /// Configuration of a single networked node.
 #[derive(Debug, Clone)]
@@ -153,14 +154,32 @@ pub fn spawn_node(
     config: NodeConfig,
     hub: InMemoryHub,
     mailbox: Receiver<Frame>,
-    bootstrap: Vec<WireDescriptor>,
+    bootstrap: Vec<Descriptor<RingProfile>>,
     selector: DenseSelector,
     log: DeliveryLog,
 ) -> NodeHandle {
-    let id = config.id;
-    let handle = std::thread::spawn(move || {
-        NodeWorker::new(config, hub, mailbox, bootstrap, selector, log).run()
-    });
+    let mut machine = NodeMachine::new(
+        config.id,
+        vec![config.ring_position],
+        (config.cyclon_view, config.cyclon_shuffle),
+        Some((config.vicinity_view, config.vicinity_gossip)),
+    );
+    for contact in bootstrap {
+        machine.add_contact(contact);
+    }
+    let (id, rng) = (config.id, ChaCha8Rng::seed_from_u64(config.seed));
+    let worker = NodeWorker {
+        config,
+        hub,
+        mailbox,
+        selector,
+        log,
+        machine,
+        seen: HashSet::new(),
+        rng,
+        stats: NodeStats::default(),
+    };
+    let handle = std::thread::spawn(move || worker.run());
     NodeHandle { id, handle }
 }
 
@@ -170,56 +189,13 @@ struct NodeWorker {
     mailbox: Receiver<Frame>,
     selector: DenseSelector,
     log: DeliveryLog,
-    cyclon: CyclonNode<RingPosition>,
-    vicinity: VicinityNode<RingPosition>,
-    pending_cyclon: Option<hybridcast_membership::cyclon::PendingShuffle<RingPosition>>,
-    pending_vicinity: Option<PendingExchange>,
+    machine: NodeMachine,
     seen: HashSet<MessageId>,
     rng: ChaCha8Rng,
     stats: NodeStats,
 }
 
 impl NodeWorker {
-    fn new(
-        config: NodeConfig,
-        hub: InMemoryHub,
-        mailbox: Receiver<Frame>,
-        bootstrap: Vec<WireDescriptor>,
-        selector: DenseSelector,
-        log: DeliveryLog,
-    ) -> Self {
-        let mut cyclon = CyclonNode::new(
-            config.id,
-            config.ring_position,
-            config.cyclon_view,
-            config.cyclon_shuffle,
-        );
-        for contact in bootstrap {
-            cyclon.add_bootstrap_contact(contact);
-        }
-        let vicinity = VicinityNode::new(
-            config.id,
-            config.ring_position,
-            config.vicinity_view,
-            config.vicinity_gossip,
-        );
-        let rng = ChaCha8Rng::seed_from_u64(config.seed);
-        NodeWorker {
-            config,
-            hub,
-            mailbox,
-            selector,
-            log,
-            cyclon,
-            vicinity,
-            pending_cyclon: None,
-            pending_vicinity: None,
-            seen: HashSet::new(),
-            rng,
-            stats: NodeStats::default(),
-        }
-    }
-
     fn run(mut self) -> NodeStats {
         let mut last_gossip = Instant::now();
         loop {
@@ -240,73 +216,34 @@ impl NodeWorker {
                 Err(RecvTimeoutError::Disconnected) => break,
             }
             if last_gossip.elapsed() >= self.config.gossip_interval {
-                self.gossip_cycle();
+                let out = self.machine.on_tick(&mut self.rng);
+                self.send(out);
                 last_gossip = Instant::now();
             }
         }
         self.stats
     }
 
-    fn cyclon_candidates(&self) -> Vec<WireDescriptor> {
-        self.cyclon.view().iter().cloned().collect()
+    /// Sends the machine's outgoing message; a failed send goes back to the
+    /// machine, whose next step may send another.
+    fn send(&mut self, mut out: Option<(NodeId, Gossip)>) {
+        while let Some((to, msg)) = out {
+            let frame = Frame::Gossip {
+                from: self.config.id,
+                msg,
+            };
+            out = match self.hub.send(to, frame) {
+                Ok(()) => None,
+                Err(_) => self.machine.on_undeliverable(to, &mut self.rng),
+            };
+        }
     }
 
     fn handle_frame(&mut self, frame: Frame) {
         match frame {
-            Frame::CyclonRequest { from, payload } => {
-                let reply = self
-                    .cyclon
-                    .handle_shuffle_request(from, &payload, &mut self.rng);
-                // Every descriptor that passes by is also a proximity candidate.
-                self.vicinity.absorb_candidates(&payload);
-                let _ = self.hub.send(
-                    from,
-                    Frame::CyclonResponse {
-                        from: self.config.id,
-                        payload: reply,
-                    },
-                );
-            }
-            Frame::CyclonResponse { from, payload } => {
-                if let Some(pending) = self.pending_cyclon.take() {
-                    if pending.target == from {
-                        self.cyclon.handle_shuffle_response(&pending, &payload);
-                        self.vicinity.absorb_candidates(&payload);
-                    } else {
-                        self.pending_cyclon = Some(pending);
-                    }
-                }
-            }
-            Frame::VicinityRequest {
-                from,
-                from_position,
-                payload,
-            } => {
-                let candidates = self.cyclon_candidates();
-                let reply = self.vicinity.handle_exchange_request(
-                    from,
-                    Some(&from_position),
-                    &payload,
-                    &candidates,
-                );
-                let _ = self.hub.send(
-                    from,
-                    Frame::VicinityResponse {
-                        from: self.config.id,
-                        payload: reply,
-                    },
-                );
-            }
-            Frame::VicinityResponse { from, payload } => {
-                if let Some(pending) = self.pending_vicinity.take() {
-                    if pending.target == from {
-                        let candidates = self.cyclon_candidates();
-                        self.vicinity
-                            .handle_exchange_response(&pending, &payload, &candidates);
-                    } else {
-                        self.pending_vicinity = Some(pending);
-                    }
-                }
+            Frame::Gossip { from, msg } => {
+                let out = self.machine.on_gossip(from, msg, &mut self.rng);
+                self.send(out);
             }
             Frame::Dissemination { from, id } => {
                 self.stats.messages_received += 1;
@@ -316,8 +253,7 @@ impl NodeWorker {
                 self.stats.distinct_messages += 1;
                 self.log.record(id, self.config.id);
                 // A published message arrives "from" its origin itself.
-                let d_links = vicinity::d_links(slice::from_ref(&self.vicinity));
-                let r_links = self.cyclon.view().node_ids();
+                let (d_links, r_links) = self.machine.links();
                 let (mut targets, mut pool) = (Vec::new(), Vec::new());
                 self.selector.select(
                     self.config.id,
@@ -341,65 +277,19 @@ impl NodeWorker {
             Frame::Shutdown => unreachable!("handled by the event loop"),
         }
     }
-
-    fn gossip_cycle(&mut self) {
-        // Cyclon: an unanswered shuffle from the previous cycle counts as
-        // failed (the target was already dropped from the view on initiate).
-        if let Some(pending) = self.pending_cyclon.take() {
-            self.cyclon.shuffle_failed(&pending);
-        }
-        self.cyclon.begin_cycle();
-        if let Some((target, payload)) = self.cyclon.initiate_shuffle(&mut self.rng) {
-            let pending = CyclonNode::pending(target, payload.clone());
-            let sent = self.hub.send(
-                target,
-                Frame::CyclonRequest {
-                    from: self.config.id,
-                    payload,
-                },
-            );
-            match sent {
-                Ok(()) => self.pending_cyclon = Some(pending),
-                Err(_) => self.cyclon.shuffle_failed(&pending),
-            }
-        }
-
-        // Vicinity: an unanswered exchange drops the unresponsive neighbour.
-        if let Some(pending) = self.pending_vicinity.take() {
-            self.vicinity.exchange_failed(&pending);
-        }
-        self.vicinity.begin_cycle();
-        let candidates = self.cyclon_candidates();
-        if let Some((target, payload)) = self.vicinity.initiate_exchange(&candidates, &mut self.rng)
-        {
-            let pending = PendingExchange { target };
-            let sent = self.hub.send(
-                target,
-                Frame::VicinityRequest {
-                    from: self.config.id,
-                    from_position: self.config.ring_position,
-                    payload,
-                },
-            );
-            match sent {
-                Ok(()) => self.pending_vicinity = Some(pending),
-                Err(_) => self.vicinity.exchange_failed(&pending),
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hybridcast_membership::descriptor::Descriptor;
+    use std::collections::VecDeque;
 
     fn n(i: u64) -> NodeId {
         NodeId::new(i)
     }
 
-    fn descriptor(i: u64, pos: RingPosition) -> WireDescriptor {
-        Descriptor::new(n(i), pos)
+    fn descriptor(i: u64, pos: RingPosition) -> Descriptor<RingProfile> {
+        Descriptor::new(n(i), vec![pos])
     }
 
     fn config(i: u64, pos: RingPosition) -> NodeConfig {
@@ -447,12 +337,43 @@ mod tests {
 
     #[test]
     fn two_nodes_exchange_membership_and_messages() {
+        // Membership: the machines of two seeded nodes that know each other
+        // tick in the same instant, and every message is delivered first
+        // in, first out, as the hub would.
+        let mut rngs = [0, 1].map(ChaCha8Rng::seed_from_u64);
+        let mut machines = [(0, 100, 1, 200), (1, 200, 0, 100)].map(|(i, pos, peer, at)| {
+            let mut machine = NodeMachine::new(n(i), vec![pos], (10, 4), Some((10, 4)));
+            assert!(machine.add_contact(descriptor(peer, at)));
+            machine
+        });
+        for _ in 0..3 {
+            let mut queue = VecDeque::new();
+            for i in 0..2 {
+                let out = machines[i].on_tick(&mut rngs[i]);
+                queue.extend(out.map(|(to, msg)| (n(i as u64), to, msg)));
+            }
+            while let Some((from, to, msg)) = queue.pop_front() {
+                let j = to.as_index();
+                let out = machines[j].on_gossip(from, msg, &mut rngs[j]);
+                queue.extend(out.map(|(back, reply)| (to, back, reply)));
+            }
+            for (i, machine) in machines.iter().enumerate() {
+                let peer = n(1 - i as u64);
+                assert_eq!(machine.cyclon().view().node_ids(), vec![peer]);
+                assert_eq!(
+                    machine.d_links(),
+                    vec![peer],
+                    "the peer is both ring neighbours"
+                );
+            }
+        }
+
+        // Messages: two node threads, one message published from node 0.
         let hub = InMemoryHub::new();
         let rx0 = hub.register(n(0));
         let rx1 = hub.register(n(1));
         let log = DeliveryLog::new();
         let selector = DenseSelector::ringcast(2);
-
         let h0 = spawn_node(
             config(0, 100),
             hub.clone(),
@@ -469,9 +390,6 @@ mod tests {
             selector,
             log.clone(),
         );
-
-        // Let a few gossip cycles run, then publish from node 0.
-        std::thread::sleep(Duration::from_millis(60));
         let msg_id = MessageId::new(n(0), 1);
         hub.send(
             n(0),
@@ -481,8 +399,12 @@ mod tests {
             },
         )
         .unwrap();
-        std::thread::sleep(Duration::from_millis(60));
-
+        for _ in 0..5_000 {
+            if log.count(msg_id) == 2 {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
         assert_eq!(log.count(msg_id), 2, "both nodes must see the message");
 
         hub.send(n(0), Frame::Shutdown).unwrap();

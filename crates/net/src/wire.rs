@@ -1,16 +1,12 @@
 //! The frames node threads exchange over the hub.
 //!
-//! Frames carry the three protocol layers: Cyclon shuffles, Vicinity
-//! exchanges and dissemination pushes. A disseminated message travels as
-//! its [`MessageId`] alone: a node either has seen it or it has not.
+//! A frame carries either a membership message of the node's
+//! [`NodeMachine`](hybridcast_membership::NodeMachine) or a dissemination
+//! push. A disseminated message travels as its [`MessageId`] alone: a node
+//! either has seen it or it has not.
 
 use hybridcast_graph::NodeId;
-use hybridcast_membership::descriptor::Descriptor;
-use hybridcast_membership::proximity::RingPosition;
-
-/// A descriptor as it travels between nodes: the peer's id, age and ring
-/// position.
-pub type WireDescriptor = Descriptor<RingPosition>;
+use hybridcast_membership::Gossip;
 
 /// Globally unique identity of a disseminated message.
 ///
@@ -41,35 +37,12 @@ impl std::fmt::Display for MessageId {
 /// A protocol frame exchanged between two nodes.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Frame {
-    /// Cyclon shuffle request: the initiator offers `payload` descriptors.
-    CyclonRequest {
-        /// The initiating node.
+    /// A membership message, handed to the receiver's machine.
+    Gossip {
+        /// The sending node.
         from: NodeId,
-        /// Descriptors offered by the initiator (including itself, age 0).
-        payload: Vec<WireDescriptor>,
-    },
-    /// Cyclon shuffle reply.
-    CyclonResponse {
-        /// The replying node.
-        from: NodeId,
-        /// Descriptors returned by the responder.
-        payload: Vec<WireDescriptor>,
-    },
-    /// Vicinity exchange request.
-    VicinityRequest {
-        /// The initiating node.
-        from: NodeId,
-        /// The initiator's ring position (lets the responder rank its reply).
-        from_position: RingPosition,
-        /// Descriptors offered by the initiator.
-        payload: Vec<WireDescriptor>,
-    },
-    /// Vicinity exchange reply.
-    VicinityResponse {
-        /// The replying node.
-        from: NodeId,
-        /// Descriptors returned by the responder.
-        payload: Vec<WireDescriptor>,
+        /// The message.
+        msg: Gossip,
     },
     /// A disseminated message pushed from `from`.
     Dissemination {

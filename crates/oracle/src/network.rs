@@ -2,6 +2,10 @@
 //! (`BTreeMap<NodeId, SimNode>`), the reference
 //! `hybridcast_sim::DenseSimNetwork` replays draw for draw.
 //!
+//! Each node is a [`NodeMachine`], the machine the threaded nodes of
+//! `hybridcast-net` run; [`Network`] is the message pump around them, on
+//! one shared stream.
+//!
 //! Every initial node boots with the star topology the paper uses (one
 //! introducer contact), and [`Network::run_cycles`] gives every live node,
 //! in a fresh random order, one Cyclon shuffle and one Vicinity exchange per
@@ -10,68 +14,41 @@
 //! drive it like the dense runtime.
 
 use std::collections::BTreeMap;
+use std::ops::Deref;
 
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use hybridcast_graph::NodeId;
-use hybridcast_membership::cyclon::CyclonNode;
 use hybridcast_membership::descriptor::Descriptor;
-use hybridcast_membership::proximity::RingPosition;
-use hybridcast_membership::vicinity::{self, PendingExchange, VicinityNode};
+use hybridcast_membership::node::{NodeMachine, RingProfile};
 use hybridcast_obs::{NullProbe, Probe, TraceEvent};
 
 use hybridcast_sim::snapshot::{NodeSnapshot, OverlaySnapshot};
 use hybridcast_sim::{GossipRuntime, SimConfig};
 
-/// The application profile carried inside Cyclon descriptors: the node's
-/// position on every identifier ring. Ring 0 is the primary RingCast ring;
-/// further entries exist only in multi-ring configurations.
-pub type RingProfile = Vec<RingPosition>;
-
-/// One simulated node: its Cyclon instance (r-links) and one Vicinity
-/// instance per identifier ring (d-links).
+/// One simulated node: its membership [`NodeMachine`] and the cycle it
+/// joined at. It reads as its machine (`node.cyclon()`, `node.d_links()`).
 #[derive(Debug, Clone)]
 pub struct SimNode {
-    id: NodeId,
-    /// Ring positions, one per ring (all equal-length across nodes).
-    ring_positions: RingProfile,
-    cyclon: CyclonNode<RingProfile>,
-    vicinity: Vec<VicinityNode<RingPosition>>,
+    machine: NodeMachine,
     joined_at_cycle: u64,
 }
 
 impl SimNode {
-    /// The node's identifier.
-    pub fn id(&self) -> NodeId {
-        self.id
-    }
-
-    /// The node's position on the primary identifier ring.
-    pub fn ring_position(&self) -> RingPosition {
-        self.ring_positions[0]
-    }
-
     /// The cycle at which this node joined the network (0 for bootstrap
     /// nodes).
     pub fn joined_at_cycle(&self) -> u64 {
         self.joined_at_cycle
     }
+}
 
-    /// Read access to the node's Cyclon instance.
-    pub fn cyclon(&self) -> &CyclonNode<RingProfile> {
-        &self.cyclon
-    }
+impl Deref for SimNode {
+    type Target = NodeMachine;
 
-    /// Read access to the node's Vicinity instances (one per ring).
-    pub fn vicinity(&self) -> &[VicinityNode<RingPosition>] {
-        &self.vicinity
-    }
-
-    /// The node's current d-links: [`vicinity::d_links`] of its rings.
-    pub fn d_links(&self) -> Vec<NodeId> {
-        vicinity::d_links(&self.vicinity)
+    fn deref(&self) -> &NodeMachine {
+        &self.machine
     }
 }
 
@@ -131,45 +108,23 @@ impl Network {
     pub fn spawn_node(&mut self, introducer: Option<NodeId>) -> NodeId {
         let id = NodeId::new(self.next_id);
         self.next_id += 1;
-        let ring_positions: Vec<RingPosition> = (0..self.config.rings.max(1))
+        let profile: RingProfile = (0..self.config.rings.max(1))
             .map(|_| self.rng.gen())
             .collect();
-
-        let mut cyclon = CyclonNode::new(
+        let config = &self.config;
+        let mut machine = NodeMachine::new(
             id,
-            ring_positions.clone(),
-            self.config.cyclon_view,
-            self.config.cyclon_shuffle,
+            profile,
+            (config.cyclon_view, config.cyclon_shuffle),
+            config
+                .run_vicinity
+                .then_some((config.vicinity_view, config.vicinity_gossip)),
         );
-        if let Some(contact) = introducer {
-            if let Some(contact_node) = self.nodes.get(&contact) {
-                cyclon.add_bootstrap_contact(Descriptor::new(
-                    contact,
-                    contact_node.ring_positions.clone(),
-                ));
-            }
+        if let Some(contact) = introducer.and_then(|contact| self.nodes.get(&contact)) {
+            machine.add_contact(Descriptor::new(contact.id(), contact.profile().clone()));
         }
-        let vicinity = if self.config.run_vicinity {
-            ring_positions
-                .iter()
-                .map(|&pos| {
-                    VicinityNode::new(
-                        id,
-                        pos,
-                        self.config.vicinity_view,
-                        self.config.vicinity_gossip,
-                    )
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-
         let node = SimNode {
-            id,
-            ring_positions,
-            cyclon,
-            vicinity,
+            machine,
             joined_at_cycle: self.cycle,
         };
         self.nodes.insert(id, node);
@@ -211,7 +166,10 @@ impl Network {
     }
 
     /// Runs the per-cycle gossip of a single node (ageing, one Cyclon
-    /// shuffle, one Vicinity exchange per ring).
+    /// shuffle, one Vicinity exchange per ring): its machine's tick, with
+    /// every message delivered synchronously to the live peer's machine and
+    /// the reply handed straight back, or reported undeliverable when the
+    /// peer is gone.
     ///
     /// Exposed so that tests and the churn driver can gossip specific nodes
     /// (e.g. "new nodes gossip at a higher rate" experiments).
@@ -219,69 +177,18 @@ impl Network {
         let Some(mut node) = self.nodes.remove(&id) else {
             return;
         };
-
-        // --- Cyclon shuffle -------------------------------------------------
-        node.cyclon.begin_cycle();
-        if let Some((target, request)) = node.cyclon.initiate_shuffle(&mut self.rng) {
-            let pending = CyclonNode::pending(target, request.clone());
-            match self.nodes.get_mut(&target) {
-                Some(peer) => {
-                    let reply = peer
-                        .cyclon
-                        .handle_shuffle_request(id, &request, &mut self.rng);
-                    node.cyclon.handle_shuffle_response(&pending, &reply);
-                }
-                None => node.cyclon.shuffle_failed(&pending),
-            }
+        let rng = &mut self.rng;
+        let mut out = node.machine.on_tick(rng);
+        while let Some((to, msg)) = out {
+            out = match self.nodes.get_mut(&to) {
+                Some(peer) => match peer.machine.on_gossip(id, msg, rng) {
+                    Some((_, reply)) => node.machine.on_gossip(to, reply, rng),
+                    None => None,
+                },
+                None => node.machine.on_undeliverable(to, rng),
+            };
         }
-
-        // --- Vicinity exchanges (one per ring) ------------------------------
-        // The random layer feeds candidates into the proximity layer: the
-        // initiator offers its Cyclon view, the responder merges its own.
-        // Cyclon descriptors carry the positions for *all* rings, so the
-        // candidates are re-keyed per ring.
-        for ring in 0..node.vicinity.len() {
-            let candidates = Self::ring_candidates(&node.cyclon, ring);
-            node.vicinity[ring].begin_cycle();
-            if let Some((target, request)) =
-                node.vicinity[ring].initiate_exchange(&candidates, &mut self.rng)
-            {
-                let pending = PendingExchange { target };
-                match self.nodes.get_mut(&target) {
-                    Some(peer) if ring < peer.vicinity.len() => {
-                        let peer_candidates = Self::ring_candidates(&peer.cyclon, ring);
-                        let own_key = *node.vicinity[ring].key();
-                        let reply = peer.vicinity[ring].handle_exchange_request(
-                            id,
-                            Some(&own_key),
-                            &request,
-                            &peer_candidates,
-                        );
-                        node.vicinity[ring].handle_exchange_response(&pending, &reply, &candidates);
-                    }
-                    _ => node.vicinity[ring].exchange_failed(&pending),
-                }
-            }
-        }
-
         self.nodes.insert(id, node);
-    }
-
-    /// Projects a node's Cyclon view onto the key space of ring `ring`:
-    /// each descriptor is re-keyed with the peer's position on that ring.
-    fn ring_candidates(
-        cyclon: &CyclonNode<RingProfile>,
-        ring: usize,
-    ) -> Vec<Descriptor<RingPosition>> {
-        cyclon
-            .view()
-            .iter()
-            .filter_map(|d| {
-                d.profile
-                    .get(ring)
-                    .map(|&pos| Descriptor::with_age(d.id, d.age, pos))
-            })
-            .collect()
     }
 
     /// Exports a frozen snapshot of the current overlay: the live node set,
@@ -293,9 +200,9 @@ impl Network {
             entries.insert(
                 id,
                 NodeSnapshot {
-                    ring_position: node.ring_positions[0],
+                    ring_position: node.ring_position(),
                     joined_at_cycle: node.joined_at_cycle,
-                    r_links: node.cyclon.view().node_ids(),
+                    r_links: node.cyclon().view().node_ids(),
                     d_links: node.d_links(),
                 },
             );

@@ -266,9 +266,16 @@ impl DenseSimNetwork {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration does not validate or `period == 0`.
+    /// Panics if the configuration does not validate, `period == 0` or
+    /// `period` exceeds [`crate::frontier::MAX_GOSSIP_PERIOD`] (checked
+    /// before anything is allocated).
     pub fn new_per_node(config: SimConfig, seed: u64, period: u64, threads: usize) -> Self {
         assert!(period > 0, "gossip period must be positive");
+        assert!(
+            period <= crate::frontier::MAX_GOSSIP_PERIOD,
+            "gossip period {period} exceeds {}",
+            crate::frontier::MAX_GOSSIP_PERIOD
+        );
         let mut net = Self::new(config, seed);
         let mut state = PerNodeState::new(seed, period, threads);
         for i in 0..net.by_id.len() {

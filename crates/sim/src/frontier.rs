@@ -88,6 +88,12 @@ fn sgid(generation: u32, slot: u32) -> u64 {
     (u64::from(generation) << 32) | u64::from(slot)
 }
 
+/// The largest gossip period per-node mode accepts. [`PerNodeState`] keeps
+/// one timer bucket per period unit, so the bound caps that ring at
+/// 65,536 empty buckets (1.5 MB) instead of letting a period sized by a typo
+/// ask the allocator for gigabytes.
+pub const MAX_GOSSIP_PERIOD: u64 = 65_536;
+
 /// Per-cycle spawn-stagger draws.
 const ROLE_SCHEDULE: u64 = 0;
 /// The Cyclon initiator's request-payload shuffle.
@@ -865,6 +871,19 @@ mod tests {
         assert_eq!(RngMode::Shared.to_string(), "shared");
         assert_eq!(RngMode::PerNode.to_string(), "per-node");
         assert_eq!(RngMode::default(), RngMode::Shared);
+    }
+
+    #[test]
+    #[should_panic(expected = "gossip period 65537 exceeds 65536")]
+    fn a_gossip_period_past_the_bound_panics_before_allocating() {
+        DenseSimNetwork::new_per_node(config(10), 1, MAX_GOSSIP_PERIOD + 1, 1);
+    }
+
+    #[test]
+    fn the_largest_gossip_period_boots_and_steps() {
+        let mut net = DenseSimNetwork::new_per_node(config(10), 1, MAX_GOSSIP_PERIOD, 1);
+        net.run_cycles(2);
+        assert_eq!(net.gossip_period(), Some(MAX_GOSSIP_PERIOD));
     }
 
     #[test]
