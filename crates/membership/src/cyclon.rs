@@ -104,8 +104,8 @@ impl<P: Clone> CyclonNode<P> {
     ///
     /// Returns `None` when the view is empty (an isolated node cannot
     /// shuffle). The initiator keeps the payload it sent until the reply
-    /// reaches [`CyclonNode::handle_shuffle_response`] (or the target turns
-    /// out unreachable: [`CyclonNode::shuffle_failed`]).
+    /// reaches [`CyclonNode::handle_shuffle_response`]; an unreachable
+    /// target needs no repair, as its descriptor already left the view.
     pub fn initiate_shuffle<R: Rng + ?Sized>(
         &mut self,
         rng: &mut R,
@@ -144,13 +144,6 @@ impl<P: Clone> CyclonNode<P> {
     pub fn handle_shuffle_response(&mut self, sent: &[Descriptor<P>], received: &[Descriptor<P>]) {
         self.merge_received(received, sent);
     }
-
-    /// Records that a shuffle initiated towards an unreachable peer failed.
-    ///
-    /// Cyclon needs no repair action: the target's descriptor was already
-    /// removed when the shuffle was initiated, which is precisely how dead
-    /// links leave the overlay.
-    pub fn shuffle_failed(&mut self, _target: NodeId) {}
 
     /// Merges `received` descriptors into the view following the Cyclon
     /// rules: ignore self-descriptors and already-known nodes, fill empty
@@ -322,8 +315,8 @@ mod tests {
     fn failed_shuffle_leaves_target_forgotten() {
         let mut node = node_with_view(0, &[1]);
         let mut rng = ChaCha8Rng::seed_from_u64(3);
+        // A shuffle that is never answered needs no repair call.
         let (target, _) = node.initiate_shuffle(&mut rng).unwrap();
-        node.shuffle_failed(target);
         assert!(!node.view().contains(target));
     }
 }

@@ -100,6 +100,16 @@ impl NodeMachine {
         self.cyclon.add_bootstrap_contact(contact)
     }
 
+    /// Offers `contact` to every ring's Vicinity view too, at its position
+    /// on that ring. The simulated join leaves Vicinity views empty; a
+    /// threaded node seeds them with its bootstrap contacts, or two nodes
+    /// whose ticks never overlap never become ring neighbours.
+    pub fn add_ring_contact(&mut self, contact: &Descriptor<RingProfile>) {
+        for (vicinity, &pos) in self.vicinity.iter_mut().zip(&contact.profile) {
+            vicinity.absorb_candidates(&[Descriptor::with_age(contact.id, contact.age, pos)]);
+        }
+    }
+
     /// Starts a cycle: fails the exchange still waiting on a reply, ages
     /// the Cyclon view and starts the shuffle (or, with an empty view, the
     /// first Vicinity exchange).
@@ -136,7 +146,7 @@ impl NodeMachine {
             Gossip::ExchangeRequest(ring, payload) => {
                 let candidates = ring_candidates(&self.cyclon, ring);
                 let vicinity = self.vicinity.get_mut(ring)?;
-                let payload = vicinity.handle_exchange_request(from, None, &payload, &candidates);
+                let payload = vicinity.handle_exchange_request(from, &payload, &candidates);
                 Some((from, Gossip::ExchangeReply(ring, payload)))
             }
             Gossip::ShuffleReply(payload) if self.pending == Some((Step::Shuffle, from)) => {
@@ -209,12 +219,12 @@ impl NodeMachine {
         (self.d_links(), self.cyclon.view().node_ids())
     }
 
-    /// Applies the failure of `step` towards `target`: Cyclon needs no
-    /// repair, Vicinity drops the target from that ring's view.
+    /// Applies the failure of `step` towards `target`. A failed shuffle
+    /// needs no repair: Cyclon dropped the target when the shuffle started.
+    /// A failed exchange drops the target from that ring's Vicinity view.
     fn fail(&mut self, step: Step, target: NodeId) {
-        match step {
-            Step::Shuffle => self.cyclon.shuffle_failed(target),
-            Step::Ring(ring) => self.vicinity[ring].exchange_failed(target),
+        if let Step::Ring(ring) = step {
+            self.vicinity[ring].exchange_failed(target);
         }
     }
 
@@ -270,6 +280,55 @@ mod tests {
             assert!(node.add_contact(Descriptor::with_age(n(peer), age, vec![pos])));
         }
         node
+    }
+
+    /// Runs one tick of `machines[i]`, delivering every message at once to
+    /// the other machine and the reply straight back, as the simulator does.
+    fn gossip_once(machines: &mut [NodeMachine; 2], i: usize, rng: &mut ChaCha8Rng) {
+        let mut out = machines[i].on_tick(rng);
+        while let Some((to, msg)) = out {
+            let reply = machines[1 - i].on_gossip(n(i as u64), msg, rng);
+            out = reply.and_then(|(_, reply)| machines[i].on_gossip(to, reply, rng));
+        }
+    }
+
+    #[test]
+    fn two_machines_whose_ticks_never_overlap_never_become_ring_neighbours() {
+        let mut rng = ChaCha8Rng::seed_from_u64(5);
+        let mut machines = [
+            machine(0, 100, &[(1, 200, 0)]),
+            machine(1, 200, &[(0, 100, 0)]),
+        ];
+        for cycle in 0..6 {
+            let i = cycle % 2;
+            gossip_once(&mut machines, i, &mut rng);
+            // The reply excludes the initiator, which dropped its target.
+            assert!(machines[i].cyclon().view().is_empty());
+            assert_eq!(
+                machines[1 - i].cyclon().view().node_ids(),
+                vec![n(i as u64)]
+            );
+            // So no Vicinity step ever has a candidate.
+            assert!(machines.iter().all(|m| m.d_links().is_empty()));
+        }
+    }
+
+    #[test]
+    fn ring_contacts_keep_two_machines_ring_neighbours_without_overlapping_ticks() {
+        let mut rng = ChaCha8Rng::seed_from_u64(5);
+        let mut machines = [
+            machine(0, 100, &[(1, 200, 0)]),
+            machine(1, 200, &[(0, 100, 0)]),
+        ];
+        for (i, m) in machines.iter_mut().enumerate() {
+            let peer = 1 - i as u64;
+            m.add_ring_contact(&Descriptor::new(n(peer), vec![100 * (peer + 1)]));
+        }
+        for cycle in 0..6 {
+            gossip_once(&mut machines, cycle % 2, &mut rng);
+            assert_eq!(machines[0].d_links(), vec![n(1)]);
+            assert_eq!(machines[1].d_links(), vec![n(0)]);
+        }
     }
 
     #[test]

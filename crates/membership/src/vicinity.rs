@@ -129,26 +129,19 @@ impl<K: Ord + Clone> VicinityNode<K> {
     }
 
     /// Handles an incoming exchange request from `from`, returning the reply
-    /// payload (descriptors useful to `from`) and merging the received
-    /// descriptors — plus the local Cyclon candidates — into the view.
+    /// payload (descriptors useful to `from`, at the key of its own
+    /// descriptor in `received`) and merging the received descriptors —
+    /// plus the local Cyclon candidates — into the view.
     pub fn handle_exchange_request(
         &mut self,
         from: NodeId,
-        from_key: Option<&K>,
         received: &[Descriptor<K>],
         cyclon_candidates: &[Descriptor<K>],
     ) -> Vec<Descriptor<K>> {
-        // Work out the sender's key: prefer an explicit value, else the
-        // sender's own descriptor inside the payload, else our own key.
-        let sender_key = from_key
-            .cloned()
-            .or_else(|| {
-                received
-                    .iter()
-                    .find(|d| d.id == from)
-                    .map(|d| d.profile.clone())
-            })
-            .unwrap_or_else(|| self.key.clone());
+        let sender_key = received
+            .iter()
+            .find(|d| d.id == from)
+            .map_or_else(|| self.key.clone(), |d| d.profile.clone());
         let reply = self.payload_for(&sender_key, from);
         self.merge(received, cyclon_candidates);
         reply
@@ -388,7 +381,7 @@ mod tests {
         a.begin_cycle();
         b.begin_cycle();
         let (_, request) = a.initiate_exchange(&[desc(2)], &mut rng).unwrap();
-        let reply = b.handle_exchange_request(a.id(), Some(a.key()), &request, &[]);
+        let reply = b.handle_exchange_request(a.id(), &request, &[]);
         a.handle_exchange_response(&reply, &[]);
 
         assert!(b.view().contains(n(1)), "responder learned the initiator");
@@ -404,7 +397,7 @@ mod tests {
         let mut b = vic(5); // key 500
         b.absorb_candidates(&[desc(1), desc(4), desc(6), desc(9)]);
         // Sender has key 450; the most useful entries for it are 400 and 500-ish.
-        let reply = b.handle_exchange_request(n(42), Some(&450u64), &[], &[]);
+        let reply = b.handle_exchange_request(n(42), &[Descriptor::new(n(42), 450u64)], &[]);
         assert!(reply.iter().any(|d| d.id == n(5)), "always includes itself");
         assert!(
             reply.iter().any(|d| d.id == n(4)),

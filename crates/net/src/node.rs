@@ -148,8 +148,9 @@ impl NodeHandle {
 ///
 /// `mailbox` is the receiving end registered with `hub`;
 /// `bootstrap` seeds the Cyclon view (typically a single introducer, the
-/// star-topology join of the paper); `selector` decides how dissemination
-/// messages are forwarded.
+/// star-topology join of the paper) and every ring's Vicinity view (see
+/// [`NodeMachine::add_ring_contact`]); `selector` decides how
+/// dissemination messages are forwarded.
 pub fn spawn_node(
     config: NodeConfig,
     hub: InMemoryHub,
@@ -158,15 +159,7 @@ pub fn spawn_node(
     selector: DenseSelector,
     log: DeliveryLog,
 ) -> NodeHandle {
-    let mut machine = NodeMachine::new(
-        config.id,
-        vec![config.ring_position],
-        (config.cyclon_view, config.cyclon_shuffle),
-        Some((config.vicinity_view, config.vicinity_gossip)),
-    );
-    for contact in bootstrap {
-        machine.add_contact(contact);
-    }
+    let machine = machine(&config, bootstrap);
     let (id, rng) = (config.id, ChaCha8Rng::seed_from_u64(config.seed));
     let worker = NodeWorker {
         config,
@@ -181,6 +174,21 @@ pub fn spawn_node(
     };
     let handle = std::thread::spawn(move || worker.run());
     NodeHandle { id, handle }
+}
+
+/// The single-ring machine a node thread runs, bootstrapped on both layers.
+fn machine(config: &NodeConfig, bootstrap: Vec<Descriptor<RingProfile>>) -> NodeMachine {
+    let mut machine = NodeMachine::new(
+        config.id,
+        vec![config.ring_position],
+        (config.cyclon_view, config.cyclon_shuffle),
+        Some((config.vicinity_view, config.vicinity_gossip)),
+    );
+    for contact in bootstrap {
+        machine.add_ring_contact(&contact);
+        machine.add_contact(contact);
+    }
+    machine
 }
 
 struct NodeWorker {
@@ -283,6 +291,8 @@ impl NodeWorker {
 mod tests {
     use super::*;
     use std::collections::VecDeque;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::mpsc::channel;
 
     fn n(i: u64) -> NodeId {
         NodeId::new(i)
@@ -337,59 +347,82 @@ mod tests {
 
     #[test]
     fn two_nodes_exchange_membership_and_messages() {
-        // Membership: the machines of two seeded nodes that know each other
-        // tick in the same instant, and every message is delivered first
-        // in, first out, as the hub would.
-        let mut rngs = [0, 1].map(ChaCha8Rng::seed_from_u64);
-        let mut machines = [(0, 100, 1, 200), (1, 200, 0, 100)].map(|(i, pos, peer, at)| {
-            let mut machine = NodeMachine::new(n(i), vec![pos], (10, 4), Some((10, 4)));
-            assert!(machine.add_contact(descriptor(peer, at)));
-            machine
-        });
-        for _ in 0..3 {
-            let mut queue = VecDeque::new();
-            for i in 0..2 {
-                let out = machines[i].on_tick(&mut rngs[i]);
-                queue.extend(out.map(|(to, msg)| (n(i as u64), to, msg)));
-            }
-            while let Some((from, to, msg)) = queue.pop_front() {
-                let j = to.as_index();
-                let out = machines[j].on_gossip(from, msg, &mut rngs[j]);
-                queue.extend(out.map(|(back, reply)| (to, back, reply)));
-            }
-            for (i, machine) in machines.iter().enumerate() {
-                let peer = n(1 - i as u64);
-                assert_eq!(machine.cyclon().view().node_ids(), vec![peer]);
-                assert_eq!(
-                    machine.d_links(),
-                    vec![peer],
-                    "the peer is both ring neighbours"
-                );
+        // Membership: the machines two seeded node threads would run, each
+        // knowing the other. Whether their ticks overlap (both requests in
+        // flight before either is handled) or not (each tick's messages
+        // all delivered before the other node ticks), the two end as each
+        // other's ring neighbours; overlapping ticks also keep both Cyclon
+        // views full.
+        for overlap in [true, false] {
+            let mut rngs = [0, 1].map(ChaCha8Rng::seed_from_u64);
+            let mut machines = [(0, 100, 1, 200), (1, 200, 0, 100)]
+                .map(|(i, pos, peer, at)| machine(&config(i, pos), vec![descriptor(peer, at)]));
+            for _ in 0..3 {
+                let mut queue = VecDeque::new();
+                for i in 0..2 {
+                    let out = machines[i].on_tick(&mut rngs[i]);
+                    queue.extend(out.map(|(to, msg)| (n(i as u64), to, msg)));
+                    if !overlap {
+                        deliver(&mut machines, &mut rngs, &mut queue);
+                    }
+                }
+                deliver(&mut machines, &mut rngs, &mut queue);
+                for (i, machine) in machines.iter().enumerate() {
+                    let peer = n(1 - i as u64);
+                    assert_eq!(machine.d_links(), vec![peer], "overlap: {overlap}");
+                    if overlap {
+                        assert_eq!(machine.cyclon().view().node_ids(), vec![peer]);
+                    }
+                }
             }
         }
 
-        // Messages: two node threads, one message published from node 0.
+        // Messages: two node threads gossip for 24 shuffles (about a dozen
+        // each), then one message is published from node 0. Each mailbox is
+        // fed through a relay that counts the shuffle requests it passes on.
         let hub = InMemoryHub::new();
-        let rx0 = hub.register(n(0));
-        let rx1 = hub.register(n(1));
+        let shuffles = Arc::new(AtomicUsize::new(0));
+        let relays: Vec<_> = (0..2)
+            .map(|i| {
+                let from_hub = hub.register(n(i));
+                let (to_node, mailbox) = channel();
+                let shuffles = Arc::clone(&shuffles);
+                let relay = std::thread::spawn(move || {
+                    for frame in from_hub {
+                        if let Frame::Gossip {
+                            msg: Gossip::ShuffleRequest(_),
+                            ..
+                        } = frame
+                        {
+                            shuffles.fetch_add(1, Ordering::Relaxed);
+                        }
+                        if to_node.send(frame).is_err() {
+                            break;
+                        }
+                    }
+                });
+                (mailbox, relay)
+            })
+            .collect();
         let log = DeliveryLog::new();
         let selector = DenseSelector::ringcast(2);
-        let h0 = spawn_node(
-            config(0, 100),
-            hub.clone(),
-            rx0,
-            vec![descriptor(1, 200)],
-            selector,
-            log.clone(),
-        );
-        let h1 = spawn_node(
-            config(1, 200),
-            hub.clone(),
-            rx1,
-            vec![descriptor(0, 100)],
-            selector,
-            log.clone(),
-        );
+        let (mut handles, mut relay_threads) = (Vec::new(), Vec::new());
+        for (i, (mailbox, relay)) in (0..2).zip(relays) {
+            let (pos, peer_pos) = (100 * (i + 1), 100 * (2 - i));
+            let bootstrap = vec![descriptor(1 - i, peer_pos)];
+            let config = config(i, pos);
+            handles.push(spawn_node(
+                config,
+                hub.clone(),
+                mailbox,
+                bootstrap,
+                selector,
+                log.clone(),
+            ));
+            relay_threads.push(relay);
+        }
+        let waited = poll(|| shuffles.load(Ordering::Relaxed) >= 24);
+        assert!(waited, "the nodes must gossip");
         let msg_id = MessageId::new(n(0), 1);
         hub.send(
             n(0),
@@ -399,21 +432,45 @@ mod tests {
             },
         )
         .unwrap();
-        for _ in 0..5_000 {
-            if log.count(msg_id) == 2 {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        poll(|| log.count(msg_id) == 2);
         assert_eq!(log.count(msg_id), 2, "both nodes must see the message");
 
         hub.send(n(0), Frame::Shutdown).unwrap();
         hub.send(n(1), Frame::Shutdown).unwrap();
-        let s0 = h0.join();
-        let s1 = h1.join();
-        assert!(s0.frames_received > 0);
-        assert_eq!(s0.distinct_messages, 1);
-        assert_eq!(s1.distinct_messages, 1);
-        assert!(s0.messages_forwarded >= 1, "origin forwarded the message");
+        let stats: Vec<NodeStats> = handles.into_iter().map(NodeHandle::join).collect();
+        drop(hub);
+        for relay in relay_threads {
+            relay.join().expect("relay thread panicked");
+        }
+        assert!(stats[0].frames_received > 0);
+        assert_eq!(stats[0].distinct_messages, 1);
+        assert_eq!(stats[1].distinct_messages, 1);
+        assert!(
+            stats[0].messages_forwarded >= 1,
+            "origin forwarded the message"
+        );
+    }
+
+    type Queue = VecDeque<(NodeId, NodeId, Gossip)>;
+
+    /// Delivers every queued `(from, to, msg)` first in, first out, as the
+    /// hub would, and queues the answers.
+    fn deliver(machines: &mut [NodeMachine; 2], rngs: &mut [ChaCha8Rng; 2], queue: &mut Queue) {
+        while let Some((from, to, msg)) = queue.pop_front() {
+            let j = to.as_index();
+            let out = machines[j].on_gossip(from, msg, &mut rngs[j]);
+            queue.extend(out.map(|(back, reply)| (to, back, reply)));
+        }
+    }
+
+    /// Polls `done` every millisecond for up to five seconds; returns
+    /// whether it held.
+    fn poll(mut done: impl FnMut() -> bool) -> bool {
+        (0..5_000).any(|_| {
+            done() || {
+                std::thread::sleep(Duration::from_millis(1));
+                false
+            }
+        })
     }
 }

@@ -508,7 +508,7 @@ impl DenseSimNetwork {
             return; // An isolated node cannot shuffle.
         };
         let Some(peer) = lookup_live_in(&self.slot_of, target) else {
-            // shuffle_failed: nothing to repair — the dead target's
+            // A failed shuffle: nothing to repair — the dead target's
             // descriptor already left the view.
             return;
         };

@@ -644,8 +644,8 @@ fn cy_initiate(
                 d0: to_u32(d0),
                 d1: to_u32(lane.cy.descs.len()),
             }),
-            // shuffle_failed: the dead target's descriptor already left the
-            // view; the unsent payload is dropped.
+            // A failed shuffle: the dead target's descriptor already left
+            // the view; the unsent payload is dropped.
             None => lane.cy.descs.truncate(d0),
         }
     }
