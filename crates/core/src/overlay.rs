@@ -93,7 +93,7 @@ impl Overlay for SnapshotOverlay {
 pub(crate) const NO_NODE: u32 = u32::MAX;
 
 /// A fixed-capacity bitset over dense node indices.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct DenseBits {
     words: Vec<u64>,
 }
@@ -167,7 +167,7 @@ fn rank(ids: &[NodeId], id: NodeId) -> Option<u32> {
 /// [`DenseOverlay::from_snapshot`], [`DenseOverlay::from_graphs`] or the
 /// `From` impl for [`SnapshotOverlay`]; all of them preserve per-node link
 /// order, which keeps random draws bit-identical between engines.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DenseOverlay {
     /// Dense index -> node id, strictly ascending. The inverse direction
     /// is [`rank`] over this array; no id -> index map is kept.
@@ -182,46 +182,57 @@ pub struct DenseOverlay {
 }
 
 impl DenseOverlay {
-    /// Builds the overlay from the per-node link lists of its live nodes.
-    /// `entries` must be sorted by strictly ascending id; link targets absent
-    /// from `entries` are materialised as dead nodes.
+    /// Builds the overlay of the live nodes `ids` (strictly ascending),
+    /// reading node `i`'s r-links and d-links in place through `links(i)`.
+    /// Link targets that are not live nodes are materialised as dead nodes.
     ///
-    /// Works on the sorted ids directly ([`rank`]): no set or map is built
-    /// and none is kept.
-    fn build(entries: &[(NodeId, &[NodeId], &[NodeId])]) -> Self {
-        let entry_ids: Vec<NodeId> = entries.iter().map(|&(id, ..)| id).collect();
-        debug_assert!(entry_ids.windows(2).all(|pair| pair[0] < pair[1]));
+    /// `links` is walked twice — once to find the dangling targets and count
+    /// the links, once to fill the CSR arrays — so nothing but the overlay
+    /// itself and its dangling ids is allocated. Works on the sorted ids
+    /// directly ([`rank`]): no set or map is built and none is kept.
+    fn build<R, D>(mut ids: Vec<NodeId>, links: impl Fn(usize) -> (R, D)) -> Self
+    where
+        R: Iterator<Item = NodeId>,
+        D: Iterator<Item = NodeId>,
+    {
+        let n = ids.len();
+        debug_assert!(ids.windows(2).all(|pair| pair[0] < pair[1]));
 
-        let mut dangling: Vec<NodeId> = entries
-            .iter()
-            .flat_map(|&(_, r, d)| r.iter().chain(d))
-            .copied()
-            .filter(|&target| rank(&entry_ids, target).is_none())
-            .collect();
+        let (mut r_len, mut d_len) = (0, 0);
+        let mut dangling = Vec::new();
+        for i in 0..n {
+            let (r, d) = links(i);
+            let r = r.inspect(|_| r_len += 1);
+            let d = d.inspect(|_| d_len += 1);
+            dangling.extend(r.chain(d).filter(|&target| rank(&ids, target).is_none()));
+        }
         dangling.sort_unstable();
         dangling.dedup();
-        let mut ids = entry_ids;
         if !dangling.is_empty() {
-            // Two ascending runs: the stable sort merges them in one pass.
+            ids.reserve_exact(dangling.len());
             ids.extend_from_slice(&dangling);
-            ids.sort();
+            ids.sort_unstable();
         }
+
         let mut live = DenseBits::default();
         live.reset(ids.len());
         let mut r_offsets = Vec::with_capacity(ids.len() + 1);
         let mut d_offsets = Vec::with_capacity(ids.len() + 1);
-        let mut r_targets = Vec::with_capacity(entries.iter().map(|e| e.1.len()).sum());
-        let mut d_targets = Vec::with_capacity(entries.iter().map(|e| e.2.len()).sum());
+        let mut r_targets = Vec::with_capacity(r_len);
+        let mut d_targets = Vec::with_capacity(d_len);
         r_offsets.push(0u32);
         d_offsets.push(0u32);
-        let index = |target: &NodeId| rank(&ids, *target).expect("every link target is a node");
-        let mut remaining = entries.iter().peekable();
+        let index = |target: NodeId| rank(&ids, target).expect("every link target is a node");
+        let (mut next_live, mut next_dead) = (0, dangling.iter().peekable());
         for (idx, &id) in ids.iter().enumerate() {
-            // Ids without an entry are the dangling ones: dead, no links.
-            if let Some(&(_, r, d)) = remaining.next_if(|entry| entry.0 == id) {
+            // The dangling ids are dead and have no links; every other id
+            // is the next live node.
+            if next_dead.next_if_eq(&&id).is_none() {
+                let (r, d) = links(next_live);
+                next_live += 1;
                 live.set(cast::to_u32(idx));
-                r_targets.extend(r.iter().map(index));
-                d_targets.extend(d.iter().map(index));
+                r_targets.extend(r.map(index));
+                d_targets.extend(d.map(index));
             }
             r_offsets.push(cast::checked_u32(r_targets.len()));
             d_offsets.push(cast::checked_u32(d_targets.len()));
@@ -230,12 +241,22 @@ impl DenseOverlay {
         DenseOverlay {
             ids,
             live,
-            live_count: entries.len(),
+            live_count: n,
             r_offsets,
             r_targets,
             d_offsets,
             d_targets,
         }
+    }
+
+    /// [`DenseOverlay::build`] over materialised per-node link lists
+    /// (`entries` sorted by strictly ascending id).
+    fn build_from_entries(entries: &[(NodeId, &[NodeId], &[NodeId])]) -> Self {
+        let ids = entries.iter().map(|&(id, ..)| id).collect();
+        Self::build(ids, |i| {
+            let (_, r, d) = entries[i];
+            (r.iter().copied(), d.iter().copied())
+        })
     }
 
     /// Builds a dense copy of a simulator snapshot. Live nodes keep their
@@ -246,22 +267,24 @@ impl DenseOverlay {
             .nodes()
             .map(|(id, node)| (id, node.r_links.as_slice(), node.d_links.as_slice()))
             .collect();
-        Self::build(&entries)
+        Self::build_from_entries(&entries)
     }
 
-    /// Builds a dense copy straight from the flat CSR link export of the
-    /// arena-based simulation runtime
-    /// ([`hybridcast_sim::DenseSimNetwork::flat_links`]), without any
-    /// round-trip through an id-keyed [`OverlaySnapshot`]. Link order is
-    /// preserved, so disseminations over the result are bit-identical to
-    /// ones over `from_snapshot(&net.overlay_snapshot())`.
+    /// Builds a dense copy of a flat CSR link export
+    /// ([`hybridcast_sim::DenseSimNetwork::flat_links`]), reading its arrays
+    /// in place — no round-trip through an id-keyed [`OverlaySnapshot`] and
+    /// no per-node copy. Link order is preserved, so disseminations over the
+    /// result are bit-identical to ones over
+    /// `from_snapshot(&net.overlay_snapshot())`.
     ///
     /// # Panics
     ///
-    /// Panics if `links` is not a well-formed export: ids not strictly
-    /// ascending, an offset array not `ids.len() + 1` long, or a final
-    /// offset different from the length of its target array.
+    /// Panics, before allocating anything, if `links` is not a well-formed
+    /// export: ids not strictly ascending, an offset array not
+    /// `ids.len() + 1` long, not starting at 0, descending anywhere, or
+    /// ending anywhere but at the length of its target array.
     pub fn from_flat_links(links: &FlatLinks) -> Self {
+        let n = links.ids.len();
         assert!(
             links.ids.windows(2).all(|pair| pair[0] < pair[1]),
             "FlatLinks::ids must be strictly ascending"
@@ -271,34 +294,39 @@ impl DenseOverlay {
             ("d", &links.d_offsets, &links.d_targets),
         ] {
             assert!(
-                offsets.len() == links.ids.len() + 1,
+                offsets.len() == n + 1,
                 "FlatLinks::{name}_offsets must have ids.len() + 1 entries"
             );
+            assert!(offsets[0] == 0, "FlatLinks::{name}_offsets must start at 0");
             assert!(
-                cast::idx(offsets[links.ids.len()]) == targets.len(),
+                offsets.windows(2).all(|pair| pair[0] <= pair[1]),
+                "FlatLinks::{name}_offsets must never descend"
+            );
+            assert!(
+                cast::idx(offsets[n]) == targets.len(),
                 "FlatLinks::{name}_offsets must end at {name}_targets.len()"
             );
         }
-        let entries: Vec<(NodeId, &[NodeId], &[NodeId])> = links
-            .ids
-            .iter()
-            .enumerate()
-            .map(|(i, &id)| {
-                let r = &links.r_targets
-                    [cast::idx(links.r_offsets[i])..cast::idx(links.r_offsets[i + 1])];
-                let d = &links.d_targets
-                    [cast::idx(links.d_offsets[i])..cast::idx(links.d_offsets[i + 1])];
-                (id, r, d)
-            })
-            .collect();
-        Self::build(&entries)
+        Self::build(links.ids.clone(), |i| {
+            let r =
+                &links.r_targets[cast::idx(links.r_offsets[i])..cast::idx(links.r_offsets[i + 1])];
+            let d =
+                &links.d_targets[cast::idx(links.d_offsets[i])..cast::idx(links.d_offsets[i + 1])];
+            (r.iter().copied(), d.iter().copied())
+        })
     }
 
-    /// Convenience: the dense overlay of an arena-based simulation's current
-    /// state ([`DenseOverlay::from_flat_links`] over
-    /// [`hybridcast_sim::DenseSimNetwork::flat_links`]).
+    /// The dense overlay of an arena-based simulation's current state,
+    /// equal to [`DenseOverlay::from_flat_links`] over
+    /// [`hybridcast_sim::DenseSimNetwork::flat_links`] but built straight
+    /// from the network's per-node link walk
+    /// ([`hybridcast_sim::DenseSimNetwork::node_links`]), with no export in
+    /// between.
     pub fn from_dense_sim(net: &DenseSimNetwork) -> Self {
-        Self::from_flat_links(&net.flat_links())
+        Self::build(net.live_ids(), |i| {
+            let (_, r, d) = net.node_links(i);
+            (r, d)
+        })
     }
 
     /// Builds a dense overlay whose d-links come from `d_graph` and r-links
@@ -315,7 +343,7 @@ impl DenseOverlay {
             .zip(&links)
             .map(|(&id, (r, d))| (id, r.as_slice(), d.as_slice()))
             .collect();
-        Self::build(&entries)
+        Self::build_from_entries(&entries)
     }
 
     /// Total number of nodes (live and dead).
@@ -723,6 +751,23 @@ pub(crate) mod tests {
     fn from_flat_links_rejects_a_final_d_offset_past_the_targets() {
         let mut links = small_links();
         links.d_targets.pop();
+        let _ = DenseOverlay::from_flat_links(&links);
+    }
+
+    #[test]
+    #[should_panic(expected = "FlatLinks::r_offsets must start at 0")]
+    fn from_flat_links_rejects_an_r_offset_array_not_starting_at_zero() {
+        // Would silently drop node 1's first r-link.
+        let mut links = small_links();
+        links.r_offsets[0] = 1;
+        let _ = DenseOverlay::from_flat_links(&links);
+    }
+
+    #[test]
+    #[should_panic(expected = "FlatLinks::d_offsets must never descend")]
+    fn from_flat_links_rejects_a_descending_d_offset_pair() {
+        let mut links = small_links();
+        links.d_offsets[1] = 2;
         let _ = DenseOverlay::from_flat_links(&links);
     }
 

@@ -22,7 +22,7 @@ use hybridcast_oracle::{
     disseminate, disseminate_async, disseminate_push_pull, Network, StaticOverlay,
 };
 use hybridcast_sim::churn::{ChurnConfig, ChurnDriver};
-use hybridcast_sim::{GossipRuntime, SimConfig};
+use hybridcast_sim::{DenseSimNetwork, GossipRuntime, SimConfig};
 
 fn ids(count: u64) -> Vec<NodeId> {
     (0..count).map(NodeId::new).collect()
@@ -1016,5 +1016,47 @@ proptest! {
         prop_assert!(report.is_complete(),
             "H({}, {}) flooding missed {} nodes after {} failures",
             n, t, report.unreached.len(), t - 1);
+    }
+}
+
+proptest! {
+    /// The two ways to freeze a live network agree: the overlay built by
+    /// walking the network in place (`from_dense_sim`) equals the one built
+    /// from its CSR export (`from_flat_links`) — in shared and per-node
+    /// mode, on one or two rings, with Vicinity on or off, after churn and
+    /// after kills that leave dead link targets behind.
+    #[test]
+    fn from_dense_sim_equals_from_flat_links_of_the_export(
+        nodes in 2usize..40,
+        rings in 1usize..3,
+        run_vicinity in any::<bool>(),
+        per_node in any::<bool>(),
+        cycles in 0usize..25,
+        churn_rate in 0.0f64..0.2,
+        kill in 0usize..4,
+        seed in any::<u64>(),
+    ) {
+        let config = SimConfig {
+            nodes,
+            rings,
+            run_vicinity,
+            warmup_cycles: 0,
+            ..SimConfig::default()
+        };
+        let mut net = if per_node {
+            DenseSimNetwork::new_per_node(config, seed, 2, 2)
+        } else {
+            DenseSimNetwork::new(config, seed)
+        };
+        let mut driver = ChurnDriver::new(ChurnConfig { rate: churn_rate });
+        driver.run_cycles(&mut net, cycles);
+        // Killed without a cycle after: every link to them is dead.
+        for victim in net.live_ids().into_iter().take(kill.min(nodes - 1)) {
+            net.kill_node(victim);
+        }
+        let direct = DenseOverlay::from_dense_sim(&net);
+        let exported = DenseOverlay::from_flat_links(&net.flat_links());
+        prop_assert_eq!(direct.live_len(), net.len());
+        prop_assert_eq!(direct, exported);
     }
 }

@@ -42,37 +42,52 @@
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-use hybridcast_graph::cast::{idx, to_u32};
+use hybridcast_graph::cast::{idx, idx_u64, to_u32};
 use hybridcast_graph::NodeId;
 use hybridcast_membership::oldest_descriptor_index;
 
-/// A Cyclon payload descriptor in scratch space: `(node id, age, offset of
-/// the ring-position profile in the side pool)`.
-pub(crate) type CyDesc = (u64, u32, u32);
+/// A Cyclon view entry or payload descriptor: `(node id, age)`. A Cyclon
+/// rule never reads a ring key; the Vicinity side looks a candidate's key up
+/// in the network's key table ([`RingKeys`]).
+pub(crate) type CyDesc = (u64, u32);
 
 /// A Vicinity payload descriptor / merge-pool entry:
-/// `(node id, age, ring key)`.
+/// `(node id, age, ring key)`. The key is the one [`RingKeys`] gave for the
+/// id, carried along while the descriptor is in flight; the arena's rows
+/// store ids and ages only.
 pub(crate) type ViDesc = (u64, u32, u64);
 
-/// Cyclon payload descriptors plus the side pool their profile offsets
-/// point into.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct CyPayload {
-    pub descs: Vec<CyDesc>,
-    pub profs: Vec<u64>,
+/// One ring's column of the network's id-indexed ring-key table: the key a
+/// node drew for ring `ring` when it joined, looked up by node id.
+///
+/// The table is the only place a ring key is stored. Ids are never reused
+/// and keys never change, so a departed id keeps the key it had — a view
+/// entry outliving its node, or a slot reused by a newcomer, reads the same
+/// key for that id as before.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RingKeys<'a> {
+    /// Node id -> its keys on every ring (stride `rings`).
+    table: &'a [u64],
+    rings: usize,
+    ring: usize,
 }
 
-impl CyPayload {
-    pub fn clear(&mut self) {
-        self.descs.clear();
-        self.profs.clear();
+impl<'a> RingKeys<'a> {
+    /// Column `ring` of a table with `rings` keys per id.
+    pub fn new(table: &'a [u64], rings: usize, ring: usize) -> Self {
+        debug_assert!(ring < rings, "ring {ring} of {rings}");
+        RingKeys { table, rings, ring }
     }
 
-    /// Appends one descriptor and its ring-position profile.
-    pub fn push(&mut self, id: u64, age: u32, profile: &[u64]) {
-        let pofs = to_u32(self.profs.len());
-        self.profs.extend_from_slice(profile);
-        self.descs.push((id, age, pofs));
+    /// The ring this column belongs to.
+    pub fn ring(&self) -> usize {
+        self.ring
+    }
+
+    /// The ring key of node `id` (an id that was assigned at some point).
+    #[inline]
+    pub fn of(&self, id: u64) -> u64 {
+        self.table[idx_u64(id) * self.rings + self.ring]
     }
 }
 
@@ -101,9 +116,9 @@ pub(crate) fn ring_rank(centre: u64, key: u64, id: u64) -> u128 {
 /// oracle's pool rule, "younger duplicate wins".
 ///
 /// Finding a duplicate by position instead of by id rests on **same id ⇒
-/// same ring key**: ids are never reused and ring positions never change,
-/// so every descriptor of a peer carries one key. One instance per worker
-/// keeps the hot path allocation-free.
+/// same ring key**: every key comes from the one id-indexed [`RingKeys`]
+/// table, so every descriptor of a peer carries one key. One instance per
+/// worker keeps the hot path allocation-free.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct RingSelection {
     /// `(ring rank, age)`, ascending, at most `k`.
@@ -214,30 +229,24 @@ impl RingSelection {
 }
 
 /// The Cyclon descriptor arena: every slot's view is one fixed-stride row
-/// of the parallel `id` / `age` / profile arrays.
+/// of the parallel `id` / `age` arrays.
 #[derive(Debug, Clone)]
 pub(crate) struct CyArena {
     id: Vec<u64>,
     age: Vec<u32>,
-    /// Descriptor profiles: ring positions (stride `cyc * rings` per slot).
-    pos: Vec<u64>,
     len: Vec<u32>,
     /// View capacity (row stride of `id` / `age`).
     cyc: usize,
-    /// Profile width.
-    rings: usize,
 }
 
 impl CyArena {
     /// An empty arena with room for `slots` views of `cyc` descriptors.
-    pub fn with_capacity(slots: usize, cyc: usize, rings: usize) -> Self {
+    pub fn with_capacity(slots: usize, cyc: usize) -> Self {
         CyArena {
             id: Vec::with_capacity(slots * cyc),
             age: Vec::with_capacity(slots * cyc),
-            pos: Vec::with_capacity(slots * cyc * rings),
             len: Vec::with_capacity(slots),
             cyc,
-            rings,
         }
     }
 
@@ -245,7 +254,6 @@ impl CyArena {
     pub fn push_slot(&mut self) {
         self.id.resize(self.id.len() + self.cyc, 0);
         self.age.resize(self.age.len() + self.cyc, 0);
-        self.pos.resize(self.pos.len() + self.cyc * self.rings, 0);
         self.len.push(0);
     }
 
@@ -259,30 +267,25 @@ impl CyArena {
         CyChunk {
             id: &mut self.id,
             age: &mut self.age,
-            pos: &mut self.pos,
             len: &mut self.len,
             cyc: self.cyc,
-            rings: self.rings,
             base: 0,
         }
     }
 
     /// Disjoint chunks of `per_worker` slots each, in slot order.
     pub fn chunks(&mut self, per_worker: usize) -> impl ExactSizeIterator<Item = CyChunk<'_>> {
-        let (cyc, rings) = (self.cyc, self.rings);
+        let cyc = self.cyc;
         self.id
             .chunks_mut(per_worker * cyc)
             .zip(self.age.chunks_mut(per_worker * cyc))
-            .zip(self.pos.chunks_mut(per_worker * cyc * rings))
             .zip(self.len.chunks_mut(per_worker))
             .enumerate()
-            .map(move |(w, (((id, age), pos), len))| CyChunk {
+            .map(move |(w, ((id, age), len))| CyChunk {
                 id,
                 age,
-                pos,
                 len,
                 cyc,
-                rings,
                 base: w * per_worker,
             })
     }
@@ -292,10 +295,8 @@ impl CyArena {
         CyView {
             id: &self.id,
             age: &self.age,
-            pos: &self.pos,
             len: &self.len,
             cyc: self.cyc,
-            rings: self.rings,
         }
     }
 }
@@ -306,10 +307,8 @@ impl CyArena {
 pub(crate) struct CyChunk<'a> {
     id: &'a mut [u64],
     age: &'a mut [u32],
-    pos: &'a mut [u64],
     len: &'a mut [u32],
     cyc: usize,
-    rings: usize,
     /// First absolute slot this chunk covers.
     base: usize,
 }
@@ -337,15 +336,9 @@ impl CyChunk<'_> {
     }
 
     /// The `(id, age)` of view entry `i` of `slot`.
-    fn entry(&self, slot: u32, i: usize) -> (u64, u32) {
+    fn entry(&self, slot: u32, i: usize) -> CyDesc {
         let base = self.l(slot) * self.cyc;
         (self.id[base + i], self.age[base + i])
-    }
-
-    /// The ring-position profile of view entry `i` of `slot`.
-    fn profile(&self, slot: u32, i: usize) -> &[u64] {
-        let src = (self.l(slot) * self.cyc + i) * self.rings;
-        &self.pos[src..src + self.rings]
     }
 
     /// `begin_cycle`: age every entry by one (saturating).
@@ -376,14 +369,12 @@ impl CyChunk<'_> {
     }
 
     /// Appends a descriptor (caller checks room).
-    pub fn push(&mut self, slot: u32, id: u64, age: u32, profile: &[u64]) {
+    pub fn push(&mut self, slot: u32, (id, age): CyDesc) {
         let s = self.l(slot);
         let len = idx(self.len[s]);
         debug_assert!(len < self.cyc);
         self.id[s * self.cyc + len] = id;
         self.age[s * self.cyc + len] = age;
-        let dst = (s * self.cyc + len) * self.rings;
-        self.pos[dst..dst + self.rings].copy_from_slice(profile);
         self.len[s] = to_u32(len + 1);
     }
 
@@ -396,11 +387,6 @@ impl CyChunk<'_> {
         let base = s * self.cyc;
         self.id.copy_within(base + pos + 1..base + len, base + pos);
         self.age.copy_within(base + pos + 1..base + len, base + pos);
-        let pbase = base * self.rings;
-        self.pos.copy_within(
-            pbase + (pos + 1) * self.rings..pbase + len * self.rings,
-            pbase + pos * self.rings,
-        );
         self.len[s] = to_u32(len - 1);
     }
 
@@ -420,23 +406,23 @@ impl CyChunk<'_> {
     /// initiate_shuffle}`): age the view, take the oldest entry (ties toward
     /// lower id) out of it as the shuffle target, and append the request to
     /// `out` — `shuf - 1` random remaining entries plus a fresh descriptor
-    /// of the initiator, `own = (id, ring positions)`. Returns the target's
-    /// id, or `None` (nothing drawn, nothing appended) for an isolated node.
+    /// of the initiator `own_id`. Returns the target's id, or `None`
+    /// (nothing drawn, nothing appended) for an isolated node.
     pub fn begin_shuffle<R: Rng + ?Sized>(
         &mut self,
         slot: u32,
-        own: (u64, &[u64]),
+        own_id: u64,
         shuf: usize,
         rng: &mut R,
         perm: &mut Vec<u32>,
-        out: &mut CyPayload,
+        out: &mut Vec<CyDesc>,
     ) -> Option<u64> {
         self.age_view(slot);
         let best = self.oldest(slot)?;
         let target = self.entry(slot, best).0;
         self.remove_at(slot, best);
         self.random_payload_into(slot, None, shuf.saturating_sub(1), rng, perm, out);
-        out.push(own.0, 0, own.1);
+        out.push((own_id, 0));
         Some(target)
     }
 
@@ -447,7 +433,7 @@ impl CyChunk<'_> {
     /// Only a permutation of view positions is shuffled — a shuffle's draws
     /// and swaps depend on the length alone, so this consumes `rng` exactly
     /// like shuffling the descriptors themselves — and only the survivors
-    /// and their profiles are copied.
+    /// are copied.
     pub fn random_payload_into<R: Rng + ?Sized>(
         &self,
         slot: u32,
@@ -455,7 +441,7 @@ impl CyChunk<'_> {
         take: usize,
         rng: &mut R,
         perm: &mut Vec<u32>,
-        out: &mut CyPayload,
+        out: &mut Vec<CyDesc>,
     ) {
         perm.clear();
         for (i, &id) in self.ids(slot).iter().enumerate() {
@@ -464,10 +450,7 @@ impl CyChunk<'_> {
             }
         }
         perm.shuffle(rng);
-        for &i in perm.iter().take(take) {
-            let (id, age) = self.entry(slot, idx(i));
-            out.push(id, age, self.profile(slot, idx(i)));
-        }
+        out.extend(perm.iter().take(take).map(|&i| self.entry(slot, idx(i))));
     }
 
     /// The Cyclon merge rule (`CyclonNode::merge_received`): fill empty
@@ -478,20 +461,18 @@ impl CyChunk<'_> {
         slot: u32,
         self_id: u64,
         received: &[CyDesc],
-        received_prof: &[u64],
         sent: &[CyDesc],
         replaceable: &mut Vec<u64>,
     ) {
         replaceable.clear();
         replaceable.extend(sent.iter().map(|d| d.0).filter(|&id| id != self_id));
-        for &(id, age, pofs) in received {
-            if id == self_id || self.contains(slot, id) {
+        for &desc in received {
+            if desc.0 == self_id || self.contains(slot, desc.0) {
                 continue;
             }
             let s = self.l(slot);
             if idx(self.len[s]) < self.cyc {
-                let profile = &received_prof[idx(pofs)..idx(pofs) + self.rings];
-                self.push(slot, id, age, profile);
+                self.push(slot, desc);
                 continue;
             }
             let mut evicted = false;
@@ -502,8 +483,7 @@ impl CyChunk<'_> {
                 }
             }
             if evicted {
-                let profile = &received_prof[idx(pofs)..idx(pofs) + self.rings];
-                self.push(slot, id, age, profile);
+                self.push(slot, desc);
             }
         }
     }
@@ -518,10 +498,8 @@ impl CyChunk<'_> {
 pub(crate) struct CyView<'a> {
     id: &'a [u64],
     age: &'a [u32],
-    pos: &'a [u64],
     len: &'a [u32],
     cyc: usize,
-    rings: usize,
 }
 
 impl<'a> CyView<'a> {
@@ -531,29 +509,27 @@ impl<'a> CyView<'a> {
         &self.id[base..base + idx(self.len[idx(slot)])]
     }
 
-    /// Projects a slot's view onto ring `ring` — every descriptor re-keyed
-    /// with the peer's position on that ring (the random layer feeding the
-    /// proximity layer).
-    pub fn ring_candidates_into(&self, slot: u32, ring: usize, out: &mut Vec<ViDesc>) {
+    /// Projects a slot's view onto one ring — every descriptor keyed with
+    /// the peer's position on that ring, read from the key table (the
+    /// random layer feeding the proximity layer).
+    pub fn ring_candidates_into(&self, slot: u32, keys: RingKeys<'_>, out: &mut Vec<ViDesc>) {
         out.clear();
         let base = idx(slot) * self.cyc;
         let len = idx(self.len[idx(slot)]);
-        for i in 0..len {
-            let key = self.pos[(base + i) * self.rings + ring];
-            out.push((self.id[base + i], self.age[base + i], key));
-        }
+        let (id, age) = (&self.id[base..base + len], &self.age[base..base + len]);
+        out.extend(id.iter().zip(age).map(|(&id, &age)| (id, age, keys.of(id))));
     }
 }
 
 /// The Vicinity descriptor arena: one fixed-stride view per slot and ring
-/// (stride `vic_rings * vic` per slot) in parallel `id` / `age` / `key`
-/// arrays. Each row is in ascending [`ring_rank`] around its owner's key on
-/// that ring, an order no protocol rule can observe (see the module doc).
+/// (stride `vic_rings * vic` per slot) in parallel `id` / `age` arrays. Each
+/// row is in ascending [`ring_rank`] around its owner's key on that ring, an
+/// order no protocol rule can observe (see the module doc); the keys it is
+/// sorted by live in the network's key table ([`RingKeys`]).
 #[derive(Debug, Clone)]
 pub(crate) struct ViArena {
     id: Vec<u64>,
     age: Vec<u32>,
-    key: Vec<u64>,
     /// View lengths (stride `vic_rings` per slot).
     len: Vec<u32>,
     /// View capacity per ring.
@@ -570,7 +546,6 @@ impl ViArena {
         ViArena {
             id: Vec::with_capacity(slots * vic_rings * vic),
             age: Vec::with_capacity(slots * vic_rings * vic),
-            key: Vec::with_capacity(slots * vic_rings * vic),
             len: Vec::with_capacity(slots * vic_rings.max(1)),
             vic,
             vic_rings,
@@ -588,7 +563,6 @@ impl ViArena {
         let stride = self.vic_rings * self.vic;
         self.id.resize(self.id.len() + stride, 0);
         self.age.resize(self.age.len() + stride, 0);
-        self.key.resize(self.key.len() + stride, 0);
         self.len.resize(self.len.len() + self.vic_rings, 0);
     }
 
@@ -603,7 +577,6 @@ impl ViArena {
         ViChunk {
             id: &mut self.id,
             age: &mut self.age,
-            key: &mut self.key,
             len: &mut self.len,
             vic: self.vic,
             vic_rings: self.vic_rings,
@@ -623,13 +596,11 @@ impl ViArena {
         self.id
             .chunks_mut(stride)
             .zip(self.age.chunks_mut(stride))
-            .zip(self.key.chunks_mut(stride))
             .zip(self.len.chunks_mut(per_worker * vic_rings))
             .enumerate()
-            .map(move |(w, (((id, age), key), len))| ViChunk {
+            .map(move |(w, ((id, age), len))| ViChunk {
                 id,
                 age,
-                key,
                 len,
                 vic,
                 vic_rings,
@@ -638,14 +609,19 @@ impl ViArena {
             })
     }
 
+    /// The view ids of `slot` on one ring, in ascending ring order.
+    pub fn row(&self, slot: u32, ring: usize) -> &[u64] {
+        let base = (idx(slot) * self.vic_rings + ring) * self.vic;
+        &self.id[base..base + idx(self.len[idx(slot) * self.vic_rings + ring])]
+    }
+
     /// The ring neighbours `(predecessor, successor)` of `slot` on one ring,
     /// as `VicinityNode::ring_neighbors` finds them: the entries of highest
     /// and lowest [`ring_rank`] around the node's key, which are the last
     /// and the first of its ascending row. A single-entry view is its own
     /// two-node ring.
     pub fn ring_neighbors(&self, slot: u32, ring: usize) -> (Option<NodeId>, Option<NodeId>) {
-        let base = (idx(slot) * self.vic_rings + ring) * self.vic;
-        let row = &self.id[base..base + idx(self.len[idx(slot) * self.vic_rings + ring])];
+        let row = self.row(slot, ring);
         let node = |&id: &u64| NodeId::new(id);
         (row.last().map(node), row.first().map(node))
     }
@@ -656,7 +632,6 @@ impl ViArena {
 pub(crate) struct ViChunk<'a> {
     id: &'a mut [u64],
     age: &'a mut [u32],
-    key: &'a mut [u64],
     len: &'a mut [u32],
     vic: usize,
     vic_rings: usize,
@@ -708,42 +683,25 @@ impl ViChunk<'_> {
         .map(|i| self.id[base + i])
     }
 
-    /// The ring key of `id` in the slot's view, if present.
-    fn get_key(&self, slot: u32, ring: usize, id: u64) -> Option<u64> {
-        let base = self.row(slot, ring);
-        let len = self.view_len(slot, ring);
-        self.id[base..base + len]
-            .iter()
-            .position(|&e| e == id)
-            .map(|pos| self.key[base + pos])
-    }
-
     /// The initiator's partner choice in a Vicinity exchange
-    /// (`VicinityNode::{begin_cycle, initiate_exchange}`): age the view and
-    /// take its oldest entry (ties toward lower id); only while the view is
-    /// still empty, one `pick(cand.len())` draw among the random layer's
-    /// candidates `cand` instead. Returns the partner's `(id, ring key)` —
-    /// the key as the view knows it, else as the candidates do, else
-    /// `own_key` — or `None` (nothing drawn) when no partner is known.
+    /// (`VicinityNode::{begin_cycle, initiate_exchange}`) on `ring`: age the
+    /// view and take its oldest entry (ties toward lower id); only while the
+    /// view is still empty, one `pick(cand.len())` draw among the random
+    /// layer's candidates `cand` instead. Returns the partner's id, or
+    /// `None` (nothing drawn) when no partner is known.
     pub fn pick_partner(
         &mut self,
         slot: u32,
         ring: usize,
-        own_key: u64,
         cand: &[ViDesc],
         pick: impl FnOnce(usize) -> usize,
-    ) -> Option<(u64, u64)> {
+    ) -> Option<u64> {
         self.age_view(slot, ring);
-        let target = match self.oldest_id(slot, ring) {
-            Some(target) => target,
-            None if cand.is_empty() => return None,
-            None => cand[pick(cand.len())].0,
-        };
-        let key = self
-            .get_key(slot, ring, target)
-            .or_else(|| cand.iter().find(|d| d.0 == target).map(|d| d.2))
-            .unwrap_or(own_key);
-        Some((target, key))
+        match self.oldest_id(slot, ring) {
+            Some(target) => Some(target),
+            None if cand.is_empty() => None,
+            None => Some(cand[pick(cand.len())].0),
+        }
     }
 
     /// Removes the descriptor for `id` if present (order-preserving shift).
@@ -753,16 +711,15 @@ impl ViChunk<'_> {
         if let Some(pos) = self.id[base..base + len].iter().position(|&e| e == id) {
             self.id.copy_within(base + pos + 1..base + len, base + pos);
             self.age.copy_within(base + pos + 1..base + len, base + pos);
-            self.key.copy_within(base + pos + 1..base + len, base + pos);
             self.len[self.l(slot) * self.vic_rings + ring] = to_u32(len - 1);
         }
     }
 
-    /// The Vicinity request/reply payload rule (`VicinityNode::payload_for`):
-    /// the view entries closest to the target's key (never the target
-    /// itself), capped at `gos - 1`, in `rank_by_ring_distance` order, plus
-    /// a fresh descriptor of the local node. `target` and `own` are
-    /// `(id, ring key)` pairs.
+    /// The Vicinity request/reply payload rule (`VicinityNode::payload_for`)
+    /// on the ring of `keys`: the view entries closest to the target's key
+    /// (never the target itself), capped at `gos - 1`, in
+    /// `rank_by_ring_distance` order, plus a fresh descriptor of the local
+    /// node `own_id`.
     ///
     /// Around the target's key the row's ring order is the same cycle,
     /// rotated: with `δ = target key − own key`, the `p` entries whose
@@ -774,25 +731,22 @@ impl ViChunk<'_> {
     pub fn payload_into(
         &self,
         slot: u32,
-        ring: usize,
-        target: (u64, u64),
-        own: (u64, u64),
+        keys: RingKeys<'_>,
+        target: u64,
+        own_id: u64,
         out: &mut Vec<ViDesc>,
     ) {
-        let base = self.row(slot, ring);
-        let n = self.view_len(slot, ring);
-        let (id, age, key) = (
-            &self.id[base..base + n],
-            &self.age[base..base + n],
-            &self.key[base..base + n],
-        );
-        let delta = target.1.wrapping_sub(own.1);
-        let p = key.partition_point(|&k| k.wrapping_sub(own.1).wrapping_sub(1) < delta);
+        let base = self.row(slot, keys.ring());
+        let n = self.view_len(slot, keys.ring());
+        let (id, age) = (&self.id[base..base + n], &self.age[base..base + n]);
+        let own_key = keys.of(own_id);
+        let delta = keys.of(target).wrapping_sub(own_key);
+        let p = id.partition_point(|&e| keys.of(e).wrapping_sub(own_key).wrapping_sub(1) < delta);
         // Rotated position -> row position, skipping the target.
         let at = |i: usize| if p + i < n { p + i } else { p + i - n };
-        let mut front = (0..n).map(at).filter(|&i| id[i] != target.0);
-        let mut back = (0..n).rev().map(at).filter(|&i| id[i] != target.0);
-        let m = (n - usize::from(id.contains(&target.0))).min(self.gos.saturating_sub(1));
+        let mut front = (0..n).map(at).filter(|&i| id[i] != target);
+        let mut back = (0..n).rev().map(at).filter(|&i| id[i] != target);
+        let m = (n - usize::from(id.contains(&target))).min(self.gos.saturating_sub(1));
         out.clear();
         for j in 0..m {
             let i = if j % 2 == 0 {
@@ -801,37 +755,37 @@ impl ViChunk<'_> {
                 back.next()
             };
             let i = i.expect("the two ends of the window never meet");
-            out.push((id[i], age[i], key[i]));
+            out.push((id[i], age[i], keys.of(id[i])));
         }
-        out.push((own.0, 0, own.1));
+        out.push((own_id, 0, own_key));
     }
 
-    /// The Vicinity merge rule (`VicinityNode::merge`): of the own view
-    /// entries, the received descriptors and the random-layer candidates
-    /// (younger duplicate wins), keep the `vic` closest to the local key,
-    /// stored in ascending ring order. The row itself is already such a
-    /// selection, so only the received descriptors and the candidates are
-    /// offered. `own` is the local `(id, ring key)`.
+    /// The Vicinity merge rule (`VicinityNode::merge`) on the ring of
+    /// `keys`: of the own view entries, the received descriptors and the
+    /// random-layer candidates (younger duplicate wins), keep the `vic`
+    /// closest to the local key, stored in ascending ring order. The row
+    /// itself is already such a selection, so only the received descriptors
+    /// and the candidates are offered. `own_id` is the local node.
     pub fn merge(
         &mut self,
         slot: u32,
-        ring: usize,
-        own: (u64, u64),
+        keys: RingKeys<'_>,
+        own_id: u64,
         received: &[ViDesc],
         cyclon_candidates: &[ViDesc],
         sel: &mut RingSelection,
     ) {
+        let ring = keys.ring();
         let base = self.row(slot, ring);
         let row = (base..base + self.view_len(slot, ring))
-            .map(|i| (self.id[i], self.age[i], self.key[i]));
-        sel.start(own.1, self.vic, own.0, row);
+            .map(|i| (self.id[i], self.age[i], keys.of(self.id[i])));
+        sel.start(keys.of(own_id), self.vic, own_id, row);
         for &d in received.iter().chain(cyclon_candidates) {
             sel.offer(d);
         }
-        for (i, (id, age, key)) in sel.sorted().enumerate() {
+        for (i, (id, age, _)) in sel.sorted().enumerate() {
             self.id[base + i] = id;
             self.age[base + i] = age;
-            self.key[base + i] = key;
         }
         self.len[self.l(slot) * self.vic_rings + ring] = to_u32(sel.len());
     }
@@ -893,7 +847,8 @@ mod tests {
 
     /// A one-slot, one-ring arena whose row holds the first copy of each id
     /// in `entries` (never `owner`), keyed by [`key_of`], in ascending ring
-    /// order around the owner's key and cut to `vic`. Returns the row too.
+    /// order around the owner's key and cut to `vic`. Returns the row, with
+    /// its keys, too.
     fn one_row(
         entries: &[(u64, u32)],
         owner: u64,
@@ -912,18 +867,26 @@ mod tests {
         row.truncate(vic);
         let mut vi = ViArena::with_capacity(1, vic, 1, gos);
         vi.push_slot();
-        for (i, &(id, age, key)) in row.iter().enumerate() {
-            (vi.id[i], vi.age[i], vi.key[i]) = (id, age, key);
+        for (i, &(id, age, _)) in row.iter().enumerate() {
+            (vi.id[i], vi.age[i]) = (id, age);
         }
         vi.len[0] = to_u32(row.len());
         (vi, row)
     }
 
     /// The `(id, age, key)` entries of the one row of a [`one_row`] arena.
-    fn row_of(vi: &ViArena) -> Vec<ViDesc> {
+    fn row_of(vi: &ViArena, keys: RingKeys<'_>) -> Vec<ViDesc> {
         (0..idx(vi.len[0]))
-            .map(|i| (vi.id[i], vi.age[i], vi.key[i]))
+            .map(|i| (vi.id[i], vi.age[i], keys.of(vi.id[i])))
             .collect()
+    }
+
+    /// An id no generated entry, candidate or target uses.
+    const SPARE: u64 = 48;
+
+    /// The key table of ids `0..=SPARE`: each id keyed by [`key_of`].
+    fn key_table(spread: u64) -> Vec<u64> {
+        (0..=SPARE).map(|id| key_of(id, spread)).collect()
     }
 
     /// Every id has one ring key, seven ids share each key, and the keys
@@ -1022,12 +985,20 @@ mod tests {
             let (mut vi, row) = one_row(&entries, owner, spread, vic, gos);
             // Ids of one residue mod 7 share a key.
             let target = if target_at_owner_key { target - target % 7 + owner % 7 } else { target };
-            let target_key = key_of(target, spread).wrapping_add(shift).wrapping_sub(1);
-            let own = (owner, key_of(owner, spread));
+            let mut table = key_table(spread);
+            // A centre one step before or after the target's key is the key
+            // of a node of its own, which no row holds.
+            let target = if shift == 1 {
+                target
+            } else {
+                table[SPARE as usize] = key_of(target, spread).wrapping_add(shift).wrapping_sub(1);
+                SPARE
+            };
+            let keys = RingKeys::new(&table, 1, 0);
             let mut out = Vec::new();
-            vi.full().payload_into(0, 0, (target, target_key), own, &mut out);
-            let mut expected = oracle(target_key, gos.saturating_sub(1), target, &row);
-            expected.push((own.0, 0, own.1));
+            vi.full().payload_into(0, keys, target, owner, &mut out);
+            let mut expected = oracle(keys.of(target), gos.saturating_sub(1), target, &row);
+            expected.push((owner, 0, keys.of(owner)));
             prop_assert_eq!(out, expected);
         }
 
@@ -1047,12 +1018,14 @@ mod tests {
             let desc = |&(id, age): &(u64, u32)| (id, age, key_of(id, spread));
             let received: Vec<ViDesc> = received.iter().map(desc).collect();
             let cand: Vec<ViDesc> = cand.iter().map(desc).collect();
-            let own = (owner, key_of(owner, spread));
-            vi.full().merge(0, 0, own, &received, &cand, &mut RingSelection::default());
+            let table = key_table(spread);
+            let keys = RingKeys::new(&table, 1, 0);
+            vi.full().merge(0, keys, owner, &received, &cand, &mut RingSelection::default());
             let pool: Vec<ViDesc> = row.iter().chain(&received).chain(&cand).copied().collect();
-            let mut expected = oracle(own.1, vic, owner, &pool);
-            expected.sort_by_key(|&(id, _, key)| ring_rank(own.1, key, id));
-            prop_assert_eq!(row_of(&vi), expected);
+            let own_key = keys.of(owner);
+            let mut expected = oracle(own_key, vic, owner, &pool);
+            expected.sort_by_key(|&(id, _, key)| ring_rank(own_key, key, id));
+            prop_assert_eq!(row_of(&vi, keys), expected);
         }
 
         /// The row's two ends are the entries of highest and lowest ring
@@ -1083,46 +1056,31 @@ mod tests {
 
     #[test]
     fn random_payload_draws_like_a_shuffle_of_the_descriptors() {
-        let (cyc, rings) = (6, 2);
         let mut id: Vec<u64> = vec![10, 11, 12, 13, 14, 0];
         let mut age: Vec<u32> = vec![0, 1, 2, 3, 4, 0];
-        let mut pos: Vec<u64> = (0..12).collect();
         let mut len = vec![5u32];
         let cy = CyChunk {
             id: &mut id,
             age: &mut age,
-            pos: &mut pos,
             len: &mut len,
-            cyc,
-            rings,
+            cyc: 6,
             base: 0,
         };
         for (exclude, take) in [(None, 3), (Some(12), 4), (Some(99), 9), (None, 0)] {
             // The rule as `View::random_descriptors` states it: shuffle
             // every eligible descriptor, keep the first `take`.
-            let mut expected: Vec<(u64, u32, Vec<u64>)> = (0..5)
-                .filter(|&i| Some(cy.entry(0, i).0) != exclude)
-                .map(|i| {
-                    (
-                        cy.entry(0, i).0,
-                        cy.entry(0, i).1,
-                        cy.profile(0, i).to_vec(),
-                    )
-                })
+            let mut expected: Vec<CyDesc> = (0..5)
+                .map(|i| cy.entry(0, i))
+                .filter(|d| Some(d.0) != exclude)
                 .collect();
             let mut expected_rng = ChaCha8Rng::seed_from_u64(3);
             expected.shuffle(&mut expected_rng);
             expected.truncate(take);
 
             let mut rng = ChaCha8Rng::seed_from_u64(3);
-            let (mut perm, mut out) = (Vec::new(), CyPayload::default());
-            out.push(77, 0, &[1, 2]);
+            let (mut perm, mut out) = (Vec::new(), vec![(77, 0)]);
             cy.random_payload_into(0, exclude, take, &mut rng, &mut perm, &mut out);
-            let got: Vec<(u64, u32, Vec<u64>)> = out.descs[1..]
-                .iter()
-                .map(|&(id, age, pofs)| (id, age, out.profs[idx(pofs)..idx(pofs) + rings].to_vec()))
-                .collect();
-            assert_eq!(got, expected, "exclude {exclude:?}, take {take}");
+            assert_eq!(out[1..], expected, "exclude {exclude:?}, take {take}");
             assert_eq!(
                 rng.gen::<u64>(),
                 expected_rng.gen::<u64>(),

@@ -6,12 +6,16 @@
 //! * nodes live in a slab of `u32` slots with a free-list, so churn reuses
 //!   storage instead of rebalancing a `BTreeMap`,
 //! * every node's Cyclon view is a fixed-stride slice of one descriptor
-//!   arena (parallel `id` / `age` / `profile` arrays), and likewise one
-//!   Vicinity view per ring,
-//! * liveness is a bitset, ring positions are a flat array, and the
-//!   id-sorted live-slot index (`by_id`) replaces `BTreeMap` iteration;
-//!   it serves id-ordered walks and the uniform live-node draw only, while
-//!   the id-indexed `slot_of` table resolves a live node in one load,
+//!   arena (parallel `id` / `age` arrays), and likewise one Vicinity view
+//!   per ring,
+//! * every ring key is stored once, in an id-indexed table (`keys`, stride
+//!   `rings`): a node's keys never change and ids are never reused, so
+//!   descriptors carry ids only and every rule that ranks by key looks the
+//!   key up by id — a departed id keeps its key,
+//! * liveness is a bitset, and the id-sorted live-slot index (`by_id`)
+//!   replaces `BTreeMap` iteration; it serves id-ordered walks and the
+//!   uniform live-node draw only, while the id-indexed `slot_of` table
+//!   resolves a live node in one load,
 //! * an epoch step ([`DenseSimNetwork::run_cycles`]) batches all Cyclon
 //!   shuffles and Vicinity exchanges of a cycle through one reusable
 //!   `EpochScratch` (private scratch), so a warm cycle performs no heap
@@ -49,7 +53,7 @@ use hybridcast_graph::cast::{idx, idx_u64};
 use hybridcast_graph::NodeId;
 use hybridcast_obs::{NullProbe, Probe, TraceEvent};
 
-use crate::arena::{CyArena, CyPayload, RingSelection, ViArena, ViDesc};
+use crate::arena::{CyArena, CyDesc, RingKeys, RingSelection, ViArena, ViDesc};
 use crate::config::SimConfig;
 use crate::frontier::{PerNodeState, RngMode};
 use crate::runtime::GossipRuntime;
@@ -101,9 +105,9 @@ struct EpochScratch {
     /// View positions under the Cyclon payload shuffle.
     perm: Vec<u32>,
     /// Cyclon shuffle request payload (initiator -> target).
-    sent: CyPayload,
+    sent: Vec<CyDesc>,
     /// Cyclon shuffle reply payload (target -> initiator).
-    reply: CyPayload,
+    reply: Vec<CyDesc>,
     /// Ids the merging node may evict (descriptors it shipped out).
     replaceable: Vec<u64>,
     /// Initiator's Cyclon view projected onto the current ring.
@@ -118,13 +122,15 @@ struct EpochScratch {
     sel: RingSelection,
 }
 
-/// Flat link arrays of a frozen overlay, the zero-copy export of
-/// [`DenseSimNetwork::flat_links`]: live node ids in ascending order plus
-/// the r-link and d-link lists in compressed-sparse-row layout
+/// Flat link arrays of a frozen overlay, the owned copy of the links that
+/// [`DenseSimNetwork::flat_links`] exports: live node ids in ascending
+/// order plus the r-link and d-link lists in compressed-sparse-row layout
 /// (`targets[offsets[i]..offsets[i + 1]]` are node `i`'s links).
 ///
-/// `hybridcast-core` builds its `DenseOverlay` directly from this, skipping
-/// the id-keyed [`OverlaySnapshot`] round-trip entirely.
+/// `hybridcast-core` builds its `DenseOverlay` from these arrays in place,
+/// skipping the id-keyed [`OverlaySnapshot`] round-trip entirely; a live
+/// network needs no export at all (`DenseOverlay::from_dense_sim` walks
+/// [`DenseSimNetwork::node_links`] directly).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlatLinks {
     /// Live node ids, ascending.
@@ -176,8 +182,6 @@ pub struct DenseSimNetwork {
     pub(crate) ids: Vec<u64>,
     /// Slot -> join cycle.
     pub(crate) joined: Vec<u64>,
-    /// Slot -> ring positions (stride `rings`).
-    pub(crate) positions: Vec<u64>,
     /// Liveness bitset over slots.
     pub(crate) live: SlotBits,
     /// Reusable slots of departed nodes.
@@ -191,6 +195,11 @@ pub struct DenseSimNetwork {
     /// nodes after 250 churn cycles at 0.2 %, ~220 KB for 50k nodes with
     /// the benchmark's per-node churn.
     pub(crate) slot_of: Vec<u32>,
+    /// Node id -> its ring keys (stride `rings`): the one home of every
+    /// ring key. Like `slot_of` it has an entry for every id ever assigned
+    /// and keeps a departed id's keys, which views may still name (8 B per
+    /// id and ring: ~440 KB for the ~55k ids of the 50k-node figure above).
+    pub(crate) keys: Vec<u64>,
 
     /// Every node's Cyclon view.
     pub(crate) cy: CyArena,
@@ -234,12 +243,12 @@ impl DenseSimNetwork {
             rng: ChaCha8Rng::seed_from_u64(seed),
             ids: Vec::with_capacity(nodes),
             joined: Vec::with_capacity(nodes),
-            positions: Vec::with_capacity(nodes * rings),
             live: SlotBits::default(),
             free: Vec::new(),
             by_id: Vec::with_capacity(nodes),
             slot_of: Vec::with_capacity(nodes),
-            cy: CyArena::with_capacity(nodes, cyc, rings),
+            keys: Vec::with_capacity(nodes * rings),
+            cy: CyArena::with_capacity(nodes, cyc),
             vi: ViArena::with_capacity(nodes, vic, vic_rings, gos),
             scratch: EpochScratch::default(),
             per_node: None,
@@ -327,7 +336,7 @@ impl DenseSimNetwork {
     /// The node's position on the primary identifier ring, if it is alive.
     pub fn ring_position(&self, id: NodeId) -> Option<u64> {
         self.lookup_live(id.as_u64())
-            .map(|slot| self.positions[idx(slot) * self.rings])
+            .map(|_| self.keys[idx_u64(id.as_u64()) * self.rings])
     }
 
     /// The cycle at which a live node joined the network.
@@ -371,7 +380,6 @@ impl DenseSimNetwork {
                 let slot = u32::try_from(self.ids.len()).expect("slot index fits in u32");
                 self.ids.push(0);
                 self.joined.push(0);
-                self.positions.resize(self.positions.len() + self.rings, 0);
                 self.cy.push_slot();
                 self.vi.push_slot();
                 self.live.grow_to(self.ids.len());
@@ -381,24 +389,21 @@ impl DenseSimNetwork {
         let s = idx(slot);
         self.ids[s] = id;
         self.joined[s] = self.cycle;
-        let pos_base = s * self.rings;
-        for r in 0..self.rings {
-            self.positions[pos_base + r] = self.rng.gen();
+        // Ids grow monotonically, so appending keeps `by_id` sorted and
+        // `slot_of` / `keys` indexed by id.
+        for _ in 0..self.rings {
+            self.keys.push(self.rng.gen());
         }
         self.cy.clear_slot(slot);
         self.vi.clear_slot(slot);
 
         if let Some(contact) = introducer {
-            if let Some(cslot) = self.lookup_live(contact.as_u64()) {
-                let src = idx(cslot) * self.rings;
-                let profile = &self.positions[src..src + self.rings];
-                self.cy.full().push(slot, contact.as_u64(), 0, profile);
+            if self.lookup_live(contact.as_u64()).is_some() {
+                self.cy.full().push(slot, (contact.as_u64(), 0));
             }
         }
 
         self.live.set(slot);
-        // Ids grow monotonically, so appending keeps `by_id` sorted and
-        // `slot_of` indexed by id.
         self.by_id.push(slot);
         self.slot_of.push(slot);
         let cycle = self.cycle;
@@ -494,12 +499,10 @@ impl DenseSimNetwork {
     /// handle_shuffle_response}` on the shared stream.
     fn cyclon_gossip(&mut self, slot: u32, my_id: u64, s: &mut EpochScratch) {
         let mut cy = self.cy.full();
-        let pos_base = idx(slot) * self.rings;
-        let own = (my_id, &self.positions[pos_base..pos_base + self.rings]);
         s.sent.clear();
         let Some(target) = cy.begin_shuffle(
             slot,
-            own,
+            my_id,
             self.shuf,
             &mut self.rng,
             &mut s.perm,
@@ -526,24 +529,10 @@ impl DenseSimNetwork {
         );
         let peer_id = self.ids[idx(peer)];
         // Peer merges the request (may evict what it just sent)...
-        cy.merge(
-            peer,
-            peer_id,
-            &s.sent.descs,
-            &s.sent.profs,
-            &s.reply.descs,
-            &mut s.replaceable,
-        );
+        cy.merge(peer, peer_id, &s.sent, &s.reply, &mut s.replaceable);
         // ...then the initiator merges the reply (may evict what it sent,
         // never its own fresh descriptor).
-        cy.merge(
-            slot,
-            my_id,
-            &s.reply.descs,
-            &s.reply.profs,
-            &s.sent.descs,
-            &mut s.replaceable,
-        );
+        cy.merge(slot, my_id, &s.reply, &s.sent, &mut s.replaceable);
     }
 
     // ---- Vicinity over the arena ----------------------------------------
@@ -567,28 +556,24 @@ impl DenseSimNetwork {
         // the initiator's *current* Cyclon view, after its shuffle).
         let cyv = self.cy.view();
         let mut vi = self.vi.full();
-        cyv.ring_candidates_into(slot, ring, cand);
+        let keys = RingKeys::new(&self.keys, self.rings, ring);
+        cyv.ring_candidates_into(slot, keys, cand);
 
-        let own_key = self.positions[idx(slot) * self.rings + ring];
         let rng = &mut self.rng;
-        let Some((target, target_key)) =
-            vi.pick_partner(slot, ring, own_key, cand, |n| rng.gen_range(0..n))
-        else {
+        let Some(target) = vi.pick_partner(slot, ring, cand, |n| rng.gen_range(0..n)) else {
             return; // No partner known at all.
         };
-        vi.payload_into(slot, ring, (target, target_key), (my_id, own_key), pay);
+        vi.payload_into(slot, keys, target, my_id, pay);
 
         match lookup_live_in(&self.slot_of, target) {
             Some(peer) => {
-                let peer_id = self.ids[idx(peer)];
-                let peer_key = self.positions[idx(peer) * self.rings + ring];
-                cyv.ring_candidates_into(peer, ring, cand_peer);
+                cyv.ring_candidates_into(peer, keys, cand_peer);
                 // handle_exchange_request: the reply targets the initiator's
                 // neighbourhood and is captured before the peer merges.
-                vi.payload_into(peer, ring, (my_id, own_key), (peer_id, peer_key), reply_v);
-                vi.merge(peer, ring, (peer_id, peer_key), pay, cand_peer, sel);
+                vi.payload_into(peer, keys, my_id, target, reply_v);
+                vi.merge(peer, keys, target, pay, cand_peer, sel);
                 // handle_exchange_response on the initiator.
-                vi.merge(slot, ring, (my_id, own_key), reply_v, cand, sel);
+                vi.merge(slot, keys, my_id, reply_v, cand, sel);
             }
             None => {
                 // exchange_failed: drop the dead peer so the ring can
@@ -600,46 +585,64 @@ impl DenseSimNetwork {
 
     // ---- Exports ---------------------------------------------------------
 
-    /// Appends the node's d-links (ring neighbours on every ring,
-    /// deduplicated within the node, predecessor before successor) to `out`.
-    fn push_d_links(&self, slot: u32, out: &mut Vec<NodeId>) {
-        let start = out.len();
-        for ring in 0..self.vi.rings() {
-            let (pred, succ) = self.vi.ring_neighbors(slot, ring);
-            for link in [pred, succ].into_iter().flatten() {
-                if !out[start..].contains(&link) {
-                    out.push(link);
-                }
+    /// The links of the `i`-th live node in ascending id order (`i <
+    /// self.len()`): its id, its r-links (its Cyclon view, in view order)
+    /// and its d-links (its ring neighbours on every ring, predecessor
+    /// before successor, each link once).
+    ///
+    /// This is the one per-node walk behind [`DenseSimNetwork::flat_links`],
+    /// [`DenseSimNetwork::overlay_snapshot`] and `hybridcast-core`'s
+    /// `DenseOverlay::from_dense_sim`, which builds its CSR arrays from it
+    /// without an intermediate export.
+    pub fn node_links(
+        &self,
+        i: usize,
+    ) -> (
+        NodeId,
+        impl Iterator<Item = NodeId> + '_,
+        impl Iterator<Item = NodeId> + '_,
+    ) {
+        let slot = self.by_id[i];
+        let r = self.cy.view().ids(slot).iter().map(|&raw| NodeId::new(raw));
+        // Candidate `k` is ring `k / 2`'s predecessor (even `k`) or
+        // successor (odd `k`); a candidate equal to an earlier one is a
+        // duplicate.
+        let candidate = move |k: usize| {
+            let (pred, succ) = self.vi.ring_neighbors(slot, k / 2);
+            if k % 2 == 0 {
+                pred
+            } else {
+                succ
             }
-        }
+        };
+        let d = (0..2 * self.vi.rings()).filter_map(move |k| {
+            let link = candidate(k)?;
+            (0..k).all(|j| candidate(j) != Some(link)).then_some(link)
+        });
+        (NodeId::new(self.ids[idx(slot)]), r, d)
     }
 
     /// Exports a frozen id-keyed snapshot, bit-identical to the id-keyed
     /// oracle runtime's for the same seed and history.
     pub fn overlay_snapshot(&self) -> OverlaySnapshot {
-        let mut entries = BTreeMap::new();
-        let view = self.cy.view();
-        for &slot in &self.by_id {
-            let s = idx(slot);
-            let r_links = view.ids(slot).iter().map(|&raw| NodeId::new(raw)).collect();
-            let mut d_links = Vec::new();
-            self.push_d_links(slot, &mut d_links);
-            entries.insert(
-                NodeId::new(self.ids[s]),
-                NodeSnapshot {
-                    ring_position: self.positions[s * self.rings],
+        let entries = (0..self.len())
+            .map(|i| {
+                let (id, r, d) = self.node_links(i);
+                let s = idx(self.by_id[i]);
+                let node = NodeSnapshot {
+                    ring_position: self.keys[idx_u64(id.as_u64()) * self.rings],
                     joined_at_cycle: self.joined[s],
-                    r_links,
-                    d_links,
-                },
-            );
-        }
+                    r_links: r.collect(),
+                    d_links: d.collect(),
+                };
+                (id, node)
+            })
+            .collect::<BTreeMap<_, _>>();
         OverlaySnapshot::new(self.cycle, entries)
     }
 
     /// Exports the current overlay as flat CSR link arrays, skipping the
-    /// id-keyed snapshot entirely. `hybridcast-core` builds its dense
-    /// dissemination overlay straight from this.
+    /// id-keyed snapshot entirely.
     pub fn flat_links(&self) -> FlatLinks {
         let n = self.by_id.len();
         let mut ids = Vec::with_capacity(n);
@@ -649,11 +652,11 @@ impl DenseSimNetwork {
         let mut d_targets = Vec::new();
         r_offsets.push(0);
         d_offsets.push(0);
-        let view = self.cy.view();
-        for &slot in &self.by_id {
-            ids.push(NodeId::new(self.ids[idx(slot)]));
-            r_targets.extend(view.ids(slot).iter().map(|&raw| NodeId::new(raw)));
-            self.push_d_links(slot, &mut d_targets);
+        for i in 0..n {
+            let (id, r, d) = self.node_links(i);
+            ids.push(id);
+            r_targets.extend(r);
+            d_targets.extend(d);
             r_offsets.push(u32::try_from(r_targets.len()).expect("r-link count fits in u32"));
             d_offsets.push(u32::try_from(d_targets.len()).expect("d-link count fits in u32"));
         }
@@ -716,6 +719,7 @@ impl GossipRuntime for DenseSimNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arena::ring_rank;
 
     fn config(nodes: usize) -> SimConfig {
         SimConfig {
@@ -780,6 +784,72 @@ mod tests {
         assert_eq!(dense.joined_at_cycle(victim), None);
         assert!(dense.r_links(victim).is_empty());
         assert!(dense.live_ids().iter().all(|&id| id != victim));
+    }
+
+    /// Kills a node that a live node's Cyclon view still names, spawns a
+    /// newcomer into the freed slot, and checks that the departed id keeps
+    /// the key it drew at join — in the live node's ring candidates, in its
+    /// Vicinity merge and in the rows the kernel merges next cycle — and
+    /// never takes the new tenant's.
+    fn departed_ids_keep_their_keys_after_slot_reuse(mut net: DenseSimNetwork) {
+        net.run_cycles(20);
+        let (holder, departed) = net
+            .live_ids()
+            .into_iter()
+            .find_map(|id| net.r_links(id).first().map(|&link| (id, link)))
+            .expect("a warmed network has Cyclon links");
+        let departed_key = net.ring_position(departed).expect("alive");
+        let freed = net.lookup_live(departed.as_u64()).expect("alive");
+        assert!(net.kill_node(departed));
+        let tenant = net.spawn_node(Some(holder));
+        assert_eq!(net.lookup_live(tenant.as_u64()), Some(freed), "slot reused");
+        assert_ne!(net.ring_position(tenant), Some(departed_key));
+
+        let slot = net.lookup_live(holder.as_u64()).expect("alive");
+        let keys = RingKeys::new(&net.keys, net.rings, 0);
+        let mut cand = Vec::new();
+        net.cy.view().ring_candidates_into(slot, keys, &mut cand);
+        let named = cand.iter().find(|d| d.0 == departed.as_u64());
+        assert_eq!(named.map(|d| d.2), Some(departed_key), "ring candidate");
+
+        let mut sel = RingSelection::default();
+        let mut vi = net.vi.clone();
+        vi.full()
+            .merge(slot, keys, holder.as_u64(), &[], &cand, &mut sel);
+        let merged = sel.sorted().find(|d| d.0 == departed.as_u64());
+        assert_eq!(merged.map(|d| d.2), Some(departed_key), "merge pool");
+
+        // The kernel's own merges: every row naming the departed id is in
+        // ascending ring order under the id-indexed keys.
+        net.run_cycles(1);
+        let keys = RingKeys::new(&net.keys, net.rings, 0);
+        let mut rows_naming = 0;
+        for id in net.live_ids() {
+            let slot = net.lookup_live(id.as_u64()).expect("alive");
+            let row = net.vi.row(slot, 0);
+            rows_naming += usize::from(row.contains(&departed.as_u64()));
+            let centre = keys.of(id.as_u64());
+            let ranks: Vec<u128> = row
+                .iter()
+                .map(|&e| ring_rank(centre, keys.of(e), e))
+                .collect();
+            assert!(ranks.windows(2).all(|w| w[0] < w[1]), "{id}'s row {row:?}");
+        }
+        assert!(
+            rows_naming > 0,
+            "some Vicinity row still names the departed id"
+        );
+    }
+
+    #[test]
+    fn departed_ids_keep_their_keys_in_the_shared_kernel() {
+        departed_ids_keep_their_keys_after_slot_reuse(DenseSimNetwork::new(config(12), 5));
+    }
+
+    #[test]
+    fn departed_ids_keep_their_keys_in_the_frontier_kernel() {
+        let net = DenseSimNetwork::new_per_node(config(12), 5, 1, 2);
+        departed_ids_keep_their_keys_after_slot_reuse(net);
     }
 
     #[test]

@@ -59,7 +59,7 @@ use rand_chacha::ChaCha8Rng;
 use hybridcast_graph::cast::{idx, idx_u64, to_u32};
 use hybridcast_obs::{Probe, TraceEvent};
 
-use crate::arena::{CyChunk, CyPayload, CyView, RingSelection, ViChunk, ViDesc};
+use crate::arena::{CyChunk, CyDesc, CyView, RingKeys, RingSelection, ViChunk, ViDesc};
 use crate::dense::{lookup_live_in, DenseSimNetwork, SlotBits};
 
 // ---- stream derivation ---------------------------------------------------
@@ -191,7 +191,7 @@ impl Rec {
 #[derive(Debug, Clone, Default)]
 struct Lane {
     recs: Vec<Rec>,
-    cy: CyPayload,
+    cy: Vec<CyDesc>,
     vi: Vec<ViDesc>,
 }
 
@@ -437,7 +437,8 @@ impl PerNodeState {
 #[derive(Clone, Copy)]
 struct Ctx<'a> {
     ids: &'a [u64],
-    positions: &'a [u64],
+    /// The network's id-indexed ring-key table (stride `rings`).
+    keys: &'a [u64],
     slot_of: &'a [u32],
     slot_gen: &'a [u32],
     master: u64,
@@ -467,20 +468,13 @@ impl Ctx<'_> {
 }
 
 /// What the Vicinity workers of one ring read besides [`Ctx`]: the (now
-/// stable) Cyclon views their ring candidates come from.
+/// stable) Cyclon views their ring candidates come from and the ring's
+/// column of the key table.
 #[derive(Clone, Copy)]
 struct RingCtx<'a> {
     ctx: Ctx<'a>,
     cyv: CyView<'a>,
-    ring: usize,
-}
-
-impl RingCtx<'_> {
-    /// The `(id, ring key)` of the node in `slot`.
-    fn node(&self, slot: u32) -> (u64, u64) {
-        let key = self.ctx.positions[idx(slot) * self.ctx.rings + self.ring];
-        (self.ctx.id(slot), key)
-    }
+    keys: RingKeys<'a>,
 }
 
 // ---- the phased kernel ---------------------------------------------------
@@ -510,7 +504,7 @@ impl DenseSimNetwork {
             let frontier: &[u32] = &pn.frontier;
             let ctx = Ctx {
                 ids: &self.ids,
-                positions: &self.positions,
+                keys: &self.keys,
                 slot_of: &self.slot_of,
                 slot_gen: &pn.slot_gen,
                 master: pn.master,
@@ -545,7 +539,7 @@ impl DenseSimNetwork {
                 let rc = RingCtx {
                     ctx,
                     cyv: cy.view(),
-                    ring,
+                    keys: RingKeys::new(ctx.keys, ctx.rings, ring),
                 };
                 req.iter_mut().chain(rep.iter_mut()).for_each(Lane::clear);
                 fan_out(
@@ -628,13 +622,16 @@ fn cy_initiate(
     ctx: Ctx<'_>,
 ) {
     for &slot in in_slots(frontier, cy.slots(), |&slot| slot) {
-        let d0 = lane.cy.descs.len();
-        let pos_base = idx(slot) * ctx.rings;
-        let own = (ctx.id(slot), &ctx.positions[pos_base..pos_base + ctx.rings]);
+        let d0 = lane.cy.len();
         let mut rng = ctx.stream(slot, ROLE_CYCLON_INIT);
-        let Some(target) =
-            cy.begin_shuffle(slot, own, ctx.shuf, &mut rng, &mut scr.perm, &mut lane.cy)
-        else {
+        let Some(target) = cy.begin_shuffle(
+            slot,
+            ctx.id(slot),
+            ctx.shuf,
+            &mut rng,
+            &mut scr.perm,
+            &mut lane.cy,
+        ) else {
             continue; // An isolated node cannot shuffle.
         };
         match ctx.lookup(target) {
@@ -642,11 +639,11 @@ fn cy_initiate(
                 initiator: slot,
                 target: peer,
                 d0: to_u32(d0),
-                d1: to_u32(lane.cy.descs.len()),
+                d1: to_u32(lane.cy.len()),
             }),
             // A failed shuffle: the dead target's descriptor already left
             // the view; the unsent payload is dropped.
-            None => lane.cy.descs.truncate(d0),
+            None => lane.cy.truncate(d0),
         }
     }
 }
@@ -669,7 +666,7 @@ fn cy_respond(
         // handle_shuffle_request: the reply is `shuf` random entries of the
         // responder's current view (never the initiator), captured before
         // the merge below.
-        let r0 = lane.cy.descs.len();
+        let r0 = lane.cy.len();
         let seed = pair_seed(
             ctx.master,
             ctx.sgid_of(target),
@@ -687,7 +684,7 @@ fn cy_respond(
         );
         lane.recs.push(Rec {
             d0: to_u32(r0),
-            d1: to_u32(lane.cy.descs.len()),
+            d1: to_u32(lane.cy.len()),
             ..rec
         });
 
@@ -696,9 +693,8 @@ fn cy_respond(
         cy.merge(
             target,
             ctx.id(target),
-            &rl.cy.descs[rec.range()],
-            &rl.cy.profs,
-            &lane.cy.descs[r0..],
+            &rl.cy[rec.range()],
+            &lane.cy[r0..],
             &mut scr.replaceable,
         );
     }
@@ -720,9 +716,8 @@ fn cy_merge(
         cy.merge(
             rec.initiator,
             ctx.id(rec.initiator),
-            &rlane.cy.descs[reply.range()],
-            &rlane.cy.profs,
-            &lane.cy.descs[rec.range()],
+            &rlane.cy[reply.range()],
+            &lane.cy[rec.range()],
             &mut scr.replaceable,
         );
     }
@@ -740,23 +735,23 @@ fn vi_initiate(
     scr: &mut WorkerScratch,
     rc: RingCtx<'_>,
 ) {
-    let RingCtx { ctx, cyv, ring } = rc;
+    let RingCtx { ctx, cyv, keys } = rc;
+    let ring = keys.ring();
     let role = ROLE_VICINITY_BASE + u64::try_from(ring).expect("ring index fits in u64");
     for &slot in in_slots(frontier, vi.slots(), |&slot| slot) {
-        let own = rc.node(slot);
         // The random layer feeds candidates into the proximity layer (from
         // the initiator's *current* Cyclon view, after its shuffle).
-        cyv.ring_candidates_into(slot, ring, &mut scr.cand);
+        cyv.ring_candidates_into(slot, keys, &mut scr.cand);
         let pick = |n| ctx.stream(slot, role).gen_range(0..n);
-        let Some(target) = vi.pick_partner(slot, ring, own.1, &scr.cand, pick) else {
+        let Some(target) = vi.pick_partner(slot, ring, &scr.cand, pick) else {
             continue; // No partner known at all.
         };
-        vi.payload_into(slot, ring, target, own, &mut scr.pay);
-        match ctx.lookup(target.0) {
+        vi.payload_into(slot, keys, target, ctx.id(slot), &mut scr.pay);
+        match ctx.lookup(target) {
             Some(peer) => lane.push_vi(slot, peer, &scr.pay),
             // exchange_failed: drop the dead peer so the ring can re-close
             // around it.
-            None => vi.remove_id(slot, ring, target.0),
+            None => vi.remove_id(slot, ring, target),
         }
     }
 }
@@ -776,23 +771,23 @@ fn vi_respond(
     for &(target, l, p) in in_slots(index, vi.slots(), |e| e.0) {
         let rl = &req[idx(l)];
         let rec = rl.recs[idx(p)];
-        let own = rc.node(target);
+        let own_id = rc.ctx.id(target);
         rc.cyv
-            .ring_candidates_into(target, rc.ring, &mut scr.cand_peer);
+            .ring_candidates_into(target, rc.keys, &mut scr.cand_peer);
         // handle_exchange_request: the reply targets the initiator's
         // neighbourhood and is captured before the merge below.
         vi.payload_into(
             target,
-            rc.ring,
-            rc.node(rec.initiator),
-            own,
+            rc.keys,
+            rc.ctx.id(rec.initiator),
+            own_id,
             &mut scr.reply_v,
         );
         lane.push_vi(rec.initiator, target, &scr.reply_v);
         vi.merge(
             target,
-            rc.ring,
-            own,
+            rc.keys,
+            own_id,
             &rl.vi[rec.range()],
             &scr.cand_peer,
             &mut scr.sel,
@@ -813,12 +808,12 @@ fn vi_merge(
     for rec in &lane.recs {
         let (rlane, reply) = reply_for(rep, rep_index, rec.initiator);
         rc.cyv
-            .ring_candidates_into(rec.initiator, rc.ring, &mut scr.cand);
+            .ring_candidates_into(rec.initiator, rc.keys, &mut scr.cand);
         // handle_exchange_response on the initiator.
         vi.merge(
             rec.initiator,
-            rc.ring,
-            rc.node(rec.initiator),
+            rc.keys,
+            rc.ctx.id(rec.initiator),
             &rlane.vi[reply.range()],
             &scr.cand,
             &mut scr.sel,

@@ -13,6 +13,10 @@
 //! measuring thread, which is exactly right for the single-threaded
 //! scratch-reuse contracts being pinned.
 //!
+//! The same counters keep a live-byte balance and its high-water mark, so a
+//! test can also pin how much memory a section holds at its peak
+//! ([`AllocStats::peak_live_bytes`]) without reading `/proc`.
+//!
 //! This is the one first-party crate allowed to contain `unsafe` code
 //! (implementing [`GlobalAlloc`] requires it): its manifest repeats the
 //! workspace lints without `unsafe_code = "forbid"`.
@@ -25,6 +29,25 @@ thread_local! {
     static DEALLOC_CALLS: Cell<u64> = const { Cell::new(0) };
     static REALLOC_CALLS: Cell<u64> = const { Cell::new(0) };
     static BYTES_ALLOCATED: Cell<u64> = const { Cell::new(0) };
+    /// Bytes allocated minus bytes freed on this thread. Signed: a block
+    /// allocated on another thread and freed here pushes it down.
+    static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
+    /// The highest `LIVE_BYTES` since the current [`measure`] began.
+    static PEAK_LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
+}
+
+/// Moves the live-byte balance by `delta` and raises the high-water mark.
+fn add_live(delta: i64) {
+    let live = LIVE_BYTES.with(|c| {
+        c.set(c.get() + delta);
+        c.get()
+    });
+    PEAK_LIVE_BYTES.with(|c| c.set(c.get().max(live)));
+}
+
+/// A block size as a balance delta.
+fn bytes(size: usize) -> i64 {
+    i64::try_from(size).expect("a block size fits in i64")
 }
 
 /// Allocator activity observed on the current thread during a [`measure`]
@@ -39,6 +62,11 @@ pub struct AllocStats {
     pub reallocations: u64,
     /// Total bytes requested by `alloc` / `alloc_zeroed` / `realloc`.
     pub bytes_allocated: u64,
+    /// The most bytes the section held at once on this thread, counted
+    /// from what was live when it began: the high-water mark of
+    /// (bytes allocated − bytes freed), a grown block counted at its new
+    /// size. Memory held by other threads is not seen.
+    pub peak_live_bytes: u64,
 }
 
 impl AllocStats {
@@ -67,23 +95,27 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOC_CALLS.with(|c| c.set(c.get() + 1));
         BYTES_ALLOCATED.with(|c| c.set(c.get() + layout.size() as u64));
+        add_live(bytes(layout.size()));
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOC_CALLS.with(|c| c.set(c.get() + 1));
         BYTES_ALLOCATED.with(|c| c.set(c.get() + layout.size() as u64));
+        add_live(bytes(layout.size()));
         System.alloc_zeroed(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         DEALLOC_CALLS.with(|c| c.set(c.get() + 1));
+        add_live(-bytes(layout.size()));
         System.dealloc(ptr, layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         REALLOC_CALLS.with(|c| c.set(c.get() + 1));
         BYTES_ALLOCATED.with(|c| c.set(c.get() + new_size as u64));
+        add_live(bytes(new_size) - bytes(layout.size()));
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -94,6 +126,7 @@ fn snapshot() -> AllocStats {
         deallocations: DEALLOC_CALLS.with(Cell::get),
         reallocations: REALLOC_CALLS.with(Cell::get),
         bytes_allocated: BYTES_ALLOCATED.with(Cell::get),
+        peak_live_bytes: 0,
     }
 }
 
@@ -104,11 +137,16 @@ fn snapshot() -> AllocStats {
 /// [`CountingAlloc`]; under any other allocator the stats are always zero.
 /// The thread-local counters are touched (and therefore lazily initialized)
 /// before `f` runs, so first-use initialization never leaks into the
-/// measurement.
+/// measurement. The live-byte high-water mark restarts at the current
+/// balance, so [`AllocStats::peak_live_bytes`] counts only what `f` added
+/// on top of it. Measurements do not nest.
 pub fn measure<T>(f: impl FnOnce() -> T) -> (T, AllocStats) {
     let before = snapshot();
+    let live_before = LIVE_BYTES.with(Cell::get);
+    PEAK_LIVE_BYTES.with(|c| c.set(live_before));
     let value = f();
     let after = snapshot();
+    let peak = PEAK_LIVE_BYTES.with(Cell::get) - live_before;
     (
         value,
         AllocStats {
@@ -116,6 +154,7 @@ pub fn measure<T>(f: impl FnOnce() -> T) -> (T, AllocStats) {
             deallocations: after.deallocations - before.deallocations,
             reallocations: after.reallocations - before.reallocations,
             bytes_allocated: after.bytes_allocated - before.bytes_allocated,
+            peak_live_bytes: u64::try_from(peak).expect("the mark starts at the balance"),
         },
     )
 }

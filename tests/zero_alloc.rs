@@ -20,6 +20,11 @@
 //! The one allocating step, `stats.report(..)`, is held to a weaker but
 //! still size-independent contract: one allocation per non-empty `Vec`
 //! field, never a reallocation, at every population.
+//!
+//! Two memory contracts use the allocator's live-byte high-water mark
+//! instead of call counts: building a frozen overlay holds nothing at its
+//! peak but the overlay itself, and booting a network costs a stated number
+//! of bytes per slot.
 
 use hybridcast::core::async_engine::{
     disseminate_async_dense, disseminate_async_dense_probed, AsyncConfig, DenseAsyncScratch,
@@ -33,9 +38,9 @@ use hybridcast::core::sched::SchedConfig;
 use hybridcast::graph::{builders, NodeId};
 use hybridcast::obs::{NullProbe, RingSink};
 use hybridcast::sim::churn::{ChurnConfig, ChurnDriver};
-use hybridcast::sim::{DenseSimNetwork, SimConfig};
+use hybridcast::sim::{DenseSimNetwork, FlatLinks, SimConfig};
 use hybridcast_testalloc::{measure, CountingAlloc};
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 #[global_allocator]
@@ -522,5 +527,115 @@ fn report_allocations_do_not_grow_with_population() {
         async_counts,
         [2, 2],
         "one allocation per async report field"
+    );
+}
+
+/// The heap bytes a [`DenseOverlay`] needs, from its public shape: the id
+/// array (8 B per node), the liveness bitset (one `u64` per 64 nodes), two
+/// offset arrays (`len + 1` entries of 4 B each) and 4 B per link.
+fn overlay_heap_bytes(overlay: &DenseOverlay) -> u64 {
+    let n = overlay.len();
+    let links: usize = (0..n as u32)
+        .map(|i| overlay.r_links_of(i).len() + overlay.d_links_of(i).len())
+        .sum();
+    (n * 8 + n.div_ceil(64) * 8 + 2 * (n + 1) * 4 + links * 4) as u64
+}
+
+/// What an overlay build may hold at its peak beyond the overlay's own
+/// bytes: a constant (a small vector's minimum capacity), never anything
+/// that grows with the population — a copied `(id, r-links, d-links)`
+/// entry per node would add 40 B per node.
+const OVERLAY_BUILD_SLACK_BYTES: u64 = 1024;
+
+#[test]
+fn from_flat_links_holds_nothing_but_the_overlay_at_its_peak() {
+    // A synthetic ring + random-links CSR, the shape of the million-node
+    // async workload: six r-links and two d-links per node, no dead
+    // targets.
+    let nodes: u32 = 20_000;
+    let mut draw = rng(20);
+    let mut links = FlatLinks {
+        ids: (0..u64::from(nodes)).map(NodeId::new).collect(),
+        r_offsets: vec![0],
+        r_targets: Vec::new(),
+        d_offsets: vec![0],
+        d_targets: Vec::new(),
+    };
+    for i in 0..nodes {
+        for _ in 0..6 {
+            let target = draw.gen_range(0..nodes);
+            links.r_targets.push(NodeId::new(u64::from(target)));
+        }
+        for target in [(i + nodes - 1) % nodes, (i + 1) % nodes] {
+            links.d_targets.push(NodeId::new(u64::from(target)));
+        }
+        links.r_offsets.push(links.r_targets.len() as u32);
+        links.d_offsets.push(links.d_targets.len() as u32);
+    }
+    let (overlay, stats) = measure(|| DenseOverlay::from_flat_links(&links));
+    assert_eq!(overlay.live_len(), nodes as usize);
+    let own = overlay_heap_bytes(&overlay);
+    assert!(
+        stats.peak_live_bytes <= own + OVERLAY_BUILD_SLACK_BYTES,
+        "from_flat_links peaked at {} B for a {own} B overlay",
+        stats.peak_live_bytes
+    );
+    assert!(
+        stats.peak_live_bytes >= own,
+        "the high-water mark must see the overlay itself: {stats:?}"
+    );
+}
+
+#[test]
+fn from_dense_sim_holds_nothing_but_the_overlay_at_its_peak() {
+    let mut net = DenseSimNetwork::new(
+        SimConfig {
+            nodes: 2_000,
+            ..SimConfig::default()
+        },
+        21,
+    );
+    net.run_cycles(40);
+    let (overlay, stats) = measure(|| DenseOverlay::from_dense_sim(&net));
+    assert_eq!(overlay.live_len(), 2_000);
+    let own = overlay_heap_bytes(&overlay);
+    assert!(
+        stats.peak_live_bytes <= own + OVERLAY_BUILD_SLACK_BYTES,
+        "from_dense_sim peaked at {} B for a {own} B overlay",
+        stats.peak_live_bytes
+    );
+    assert!(
+        stats.peak_live_bytes >= own,
+        "the high-water mark must see the overlay itself: {stats:?}"
+    );
+}
+
+#[test]
+fn booting_a_network_allocates_a_stated_number_of_bytes_per_slot() {
+    let config = SimConfig {
+        nodes: 2_000,
+        ..SimConfig::default()
+    };
+    let (cyc, vic, rings) = (config.cyclon_view, config.vicinity_view, config.rings);
+    // Per slot: `ids` and `joined` (8 B each), `by_id` and `slot_of` (4 B
+    // each), the ring keys (8 B per ring), the Cyclon row (8 B id + 4 B age
+    // per entry, a 4 B length) and one Vicinity row per ring (the same).
+    // The liveness bitset adds an eighth of a byte, and its doubling growth
+    // at most as much again; one byte covers both. A ring key stored per
+    // descriptor would add 8 B per Cyclon and Vicinity entry.
+    let per_slot = 8 + 8 + 4 + 4 + 8 * rings + (12 * cyc + 4) + rings * (12 * vic + 4) + 1;
+    assert_eq!(
+        per_slot, 521,
+        "the default view lengths: cyc = vic = 20, one ring"
+    );
+    let (net, stats) = measure(|| DenseSimNetwork::new(config.clone(), 22));
+    assert_eq!(net.slot_capacity(), config.nodes);
+    let budget = (config.nodes * per_slot) as u64 + 1024;
+    assert!(
+        stats.bytes_allocated <= budget,
+        "booting {} slots allocated {} B, budget {budget} B ({:.1} B per slot)",
+        config.nodes,
+        stats.bytes_allocated,
+        stats.bytes_allocated as f64 / config.nodes as f64
     );
 }
