@@ -19,10 +19,11 @@
 //! cycles on a seeded stagger, so only ~1/N of the population steps per
 //! cycle — the quiescent-network regime the sparse frontier exists for; at
 //! most 65,536),
-//! `--check-thread-invariance` (regrows the per-node overlay at
-//! `--threads 1` and fails unless the exported link arrays are
-//! bit-identical), `--async` (additionally pushes one message through the dense
-//! event-driven latency-model engine and gates on its coverage),
+//! `--check-thread-invariance` (keeps only the grown network's exported
+//! link arrays, drops the network, regrows it at `--threads 1` and fails
+//! unless the two exports are bit-identical), `--async` (additionally
+//! pushes one message through the dense event-driven latency-model engine
+//! and gates on its coverage),
 //! `--event-budget` (caps the number of simultaneously queued deliveries —
 //! [`hybridcast_core::sched::SchedConfig::event_budget`]) and
 //! `--mem-budget-mb` (fails the run if the process's peak RSS exceeds the
@@ -30,7 +31,9 @@
 //!
 //! Each gate line also reports the process's peak resident set size
 //! (`VmHWM` from `/proc/self/status`, Linux only) so scale regressions
-//! show up as memory numbers, not just time; the async gate additionally
+//! show up as memory numbers, not just time; the summary line prints the
+//! grown network's own heap bytes beside it (`sim_resident`,
+//! [`DenseSimNetwork::resident_bytes`]), and the async gate additionally
 //! reports the calendar queue's high-water mark — the largest in-flight
 //! message backlog of the run, the quantity that bounds the latency
 //! engine's memory at the million-node scale — and its overflow-tier peak.
@@ -117,6 +120,7 @@ fn run() -> Result<(), String> {
     );
 
     let start = Instant::now();
+    let mut sim_resident = None;
     let (dense, churned, boot, gossip, export) = match overlay.as_str() {
         "synthetic" => {
             if nodes < 3 {
@@ -147,10 +151,15 @@ fn run() -> Result<(), String> {
             // Zero-round-trip export: arena -> CSR, no id-keyed snapshot.
             let dense = DenseOverlay::from_dense_sim(&network);
             let export = export_start.elapsed();
+            sim_resident = Some(network.resident_bytes());
 
             if check_thread_invariance {
+                // One grown world at a time: keep only the export of this
+                // one while the regrow runs.
+                let reference = network.flat_links();
+                drop(network);
                 check_invariance(
-                    &network.flat_links(),
+                    &reference,
                     threads,
                     nodes,
                     seed,
@@ -201,7 +210,7 @@ fn run() -> Result<(), String> {
 
     println!(
         "nodes={} cycles={} churned={} boot={:.2}s gossip={:.2}s ({:.1} ms/cycle) export={:.2}s \
-         dissemination={:.3}s hops={} messages={} peak_rss={}",
+         dissemination={:.3}s hops={} messages={} sim_resident={} peak_rss={}",
         nodes,
         cycles,
         churned,
@@ -212,6 +221,7 @@ fn run() -> Result<(), String> {
         dissemination.as_secs_f64(),
         report.last_hop,
         report.total_messages(),
+        sim_resident.map_or_else(|| "-".to_owned(), |bytes| render_mb(bytes as f64)),
         render_rss(),
     );
 
@@ -332,6 +342,11 @@ fn check_invariance(
 /// `/proc/self/status` is unavailable.
 fn render_rss() -> String {
     hybridcast_obs::mem::peak_rss_kb()
-        .map(|kb| format!("{:.1}MB", kb as f64 / 1024.0))
+        .map(|kb| render_mb(kb as f64 * 1024.0))
         .unwrap_or_else(|| "-".to_owned())
+}
+
+/// A byte count in MiB, one decimal.
+fn render_mb(bytes: f64) -> String {
+    format!("{:.1}MB", bytes / (1024.0 * 1024.0))
 }

@@ -42,20 +42,22 @@
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-use hybridcast_graph::cast::{idx, idx_u64, to_u32};
+use hybridcast_graph::cast::{idx, to_u32};
 use hybridcast_graph::NodeId;
 use hybridcast_membership::oldest_descriptor_index;
 
-/// A Cyclon view entry or payload descriptor: `(node id, age)`. A Cyclon
-/// rule never reads a ring key; the Vicinity side looks a candidate's key up
-/// in the network's key table ([`RingKeys`]).
-pub(crate) type CyDesc = (u64, u32);
+/// A Cyclon view entry or payload descriptor: `(node id, age)`, 8 B. A
+/// Cyclon rule never reads a ring key; the Vicinity side looks a
+/// candidate's key up in the network's key table ([`RingKeys`]).
+pub(crate) type CyDesc = (u32, u32);
 
 /// A Vicinity payload descriptor / merge-pool entry:
-/// `(node id, age, ring key)`. The key is the one [`RingKeys`] gave for the
-/// id, carried along while the descriptor is in flight; the arena's rows
-/// store ids and ages only.
-pub(crate) type ViDesc = (u64, u32, u64);
+/// `(node id, age, ring key)`, 16 B. The key is the one [`RingKeys`] gave
+/// for the id, carried along while the descriptor is in flight; the
+/// arena's rows store ids and ages only. (An 8 B `(id, age)` shape that
+/// looks the key up again at the merge measured slower on the shared
+/// kernel.)
+pub(crate) type ViDesc = (u32, u32, u64);
 
 /// One ring's column of the network's id-indexed ring-key table: the key a
 /// node drew for ring `ring` when it joined, looked up by node id.
@@ -86,18 +88,24 @@ impl<'a> RingKeys<'a> {
 
     /// The ring key of node `id` (an id that was assigned at some point).
     #[inline]
-    pub fn of(&self, id: u64) -> u64 {
-        self.table[idx_u64(id) * self.rings + self.ring]
+    pub fn of(&self, id: u32) -> u64 {
+        self.table[idx(id) * self.rings + self.ring]
     }
+}
+
+/// The heap bytes a `Vec` holds: its capacity, not its length.
+pub(crate) fn heap_bytes<T>(v: &Vec<T>) -> usize {
+    v.capacity() * std::mem::size_of::<T>()
 }
 
 /// Where a descriptor sits on the ring as seen from `centre`, as one sort
 /// key: the clockwise distance of `key` from the position just after
 /// `centre` (so the direct successor ranks lowest and a peer sharing
 /// `centre`'s own key — the far end of both walks — ranks highest), ties
-/// broken by `id`. Ascending `ring_rank` is the clockwise walk of
-/// `rank_by_ring_distance`; its counter-clockwise walk is the reverse.
-pub(crate) fn ring_rank(centre: u64, key: u64, id: u64) -> u128 {
+/// broken by `id`, widened to the `u64` the oracle's `NodeId` compares.
+/// Ascending `ring_rank` is the clockwise walk of `rank_by_ring_distance`;
+/// its counter-clockwise walk is the reverse.
+pub(crate) fn ring_rank(centre: u64, key: u64, id: u32) -> u128 {
     (u128::from(key.wrapping_sub(centre).wrapping_sub(1)) << 64) | u128::from(id)
 }
 
@@ -126,7 +134,7 @@ pub(crate) struct RingSelection {
     centre: u64,
     k: usize,
     /// The id never selected (the merging node, or a payload's recipient).
-    exclude: u64,
+    exclude: u32,
 }
 
 impl RingSelection {
@@ -138,7 +146,7 @@ impl RingSelection {
         &mut self,
         centre: u64,
         k: usize,
-        exclude: u64,
+        exclude: u32,
         row: impl Iterator<Item = ViDesc>,
     ) {
         self.kept.clear();
@@ -158,7 +166,7 @@ impl RingSelection {
     #[inline]
     #[expect(
         clippy::cast_possible_truncation,
-        reason = "the debug check reads a ring rank's low 64 bits, the id"
+        reason = "the debug check reads a ring rank's low 64 bits, the widened id"
     )]
     pub fn offer(&mut self, (id, age, key): ViDesc) {
         let k = self.k;
@@ -192,7 +200,7 @@ impl RingSelection {
             return;
         }
         debug_assert!(
-            kept.iter().all(|e| e.0 as u64 != id),
+            kept.iter().all(|e| e.0 as u32 != id),
             "node {id} was offered with two different ring keys"
         );
         if !full {
@@ -213,6 +221,11 @@ impl RingSelection {
         self.kept.len()
     }
 
+    /// Heap bytes of the selection buffer.
+    pub fn resident_bytes(&self) -> usize {
+        heap_bytes(&self.kept)
+    }
+
     /// The selected descriptors in ascending [`ring_rank`] around the
     /// centre: the ranker's first `k`, with its front, back, front, …
     /// alternation undone.
@@ -220,9 +233,9 @@ impl RingSelection {
         self.kept.iter().map(|&(rank, age)| {
             #[expect(
                 clippy::cast_possible_truncation,
-                reason = "a ring rank's low 64 bits are the id: the truncation is the split"
+                reason = "a ring rank's low 64 bits are the widened id: the truncation is the split"
             )]
-            let (dist, id) = ((rank >> 64) as u64, rank as u64);
+            let (dist, id) = ((rank >> 64) as u64, rank as u32);
             (id, age, dist.wrapping_add(self.centre).wrapping_add(1))
         })
     }
@@ -232,7 +245,7 @@ impl RingSelection {
 /// of the parallel `id` / `age` arrays.
 #[derive(Debug, Clone)]
 pub(crate) struct CyArena {
-    id: Vec<u64>,
+    id: Vec<u32>,
     age: Vec<u32>,
     len: Vec<u32>,
     /// View capacity (row stride of `id` / `age`).
@@ -260,6 +273,11 @@ impl CyArena {
     /// Empties the view of `slot` (a reused slot starts from nothing).
     pub fn clear_slot(&mut self, slot: u32) {
         self.len[idx(slot)] = 0;
+    }
+
+    /// Heap bytes of the rows and their lengths.
+    pub fn resident_bytes(&self) -> usize {
+        heap_bytes(&self.id) + heap_bytes(&self.age) + heap_bytes(&self.len)
     }
 
     /// The one chunk covering every slot.
@@ -305,7 +323,7 @@ impl CyArena {
 /// `base..base + len.len()`. All row indices are absolute slots; the chunk
 /// translates them to its local range.
 pub(crate) struct CyChunk<'a> {
-    id: &'a mut [u64],
+    id: &'a mut [u32],
     age: &'a mut [u32],
     len: &'a mut [u32],
     cyc: usize,
@@ -330,7 +348,7 @@ impl CyChunk<'_> {
     }
 
     /// The view ids of `slot`, in view order.
-    fn ids(&self, slot: u32) -> &[u64] {
+    fn ids(&self, slot: u32) -> &[u32] {
         let base = self.l(slot) * self.cyc;
         &self.id[base..base + self.view_len(slot)]
     }
@@ -359,12 +377,12 @@ impl CyChunk<'_> {
             self.id[base..base + len]
                 .iter()
                 .zip(&self.age[base..base + len])
-                .map(|(&id, &age)| (id, age)),
+                .map(|(&id, &age)| (u64::from(id), age)),
         )
     }
 
     /// Returns `true` if the slot's view contains `id`.
-    fn contains(&self, slot: u32, id: u64) -> bool {
+    fn contains(&self, slot: u32, id: u32) -> bool {
         self.ids(slot).contains(&id)
     }
 
@@ -392,7 +410,7 @@ impl CyChunk<'_> {
 
     /// Removes the descriptor for `id` if present. Returns `true` on
     /// removal.
-    fn remove_id(&mut self, slot: u32, id: u64) -> bool {
+    fn remove_id(&mut self, slot: u32, id: u32) -> bool {
         match self.ids(slot).iter().position(|&e| e == id) {
             Some(pos) => {
                 self.remove_at(slot, pos);
@@ -411,12 +429,12 @@ impl CyChunk<'_> {
     pub fn begin_shuffle<R: Rng + ?Sized>(
         &mut self,
         slot: u32,
-        own_id: u64,
+        own_id: u32,
         shuf: usize,
         rng: &mut R,
         perm: &mut Vec<u32>,
         out: &mut Vec<CyDesc>,
-    ) -> Option<u64> {
+    ) -> Option<u32> {
         self.age_view(slot);
         let best = self.oldest(slot)?;
         let target = self.entry(slot, best).0;
@@ -437,7 +455,7 @@ impl CyChunk<'_> {
     pub fn random_payload_into<R: Rng + ?Sized>(
         &self,
         slot: u32,
-        exclude: Option<u64>,
+        exclude: Option<u32>,
         take: usize,
         rng: &mut R,
         perm: &mut Vec<u32>,
@@ -459,10 +477,10 @@ impl CyChunk<'_> {
     pub fn merge(
         &mut self,
         slot: u32,
-        self_id: u64,
+        self_id: u32,
         received: &[CyDesc],
         sent: &[CyDesc],
-        replaceable: &mut Vec<u64>,
+        replaceable: &mut Vec<u32>,
     ) {
         replaceable.clear();
         replaceable.extend(sent.iter().map(|d| d.0).filter(|&id| id != self_id));
@@ -496,7 +514,7 @@ impl CyChunk<'_> {
 /// possible without unsafe code.
 #[derive(Clone, Copy)]
 pub(crate) struct CyView<'a> {
-    id: &'a [u64],
+    id: &'a [u32],
     age: &'a [u32],
     len: &'a [u32],
     cyc: usize,
@@ -504,7 +522,7 @@ pub(crate) struct CyView<'a> {
 
 impl<'a> CyView<'a> {
     /// The view ids (r-links) of `slot`, in view order.
-    pub fn ids(&self, slot: u32) -> &'a [u64] {
+    pub fn ids(&self, slot: u32) -> &'a [u32] {
         let base = idx(slot) * self.cyc;
         &self.id[base..base + idx(self.len[idx(slot)])]
     }
@@ -528,7 +546,7 @@ impl<'a> CyView<'a> {
 /// sorted by live in the network's key table ([`RingKeys`]).
 #[derive(Debug, Clone)]
 pub(crate) struct ViArena {
-    id: Vec<u64>,
+    id: Vec<u32>,
     age: Vec<u32>,
     /// View lengths (stride `vic_rings` per slot).
     len: Vec<u32>,
@@ -572,6 +590,11 @@ impl ViArena {
         self.len[first..first + self.vic_rings].fill(0);
     }
 
+    /// Heap bytes of the rows and their lengths.
+    pub fn resident_bytes(&self) -> usize {
+        heap_bytes(&self.id) + heap_bytes(&self.age) + heap_bytes(&self.len)
+    }
+
     /// The one chunk covering every slot.
     pub fn full(&mut self) -> ViChunk<'_> {
         ViChunk {
@@ -610,7 +633,7 @@ impl ViArena {
     }
 
     /// The view ids of `slot` on one ring, in ascending ring order.
-    pub fn row(&self, slot: u32, ring: usize) -> &[u64] {
+    pub fn row(&self, slot: u32, ring: usize) -> &[u32] {
         let base = (idx(slot) * self.vic_rings + ring) * self.vic;
         &self.id[base..base + idx(self.len[idx(slot) * self.vic_rings + ring])]
     }
@@ -622,7 +645,7 @@ impl ViArena {
     /// two-node ring.
     pub fn ring_neighbors(&self, slot: u32, ring: usize) -> (Option<NodeId>, Option<NodeId>) {
         let row = self.row(slot, ring);
-        let node = |&id: &u64| NodeId::new(id);
+        let node = |&id: &u32| NodeId::new(u64::from(id));
         (row.last().map(node), row.first().map(node))
     }
 }
@@ -630,7 +653,7 @@ impl ViArena {
 /// A mutable window over the [`ViArena`] covering the slot range
 /// `base..base + len.len() / vic_rings` (see [`CyChunk`]).
 pub(crate) struct ViChunk<'a> {
-    id: &'a mut [u64],
+    id: &'a mut [u32],
     age: &'a mut [u32],
     len: &'a mut [u32],
     vic: usize,
@@ -671,14 +694,14 @@ impl ViChunk<'_> {
 
     /// The id of the oldest view entry (ties toward lower id), if any —
     /// the exchange-partner selection rule.
-    fn oldest_id(&self, slot: u32, ring: usize) -> Option<u64> {
+    fn oldest_id(&self, slot: u32, ring: usize) -> Option<u32> {
         let base = self.row(slot, ring);
         let len = self.view_len(slot, ring);
         oldest_descriptor_index(
             self.id[base..base + len]
                 .iter()
                 .zip(&self.age[base..base + len])
-                .map(|(&id, &age)| (id, age)),
+                .map(|(&id, &age)| (u64::from(id), age)),
         )
         .map(|i| self.id[base + i])
     }
@@ -695,7 +718,7 @@ impl ViChunk<'_> {
         ring: usize,
         cand: &[ViDesc],
         pick: impl FnOnce(usize) -> usize,
-    ) -> Option<u64> {
+    ) -> Option<u32> {
         self.age_view(slot, ring);
         match self.oldest_id(slot, ring) {
             Some(target) => Some(target),
@@ -705,7 +728,7 @@ impl ViChunk<'_> {
     }
 
     /// Removes the descriptor for `id` if present (order-preserving shift).
-    pub fn remove_id(&mut self, slot: u32, ring: usize, id: u64) {
+    pub fn remove_id(&mut self, slot: u32, ring: usize, id: u32) {
         let base = self.row(slot, ring);
         let len = self.view_len(slot, ring);
         if let Some(pos) = self.id[base..base + len].iter().position(|&e| e == id) {
@@ -732,8 +755,8 @@ impl ViChunk<'_> {
         &self,
         slot: u32,
         keys: RingKeys<'_>,
-        target: u64,
-        own_id: u64,
+        target: u32,
+        own_id: u32,
         out: &mut Vec<ViDesc>,
     ) {
         let base = self.row(slot, keys.ring());
@@ -770,7 +793,7 @@ impl ViChunk<'_> {
         &mut self,
         slot: u32,
         keys: RingKeys<'_>,
-        own_id: u64,
+        own_id: u32,
         received: &[ViDesc],
         cyclon_candidates: &[ViDesc],
         sel: &mut RingSelection,
@@ -805,7 +828,7 @@ mod tests {
     /// The specification: the oracle's pool rule (skip `exclude`; a younger
     /// duplicate replaces the older one in its first-seen position), then
     /// the first `k` of `rank_by_ring_distance`.
-    fn oracle(centre: u64, k: usize, exclude: u64, pool: &[ViDesc]) -> Vec<ViDesc> {
+    fn oracle(centre: u64, k: usize, exclude: u32, pool: &[ViDesc]) -> Vec<ViDesc> {
         let mut unique: Vec<ViDesc> = Vec::new();
         for &d in pool.iter().filter(|d| d.0 != exclude) {
             match unique.iter_mut().find(|e| e.0 == d.0) {
@@ -816,12 +839,12 @@ mod tests {
         }
         let candidates: Vec<(u64, NodeId, u32)> = unique
             .iter()
-            .map(|&(id, age, key)| (key, NodeId::new(id), age))
+            .map(|&(id, age, key)| (key, NodeId::new(u64::from(id)), age))
             .collect();
         rank_by_ring_distance(&centre, &candidates)
             .into_iter()
             .take(k)
-            .map(|(key, id, age)| (id.as_u64(), age, key))
+            .map(|(key, id, age)| (id.as_u64() as u32, age, key))
             .collect()
     }
 
@@ -830,7 +853,7 @@ mod tests {
         sel: &mut RingSelection,
         centre: u64,
         k: usize,
-        exclude: u64,
+        exclude: u32,
         pool: &[ViDesc],
     ) -> Vec<ViDesc> {
         sel.start(centre, k, exclude, std::iter::empty());
@@ -850,8 +873,8 @@ mod tests {
     /// order around the owner's key and cut to `vic`. Returns the row, with
     /// its keys, too.
     fn one_row(
-        entries: &[(u64, u32)],
-        owner: u64,
+        entries: &[(u32, u32)],
+        owner: u32,
         spread: u64,
         vic: usize,
         gos: usize,
@@ -882,7 +905,7 @@ mod tests {
     }
 
     /// An id no generated entry, candidate or target uses.
-    const SPARE: u64 = 48;
+    const SPARE: u32 = 48;
 
     /// The key table of ids `0..=SPARE`: each id keyed by [`key_of`].
     fn key_table(spread: u64) -> Vec<u64> {
@@ -891,8 +914,8 @@ mod tests {
 
     /// Every id has one ring key, seven ids share each key, and the keys
     /// straddle the wrap-around point of the ring.
-    fn key_of(id: u64, spread: u64) -> u64 {
-        (id % 7)
+    fn key_of(id: u32, spread: u64) -> u64 {
+        u64::from(id % 7)
             .wrapping_mul(0x2492_4924_9249_2493)
             .wrapping_add(spread)
     }
@@ -943,11 +966,11 @@ mod tests {
         /// `rank_by_ring_distance(..).take(k)` over the de-duplicated pool.
         #[test]
         fn selection_equals_rank_by_ring_distance_take_k(
-            entries in prop::collection::vec((0u64..40, 0u32..6), 0..70),
+            entries in prop::collection::vec((0u32..40, 0u32..6), 0..70),
             k in 0usize..12,
-            exclude in 0u64..48,
+            exclude in 0u32..48,
             spread in any::<u64>(),
-            centre_id in 0u64..40,
+            centre_id in 0u32..40,
             centre_free in any::<u64>(),
             centre_in_pool in any::<bool>(),
         ) {
@@ -973,9 +996,9 @@ mod tests {
         /// and above the row's length.
         #[test]
         fn payload_window_equals_the_ranker_around_the_target(
-            entries in prop::collection::vec((0u64..40, 0u32..6), 0..40),
-            owner in 0u64..40,
-            target in 0u64..48,
+            entries in prop::collection::vec((0u32..40, 0u32..6), 0..40),
+            owner in 0u32..40,
+            target in 0u32..48,
             target_at_owner_key in any::<bool>(),
             shift in 0u64..3,
             spread in any::<u64>(),
@@ -1007,15 +1030,15 @@ mod tests {
         /// ascending ring order.
         #[test]
         fn merge_from_the_stored_row_equals_the_ranker_over_the_pool(
-            entries in prop::collection::vec((0u64..40, 0u32..6), 0..40),
-            received in prop::collection::vec((0u64..48, 0u32..6), 0..12),
-            cand in prop::collection::vec((0u64..48, 0u32..6), 0..24),
-            owner in 0u64..40,
+            entries in prop::collection::vec((0u32..40, 0u32..6), 0..40),
+            received in prop::collection::vec((0u32..48, 0u32..6), 0..12),
+            cand in prop::collection::vec((0u32..48, 0u32..6), 0..24),
+            owner in 0u32..40,
             spread in any::<u64>(),
             vic in 0usize..14,
         ) {
             let (mut vi, row) = one_row(&entries, owner, spread, vic, 1);
-            let desc = |&(id, age): &(u64, u32)| (id, age, key_of(id, spread));
+            let desc = |&(id, age): &(u32, u32)| (id, age, key_of(id, spread));
             let received: Vec<ViDesc> = received.iter().map(desc).collect();
             let cand: Vec<ViDesc> = cand.iter().map(desc).collect();
             let table = key_table(spread);
@@ -1032,8 +1055,8 @@ mod tests {
         /// rank, as the min/max fold over the row found them.
         #[test]
         fn ring_neighbors_are_the_min_max_fold_over_the_row(
-            entries in prop::collection::vec((0u64..40, 0u32..6), 0..40),
-            owner in 0u64..40,
+            entries in prop::collection::vec((0u32..40, 0u32..6), 0..40),
+            owner in 0u32..40,
             spread in any::<u64>(),
             vic in 0usize..14,
         ) {
@@ -1056,7 +1079,7 @@ mod tests {
 
     #[test]
     fn random_payload_draws_like_a_shuffle_of_the_descriptors() {
-        let mut id: Vec<u64> = vec![10, 11, 12, 13, 14, 0];
+        let mut id: Vec<u32> = vec![10, 11, 12, 13, 14, 0];
         let mut age: Vec<u32> = vec![0, 1, 2, 3, 4, 0];
         let mut len = vec![5u32];
         let cy = CyChunk {

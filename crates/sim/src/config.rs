@@ -71,8 +71,10 @@ impl SimConfig {
         if self.nodes == 0 {
             return Err("node count must be positive".into());
         }
-        // Dense node slots are `u32` indices, and `u32::MAX` is the
-        // engines' "no node" sentinel.
+        // Dense node slots and the simulator's node ids are `u32` indices
+        // (a boot assigns ids `0..nodes`; `spawn_node` refuses one past
+        // `u32::MAX - 1`), and `u32::MAX` is the engines' "no node"
+        // sentinel.
         if self.nodes >= idx(u32::MAX) {
             return Err(format!(
                 "node count must be below {}, got {}",

@@ -5,9 +5,15 @@
 //!
 //! * nodes live in a slab of `u32` slots with a free-list, so churn reuses
 //!   storage instead of rebalancing a `BTreeMap`,
+//! * node ids are `u32` too: they are dense indices counted up from 0, so
+//!   every row, table and in-flight descriptor stores 4 B per id (a ring
+//!   key stays a `u64`), and an id is widened to [`NodeId`] only where it leaves the crate
+//!   ([`DenseSimNetwork::node_links`], [`DenseSimNetwork::flat_links`],
+//!   [`DenseSimNetwork::overlay_snapshot`], [`DenseSimNetwork::live_ids`],
+//!   [`DenseSimNetwork::spawn_node`]),
 //! * every node's Cyclon view is a fixed-stride slice of one descriptor
-//!   arena (parallel `id` / `age` arrays), and likewise one Vicinity view
-//!   per ring,
+//!   arena (parallel `id` / `age` arrays, 8 B per entry), and likewise one
+//!   Vicinity view per ring,
 //! * every ring key is stored once, in an id-indexed table (`keys`, stride
 //!   `rings`): a node's keys never change and ids are never reused, so
 //!   descriptors carry ids only and every rule that ranks by key looks the
@@ -53,7 +59,7 @@ use hybridcast_graph::cast::{idx, idx_u64};
 use hybridcast_graph::NodeId;
 use hybridcast_obs::{NullProbe, Probe, TraceEvent};
 
-use crate::arena::{CyArena, CyDesc, RingKeys, RingSelection, ViArena, ViDesc};
+use crate::arena::{heap_bytes, CyArena, CyDesc, RingKeys, RingSelection, ViArena, ViDesc};
 use crate::config::SimConfig;
 use crate::frontier::{PerNodeState, RngMode};
 use crate::runtime::GossipRuntime;
@@ -84,14 +90,18 @@ impl SlotBits {
     pub(crate) fn clear(&mut self, bit: u32) {
         self.words[idx(bit) / 64] &= !(1 << (idx(bit) % 64));
     }
+
+    pub(crate) fn resident_bytes(&self) -> usize {
+        heap_bytes(&self.words)
+    }
 }
 
 /// The slot of a live node: one load from the id-indexed `slot_of` table,
 /// `None` for an id that has left or was never assigned. A free function
 /// (rather than a method) so kernels holding mutable borrows of the
 /// descriptor arenas can still resolve liveness.
-pub(crate) fn lookup_live_in(slot_of: &[u32], id: u64) -> Option<u32> {
-    let slot = *slot_of.get(usize::try_from(id).ok()?)?;
+pub(crate) fn lookup_live_in(slot_of: &[u32], id: u32) -> Option<u32> {
+    let slot = *slot_of.get(idx(id))?;
     (slot != u32::MAX).then_some(slot)
 }
 
@@ -109,7 +119,7 @@ struct EpochScratch {
     /// Cyclon shuffle reply payload (target -> initiator).
     reply: Vec<CyDesc>,
     /// Ids the merging node may evict (descriptors it shipped out).
-    replaceable: Vec<u64>,
+    replaceable: Vec<u32>,
     /// Initiator's Cyclon view projected onto the current ring.
     cand: Vec<ViDesc>,
     /// Responder's Cyclon view projected onto the current ring.
@@ -120,6 +130,21 @@ struct EpochScratch {
     reply_v: Vec<ViDesc>,
     /// Vicinity merge selection buffer.
     sel: RingSelection,
+}
+
+impl EpochScratch {
+    fn resident_bytes(&self) -> usize {
+        heap_bytes(&self.order)
+            + heap_bytes(&self.perm)
+            + heap_bytes(&self.sent)
+            + heap_bytes(&self.reply)
+            + heap_bytes(&self.replaceable)
+            + heap_bytes(&self.cand)
+            + heap_bytes(&self.cand_peer)
+            + heap_bytes(&self.pay)
+            + heap_bytes(&self.reply_v)
+            + self.sel.resident_bytes()
+    }
 }
 
 /// Flat link arrays of a frozen overlay, the owned copy of the links that
@@ -169,7 +194,7 @@ pub struct DenseSimNetwork {
     /// Cyclon shuffle length (clamped like `CyclonNode`).
     pub(crate) shuf: usize,
     pub(crate) cycle: u64,
-    next_id: u64,
+    next_id: u32,
     /// The shared simulation stream: bootstrap ring positions, the cycle
     /// gossip order and every draw of the shared-stream kernel. In per-node
     /// mode it serves **only** the driver surface (spawn positions,
@@ -178,8 +203,8 @@ pub struct DenseSimNetwork {
     rng: ChaCha8Rng,
 
     // ---- slot arenas -----------------------------------------------------
-    /// Slot -> node id.
-    pub(crate) ids: Vec<u64>,
+    /// Slot -> node id, a `u32` like every id inside the simulator.
+    pub(crate) ids: Vec<u32>,
     /// Slot -> join cycle.
     pub(crate) joined: Vec<u64>,
     /// Liveness bitset over slots.
@@ -197,8 +222,10 @@ pub struct DenseSimNetwork {
     pub(crate) slot_of: Vec<u32>,
     /// Node id -> its ring keys (stride `rings`): the one home of every
     /// ring key. Like `slot_of` it has an entry for every id ever assigned
-    /// and keeps a departed id's keys, which views may still name (8 B per
-    /// id and ring: ~440 KB for the ~55k ids of the 50k-node figure above).
+    /// and keeps a departed id's keys, which views may still name. A key is
+    /// a `u64` position on the ring, so this is 8 B per id and ring, twice
+    /// the `u32` id that indexes it (~440 KB for the ~55k ids of the
+    /// 50k-node figure above).
     pub(crate) keys: Vec<u64>,
 
     /// Every node's Cyclon view.
@@ -324,7 +351,7 @@ impl DenseSimNetwork {
     pub fn live_ids(&self) -> Vec<NodeId> {
         self.by_id
             .iter()
-            .map(|&slot| NodeId::new(self.ids[idx(slot)]))
+            .map(|&slot| NodeId::new(u64::from(self.ids[idx(slot)])))
             .collect()
     }
 
@@ -351,7 +378,29 @@ impl DenseSimNetwork {
             return Vec::new();
         };
         let ids = self.cy.view().ids(slot);
-        ids.iter().map(|&raw| NodeId::new(raw)).collect()
+        ids.iter().map(|&raw| NodeId::new(u64::from(raw))).collect()
+    }
+
+    /// The heap bytes this network holds, summed from the capacities of
+    /// its arrays: the slot arrays, `slot_of`, the key table, both view
+    /// arenas, the epoch scratch and, in per-node mode, the lanes, indexes
+    /// and timer buckets. Allocator overhead and the struct itself are not
+    /// counted.
+    pub fn resident_bytes(&self) -> usize {
+        heap_bytes(&self.ids)
+            + heap_bytes(&self.joined)
+            + self.live.resident_bytes()
+            + heap_bytes(&self.free)
+            + heap_bytes(&self.by_id)
+            + heap_bytes(&self.slot_of)
+            + heap_bytes(&self.keys)
+            + self.cy.resident_bytes()
+            + self.vi.resident_bytes()
+            + self.scratch.resident_bytes()
+            + self
+                .per_node
+                .as_deref()
+                .map_or(0, PerNodeState::resident_bytes)
     }
 
     /// The RNG mode this network was built with.
@@ -363,15 +412,27 @@ impl DenseSimNetwork {
         }
     }
 
-    /// The slot of a live node.
+    /// The slot of a live node; an id past the `u32` id space was never
+    /// assigned.
     fn lookup_live(&self, id: u64) -> Option<u32> {
-        lookup_live_in(&self.slot_of, id)
+        lookup_live_in(&self.slot_of, u32::try_from(id).ok()?)
     }
 
     /// Creates a brand-new node, reusing a free slot when one exists.
     /// Exactly `rings` uniform draws for the ring positions, nothing else.
+    ///
+    /// # Panics
+    ///
+    /// Panics with "node id space exhausted" once every id up to
+    /// `u32::MAX - 1` has been assigned: ids are never reused, and inside
+    /// the simulator they are `u32` indices of the id-indexed tables.
     pub fn spawn_node(&mut self, introducer: Option<NodeId>) -> NodeId {
         let id = self.next_id;
+        assert!(
+            id < u32::MAX,
+            "node id space exhausted: every id up to {} has been assigned",
+            u32::MAX - 1
+        );
         self.next_id += 1;
 
         let slot = match self.free.pop() {
@@ -397,9 +458,9 @@ impl DenseSimNetwork {
         self.cy.clear_slot(slot);
         self.vi.clear_slot(slot);
 
-        if let Some(contact) = introducer {
-            if self.lookup_live(contact.as_u64()).is_some() {
-                self.cy.full().push(slot, (contact.as_u64(), 0));
+        if let Some(contact) = introducer.and_then(|c| u32::try_from(c.as_u64()).ok()) {
+            if lookup_live_in(&self.slot_of, contact).is_some() {
+                self.cy.full().push(slot, (contact, 0));
             }
         }
 
@@ -410,7 +471,15 @@ impl DenseSimNetwork {
         if let Some(state) = self.per_node.as_deref_mut() {
             state.on_spawn(slot, cycle);
         }
-        NodeId::new(id)
+        NodeId::new(u64::from(id))
+    }
+
+    /// Sets the next id to assign, so a test can reach the end of the id
+    /// space without spawning billions of nodes. Spawning any id below
+    /// `u32::MAX` after a jump would misindex the id-indexed tables.
+    #[cfg(test)]
+    fn set_next_id(&mut self, next: u32) {
+        self.next_id = next;
     }
 
     /// Removes a node for good; its slot goes onto the free-list for the
@@ -422,7 +491,7 @@ impl DenseSimNetwork {
         self.slot_of[idx_u64(id.as_u64())] = u32::MAX;
         let i = self
             .by_id
-            .partition_point(|&s| self.ids[idx(s)] < id.as_u64());
+            .partition_point(|&s| u64::from(self.ids[idx(s)]) < id.as_u64());
         debug_assert_eq!(self.by_id[i], slot, "a live node sits in `by_id`");
         self.by_id.remove(i);
         self.live.clear(slot);
@@ -438,7 +507,7 @@ impl DenseSimNetwork {
     /// silently desync the simulation's draw sequence.
     pub fn random_live_node(&mut self) -> Option<NodeId> {
         let slot = self.by_id.choose(&mut self.rng).copied()?;
-        Some(NodeId::new(self.ids[idx(slot)]))
+        Some(NodeId::new(u64::from(self.ids[idx(slot)])))
     }
 
     /// Runs `count` gossip cycles (epoch steps).
@@ -475,7 +544,7 @@ impl DenseSimNetwork {
             }
             let my_id = self.ids[idx(slot)];
             probe.record(TraceEvent::ViewExchange {
-                node: my_id,
+                node: u64::from(my_id),
                 cycle: self.cycle,
             });
             self.cyclon_gossip(slot, my_id, &mut scratch);
@@ -497,7 +566,7 @@ impl DenseSimNetwork {
     /// merges before the next node steps — the arena replay of
     /// `CyclonNode::{begin_cycle, initiate_shuffle, handle_shuffle_request,
     /// handle_shuffle_response}` on the shared stream.
-    fn cyclon_gossip(&mut self, slot: u32, my_id: u64, s: &mut EpochScratch) {
+    fn cyclon_gossip(&mut self, slot: u32, my_id: u32, s: &mut EpochScratch) {
         let mut cy = self.cy.full();
         s.sent.clear();
         let Some(target) = cy.begin_shuffle(
@@ -543,7 +612,7 @@ impl DenseSimNetwork {
     /// `VicinityNode::{begin_cycle, initiate_exchange,
     /// handle_exchange_request, handle_exchange_response, exchange_failed}`
     /// on the shared stream.
-    fn vicinity_gossip(&mut self, slot: u32, my_id: u64, ring: usize, s: &mut EpochScratch) {
+    fn vicinity_gossip(&mut self, slot: u32, my_id: u32, ring: usize, s: &mut EpochScratch) {
         let EpochScratch {
             cand,
             cand_peer,
@@ -603,7 +672,12 @@ impl DenseSimNetwork {
         impl Iterator<Item = NodeId> + '_,
     ) {
         let slot = self.by_id[i];
-        let r = self.cy.view().ids(slot).iter().map(|&raw| NodeId::new(raw));
+        let r = self
+            .cy
+            .view()
+            .ids(slot)
+            .iter()
+            .map(|&raw| NodeId::new(u64::from(raw)));
         // Candidate `k` is ring `k / 2`'s predecessor (even `k`) or
         // successor (odd `k`); a candidate equal to an earlier one is a
         // duplicate.
@@ -619,7 +693,7 @@ impl DenseSimNetwork {
             let link = candidate(k)?;
             (0..k).all(|j| candidate(j) != Some(link)).then_some(link)
         });
-        (NodeId::new(self.ids[idx(slot)]), r, d)
+        (NodeId::new(u64::from(self.ids[idx(slot)])), r, d)
     }
 
     /// Exports a frozen id-keyed snapshot, bit-identical to the id-keyed
@@ -806,17 +880,18 @@ mod tests {
         assert_ne!(net.ring_position(tenant), Some(departed_key));
 
         let slot = net.lookup_live(holder.as_u64()).expect("alive");
+        let raw = |id: NodeId| u32::try_from(id.as_u64()).expect("a simulator id");
         let keys = RingKeys::new(&net.keys, net.rings, 0);
         let mut cand = Vec::new();
         net.cy.view().ring_candidates_into(slot, keys, &mut cand);
-        let named = cand.iter().find(|d| d.0 == departed.as_u64());
+        let named = cand.iter().find(|d| d.0 == raw(departed));
         assert_eq!(named.map(|d| d.2), Some(departed_key), "ring candidate");
 
         let mut sel = RingSelection::default();
         let mut vi = net.vi.clone();
         vi.full()
-            .merge(slot, keys, holder.as_u64(), &[], &cand, &mut sel);
-        let merged = sel.sorted().find(|d| d.0 == departed.as_u64());
+            .merge(slot, keys, raw(holder), &[], &cand, &mut sel);
+        let merged = sel.sorted().find(|d| d.0 == raw(departed));
         assert_eq!(merged.map(|d| d.2), Some(departed_key), "merge pool");
 
         // The kernel's own merges: every row naming the departed id is in
@@ -827,8 +902,8 @@ mod tests {
         for id in net.live_ids() {
             let slot = net.lookup_live(id.as_u64()).expect("alive");
             let row = net.vi.row(slot, 0);
-            rows_naming += usize::from(row.contains(&departed.as_u64()));
-            let centre = keys.of(id.as_u64());
+            rows_naming += usize::from(row.contains(&raw(departed)));
+            let centre = keys.of(raw(id));
             let ranks: Vec<u128> = row
                 .iter()
                 .map(|&e| ring_rank(centre, keys.of(e), e))
@@ -862,6 +937,16 @@ mod tests {
             assert!(!dense.kill_node(id), "{raw}");
         }
         assert_eq!(dense.len(), 10);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "node id space exhausted: every id up to 4294967294 has been assigned"
+    )]
+    fn spawning_past_the_last_u32_id_panics() {
+        let mut dense = DenseSimNetwork::new(config(10), 5);
+        dense.set_next_id(u32::MAX);
+        dense.spawn_node(Some(NodeId::new(0)));
     }
 
     #[test]

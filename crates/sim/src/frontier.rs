@@ -59,7 +59,7 @@ use rand_chacha::ChaCha8Rng;
 use hybridcast_graph::cast::{idx, idx_u64, to_u32};
 use hybridcast_obs::{Probe, TraceEvent};
 
-use crate::arena::{CyChunk, CyDesc, CyView, RingKeys, RingSelection, ViChunk, ViDesc};
+use crate::arena::{heap_bytes, CyChunk, CyDesc, CyView, RingKeys, RingSelection, ViChunk, ViDesc};
 use crate::dense::{lookup_live_in, DenseSimNetwork, SlotBits};
 
 // ---- stream derivation ---------------------------------------------------
@@ -188,7 +188,12 @@ impl Rec {
 /// One worker's message storage: the worker that writes a lane in one phase
 /// is its only writer, and every worker may read it in the next. Cyclon's
 /// phases park their payloads in `cy`, then each ring's in `vi`.
+///
+/// Aligned to 128 B (two cache lines, the unit adjacent-line prefetch
+/// pulls in) so that two workers pushing to neighbouring lanes never write
+/// the same line.
 #[derive(Debug, Clone, Default)]
+#[repr(align(128))]
 struct Lane {
     recs: Vec<Rec>,
     cy: Vec<CyDesc>,
@@ -200,6 +205,11 @@ impl Lane {
         self.recs.clear();
         self.cy.clear();
         self.vi.clear();
+    }
+
+    /// Heap bytes of the lane's buffers.
+    fn resident_bytes(&self) -> usize {
+        heap_bytes(&self.recs) + heap_bytes(&self.cy) + heap_bytes(&self.vi)
     }
 
     /// Queues one Vicinity message carrying a copy of `descs`.
@@ -218,16 +228,30 @@ impl Lane {
 /// Per-worker reusable buffers (candidate lists, payload staging, the
 /// selection buffer, the Cyclon shuffle permutation and evictable stack).
 /// One instance per worker keeps the warm kernel allocation-free and the
-/// workers borrow-disjoint.
+/// workers borrow-disjoint; aligned like [`Lane`] so that neighbouring
+/// workers share no cache line.
 #[derive(Debug, Clone, Default)]
+#[repr(align(128))]
 struct WorkerScratch {
     perm: Vec<u32>,
-    replaceable: Vec<u64>,
+    replaceable: Vec<u32>,
     cand: Vec<ViDesc>,
     cand_peer: Vec<ViDesc>,
     pay: Vec<ViDesc>,
     reply_v: Vec<ViDesc>,
     sel: RingSelection,
+}
+
+impl WorkerScratch {
+    fn resident_bytes(&self) -> usize {
+        heap_bytes(&self.perm)
+            + heap_bytes(&self.replaceable)
+            + heap_bytes(&self.cand)
+            + heap_bytes(&self.cand_peer)
+            + heap_bytes(&self.pay)
+            + heap_bytes(&self.reply_v)
+            + self.sel.resident_bytes()
+    }
 }
 
 /// One record of a set of lanes, filed under the slot it is looked up by:
@@ -349,6 +373,35 @@ impl PerNodeState {
         state
     }
 
+    /// Heap bytes of the per-node state, its own box included: stream and
+    /// timer bookkeeping, buckets, frontier, lanes, worker scratch and
+    /// indexes.
+    pub(crate) fn resident_bytes(&self) -> usize {
+        let buckets: usize = self.buckets.iter().map(heap_bytes).sum();
+        let lanes: usize = self
+            .req
+            .iter()
+            .chain(&self.rep)
+            .map(Lane::resident_bytes)
+            .sum();
+        let scratch: usize = self.scratch.iter().map(WorkerScratch::resident_bytes).sum();
+        std::mem::size_of::<Self>()
+            + heap_bytes(&self.slot_gen)
+            + heap_bytes(&self.next_due)
+            + heap_bytes(&self.buckets)
+            + buckets
+            + heap_bytes(&self.pending)
+            + heap_bytes(&self.frontier)
+            + self.in_frontier.resident_bytes()
+            + heap_bytes(&self.req)
+            + heap_bytes(&self.rep)
+            + lanes
+            + heap_bytes(&self.scratch)
+            + scratch
+            + heap_bytes(&self.req_index)
+            + heap_bytes(&self.rep_index)
+    }
+
     /// Sets the worker count and gives every worker fresh lanes.
     fn set_threads(&mut self, threads: usize) {
         self.threads = threads.max(1);
@@ -436,7 +489,7 @@ impl PerNodeState {
 /// never mutates, plus the derivation inputs.
 #[derive(Clone, Copy)]
 struct Ctx<'a> {
-    ids: &'a [u64],
+    ids: &'a [u32],
     /// The network's id-indexed ring-key table (stride `rings`).
     keys: &'a [u64],
     slot_of: &'a [u32],
@@ -452,7 +505,7 @@ impl Ctx<'_> {
         sgid(self.slot_gen[idx(slot)], slot)
     }
 
-    fn id(&self, slot: u32) -> u64 {
+    fn id(&self, slot: u32) -> u32 {
         self.ids[idx(slot)]
     }
 
@@ -462,7 +515,7 @@ impl Ctx<'_> {
     }
 
     /// The live slot of node `id`, if it has one.
-    fn lookup(&self, id: u64) -> Option<u32> {
+    fn lookup(&self, id: u32) -> Option<u32> {
         lookup_live_in(self.slot_of, id)
     }
 }
@@ -563,7 +616,7 @@ impl DenseSimNetwork {
         }
         for &slot in &pn.frontier {
             probe.record(TraceEvent::ViewExchange {
-                node: self.ids[idx(slot)],
+                node: u64::from(self.ids[idx(slot)]),
                 cycle: self.cycle,
             });
         }

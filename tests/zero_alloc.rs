@@ -617,15 +617,16 @@ fn booting_a_network_allocates_a_stated_number_of_bytes_per_slot() {
         ..SimConfig::default()
     };
     let (cyc, vic, rings) = (config.cyclon_view, config.vicinity_view, config.rings);
-    // Per slot: `ids` and `joined` (8 B each), `by_id` and `slot_of` (4 B
-    // each), the ring keys (8 B per ring), the Cyclon row (8 B id + 4 B age
+    // Per slot: `ids` (4 B), `joined` (8 B), `by_id` and `slot_of` (4 B
+    // each), the ring keys (8 B per ring), the Cyclon row (4 B id + 4 B age
     // per entry, a 4 B length) and one Vicinity row per ring (the same).
     // The liveness bitset adds an eighth of a byte, and its doubling growth
     // at most as much again; one byte covers both. A ring key stored per
-    // descriptor would add 8 B per Cyclon and Vicinity entry.
-    let per_slot = 8 + 8 + 4 + 4 + 8 * rings + (12 * cyc + 4) + rings * (12 * vic + 4) + 1;
+    // descriptor would add 8 B per Cyclon and Vicinity entry, and a `u64`
+    // id 4 B per entry and slot.
+    let per_slot = 4 + 8 + 4 + 4 + 8 * rings + (8 * cyc + 4) + rings * (8 * vic + 4) + 1;
     assert_eq!(
-        per_slot, 521,
+        per_slot, 357,
         "the default view lengths: cyc = vic = 20, one ring"
     );
     let (net, stats) = measure(|| DenseSimNetwork::new(config.clone(), 22));
@@ -637,5 +638,24 @@ fn booting_a_network_allocates_a_stated_number_of_bytes_per_slot() {
         config.nodes,
         stats.bytes_allocated,
         stats.bytes_allocated as f64 / config.nodes as f64
+    );
+}
+
+#[test]
+fn resident_bytes_accounts_for_every_byte_a_boot_allocates() {
+    let (net, stats) = measure(|| {
+        DenseSimNetwork::new(
+            SimConfig {
+                nodes: 2_000,
+                ..SimConfig::default()
+            },
+            23,
+        )
+    });
+    let resident = net.resident_bytes() as u64;
+    assert!(
+        stats.bytes_allocated.abs_diff(resident) <= 1024,
+        "resident_bytes() reads {resident} B, the boot allocated {} B",
+        stats.bytes_allocated
     );
 }
